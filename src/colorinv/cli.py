@@ -95,6 +95,9 @@ def cmd_picture(args):
     cfg = resolve_config(args.config)
     mults = _parse_mults(args.multiplicities, cfg.shape)
     pshape = PictureShape(cfg.shape, mults)
+    if pshape.N > cfg.max_n:
+        raise ValueError("N=%d tensor positions exceed bounds.max_n=%d of %s"
+                         % (pshape.N, cfg.max_n, cfg.name))
     pshape.require_balanced()
     sigma = perms.parse_perm(args.sigma, k=pshape.N)
     phi = build_phi(pshape, sigma)

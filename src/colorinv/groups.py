@@ -70,7 +70,8 @@ class FiniteAbelianGroup:
         return "FiniteAbelianGroup(%r)" % (self.factors,)
 
 class Bicharacter:
-    """Exponent-matrix bicharacter on a finite abelian group."""
+    """Exponent-matrix bicharacter on a finite abelian group.  Treated as
+    immutable once built: it caches its roots of unity and eps table."""
 
     def __init__(self, group, expmat):
         if isinstance(group, (list, tuple)):
@@ -84,6 +85,8 @@ class Bicharacter:
         self.expmat = mat
         self.m = m
         self._positions = None
+        self._roots = {}
+        self._eps_table = None
 
     def eps_exponent(self, g, h):
         """g^T B h mod m.  Degrees are taken as raw int tuples; no reduction
@@ -98,10 +101,24 @@ class Bicharacter:
         return total % m
 
     def eps(self, g, h):
-        return CycloRational.root(self.m, self.eps_exponent(g, h))
+        return self.root(self.eps_exponent(g, h))
 
     def root(self, exponent):
-        return CycloRational.root(self.m, exponent % self.m)
+        """zeta_m^exponent; one shared CycloRational per residue mod m,
+        built when first asked for."""
+        e = exponent % self.m
+        r = self._roots.get(e)
+        if r is None:
+            r = self._roots[e] = CycloRational.root(self.m, e)
+        return r
+
+    def eps_table(self):
+        """eps exponents over positions in the fixed order of G:
+        table[a][b] = eps_exponent(g_a, g_b).  Row a is filled when first
+        read, so a large group costs only the rows its degrees reach."""
+        if self._eps_table is None:
+            self._eps_table = _EpsRows(self)
+        return self._eps_table
 
     def parity_bit(self, g):
         """0 for even, 1 for odd; raises if eps(g,g) is not +-1."""
@@ -137,6 +154,19 @@ class Bicharacter:
 
     def __repr__(self):
         return "Bicharacter(%r, %r)" % (self.group.factors, self.expmat)
+
+class _EpsRows(dict):
+    """The rows of Bicharacter.eps_table, keyed by position."""
+
+    def __init__(self, chi):
+        super().__init__()
+        self.chi = chi
+        self.elements = chi.element_order()
+
+    def __missing__(self, a):
+        g = self.elements[a]
+        row = self[a] = [self.chi.eps_exponent(g, h) for h in self.elements]
+        return row
 
 @dataclass
 class ValidationReport:

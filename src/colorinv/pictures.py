@@ -10,12 +10,20 @@ at u agrees with the functional evaluation
 
     T_sigma(u ox ... ox u) = ev(nu . tau . (sigma_hat . mu . blocked)),
 
-the right side computed here by t_sigma_eval.  The polynomial's monomial at
-index tuple I = (r_1..r_N) uses, for copy (i,j), lower indices r at the
-copy's primal positions and upper indices r o sigma^{-1} at its dual
-positions; the coefficient is the rearrangement sign gamma(J, rho^{-1})
+the right side computed here by t_sigma_on_parts.  The polynomial's
+monomial at index tuple I = (r_1..r_N) uses, for copy (i,j), lower indices
+r at the copy's primal positions and upper indices r o sigma^{-1} at its
+dual positions; the coefficient is the rearrangement sign gamma(J, rho^{-1})
 with rho = nu tau sigma_hat mu and J the blocked degree tuple, times the
 dual-word normalization of the w-block degrees.
+
+Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
+the inversions of rho, the copies' positions in I) is worked out once per
+(PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  The
+dim^N loop of build_phi then only reads index degrees off the plan and
+sums entries of the bicharacter's eps table.  Because of these caches,
+PictureShape, MixedShape and Bicharacter are treated as immutable once
+built.
 
 The dual-word normalization multiplying the rearrangement sign is the
 strict reversed product  prod_{c < c'} eps(h_{c'}, h_c)  over the w-block
@@ -34,10 +42,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import permutations as perms
-from .cyclo import CycloRational
 from .sympoly import MixedShape, SymVariable, SymPolynomial, sym_normalize
 from .tensors import (PRIMAL, DUAL, GradedTensor, act_perm, contract_pairs,
-                      gamma_exponent, tensor_product, tensor_power)
+                      tensor_product, tensor_power)
 
 tau = perms.tau_perm
 nu = perms.nu_perm
@@ -56,6 +63,7 @@ class PictureShape:
         self.N = sum(m * b for m, (b, _) in zip(self.mults, shape.pairs))
         self.Nprime = sum(m * t for m, (_, t) in zip(self.mults, shape.pairs))
         self.k = sum(self.mults)
+        self._plans = {}
 
     @property
     def balanced(self):
@@ -96,6 +104,15 @@ class PictureShape:
         return "PictureShape(pairs=%r, mults=%r)" % (list(self.shape.pairs),
                                                      list(self.mults))
 
+    def plan(self, sigma):
+        """The SigmaPlan of phi_sigma, built on first use and kept on this
+        shape, keyed by the sigma tuple."""
+        sigma = tuple(sigma)
+        plan = self._plans.get(sigma)
+        if plan is None:
+            plan = self._plans[sigma] = SigmaPlan(self, sigma)
+        return plan
+
 def mu(pshape):
     """Blocked-to-sorted rearrangement in S_{N+N'}."""
     N = pshape.N
@@ -132,59 +149,84 @@ def dual_word_exponent(chi, degs):
             total += chi.eps_exponent(degs[cp], degs[c])
     return total % chi.m
 
-def _sigma_inv_on_upper(pshape, sigma):
-    pshape.require_balanced()
-    if len(sigma) != pshape.N:
-        raise ValueError("sigma must lie in S_%d" % pshape.N)
-    return perms.inverse(sigma)
+class SigmaPlan:
+    """Everything the summand of phi_sigma at an index tuple I needs of
+    sigma and the shape, worked out once.
+
+    copies: per copy (i, j) in blocked order, the summand i and the
+        0-based positions in I of its lower indices and of its upper
+        indices (the latter already read through sigma^{-1});
+    index_pos: the position, in the fixed order of G, of each basis
+        index's degree (entry 0 unused);
+    terms: the coefficient exponent as a bilinear form in the degrees of
+        I, a list of (a, b, c) meaning c * eps(deg I_a, deg I_b).
+
+    terms comes from two lists of pairs.  Each blocked slot reads the
+    degree of one entry of I, negated on dual slots: that is the tuple
+    J = mu^{-1} . (sorted degrees) of the rearrangement sign, and each
+    inversion (x, y) of rho = nu tau sigma_hat mu adds eps(J_x, J_y).  The
+    dual-word normalization adds eps(h_c', h_c) for each pair of copies
+    c < c', h_c being the signed sum of copy c's degrees.  Since eps is a
+    bicharacter, both expand into eps of single index degrees, and the
+    pairs landing on the same two positions of I are merged.
+    """
+
+    __slots__ = ("copies", "index_pos", "terms", "table", "m")
+
+    def __init__(self, pshape, sigma):
+        pshape.require_balanced()
+        N = pshape.N
+        if len(sigma) != N:
+            raise ValueError("sigma must lie in S_%d" % N)
+        chi = pshape.shape.chi
+        space = pshape.shape.space
+        inv = perms.inverse(sigma)
+        self.copies = tuple(
+            (i,
+             tuple(p - 1 for p in pshape.lower_positions(i, j)),
+             tuple(inv[q - 1] - 1 for q in pshape.upper_positions(i, j)))
+            for i, j in pshape.copies())
+        mu_p = mu(pshape)
+        # Blocked slot -> (position in I, sign of its degree in J).
+        sources = tuple([(r, 1) for r in range(N)]
+                        + [(inv[y] - 1, -1) for y in range(N)])
+        slots = perms.act_tuple(perms.inverse(mu_p), sources)
+        rho = perms.compose(nu(N), perms.compose(tau(N), perms.compose(
+            sigma_hat(sigma), mu_p)))
+        pairs = [(slots[x - 1], slots[y - 1]) for x, y in perms.inversions(rho)]
+        signed = [[(p, 1) for p in lo] + [(p, -1) for p in up]
+                  for _, lo, up in self.copies]
+        for c in range(len(signed)):
+            for cp in range(c + 1, len(signed)):
+                pairs.extend((x, y) for x in signed[cp] for y in signed[c])
+        counts = {}
+        for (a, sa), (b, sb) in pairs:
+            counts[a, b] = counts.get((a, b), 0) + sa * sb
+        self.m = chi.m
+        self.terms = tuple((a, b, c % self.m) for (a, b), c in counts.items()
+                           if c % self.m)
+        self.index_pos = (None,) + tuple(chi.position(space.degree(r))
+                                         for r in range(1, space.dim + 1))
+        self.table = chi.eps_table()
+
+    def exponent(self, I):
+        pos = self.index_pos
+        d = [pos[r] for r in I]
+        table = self.table
+        return sum(c * table[d[a]][d[b]] for a, b, c in self.terms) % self.m
 
 def picture_monomial(pshape, sigma, I):
     """The variable word of the summand at index tuple I: copy (i, j) reads
     its lower indices off I at its primal positions and its upper indices
     off I o sigma^{-1} at its dual positions."""
-    inv = _sigma_inv_on_upper(pshape, sigma)
-    word = []
-    for i, j in pshape.copies():
-        lower = tuple(I[p - 1] for p in pshape.lower_positions(i, j))
-        upper = tuple(I[inv[q - 1] - 1] for q in pshape.upper_positions(i, j))
-        word.append(SymVariable(i, lower, upper))
-    return tuple(word)
-
-def _word_block_degrees(pshape, sigma, I):
-    inv = perms.inverse(sigma)
-    grp = pshape.shape.chi.group
-    space = pshape.shape.space
-    out = []
-    for i, j in pshape.copies():
-        lo = grp.sum(space.degree(I[p - 1]) for p in pshape.lower_positions(i, j))
-        up = grp.sum(space.degree(I[inv[q - 1] - 1]) for q in pshape.upper_positions(i, j))
-        out.append(grp.sub(lo, up))
-    return out
-
-def _rho(pshape, sigma):
-    two_n = 2 * pshape.N
-    comp = perms.compose(nu(pshape.N), perms.compose(tau(pshape.N),
-                         perms.compose(sigma_hat(sigma), mu(pshape))))
-    assert len(comp) == two_n
-    return comp
+    return tuple(SymVariable(i, tuple(I[p] for p in lo), tuple(I[p] for p in up))
+                 for i, lo, up in pshape.plan(sigma).copies)
 
 def coefficient_exponent(pshape, sigma, I):
     """Exponent of the coefficient at index tuple I: the rearrangement sign
     gamma(J, rho^{-1}) over the blocked degree tuple J, plus the dual-word
-    normalization of the w-block degrees."""
-    pshape.require_balanced()
-    chi = pshape.shape.chi
-    space = pshape.shape.space
-    grp = chi.group
-    inv = perms.inverse(sigma)
-    sorted_degs = ([space.degree(r) for r in I]
-                   + [grp.neg(space.degree(I[inv[y - 1] - 1]))
-                      for y in range(1, pshape.N + 1)])
-    J = perms.act_tuple(perms.inverse(mu(pshape)), tuple(sorted_degs))
-    e = gamma_exponent(chi, J, _rho(pshape, sigma))
-    h = _word_block_degrees(pshape, sigma, I)
-    e += dual_word_exponent(chi, h)
-    return e % chi.m
+    normalization of the w-block degrees, read off the plan of sigma."""
+    return pshape.plan(sigma).exponent(I)
 
 def coefficient(pshape, sigma, I):
     return pshape.shape.chi.root(coefficient_exponent(pshape, sigma, I))
@@ -199,20 +241,23 @@ def build_phi(pshape, sigma):
     """The picture invariant phi_sigma as an element of S(W*): sum over all
     index tuples I in {1..dim}^N of coefficient(I) times the normalized
     monomial at I."""
-    pshape.require_balanced()
     shape = pshape.shape
     chi = shape.chi
-    N = pshape.N
-    if len(sigma) != N:
-        raise ValueError("sigma must lie in S_%d" % N)
-    total = {}
-    for I in itertools.product(range(1, shape.space.dim + 1), repeat=N):
-        word = picture_monomial(pshape, sigma, I)
-        res = sym_normalize(shape, word)
+    pshape.plan(sigma)  # checks sigma before the loop
+    # The swap factors are summed per (monomial, coefficient exponent) and
+    # each sum is multiplied by its root of unity once, at the end.
+    sums = {}
+    for I in itertools.product(range(1, shape.space.dim + 1), repeat=pshape.N):
+        res = sym_normalize(shape, picture_monomial(pshape, sigma, I))
         if res is None:
             continue
         swap, mono = res
-        c = swap * coefficient(pshape, sigma, I)
+        key = mono, coefficient_exponent(pshape, sigma, I)
+        prev = sums.get(key)
+        sums[key] = swap if prev is None else prev + swap
+    total = {}
+    for (mono, e), swaps in sums.items():
+        c = swaps * chi.root(e)
         prev = total.get(mono)
         total[mono] = c if prev is None else prev + c
     return PictureInvariant(pshape, tuple(sigma), SymPolynomial(shape, total))
@@ -255,15 +300,9 @@ def blocked_word(pshape, parts):
         out = tensor_product(out, f)
     return out
 
-def t_sigma_eval(pshape, sigma, t):
-    """T_sigma on a tensor already in sorted variance."""
-    pshape.require_balanced()
-    return theta_eval(sigma, t)
-
 def t_sigma_on_parts(pshape, sigma, parts):
     """The functional path: block the per-summand tensors, rearrange into
     sorted variance by the signed mu action, evaluate Theta(sigma)."""
     pshape.require_balanced()
     blocked = blocked_word(pshape, parts)
-    sorted_t = act_perm(mu(pshape), blocked)
-    return t_sigma_eval(pshape, sigma, sorted_t)
+    return theta_eval(sigma, act_perm(mu(pshape), blocked))

@@ -16,6 +16,7 @@ blocks yields an equivalent basis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +36,9 @@ class SymVariable:
         return self.lower + self.upper
 
 class MixedShape:
-    """The space W: a graded space plus the list of (b_i, t_i) pairs."""
+    """The space W: a graded space plus the list of (b_i, t_i) pairs.
+    Treated as immutable once built: it caches each variable's degree and
+    sort key."""
 
     def __init__(self, space, pairs):
         self.space = space
@@ -43,7 +46,8 @@ class MixedShape:
         if any(b < 0 or t < 0 for b, t in self.pairs):
             raise ValueError("summand shapes must be nonnegative")
         self._vars = None
-        self._key = None
+        self._key = {}
+        self._degree = {}
 
     @property
     def s(self):
@@ -64,17 +68,18 @@ class MixedShape:
             raise ValueError("variable index out of range in %r" % (v,))
 
     def var_degree(self, v):
-        grp = self.chi.group
-        lo = grp.sum(self.space.degree(i) for i in v.lower)
-        up = grp.sum(self.space.degree(i) for i in v.upper)
-        return grp.sub(lo, up)
+        d = self._degree.get(v)
+        if d is None:
+            grp = self.chi.group
+            lo = grp.sum(self.space.degree(i) for i in v.lower)
+            up = grp.sum(self.space.degree(i) for i in v.upper)
+            d = self._degree[v] = grp.sub(lo, up)
+        return d
 
     def var_parity(self, v):
         return self.chi.parity_bit(self.var_degree(v))
 
     def var_key(self, v):
-        if self._key is None:
-            self._key = {}
         k = self._key.get(v)
         if k is None:
             k = (self.chi.position(self.var_degree(v)), v.summand, v.lower, v.upper)
@@ -106,16 +111,16 @@ def sym_normalize(shape, seq):
     factors; returns (coefficient, monomial tuple) or None when a repeated
     odd variable makes it zero."""
     chi = shape.chi
+    table = chi.eps_table()
     items = list(seq)
-    degs = [shape.var_degree(v) for v in items]
+    # A key starts with the position of the variable's degree in G.
     keys = [shape.var_key(v) for v in items]
     exp = 0
     for i in range(1, len(items)):
         j = i
         while j > 0 and keys[j - 1] > keys[j]:
-            exp += chi.eps_exponent(degs[j - 1], degs[j])
+            exp += table[keys[j - 1][0]][keys[j][0]]
             items[j - 1], items[j] = items[j], items[j - 1]
-            degs[j - 1], degs[j] = degs[j], degs[j - 1]
             keys[j - 1], keys[j] = keys[j], keys[j - 1]
             j -= 1
     for a, b in zip(items, items[1:]):
@@ -305,10 +310,4 @@ def symmetrize(shape, seq):
         e = gamma_exponent(chi, degs, sigma)
         word = perms.act_tuple(sigma, tuple(seq))
         out = out + SymPolynomial.from_word(shape, word, chi.root(e))
-    return out.scale(Fraction(1, max(1, _factorial(r))))
-
-def _factorial(r):
-    out = 1
-    for i in range(2, r + 1):
-        out *= i
-    return out
+    return out.scale(Fraction(1, math.factorial(r)))

@@ -118,3 +118,23 @@ def test_verify_unknown_suite(capsys):
                        "--suite", "nonsense")
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_picture_rejects_n_beyond_max_n(capsys, monkeypatch):
+    cfg = builtin_config("z2z2")
+
+    def refuse(pshape, sigma):
+        raise AssertionError("build_phi reached past bounds.max_n")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("colorinv.cli.build_phi", refuse)
+        rc, out, err = run(capsys, "picture", "--config", "builtin:z2z2",
+                           "--multiplicities", str(cfg.max_n + 1), "--sigma", "id")
+    assert rc == 2
+    assert out == ""
+    assert "N=%d" % (cfg.max_n + 1) in err
+    assert "bounds.max_n=%d" % cfg.max_n in err
+    rc, out, err = run(capsys, "picture", "--config", "builtin:z2z2",
+                       "--multiplicities", str(cfg.max_n), "--sigma", "id")
+    assert rc == 0
+    assert out.strip()

@@ -4,8 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from colorinv import permutations as perms
+from colorinv.config import parse_config_text
 from colorinv.cyclo import CycloRational
+from colorinv.groups import Bicharacter
+from colorinv.oracle import suite
 from colorinv.permutations import all_perms
 from colorinv.pictures import (
     PictureShape,
@@ -20,6 +25,7 @@ from colorinv.pictures import (
 )
 from colorinv.sampling import random_w0_point, standard_test_algebra
 from colorinv.sympoly import MixedShape
+from colorinv.tensors import gamma_exponent
 from colorinv.textform import format_sym
 from colorinv.traces import restitute
 
@@ -143,3 +149,93 @@ def test_phi_polynomials_are_normalized(cfgs):
         poly = build_phi(ps, sigma).poly
         for word in poly.terms:
             assert list(word) == sorted(word, key=cfg.shape.var_key)
+
+
+def textbook_coefficient_exponent(pshape, sigma, I):
+    """The coefficient exponent at index tuple I worked out from scratch:
+    gamma over the inversions of rho = nu tau sigma_hat mu on the blocked
+    degree tuple J = mu^{-1} . (degrees of I, negated degrees of
+    I o sigma^{-1}), plus the dual-word normalization of the w-block
+    degrees."""
+    chi = pshape.shape.chi
+    grp = chi.group
+    space = pshape.shape.space
+    N = pshape.N
+    inv = perms.inverse(sigma)
+    sorted_degs = ([space.degree(r) for r in I]
+                   + [grp.neg(space.degree(I[inv[y - 1] - 1])) for y in range(1, N + 1)])
+    mu_p = mu(pshape)
+    J = perms.act_tuple(perms.inverse(mu_p), tuple(sorted_degs))
+    rho = perms.compose(perms.nu_perm(N), perms.compose(
+        perms.tau_perm(N), perms.compose(perms.hat_perm(sigma), mu_p)))
+    h = []
+    for i, j in pshape.copies():
+        lo = grp.sum(space.degree(I[p - 1]) for p in pshape.lower_positions(i, j))
+        up = grp.sum(space.degree(I[inv[q - 1] - 1]) for q in pshape.upper_positions(i, j))
+        h.append(grp.sub(lo, up))
+    return (gamma_exponent(chi, J, rho) + dual_word_exponent(chi, h)) % chi.m
+
+
+def _assert_plan_matches_textbook(ps):
+    dim = ps.shape.space.dim
+    for sigma in all_perms(ps.N):
+        for I in itertools.product(range(1, dim + 1), repeat=ps.N):
+            assert coefficient_exponent(ps, sigma, I) == \
+                textbook_coefficient_exponent(ps, sigma, I), (ps, sigma, I)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coefficient_exponent_matches_textbook_formula(cfgs, n):
+    for cfg in cfgs.values():
+        _assert_plan_matches_textbook(PictureShape(cfg.shape, (n,)))
+
+
+def test_coefficient_exponent_matches_textbook_formula_mixed(cfgs):
+    for cfg in cfgs.values():
+        mixed = MixedShape(cfg.space, [(1, 1), (2, 2)])
+        _assert_plan_matches_textbook(PictureShape(mixed, (2, 1)))
+
+
+SIGN_RULE_FACTORS = ([6, 6], [3, 6], [12, 12])
+
+
+@st.composite
+def sign_rule_configs(draw):
+    """Config with a random valid bicharacter of order m = 6 or 12, where
+    deg Phi_m < m - 1, on a group from SIGN_RULE_FACTORS, and up to three
+    basis degrees listed in the fixed order of G."""
+    d1, d2 = factors = draw(st.sampled_from(SIGN_RULE_FACTORS))
+    m = Bicharacter(factors, [[0, 0], [0, 0]]).m
+
+    def diagonal(d):
+        # eps(g, g) must be a sign, and B_ii defined mod d.
+        return [v for v in range(m) if 2 * v % m == 0 and d * v % m == 0]
+
+    off = draw(st.sampled_from([x for x in range(m) if d1 * x % m == 0 and d2 * x % m == 0]))
+    expmat = [[draw(st.sampled_from(diagonal(d1))), off],
+              [-off, draw(st.sampled_from(diagonal(d2)))]]
+    order = Bicharacter(factors, expmat).element_order()
+    picks = draw(st.lists(st.integers(0, len(order) - 1), min_size=1, max_size=3))
+    degrees = [order[i] for i in sorted(picks)]
+    return parse_config_text(
+        "group.factors = %r\nbicharacter.expmat = %r\nspace.degrees = %r\n"
+        "shape.pairs = [(1, 1)]\n" % (factors, expmat, degrees),
+        name="random-sign-rule")
+
+
+@given(cfg=sign_rule_configs())
+@settings(max_examples=8, deadline=None)
+def test_random_sign_rules(cfg):
+    chi = cfg.chi
+    assert chi.m in (6, 12)
+    for e in range(-chi.m, 2 * chi.m):
+        assert chi.root(e) == CycloRational.root(chi.m, e)
+    table = chi.eps_table()
+    for g in chi.group.elements():
+        for h in chi.group.elements():
+            assert table[chi.position(g)][chi.position(h)] == chi.eps_exponent(g, h)
+    _assert_plan_matches_textbook(PictureShape(cfg.shape, (3,)))
+    mixed = MixedShape(cfg.space, [(1, 1), (2, 2)])
+    _assert_plan_matches_textbook(PictureShape(mixed, (1, 1)))
+    rpt = suite("path-equality", cfg, max_n=2)
+    assert rpt.ok, rpt.render()
