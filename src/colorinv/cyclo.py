@@ -1,18 +1,30 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 An element is a rational polynomial in zeta_m reduced modulo the m-th
-cyclotomic polynomial Phi_m, stored as a coefficient tuple of length
-deg Phi_m = phi(m).  Working modulo Phi_m (rather than x^m - 1) makes the
-representation canonical, so equality and zero tests are exact: relations
-like 1 + zeta_3 + zeta_3^2 = 0 hold on the nose.
+cyclotomic polynomial Phi_m.  Working modulo Phi_m (rather than x^m - 1)
+makes the representation canonical, so equality and zero tests are exact:
+relations like 1 + zeta_3 + zeta_3^2 = 0 hold on the nose.
+
+The layout is that of FLINT's fmpq_poly: integer numerators over one
+denominator.  `num` is an int tuple of length deg Phi_m = phi(m) and `den`
+a positive int, normalized so that gcd(den, *num) = 1; zero is num all 0
+over den 1.  Phi_m is monic, so x^k mod Phi_m has integer coefficients: a
+per-order table of those rows reduces products and lifts without leaving
+the integers.  Sums, products, lifts and equality build no Fraction; only
+the constructor, `coeffs`, `lift`, `as_fraction` and `inv` do.
 
 Elements of different orders are compared and combined by lifting both to
-the lcm order via zeta_m = zeta_M^(M/m).
+the lcm order via zeta_m = zeta_M^(M/m).  A result keeps that lcm as its
+`order` even when its value lies in a smaller field (zeta_4 * zeta_4 has
+order 4), and an order-1 operand, a plain rational, leaves the other
+operand's order alone.  Printed output carries the order (`--format
+structured` writes it), so the rule is part of the output format.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 def _poly_trim(c):
@@ -67,21 +79,52 @@ def cyclotomic_poly(m):
     _PHI_CACHE[m] = tuple(q)
     return _PHI_CACHE[m]
 
-def _reduce_mod_phi(coeffs, m):
-    """Reduce a rational coefficient list modulo Phi_m; returns a tuple of
-    length deg Phi_m."""
-    phi = cyclotomic_poly(m)
-    deg = len(phi) - 1
-    c = [Fraction(x) for x in coeffs]
-    for k in range(len(c) - 1, deg - 1, -1):
-        top = c[k]
-        if top:
-            c[k] = Fraction(0)
-            for j in range(deg):
-                c[k - deg + j] -= top * phi[j]
-    c = c[:deg]
-    c += [Fraction(0)] * (deg - len(c))
-    return tuple(c)
+_TABLES = {}
+
+def _power_table(m):
+    """Row k is x^k mod Phi_m as an int tuple of length deg Phi_m, for
+    0 <= k < m.  Phi_m divides x^m - 1, so x^k reduces like x^(k mod m);
+    Phi_m is monic, so every entry is an integer."""
+    table = _TABLES.get(m)
+    if table is None:
+        phi = cyclotomic_poly(m)
+        deg = len(phi) - 1
+        row = (1,) + (0,) * (deg - 1)
+        table = [row]
+        for _ in range(1, m):
+            top = row[-1]
+            row = (0,) + row[:-1]
+            if top:
+                row = tuple(x - top * p for x, p in zip(row, phi))
+            table.append(row)
+        table = _TABLES[m] = tuple(table)
+    return table
+
+def _reduce(ints, m):
+    """An int coefficient list of any length, reduced modulo Phi_m."""
+    table = _power_table(m)
+    deg = len(table[0])
+    out = list(ints[:deg]) + [0] * (deg - len(ints))
+    for k in range(deg, len(ints)):
+        c = ints[k]
+        if c:
+            for j, x in enumerate(table[k % m]):
+                if x:
+                    out[j] += c * x
+    return out
+
+def _make(order, num, den):
+    """The element num/den of Q(zeta_order), brought to lowest terms:
+    gcd(den, *num) = 1 with den > 0, so zero comes out as num all 0 over 1."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple(x // g for x in num)
+        den //= g
+    z = object.__new__(CycloRational)
+    z.order = order
+    z.num = num
+    z.den = den
+    return z
 
 def _frac_poly_divmod(num, den):
     num = [Fraction(x) for x in num]
@@ -103,20 +146,30 @@ def _frac_poly_divmod(num, den):
             num[k + j] -= c * y
 
 class CycloRational:
-    """An element of Q(zeta_m) in canonical reduced form.  Immutable."""
+    """An element of Q(zeta_m) in canonical reduced form: integer
+    numerators over one positive denominator, in lowest terms.  Immutable."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order, coeffs, _reduced=False):
+    def __init__(self, order, coeffs):
+        coeffs = [Fraction(x) for x in coeffs]
+        den = math.lcm(*(x.denominator for x in coeffs))
+        ints = [x.numerator * (den // x.denominator) for x in coeffs]
+        num = _reduce(ints, order)
+        g = math.gcd(den, *num)
         self.order = order
-        if _reduced:
-            self.coeffs = coeffs
-        else:
-            self.coeffs = _reduce_mod_phi(coeffs, order)
+        self.num = tuple(x // g for x in num)
+        self.den = den // g
+
+    @property
+    def coeffs(self):
+        """The coefficients of 1, zeta, ..., zeta^(deg Phi_m - 1)."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @classmethod
     def from_rational(cls, q):
-        return cls(1, (Fraction(q),), _reduced=True)
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @classmethod
     def zero(cls):
@@ -129,59 +182,92 @@ class CycloRational:
     @classmethod
     def root(cls, m, e=1):
         """zeta_m^e."""
-        e %= m
-        c = [Fraction(0)] * e + [Fraction(1)]
-        return cls(m, c)
+        return _make(m, _power_table(m)[e % m], 1)
+
+    def _lift(self, bigm):
+        """Numerators of this element viewed in Q(zeta_bigm), over the same
+        denominator."""
+        m = self.order
+        if bigm == m:
+            return self.num
+        if bigm % m != 0:
+            raise ValueError("cannot lift order %d into order %d" % (m, bigm))
+        step = bigm // m
+        spread = [0] * ((len(self.num) - 1) * step + 1)
+        spread[::step] = self.num
+        return tuple(_reduce(spread, bigm))
 
     def lift(self, bigm):
         """Coefficient tuple of this element viewed in Q(zeta_bigm)."""
-        if bigm == self.order:
-            return self.coeffs
-        if bigm % self.order != 0:
-            raise ValueError("cannot lift order %d into order %d" % (self.order, bigm))
-        step = bigm // self.order
-        c = [Fraction(0)] * (step * max(len(self.coeffs), 1))
-        for e, x in enumerate(self.coeffs):
-            if x:
-                c[e * step] = x
-        return _reduce_mod_phi(c, bigm)
+        return tuple(Fraction(x, self.den) for x in self._lift(bigm))
 
     def _pair(self, other):
-        other = _coerce(other)
-        if other is None:
-            return None
-        m = self.order * other.order // math.gcd(self.order, other.order)
-        return m, self.lift(m), other.lift(m), other
+        """(order, numerators of self, numerators of other) at the lcm
+        order, or None when other is not a scalar."""
+        if other.__class__ is not CycloRational:
+            other = _coerce(other)
+            if other is None:
+                return None
+        m1, m2 = self.order, other.order
+        if m1 == m2:
+            return m1, self.num, other.num, other
+        m = m1 * m2 // math.gcd(m1, m2)
+        return m, self._lift(m), other._lift(m), other
 
     def __add__(self, other):
         p = self._pair(other)
         if p is None:
             return NotImplemented
-        m, a, b, _ = p
-        return CycloRational(m, tuple(x + y for x, y in zip(a, b)), _reduced=True)
+        m, a, b, other = p
+        da, db = self.den, other.den
+        if da == db:
+            return _make(m, tuple(map(operator.add, a, b)), da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make(m, tuple(x * fa + y * fb for x, y in zip(a, b)), da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloRational(self.order, tuple(-x for x in self.coeffs), _reduced=True)
+        return _make(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         p = self._pair(other)
         if p is None:
             return NotImplemented
-        m, a, b, _ = p
-        return CycloRational(m, tuple(x - y for x, y in zip(a, b)), _reduced=True)
+        m, a, b, other = p
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make(m, tuple(x * fa - y * fb for x, y in zip(a, b)), da * fa)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        m, a, b, _ = p
-        prod = _poly_mul(list(a), list(b))
-        return CycloRational(m, prod)
+        if other.__class__ is not CycloRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        m1, m2 = self.order, other.order
+        den = self.den * other.den
+        # an order-1 operand is a rational: it scales the other one
+        if m2 == 1:
+            k = other.num[0]
+            return _make(m1, tuple(x * k for x in self.num), den)
+        if m1 == 1:
+            k = self.num[0]
+            return _make(m2, tuple(x * k for x in other.num), den)
+        m, a, b, _ = self._pair(other)
+        if len(a) == 1:
+            return _make(m, (a[0] * b[0],), den)
+        out = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] += x * y
+        return _make(m, tuple(_reduce(out, m)), den)
 
     __rmul__ = __mul__
 
@@ -233,29 +319,36 @@ class CycloRational:
         return out
 
     def is_zero(self):
-        return all(not x for x in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __eq__(self, other):
         p = self._pair(other)
         if p is None:
             return NotImplemented
-        _, a, b, _ = p
-        return a == b
+        _, a, b, other = p
+        da, db = self.den, other.den
+        if da == db:
+            return a == b
+        if self.order == other.order:
+            return False  # lowest terms are unique at one order
+        # across orders, compare cross-multiplied: the verdict then does not
+        # rest on a lift keeping its numerators in lowest terms
+        return all(x * db == y * da for x, y in zip(a, b))
 
     # equal values can live at different stored orders, so no consistent
     # cheap hash exists; elements are used as dict values, never keys
     __hash__ = None
 
     def is_rational(self):
-        return all(not x for x in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError("%s is not rational" % self)
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den)
 
     def __str__(self):
         from . import textform

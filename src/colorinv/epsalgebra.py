@@ -29,6 +29,8 @@ class EpsAlgebra:
         self.truncation = truncation
         # parity of each generator; also validates eps(g,g) = +-1
         self.gen_parity = tuple(chi.parity_bit(g) for g in self.gen_degrees)
+        # words_of_degree results by (degree, length bound)
+        self._words = {}
 
     @property
     def ngens(self):
@@ -233,11 +235,18 @@ def filtration_level(elem):
 def words_of_degree(alg, d, max_len=None):
     """All normal-ordered basis words of the given G-degree with length up
     to max_len (default: the truncation bound).  The empty word is included
-    when d is the identity."""
+    when d is the identity.  The algebra keeps each result; callers get a
+    fresh list."""
     if max_len is None:
         max_len = alg.truncation
     max_len = min(max_len, alg.truncation)
     d = alg.chi.group.element(d)
+    words = alg._words.get((d, max_len))
+    if words is None:
+        words = alg._words[d, max_len] = tuple(_enumerate_words(alg, d, max_len))
+    return list(words)
+
+def _enumerate_words(alg, d, max_len):
     grp = alg.chi.group
     out = []
 

@@ -71,7 +71,8 @@ class FiniteAbelianGroup:
 
 class Bicharacter:
     """Exponent-matrix bicharacter on a finite abelian group.  Treated as
-    immutable once built: it caches its roots of unity and eps table."""
+    immutable once built: it caches its roots of unity, eps exponents and
+    eps table."""
 
     def __init__(self, group, expmat):
         if isinstance(group, (list, tuple)):
@@ -86,19 +87,24 @@ class Bicharacter:
         self.m = m
         self._positions = None
         self._roots = {}
+        self._exponents = {}
         self._eps_table = None
 
     def eps_exponent(self, g, h):
         """g^T B h mod m.  Degrees are taken as raw int tuples; no reduction
-        of the inputs is needed because everything lives mod m."""
-        B = self.expmat
-        m = self.m
-        total = 0
-        for i, gi in enumerate(g):
-            if gi:
-                row = B[i]
-                total += gi * sum(row[j] * h[j] for j in range(len(h)))
-        return total % m
+        of the inputs is needed because everything lives mod m.  Each
+        result is kept, keyed by (g, h) as given."""
+        key = g, h
+        e = self._exponents.get(key)
+        if e is None:
+            B = self.expmat
+            total = 0
+            for i, gi in enumerate(g):
+                if gi:
+                    row = B[i]
+                    total += gi * sum(row[j] * h[j] for j in range(len(h)))
+            e = self._exponents[key] = total % self.m
+        return e
 
     def eps(self, g, h):
         return self.root(self.eps_exponent(g, h))

@@ -20,7 +20,7 @@ import random
 
 from . import permutations as perms
 from .groups import Bicharacter, validate_bicharacter
-from .cyclo import CycloRational
+from .cyclo import CycloRational, as_cyclo
 from .tensors import (GradedSpace, GradedTensor, GradedOperator, PRIMAL, DUAL,
                       gamma_exponent, act_perm, apply_operator, psi_derivation,
                       eta_action, color_bracket, random_gl_epsilon)
@@ -34,10 +34,6 @@ from .traces import (W0Point, restitute, restitute_word,
 from .sampling import (standard_test_algebra, random_w0_point,
                        random_sym_polynomial)
 from .linalg import rank_int
-
-SUITES = ("bicharacter", "cocycle", "jacobi", "centralizer-commute",
-          "symalgebra", "path-equality", "invariance", "trace-match",
-          "restitution", "span")
 
 # ------------------------------------------------------------- reports
 
@@ -191,14 +187,6 @@ def classical_invariant_dim(n, shape, r):
         total += _invariant_block_dim(shape0, M, r)
     return total
 
-def _as_fraction(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    assert isinstance(c, CycloRational)
-    if any(c.coeffs[1:]):
-        raise ValueError("coefficient %r is not rational" % (c,))
-    return c.coeffs[0]
-
 def _phi_rank_block(shape, M, r):
     """Rank over the rationals of the picture invariants of multiplicity M
     inside the multidegree M block of S^r(W*)."""
@@ -210,7 +198,7 @@ def _phi_rank_block(shape, M, r):
         poly = build_phi(pshape, sigma).poly
         row = [Fraction(0)] * len(monos)
         for mono, c in poly.terms.items():
-            row[col[mono]] = _as_fraction(c)
+            row[col[mono]] = as_cyclo(c).as_fraction()
         rows.append(row)
     scale = math.lcm(*(x.denominator for row in rows for x in row)) if rows else 1
     mat = [[int(x * scale) for x in row] for row in rows]
@@ -269,7 +257,7 @@ def _span_restricted(shape, r, rpt, seed, points):
 
 # ----------------------------------------------------------- suites
 
-def _suite_bicharacter(cfg, rpt, seed):
+def _suite_bicharacter(cfg, rpt, seed, **_):
     chi = cfg.chi
     grp = chi.group
     rep = validate_bicharacter(chi)
@@ -320,7 +308,7 @@ def _suite_bicharacter(cfg, rpt, seed):
     rpt.add("basis-degree-order", pos == sorted(pos),
             "space degrees follow the fixed enumeration")
 
-def _suite_cocycle(cfg, rpt, seed):
+def _suite_cocycle(cfg, rpt, seed, **_):
     chi = cfg.chi
     space = cfg.space
     degs = sorted(set(space.degree(i) for i in range(1, space.dim + 1)))
@@ -366,7 +354,7 @@ def _jacobi_space(cfg):
         return space
     return GradedSpace(cfg.chi, [space.degree(i) for i in range(1, 4)])
 
-def _suite_jacobi(cfg, rpt, seed):
+def _suite_jacobi(cfg, rpt, seed, **_):
     chi = cfg.chi
     space = _jacobi_space(cfg)
     alg = standard_test_algebra(chi, truncation=2)
@@ -433,7 +421,7 @@ def _suite_jacobi(cfg, rpt, seed):
             "%d random homogeneous triples" % total if not bad
             else "%d triples failed" % bad)
 
-def _suite_centralizer(cfg, rpt, seed):
+def _suite_centralizer(cfg, rpt, seed, **_):
     chi = cfg.chi
     space = cfg.space
     alg = standard_test_algebra(chi, truncation=2)
@@ -483,7 +471,7 @@ def _random_homogeneous(shape, r, rng, terms=2):
             out = out + SymPolynomial(shape, {mono: c})
     return out
 
-def _suite_symalgebra(cfg, rpt, seed):
+def _suite_symalgebra(cfg, rpt, seed, **_):
     shape = cfg.shape
     chi = shape.chi
     dims = []
@@ -618,7 +606,7 @@ def _suite_trace_match(cfg, rpt, seed, points, max_n):
                     "%d points" % points if not bad
                     else "%d of %d points differ" % (bad, points))
 
-def _suite_restitution(cfg, rpt, seed, cases):
+def _suite_restitution(cfg, rpt, seed, cases=50, **_):
     shape = cfg.shape
     chi = cfg.chi
     alg = standard_test_algebra(chi, truncation=3)
@@ -699,12 +687,26 @@ def _suite_restitution(cfg, rpt, seed, cases):
             rpt.add("degree-zero-required", True,
                     "nonzero-degree parts are rejected")
 
-def _suite_span(cfg, rpt, seed):
+def _suite_span(cfg, rpt, seed, **_):
     shape = cfg.shape
     for r in (1, 2, 3):
         sub = span_check(shape, r, seed=seed)
         for c in sub.cases:
             rpt.add("r=%d %s" % (r, c.name), c.ok, c.detail)
+
+_RUNNERS = {
+    "bicharacter": _suite_bicharacter,
+    "cocycle": _suite_cocycle,
+    "jacobi": _suite_jacobi,
+    "centralizer-commute": _suite_centralizer,
+    "symalgebra": _suite_symalgebra,
+    "path-equality": _suite_path_equality,
+    "invariance": _suite_invariance,
+    "trace-match": _suite_trace_match,
+    "restitution": _suite_restitution,
+    "span": _suite_span,
+}
+SUITES = tuple(_RUNNERS)
 
 def suite(name, cfg, seed=0, points=3, max_n=None):
     """Run one named verification suite against a configuration.  The
@@ -714,26 +716,7 @@ def suite(name, cfg, seed=0, points=3, max_n=None):
     if max_n is None:
         max_n = min(3, cfg.max_n)
     rpt = Report(name, cfg.name, seed)
-    if name == "bicharacter":
-        _suite_bicharacter(cfg, rpt, seed)
-    elif name == "cocycle":
-        _suite_cocycle(cfg, rpt, seed)
-    elif name == "jacobi":
-        _suite_jacobi(cfg, rpt, seed)
-    elif name == "centralizer-commute":
-        _suite_centralizer(cfg, rpt, seed)
-    elif name == "symalgebra":
-        _suite_symalgebra(cfg, rpt, seed)
-    elif name == "path-equality":
-        _suite_path_equality(cfg, rpt, seed, points, max_n)
-    elif name == "invariance":
-        _suite_invariance(cfg, rpt, seed, points, max_n)
-    elif name == "trace-match":
-        _suite_trace_match(cfg, rpt, seed, points, max_n)
-    elif name == "restitution":
-        _suite_restitution(cfg, rpt, seed, cases=50)
-    elif name == "span":
-        _suite_span(cfg, rpt, seed)
+    _RUNNERS[name](cfg, rpt, seed, points=points, max_n=max_n)
     return rpt
 
 def run_suites(cfg, names=None, seed=0, points=3, max_n=None):

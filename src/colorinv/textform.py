@@ -346,10 +346,5 @@ def structured_sym(poly):
                                      "upper": list(v.upper)} for v in mono]}
                       for mono, c in poly.terms_sorted()]}
 
-def structured_tensor(t):
-    return {"variance": list(t.variance),
-            "terms": [{"indices": list(idx), "coeff": structured_eps(c)}
-                      for idx, c in t.terms_sorted()]}
-
 def dump_structured(obj):
     return json.dumps(obj, indent=2, sort_keys=False)

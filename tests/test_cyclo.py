@@ -116,3 +116,70 @@ def test_as_cyclo_coercion():
     assert as_cyclo(Fraction(1, 2)) * as_cyclo(2) == CycloRational.one()
     x = CycloRational.root(3, 1)
     assert as_cyclo(x) is x
+
+
+# ----------------------------------------- sympy referee for the arithmetic
+
+REFEREE_ORDERS = (1, 2, 3, 4, 6, 12)
+X = sympy.Symbol("x")
+
+
+def referee_poly(order, cs, bigm):
+    """sum cs[k] zeta_order^k in Q(zeta_bigm), written with zeta_order =
+    x^(bigm/order) and reduced by sympy modulo Phi_bigm."""
+    step = bigm // order
+    poly = sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator) * X ** (k * step)
+                           for k, c in enumerate(cs)), sympy.Integer(0)), X, domain="QQ")
+    return poly.rem(sympy.Poly(sympy.cyclotomic_poly(bigm, X), X, domain="QQ"))
+
+
+def ours_as_poly(x):
+    return sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator) * X ** k
+                           for k, c in enumerate(x.coeffs)), sympy.Integer(0)), X, domain="QQ")
+
+
+@st.composite
+def referee_pairs(draw):
+    """(order, coefficients) for a and b.  b is drawn independently, or as
+    a's value written another way: with a multiple of Phi added at a's
+    order, or spread out to an order that a's order divides."""
+    ma = draw(st.sampled_from(REFEREE_ORDERS))
+    ca = draw(st.lists(fractions, min_size=1, max_size=8))
+    how = draw(st.sampled_from(("independent", "plus-phi", "spread")))
+    if how == "independent":
+        mb = draw(st.sampled_from(REFEREE_ORDERS))
+        cb = draw(st.lists(fractions, min_size=1, max_size=8))
+    elif how == "plus-phi":
+        mb = ma
+        shift = draw(st.integers(0, 3))
+        k = draw(fractions)
+        phi = [0] * shift + [k * c for c in cyclotomic_poly(ma)]
+        cb = [Fraction(0)] * max(len(ca), len(phi))
+        for i, c in enumerate(ca):
+            cb[i] += c
+        for i, c in enumerate(phi):
+            cb[i] += c
+    else:
+        mb = draw(st.sampled_from([m for m in REFEREE_ORDERS if m % ma == 0]))
+        cb = [Fraction(0)] * ((len(ca) - 1) * (mb // ma) + 1)
+        for i, c in enumerate(ca):
+            cb[i * (mb // ma)] = c
+    return (ma, ca), (mb, cb)
+
+
+@given(pair=referee_pairs())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_sympy_referee(pair):
+    (ma, ca), (mb, cb) = pair
+    a, b = CycloRational(ma, ca), CycloRational(mb, cb)
+    bigm = ma * mb // sympy.igcd(ma, mb)
+    pa, pb = referee_poly(ma, ca, bigm), referee_poly(mb, cb, bigm)
+    phi = sympy.Poly(sympy.cyclotomic_poly(bigm, X), X, domain="QQ")
+    for got, want in ((a * b, (pa * pb).rem(phi)), (a + b, pa + pb)):
+        assert got.order == bigm
+        assert ours_as_poly(got) == want
+    equal = (pa - pb).is_zero
+    assert (a == b) is equal
+    assert (b == a) is equal
+    if equal and ma == mb:
+        assert a.coeffs == b.coeffs

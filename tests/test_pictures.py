@@ -142,6 +142,34 @@ def test_path_equality_seeded(cfgs):
                 assert lhs == rhs, (name, sigma)
 
 
+# Z12 x Z12 with eps((1,0),(0,1)) = zeta^5: every degree is even, and the
+# eps exponents between basis degrees reach 5 and 7.
+Z12Z12 = """group.factors = [12, 12]
+bicharacter.expmat = [[0, 5], [7, 0]]
+space.degrees = [(0, 0), (0, 1), (1, 0)]
+shape.pairs = [(1, 1)]
+"""
+
+
+def test_path_equality_on_length_one_points(cfgs):
+    """With coefficient words of length 1, quadratic terms such as
+    T[a]^[b] T[b]^[a] survive truncation 3, so a wrong sign on them shows
+    up as a mismatch between the two paths."""
+    configs = [cfgs[name] for name in ("super", "z2z2", "z3z3")]
+    configs.append(parse_config_text(Z12Z12, name="z12z12"))
+    for cfg in configs:
+        alg = standard_test_algebra(cfg.chi, truncation=3)
+        ps = PictureShape(cfg.shape, (2,))
+        rng = random.Random("length-one/%s" % cfg.name)
+        points = [random_w0_point(cfg.shape, alg, rng, max_len=1) for _ in range(3)]
+        for sigma in all_perms(2):
+            phi = build_phi(ps, sigma)
+            for u in points:
+                lhs = restitute(phi.poly, u)
+                assert lhs == t_sigma_on_parts(ps, sigma, u.parts), (cfg.name, sigma)
+                assert not lhs.is_zero(), (cfg.name, sigma)
+
+
 def test_phi_polynomials_are_normalized(cfgs):
     cfg = cfgs["z2z2"]
     ps = PictureShape(cfg.shape, (2,))
