@@ -107,9 +107,17 @@ def cmd_picture(args):
         print(format_sym(phi.poly))
     return 0
 
+def _truncation(args, cfg):
+    """The --truncation override when given (0 included), else the config's."""
+    if args.truncation is None:
+        return cfg.truncation
+    if args.truncation < 0:
+        raise ValueError("--truncation must be nonnegative, got %d" % args.truncation)
+    return args.truncation
+
 def cmd_trace(args):
     cfg = resolve_config(args.config)
-    alg = standard_test_algebra(cfg.chi, args.truncation or cfg.truncation)
+    alg = standard_test_algebra(cfg.chi, _truncation(args, cfg))
     with open(args.point) as fh:
         point = parse_point(fh.read(), cfg.shape, alg)
     assign = None
@@ -128,7 +136,7 @@ def cmd_trace(args):
 
 def cmd_eval(args):
     cfg = resolve_config(args.config)
-    alg = standard_test_algebra(cfg.chi, args.truncation or cfg.truncation)
+    alg = standard_test_algebra(cfg.chi, _truncation(args, cfg))
     with open(args.poly) as fh:
         poly = parse_sym(fh.read(), cfg.shape)
     with open(args.point) as fh:

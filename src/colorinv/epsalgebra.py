@@ -9,7 +9,13 @@ algebra finite dimensional and every strictly generator-supported element
 nilpotent.
 
 Elements store {word: CycloRational} with zero coefficients dropped, so
-representation is canonical and equality is dict comparison.
+representation is canonical and equality is dict comparison.  Sums and
+products filter out the zeros they make; negation, hop and scaling by a
+nonzero scalar cannot make one, so they build their result unfiltered.
+
+Each algebra keeps a memo of normal_order, keyed by the word: the sort and
+its eps sign depend only on the generator degrees, and products meet the
+same few words again and again.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ class EpsAlgebra:
         self.gen_parity = tuple(chi.parity_bit(g) for g in self.gen_degrees)
         # words_of_degree results by (degree, length bound)
         self._words = {}
+        # normal_order results by word
+        self._normal = {}
 
     @property
     def ngens(self):
@@ -85,8 +93,17 @@ def normal_order(alg, word):
     word contains a repeated odd generator and is therefore zero.
 
     Insertion sort; each time index a hops left past index b the word picks
-    up the factor eps(|x_b|, |x_a|) from rewriting x_b x_a.
+    up the factor eps(|x_b|, |x_a|) from rewriting x_b x_a.  The result is
+    kept in the algebra's memo.
     """
+    word = tuple(word)
+    try:
+        return alg._normal[word]
+    except KeyError:
+        res = alg._normal[word] = _sort_word(alg, word)
+        return res
+
+def _sort_word(alg, word):
     chi = alg.chi
     items = list(word)
     exp = 0
@@ -109,6 +126,14 @@ class EpsElement:
     def __init__(self, alg, terms):
         self.alg = alg
         self.terms = {w: c for w, c in terms.items() if c}
+
+    @classmethod
+    def _nonzero(cls, alg, terms):
+        """Build from a term dict known to hold no zero coefficient."""
+        elem = object.__new__(cls)
+        elem.alg = alg
+        elem.terms = terms
+        return elem
 
     def is_zero(self):
         return not self.terms
@@ -135,7 +160,7 @@ class EpsElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return EpsElement(self.alg, {w: -c for w, c in self.terms.items()})
+        return EpsElement._nonzero(self.alg, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, EpsElement) else -as_cyclo(other))
@@ -145,7 +170,9 @@ class EpsElement:
 
     def scale(self, c):
         c = as_cyclo(c)
-        return EpsElement(self.alg, {w: c * x for w, x in self.terms.items()})
+        if not c:
+            return self.alg.zero()
+        return EpsElement._nonzero(self.alg, {w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloRational)):
@@ -222,7 +249,7 @@ def hop(elem, d, invert=False):
     for w, c in elem.terms.items():
         e = chi.eps_exponent(alg.word_degree(w), d)
         out[w] = c * chi.root(sign * e)
-    return EpsElement(alg, out)
+    return EpsElement._nonzero(alg, out)
 
 def filtration_member(elem, N):
     """True when every word uses only generators x_1 .. x_N."""

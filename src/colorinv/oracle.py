@@ -315,15 +315,17 @@ def _suite_cocycle(cfg, rpt, seed, **_):
     m = chi.m
     for k in (2, 3, 4):
         sigmas = perms.all_perms(k)
+        # the k!^2 products tau o sigma, one row per sigma
+        after = [[(tu, perms.compose(tu, sg)) for tu in sigmas] for sg in sigmas]
         total = 0
         first = None
         for v in itertools.product(degs, repeat=k):
-            for sg in sigmas:
+            for sg, row in zip(sigmas, after):
                 base = gamma_exponent(chi, v, sg)
                 moved = perms.act_tuple(sg, v)
-                for tu in sigmas:
+                for tu, tu_sg in row:
                     total += 1
-                    lhs = gamma_exponent(chi, v, perms.compose(tu, sg))
+                    lhs = gamma_exponent(chi, v, tu_sg)
                     rhs = (gamma_exponent(chi, moved, tu) + base) % m
                     if lhs != rhs and first is None:
                         first = (v, sg, tu)

@@ -33,11 +33,21 @@ def act_tuple(sigma, items):
         out[j - 1] = items[i - 1]
     return tuple(out)
 
+_INVERSIONS = {}
+
 def inversions(sigma):
-    """Pairs (i, j) of positions with i < j and sigma(i) > sigma(j)."""
-    k = len(sigma)
-    return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)
-            if sigma[i - 1] > sigma[j - 1]]
+    """Pairs (i, j) of positions with i < j and sigma(i) > sigma(j), in
+    lexicographic order.  Each sigma's pairs are worked out once and kept
+    in a module dict keyed by the sigma tuple; every call returns that
+    shared tuple."""
+    sigma = tuple(sigma)
+    pairs = _INVERSIONS.get(sigma)
+    if pairs is None:
+        k = len(sigma)
+        pairs = _INVERSIONS[sigma] = tuple(
+            (i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)
+            if sigma[i - 1] > sigma[j - 1])
+    return pairs
 
 def all_perms(k):
     return [tuple(p) for p in itertools.permutations(range(1, k + 1))]

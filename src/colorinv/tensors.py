@@ -15,6 +15,13 @@ right through that rule.
 Operators T act by T(e_b) = sum_a e_a T_ab.  On dual slots T acts through
 composition with T^{-1}, which in coordinates reads
 T . e_c* = sum_a e_a* unhop(S_ca, g_a) with S = T^{-1}.
+
+Operators are sparse like tensors: GradedOperator.terms maps an index pair
+(a, b), 1-based, to the nonzero entry T_ab and holds nothing else, so a
+matrix unit is one term.  Products pair each entry T_ab with row b of the
+right factor; readers that need a column group the entries once per call
+(GradedOperator.columns).  An operator never changes after construction,
+so its G-degree is computed on first use and kept.
 """
 
 from __future__ import annotations
@@ -22,12 +29,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cyclo import CycloRational, as_cyclo
-from .epsalgebra import EpsAlgebra, EpsElement, hop
+from .cyclo import as_cyclo
+from .epsalgebra import EpsElement, hop
 from . import permutations as perms
 from .linalg import invert_fraction_matrix
 
 PRIMAL, DUAL = 0, 1
+
+_UNSET = object()
 
 class GradedSpace:
     """A finite dimensional G-graded space given by the basis degree list.
@@ -53,6 +62,11 @@ class GradedSpace:
     def degree(self, i):
         """G-degree of e_i (1-based)."""
         return self.degrees[i - 1]
+
+    def check_index(self, *indices):
+        for i in indices:
+            if not 1 <= i <= self.dim:
+                raise ValueError("basis index %r out of range 1..%d" % (i, self.dim))
 
     def slot_degree(self, variance_bit, i):
         d = self.degrees[i - 1]
@@ -98,8 +112,7 @@ class GradedTensor:
         variance = tuple(variance)
         if len(indices) != len(variance):
             raise ValueError("index word and variance have different lengths")
-        if not all(1 <= i <= space.dim for i in indices):
-            raise ValueError("basis index out of range")
+        space.check_index(*indices)
         c = coeff if isinstance(coeff, EpsElement) else alg.scalar(coeff)
         return cls(space, alg, variance, {indices: c})
 
@@ -230,138 +243,150 @@ def ev_pair(t):
 
 class GradedOperator:
     """Square matrix of EpsElement entries acting on a graded space by
-    T(e_b) = sum_a e_a T_ab.  Treated as immutable."""
+    T(e_b) = sum_a e_a T_ab.  Stored sparsely: `terms` maps 1-based index
+    pairs (a, b) to the nonzero entries T_ab only, the layout GradedTensor
+    and EpsElement use, so matrix units and block-diagonal operators cost
+    what they hold.  Treated as immutable; the G-degree is computed on the
+    first g_degree() call and kept on the instance."""
 
-    __slots__ = ("space", "alg", "mat")
+    __slots__ = ("space", "alg", "terms", "_degree")
 
-    def __init__(self, space, alg, mat):
+    def __init__(self, space, alg, terms):
         self.space = space
         self.alg = alg
-        n = space.dim
-        mat = tuple(tuple(x if isinstance(x, EpsElement) else alg.scalar(x)
-                          for x in row) for row in mat)
-        if len(mat) != n or any(len(r) != n for r in mat):
-            raise ValueError("operator matrix must be %d x %d" % (n, n))
-        self.mat = mat
+        self.terms = {ab: x for ab, x in terms.items() if x}
+        self._degree = _UNSET
 
     @classmethod
     def zero(cls, space, alg):
-        z = alg.zero()
-        return cls(space, alg, [[z] * space.dim for _ in range(space.dim)])
+        return cls(space, alg, {})
 
     @classmethod
     def identity(cls, space, alg):
         one = alg.one()
-        z = alg.zero()
-        return cls(space, alg, [[one if i == j else z for j in range(space.dim)]
-                                for i in range(space.dim)])
+        return cls(space, alg, {(a, a): one for a in range(1, space.dim + 1)})
 
     @classmethod
     def matrix_unit(cls, space, alg, a, b, coeff=1):
+        space.check_index(a, b)
         c = coeff if isinstance(coeff, EpsElement) else alg.scalar(coeff)
-        z = alg.zero()
-        return cls(space, alg,
-                   [[c if (i, j) == (a - 1, b - 1) else z
-                     for j in range(space.dim)] for i in range(space.dim)])
+        return cls(space, alg, {(a, b): c})
 
     def entry(self, a, b):
-        return self.mat[a - 1][b - 1]
+        self.space.check_index(a, b)
+        x = self.terms.get((a, b))
+        return self.alg.zero() if x is None else x
+
+    def columns(self):
+        """{b: [(a, T_ab), ...]} over the nonzero entries, rows ascending."""
+        out = {}
+        for (a, b), x in sorted(self.terms.items()):
+            out.setdefault(b, []).append((a, x))
+        return out
 
     def __add__(self, other):
         self._check(other)
-        return GradedOperator(self.space, self.alg,
-                              [[x + y for x, y in zip(r1, r2)]
-                               for r1, r2 in zip(self.mat, other.mat)])
+        out = dict(self.terms)
+        for ab, y in other.terms.items():
+            x = out.get(ab)
+            out[ab] = y if x is None else x + y
+        return GradedOperator(self.space, self.alg, out)
 
     def __neg__(self):
         return GradedOperator(self.space, self.alg,
-                              [[-x for x in r] for r in self.mat])
+                              {ab: -x for ab, x in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = as_cyclo(c)
+        if not c:
+            return GradedOperator.zero(self.space, self.alg)
         return GradedOperator(self.space, self.alg,
-                              [[x * c for x in r] for r in self.mat])
+                              {ab: x.scale(c) for ab, x in self.terms.items()})
 
     def _check(self, other):
         if self.space != other.space or self.alg != other.alg:
             raise ValueError("operators on different spaces")
 
     def compose(self, other):
-        """Matrix product in operator order: (self other)(v) = self(other(v))."""
+        """Matrix product in operator order: (self other)(v) = self(other(v)).
+        Each entry T_ab of self meets the entries of row b of other."""
         self._check(other)
-        n = self.space.dim
-        z = self.alg.zero()
-        out = []
-        for a in range(n):
-            row = []
-            for c in range(n):
-                acc = z
-                for b in range(n):
-                    x = self.mat[a][b]
-                    y = other.mat[b][c]
-                    if x and y:
-                        acc = acc + x * y
-                row.append(acc)
-            out.append(row)
+        rows = {}
+        for (b, c), y in other.terms.items():
+            rows.setdefault(b, []).append((c, y))
+        out = {}
+        for (a, b), x in self.terms.items():
+            for c, y in rows.get(b, ()):
+                val = x * y
+                if not val:
+                    continue
+                prev = out.get((a, c))
+                out[a, c] = val if prev is None else prev + val
         return GradedOperator(self.space, self.alg, out)
 
     def __eq__(self, other):
         if not isinstance(other, GradedOperator):
             return NotImplemented
         return (self.space == other.space and self.alg == other.alg
-                and self.mat == other.mat)
+                and self.terms == other.terms)
 
     __hash__ = None
 
     def g_degree(self):
         """The G-degree alpha with T(U_h) <= U_{alpha+h}, or None when the
         operator is not homogeneous.  Entry (a,b) must be homogeneous of
-        Lambda_eps-degree alpha + g_b - g_a."""
-        grp = self.space.chi.group
+        Lambda_eps-degree alpha + g_b - g_a.  The zero operator has the
+        identity degree."""
+        if self._degree is _UNSET:
+            self._degree = self._find_degree()
+        return self._degree
+
+    def _find_degree(self):
+        space = self.space
+        grp = space.chi.group
         alpha = None
-        for a in range(1, self.space.dim + 1):
-            for b in range(1, self.space.dim + 1):
-                e = self.mat[a - 1][b - 1]
-                if e.is_zero():
-                    continue
-                d = e.g_degree()
-                if d is None:
-                    return None
-                cand = grp.add(d, grp.sub(self.space.degree(a), self.space.degree(b)))
-                if alpha is None:
-                    alpha = cand
-                elif alpha != cand:
-                    return None
+        for (a, b), e in self.terms.items():
+            d = e.g_degree()
+            if d is None:
+                return None
+            cand = grp.add(d, grp.sub(space.degree(a), space.degree(b)))
+            if alpha is None:
+                alpha = cand
+            elif alpha != cand:
+                return None
         return grp.identity if alpha is None else alpha
 
     def is_degree_preserving(self):
         return self.g_degree() == self.space.chi.group.identity
 
     def constant_part(self):
-        """The matrix of empty-word coefficients, as Fractions; raises if a
-        constant coefficient is irrational."""
-        return [[x.constant_part().as_fraction() for x in row] for row in self.mat]
+        """The dense matrix of empty-word coefficients, as Fractions; raises
+        if a constant coefficient is irrational."""
+        n = self.space.dim
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for (a, b), x in self.terms.items():
+            out[a - 1][b - 1] = x.constant_part().as_fraction()
+        return out
 
     def proper_operator(self):
         return GradedOperator(self.space, self.alg,
-                              [[x.proper_part() for x in row] for row in self.mat])
+                              {ab: x.proper_part() for ab, x in self.terms.items()})
 
     def is_zero(self):
-        return all(x.is_zero() for row in self.mat for x in row)
+        return not self.terms
 
-def dual_action_matrix(opinv):
-    """Column matrix for the induced action on dual slots: with S = T^{-1},
-    e_c* goes to sum_a e_a* unhop(S_ca, g_a).  Returned in the same (new
-    index, old index) orientation used for primal slots."""
+def dual_action_columns(opinv):
+    """Columns of the induced action on dual slots: with S = T^{-1}, e_c*
+    goes to sum_a e_a* unhop(S_ca, g_a).  Returned as {c: [(a, entry),
+    ...]}, the (new index, old index) orientation of
+    GradedOperator.columns, so primal and dual slots read alike."""
     space = opinv.space
-    n = space.dim
-    out = [[None] * n for _ in range(n)]
-    for c in range(1, n + 1):
-        for a in range(1, n + 1):
-            out[a - 1][c - 1] = hop(opinv.mat[c - 1][a - 1], space.degree(a), invert=True)
+    out = {}
+    for (c, a), s in sorted(opinv.terms.items()):
+        out.setdefault(c, []).append((a, hop(s, space.degree(a), invert=True)))
     return out
 
 def apply_operator(t, op, opinv=None, slots=None):
@@ -375,13 +400,13 @@ def apply_operator(t, op, opinv=None, slots=None):
     space, alg, chi = t.space, t.alg, t.space.chi
     if op.space != space or op.alg != alg:
         raise ValueError("operator and tensor live over different spaces")
-    dual_mat = None
+    primal_cols = op.columns()
+    dual_cols = None
     if any(t.variance[s - 1] == DUAL for s in slots):
         if opinv is None:
             raise ValueError("dual slots need the inverse operator")
-        dual_mat = dual_action_matrix(opinv)
+        dual_cols = dual_action_columns(opinv)
     k = len(t.variance)
-    out = GradedTensor.zero(space, alg, t.variance)
     acc = {}
     for idx, lam in t.terms.items():
         # per transformed slot: list of (new index, emitted coefficient)
@@ -390,10 +415,8 @@ def apply_operator(t, op, opinv=None, slots=None):
             if s not in slots:
                 options.append([(idx[s - 1], None)])
                 continue
-            col = idx[s - 1] - 1
-            mat = dual_mat if t.variance[s - 1] == DUAL else op.mat
-            opts = [(a + 1, mat[a][col]) for a in range(space.dim) if mat[a][col]]
-            options.append(opts)
+            cols = dual_cols if t.variance[s - 1] == DUAL else primal_cols
+            options.append(cols.get(idx[s - 1], ()))
         for combo in itertools.product(*options):
             nidx = tuple(a for a, _ in combo)
             sd = [space.slot_degree(v, a) for v, a in zip(t.variance, nidx)]
@@ -433,6 +456,7 @@ def psi_derivation(x, t):
     space, alg, chi = t.space, t.alg, t.space.chi
     grp = chi.group
     k = len(t.variance)
+    cols = x.columns()
     acc = {}
     for idx, lam in t.terms.items():
         degs = [space.degree(i) for i in idx]
@@ -440,16 +464,12 @@ def psi_derivation(x, t):
         for i in range(k):
             if i > 0:
                 prefix = (prefix + chi.eps_exponent(alpha, degs[i - 1])) % chi.m
-            col = idx[i] - 1
             tail = grp.sum(degs[i + 1:])
-            for a in range(space.dim):
-                entry = x.mat[a][col]
-                if not entry:
-                    continue
+            for a, entry in cols.get(idx[i], ()):
                 coeff = chi.root(prefix) * hop(entry, tail) * lam
                 if not coeff:
                     continue
-                nidx = idx[:i] + (a + 1,) + idx[i + 1:]
+                nidx = idx[:i] + (a,) + idx[i + 1:]
                 prev = acc.get(nidx)
                 acc[nidx] = coeff if prev is None else prev + coeff
     return GradedTensor(space, alg, t.variance, acc)
@@ -486,7 +506,10 @@ def invert_operator(T, max_steps=None):
     Dinv = invert_fraction_matrix(D)
     if Dinv is None:
         raise ValueError("constant part of the operator is singular")
-    Dinv_op = GradedOperator(space, alg, Dinv)
+    Dinv_op = GradedOperator(space, alg,
+                             {(a, b): alg.scalar(x)
+                              for a, row in enumerate(Dinv, start=1)
+                              for b, x in enumerate(row, start=1)})
     N = T.proper_operator()
     M = (-N).compose(Dinv_op)
     series = GradedOperator.identity(space, alg)
@@ -510,16 +533,14 @@ def random_gl_epsilon(space, alg, rng, density=0.6):
     from .epsalgebra import words_of_degree
     grp = space.chi.group
     n = space.dim
-    z = alg.zero()
     while True:
-        mat = [[z] * n for _ in range(n)]
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if space.degree(a) == space.degree(b):
-                    mat[a - 1][b - 1] = alg.scalar(rng.randint(-3, 3))
-        if invert_fraction_matrix([[x.constant_part().as_fraction() for x in row]
-                                   for row in mat]) is not None:
+        T = GradedOperator(space, alg,
+                           {(a, b): alg.scalar(rng.randint(-3, 3))
+                            for a in range(1, n + 1) for b in range(1, n + 1)
+                            if space.degree(a) == space.degree(b)})
+        if invert_fraction_matrix(T.constant_part()) is not None:
             break
+    terms = dict(T.terms)
     maxlen = min(alg.truncation, 2)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
@@ -532,6 +553,7 @@ def random_gl_epsilon(space, alg, rng, density=0.6):
             w = pool[rng.randrange(len(pool))]
             coeff = rng.choice([-2, -1, 1, 2])
             extra = alg.monomial(w, coeff)
-            mat[a - 1][b - 1] = mat[a - 1][b - 1] + extra
-    T = GradedOperator(space, alg, mat)
+            prev = terms.get((a, b))
+            terms[a, b] = extra if prev is None else prev + extra
+    T = GradedOperator(space, alg, terms)
     return T, invert_operator(T)

@@ -22,10 +22,9 @@ from __future__ import annotations
 import itertools
 
 from . import permutations as perms
-from .cyclo import CycloRational
 from .epsalgebra import EpsAlgebra, hop
-from .sympoly import MixedShape, SymPolynomial, SymVariable, sym_normalize
-from .tensors import PRIMAL, DUAL, GradedTensor, GradedOperator, gamma_exponent
+from .sympoly import SymPolynomial
+from .tensors import PRIMAL, DUAL, GradedTensor, GradedOperator
 
 class W0Point:
     """A degree-0 point of W = (+)_i U_{b_i}^{t_i}."""
@@ -205,25 +204,19 @@ def end_trace(x):
     return total
 
 def operator_to_end(T):
-    """GradedOperator matrix -> U ox U* word: entry T_ab = eps(|lam|, g_b) lam."""
-    space, alg = T.space, T.alg
-    out = {}
-    for a in range(1, space.dim + 1):
-        for b in range(1, space.dim + 1):
-            e = T.mat[a - 1][b - 1]
-            if e:
-                out[(a, b)] = hop(e, space.degree(b), invert=True)
-    return GradedTensor(space, alg, u11_variance(), out)
+    """GradedOperator -> U ox U* word: entry T_ab = eps(|lam|, g_b) lam."""
+    space = T.space
+    out = {(a, b): hop(e, space.degree(b), invert=True)
+           for (a, b), e in T.terms.items()}
+    return GradedTensor(space, T.alg, u11_variance(), out)
 
 def end_to_operator(x):
     if x.variance != u11_variance():
         raise ValueError("expected a (primal, dual) word")
-    space, alg = x.space, x.alg
-    z = alg.zero()
-    mat = [[z] * space.dim for _ in range(space.dim)]
-    for (a, b), lam in x.terms.items():
-        mat[a - 1][b - 1] = mat[a - 1][b - 1] + hop(lam, space.degree(b))
-    return GradedOperator(space, alg, mat)
+    space = x.space
+    return GradedOperator(space, x.alg,
+                          {(a, b): hop(lam, space.degree(b))
+                           for (a, b), lam in x.terms.items()})
 
 def trace_monomial(ops, cyclist, assign=None):
     """Product over cycles of tr(A_{f(i_1)} ... A_{f(i_r)}), the operators

@@ -7,7 +7,9 @@ from colorinv.cli import main
 from colorinv.config import builtin_config
 from colorinv.pictures import PictureShape, build_phi
 from colorinv.sampling import random_w0_point, standard_test_algebra
-from colorinv.textform import format_point, format_sym, parse_sym
+from colorinv.textform import (format_eps, format_point, format_sym,
+                               parse_point, parse_sym)
+from colorinv.traces import restitute
 
 
 def run(capsys, *argv):
@@ -138,3 +140,33 @@ def test_picture_rejects_n_beyond_max_n(capsys, monkeypatch):
                        "--multiplicities", str(cfg.max_n), "--sigma", "id")
     assert rc == 0
     assert out.strip()
+
+
+def test_eval_and_trace_honour_truncation_zero(capsys, tmp_path):
+    cfg = builtin_config("z2z2")
+    alg = standard_test_algebra(cfg.chi, cfg.truncation)
+    point = random_w0_point(cfg.shape, alg, random.Random("cli-truncation"))
+    point_file = tmp_path / "point.txt"
+    point_file.write_text(format_point(point))
+    phi = build_phi(PictureShape(cfg.shape, (2,)), (2, 1))
+    poly_file = tmp_path / "phi.txt"
+    poly_file.write_text(format_sym(phi.poly))
+    eval_args = ("eval", "--config", "builtin:z2z2", "--poly", str(poly_file),
+                 "--point", str(point_file))
+    trace_args = ("trace", "--config", "builtin:z2z2", "--sigma", "(1 2)",
+                  "--assign", "1,1", "--point", str(point_file))
+
+    rc, full, _ = run(capsys, *eval_args)
+    assert rc == 0 and full.strip() != "0"
+    flat = standard_test_algebra(cfg.chi, 0)
+    expected = format_eps(restitute(
+        phi.poly, parse_point(point_file.read_text(), cfg.shape, flat)))
+    assert expected == "0"
+    for args in (eval_args, trace_args):
+        rc, out, err = run(capsys, *args, "--truncation", "0")
+        assert rc == 0, err
+        assert out.strip() == expected
+        rc, out, err = run(capsys, *args, "--truncation", "-1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "--truncation" in err

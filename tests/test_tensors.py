@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from colorinv.cyclo import CycloRational
 from colorinv.permutations import all_perms, compose, identity, inverse, inversions
 from colorinv.sampling import random_eps_of_degree, standard_test_algebra
@@ -213,3 +215,105 @@ def test_degree_preservation_detection(cfgs, algebras):
     crossing = GradedOperator.matrix_unit(cfg.space, alg, 1, 2)
     assert same.is_degree_preserving()
     assert not crossing.is_degree_preserving()
+
+
+def test_matrix_unit_rejects_out_of_range_indices(cfgs, algebras):
+    cfg, alg = cfgs["z2z2"], algebras["z2z2"]
+    dim = cfg.space.dim
+    for a, b in ((0, 1), (1, 0), (dim + 1, 1), (1, dim + 1), (-1, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            GradedOperator.matrix_unit(cfg.space, alg, a, b)
+        with pytest.raises(ValueError, match="out of range"):
+            GradedOperator.identity(cfg.space, alg).entry(a, b)
+    assert GradedOperator.matrix_unit(cfg.space, alg, dim, 1).entry(dim, 1) == alg.one()
+
+
+# ---- a dense referee for the sparse operator layout: every product, sum
+# and degree below is recomputed entry by entry over entry(a, b), with
+# nothing but EpsElement arithmetic.
+
+def _dense(op):
+    n = op.space.dim
+    return [[op.entry(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)]
+
+
+def _dense_product(x, y):
+    n = x.space.dim
+    out = []
+    for a in range(n):
+        row = []
+        for c in range(n):
+            acc = x.alg.zero()
+            for b in range(n):
+                acc = acc + x.entry(a + 1, b + 1) * y.entry(b + 1, c + 1)
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _dense_degree(op):
+    space = op.space
+    grp = space.chi.group
+    found = set()
+    for a, row in enumerate(_dense(op), start=1):
+        for b, e in enumerate(row, start=1):
+            if e.is_zero():
+                continue
+            words = {e.alg.word_degree(w) for w in e.terms}
+            for d in words:
+                found.add(grp.add(d, grp.sub(space.degree(a), space.degree(b))))
+    if not found:
+        return grp.identity
+    return found.pop() if len(found) == 1 else None
+
+
+def _random_unit_sum(space, alg, rng, homogeneous):
+    """A sum of matrix units with word coefficients; homogeneous of one
+    random degree, or with entries of unrelated random degrees."""
+    grp = space.chi.group
+    n = space.dim
+    alpha = rng.choice(grp.elements())
+    out = GradedOperator.zero(space, alg)
+    for _ in range(rng.randint(1, 2 * n)):
+        a, b = rng.randint(1, n), rng.randint(1, n)
+        if homogeneous:
+            d = grp.add(alpha, grp.sub(space.degree(b), space.degree(a)))
+        else:
+            d = rng.choice(grp.elements())
+        coeff = random_eps_of_degree(alg, d, rng, max_len=2)
+        out = out + GradedOperator.matrix_unit(space, alg, a, b, coeff)
+    return out
+
+
+def test_sparse_operators_match_dense_referee(cfgs):
+    for name, cfg in sorted(cfgs.items()):
+        space = cfg.space
+        alg = standard_test_algebra(cfg.chi, truncation=3)
+        rng = random.Random("dense-referee/%s" % name)
+        ops = [GradedOperator.zero(space, alg), GradedOperator.identity(space, alg)]
+        for _ in range(4):
+            ops.append(_random_unit_sum(space, alg, rng, homogeneous=True))
+            ops.append(_random_unit_sum(space, alg, rng, homogeneous=False))
+        for _ in range(2):
+            ops.extend(random_gl_epsilon(space, alg, rng))
+        if len(cfg.chi.group.elements()) > 1:
+            assert any(op.g_degree() is None for op in ops)
+        scalars = [CycloRational.zero(), CycloRational.from_rational(-3),
+                   cfg.chi.root(1)]
+        for x in ops:
+            dx = _dense(x)
+            assert x.g_degree() == _dense_degree(x)
+            assert x.is_zero() == all(e.is_zero() for row in dx for e in row)
+            assert all(e for e in x.terms.values())
+            assert (x - x).is_zero()
+            for c in scalars:
+                assert _dense(x.scale(c)) == [[e.scale(c) for e in row] for row in dx]
+            for y in ops:
+                dy = _dense(y)
+                assert _dense(x.compose(y)) == _dense_product(x, y), name
+                assert _dense(x + y) == [[p + q for p, q in zip(r, s)]
+                                         for r, s in zip(dx, dy)]
+                assert _dense(x - y) == [[p - q for p, q in zip(r, s)]
+                                         for r, s in zip(dx, dy)]
+                assert (x == y) == (dx == dy)
+        assert GradedOperator.zero(space, alg).g_degree() == cfg.chi.group.identity
