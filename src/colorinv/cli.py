@@ -76,6 +76,9 @@ def cmd_validate(args):
 def cmd_list(args):
     cfg = resolve_config(args.config)
     bound = args.max_degree if args.max_degree is not None else cfg.max_n
+    if not 1 <= bound <= cfg.max_n:
+        raise ValueError("--max-degree %d is outside 1..bounds.max_n=%d of %s"
+                         % (bound, cfg.max_n, cfg.name))
     shown = 0
     for M in balanced_multiplicities(cfg.shape, bound):
         pshape = PictureShape(cfg.shape, M)

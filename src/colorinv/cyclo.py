@@ -19,6 +19,14 @@ the lcm order via zeta_m = zeta_M^(M/m).  A result keeps that lcm as its
 order 4), and an order-1 operand, a plain rational, leaves the other
 operand's order alone.  Printed output carries the order (`--format
 structured` writes it), so the rule is part of the output format.
+
+Signs of the color calculus are powers of one root zeta_m, so they are
+applied with `times_root(m, e)` rather than a product: it is a table
+shift, numerator k moving to row (k + e) mod m of the power table, with no
+convolution.  It keeps the order rule above, returning exactly what
+self * root(m, e) returns: an order-1 or lower-order operand is lifted to
+m, e = 0 mod m at order m returns self, and an order that does not divide
+m falls back to the product.
 """
 
 from __future__ import annotations
@@ -270,6 +278,38 @@ class CycloRational:
         return _make(m, tuple(_reduce(out, m)), den)
 
     __rmul__ = __mul__
+
+    def times_root(self, m, e):
+        """self * zeta_m^e, equal in value and in `order` to
+        self * CycloRational.root(m, e), by a shift along the power table
+        (see the module docstring).  Multiplying by a unit, like lifting,
+        keeps the content of the numerators, so the result is already in
+        lowest terms."""
+        n = self.order
+        if m % n:
+            return self * CycloRational.root(m, e)
+        e %= m
+        if n == m and not e:
+            return self
+        rows = _TABLES.get(m) or _power_table(m)
+        if n == 1:
+            k = self.num[0]
+            a = rows[e] if k == 1 else tuple(k * y for y in rows[e])
+        else:
+            a = self.num if n == m else self._lift(m)
+            if e:
+                out = [0] * len(a)
+                for k, x in enumerate(a, e):
+                    if x:
+                        for j, y in enumerate(rows[k % m]):
+                            if y:
+                                out[j] += x * y
+                a = tuple(out)
+        z = object.__new__(CycloRational)
+        z.order = m
+        z.num = a
+        z.den = self.den
+        return z
 
     def inv(self):
         """Multiplicative inverse by the extended Euclidean algorithm in Q[x]

@@ -13,9 +13,13 @@ representation is canonical and equality is dict comparison.  Sums and
 products filter out the zeros they make; negation, hop and scaling by a
 nonzero scalar cannot make one, so they build their result unfiltered.
 
-Each algebra keeps a memo of normal_order, keyed by the word: the sort and
+Each algebra keeps a memo of normal forms, keyed by the word: the sort and
 its eps sign depend only on the generator degrees, and products meet the
-same few words again and again.
+same few words again and again.  The memo holds the sign as an exponent e
+of zeta_m, not as a CycloRational, so a product rotates each pair of
+coefficients once, (c1 * c2).times_root(m, e), instead of multiplying by a
+root.  Signs elsewhere (hop, the place permutation action) travel the same
+way, and word degrees are memoized per algebra too.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ class EpsAlgebra:
         self.gen_parity = tuple(chi.parity_bit(g) for g in self.gen_degrees)
         # words_of_degree results by (degree, length bound)
         self._words = {}
-        # normal_order results by word
+        # (eps exponent, sorted word) or None, by word
         self._normal = {}
+        # G-degree by word
+        self._word_degrees = {}
 
     @property
     def ngens(self):
@@ -49,7 +55,11 @@ class EpsAlgebra:
         return self.gen_degrees[i - 1]
 
     def word_degree(self, word):
-        return self.chi.group.sum(self.degree(i) for i in word)
+        d = self._word_degrees.get(word)
+        if d is None:
+            d = self._word_degrees[word] = self.chi.group.sum(
+                self.degree(i) for i in word)
+        return d
 
     def with_generators(self, extra_degrees, truncation=None):
         t = self.truncation if truncation is None else truncation
@@ -93,10 +103,17 @@ def normal_order(alg, word):
     word contains a repeated odd generator and is therefore zero.
 
     Insertion sort; each time index a hops left past index b the word picks
-    up the factor eps(|x_b|, |x_a|) from rewriting x_b x_a.  The result is
-    kept in the algebra's memo.
+    up the factor eps(|x_b|, |x_a|) from rewriting x_b x_a.  The sort is
+    kept in the algebra's memo, with the factor as an exponent.
     """
-    word = tuple(word)
+    res = _normal_form(alg, tuple(word))
+    if res is None:
+        return None
+    e, w = res
+    return alg.chi.root(e), w
+
+def _normal_form(alg, word):
+    """(eps exponent, sorted word) or None, through the algebra's memo."""
     try:
         return alg._normal[word]
     except KeyError:
@@ -116,7 +133,7 @@ def _sort_word(alg, word):
     for a, b in zip(items, items[1:]):
         if a == b and alg.gen_parity[a - 1]:
             return None
-    return chi.root(exp), tuple(items)
+    return exp % chi.m, tuple(items)
 
 class EpsElement:
     """Element of a truncated eps-Grassmann algebra.  Treated as immutable."""
@@ -174,6 +191,13 @@ class EpsElement:
             return self.alg.zero()
         return EpsElement._nonzero(self.alg, {w: c * x for w, x in self.terms.items()})
 
+    def times_root(self, e):
+        """self * zeta_m^e, m the bicharacter's root order: one rotation
+        per coefficient."""
+        m = self.alg.chi.m
+        return EpsElement._nonzero(
+            self.alg, {w: c.times_root(m, e) for w, c in self.terms.items()})
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloRational)):
             return self.scale(other)
@@ -181,16 +205,17 @@ class EpsElement:
             return NotImplemented
         self._check(other)
         alg = self.alg
+        m = alg.chi.m
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 if len(w1) + len(w2) > alg.truncation:
                     continue
-                res = normal_order(alg, w1 + w2)
+                res = _normal_form(alg, w1 + w2)
                 if res is None:
                     continue
-                s, w = res
-                c = s * c1 * c2
+                e, w = res
+                c = (c1 * c2).times_root(m, e)
                 prev = out.get(w)
                 out[w] = c if prev is None else prev + c
         return EpsElement(alg, out)
@@ -239,16 +264,17 @@ class EpsElement:
     def __repr__(self):
         return "EpsElement(%s)" % (str(self),)
 
-def hop(elem, d, invert=False):
+def hop(elem, d, invert=False, shift=0):
     """Move an element of Lambda_eps past a basis factor of G-degree d:
-    each word w picks up eps(|w|, d) (or its inverse)."""
+    each word w picks up eps(|w|, d) (or its inverse), and zeta_m^shift
+    besides, in one rotation of its coefficient."""
     alg = elem.alg
     chi = alg.chi
-    sign = -1 if invert else 1
+    m = chi.m
     out = {}
     for w, c in elem.terms.items():
         e = chi.eps_exponent(alg.word_degree(w), d)
-        out[w] = c * chi.root(sign * e)
+        out[w] = c.times_root(m, shift - e if invert else shift + e)
     return EpsElement._nonzero(alg, out)
 
 def filtration_member(elem, N):

@@ -315,20 +315,21 @@ def _suite_cocycle(cfg, rpt, seed, **_):
     m = chi.m
     for k in (2, 3, 4):
         sigmas = perms.all_perms(k)
-        # the k!^2 products tau o sigma, one row per sigma
-        after = [[(tu, perms.compose(tu, sg)) for tu in sigmas] for sg in sigmas]
-        total = 0
+        where = {sg: i for i, sg in enumerate(sigmas)}
+        # positions of the k!^2 products tau o sigma, one row per sigma
+        after = [[where[perms.compose(tu, sg)] for tu in sigmas] for sg in sigmas]
+        tuples = list(itertools.product(degs, repeat=k))
+        at = {v: i for i, v in enumerate(tuples)}
+        # gamma exponents, one row per degree tuple, one entry per sigma
+        table = [[gamma_exponent(chi, v, sg) for sg in sigmas] for v in tuples]
+        total = len(tuples) * len(sigmas) ** 2
         first = None
-        for v in itertools.product(degs, repeat=k):
-            for sg, row in zip(sigmas, after):
-                base = gamma_exponent(chi, v, sg)
-                moved = perms.act_tuple(sg, v)
-                for tu, tu_sg in row:
-                    total += 1
-                    lhs = gamma_exponent(chi, v, tu_sg)
-                    rhs = (gamma_exponent(chi, moved, tu) + base) % m
-                    if lhs != rhs and first is None:
-                        first = (v, sg, tu)
+        for v, gv in zip(tuples, table):
+            for sg, row, base in zip(sigmas, after, gv):
+                gmoved = table[at[perms.act_tuple(sg, v)]]
+                for j, tu_sg in enumerate(row):
+                    if gv[tu_sg] != (gmoved[j] + base) % m and first is None:
+                        first = (v, sg, sigmas[j])
         rpt.add("cocycle-identity k=%d" % k, first is None,
                 "%d (degrees, sigma, tau) checks" % total if first is None
                 else "failed at %r" % (first,))

@@ -12,6 +12,12 @@ eps(|word|, d) per word of the coefficient (the hop rule); tensor products
 and operator applications below keep all coefficients collected on the
 right through that rule.
 
+Every such sign is a power of zeta_m, so it is carried as an exponent mod m
+(gamma_exponent, eps exponents summed along a word) and applied once per
+coefficient by a rotation, CycloRational.times_root, never as a product
+with a root of unity.  psi_derivation folds its prefix sign into the hop
+of each entry the same way.
+
 Operators T act by T(e_b) = sum_a e_a T_ab.  On dual slots T acts through
 composition with T^{-1}, which in coordinates reads
 T . e_c* = sum_a e_a* unhop(S_ca, g_a) with S = T^{-1}.
@@ -189,7 +195,7 @@ def act_perm(sigma, t):
     for idx, c in t.terms.items():
         g = gamma_exponent(chi, t.slot_degrees(idx), sigma)
         nidx = perms.act_tuple(sigma, idx)
-        nc = c * chi.root(g)
+        nc = c.times_root(g)
         prev = out.get(nidx)
         out[nidx] = nc if prev is None else prev + nc
     return GradedTensor(t.space, t.alg, new_var, out)
@@ -466,7 +472,7 @@ def psi_derivation(x, t):
                 prefix = (prefix + chi.eps_exponent(alpha, degs[i - 1])) % chi.m
             tail = grp.sum(degs[i + 1:])
             for a, entry in cols.get(idx[i], ()):
-                coeff = chi.root(prefix) * hop(entry, tail) * lam
+                coeff = hop(entry, tail, shift=prefix) * lam
                 if not coeff:
                     continue
                 nidx = idx[:i] + (a,) + idx[i + 1:]
@@ -483,8 +489,8 @@ def eta_action(g, t):
     g = chi.group.element(g)
     out = {}
     for idx, lam in t.terms.items():
-        e = sum(chi.eps_exponent(g, t.space.degree(i)) for i in idx) % chi.m
-        out[idx] = lam * chi.root(e)
+        e = sum(chi.eps_exponent(g, t.space.degree(i)) for i in idx)
+        out[idx] = lam.times_root(e)
     return GradedTensor(t.space, t.alg, t.variance, out)
 
 def color_bracket(x, y):

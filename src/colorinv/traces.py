@@ -200,7 +200,8 @@ def end_trace(x):
     total = x.alg.zero()
     for (a, c), lam in x.terms.items():
         if a == c:
-            total = total + lam.scale(chi.eps(x.space.degree(a), x.space.degree(a)))
+            total = total + lam.times_root(
+                chi.eps_exponent(x.space.degree(a), x.space.degree(a)))
     return total
 
 def operator_to_end(T):

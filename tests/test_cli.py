@@ -50,6 +50,27 @@ def test_picture_output_parses_back(capsys):
     assert parse_sym(out.strip(), cfg.shape) == expected
 
 
+def test_list_rejects_max_degree_outside_bounds(capsys, monkeypatch):
+    cfg = builtin_config("super")
+
+    def refuse(shape, max_positions):
+        raise AssertionError("list enumerated with --max-degree %d" % max_positions)
+
+    for bad in (cfg.max_n + 1, 0, -1):
+        with monkeypatch.context() as patch:
+            patch.setattr("colorinv.cli.balanced_multiplicities", refuse)
+            rc, out, err = run(capsys, "list", "--config", "builtin:super",
+                               "--max-degree", str(bad))
+        assert rc == 2
+        assert out == ""
+        assert "--max-degree %d" % bad in err
+        assert "bounds.max_n=%d" % cfg.max_n in err
+    rc, out, err = run(capsys, "list", "--config", "builtin:super",
+                       "--max-degree", str(cfg.max_n))
+    assert rc == 0
+    assert "positions N=%d" % cfg.max_n in out
+
+
 def test_picture_structured_output(capsys):
     rc, out, err = run(capsys, "picture", "--config", "builtin:super",
                        "--multiplicities", "2", "--sigma", "id")

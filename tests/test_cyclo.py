@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorinv.cyclo import CycloRational, as_cyclo, cyclotomic_poly
 
@@ -183,3 +183,35 @@ def test_arithmetic_matches_sympy_referee(pair):
     assert (b == a) is equal
     if equal and ma == mb:
         assert a.coeffs == b.coeffs
+
+
+# ------------------------------------- times_root against the plain product
+
+@st.composite
+def rotations(draw):
+    """(order, coefficients, m, e).  m is a multiple of the order, or, when
+    some m <= 24 is not, possibly such an m (the fallback).  e = k*m + r
+    with k in -2..3, so e is negative, zero or >= m in turn."""
+    n = draw(st.sampled_from(REFEREE_ORDERS))
+    cs = draw(st.lists(fractions, min_size=1, max_size=8))
+    others = [m for m in range(1, 25) if m % n]
+    if others and draw(st.booleans()):
+        m = draw(st.sampled_from(others))
+    else:
+        m = n * draw(st.integers(1, 4))
+    e = m * draw(st.integers(-2, 3)) + draw(st.integers(0, m - 1))
+    return n, cs, m, e
+
+
+@given(case=rotations())
+@example(case=(1, [Fraction(3, 2)], 4, 0))
+@example(case=(2, [Fraction(1), Fraction(5)], 6, -12))
+@example(case=(4, [Fraction(1), Fraction(2, 3)], 4, 8))
+@example(case=(3, [Fraction(0), Fraction(1)], 4, 5))
+@settings(max_examples=200, deadline=None)
+def test_times_root_matches_product_with_root(case):
+    n, cs, m, e = case
+    x = CycloRational(n, cs)
+    got = x.times_root(m, e)
+    want = x * CycloRational.root(m, e)
+    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)

@@ -1,7 +1,10 @@
 """Referee suites: classical rank oracle, reports, determinism."""
 
+import itertools
+
 import pytest
 
+from colorinv import oracle, permutations as perms
 from colorinv.groups import Bicharacter, FiniteAbelianGroup
 from colorinv.oracle import (
     SUITES,
@@ -105,3 +108,41 @@ def test_balanced_multiplicities(cfgs):
     assert balanced_multiplicities(mixed, 3) == [(1, 1)]
     lopsided = MixedShape(sup.space, [(2, 1)])
     assert balanced_multiplicities(lopsided, 3) == []
+
+
+def test_tabulated_cocycle_check_catches_broken_gamma(cfgs, monkeypatch):
+    cfg = cfgs["z3z3"]
+    chi = cfg.chi
+    clean = {c.name: c for c in suite("cocycle", cfg).cases}
+    assert all(c.ok for c in clean.values())
+    assert clean["cocycle-identity k=2"].detail == "36 (degrees, sigma, tau) checks"
+    assert clean["cocycle-identity k=3"].detail == "972 (degrees, sigma, tau) checks"
+    assert clean["cocycle-identity k=4"].detail == "46656 (degrees, sigma, tau) checks"
+    assert clean["action-functoriality"].detail == "30 sampled (p, q, tensor) triples"
+
+    # gamma off by one at a single (degree tuple, sigma)
+    wrong_v, wrong_sigma = ((0, 1), (1, 0), (0, 0)), (2, 3, 1)
+    real = oracle.gamma_exponent
+
+    def broken(chi, v, sigma):
+        e = real(chi, v, sigma)
+        if tuple(v) == wrong_v and tuple(sigma) == wrong_sigma:
+            e = (e + 1) % chi.m
+        return e
+
+    monkeypatch.setattr(oracle, "gamma_exponent", broken)
+    cases = {c.name: c for c in suite("cocycle", cfg).cases}
+
+    # the first failing triple of a direct loop over (v, sigma, tau)
+    degs = sorted(set(cfg.space.degree(i) for i in range(1, cfg.space.dim + 1)))
+    s3 = perms.all_perms(3)
+    first = next((v, sg, tu)
+                 for v in itertools.product(degs, repeat=3)
+                 for sg in s3
+                 for tu in s3
+                 if broken(chi, v, perms.compose(tu, sg))
+                 != (broken(chi, perms.act_tuple(sg, v), tu) + broken(chi, v, sg)) % chi.m)
+    assert not cases["cocycle-identity k=3"].ok
+    assert cases["cocycle-identity k=3"].detail == "failed at %r" % (first,)
+    for name in ("cocycle-identity k=2", "cocycle-identity k=4", "action-functoriality"):
+        assert cases[name].ok and cases[name].detail == clean[name].detail
