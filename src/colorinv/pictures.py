@@ -20,10 +20,13 @@ dual-word normalization of the w-block degrees.
 Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
 the inversions of rho, the copies' positions in I) is worked out once per
 (PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  The
-dim^N loop of build_phi then only reads index degrees off the plan and
-sums entries of the bicharacter's eps table.  Because of these caches,
-PictureShape, MixedShape and Bicharacter are treated as immutable once
-built.
+dim^N loop of build_phi then reads each copy's variable id off the
+entries of I at the copy's positions in the plan, through the shape's
+code tables (sympoly.Numbering), sorts the ids with sym_normalize, and
+sums entries of the bicharacter's eps table for the coefficient.  It
+works on ids only; SymVariables are made once per distinct monomial.
+Because of these caches, PictureShape, MixedShape and Bicharacter are
+treated as immutable once built.
 
 The dual-word normalization multiplying the rearrangement sign is the
 strict reversed product  prod_{c < c'} eps(h_{c'}, h_c)  over the w-block
@@ -42,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import permutations as perms
-from .sympoly import MixedShape, SymVariable, SymPolynomial, sym_normalize
+from .sympoly import MixedShape, SymPolynomial, sym_normalize
 from .tensors import (PRIMAL, DUAL, GradedTensor, act_perm, contract_pairs,
                       tensor_product, tensor_power)
 
@@ -215,13 +218,6 @@ class SigmaPlan:
         table = self.table
         return sum(c * table[d[a]][d[b]] for a, b, c in self.terms) % self.m
 
-def picture_monomial(pshape, sigma, I):
-    """The variable word of the summand at index tuple I: copy (i, j) reads
-    its lower indices off I at its primal positions and its upper indices
-    off I o sigma^{-1} at its dual positions."""
-    return tuple(SymVariable(i, tuple(I[p] for p in lo), tuple(I[p] for p in up))
-                 for i, lo, up in pshape.plan(sigma).copies)
-
 def coefficient_exponent(pshape, sigma, I):
     """Exponent of the coefficient at index tuple I: the rearrangement sign
     gamma(J, rho^{-1}) over the blocked degree tuple J, plus the dual-word
@@ -240,15 +236,27 @@ class PictureInvariant:
 def build_phi(pshape, sigma):
     """The picture invariant phi_sigma as an element of S(W*): sum over all
     index tuples I in {1..dim}^N of coefficient(I) times the normalized
-    monomial at I."""
+    monomial at I.  That monomial's copy (i, j) reads its lower indices off
+    I at its primal positions and its upper indices off I o sigma^{-1} at
+    its dual positions."""
     shape = pshape.shape
     chi = shape.chi
-    pshape.plan(sigma)  # checks sigma before the loop
+    dim = shape.space.dim
+    num = shape.numbering()
+    # Per copy: its summand's code table and the positions in I of its
+    # index word.
+    copies = [(num.codes[i - 1], lo + up) for i, lo, up in pshape.plan(sigma).copies]
     # The swap factors are summed per (monomial, coefficient exponent) and
     # each sum is multiplied by its root of unity once, at the end.
     sums = {}
-    for I in itertools.product(range(1, shape.space.dim + 1), repeat=pshape.N):
-        res = sym_normalize(shape, picture_monomial(pshape, sigma, I))
+    for I in itertools.product(range(1, dim + 1), repeat=pshape.N):
+        word = []
+        for table, places in copies:
+            code = 0
+            for p in places:
+                code = code * dim + I[p] - 1
+            word.append(table[code])
+        res = sym_normalize(shape, word)
         if res is None:
             continue
         swap, mono = res
@@ -260,7 +268,9 @@ def build_phi(pshape, sigma):
         c = swaps * chi.root(e)
         prev = total.get(mono)
         total[mono] = c if prev is None else prev + c
-    return PictureInvariant(pshape, tuple(sigma), SymPolynomial(shape, total))
+    vs = num.variables
+    return PictureInvariant(pshape, tuple(sigma), SymPolynomial(
+        shape, {tuple(vs[k] for k in mono): c for mono, c in total.items()}))
 
 def theta_eval(sigma, t):
     """Theta(sigma) on a tensor in sorted variance (primal^N, dual^N):

@@ -11,6 +11,14 @@ variable is zero.
 Variables are ordered by (position of their G-degree in the fixed order of
 G, summand, index tuples); any total order compatible with the degree
 blocks yields an equivalent basis.
+
+Each MixedShape numbers its variables 0..n-1 in that order (its
+Numbering), so comparing ids is comparing sort keys.  sym_normalize runs
+its one eps insertion sort over ids, reading each id's degree position
+and parity off lists; a word of SymVariables is mapped to ids and back.
+build_phi works on ids throughout and makes SymVariables once per
+distinct monomial; SymPolynomial keys, printing and parsing stay on
+SymVariables.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclo import CycloRational, as_cyclo
 from . import permutations as perms
@@ -35,10 +44,25 @@ class SymVariable:
     def word(self):
         return self.lower + self.upper
 
+class Numbering(NamedTuple):
+    """The variables of a MixedShape numbered 0..n-1 in canonical order.
+
+    variables: id -> SymVariable, and ids: SymVariable -> id;
+    codes: per summand, a list from the mixed-radix code of a variable's
+        index word (lower + upper, digits index - 1, base dim, first
+        index most significant) to its id;
+    position: id -> position of its G-degree in the fixed order of G;
+    parity: id -> parity bit of its G-degree."""
+    variables: tuple
+    ids: dict
+    codes: tuple
+    position: list
+    parity: list
+
 class MixedShape:
     """The space W: a graded space plus the list of (b_i, t_i) pairs.
     Treated as immutable once built: it caches each variable's degree and
-    sort key."""
+    sort key, and the numbering of its variables."""
 
     def __init__(self, space, pairs):
         self.space = space
@@ -48,6 +72,7 @@ class MixedShape:
         self._vars = None
         self._key = {}
         self._degree = {}
+        self._numbering = None
 
     @property
     def s(self):
@@ -99,6 +124,23 @@ class MixedShape:
             self._vars = out
         return list(self._vars)
 
+    def numbering(self):
+        """The Numbering of the variables, built on first use."""
+        if self._numbering is None:
+            vs = tuple(self.variables())
+            dim = self.space.dim
+            codes = [[None] * dim ** (b + t) for b, t in self.pairs]
+            for k, v in enumerate(vs):
+                code = 0
+                for r in v.word():
+                    code = code * dim + r - 1
+                codes[v.summand - 1][code] = k
+            self._numbering = Numbering(
+                vs, {v: k for k, v in enumerate(vs)}, tuple(codes),
+                [self.var_key(v)[0] for v in vs],
+                [self.var_parity(v) for v in vs])
+        return self._numbering
+
     def __eq__(self, other):
         return (isinstance(other, MixedShape) and self.space == other.space
                 and self.pairs == other.pairs)
@@ -109,24 +151,34 @@ class MixedShape:
 def sym_normalize(shape, seq):
     """Sort a variable sequence into canonical order collecting eps swap
     factors; returns (coefficient, monomial tuple) or None when a repeated
-    odd variable makes it zero."""
-    chi = shape.chi
-    table = chi.eps_table()
+    odd variable makes it zero.  The sequence is a word of SymVariables or
+    of variable ids, and the monomial comes back in the same form."""
+    num = shape.numbering()
     items = list(seq)
-    # A key starts with the position of the variable's degree in G.
-    keys = [shape.var_key(v) for v in items]
+    named = bool(items) and isinstance(items[0], SymVariable)
+    if named:
+        ids = num.ids
+        items = [ids[v] for v in items]
+    pos = num.position
+    table = shape.chi.eps_table()
     exp = 0
     for i in range(1, len(items)):
+        x = items[i]
+        px = pos[x]
         j = i
-        while j > 0 and keys[j - 1] > keys[j]:
-            exp += table[keys[j - 1][0]][keys[j][0]]
-            items[j - 1], items[j] = items[j], items[j - 1]
-            keys[j - 1], keys[j] = keys[j], keys[j - 1]
+        while j > 0 and items[j - 1] > x:
+            exp += table[pos[items[j - 1]]][px]
+            items[j] = items[j - 1]
             j -= 1
+        items[j] = x
+    par = num.parity
     for a, b in zip(items, items[1:]):
-        if a == b and chi.parity_bit(shape.var_degree(a)):
+        if a == b and par[a]:
             return None
-    return chi.root(exp), tuple(items)
+    if named:
+        vs = num.variables
+        items = [vs[k] for k in items]
+    return shape.chi.root(exp), tuple(items)
 
 class SymPolynomial:
     """Element of S(W*): {sorted monomial: CycloRational}.  Immutable."""
@@ -166,7 +218,7 @@ class SymPolynomial:
         return not self.terms
 
     def _check(self, other):
-        if self.shape != other.shape:
+        if self.shape is not other.shape and self.shape != other.shape:
             raise ValueError("polynomials over different shapes")
 
     def __add__(self, other):
@@ -258,8 +310,7 @@ def enumerate_sym_basis(shape, r, multidegree=None):
     multidegree): nondecreasing variable sequences in the canonical order,
     odd variables strictly increasing."""
     vs = shape.variables()
-    chi = shape.chi
-    par = [chi.parity_bit(shape.var_degree(v)) for v in vs]
+    par = shape.numbering().parity
     out = []
 
     def extend(mono, start, counts):

@@ -133,7 +133,8 @@ class GradedTensor:
         return not self.terms
 
     def _check(self, other):
-        if (self.space != other.space or self.alg != other.alg
+        if ((self.space is not other.space and self.space != other.space)
+                or (self.alg is not other.alg and self.alg != other.alg)
                 or self.variance != other.variance):
             raise ValueError("tensors live in different spaces")
 
@@ -313,7 +314,8 @@ class GradedOperator:
                               {ab: x.scale(c) for ab, x in self.terms.items()})
 
     def _check(self, other):
-        if self.space != other.space or self.alg != other.alg:
+        if ((self.space is not other.space and self.space != other.space)
+                or (self.alg is not other.alg and self.alg != other.alg)):
             raise ValueError("operators on different spaces")
 
     def compose(self, other):

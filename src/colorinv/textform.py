@@ -219,7 +219,8 @@ def parse_sym(text, shape):
     s = text.strip()
     if s == "0":
         return SymPolynomial.zero(shape)
-    total = SymPolynomial.zero(shape)
+    # Like terms are summed into one dict; zero sums drop out at the end.
+    total = {}
     for term in split_top(s, " + "):
         pieces = split_top(term.strip(), " * ")
         if len(pieces) < 2:
@@ -235,8 +236,10 @@ def parse_sym(text, shape):
         if res is None:
             continue
         swap, mono = res
-        total = total + SymPolynomial(shape, {mono: c * swap})
-    return total
+        c = c * swap
+        prev = total.get(mono)
+        total[mono] = c if prev is None else prev + c
+    return SymPolynomial(shape, total)
 
 # ------------------------------------------------------------- tensors
 

@@ -2,6 +2,9 @@
 
 import json
 import random
+import re
+import shlex
+from pathlib import Path
 
 from colorinv.cli import main
 from colorinv.config import builtin_config
@@ -191,3 +194,39 @@ def test_eval_and_trace_honour_truncation_zero(capsys, tmp_path):
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and "--truncation" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """The README's code blocks, and each `$ colorinv ...` line in them
+    as (argv, the lines printed under it)."""
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(), re.M | re.S)
+    examples = []
+    for block in blocks:
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            if chunk.startswith("$ colorinv "):
+                command, _, printed = chunk.partition("\n")
+                examples.append((shlex.split(command)[2:], printed))
+    return blocks, examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypatch):
+    """Every example whose output the README prints in full (not elided
+    with ...), run in a directory holding the README's point.txt and the
+    picture it prints as phi.txt."""
+    blocks, examples = readme_examples()
+    point = [b for b in blocks if b.startswith("1: ")]
+    assert len(point) == 1
+    (tmp_path / "point.txt").write_text(point[0])
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for argv, printed in examples:
+        if "..." in printed:
+            continue
+        assert run(capsys, *argv) == (0, printed, ""), argv
+        if argv[0] == "picture":
+            (tmp_path / "phi.txt").write_text(printed)
+        ran.append(argv[0])
+    assert ran == ["validate", "list", "picture", "eval", "trace"]

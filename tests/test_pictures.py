@@ -24,7 +24,7 @@ from colorinv.pictures import (
     t_sigma_on_parts,
 )
 from colorinv.sampling import random_w0_point, standard_test_algebra
-from colorinv.sympoly import MixedShape
+from colorinv.sympoly import MixedShape, SymPolynomial, SymVariable
 from colorinv.tensors import gamma_exponent
 from colorinv.textform import format_sym
 from colorinv.traces import restitute
@@ -177,6 +177,44 @@ def test_phi_polynomials_are_normalized(cfgs):
         poly = build_phi(ps, sigma).poly
         for word in poly.terms:
             assert list(word) == sorted(word, key=cfg.shape.var_key)
+
+
+def textbook_phi(pshape, sigma):
+    """phi_sigma summed from scratch: at each index tuple I, the variable
+    word of the copies, insertion-sorted by var_key with the eps exponent
+    of each swapped pair of degrees added up, dropped when it repeats an
+    odd variable, and multiplied by coefficient(pshape, sigma, I)."""
+    shape = pshape.shape
+    chi = shape.chi
+    inv = perms.inverse(sigma)
+    total = SymPolynomial.zero(shape)
+    for I in itertools.product(range(1, shape.space.dim + 1), repeat=pshape.N):
+        word = [SymVariable(i, tuple(I[p - 1] for p in pshape.lower_positions(i, j)),
+                            tuple(I[inv[q - 1] - 1] for q in pshape.upper_positions(i, j)))
+                for i, j in pshape.copies()]
+        exp = 0
+        for a in range(1, len(word)):
+            b = a
+            while b > 0 and shape.var_key(word[b - 1]) > shape.var_key(word[b]):
+                exp += chi.eps_exponent(shape.var_degree(word[b - 1]),
+                                        shape.var_degree(word[b]))
+                word[b - 1], word[b] = word[b], word[b - 1]
+                b -= 1
+        if any(x == y and shape.var_parity(x) for x, y in zip(word, word[1:])):
+            continue
+        c = chi.root(exp) * coefficient(pshape, sigma, I)
+        total = total + SymPolynomial(shape, {tuple(word): c})
+    return total
+
+
+def test_build_phi_matches_textbook_sum(cfgs):
+    for cfg in cfgs.values():
+        shapes = [PictureShape(cfg.shape, (n,)) for n in (1, 2, 3)]
+        shapes.append(PictureShape(MixedShape(cfg.space, [(2, 1), (1, 2)]), (1, 1)))
+        for ps in shapes:
+            for sigma in all_perms(ps.N):
+                assert build_phi(ps, sigma).poly == textbook_phi(ps, sigma), \
+                    (cfg.name, ps, sigma)
 
 
 def textbook_coefficient_exponent(pshape, sigma, I):

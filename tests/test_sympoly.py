@@ -1,5 +1,6 @@
 """Mixed symmetric algebras: normal forms, dimensions, sign commutativity."""
 
+import itertools
 import random
 
 from colorinv.cyclo import CycloRational
@@ -170,3 +171,40 @@ def test_enumerate_by_multidegree(cfgs):
         for v in word:
             counts[v.summand - 1] += 1
         assert counts == [1, 1]
+
+
+def test_variable_numbering(cfgs):
+    """Ids are 0..n-1 in variables() order, increasing in var_key; the
+    code tables and the id lists agree with the variables; a word of ids
+    normalizes like the word of its variables."""
+    for cfg in cfgs.values():
+        for shape in (cfg.shape, MixedShape(cfg.space, [(2, 1), (1, 2), (0, 0)])):
+            num = shape.numbering()
+            vs = shape.variables()
+            assert list(num.variables) == vs
+            assert [num.ids[v] for v in vs] == list(range(len(vs)))
+            keys = [shape.var_key(v) for v in vs]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            dim = shape.space.dim
+            seen = []
+            for i, (b, t) in enumerate(shape.pairs, start=1):
+                table = num.codes[i - 1]
+                words = list(itertools.product(range(1, dim + 1), repeat=b + t))
+                assert len(table) == len(words)
+                for code, word in enumerate(words):
+                    assert num.variables[table[code]] == SymVariable(i, word[:b], word[b:])
+                seen.extend(table)
+            assert sorted(seen) == list(range(len(vs)))
+            for k, v in enumerate(vs):
+                assert num.position[k] == shape.chi.position(shape.var_degree(v))
+                assert num.parity[k] == shape.var_parity(v)
+            rng = random.Random("ids/%s" % cfg.name)
+            for _ in range(20):
+                word = [rng.choice(vs) for _ in range(rng.randint(0, 4))]
+                named = sym_normalize(shape, word)
+                numbered = sym_normalize(shape, [num.ids[v] for v in word])
+                if named is None:
+                    assert numbered is None
+                else:
+                    assert numbered[0] == named[0]
+                    assert tuple(num.variables[k] for k in numbered[1]) == named[1]
