@@ -230,7 +230,8 @@ class EpsElement:
             other = self.alg.scalar(other)
         if not isinstance(other, EpsElement):
             return NotImplemented
-        return self.alg == other.alg and self.terms == other.terms
+        return ((self.alg is other.alg or self.alg == other.alg)
+                and self.terms == other.terms)
 
     __hash__ = None
 

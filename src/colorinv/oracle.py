@@ -425,6 +425,14 @@ def _suite_jacobi(cfg, rpt, seed, **_):
             else "%d triples failed" % bad)
 
 def _suite_centralizer(cfg, rpt, seed, **_):
+    """sigma commutes with psi_x for every matrix unit x and with eta_g for
+    every g in G, on every primal basis tensor of width k <= 3.
+
+    The checks share inputs, never verdicts: each basis tensor t, each
+    sigma.t, each psi_x(t) and each eta_g(t) is made once and reused by
+    every check that needs it, and each side of each comparison still
+    comes from act_perm, psi_derivation or eta_action, so those library
+    functions are what is being checked."""
     chi = cfg.chi
     space = cfg.space
     alg = standard_test_algebra(chi, truncation=2)
@@ -433,26 +441,28 @@ def _suite_centralizer(cfg, rpt, seed, **_):
              for a in range(1, n + 1) for b in range(1, n + 1)]
     for k in (1, 2, 3):
         variance = (PRIMAL,) * k
+        basis = [GradedTensor.basis(space, alg, variance, idx)
+                 for idx in itertools.product(range(1, n + 1), repeat=k)]
+        sigmas = perms.all_perms(k)
+        moved = [[act_perm(sigma, t) for t in basis] for sigma in sigmas]
         bad = total = 0
-        for sigma in perms.all_perms(k):
-            for x in units:
-                for idx in itertools.product(range(1, n + 1), repeat=k):
-                    t = GradedTensor.basis(space, alg, variance, idx)
+        for x in units:
+            for j, t in enumerate(basis):
+                xt = psi_derivation(x, t)
+                for sigma, mt in zip(sigmas, moved):
                     total += 1
-                    if act_perm(sigma, psi_derivation(x, t)) \
-                            != psi_derivation(x, act_perm(sigma, t)):
+                    if act_perm(sigma, xt) != psi_derivation(x, mt[j]):
                         bad += 1
         rpt.add("psi-commutes k=%d" % k, bad == 0,
                 "%d (sigma, unit, basis tensor) checks" % total if not bad
                 else "%d checks failed" % bad)
         bad = total = 0
-        for sigma in perms.all_perms(k):
-            for g in chi.group.elements():
-                for idx in itertools.product(range(1, n + 1), repeat=k):
-                    t = GradedTensor.basis(space, alg, variance, idx)
+        for g in chi.group.elements():
+            for j, t in enumerate(basis):
+                gt = eta_action(g, t)
+                for sigma, mt in zip(sigmas, moved):
                     total += 1
-                    if act_perm(sigma, eta_action(g, t)) \
-                            != eta_action(g, act_perm(sigma, t)):
+                    if act_perm(sigma, gt) != eta_action(g, mt[j]):
                         bad += 1
         rpt.add("eta-commutes k=%d" % k, bad == 0,
                 "%d (sigma, group element, basis tensor) checks" % total

@@ -18,6 +18,15 @@ coefficient by a rotation, CycloRational.times_root, never as a product
 with a root of unity.  psi_derivation folds its prefix sign into the hop
 of each entry the same way.
 
+Slot degrees are table lookups: each GradedSpace keeps its degrees and
+their negatives as one pair indexed by variance bit (slot_table), so a
+dual slot never calls group.neg.  act_perm keeps the gamma exponents of
+one call in a local dict keyed by the slot-degree tuple, each computed by
+gamma_exponent over sigma's own inversions, so terms with the same slot
+degrees share one gamma and nothing outlives the call.  psi_derivation and
+apply_operator build the suffix degree sums of a word once per term, the
+degree each emitted coefficient hops past.
+
 Operators T act by T(e_b) = sum_a e_a T_ab.  On dual slots T acts through
 composition with T^{-1}, which in coordinates reads
 T . e_c* = sum_a e_a* unhop(S_ca, g_a) with S = T^{-1}.
@@ -60,6 +69,10 @@ class GradedSpace:
         bits = [chi.parity_bit(g) for g in self.degrees]
         self.m = sum(1 for b in bits if b == 0)
         self.n = len(bits) - self.m
+        # slot degrees by variance bit: slot_table[PRIMAL][i - 1] is g_i,
+        # slot_table[DUAL][i - 1] is -g_i
+        self.slot_table = (self.degrees,
+                           tuple(chi.group.neg(d) for d in self.degrees))
 
     @property
     def dim(self):
@@ -75,8 +88,7 @@ class GradedSpace:
                 raise ValueError("basis index %r out of range 1..%d" % (i, self.dim))
 
     def slot_degree(self, variance_bit, i):
-        d = self.degrees[i - 1]
-        return self.chi.group.neg(d) if variance_bit == DUAL else d
+        return self.slot_table[variance_bit][i - 1]
 
     def __eq__(self, other):
         return (isinstance(other, GradedSpace) and self.chi == other.chi
@@ -123,8 +135,8 @@ class GradedTensor:
         return cls(space, alg, variance, {indices: c})
 
     def slot_degrees(self, indices):
-        sd = self.space.slot_degree
-        return tuple(sd(v, i) for v, i in zip(self.variance, indices))
+        table = self.space.slot_table
+        return tuple(table[v][i - 1] for v, i in zip(self.variance, indices))
 
     def word_degree(self, indices):
         return self.space.chi.group.sum(self.slot_degrees(indices))
@@ -169,8 +181,10 @@ class GradedTensor:
     def __eq__(self, other):
         if not isinstance(other, GradedTensor):
             return NotImplemented
-        return (self.space == other.space and self.variance == other.variance
-                and self.alg == other.alg and self.terms == other.terms)
+        return ((self.space is other.space or self.space == other.space)
+                and self.variance == other.variance
+                and (self.alg is other.alg or self.alg == other.alg)
+                and self.terms == other.terms)
 
     __hash__ = None
 
@@ -193,8 +207,12 @@ def act_perm(sigma, t):
     chi = t.space.chi
     new_var = perms.act_tuple(sigma, t.variance)
     out = {}
+    gammas = {}   # this call's gamma exponents by slot-degree tuple
     for idx, c in t.terms.items():
-        g = gamma_exponent(chi, t.slot_degrees(idx), sigma)
+        sd = t.slot_degrees(idx)
+        g = gammas.get(sd)
+        if g is None:
+            g = gammas[sd] = gamma_exponent(chi, sd, sigma)
         nidx = perms.act_tuple(sigma, idx)
         nc = c.times_root(g)
         prev = out.get(nidx)
@@ -386,6 +404,15 @@ class GradedOperator:
     def is_zero(self):
         return not self.terms
 
+def _suffix_sums(grp, degs):
+    """suffix[j] = degs[j] + degs[j+1] + ..., with suffix[len(degs)] the
+    identity: the degree a coefficient emitted at slot j hops past is
+    suffix[j + 1]."""
+    suffix = [grp.identity] * (len(degs) + 1)
+    for j in range(len(degs) - 1, -1, -1):
+        suffix[j] = grp.add(degs[j], suffix[j + 1])
+    return suffix
+
 def dual_action_columns(opinv):
     """Columns of the induced action on dual slots: with S = T^{-1}, e_c*
     goes to sum_a e_a* unhop(S_ca, g_a).  Returned as {c: [(a, entry),
@@ -428,11 +455,7 @@ def apply_operator(t, op, opinv=None, slots=None):
         for combo in itertools.product(*options):
             nidx = tuple(a for a, _ in combo)
             sd = [space.slot_degree(v, a) for v, a in zip(t.variance, nidx)]
-            # suffix degree sums of the new basis word
-            grp = chi.group
-            suffix = [grp.identity] * (k + 1)
-            for j in range(k - 1, -1, -1):
-                suffix[j] = grp.add(sd[j], suffix[j + 1])
+            suffix = _suffix_sums(chi.group, sd)
             coeff = None
             for j, (_, cj) in enumerate(combo):
                 if cj is None:
@@ -466,15 +489,16 @@ def psi_derivation(x, t):
     k = len(t.variance)
     cols = x.columns()
     acc = {}
+    degrees = space.degrees
     for idx, lam in t.terms.items():
-        degs = [space.degree(i) for i in idx]
+        degs = [degrees[i - 1] for i in idx]
+        suffix = _suffix_sums(grp, degs)
         prefix = 0
         for i in range(k):
             if i > 0:
                 prefix = (prefix + chi.eps_exponent(alpha, degs[i - 1])) % chi.m
-            tail = grp.sum(degs[i + 1:])
             for a, entry in cols.get(idx[i], ()):
-                coeff = hop(entry, tail, shift=prefix) * lam
+                coeff = hop(entry, suffix[i + 1], shift=prefix) * lam
                 if not coeff:
                     continue
                 nidx = idx[:i] + (a,) + idx[i + 1:]

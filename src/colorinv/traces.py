@@ -232,8 +232,14 @@ def trace_monomial(ops, cyclist, assign=None):
         raise ValueError("cycles must partition 1..N")
     if assign is None:
         assign = list(range(1, n + 1))
-    if len(assign) != n or not all(1 <= a <= len(ops) for a in assign):
-        raise ValueError("assignment must map each position to an operator")
+    if len(assign) != n:
+        raise ValueError("assignment has %d entries, but N=%d positions each "
+                         "need an operator index in 1..%d"
+                         % (len(assign), n, len(ops)))
+    for pos, a in enumerate(assign, start=1):
+        if not 1 <= a <= len(ops):
+            raise ValueError("assignment entry %d at position %d of N=%d is "
+                             "outside 1..%d" % (a, pos, n, len(ops)))
     total = alg.one()
     for cyc in sorted(cyclist, key=min):
         chain = identity_end(space, alg)

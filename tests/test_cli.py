@@ -6,13 +6,15 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from colorinv.cli import main
 from colorinv.config import builtin_config
 from colorinv.pictures import PictureShape, build_phi
 from colorinv.sampling import random_w0_point, standard_test_algebra
 from colorinv.textform import (format_eps, format_point, format_sym,
                                parse_point, parse_sym)
-from colorinv.traces import restitute
+from colorinv.traces import restitute, trace_monomial
 
 
 def run(capsys, *argv):
@@ -118,6 +120,33 @@ def test_eval_matches_trace_on_shared_point(capsys, tmp_path):
                            "--point", str(point_file))
     assert rc == 0
     assert eval_out == trace_out
+
+
+def test_trace_rejects_bad_assignment_with_reason(capsys, tmp_path):
+    cfg = builtin_config("super")
+    alg = standard_test_algebra(cfg.chi)
+    point = random_w0_point(cfg.shape, alg, random.Random("cli-assign"))
+    point_file = tmp_path / "point.txt"
+    point_file.write_text(format_point(point))
+    trace = ("trace", "--config", "builtin:super", "--point", str(point_file))
+
+    # super has one operator per point, so only 1 is a valid entry
+    for entry in ("2", "0", "-1"):
+        rc, out, err = run(capsys, *trace, "--sigma", "(1 2)",
+                           "--assign", "1,%s" % entry)
+        assert (rc, out) == (2, "")
+        assert err == ("error: assignment entry %s at position 2 of N=2 is "
+                       "outside 1..1\n" % entry)
+
+    # the CLI sizes sigma by the assignment, so a wrong length shows as a
+    # size mismatch there; called directly, trace_monomial names it itself
+    rc, out, err = run(capsys, *trace, "--sigma", "2,1", "--assign", "1,1,1")
+    assert (rc, out) == (2, "")
+    assert err == "error: permutation has size 2, expected 3\n"
+    with pytest.raises(ValueError) as exc:
+        trace_monomial(list(point.parts), [(1, 2)], [1, 1, 1])
+    assert str(exc.value) == ("assignment has 3 entries, but N=2 positions "
+                              "each need an operator index in 1..1")
 
 
 def test_eval_missing_file(capsys, tmp_path):

@@ -14,8 +14,9 @@ from colorinv.oracle import (
     span_check,
     suite,
 )
+from colorinv.epsalgebra import hop
 from colorinv.sympoly import MixedShape
-from colorinv.tensors import GradedSpace
+from colorinv.tensors import GradedSpace, GradedTensor
 
 
 def matrix_shape(n, pairs):
@@ -146,3 +147,70 @@ def test_tabulated_cocycle_check_catches_broken_gamma(cfgs, monkeypatch):
     assert cases["cocycle-identity k=3"].detail == "failed at %r" % (first,)
     for name in ("cocycle-identity k=2", "cocycle-identity k=4", "action-functoriality"):
         assert cases[name].ok and cases[name].detail == clean[name].detail
+
+
+def psi_on_basis_term(x, t, drop=False):
+    """psi_x on a one-term primal tensor, written out slot by slot: slot i
+    takes entry T_ab when its index is b, the entry hops past the later
+    slots and picks up eps(|x|, |v_j|) for each earlier slot j.  With drop,
+    slot 3 leaves the factor of slot 2 out of that prefix sign."""
+    space, chi = t.space, t.space.chi
+    alpha = x.g_degree()
+    ((idx, lam),) = t.terms.items()
+    degs = [space.degree(i) for i in idx]
+    out = GradedTensor.zero(space, t.alg, t.variance)
+    for i, b in enumerate(idx):
+        prefix = sum(chi.eps_exponent(alpha, degs[j]) for j in range(i)
+                     if not (drop and (i, j) == (2, 1)))
+        tail = chi.group.sum(degs[i + 1:])
+        for (a, c), entry in x.terms.items():
+            if c == b:
+                nidx = idx[:i] + (a,) + idx[i + 1:]
+                coeff = hop(entry, tail).times_root(prefix) * lam
+                out = out + GradedTensor(space, t.alg, t.variance, {nidx: coeff})
+    return out
+
+
+def eta_skipping_last_slot(g, t):
+    """eta_g with the sign of the last slot left out."""
+    chi = t.space.chi
+    return GradedTensor(t.space, t.alg, t.variance, {
+        idx: lam.times_root(sum(chi.eps_exponent(g, t.space.degree(i))
+                                for i in idx[:-1]))
+        for idx, lam in t.terms.items()})
+
+
+def test_centralizer_suite_catches_broken_actions(cfgs, monkeypatch):
+    cfg = cfgs["z3z3"]
+
+    def outcomes():
+        return {c.name: (c.ok, c.detail)
+                for c in suite("centralizer-commute", cfg).cases}
+
+    clean = outcomes()
+    for k, n in ((1, 27), (2, 162), (3, 1458)):
+        assert clean["psi-commutes k=%d" % k] == \
+            (True, "%d (sigma, unit, basis tensor) checks" % n)
+        assert clean["eta-commutes k=%d" % k] == \
+            (True, "%d (sigma, group element, basis tensor) checks" % n)
+
+    # the slot-by-slot psi passes as written ...
+    monkeypatch.setattr(oracle, "psi_derivation", psi_on_basis_term)
+    assert outcomes() == clean
+
+    # ... and fails at width 3 once one eps factor drops from a prefix sign
+    monkeypatch.setattr(oracle, "psi_derivation",
+                        lambda x, t: psi_on_basis_term(x, t, drop=True))
+    broken = outcomes()
+    ok, detail = broken.pop("psi-commutes k=3")
+    assert not ok and detail.endswith(" checks failed")
+    assert all(broken[name] == clean[name] for name in broken)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "eta_action", eta_skipping_last_slot)
+    broken = outcomes()
+    assert broken["eta-commutes k=1"] == clean["eta-commutes k=1"]
+    for k in (2, 3):
+        ok, detail = broken["eta-commutes k=%d" % k]
+        assert not ok and detail.endswith(" checks failed")
+        assert broken["psi-commutes k=%d" % k] == clean["psi-commutes k=%d" % k]

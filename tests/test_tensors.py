@@ -9,7 +9,10 @@ from colorinv.cyclo import CycloRational
 from colorinv.permutations import all_perms, compose, identity, inverse, inversions
 from colorinv.sampling import random_eps_of_degree, standard_test_algebra
 from colorinv.tensors import (
+    DUAL,
+    PRIMAL,
     GradedOperator,
+    GradedSpace,
     GradedTensor,
     act_perm,
     apply_operator,
@@ -36,6 +39,68 @@ def test_gamma_exponent_brute_force(cfgs):
                                for i, j in inversions(sigma))
                 assert gamma(chi, triple, sigma) == chi.root(expected)
                 assert chi.root(gamma_exponent(chi, triple, sigma)) == chi.root(expected)
+
+
+def act_perm_textbook(sigma, t):
+    """sigma . t term by term: each term alone picks up the product of
+    eps(d_i, d_j) over the inversions i < j, sigma(i) > sigma(j), of its
+    slot degrees d (g_a on a primal slot, -g_a on a dual one), and the
+    entry of slot i moves to slot sigma(i)."""
+    space = t.space
+    chi = space.chi
+    k = len(sigma)
+
+    def move(word):
+        out = [None] * k
+        for i in range(k):
+            out[sigma[i] - 1] = word[i]
+        return tuple(out)
+
+    total = GradedTensor.zero(space, t.alg, move(t.variance))
+    for idx, c in t.terms.items():
+        degs = [space.degree(a) if v == PRIMAL else chi.group.neg(space.degree(a))
+                for v, a in zip(t.variance, idx)]
+        e = sum(chi.eps_exponent(degs[i], degs[j])
+                for i in range(k) for j in range(i + 1, k) if sigma[i] > sigma[j])
+        total = total + GradedTensor(space, t.alg, move(t.variance),
+                                     {move(idx): c.scale(chi.root(e))})
+    return total
+
+
+def test_act_perm_matches_textbook_referee(cfgs, algebras):
+    """Multi-term tensors of every variance up to width 3, every sigma, on
+    every builtin and on a space listing each builtin degree twice.  There
+    the twin word (each index swapped with its equal-degree partner) shares
+    the slot degrees of its word, so act_perm's per-call gamma memo is hit;
+    the reversed word has the same degrees in another order, so a memo
+    keyed by anything coarser than the ordered slot degrees goes wrong."""
+    rng = random.Random("act-perm-referee")
+    for name, cfg in cfgs.items():
+        chi, alg = cfg.chi, algebras[name]
+        grp = chi.group
+        doubled = GradedSpace(chi, [g for g in cfg.space.degrees for _ in (0, 1)])
+        twins = [(cfg.space, lambda w: w),
+                 (doubled, lambda w: tuple(a + 1 if a % 2 else a - 1 for a in w))]
+        for space, twin in twins:
+            for i in range(1, space.dim + 1):
+                assert space.slot_degree(PRIMAL, i) == space.degree(i)
+                assert space.slot_degree(DUAL, i) == grp.neg(space.degree(i))
+            for k in (1, 2, 3):
+                words = list(itertools.product(range(1, space.dim + 1), repeat=k))
+                for variance in itertools.product((PRIMAL, DUAL), repeat=k):
+                    terms = {}
+                    for w in rng.sample(words, min(3, len(words))):
+                        for u in (w, twin(w), w[::-1]):
+                            d = rng.choice(grp.elements())
+                            terms[u] = random_eps_of_degree(alg, d, rng) + rng.choice((1, -2))
+                    t = GradedTensor(space, alg, variance, terms)
+                    if space is doubled:
+                        assert len({t.slot_degrees(w) for w in t.terms}) < len(t.terms)
+                    for sigma in all_perms(k):
+                        got = act_perm(sigma, t)
+                        want = act_perm_textbook(sigma, t)
+                        assert got.variance == want.variance
+                        assert got == want, (name, space, variance, sigma)
 
 
 def test_act_perm_is_functorial(cfgs, algebras):
