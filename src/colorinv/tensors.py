@@ -20,12 +20,9 @@ of each entry the same way.
 
 Slot degrees are table lookups: each GradedSpace keeps its degrees and
 their negatives as one pair indexed by variance bit (slot_table), so a
-dual slot never calls group.neg.  act_perm keeps the gamma exponents of
-one call in a local dict keyed by the slot-degree tuple, each computed by
-gamma_exponent over sigma's own inversions, so terms with the same slot
-degrees share one gamma and nothing outlives the call.  psi_derivation and
-apply_operator build the suffix degree sums of a word once per term, the
-degree each emitted coefficient hops past.
+dual slot never calls group.neg.  psi_derivation and apply_operator
+build the suffix degree sums of a word once per term, the degree each
+emitted coefficient hops past.
 
 Operators T act by T(e_b) = sum_a e_a T_ab.  On dual slots T acts through
 composition with T^{-1}, which in coordinates reads
@@ -207,12 +204,8 @@ def act_perm(sigma, t):
     chi = t.space.chi
     new_var = perms.act_tuple(sigma, t.variance)
     out = {}
-    gammas = {}   # this call's gamma exponents by slot-degree tuple
     for idx, c in t.terms.items():
-        sd = t.slot_degrees(idx)
-        g = gammas.get(sd)
-        if g is None:
-            g = gammas[sd] = gamma_exponent(chi, sd, sigma)
+        g = gamma_exponent(chi, t.slot_degrees(idx), sigma)
         nidx = perms.act_tuple(sigma, idx)
         nc = c.times_root(g)
         prev = out.get(nidx)
