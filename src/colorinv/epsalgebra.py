@@ -265,6 +265,15 @@ class EpsElement:
     def __repr__(self):
         return "EpsElement(%s)" % (str(self),)
 
+def add_term(terms, w, c):
+    """terms[w] += c, w dropped when the sum is zero, as EpsElement sums do."""
+    s = terms.get(w)
+    s = c if s is None else s + c
+    if s:
+        terms[w] = s
+    else:
+        terms.pop(w, None)
+
 def hop(elem, d, invert=False, shift=0):
     """Move an element of Lambda_eps past a basis factor of G-degree d:
     each word w picks up eps(|w|, d) (or its inverse), and zeta_m^shift

@@ -220,20 +220,22 @@ def validate_bicharacter(chi, exhaustive_limit=64):
     if not rep.ok or G.order > exhaustive_limit:
         return rep
     els = G.elements()
-    exp = {(g, h): chi.eps_exponent(g, h) for g in els for h in els}
-    for g in els:
-        e = exp[g, g]
+    # eps exponents and sums by element position, each tabulated once
+    where = {g: a for a, g in enumerate(els)}
+    exp = [[chi.eps_exponent(g, h) for h in els] for g in els]
+    add = [[where[G.add(g, h)] for h in els] for g in els]
+    for a, g in enumerate(els):
+        e = exp[a][a]
         if e != 0 and 2 * e % m != 0:
             rep.add("eps(g,g) not a sign at g=%r (exponent %d mod %d)" % (g, e, m))
-    add = G.add
-    for f in els:
-        for g in els:
-            if (exp[f, g] + exp[g, f]) % m != 0:
+    for a, (f, ef) in enumerate(zip(els, exp)):
+        for b, g in enumerate(els):
+            if (ef[b] + exp[b][a]) % m != 0:
                 rep.add("eps(g,h)eps(h,g) != 1 at g=%r h=%r" % (f, g))
-            fg = add(f, g)
-            for h in els:
-                if (exp[fg, h] - exp[f, h] - exp[g, h]) % m != 0:
+            efg, eg, gh = exp[add[a][b]], exp[b], add[b]
+            for c, h in enumerate(els):
+                if (efg[c] - ef[c] - eg[c]) % m != 0:
                     rep.add("additivity in the first argument fails at %r,%r,%r" % (f, g, h))
-                if (exp[f, add(g, h)] - exp[f, g] - exp[f, h]) % m != 0:
+                if (ef[gh[c]] - ef[b] - ef[c]) % m != 0:
                     rep.add("additivity in the second argument fails at %r,%r,%r" % (f, g, h))
     return rep

@@ -10,12 +10,19 @@ at u agrees with the functional evaluation
 
     T_sigma(u ox ... ox u) = ev(nu . tau . (sigma_hat . mu . blocked)),
 
-the right side computed here by t_sigma_on_parts.  The polynomial's
-monomial at index tuple I = (r_1..r_N) uses, for copy (i,j), lower indices
-r at the copy's primal positions and upper indices r o sigma^{-1} at its
-dual positions; the coefficient is the rearrangement sign gamma(J, rho^{-1})
-with rho = nu tau sigma_hat mu and J the blocked degree tuple, times the
-dual-word normalization of the w-block degrees.
+the right side computed here by t_sigma_on_parts.  Theta contracts
+adjacent final slots; contraction_pairs pulls those N pairs back through
+the index moves of mu, sigma_hat, tau and nu to blocked positions, and
+blocked_word builds the blocked tensor as a hash join on them, so only
+terms that survive contraction are multiplied or moved.  The four moves
+still act on the survivors through act_perm, each with its own sign.
+
+The polynomial's monomial at index tuple I = (r_1..r_N) uses, for copy
+(i,j), lower indices r at the copy's primal positions and upper indices
+r o sigma^{-1} at its dual positions; the coefficient is the
+rearrangement sign gamma(J, rho^{-1}) with rho = nu tau sigma_hat mu and J
+the blocked degree tuple, times the dual-word normalization of the w-block
+degrees.
 
 Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
 the inversions of rho, the copies' positions in I) is worked out once per
@@ -47,7 +54,7 @@ from dataclasses import dataclass
 from . import permutations as perms
 from .sympoly import MixedShape, SymPolynomial, sym_normalize
 from .tensors import (PRIMAL, DUAL, GradedTensor, act_perm, contract_pairs,
-                      tensor_product, tensor_power)
+                      tensor_product)
 
 tau = perms.tau_perm
 nu = perms.nu_perm
@@ -121,7 +128,6 @@ def mu(pshape):
     N = pshape.N
     p = []
     for i, j in pshape.copies():
-        b, t = pshape.shape.pairs[i - 1]
         lo = pshape.lower_positions(i, j)
         up = pshape.upper_positions(i, j)
         p.extend(lo)
@@ -289,30 +295,67 @@ def theta_eval(sigma, t):
     s = act_perm(nu(N), s)
     return contract_pairs(s)
 
-def blocked_word(pshape, parts):
-    """u_1^{ox m_1} ox ... ox u_s^{ox m_s} for per-summand tensors u_i."""
+def contraction_pairs(pshape, sigma):
+    """The N pairs (a, b), a < b, of 0-based blocked positions that
+    Theta(sigma) contracts: labels 0..2N-1 moved as act_perm moves slots
+    by mu, sigma_hat, tau and nu, read off final slots 2i, 2i+1."""
+    N = pshape.N
+    if len(sigma) != N:
+        raise ValueError("sigma must lie in S_%d" % N)
+    labels = tuple(range(2 * N))
+    for p in (mu(pshape), sigma_hat(sigma), tau(N), nu(N)):
+        labels = perms.act_tuple(p, labels)
+    return tuple(tuple(sorted(labels[2 * i:2 * i + 2])) for i in range(N))
+
+def _split(t, places):
+    """t as one tensor per tuple of index entries at the given positions."""
+    groups = {}
+    for w, c in t.terms.items():
+        groups.setdefault(tuple(w[p] for p in places), {})[w] = c
+    return {k: GradedTensor(t.space, t.alg, t.variance, g)
+            for k, g in groups.items()}
+
+def blocked_word(pshape, parts, pairs=()):
+    """u_1^{ox m_1} ox ... ox u_s^{ox m_s} for per-summand tensors u_i,
+    only the terms whose index words agree at each pair (a, b), a < b, of
+    0-based positions.  Built copy by copy as a hash join: pairs inside
+    the new copy filter it, pairs linking it to the product so far group
+    both sides by the linked entries, and tensor_product runs once per
+    matching group.  With no pairs it is the full product."""
     if len(parts) != pshape.shape.s:
         raise ValueError("need one tensor per summand")
-    factors = []
     for i, u in enumerate(parts, start=1):
         b, t = pshape.shape.pairs[i - 1]
         if u.variance != (PRIMAL,) * b + (DUAL,) * t:
             raise ValueError("summand %d tensor has wrong variance" % i)
-        m = pshape.mults[i - 1]
-        if m:
-            factors.append(tensor_power(u, m))
-    if not factors:
-        space = pshape.shape.space
+    out, lo = None, 0
+    for i, _ in pshape.copies():
+        u = parts[i - 1]
+        hi = lo + len(u.variance)
+        inner = [(a - lo, b - lo) for a, b in pairs if lo <= a and b < hi]
+        link = [(a, b - lo) for a, b in pairs if a < lo <= b < hi]
+        u = GradedTensor(u.space, u.alg, u.variance,
+                         {w: c for w, c in u.terms.items()
+                          if all(w[a] == w[b] for a, b in inner)})
+        if out is None:
+            out = u
+        else:
+            right = _split(u, [b for _, b in link])
+            joined = {}
+            for key, left in _split(out, [a for a, _ in link]).items():
+                if key in right:
+                    joined.update(tensor_product(left, right[key]).terms)
+            out = GradedTensor(u.space, u.alg, out.variance + u.variance, joined)
+        lo = hi
+    if out is None:
         alg = parts[0].alg if parts else None
-        return GradedTensor.basis(space, alg, (), ())
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor_product(out, f)
+        return GradedTensor.basis(pshape.shape.space, alg, (), ())
     return out
 
 def t_sigma_on_parts(pshape, sigma, parts):
     """The functional path: block the per-summand tensors, rearrange into
-    sorted variance by the signed mu action, evaluate Theta(sigma)."""
+    sorted variance by the signed mu action, evaluate Theta(sigma), on the
+    blocked terms that survive contraction only."""
     pshape.require_balanced()
-    blocked = blocked_word(pshape, parts)
+    blocked = blocked_word(pshape, parts, contraction_pairs(pshape, sigma))
     return theta_eval(sigma, act_perm(mu(pshape), blocked))

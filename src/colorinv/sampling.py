@@ -7,7 +7,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .epsalgebra import words_of_degree
+from .cyclo import as_cyclo
+from .epsalgebra import EpsElement, add_term, words_of_degree
 from .sympoly import SymPolynomial, enumerate_sym_basis
 from .tensors import PRIMAL, DUAL, GradedTensor
 from .traces import W0Point
@@ -28,19 +29,20 @@ def random_rational(rng):
 
 def random_eps_of_degree(alg, d, rng, max_len=2, terms=2):
     """A random homogeneous element of the given G-degree; zero only when no
-    word of that degree exists within the length bound."""
+    word of that degree exists within the length bound.  Pool words are
+    normal, so alg.monomial(w, c) would be root(0) * c at w."""
     pool = words_of_degree(alg, d, max_len)
-    out = alg.zero()
     if not pool:
-        return out
+        return alg.zero()
+    out = {}
     for _ in range(terms):
         w = pool[rng.randrange(len(pool))]
         c = random_rational(rng)
         if c:
-            out = out + alg.monomial(w, c)
-    if out.is_zero():
-        out = alg.monomial(pool[rng.randrange(len(pool))], 1)
-    return out
+            add_term(out, w, alg.chi.root(0) * as_cyclo(c))
+    if not out:
+        return alg.monomial(pool[rng.randrange(len(pool))], 1)
+    return EpsElement(alg, out)
 
 def random_w0_point(shape, alg, rng, density=0.7, max_len=2):
     """A random degree-0 point of W with homogeneous coefficients."""
@@ -63,7 +65,6 @@ def random_w0_point(shape, alg, rng, density=0.7, max_len=2):
 
 def random_sym_polynomial(shape, r, rng, terms=4):
     """A random polynomial supported on degree <= r monomials."""
-    from .cyclo import as_cyclo
     out = SymPolynomial.zero(shape)
     for _ in range(terms):
         deg = rng.randint(1, r)

@@ -225,14 +225,6 @@ def tensor_product(a, b):
                 out[ia + ib] = c
     return GradedTensor(a.space, a.alg, a.variance + b.variance, out)
 
-def tensor_power(a, k):
-    if k == 0:
-        return GradedTensor.basis(a.space, a.alg, (), ())
-    out = a
-    for _ in range(k - 1):
-        out = tensor_product(out, a)
-    return out
-
 def contract_pairs(t):
     """Full contraction of a word in alternating (dual, primal) variance:
     each adjacent pair e_a* ox e_b contributes delta_ab.  Returns the

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from . import permutations as perms
-from .epsalgebra import EpsAlgebra, hop
+from .epsalgebra import EpsAlgebra, EpsElement, add_term, hop
 from .sympoly import SymPolynomial
 from .tensors import PRIMAL, DUAL, GradedTensor, GradedOperator
 
@@ -58,31 +58,34 @@ def restitute_word(shape, word, point):
     point: the ordered product of the point coefficients at the variables'
     basis words, zero if any variable misses the point's support."""
     alg = point.alg
-    acc = alg.one()
+    acc = None
     for v in word:
         shape.check_variable(v)
         lam = point.part(v.summand).terms.get(v.word())
         if lam is None:
             return alg.zero()
-        acc = acc * lam
+        # point coefficients are normal words: alg.one() * lam is a rotation
+        acc = lam.times_root(0) if acc is None else acc * lam
         if not acc:
             return alg.zero()
-    return acc
+    return alg.one() if acc is None else acc
 
 def restitute(poly, point):
     """F^r on S(W*) at a degree-0 point, monomials evaluated on their
     canonical sorted representatives.  The input must be homogeneous: F^r
-    is defined degree by degree, so a mix of total degrees is rejected."""
+    is defined degree by degree, so a mix of total degrees is rejected.
+    The values c * F(monomial) are summed into one term dict, in monomial
+    order, and one element is built at the end."""
     degrees = sorted({len(mono) for mono in poly.terms})
     if len(degrees) > 1:
         raise ValueError("restitution needs a homogeneous polynomial; "
                          "found total degrees %s" % degrees)
-    total = point.alg.zero()
+    total = {}
     for mono, c in poly.terms.items():
         val = restitute_word(poly.shape, mono, point)
-        if val:
-            total = total + val.scale(c)
-    return total
+        for w, x in val.terms.items():
+            add_term(total, w, c * x)
+    return EpsElement(point.alg, total)
 
 def transposition_sign_check(shape, word, i, point):
     """The adjacent-swap identity behind well-definedness on W_0:

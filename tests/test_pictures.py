@@ -14,18 +14,24 @@ from colorinv.oracle import suite
 from colorinv.permutations import all_perms
 from colorinv.pictures import (
     PictureShape,
+    blocked_word,
     build_phi,
     coefficient,
     coefficient_exponent,
+    contraction_pairs,
     dual_word_exponent,
     mu,
+    nu,
     p_eps,
     p_eps_exponent,
+    sigma_hat,
     t_sigma_on_parts,
+    tau,
+    theta_eval,
 )
 from colorinv.sampling import random_w0_point, standard_test_algebra
 from colorinv.sympoly import MixedShape, SymPolynomial, SymVariable
-from colorinv.tensors import gamma_exponent
+from colorinv.tensors import act_perm, gamma_exponent
 from colorinv.textform import format_sym
 from colorinv.traces import restitute
 
@@ -140,6 +146,70 @@ def test_path_equality_seeded(cfgs):
                 lhs = restitute(phi.poly, u)
                 rhs = t_sigma_on_parts(ps, sigma, u.parts)
                 assert lhs == rhs, (name, sigma)
+
+
+def join_cases(cfgs):
+    """(name, picture shape, points) for every builtin at N <= 3, and the
+    mixed shape (2,1)+(1,2) with multiplicities (1,1) on super.  Point
+    coefficients have words of length <= 1, so at truncation 3 products
+    over three copies survive and the contracted values are mostly
+    nonzero."""
+    cases = []
+    for name in sorted(cfgs):
+        cfg = cfgs[name]
+        alg = standard_test_algebra(cfg.chi, truncation=3)
+        rng = random.Random("join/%s" % name)
+        points = [random_w0_point(cfg.shape, alg, rng, max_len=1) for _ in range(2)]
+        for n in (1, 2, 3):
+            cases.append((name, PictureShape(cfg.shape, (n,)), points))
+    sup = cfgs["super"]
+    mixed = MixedShape(sup.space, [(2, 1), (1, 2)])
+    alg = standard_test_algebra(sup.chi, truncation=3)
+    rng = random.Random("join/mixed")
+    points = [random_w0_point(mixed, alg, rng, max_len=1) for _ in range(2)]
+    cases.append(("mixed", PictureShape(mixed, (1, 1)), points))
+    return cases
+
+
+def four_moves(ps, sigma, t):
+    """The blocked word moved by mu, sigma_hat, tau and nu, as
+    t_sigma_on_parts moves it before contracting."""
+    for p in (mu(ps), sigma_hat(sigma), tau(ps.N), nu(ps.N)):
+        t = act_perm(p, t)
+    return t
+
+
+def test_joined_t_sigma_matches_unpruned_path(cfgs):
+    """The join builds only surviving blocked terms; the value must be the
+    one the full blocked word gives through the same four moves."""
+    for name, ps, points in join_cases(cfgs):
+        for sigma in all_perms(ps.N):
+            for u in points:
+                full = theta_eval(sigma, act_perm(mu(ps), blocked_word(ps, u.parts)))
+                assert t_sigma_on_parts(ps, sigma, u.parts) == full, (name, ps, sigma)
+
+
+def test_join_builds_exactly_the_surviving_terms(cfgs):
+    """Every term of the joined blocked word survives contraction after the
+    four moves, and every surviving term of the full word is built."""
+    checked = 0
+    for name, ps, points in join_cases(cfgs):
+        half = ps.N
+        for sigma in all_perms(ps.N):
+            pairs = contraction_pairs(ps, sigma)
+            assert len(pairs) == half and all(a < b for a, b in pairs)
+            for u in points:
+                joined = blocked_word(ps, u.parts, pairs)
+                moved = four_moves(ps, sigma, joined)
+                assert len(moved.terms) == len(joined.terms)
+                assert all(all(w[2 * i] == w[2 * i + 1] for i in range(half))
+                           for w in moved.terms), (name, ps, sigma)
+                full = four_moves(ps, sigma, blocked_word(ps, u.parts))
+                kept = {w: c for w, c in full.terms.items()
+                        if all(w[2 * i] == w[2 * i + 1] for i in range(half))}
+                assert moved.terms == kept, (name, ps, sigma)
+                checked += len(joined.terms)
+    assert checked
 
 
 # Z12 x Z12 with eps((1,0),(0,1)) = zeta^5: every degree is even, and the

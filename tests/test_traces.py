@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from colorinv.cyclo import CycloRational
+from colorinv.epsalgebra import EpsElement, words_of_degree
 from colorinv.permutations import all_perms
-from colorinv.pictures import PictureShape
+from colorinv.pictures import PictureShape, build_phi
 from colorinv.sampling import (
+    random_eps_of_degree,
+    random_rational,
     random_sym_polynomial,
     random_w0_point,
     standard_test_algebra,
@@ -75,6 +78,91 @@ def test_restitute_rejects_mixed_degrees(cfgs, algebras):
     u = random_w0_point(cfg.shape, algebras["trivial"], random.Random(1))
     with pytest.raises(ValueError):
         restitute(mixed, u)
+
+
+def exact_terms(elem):
+    """Each coefficient as (order, num, den): equal values kept at
+    different orders print differently, so they must not compare equal."""
+    return {w: (c.order, c.num, c.den) for w, c in elem.terms.items()}
+
+
+def monomial_sum_eps_of_degree(alg, d, rng, max_len=2, terms=2):
+    """random_eps_of_degree written as a running sum of alg.monomial terms."""
+    pool = words_of_degree(alg, d, max_len)
+    out = alg.zero()
+    if not pool:
+        return out
+    for _ in range(terms):
+        w = pool[rng.randrange(len(pool))]
+        c = random_rational(rng)
+        if c:
+            out = out + alg.monomial(w, c)
+    if out.is_zero():
+        out = alg.monomial(pool[rng.randrange(len(pool))], 1)
+    return out
+
+
+def test_random_eps_of_degree_pins_monomial_sum(cfgs, algebras):
+    """Same draws, same value, same coefficient orders and the same rng
+    state after the call; many draws per word exercise cancellation."""
+    for name in sorted(cfgs):
+        alg = algebras[name]
+        for d in alg.chi.group.elements():
+            for max_len, terms in ((1, 6), (2, 2), (3, 4)):
+                for seed in range(3):
+                    a = random.Random("eps/%s/%d" % (name, seed))
+                    b = random.Random("eps/%s/%d" % (name, seed))
+                    got = random_eps_of_degree(alg, d, a, max_len, terms)
+                    want = monomial_sum_eps_of_degree(alg, d, b, max_len, terms)
+                    assert exact_terms(got) == exact_terms(want), (name, d)
+                    assert a.getstate() == b.getstate(), (name, d)
+
+
+def one_seeded_restitute(poly, point):
+    """restitute as a running total of products each seeded with
+    alg.one()."""
+    alg = point.alg
+    total = alg.zero()
+    for mono, c in poly.terms.items():
+        acc = alg.one()
+        for v in mono:
+            lam = point.part(v.summand).terms.get(v.word())
+            acc = alg.zero() if lam is None else acc * lam
+        if acc:
+            total = total + acc.scale(c)
+    return total
+
+
+def rational_copy(point):
+    """The point with every coefficient rebuilt at order 1."""
+    parts = [GradedTensor(u.space, u.alg, u.variance,
+                          {idx: EpsElement(u.alg, {
+                              w: CycloRational.from_rational(c.as_fraction())
+                              for w, c in lam.terms.items()})
+                           for idx, lam in u.terms.items()})
+             for u in point.parts]
+    return W0Point(point.shape, point.alg, parts)
+
+
+def test_restitute_pins_one_seeded_products(cfgs):
+    """On phi_sigma at N <= 3 and on random polynomials, at points whose
+    coefficients have the root order and at order 1; rational coefficients
+    on degree-one monomials keep the first factor's order visible."""
+    for name in sorted(cfgs):
+        cfg = cfgs[name]
+        alg = standard_test_algebra(cfg.chi, truncation=3)
+        rng = random.Random("restitute/%s" % name)
+        u = random_w0_point(cfg.shape, alg, rng, max_len=1)
+        points = [u, rational_copy(u), random_w0_point(cfg.shape, alg, rng)]
+        polys = [build_phi(PictureShape(cfg.shape, (n,)), sigma).poly
+                 for n in (1, 2, 3) for sigma in all_perms(n)]
+        polys += [random_sym_polynomial(cfg.shape, r, rng) for r in (1, 1, 2, 2, 2)]
+        for poly in polys:
+            if len({len(m) for m in poly.terms}) > 1:
+                continue
+            for point in points:
+                assert exact_terms(restitute(poly, point)) == \
+                    exact_terms(one_seeded_restitute(poly, point)), name
 
 
 def test_staircase_separates_single_variables(cfgs):
