@@ -1,4 +1,5 @@
-"""Truncated eps-Grassmann algebras.
+"""Truncated eps-Grassmann algebras, and the sparse term core, eps-sort and
+word enumerator that S(W*) shares with them.
 
 Lambda_eps has generators x_1, x_2, ... with G-degrees fixed at construction
 and relations  x_a x_b = eps(|x_a|, |x_b|) x_b x_a  for a != b, and
@@ -8,9 +9,16 @@ Words longer than the truncation bound D are set to zero, which makes the
 algebra finite dimensional and every strictly generator-supported element
 nilpotent.
 
-Elements store {word: CycloRational} with zero coefficients dropped, so
-representation is canonical and equality is dict comparison.  Sums and
-products filter out the zeros they make; negation, hop and scaling by a
+S(W*) is the quotient by the same relation, so both algebras have one
+normal form and one basis over integer ids: eps_sort is the insertion sort
+that reaches the normal form, reading each swap's eps exponent off the
+bicharacter's eps_table, and sorted_words lists the basis words.
+
+Terms holds the arithmetic of sparse sums {key: nonzero coefficient} for
+EpsElement here and for SymPolynomial, GradedTensor and GradedOperator:
+sums, negation, scaling, equality and the check that both operands live in
+one place.  Representation is canonical, so equality is dict comparison.
+Sums filter out the zeros they make; negation, hop and scaling by a
 nonzero scalar cannot make one, so they build their result unfiltered.
 
 Each algebra keeps a memo of normal forms, keyed by the word: the sort and
@@ -28,6 +36,121 @@ from fractions import Fraction
 
 from .cyclo import CycloRational, as_cyclo
 
+SCALARS = (int, Fraction, CycloRational)
+
+class Terms:
+    """A sparse sum {key: nonzero coefficient}, coefficients CycloRationals
+    or EpsElements.  Subclasses hold `terms` and their place (algebra,
+    space, shape, variance) and supply two hooks: _like(terms) builds an
+    element at self's place from a dict known to hold no zero, without
+    filtering, and _same(other) tells whether other lives at that place.
+    Scalars of the types in _scalars enter + and -, and those in
+    _eq_scalars enter ==, as multiples of the empty key ()."""
+
+    __slots__ = ()
+    _scalars = _eq_scalars = ()
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _check(self, other):
+        if not self._same(other):
+            raise ValueError("%s operands live in different places"
+                             % type(self).__name__)
+
+    def _operand(self, other, scalars):
+        """other as an element beside self, or None."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, scalars):
+            c = as_cyclo(other)
+            return self._like({(): c} if c else {})
+        return None
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            other = self._operand(other, self._scalars)
+            if other is None:
+                return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            s = out.get(w)
+            out[w] = c if s is None else s + c
+        return self._like({w: c for w, c in out.items() if c})
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        """Multiple by a central scalar."""
+        c = as_cyclo(c)
+        if not c:
+            return self._like({})
+        return self._like({w: x * c for w, x in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            other = self._operand(other, self._eq_scalars)
+            if other is None:
+                return NotImplemented
+        return self._same(other) and self.terms == other.terms
+
+    __hash__ = None
+
+def eps_sort(word, pos, parity, table):
+    """Sort a word of integer ids into nondecreasing order by insertion,
+    collecting the eps swap factor: each time id y hops left past a larger
+    id x the word picks up eps(|x|, |y|) = zeta_m^table[pos[x]][pos[y]],
+    table the bicharacter's eps_table and pos[id] the position of the id's
+    degree in the fixed order of G.  Returns (exponent, sorted tuple), the
+    exponent not reduced mod m, or None when an id with parity[id] set
+    repeats and the word is zero."""
+    items = list(word)
+    exp = 0
+    for i in range(1, len(items)):
+        x = items[i]
+        px = pos[x]
+        j = i
+        while j > 0 and items[j - 1] > x:
+            exp += table[pos[items[j - 1]]][px]
+            items[j] = items[j - 1]
+            j -= 1
+        items[j] = x
+    for a, b in zip(items, items[1:]):
+        if a == b and parity[a]:
+            return None
+    return exp, tuple(items)
+
+def sorted_words(ids, parity, max_len):
+    """The normal-ordered words over the increasing ids with at most
+    max_len letters: nondecreasing, strictly increasing at ids with
+    parity[id] set.  Depth first, each word before its extensions and
+    siblings in increasing order, so the list is in lexicographic order."""
+    ids = tuple(ids)
+    out = []
+
+    def extend(word, start):
+        out.append(word)
+        if len(word) < max_len:
+            for k in range(start, len(ids)):
+                i = ids[k]
+                extend(word + (i,), k + parity[i])
+
+    extend((), 0)
+    return out
+
 class EpsAlgebra:
     """Generator degree table plus truncation bound; the element factory."""
 
@@ -39,7 +162,11 @@ class EpsAlgebra:
         self.truncation = truncation
         # parity of each generator; also validates eps(g,g) = +-1
         self.gen_parity = tuple(chi.parity_bit(g) for g in self.gen_degrees)
-        # words_of_degree results by (degree, length bound)
+        # degree position and parity by generator index, entry 0 unused:
+        # what eps_sort and sorted_words read
+        self._pos = (None,) + tuple(chi.position(g) for g in self.gen_degrees)
+        self._parity = (0,) + self.gen_parity
+        # by length bound: {degree: normal-ordered words of that degree}
         self._words = {}
         # (eps exponent, sorted word) or None, by word
         self._normal = {}
@@ -102,9 +229,9 @@ def normal_order(alg, word):
     eps swap factor.  Returns (coefficient, sorted word), or None when the
     word contains a repeated odd generator and is therefore zero.
 
-    Insertion sort; each time index a hops left past index b the word picks
-    up the factor eps(|x_b|, |x_a|) from rewriting x_b x_a.  The sort is
-    kept in the algebra's memo, with the factor as an exponent.
+    Each time index a hops left past index b the word picks up the factor
+    eps(|x_b|, |x_a|) from rewriting x_b x_a (eps_sort).  The sort is kept
+    in the algebra's memo, with the factor as an exponent.
     """
     res = _normal_form(alg, tuple(word))
     if res is None:
@@ -121,85 +248,39 @@ def _normal_form(alg, word):
         return res
 
 def _sort_word(alg, word):
-    chi = alg.chi
-    items = list(word)
-    exp = 0
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            exp += chi.eps_exponent(alg.degree(items[j - 1]), alg.degree(items[j]))
-            items[j - 1], items[j] = items[j], items[j - 1]
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b and alg.gen_parity[a - 1]:
-            return None
-    return exp % chi.m, tuple(items)
+    res = eps_sort(word, alg._pos, alg._parity, alg.chi.eps_table())
+    if res is None:
+        return None
+    return res[0] % alg.chi.m, res[1]
 
-class EpsElement:
-    """Element of a truncated eps-Grassmann algebra.  Treated as immutable."""
+class EpsElement(Terms):
+    """Element of a truncated eps-Grassmann algebra: {word: CycloRational}.
+    Treated as immutable."""
 
     __slots__ = ("alg", "terms")
+    _scalars = _eq_scalars = SCALARS
 
     def __init__(self, alg, terms):
         self.alg = alg
         self.terms = {w: c for w, c in terms.items() if c}
 
-    @classmethod
-    def _nonzero(cls, alg, terms):
-        """Build from a term dict known to hold no zero coefficient."""
-        elem = object.__new__(cls)
-        elem.alg = alg
+    def _like(self, terms):
+        elem = object.__new__(EpsElement)
+        elem.alg = self.alg
         elem.terms = terms
         return elem
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _check(self, other):
-        if self.alg is not other.alg and self.alg != other.alg:
-            raise ValueError("elements from different eps-Grassmann algebras")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycloRational)):
-            other = self.alg.scalar(other)
-        if not isinstance(other, EpsElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-        return EpsElement(self.alg, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EpsElement._nonzero(self.alg, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, EpsElement) else -as_cyclo(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        c = as_cyclo(c)
-        if not c:
-            return self.alg.zero()
-        return EpsElement._nonzero(self.alg, {w: c * x for w, x in self.terms.items()})
+    def _same(self, other):
+        return self.alg is other.alg or self.alg == other.alg
 
     def times_root(self, e):
         """self * zeta_m^e, m the bicharacter's root order: one rotation
         per coefficient."""
         m = self.alg.chi.m
-        return EpsElement._nonzero(
-            self.alg, {w: c.times_root(m, e) for w, c in self.terms.items()})
+        return self._like({w: c.times_root(m, e) for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloRational)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         if not isinstance(other, EpsElement):
             return NotImplemented
@@ -221,19 +302,9 @@ class EpsElement:
         return EpsElement(alg, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycloRational)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CycloRational)):
-            other = self.alg.scalar(other)
-        if not isinstance(other, EpsElement):
-            return NotImplemented
-        return ((self.alg is other.alg or self.alg == other.alg)
-                and self.terms == other.terms)
-
-    __hash__ = None
 
     def g_degree(self):
         """Common G-degree of all words, or None when inhomogeneous.
@@ -285,7 +356,7 @@ def hop(elem, d, invert=False, shift=0):
     for w, c in elem.terms.items():
         e = chi.eps_exponent(alg.word_degree(w), d)
         out[w] = c.times_root(m, shift - e if invert else shift + e)
-    return EpsElement._nonzero(alg, out)
+    return elem._like(out)
 
 def filtration_member(elem, N):
     """True when every word uses only generators x_1 .. x_N."""
@@ -297,33 +368,16 @@ def filtration_level(elem):
 
 def words_of_degree(alg, d, max_len=None):
     """All normal-ordered basis words of the given G-degree with length up
-    to max_len (default: the truncation bound).  The empty word is included
-    when d is the identity.  The algebra keeps each result; callers get a
-    fresh list."""
+    to max_len (default: the truncation bound), in lexicographic order.
+    The empty word is included when d is the identity.  The algebra sorts
+    the words of each length bound by degree once; callers get a fresh
+    list."""
     if max_len is None:
         max_len = alg.truncation
     max_len = min(max_len, alg.truncation)
-    d = alg.chi.group.element(d)
-    words = alg._words.get((d, max_len))
-    if words is None:
-        words = alg._words[d, max_len] = tuple(_enumerate_words(alg, d, max_len))
-    return list(words)
-
-def _enumerate_words(alg, d, max_len):
-    grp = alg.chi.group
-    out = []
-
-    def extend(word, deg, start):
-        if deg == d:
-            out.append(tuple(word))
-        if len(word) == max_len:
-            return
-        for i in range(start, alg.ngens + 1):
-            if word and word[-1] == i and alg.gen_parity[i - 1]:
-                continue
-            word.append(i)
-            extend(word, grp.add(deg, alg.degree(i)), i)
-            word.pop()
-
-    extend([], grp.identity, 1)
-    return out
+    by_degree = alg._words.get(max_len)
+    if by_degree is None:
+        by_degree = alg._words[max_len] = {}
+        for w in sorted_words(range(1, alg.ngens + 1), alg._parity, max_len):
+            by_degree.setdefault(alg.word_degree(w), []).append(w)
+    return list(by_degree.get(alg.chi.group.element(d), ()))

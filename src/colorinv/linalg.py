@@ -1,9 +1,8 @@
 """Exact linear algebra helpers.
 
-Everything here is fraction-exact; no floating point.  rank_int uses the
-Bareiss fraction-free scheme (fast with Python ints), rank_field is plain
-Gaussian elimination over any field whose elements support the arithmetic
-operators, used for matrices over Q(zeta_m).
+Everything here is fraction-exact; no floating point.  rank_int is the
+rank of an integer matrix by the Bareiss fraction-free scheme (fast with
+Python ints); invert_fraction_matrix inverts over Q by Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -34,39 +33,6 @@ def rank_int(rows):
             for c in range(col, ncols):
                 M[r][c] = (M[r][c] * p - t * M[row][c]) // prev
         prev = p
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
-
-def rank_field(rows, is_zero=None):
-    """Rank over a field; elements need +, -, *, / and a zero test."""
-    if is_zero is None:
-        is_zero = lambda x: not x
-    M = [list(r) for r in rows]
-    if not M or not M[0]:
-        return 0
-    nrows, ncols = len(M), len(M[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if not is_zero(M[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        p = M[row][col]
-        for r in range(row + 1, nrows):
-            if is_zero(M[r][col]):
-                continue
-            t = M[r][col] / p
-            M[r][col] = M[r][col] - t * p
-            for c in range(col + 1, ncols):
-                M[r][c] = M[r][c] - t * M[row][c]
         row += 1
         rank += 1
         if row == nrows:

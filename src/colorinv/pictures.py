@@ -104,11 +104,7 @@ class PictureShape:
         return list(range(base + 1, base + t + 1))
 
     def blocked_variance(self):
-        out = []
-        for i, j in self.copies():
-            b, t = self.shape.pairs[i - 1]
-            out.extend([PRIMAL] * b + [DUAL] * t)
-        return tuple(out)
+        return tuple(v for i, _ in self.copies() for v in self.shape.variance(i))
 
     def __repr__(self):
         return "PictureShape(pairs=%r, mults=%r)" % (list(self.shape.pairs),
@@ -325,8 +321,7 @@ def blocked_word(pshape, parts, pairs=()):
     if len(parts) != pshape.shape.s:
         raise ValueError("need one tensor per summand")
     for i, u in enumerate(parts, start=1):
-        b, t = pshape.shape.pairs[i - 1]
-        if u.variance != (PRIMAL,) * b + (DUAL,) * t:
+        if u.variance != pshape.shape.variance(i):
             raise ValueError("summand %d tensor has wrong variance" % i)
     out, lo = None, 0
     for i, _ in pshape.copies():

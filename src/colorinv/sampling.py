@@ -4,13 +4,12 @@ random.Random so verification runs are reproducible."""
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .cyclo import as_cyclo
 from .epsalgebra import EpsElement, add_term, words_of_degree
 from .sympoly import SymPolynomial, enumerate_sym_basis
-from .tensors import PRIMAL, DUAL, GradedTensor
+from .tensors import GradedTensor
 from .traces import W0Point
 
 def standard_test_algebra(chi, truncation=4):
@@ -49,18 +48,17 @@ def random_w0_point(shape, alg, rng, density=0.7, max_len=2):
     grp = shape.chi.group
     space = shape.space
     parts = []
-    for b, t in shape.pairs:
-        variance = (PRIMAL,) * b + (DUAL,) * t
+    for i, (b, _) in enumerate(shape.pairs, start=1):
         terms = {}
-        for idx in itertools.product(range(1, space.dim + 1), repeat=b + t):
+        for idx in shape.index_words(i):
             if rng.random() > density:
                 continue
-            d = grp.sum([space.degree(i) for i in idx[:b]]
-                        + [grp.neg(space.degree(i)) for i in idx[b:]])
+            d = grp.sum([space.degree(x) for x in idx[:b]]
+                        + [grp.neg(space.degree(x)) for x in idx[b:]])
             lam = random_eps_of_degree(alg, grp.neg(d), rng, max_len)
             if lam:
                 terms[idx] = lam
-        parts.append(GradedTensor(space, alg, variance, terms))
+        parts.append(GradedTensor(space, alg, shape.variance(i), terms))
     return W0Point(shape, alg, parts)
 
 def random_sym_polynomial(shape, r, rng, terms=4):

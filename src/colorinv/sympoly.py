@@ -13,9 +13,12 @@ G, summand, index tuples); any total order compatible with the degree
 blocks yields an equivalent basis.
 
 Each MixedShape numbers its variables 0..n-1 in that order (its
-Numbering), so comparing ids is comparing sort keys.  sym_normalize runs
-its one eps insertion sort over ids, reading each id's degree position
-and parity off lists; a word of SymVariables is mapped to ids and back.
+Numbering), so comparing ids is comparing sort keys.  S(W*) and
+Lambda_eps share their normal form, basis and term arithmetic, all from
+epsalgebra: sym_normalize runs eps_sort, the one eps insertion sort, over
+ids, reading each id's degree position and parity off lists (a word of
+SymVariables is mapped to ids and back); enumerate_sym_basis filters
+sorted_words; SymPolynomial sums, scales and compares through Terms.
 build_phi works on ids throughout and makes SymVariables once per
 distinct monomial; SymPolynomial keys, printing and parsing stay on
 SymVariables.
@@ -29,9 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclo import CycloRational, as_cyclo
+from .cyclo import as_cyclo
+from .epsalgebra import SCALARS, Terms, eps_sort, sorted_words
 from . import permutations as perms
-from .tensors import gamma_exponent
+from .tensors import PRIMAL, DUAL, gamma_exponent
 
 @dataclass(frozen=True)
 class SymVariable:
@@ -111,15 +115,23 @@ class MixedShape:
             self._key[v] = k
         return k
 
+    def variance(self, i):
+        """Slot variances of summand i: b_i primal, then t_i dual."""
+        b, t = self.pairs[i - 1]
+        return (PRIMAL,) * b + (DUAL,) * t
+
+    def index_words(self, i):
+        """The basis words of summand i, lower then upper indices, in
+        lexicographic order."""
+        return itertools.product(range(1, self.space.dim + 1),
+                                 repeat=sum(self.pairs[i - 1]))
+
     def variables(self):
         """All variables, in the canonical order."""
         if self._vars is None:
             out = []
-            rng = range(1, self.space.dim + 1)
-            for i, (b, t) in enumerate(self.pairs, start=1):
-                for lo in itertools.product(rng, repeat=b):
-                    for up in itertools.product(rng, repeat=t):
-                        out.append(SymVariable(i, lo, up))
+            for i, (b, _) in enumerate(self.pairs, start=1):
+                out.extend(SymVariable(i, w[:b], w[b:]) for w in self.index_words(i))
             out.sort(key=self.var_key)
             self._vars = out
         return list(self._vars)
@@ -150,57 +162,46 @@ class MixedShape:
 
 def sym_normalize(shape, seq):
     """Sort a variable sequence into canonical order collecting eps swap
-    factors; returns (coefficient, monomial tuple) or None when a repeated
-    odd variable makes it zero.  The sequence is a word of SymVariables or
-    of variable ids, and the monomial comes back in the same form."""
+    factors (eps_sort); returns (coefficient, monomial tuple) or None when
+    a repeated odd variable makes it zero.  The sequence is a list or tuple
+    of SymVariables or of variable ids, and the monomial comes back in the
+    same form."""
     num = shape.numbering()
-    items = list(seq)
-    named = bool(items) and isinstance(items[0], SymVariable)
+    named = bool(seq) and isinstance(seq[0], SymVariable)
     if named:
         ids = num.ids
-        items = [ids[v] for v in items]
-    pos = num.position
-    table = shape.chi.eps_table()
-    exp = 0
-    for i in range(1, len(items)):
-        x = items[i]
-        px = pos[x]
-        j = i
-        while j > 0 and items[j - 1] > x:
-            exp += table[pos[items[j - 1]]][px]
-            items[j] = items[j - 1]
-            j -= 1
-        items[j] = x
-    par = num.parity
-    for a, b in zip(items, items[1:]):
-        if a == b and par[a]:
-            return None
+        seq = [ids[v] for v in seq]
+    res = eps_sort(seq, num.position, num.parity, shape.chi.eps_table())
+    if res is None:
+        return None
+    exp, mono = res
     if named:
         vs = num.variables
-        items = [vs[k] for k in items]
-    return shape.chi.root(exp), tuple(items)
+        mono = tuple(vs[k] for k in mono)
+    return shape.chi.root(exp), mono
 
-class SymPolynomial:
+class SymPolynomial(Terms):
     """Element of S(W*): {sorted monomial: CycloRational}.  Immutable."""
 
     __slots__ = ("shape", "terms")
+    _scalars = SCALARS
 
     def __init__(self, shape, terms):
         self.shape = shape
         self.terms = {m: c for m, c in terms.items() if c}
 
+    def _like(self, terms):
+        poly = object.__new__(SymPolynomial)
+        poly.shape = self.shape
+        poly.terms = terms
+        return poly
+
+    def _same(self, other):
+        return self.shape is other.shape or self.shape == other.shape
+
     @classmethod
     def zero(cls, shape):
         return cls(shape, {})
-
-    @classmethod
-    def one(cls, shape):
-        return cls(shape, {(): CycloRational.one()})
-
-    @classmethod
-    def variable(cls, shape, v):
-        shape.check_variable(v)
-        return cls(shape, {(v,): CycloRational.one()})
 
     @classmethod
     def from_word(cls, shape, seq, coeff=1):
@@ -214,41 +215,8 @@ class SymPolynomial:
         c = c * as_cyclo(coeff)
         return cls(shape, {mono: c} if c else {})
 
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.shape is not other.shape and self.shape != other.shape:
-            raise ValueError("polynomials over different shapes")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycloRational)):
-            other = SymPolynomial(self.shape, {(): as_cyclo(other)})
-        if not isinstance(other, SymPolynomial):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return SymPolynomial(self.shape, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymPolynomial(self.shape, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycloRational)):
-            other = SymPolynomial(self.shape, {(): as_cyclo(other)})
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_cyclo(c)
-        return SymPolynomial(self.shape, {m: x * c for m, x in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloRational)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         if not isinstance(other, SymPolynomial):
             return NotImplemented
@@ -266,16 +234,9 @@ class SymPolynomial:
         return SymPolynomial(self.shape, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycloRational)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, SymPolynomial):
-            return NotImplemented
-        return self.shape == other.shape and self.terms == other.terms
-
-    __hash__ = None
 
     def g_degree(self):
         """Common G-degree of the monomials, or None if inhomogeneous;
@@ -287,12 +248,6 @@ class SymPolynomial:
         if len(degs) > 1:
             return None
         return degs.pop()
-
-    def multidegree(self, mono):
-        counts = [0] * self.shape.s
-        for v in mono:
-            counts[v.summand - 1] += 1
-        return tuple(counts)
 
     def terms_sorted(self):
         key = self.shape.var_key
@@ -308,29 +263,21 @@ class SymPolynomial:
 def enumerate_sym_basis(shape, r, multidegree=None):
     """Sorted monomials of total degree r (optionally of a fixed summand
     multidegree): nondecreasing variable sequences in the canonical order,
-    odd variables strictly increasing."""
+    odd variables strictly increasing, listed in the order of their id
+    tuples."""
     vs = shape.variables()
-    par = shape.numbering().parity
     out = []
-
-    def extend(mono, start, counts):
-        if len(mono) == r:
-            if multidegree is None or tuple(counts) == tuple(multidegree):
-                out.append(tuple(mono))
-            return
+    for word in sorted_words(range(len(vs)), shape.numbering().parity, r):
+        if len(word) != r:
+            continue
+        mono = tuple(vs[k] for k in word)
         if multidegree is not None:
-            if any(c > m for c, m in zip(counts, multidegree)):
-                return
-        for i in range(start, len(vs)):
-            if mono and mono[-1] == vs[i] and par[i]:
+            counts = [0] * shape.s
+            for v in mono:
+                counts[v.summand - 1] += 1
+            if tuple(counts) != tuple(multidegree):
                 continue
-            counts[vs[i].summand - 1] += 1
-            mono.append(vs[i])
-            extend(mono, i, counts)
-            mono.pop()
-            counts[vs[i].summand - 1] -= 1
-
-    extend([], 0, [0] * shape.s)
+        out.append(mono)
     return out
 
 def sym_dimension(shape, r):

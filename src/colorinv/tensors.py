@@ -30,7 +30,8 @@ T . e_c* = sum_a e_a* unhop(S_ca, g_a) with S = T^{-1}.
 
 Operators are sparse like tensors: GradedOperator.terms maps an index pair
 (a, b), 1-based, to the nonzero entry T_ab and holds nothing else, so a
-matrix unit is one term.  Products pair each entry T_ab with row b of the
+matrix unit is one term.  Both classes take sums, negation, scaling and
+equality from epsalgebra.Terms.  Products pair each entry T_ab with row b of the
 right factor; readers that need a column group the entries once per call
 (GradedOperator.columns).  An operator never changes after construction,
 so its G-degree is computed on first use and kept.
@@ -41,8 +42,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cyclo import as_cyclo
-from .epsalgebra import EpsElement, hop
+from .epsalgebra import EpsElement, Terms, hop
 from . import permutations as perms
 from .linalg import invert_fraction_matrix
 
@@ -105,7 +105,7 @@ def gamma_exponent(chi, degrees, sigma):
 def gamma(chi, degrees, sigma):
     return chi.root(gamma_exponent(chi, degrees, sigma))
 
-class GradedTensor:
+class GradedTensor(Terms):
     """Element of a mixed tensor power of a graded space, coefficients in
     Lambda_eps on the right.  Treated as immutable."""
 
@@ -138,52 +138,20 @@ class GradedTensor:
     def word_degree(self, indices):
         return self.space.chi.group.sum(self.slot_degrees(indices))
 
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        t = object.__new__(GradedTensor)
+        t.space, t.alg, t.variance, t.terms = self.space, self.alg, self.variance, terms
+        return t
 
-    def _check(self, other):
-        if ((self.space is not other.space and self.space != other.space)
-                or (self.alg is not other.alg and self.alg != other.alg)
-                or self.variance != other.variance):
-            raise ValueError("tensors live in different spaces")
-
-    def __add__(self, other):
-        if not isinstance(other, GradedTensor):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-        return GradedTensor(self.space, self.alg, self.variance, out)
-
-    def __neg__(self):
-        return GradedTensor(self.space, self.alg, self.variance,
-                            {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        """Scalar multiple; central, so no hop is involved."""
-        c = as_cyclo(c)
-        return GradedTensor(self.space, self.alg, self.variance,
-                            {w: x * c for w, x in self.terms.items()})
+    def _same(self, other):
+        return ((self.space is other.space or self.space == other.space)
+                and (self.alg is other.alg or self.alg == other.alg)
+                and self.variance == other.variance)
 
     def scale_eps(self, lam):
         """Right multiplication of every coefficient by lam."""
         return GradedTensor(self.space, self.alg, self.variance,
                             {w: x * lam for w, x in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedTensor):
-            return NotImplemented
-        return ((self.space is other.space or self.space == other.space)
-                and self.variance == other.variance
-                and (self.alg is other.alg or self.alg == other.alg)
-                and self.terms == other.terms)
-
-    __hash__ = None
 
     def terms_sorted(self):
         return sorted(self.terms.items(), key=lambda t: t[0])
@@ -251,7 +219,7 @@ def ev_pair(t):
         raise ValueError("ev needs variance (dual^k, primal^k)")
     return contract_pairs(act_perm(perms.tau_perm(k), t))
 
-class GradedOperator:
+class GradedOperator(Terms):
     """Square matrix of EpsElement entries acting on a graded space by
     T(e_b) = sum_a e_a T_ab.  Stored sparsely: `terms` maps 1-based index
     pairs (a, b) to the nonzero entries T_ab only, the layout GradedTensor
@@ -294,32 +262,14 @@ class GradedOperator:
             out.setdefault(b, []).append((a, x))
         return out
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for ab, y in other.terms.items():
-            x = out.get(ab)
-            out[ab] = y if x is None else x + y
-        return GradedOperator(self.space, self.alg, out)
+    def _like(self, terms):
+        op = object.__new__(GradedOperator)
+        op.space, op.alg, op.terms, op._degree = self.space, self.alg, terms, _UNSET
+        return op
 
-    def __neg__(self):
-        return GradedOperator(self.space, self.alg,
-                              {ab: -x for ab, x in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_cyclo(c)
-        if not c:
-            return GradedOperator.zero(self.space, self.alg)
-        return GradedOperator(self.space, self.alg,
-                              {ab: x.scale(c) for ab, x in self.terms.items()})
-
-    def _check(self, other):
-        if ((self.space is not other.space and self.space != other.space)
-                or (self.alg is not other.alg and self.alg != other.alg)):
-            raise ValueError("operators on different spaces")
+    def _same(self, other):
+        return ((self.space is other.space or self.space == other.space)
+                and (self.alg is other.alg or self.alg == other.alg))
 
     def compose(self, other):
         """Matrix product in operator order: (self other)(v) = self(other(v)).
@@ -337,14 +287,6 @@ class GradedOperator:
                 prev = out.get((a, c))
                 out[a, c] = val if prev is None else prev + val
         return GradedOperator(self.space, self.alg, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedOperator):
-            return NotImplemented
-        return (self.space == other.space and self.alg == other.alg
-                and self.terms == other.terms)
-
-    __hash__ = None
 
     def g_degree(self):
         """The G-degree alpha with T(U_h) <= U_{alpha+h}, or None when the
@@ -385,9 +327,6 @@ class GradedOperator:
     def proper_operator(self):
         return GradedOperator(self.space, self.alg,
                               {ab: x.proper_part() for ab, x in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
 
 def _suffix_sums(grp, degs):
     """suffix[j] = degs[j] + degs[j+1] + ..., with suffix[len(degs)] the

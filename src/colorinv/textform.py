@@ -317,17 +317,14 @@ def parse_point(text, shape, alg, check=True):
             raise ValueError("line %d: summand %d out of range" % (lineno, i))
         if i in parts:
             raise ValueError("line %d: summand %d given twice" % (lineno, i))
-        b, t = shape.pairs[i - 1]
-        variance = (PRIMAL,) * b + (DUAL,) * t
         try:
-            parts[i] = parse_tensor(body.strip(), shape.space, alg, variance)
+            parts[i] = parse_tensor(body.strip(), shape.space, alg,
+                                    shape.variance(i))
         except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc))
     for i in range(1, shape.s + 1):
         if i not in parts:
-            b, t = shape.pairs[i - 1]
-            variance = (PRIMAL,) * b + (DUAL,) * t
-            parts[i] = GradedTensor.zero(shape.space, alg, variance)
+            parts[i] = GradedTensor.zero(shape.space, alg, shape.variance(i))
     return W0Point(shape, alg, [parts[i] for i in range(1, shape.s + 1)],
                    check=check)
 

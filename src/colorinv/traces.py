@@ -19,8 +19,6 @@ arguments.
 
 from __future__ import annotations
 
-import itertools
-
 from . import permutations as perms
 from .epsalgebra import EpsAlgebra, EpsElement, add_term, hop
 from .sympoly import SymPolynomial
@@ -36,8 +34,7 @@ class W0Point:
         if len(self.parts) != shape.s:
             raise ValueError("need one tensor per summand")
         for i, u in enumerate(self.parts, start=1):
-            b, t = shape.pairs[i - 1]
-            if u.variance != (PRIMAL,) * b + (DUAL,) * t:
+            if u.variance != shape.variance(i):
                 raise ValueError("summand %d tensor has wrong variance" % i)
             if u.space != shape.space or u.alg != alg:
                 raise ValueError("summand %d tensor over wrong space or algebra" % i)
@@ -116,12 +113,7 @@ def staircase_point(shape, r, base_alg=None):
     chi = shape.chi
     grp = chi.group
     space = shape.space
-    words = []
-    for i, (b, t) in enumerate(shape.pairs, start=1):
-        rng = range(1, space.dim + 1)
-        for lo in itertools.product(rng, repeat=b):
-            for up in itertools.product(rng, repeat=t):
-                words.append((i, lo + up))
+    words = [(i, w) for i in range(1, shape.s + 1) for w in shape.index_words(i)]
     degrees = []
     for i, w in words:
         b, t = shape.pairs[i - 1]
@@ -141,8 +133,8 @@ def staircase_point(shape, r, base_alg=None):
     for j, (i, w) in enumerate(words, start=1):
         index[(i, w)] = offset + j
         parts_terms[i - 1][w] = alg.gen(offset + j)
-    parts = [GradedTensor(space, alg, (PRIMAL,) * b + (DUAL,) * t, terms)
-             for (b, t), terms in zip(shape.pairs, parts_terms)]
+    parts = [GradedTensor(space, alg, shape.variance(i), terms)
+             for i, terms in enumerate(parts_terms, start=1)]
     return W0Point(shape, alg, parts), index
 
 def injectivity_probe(poly, r=None):

@@ -2,9 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
+
+import pytest
 
 from colorinv.cyclo import CycloRational
 from colorinv.epsalgebra import (
+    EpsAlgebra,
     EpsElement,
     filtration_level,
     filtration_member,
@@ -13,6 +17,8 @@ from colorinv.epsalgebra import (
     words_of_degree,
 )
 from colorinv.sampling import random_eps_of_degree, standard_test_algebra
+from colorinv.sympoly import MixedShape, SymPolynomial, enumerate_sym_basis
+from colorinv.tensors import DUAL, PRIMAL, GradedOperator, GradedSpace, GradedTensor
 
 
 def brute_normal(alg, word):
@@ -177,3 +183,109 @@ def test_filtration(algebras):
     prod = alg.gen(2) * alg.gen(4)
     assert filtration_level(prod) == 4
     assert filtration_member(prod, 4)
+
+
+def test_term_core_contract(cfgs, algebras):
+    """The sparse core shared by the four term-dict classes: sums across
+    places raise and equality across places is False; scalars enter +, -
+    and == only where each class takes them; a sum that cancels drops the
+    word; an operator's cached degree does not leak into a sum."""
+    cfg = cfgs["super"]
+    alg = algebras["super"]
+    other_alg = EpsAlgebra(alg.chi, alg.gen_degrees, alg.truncation - 1)
+    space = cfg.space
+    v = cfg.shape.variables()[0]
+    other_shape = MixedShape(space, [(1, 1), (1, 1)])
+    other_space = GradedSpace(space.chi, space.degrees[:1])
+
+    e, f = alg.gen(1), alg.gen(2)
+    p = SymPolynomial.from_word(cfg.shape, (v,))
+    q = SymPolynomial.from_word(cfg.shape, (v, v))
+    t = GradedTensor.basis(space, alg, (PRIMAL, DUAL), (1, 2), e)
+    u = GradedTensor.basis(space, alg, (PRIMAL, DUAL), (2, 2), f)
+    A = GradedOperator.matrix_unit(space, alg, 1, 2)
+    B = GradedOperator.identity(space, alg)
+    pairs = [
+        (e, f, EpsElement(other_alg, {(1,): CycloRational.one()})),
+        (p, q, SymPolynomial.from_word(other_shape, (other_shape.variables()[0],))),
+        (t, u, GradedTensor.basis(space, alg, (DUAL, PRIMAL), (1, 2), e)),
+        (A, B, GradedOperator.identity(other_space, alg)),
+    ]
+    for x, y, elsewhere in pairs:
+        with pytest.raises(ValueError):
+            x + elsewhere
+        with pytest.raises(ValueError):
+            x - elsewhere
+        assert x != elsewhere and not x == elsewhere
+        assert (x + y) - x == y
+        assert (x - x).terms == {} and (x + (-x)).is_zero() and not (x - x)
+        assert set((x + y - x).terms) == set(y.terms)
+        assert x.scale(0).is_zero() and x.scale(Fraction(2)) == x + x
+        assert -(-x) == x and bool(x)
+
+    one = alg.one()
+    for c in (1, Fraction(1), CycloRational.one()):
+        assert e + c == c + e == e + one
+        assert e - c == e - one and c - e == one - e
+        assert one == c and c == one
+        assert p + c - c == p and (p + c).terms[()] == CycloRational.one()
+        assert (p - c).terms[()] == -CycloRational.one()
+        assert SymPolynomial.from_word(cfg.shape, ()) != c
+        for x in (t, A):
+            with pytest.raises(TypeError):
+                x + c
+            with pytest.raises(TypeError):
+                c + x
+            with pytest.raises(TypeError):
+                x - c
+            assert x != c
+
+    alpha = A.g_degree()
+    assert alpha != B.g_degree()
+    assert (A + B).g_degree() is None
+    assert (-A).g_degree() == alpha and A.scale(2).g_degree() == alpha
+    assert (A - A).g_degree() == alg.chi.group.identity
+
+
+def test_words_of_degree_order_is_pinned(algebras):
+    """Seeded draws index into these lists, so their order is part of the
+    output: the brute-force words of each degree, in sorted() order."""
+    for name, alg in algebras.items():
+        grp = alg.chi.group
+        by_degree = {}
+        for length in range(0, 3):
+            for word in itertools.product(range(1, alg.ngens + 1), repeat=length):
+                if any(word[i] > word[i + 1]
+                       or (word[i] == word[i + 1] and alg.gen_parity[word[i] - 1])
+                       for i in range(len(word) - 1)):
+                    continue
+                d = grp.sum([alg.degree(i) for i in word])
+                by_degree.setdefault(d, []).append(word)
+        for d in grp.elements():
+            assert words_of_degree(alg, d, 2) == sorted(by_degree.get(d, [])), (name, d)
+
+
+def test_sym_basis_order_is_pinned(cfgs):
+    """enumerate_sym_basis lists monomials in the order of their id
+    tuples, with and without a multidegree, as seeded draws expect."""
+    cases = [(cfg.shape, 3) for cfg in cfgs.values()]
+    cases.append((MixedShape(cfgs["z4"].space, [(2, 1), (1, 2)]), 2))
+    for shape, top in cases:
+        vs = shape.variables()
+        par = shape.numbering().parity
+        for r in range(0, top + 1):
+            brute = []
+            for ids in itertools.product(range(len(vs)), repeat=r):
+                if any(a > b or (a == b and par[a]) for a, b in zip(ids, ids[1:])):
+                    continue
+                brute.append(ids)
+            brute.sort()
+            assert enumerate_sym_basis(shape, r) == [
+                tuple(vs[k] for k in ids) for ids in brute], (shape, r)
+            for M in itertools.product(range(r + 1), repeat=shape.s):
+                if sum(M) != r:
+                    continue
+                want = [tuple(vs[k] for k in ids) for ids in brute
+                        if tuple(sum(1 for k in ids if vs[k].summand == i)
+                                 for i in range(1, shape.s + 1)) == M]
+                assert enumerate_sym_basis(shape, r, multidegree=M) == want, (shape, r, M)
