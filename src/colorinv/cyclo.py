@@ -3,7 +3,9 @@
 An element is a rational polynomial in zeta_m reduced modulo the m-th
 cyclotomic polynomial Phi_m.  Working modulo Phi_m (rather than x^m - 1)
 makes the representation canonical, so equality and zero tests are exact:
-relations like 1 + zeta_3 + zeta_3^2 = 0 hold on the nose.
+relations like 1 + zeta_3 + zeta_3^2 = 0 hold on the nose.  Phi_m is the
+Moebius product of the x^d - 1, and inv solves self * x = 1 through
+linalg.invert_fraction_matrix.
 
 The layout is that of FLINT's fmpq_poly: integer numerators over one
 denominator.  `num` is an int tuple of length deg Phi_m = phi(m) and `den`
@@ -35,56 +37,44 @@ import math
 import operator
 from fractions import Fraction
 
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+from .linalg import invert_fraction_matrix
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-def _poly_divmod_exact(num, den):
-    """Division of integer polynomials where the quotient is known to be
-    integral (den monic divides num): returns (quotient, remainder)."""
-    num = list(num)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    d = len(den) - 1
-    lead = den[-1]
-    while len(_poly_trim(num)) - 1 >= d and num:
-        k = len(num) - 1
-        c = num[k] // lead
-        q[k - d] = c
-        for j, y in enumerate(den):
-            num[k - d + j] -= c * y
-    return _poly_trim(q), _poly_trim(num)
+def _mobius(n):
+    mu = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 _PHI_CACHE = {}
 
 def cyclotomic_poly(m):
-    """Coefficients of Phi_m, low degree first, as a tuple of ints.
-
-    Computed by exact division: Phi_m = (x^m - 1) / prod_{d|m, d<m} Phi_d.
-    """
+    """Coefficients of Phi_m, low degree first, as a tuple of ints: the
+    product of (x^d - 1)^mu(m/d) over d | m, the mu = +1 factors multiplied
+    in first and the mu = -1 factors then divided out exactly."""
     if m in _PHI_CACHE:
         return _PHI_CACHE[m]
     if m < 1:
         raise ValueError("order must be positive")
-    num = [-1] + [0] * (m - 1) + [1]
-    den = [1]
-    for d in range(1, m):
-        if m % d == 0:
-            den = _poly_mul(den, list(cyclotomic_poly(d)))
-    q, r = _poly_divmod_exact(num, den)
-    assert not r, "cyclotomic division left a remainder"
-    _PHI_CACHE[m] = tuple(q)
+    factors = [(d, _mobius(m // d)) for d in range(1, m + 1) if m % d == 0]
+    p = [1]
+    for d, mu in factors:
+        if mu == 1:
+            # p * (x^d - 1): new_i = p_(i-d) - p_i
+            p = [(p[i - d] if i >= d else 0) - (p[i] if i < len(p) else 0)
+                 for i in range(len(p) + d)]
+    for d, mu in factors:
+        if mu == -1:
+            # exact division by x^d - 1, in place: q_i = q_(i-d) - p_i
+            for i in range(len(p) - d):
+                p[i] = (p[i - d] if i >= d else 0) - p[i]
+            del p[-d:]
+    _PHI_CACHE[m] = tuple(p)
     return _PHI_CACHE[m]
 
 _TABLES = {}
@@ -133,25 +123,6 @@ def _make(order, num, den):
     z.num = num
     z.den = den
     return z
-
-def _frac_poly_divmod(num, den):
-    num = [Fraction(x) for x in num]
-    den = [Fraction(x) for x in den]
-    while den and not den[-1]:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    while True:
-        while num and not num[-1]:
-            num.pop()
-        if len(num) < len(den):
-            return q, num
-        c = num[-1] / den[-1]
-        k = len(num) - len(den)
-        q[k] = c
-        for j, y in enumerate(den):
-            num[k + j] -= c * y
 
 class CycloRational:
     """An element of Q(zeta_m) in canonical reduced form: integer
@@ -312,30 +283,15 @@ class CycloRational:
         return z
 
     def inv(self):
-        """Multiplicative inverse by the extended Euclidean algorithm in Q[x]
-        against Phi_m."""
+        """Multiplicative inverse: the solution x of self * x = 1, by
+        inverting over Q the matrix of multiplication by self, whose
+        column k is self * zeta^k, and reading off column 0."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
         m = self.order
-        phi = [Fraction(x) for x in cyclotomic_poly(m)]
-        # invariants: r0 = s0*a mod phi, r1 = s1*a mod phi
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                return CycloRational(m, [x / c for x in s1])
-            q, r = _frac_poly_divmod(r0, r1)
-            s = [Fraction(0)] * max(len(s0), len(_poly_mul(q, s1)))
-            qs1 = _poly_mul(q, s1)
-            for i, x in enumerate(s0):
-                s[i] += x
-            for i, x in enumerate(qs1):
-                s[i] -= x
-            r0, r1 = r1, r
-            s0, s1 = s1, s
+        cols = [self.times_root(m, k).num for k in range(len(self.num))]
+        rows = invert_fraction_matrix(list(zip(*cols)))
+        return CycloRational(m, [self.den * row[0] for row in rows])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -396,9 +352,6 @@ class CycloRational:
 
     def __repr__(self):
         return "CycloRational(%d, %r)" % (self.order, [str(x) for x in self.coeffs])
-
-ZERO = CycloRational.zero()
-ONE = CycloRational.one()
 
 def _coerce(x):
     if isinstance(x, CycloRational):

@@ -188,10 +188,6 @@ class EpsAlgebra:
                 self.degree(i) for i in word)
         return d
 
-    def with_generators(self, extra_degrees, truncation=None):
-        t = self.truncation if truncation is None else truncation
-        return EpsAlgebra(self.chi, self.gen_degrees + tuple(extra_degrees), t)
-
     def zero(self):
         return EpsElement(self, {})
 

@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 
 from .cyclo import CycloRational
 
-EVEN = "even"
-ODD = "odd"
-
 class FiniteAbelianGroup:
     def __init__(self, factors):
         factors = tuple(int(d) for d in factors)
@@ -134,9 +131,6 @@ class Bicharacter:
         if 2 * e % self.m == 0:
             return 1
         raise ValueError("eps(g,g) is not a sign at g=%r; bicharacter invalid" % (g,))
-
-    def parity(self, g):
-        return ODD if self.parity_bit(g) else EVEN
 
     def even_elements(self):
         return [g for g in self.group.elements() if self.parity_bit(g) == 0]

@@ -77,6 +77,8 @@ class Report:
                      % ("PASS" if self.ok else "FAIL", len(self.cases), nfail))
         return "\n".join(lines) + "\n"
 
+POINTS = 3  # sampled points per case of the sampling suites
+
 def _sub_rng(seed, tag):
     # stable across runs and platforms: string seeding hashes via sha512
     return random.Random("%d/%s" % (seed, tag))
@@ -204,7 +206,7 @@ def _phi_rank_block(shape, M, r):
     mat = [[int(x * scale) for x in row] for row in rows]
     return rank_int(mat)
 
-def span_check(shape, r, seed=0, points=3):
+def span_check(shape, r, seed=0):
     """Compare the rank of the picture invariants of total degree r with
     the classically computed invariant dimension, block by balanced
     multidegree.  Needs the trivial grading group for the classical side;
@@ -217,7 +219,7 @@ def span_check(shape, r, seed=0, points=3):
         rpt.add("restricted-mode", True,
                 "nontrivial grading group: no classical rank oracle at this "
                 "scale, certifying invariance of each picture invariant instead")
-        _span_restricted(shape, r, rpt, seed, points)
+        _span_restricted(shape, r, rpt, seed)
         return rpt
     blocks = [M for M in _compositions(r, shape.s)
               if not sum((b - t) * m for (b, t), m in zip(shape.pairs, M))]
@@ -233,7 +235,7 @@ def span_check(shape, r, seed=0, points=3):
                 "picture span rank %d, classical invariant dimension %d" % (rk, dim))
     return rpt
 
-def _span_restricted(shape, r, rpt, seed, points):
+def _span_restricted(shape, r, rpt, seed):
     alg = standard_test_algebra(shape.chi, truncation=3)
     rng = _sub_rng(seed, "span-restricted")
     for M in _compositions(r, shape.s):
@@ -244,7 +246,7 @@ def _span_restricted(shape, r, rpt, seed, points):
         count = 0
         for sigma in perms.all_perms(pshape.N):
             phi = build_phi(pshape, sigma).poly
-            for _ in range(points):
+            for _ in range(POINTS):
                 u = random_w0_point(shape, alg, rng)
                 T, Tinv = random_gl_epsilon(shape.space, alg, rng)
                 v = W0Point(shape, alg,
@@ -534,13 +536,13 @@ def _suite_symalgebra(cfg, rpt, seed, **_):
             "%d random words, e(r) o e(r) = e(r)" % total if not bad
             else "%d words failed" % bad)
 
-def _suite_path_equality(cfg, rpt, seed, points, max_n):
+def _suite_path_equality(cfg, rpt, seed, max_n):
     shape = cfg.shape
     alg = standard_test_algebra(cfg.chi, truncation=3)
     for M in balanced_multiplicities(shape, max_n):
         pshape = PictureShape(shape, M)
         rng = _sub_rng(seed, "path/%s" % _fmt_tuple(M))
-        us = [random_w0_point(shape, alg, rng) for _ in range(points)]
+        us = [random_w0_point(shape, alg, rng) for _ in range(POINTS)]
         for sigma in perms.all_perms(pshape.N):
             phi = build_phi(pshape, sigma)
             bad = 0
@@ -551,17 +553,17 @@ def _suite_path_equality(cfg, rpt, seed, points, max_n):
                     bad += 1
             rpt.add("M=%s sigma=%s" % (_fmt_tuple(M), _fmt_tuple(sigma)),
                     bad == 0,
-                    "%d points" % points if not bad
-                    else "%d of %d points differ" % (bad, points))
+                    "%d points" % POINTS if not bad
+                    else "%d of %d points differ" % (bad, POINTS))
 
-def _suite_invariance(cfg, rpt, seed, points, max_n):
+def _suite_invariance(cfg, rpt, seed, max_n):
     shape = cfg.shape
     alg = standard_test_algebra(cfg.chi, truncation=3)
     for M in balanced_multiplicities(shape, max_n):
         pshape = PictureShape(shape, M)
         rng = _sub_rng(seed, "invariance/%s" % _fmt_tuple(M))
         pairs = []
-        for _ in range(points):
+        for _ in range(POINTS):
             u = random_w0_point(shape, alg, rng)
             T, Tinv = random_gl_epsilon(shape.space, alg, rng)
             v = W0Point(shape, alg,
@@ -573,10 +575,10 @@ def _suite_invariance(cfg, rpt, seed, points, max_n):
                       if restitute(phi, u) != restitute(phi, v))
             rpt.add("M=%s sigma=%s" % (_fmt_tuple(M), _fmt_tuple(sigma)),
                     bad == 0,
-                    "%d transformed points" % points if not bad
-                    else "%d of %d points differ" % (bad, points))
+                    "%d transformed points" % POINTS if not bad
+                    else "%d of %d points differ" % (bad, POINTS))
 
-def _suite_trace_match(cfg, rpt, seed, points, max_n):
+def _suite_trace_match(cfg, rpt, seed, max_n):
     shape = cfg.shape
     chi = cfg.chi
     space = cfg.space
@@ -606,7 +608,7 @@ def _suite_trace_match(cfg, rpt, seed, points, max_n):
     for M in balanced_multiplicities(shape, max_n):
         pshape = PictureShape(shape, M)
         rng = _sub_rng(seed, "trace/%s" % _fmt_tuple(M))
-        us = [random_w0_point(shape, alg, rng) for _ in range(points)]
+        us = [random_w0_point(shape, alg, rng) for _ in range(POINTS)]
         for sigma in perms.all_perms(pshape.N):
             phi = build_phi(pshape, sigma)
             bad = 0
@@ -616,14 +618,15 @@ def _suite_trace_match(cfg, rpt, seed, points, max_n):
                     bad += 1
             rpt.add("M=%s sigma=%s" % (_fmt_tuple(M), _fmt_tuple(sigma)),
                     bad == 0,
-                    "%d points" % points if not bad
-                    else "%d of %d points differ" % (bad, points))
+                    "%d points" % POINTS if not bad
+                    else "%d of %d points differ" % (bad, POINTS))
 
-def _suite_restitution(cfg, rpt, seed, cases=50, **_):
+def _suite_restitution(cfg, rpt, seed, **_):
     shape = cfg.shape
     chi = cfg.chi
     alg = standard_test_algebra(chi, truncation=3)
     rng = _sub_rng(seed, "restitution")
+    cases = 50
     bad = 0
     for _ in range(cases):
         word = _random_word(shape, rng)
@@ -721,7 +724,7 @@ _RUNNERS = {
 }
 SUITES = tuple(_RUNNERS)
 
-def suite(name, cfg, seed=0, points=3, max_n=None):
+def suite(name, cfg, seed=0, max_n=None):
     """Run one named verification suite against a configuration.  The
     report is deterministic given (config, seed)."""
     if name not in SUITES:
@@ -729,11 +732,11 @@ def suite(name, cfg, seed=0, points=3, max_n=None):
     if max_n is None:
         max_n = min(3, cfg.max_n)
     rpt = Report(name, cfg.name, seed)
-    _RUNNERS[name](cfg, rpt, seed, points=points, max_n=max_n)
+    _RUNNERS[name](cfg, rpt, seed, max_n=max_n)
     return rpt
 
-def run_suites(cfg, names=None, seed=0, points=3, max_n=None):
+def run_suites(cfg, names=None, seed=0):
     """Run several suites (all ten by default) and return the reports."""
     if names is None:
         names = SUITES
-    return [suite(n, cfg, seed=seed, points=points, max_n=max_n) for n in names]
+    return [suite(n, cfg, seed=seed) for n in names]

@@ -9,8 +9,6 @@ from __future__ import annotations
 import itertools
 import re
 
-Perm = tuple
-
 def identity(k):
     return tuple(range(1, k + 1))
 

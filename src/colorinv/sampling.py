@@ -46,27 +46,28 @@ def random_eps_of_degree(alg, d, rng, max_len=2, terms=2):
 def random_w0_point(shape, alg, rng, density=0.7, max_len=2):
     """A random degree-0 point of W with homogeneous coefficients."""
     grp = shape.chi.group
-    space = shape.space
+    num = shape.numbering()
     parts = []
-    for i, (b, _) in enumerate(shape.pairs, start=1):
+    for i in range(1, shape.s + 1):
         terms = {}
-        for idx in shape.index_words(i):
+        for idx, k in zip(shape.index_words(i), num.codes[i - 1]):
             if rng.random() > density:
                 continue
-            d = grp.sum([space.degree(x) for x in idx[:b]]
-                        + [grp.neg(space.degree(x)) for x in idx[b:]])
-            lam = random_eps_of_degree(alg, grp.neg(d), rng, max_len)
+            lam = random_eps_of_degree(alg, grp.neg(num.degree[k]), rng, max_len)
             if lam:
                 terms[idx] = lam
-        parts.append(GradedTensor(space, alg, shape.variance(i), terms))
+        parts.append(GradedTensor(shape.space, alg, shape.variance(i), terms))
     return W0Point(shape, alg, parts)
 
 def random_sym_polynomial(shape, r, rng, terms=4):
     """A random polynomial supported on degree <= r monomials."""
     out = SymPolynomial.zero(shape)
+    bases = {}
     for _ in range(terms):
         deg = rng.randint(1, r)
-        basis = enumerate_sym_basis(shape, deg)
+        basis = bases.get(deg)
+        if basis is None:
+            basis = bases[deg] = enumerate_sym_basis(shape, deg)
         if not basis:
             continue
         mono = basis[rng.randrange(len(basis))]

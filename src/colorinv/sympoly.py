@@ -13,7 +13,10 @@ G, summand, index tuples); any total order compatible with the degree
 blocks yields an equivalent basis.
 
 Each MixedShape numbers its variables 0..n-1 in that order (its
-Numbering), so comparing ids is comparing sort keys.  S(W*) and
+Numbering), the one table of W's variables: it works out each basis
+word's degree once, and var_degree, var_parity, var_key (the id itself)
+and variables() all read it, as do the point builders of sampling and
+traces.  Comparing ids is comparing sort keys.  S(W*) and
 Lambda_eps share their normal form, basis and term arithmetic, all from
 epsalgebra: sym_normalize runs eps_sort, the one eps insertion sort, over
 ids, reading each id's degree position and parity off lists (a word of
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -37,8 +39,7 @@ from .epsalgebra import SCALARS, Terms, eps_sort, sorted_words
 from . import permutations as perms
 from .tensors import PRIMAL, DUAL, gamma_exponent
 
-@dataclass(frozen=True)
-class SymVariable:
+class SymVariable(NamedTuple):
     """Coordinate function on summand i: lower indices are the primal slots,
     upper indices the dual slots of the underlying basis word."""
     summand: int
@@ -49,33 +50,32 @@ class SymVariable:
         return self.lower + self.upper
 
 class Numbering(NamedTuple):
-    """The variables of a MixedShape numbered 0..n-1 in canonical order.
+    """The one table of W's variables, numbered 0..n-1 in canonical order.
 
     variables: id -> SymVariable, and ids: SymVariable -> id;
     codes: per summand, a list from the mixed-radix code of a variable's
-        index word (lower + upper, digits index - 1, base dim, first
-        index most significant) to its id;
+        index word (lower + upper, digits index - 1, base dim, first index
+        most significant; its place in index_words(i)) to its id;
     position: id -> position of its G-degree in the fixed order of G;
-    parity: id -> parity bit of its G-degree."""
+    parity: id -> parity bit of its G-degree;
+    degree: id -> its G-degree, sum(g_l) - sum(g_u)."""
     variables: tuple
     ids: dict
     codes: tuple
     position: list
     parity: list
+    degree: list
 
 class MixedShape:
     """The space W: a graded space plus the list of (b_i, t_i) pairs.
-    Treated as immutable once built: it caches each variable's degree and
-    sort key, and the numbering of its variables."""
+    Treated as immutable once built: it keeps the numbering of its
+    variables and reads each variable's degree, parity and key off it."""
 
     def __init__(self, space, pairs):
         self.space = space
         self.pairs = tuple((int(b), int(t)) for b, t in pairs)
         if any(b < 0 or t < 0 for b, t in self.pairs):
             raise ValueError("summand shapes must be nonnegative")
-        self._vars = None
-        self._key = {}
-        self._degree = {}
         self._numbering = None
 
     @property
@@ -97,23 +97,16 @@ class MixedShape:
             raise ValueError("variable index out of range in %r" % (v,))
 
     def var_degree(self, v):
-        d = self._degree.get(v)
-        if d is None:
-            grp = self.chi.group
-            lo = grp.sum(self.space.degree(i) for i in v.lower)
-            up = grp.sum(self.space.degree(i) for i in v.upper)
-            d = self._degree[v] = grp.sub(lo, up)
-        return d
+        num = self.numbering()
+        return num.degree[num.ids[v]]
 
     def var_parity(self, v):
-        return self.chi.parity_bit(self.var_degree(v))
+        num = self.numbering()
+        return num.parity[num.ids[v]]
 
     def var_key(self, v):
-        k = self._key.get(v)
-        if k is None:
-            k = (self.chi.position(self.var_degree(v)), v.summand, v.lower, v.upper)
-            self._key[v] = k
-        return k
+        """The sort key of a variable: its id."""
+        return self.numbering().ids[v]
 
     def variance(self, i):
         """Slot variances of summand i: b_i primal, then t_i dual."""
@@ -128,29 +121,30 @@ class MixedShape:
 
     def variables(self):
         """All variables, in the canonical order."""
-        if self._vars is None:
-            out = []
-            for i, (b, _) in enumerate(self.pairs, start=1):
-                out.extend(SymVariable(i, w[:b], w[b:]) for w in self.index_words(i))
-            out.sort(key=self.var_key)
-            self._vars = out
-        return list(self._vars)
+        return list(self.numbering().variables)
 
     def numbering(self):
-        """The Numbering of the variables, built on first use."""
+        """The Numbering of the variables, built on first use: each basis
+        word's degree is summed once from the slot table, and the words
+        are sorted by (degree position, summand, word)."""
         if self._numbering is None:
-            vs = tuple(self.variables())
-            dim = self.space.dim
-            codes = [[None] * dim ** (b + t) for b, t in self.pairs]
-            for k, v in enumerate(vs):
-                code = 0
-                for r in v.word():
-                    code = code * dim + r - 1
-                codes[v.summand - 1][code] = k
+            chi, table = self.chi, self.space.slot_table
+            rows = []
+            for i, (b, _) in enumerate(self.pairs, start=1):
+                var = self.variance(i)
+                for code, w in enumerate(self.index_words(i)):
+                    d = chi.group.sum(table[v][x - 1] for v, x in zip(var, w))
+                    rows.append((chi.position(d), i, code,
+                                 SymVariable(i, w[:b], w[b:]), d))
+            rows.sort()
+            codes = [[None] * self.space.dim ** (b + t) for b, t in self.pairs]
+            for k, (_, i, code, _, _) in enumerate(rows):
+                codes[i - 1][code] = k
+            vs = tuple(row[3] for row in rows)
             self._numbering = Numbering(
                 vs, {v: k for k, v in enumerate(vs)}, tuple(codes),
-                [self.var_key(v)[0] for v in vs],
-                [self.var_parity(v) for v in vs])
+                [row[0] for row in rows], [chi.parity_bit(row[4]) for row in rows],
+                [row[4] for row in rows])
         return self._numbering
 
     def __eq__(self, other):
@@ -250,8 +244,8 @@ class SymPolynomial(Terms):
         return degs.pop()
 
     def terms_sorted(self):
-        key = self.shape.var_key
-        return sorted(self.terms.items(), key=lambda t: [key(v) for v in t[0]])
+        ids = self.shape.numbering().ids
+        return sorted(self.terms.items(), key=lambda t: [ids[v] for v in t[0]])
 
     def __str__(self):
         from . import textform

@@ -348,42 +348,31 @@ def dual_action_columns(opinv):
         out.setdefault(c, []).append((a, hop(s, space.degree(a), invert=True)))
     return out
 
-def apply_operator(t, op, opinv=None, slots=None):
-    """Apply an operator to every slot of a tensor (or to the given 1-based
-    slots).  Dual slots transform through composition with the inverse, so
-    opinv is required when a transformed slot is dual.  Coefficients emitted
-    at a slot hop right past the new basis factors."""
-    if slots is None:
-        slots = range(1, len(t.variance) + 1)
-    slots = sorted(set(slots))
+def apply_operator(t, op, opinv=None):
+    """Apply an operator to every slot of a tensor.  Dual slots transform
+    through composition with the inverse, so opinv is required when the
+    tensor has a dual slot.  Coefficients emitted at a slot hop right past
+    the new basis factors."""
     space, alg, chi = t.space, t.alg, t.space.chi
     if op.space != space or op.alg != alg:
         raise ValueError("operator and tensor live over different spaces")
     primal_cols = op.columns()
     dual_cols = None
-    if any(t.variance[s - 1] == DUAL for s in slots):
+    if DUAL in t.variance:
         if opinv is None:
             raise ValueError("dual slots need the inverse operator")
         dual_cols = dual_action_columns(opinv)
-    k = len(t.variance)
     acc = {}
     for idx, lam in t.terms.items():
-        # per transformed slot: list of (new index, emitted coefficient)
-        options = []
-        for s in range(1, k + 1):
-            if s not in slots:
-                options.append([(idx[s - 1], None)])
-                continue
-            cols = dual_cols if t.variance[s - 1] == DUAL else primal_cols
-            options.append(cols.get(idx[s - 1], ()))
+        # per slot: list of (new index, emitted coefficient)
+        options = [(dual_cols if v == DUAL else primal_cols).get(i, ())
+                   for v, i in zip(t.variance, idx)]
         for combo in itertools.product(*options):
             nidx = tuple(a for a, _ in combo)
             sd = [space.slot_degree(v, a) for v, a in zip(t.variance, nidx)]
             suffix = _suffix_sums(chi.group, sd)
             coeff = None
             for j, (_, cj) in enumerate(combo):
-                if cj is None:
-                    continue
                 moved = hop(cj, suffix[j + 1])
                 coeff = moved if coeff is None else coeff * moved
                 if not coeff:
@@ -452,7 +441,7 @@ def color_bracket(x, y):
     e = x.space.chi.eps(a, b)
     return x.compose(y) - y.compose(x).scale(e)
 
-def invert_operator(T, max_steps=None):
+def invert_operator(T):
     """Inverse of T = D + N with D the constant (empty word) part and N
     strictly generator supported: D is inverted exactly over Q and the
     rest comes from the finite Neumann series, which terminates because N
@@ -470,7 +459,7 @@ def invert_operator(T, max_steps=None):
     M = (-N).compose(Dinv_op)
     series = GradedOperator.identity(space, alg)
     term = M
-    steps = alg.truncation + 1 if max_steps is None else max_steps
+    steps = alg.truncation + 1
     count = 0
     while not term.is_zero():
         count += 1
@@ -481,7 +470,7 @@ def invert_operator(T, max_steps=None):
         term = term.compose(M)
     return Dinv_op.compose(series)
 
-def random_gl_epsilon(space, alg, rng, density=0.6):
+def random_gl_epsilon(space, alg, rng):
     """A random invertible degree preserving operator together with its
     exact inverse.  The constant part is a random invertible rational
     matrix supported on the degree blocks; the generator part puts random
@@ -500,7 +489,7 @@ def random_gl_epsilon(space, alg, rng, density=0.6):
     maxlen = min(alg.truncation, 2)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            if rng.random() > density:
+            if rng.random() > 0.6:
                 continue
             d = grp.sub(space.degree(b), space.degree(a))
             pool = [w for w in words_of_degree(alg, d, maxlen) if w]

@@ -299,7 +299,7 @@ def format_point(point):
         lines.append("%d: %s" % (i, format_tensor(part)))
     return "\n".join(lines) + "\n"
 
-def parse_point(text, shape, alg, check=True):
+def parse_point(text, shape, alg):
     from .traces import W0Point
     parts = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -325,8 +325,7 @@ def parse_point(text, shape, alg, check=True):
     for i in range(1, shape.s + 1):
         if i not in parts:
             parts[i] = GradedTensor.zero(shape.space, alg, shape.variance(i))
-    return W0Point(shape, alg, [parts[i] for i in range(1, shape.s + 1)],
-                   check=check)
+    return W0Point(shape, alg, [parts[i] for i in range(1, shape.s + 1)])
 
 # ------------------------------------------------------ structured form
 

@@ -27,25 +27,24 @@ from .tensors import PRIMAL, DUAL, GradedTensor, GradedOperator
 class W0Point:
     """A degree-0 point of W = (+)_i U_{b_i}^{t_i}."""
 
-    def __init__(self, shape, alg, parts, check=True):
+    def __init__(self, shape, alg, parts):
         self.shape = shape
         self.alg = alg
         self.parts = tuple(parts)
         if len(self.parts) != shape.s:
             raise ValueError("need one tensor per summand")
+        grp = shape.chi.group
         for i, u in enumerate(self.parts, start=1):
             if u.variance != shape.variance(i):
                 raise ValueError("summand %d tensor has wrong variance" % i)
             if u.space != shape.space or u.alg != alg:
                 raise ValueError("summand %d tensor over wrong space or algebra" % i)
-            if check:
-                grp = shape.chi.group
-                for idx, lam in u.terms.items():
-                    d = u.word_degree(idx)
-                    if not lam.is_homogeneous_of(grp.neg(d)):
-                        raise ValueError(
-                            "summand %d term %r has coefficient of degree != %r; "
-                            "point is not degree 0" % (i, idx, grp.neg(d)))
+            for idx, lam in u.terms.items():
+                d = u.word_degree(idx)
+                if not lam.is_homogeneous_of(grp.neg(d)):
+                    raise ValueError(
+                        "summand %d term %r has coefficient of degree != %r; "
+                        "point is not degree 0" % (i, idx, grp.neg(d)))
 
     def part(self, i):
         return self.parts[i - 1]
@@ -102,7 +101,7 @@ def transposition_sign_check(shape, word, i, point):
     rhs = restitute_word(shape, tuple(swapped), point).scale(e)
     return lhs == rhs
 
-def staircase_point(shape, r, base_alg=None):
+def staircase_point(shape, r):
     """The generic point used by the injectivity probe: one fresh
     eps-Grassmann generator per basis word of W, of the opposite degree, at
     strictly increasing filtration levels.  Returns (point, word index map).
@@ -111,29 +110,17 @@ def staircase_point(shape, r, base_alg=None):
     ordered words with unit coefficients, so a nonzero polynomial always
     leaves a nonzero certificate."""
     chi = shape.chi
-    grp = chi.group
-    space = shape.space
-    words = [(i, w) for i in range(1, shape.s + 1) for w in shape.index_words(i)]
-    degrees = []
-    for i, w in words:
-        b, t = shape.pairs[i - 1]
-        lo, up = w[:b], w[b:]
-        d = grp.sub(grp.sum(space.degree(x) for x in lo),
-                    grp.sum(space.degree(x) for x in up))
-        degrees.append(grp.neg(d))
-    offset = 0
-    if base_alg is not None:
-        alg = base_alg.with_generators(degrees,
-                                       truncation=max(base_alg.truncation, r))
-        offset = base_alg.ngens
-    else:
-        alg = EpsAlgebra(chi, degrees, truncation=max(r, 1))
+    num = shape.numbering()
+    words = [(i, w, k) for i in range(1, shape.s + 1)
+             for w, k in zip(shape.index_words(i), num.codes[i - 1])]
+    alg = EpsAlgebra(chi, [chi.group.neg(num.degree[k]) for _, _, k in words],
+                     truncation=max(r, 1))
     index = {}
     parts_terms = [dict() for _ in shape.pairs]
-    for j, (i, w) in enumerate(words, start=1):
-        index[(i, w)] = offset + j
-        parts_terms[i - 1][w] = alg.gen(offset + j)
-    parts = [GradedTensor(space, alg, shape.variance(i), terms)
+    for j, (i, w, _) in enumerate(words, start=1):
+        index[(i, w)] = j
+        parts_terms[i - 1][w] = alg.gen(j)
+    parts = [GradedTensor(shape.space, alg, shape.variance(i), terms)
              for i, terms in enumerate(parts_terms, start=1)]
     return W0Point(shape, alg, parts), index
 

@@ -4,6 +4,7 @@ import itertools
 import random
 
 from colorinv.cyclo import CycloRational
+from colorinv.sampling import standard_test_algebra
 from colorinv.sympoly import (
     MixedShape,
     SymPolynomial,
@@ -13,6 +14,7 @@ from colorinv.sympoly import (
     sym_normalize,
     symmetrize,
 )
+from colorinv.tensors import GradedTensor
 
 DIMENSION_SERIES = {
     "trivial": [1, 4, 10, 20],
@@ -208,3 +210,44 @@ def test_variable_numbering(cfgs):
                 else:
                     assert numbered[0] == named[0]
                     assert tuple(num.variables[k] for k in numbered[1]) == named[1]
+
+
+def table_shapes(cfgs):
+    for cfg in cfgs.values():
+        yield cfg, cfg.shape
+    yield cfgs["super"], MixedShape(cfgs["super"].space, [(2, 1), (1, 2)])
+
+
+def test_variable_table_degrees_and_order(cfgs):
+    """The numbering is the one table of W's variables: each id's degree is
+    the tensor word degree of its basis word on the summand's variance, and
+    ids run in the written-out order (degree position, summand, lower,
+    upper)."""
+    for cfg, shape in table_shapes(cfgs):
+        num = shape.numbering()
+        alg = standard_test_algebra(cfg.chi, 2)
+        expected = []
+        for i, (b, t) in enumerate(shape.pairs, start=1):
+            probe = GradedTensor.zero(shape.space, alg, shape.variance(i))
+            for word in itertools.product(range(1, shape.space.dim + 1),
+                                          repeat=b + t):
+                v = SymVariable(i, word[:b], word[b:])
+                d = probe.word_degree(word)
+                assert num.degree[num.ids[v]] == d
+                assert shape.var_degree(v) == d
+                assert shape.var_parity(v) == cfg.chi.parity_bit(d)
+                expected.append((cfg.chi.position(d), i, v.lower, v.upper, v))
+        expected.sort()
+        assert list(num.variables) == [row[-1] for row in expected]
+        assert shape.variables() == [row[-1] for row in expected]
+        assert [shape.var_key(v) for v in num.variables] == list(range(len(expected)))
+
+
+def test_sym_variable_hash_and_repr():
+    """SymVariable hashes as its field tuple, so dict and set order is that
+    of the field tuples, and keeps its keyword repr."""
+    v = SymVariable(2, (1, 3), (2,))
+    assert hash(v) == hash((v.summand, v.lower, v.upper))
+    assert repr(v) == "SymVariable(summand=2, lower=(1, 3), upper=(2,))"
+    assert v == SymVariable(2, (1, 3), (2,))
+    assert v.word() == (1, 3, 2)
