@@ -11,8 +11,9 @@ are Python literals:
     bounds.max_n = 5
 
 Blank lines and lines starting with '#' are ignored.  Parsing reports the
-offending line number; semantic checks (bicharacter axioms, the fixed
-basis order) run on load so that a Config in hand is always valid.
+offending line number; semantic checks (the exponent-matrix checks, which
+imply the bicharacter axioms, and the fixed basis order) run on load so
+that a Config in hand is always valid.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ An element is a rational polynomial in zeta_m reduced modulo the m-th
 cyclotomic polynomial Phi_m.  Working modulo Phi_m (rather than x^m - 1)
 makes the representation canonical, so equality and zero tests are exact:
 relations like 1 + zeta_3 + zeta_3^2 = 0 hold on the nose.  Phi_m is the
-Moebius product of the x^d - 1, and inv solves self * x = 1 through
-linalg.invert_fraction_matrix.
+Moebius product of the x^d - 1.  There is no division: every sign of the
+color calculus is a power of zeta_m (the exponent-matrix checks of groups
+imply the bicharacter axioms), applied by times_root.
 
 The layout is that of FLINT's fmpq_poly: integer numerators over one
 denominator.  `num` is an int tuple of length deg Phi_m = phi(m) and `den`
@@ -13,7 +14,7 @@ a positive int, normalized so that gcd(den, *num) = 1; zero is num all 0
 over den 1.  Phi_m is monic, so x^k mod Phi_m has integer coefficients: a
 per-order table of those rows reduces products and lifts without leaving
 the integers.  Sums, products, lifts and equality build no Fraction; only
-the constructor, `coeffs`, `lift`, `as_fraction` and `inv` do.
+the constructor, `coeffs`, `lift` and `as_fraction` do.
 
 Elements of different orders are compared and combined by lifting both to
 the lcm order via zeta_m = zeta_M^(M/m).  A result keeps that lcm as its
@@ -36,8 +37,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-
-from .linalg import invert_fraction_matrix
 
 def _mobius(n):
     mu = 1
@@ -281,38 +280,6 @@ class CycloRational:
         z.num = a
         z.den = self.den
         return z
-
-    def inv(self):
-        """Multiplicative inverse: the solution x of self * x = 1, by
-        inverting over Q the matrix of multiplication by self, whose
-        column k is self * zeta^k, and reading off column 0."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
-        m = self.order
-        cols = [self.times_root(m, k).num for k in range(len(self.num))]
-        rows = invert_fraction_matrix(list(zip(*cols)))
-        return CycloRational(m, [self.den * row[0] for row in rows])
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = CycloRational.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def is_zero(self):
         return not any(self.num)

@@ -240,14 +240,11 @@ def _normal_form(alg, word):
     try:
         return alg._normal[word]
     except KeyError:
-        res = alg._normal[word] = _sort_word(alg, word)
+        res = eps_sort(word, alg._pos, alg._parity, alg.chi.eps_table())
+        if res is not None:
+            res = res[0] % alg.chi.m, res[1]
+        alg._normal[word] = res
         return res
-
-def _sort_word(alg, word):
-    res = eps_sort(word, alg._pos, alg._parity, alg.chi.eps_table())
-    if res is None:
-        return None
-    return res[0] % alg.chi.m, res[1]
 
 class EpsElement(Terms):
     """Element of a truncated eps-Grassmann algebra: {word: CycloRational}.

@@ -8,7 +8,8 @@ exponent matrix B over Z_m, m = lcm(d_j) = exponent of G:
 
 Skew-symmetry eps(g,h) eps(h,g) = 1 means B + B^T = 0 mod m, and
 well-definedness on each factor needs d_i B_ij = d_j B_ij = 0 mod m.
-For such eps, eps(g,g) = +-1, which splits G into even and odd parts.
+These matrix checks imply the bicharacter axioms (validate_bicharacter),
+and for such eps, eps(g,g) = +-1, which splits G into even and odd parts.
 """
 
 from __future__ import annotations
@@ -184,16 +185,17 @@ class ValidationReport:
             return "valid"
         return "\n".join(self.failures)
 
-def validate_bicharacter(chi, exhaustive_limit=64):
-    """Check the exponent-matrix constraints, and for small groups also the
-    bicharacter axioms pointwise:
+def validate_bicharacter(chi):
+    """Check the exponent-matrix constraints
 
-      (1) eps(f+g, h) = eps(f,h) eps(g,h)
-      (2) eps(f, g+h) = eps(f,g) eps(f,h)
-      (3) eps(g,h) eps(h,g) = 1
+      d_i B_ij = d_j B_ij = 0 and B_ij + B_ji = 0 (mod m)
 
-    together with eps(g,g) = +-1.  Returns a ValidationReport listing every
-    failure; the pointwise pass is skipped for |G| > exhaustive_limit.
+    and return a ValidationReport listing every failure.  They imply the
+    bicharacter axioms, so no pointwise pass is needed: g^T B h is
+    biadditive over the integers and, by the factor conditions, well
+    defined on G, so eps(f+g, h) = eps(f,h) eps(g,h) and likewise in h;
+    eps(g,h) eps(h,g) = zeta_m^(g^T (B + B^T) h) = 1; and 2 g^T B g =
+    g^T (B + B^T) g = 0 mod m gives eps(g,g) = +-1.
     """
     rep = ValidationReport()
     G = chi.group
@@ -211,25 +213,4 @@ def validate_bicharacter(chi, exhaustive_limit=64):
             if (G.factors[j] * B[i][j]) % m != 0:
                 rep.add("entry (%d,%d) not defined mod factor d_%d = %d"
                         % (i + 1, j + 1, j + 1, G.factors[j]))
-    if not rep.ok or G.order > exhaustive_limit:
-        return rep
-    els = G.elements()
-    # eps exponents and sums by element position, each tabulated once
-    where = {g: a for a, g in enumerate(els)}
-    exp = [[chi.eps_exponent(g, h) for h in els] for g in els]
-    add = [[where[G.add(g, h)] for h in els] for g in els]
-    for a, g in enumerate(els):
-        e = exp[a][a]
-        if e != 0 and 2 * e % m != 0:
-            rep.add("eps(g,g) not a sign at g=%r (exponent %d mod %d)" % (g, e, m))
-    for a, (f, ef) in enumerate(zip(els, exp)):
-        for b, g in enumerate(els):
-            if (ef[b] + exp[b][a]) % m != 0:
-                rep.add("eps(g,h)eps(h,g) != 1 at g=%r h=%r" % (f, g))
-            efg, eg, gh = exp[add[a][b]], exp[b], add[b]
-            for c, h in enumerate(els):
-                if (efg[c] - ef[c] - eg[c]) % m != 0:
-                    rep.add("additivity in the first argument fails at %r,%r,%r" % (f, g, h))
-                if (ef[gh[c]] - ef[b] - ef[c]) % m != 0:
-                    rep.add("additivity in the second argument fails at %r,%r,%r" % (f, g, h))
     return rep

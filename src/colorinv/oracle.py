@@ -734,9 +734,3 @@ def suite(name, cfg, seed=0, max_n=None):
     rpt = Report(name, cfg.name, seed)
     _RUNNERS[name](cfg, rpt, seed, max_n=max_n)
     return rpt
-
-def run_suites(cfg, names=None, seed=0):
-    """Run several suites (all ten by default) and return the reports."""
-    if names is None:
-        names = SUITES
-    return [suite(n, cfg, seed=seed) for n in names]

@@ -148,11 +148,6 @@ class GradedTensor(Terms):
                 and (self.alg is other.alg or self.alg == other.alg)
                 and self.variance == other.variance)
 
-    def scale_eps(self, lam):
-        """Right multiplication of every coefficient by lam."""
-        return GradedTensor(self.space, self.alg, self.variance,
-                            {w: x * lam for w, x in self.terms.items()})
-
     def terms_sorted(self):
         return sorted(self.terms.items(), key=lambda t: t[0])
 
@@ -324,10 +319,6 @@ class GradedOperator(Terms):
             out[a - 1][b - 1] = x.constant_part().as_fraction()
         return out
 
-    def proper_operator(self):
-        return GradedOperator(self.space, self.alg,
-                              {ab: x.proper_part() for ab, x in self.terms.items()})
-
 def _suffix_sums(grp, degs):
     """suffix[j] = degs[j] + degs[j+1] + ..., with suffix[len(degs)] the
     identity: the degree a coefficient emitted at slot j hops past is
@@ -391,7 +382,9 @@ def apply_operator(t, op, opinv=None):
 
 def psi_derivation(x, t):
     """Twisted derivation action of a homogeneous operator on a primal
-    tensor word: slot i picks up eps(|x|, |v_j|) for every slot j < i."""
+    tensor word: slot i picks up eps(|x|, |v_j|) for every slot j < i,
+    read by biadditivity as one eps(|x|, word degree - suffix from slot i),
+    and only at the slots x acts on."""
     if any(v != PRIMAL for v in t.variance):
         raise ValueError("the derivation action is defined on primal words")
     alpha = x.g_degree()
@@ -406,11 +399,12 @@ def psi_derivation(x, t):
     for idx, lam in t.terms.items():
         degs = [degrees[i - 1] for i in idx]
         suffix = _suffix_sums(grp, degs)
-        prefix = 0
         for i in range(k):
-            if i > 0:
-                prefix = (prefix + chi.eps_exponent(alpha, degs[i - 1])) % chi.m
-            for a, entry in cols.get(idx[i], ()):
+            entries = cols.get(idx[i])
+            if not entries:
+                continue
+            prefix = chi.eps_exponent(alpha, grp.sub(suffix[0], suffix[i])) if i else 0
+            for a, entry in entries:
                 coeff = hop(entry, suffix[i + 1], shift=prefix) * lam
                 if not coeff:
                     continue
@@ -455,7 +449,8 @@ def invert_operator(T):
                              {(a, b): alg.scalar(x)
                               for a, row in enumerate(Dinv, start=1)
                               for b, x in enumerate(row, start=1)})
-    N = T.proper_operator()
+    N = GradedOperator(space, alg,
+                       {ab: x.proper_part() for ab, x in T.terms.items()})
     M = (-N).compose(Dinv_op)
     series = GradedOperator.identity(space, alg)
     term = M

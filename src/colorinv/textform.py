@@ -288,7 +288,7 @@ def parse_tensor(text, space, alg, variance):
         if var != tuple(variance):
             raise ValueError("tensor term variance %r does not match %r"
                              % (var, tuple(variance)))
-        total = total + GradedTensor.basis(space, alg, var, idx).scale_eps(coeff)
+        total = total + GradedTensor.basis(space, alg, var, idx, coeff)
     return total
 
 # --------------------------------------------------------- point files

@@ -1,8 +1,11 @@
 """Finite abelian grading groups and their bicharacters."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorinv.cyclo import CycloRational
 from colorinv.groups import Bicharacter, FiniteAbelianGroup, validate_bicharacter
@@ -10,7 +13,7 @@ from colorinv.groups import Bicharacter, FiniteAbelianGroup, validate_bicharacte
 
 def test_builtin_bicharacters_validate(cfgs):
     for name, cfg in cfgs.items():
-        rpt = validate_bicharacter(cfg.chi, exhaustive_limit=729)
+        rpt = validate_bicharacter(cfg.chi)
         assert rpt.ok, (name, rpt.failures)
 
 
@@ -125,3 +128,69 @@ def test_eps_exponent_consistent_with_eps(cfgs):
         for g in chi.group.elements():
             for h in chi.group.elements():
                 assert chi.eps(g, h) == chi.root(chi.eps_exponent(g, h))
+
+
+# ------------------------------------ the matrix checks imply the axioms
+
+@st.composite
+def factors_and_matrices(draw):
+    """(factors, B) with |G| <= 36.  B is drawn with arbitrary integer
+    entries, or built to pass the matrix checks (off-diagonal entries
+    multiples of m / gcd(d_i, d_j) with B_ji = -B_ij, diagonal entries 0 or
+    m/2 where m/2 is a multiple of m / d_i), and then perhaps shifted at
+    one entry."""
+    factors = [draw(st.integers(1, 36))]
+    while len(factors) < 3 and draw(st.booleans()):
+        room = 36 // math.prod(factors)
+        if room < 2:
+            break
+        factors.append(draw(st.integers(2, room)))
+    k = len(factors)
+    m = math.lcm(*factors)
+    entries = st.integers(-2 * m, 2 * m)
+    if draw(st.booleans()):
+        B = [[draw(entries) for _ in range(k)] for _ in range(k)]
+    else:
+        B = [[0] * k for _ in range(k)]
+        for i in range(k):
+            if m % 2 == 0 and (m // 2) % (m // factors[i]) == 0 and draw(st.booleans()):
+                B[i][i] = m // 2
+            for j in range(i + 1, k):
+                B[i][j] = draw(st.integers(-3, 3)) * (m // math.gcd(factors[i], factors[j]))
+                B[j][i] = -B[i][j]
+        if draw(st.booleans()):
+            B[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] += draw(entries)
+    return factors, B
+
+
+@given(case=factors_and_matrices())
+@settings(max_examples=60, deadline=None)
+def test_matrix_checks_imply_bicharacter_axioms(case):
+    factors, B = case
+    k = len(factors)
+    m = math.lcm(*factors)
+    rpt = validate_bicharacter(Bicharacter(factors, B))
+
+    # every violated matrix condition is reported, once
+    violated = sum((B[i][j] + B[j][i]) % m != 0 for i in range(k) for j in range(k)) \
+        + sum((d * B[i][j]) % m != 0
+              for i in range(k) for j in range(k) for d in (factors[i], factors[j]))
+    assert len(rpt.failures) == violated
+    if not rpt.ok:
+        return
+
+    # g^T B h, written out, over every pair and triple of G
+    els = list(itertools.product(*(range(d) for d in factors)))
+    where = {g: a for a, g in enumerate(els)}
+    exp = [[sum(g[i] * B[i][j] * h[j] for i in range(k) for j in range(k)) % m
+            for h in els] for g in els]
+    add = [[where[tuple((x + y) % d for x, y, d in zip(g, h, factors))] for h in els]
+           for g in els]
+    for a in range(len(els)):
+        assert 2 * exp[a][a] % m == 0
+        for b in range(len(els)):
+            assert (exp[a][b] + exp[b][a]) % m == 0
+            ab = add[a][b]
+            for c in range(len(els)):
+                assert exp[ab][c] == (exp[a][c] + exp[b][c]) % m
+                assert exp[c][ab] == (exp[c][a] + exp[c][b]) % m

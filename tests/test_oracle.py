@@ -5,12 +5,12 @@ import itertools
 import pytest
 
 from colorinv import oracle, permutations as perms
+from colorinv.config import builtin_config
 from colorinv.groups import Bicharacter, FiniteAbelianGroup
 from colorinv.oracle import (
     SUITES,
     balanced_multiplicities,
     classical_invariant_dim,
-    run_suites,
     span_check,
     suite,
 )
@@ -96,12 +96,6 @@ def test_report_rendering_format(cfgs):
     assert "result: PASS (%d cases, 0 failed)" % len(rpt.cases) in text
 
 
-def test_run_suites_subset(cfgs):
-    reports = run_suites(cfgs["trivial"], names=("bicharacter", "jacobi"), seed=1)
-    assert [r.suite for r in reports] == ["bicharacter", "jacobi"]
-    assert all(r.ok for r in reports)
-
-
 def test_balanced_multiplicities(cfgs):
     sup = cfgs["super"]
     assert balanced_multiplicities(sup.shape, 3) == [(1,), (2,), (3,)]
@@ -109,6 +103,24 @@ def test_balanced_multiplicities(cfgs):
     assert balanced_multiplicities(mixed, 3) == [(1, 1)]
     lopsided = MixedShape(sup.space, [(2, 1)])
     assert balanced_multiplicities(lopsided, 3) == []
+
+
+def test_bicharacter_suite_catches_broken_additivity(monkeypatch):
+    """The config checks only the exponent matrix; the suite still checks
+    the axioms pointwise, so an eps_exponent that breaks additivity at one
+    pair fails it."""
+    cfg = builtin_config("z4")
+    assert suite("bicharacter", cfg).ok
+    real = Bicharacter.eps_exponent
+
+    def broken(chi, g, h):
+        e = real(chi, g, h)
+        return (e + 1) % chi.m if (g, h) == ((1,), (2,)) else e
+
+    monkeypatch.setattr(Bicharacter, "eps_exponent", broken)
+    cases = {c.name: c.ok for c in suite("bicharacter", cfg).cases}
+    assert not cases["biadditive"]
+    assert cases["exponent-matrix-axioms"]
 
 
 def test_tabulated_cocycle_check_catches_broken_gamma(cfgs, monkeypatch):

@@ -1,0 +1,104 @@
+"""Who refers to each definition in `src/colorinv`.
+
+    python3 tools/callers.py
+
+Parses every Python file under src/, tests/, bench/ and tools/ and lists,
+as Markdown, the module-level functions and classes and the class methods
+of `src/colorinv` that only tests refer to, then those that nothing refers
+to.  Exits 1 when the second list is not empty, 0 otherwise.
+
+A reference is a read of the name (`f`, `mod.f`, `obj.f`), or a string
+constant equal to the name or ending in `.name` (how the benchmark's tracer
+names what it wraps).  A read inside the definition's own body does not
+count.  Names are matched without types, so a method counts as referenced
+wherever any attribute of that name is read: the lists are what certainly
+has no other caller, not everything that might lack one.  Dunder methods
+are called by the language and are not listed.
+
+Run from anywhere; paths are taken relative to the checkout.
+"""
+
+import ast
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TREES = ("src", "tests", "bench", "tools")
+
+
+def python_files(tree):
+    for folder, _, names in sorted(os.walk(os.path.join(ROOT, tree))):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                yield os.path.join(folder, name)
+
+
+def parse(path):
+    with open(path, encoding="utf-8") as f:
+        return ast.parse(f.read(), path)
+
+
+def definitions(path, module):
+    """(qualified name, name, first line, last line) of each module-level
+    function or class and each method, dunders left out."""
+    out = []
+    for node in parse(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(("%s.%s" % (module, node.name), node.name,
+                        node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    out.append(("%s.%s.%s" % (module, node.name, item.name), item.name,
+                                item.lineno, item.end_lineno))
+    return out
+
+
+def references(path):
+    """{name: [line, ...]} of every name read and string constant."""
+    out = {}
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value.rpartition(".")[2]
+        else:
+            continue
+        out.setdefault(name, []).append(node.lineno)
+    return out
+
+
+def main():
+    refs = {tree: {} for tree in TREES}
+    for tree in TREES:
+        for path in python_files(tree):
+            refs[tree][path] = references(path)
+
+    tests_only, unreferenced = [], []
+    src_dir = os.path.join(ROOT, "src", "colorinv")
+    for path in python_files(os.path.join("src", "colorinv")):
+        module = os.path.splitext(os.path.relpath(path, src_dir))[0].replace(os.sep, ".")
+        for qualname, name, first, last in definitions(path, module):
+            where = set()
+            for tree in TREES:
+                for other, names in refs[tree].items():
+                    lines = names.get(name, ())
+                    if any(other != path or not first <= n <= last for n in lines):
+                        where.add(tree)
+            entry = "- `%s` %s:%d" % (qualname, os.path.relpath(path, ROOT), first)
+            if not where:
+                unreferenced.append(entry)
+            elif where == {"tests"}:
+                tests_only.append(entry)
+
+    print("### src definitions referred to only from tests (%d)\n" % len(tests_only))
+    print("\n".join(tests_only) or "none")
+    print("\n### src definitions referred to nowhere (%d)\n" % len(unreferenced))
+    print("\n".join(unreferenced) or "none")
+    return 1 if unreferenced else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
