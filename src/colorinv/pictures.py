@@ -24,16 +24,31 @@ rearrangement sign gamma(J, rho^{-1}) with rho = nu tau sigma_hat mu and J
 the blocked degree tuple, times the dual-word normalization of the w-block
 degrees.
 
+build_phi does not sum over all of I at once.  Two copies are linked
+when they read the same entry of I: a copy's upper positions, read
+through sigma^{-1}, land on another copy's lower positions.  Each
+connected component K of this relation is closed under sigma, so it is
+balanced and its monomials have G-degree 0; the components' polynomials
+therefore commute without an eps sign, and phi_sigma is their product
+(on shape (1,1) the components are the cycles of sigma, and the factors
+are Berele's traces of powers).  components() gives each K as its own
+PictureShape, with the multiplicities of its copies and sigma restricted
+and relabelled, kept on the shape (PictureShape.part) so that its plans
+serve every sigma.  _phi_terms, the one kernel, sums each component over
+{1..dim}^|K|; the products are taken over variable ids by
+sympoly.mul_terms, and SymVariables are made once at the end.  The cost
+is sum_K dim^|K| kernel steps plus the products, against dim^N for the
+whole shape at once; equal components are summed once per call.
+
 Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
 the inversions of rho, the copies' positions in I) is worked out once per
 (PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  The
-dim^N loop of build_phi then reads each copy's variable id off the
-entries of I at the copy's positions in the plan, through the shape's
-code tables (sympoly.Numbering), sorts the ids with sym_normalize, and
-sums entries of the bicharacter's eps table for the coefficient.  It
-works on ids only; SymVariables are made once per distinct monomial.
-Because of these caches, PictureShape, MixedShape and Bicharacter are
-treated as immutable once built.
+kernel reads each copy's variable id off the entries of I at the copy's
+positions in the plan, through the shape's code tables
+(sympoly.Numbering), sorts the ids with sym_normalize, and sums entries
+of the bicharacter's eps table for the coefficient.  Because of these
+caches, PictureShape, MixedShape and Bicharacter are treated as
+immutable once built.
 
 The dual-word normalization multiplying the rearrangement sign is the
 strict reversed product  prod_{c < c'} eps(h_{c'}, h_c)  over the w-block
@@ -52,7 +67,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import permutations as perms
-from .sympoly import MixedShape, SymPolynomial, sym_normalize
+from .sympoly import MixedShape, SymPolynomial, mul_terms, sym_normalize
 from .tensors import (PRIMAL, DUAL, GradedTensor, act_perm, contract_pairs,
                       tensor_product)
 
@@ -74,6 +89,7 @@ class PictureShape:
         self.Nprime = sum(m * t for m, (_, t) in zip(self.mults, shape.pairs))
         self.k = sum(self.mults)
         self._plans = {}
+        self._parts = {self.mults: self}
 
     @property
     def balanced(self):
@@ -109,6 +125,16 @@ class PictureShape:
     def __repr__(self):
         return "PictureShape(pairs=%r, mults=%r)" % (list(self.shape.pairs),
                                                      list(self.mults))
+
+    def part(self, mults):
+        """The PictureShape of the same MixedShape with multiplicities
+        mults (this shape itself for its own), built on first use and kept
+        here, so that a component's plans serve every sigma that has it."""
+        mults = tuple(mults)
+        sub = self._parts.get(mults)
+        if sub is None:
+            sub = self._parts[mults] = PictureShape(self.shape, mults)
+        return sub
 
     def plan(self, sigma):
         """The SigmaPlan of phi_sigma, built on first use and kept on this
@@ -235,19 +261,61 @@ class PictureInvariant:
     sigma: tuple
     poly: SymPolynomial
 
-def build_phi(pshape, sigma):
-    """The picture invariant phi_sigma as an element of S(W*): sum over all
-    index tuples I in {1..dim}^N of coefficient(I) times the normalized
-    monomial at I.  That monomial's copy (i, j) reads its lower indices off
-    I at its primal positions and its upper indices off I o sigma^{-1} at
-    its dual positions."""
+def components(pshape, sigma):
+    """The connected components of sigma on the copies of pshape, as
+    (sub-shape, sub-sigma) pairs.  A copy's upper positions, read through
+    sigma^{-1}, land on the lower positions of other copies; linked copies
+    share a component.  Each component is closed under sigma, so balanced,
+    and its monomials have G-degree 0.  Its sub-shape (pshape.part) holds
+    its copies in blocked order, with their multiplicities; sub-sigma is
+    sigma with the component's lower and upper positions relabelled 1..
+    in order."""
+    pshape.require_balanced()
+    if len(sigma) != pshape.N:
+        raise ValueError("sigma must lie in S_%d" % pshape.N)
+    copies = pshape.copies()
+    lows = [pshape.lower_positions(i, j) for i, j in copies]
+    ups = [pshape.upper_positions(i, j) for i, j in copies]
+    owner = {p: c for c, lo in enumerate(lows) for p in lo}
+    inv = perms.inverse(sigma)
+    label = list(range(len(copies)))
+
+    def root(c):
+        while label[c] != c:
+            c = label[c]
+        return c
+
+    for c, up in enumerate(ups):
+        for q in up:
+            a, b = sorted((root(c), root(owner[inv[q - 1]])))
+            label[b] = a
+    groups = {}
+    for c in range(len(copies)):
+        groups.setdefault(root(c), []).append(c)
+    out = []
+    for members in groups.values():
+        mults = [0] * pshape.shape.s
+        for c in members:
+            mults[copies[c][0] - 1] += 1
+        upper = [q for c in members for q in ups[c]]
+        rank = {q: r for r, q in enumerate(upper, start=1)}
+        out.append((pshape.part(mults),
+                    tuple(rank[sigma[p - 1]] for c in members for p in lows[c])))
+    return out
+
+def _phi_terms(pshape, sigma):
+    """phi_sigma as {id tuple: coefficient}: the sum over all index tuples
+    I in {1..dim}^N of coefficient(I) times the normalized monomial at I.
+    That monomial's copy (i, j) reads its lower indices off I at its
+    primal positions and its upper indices off I o sigma^{-1} at its dual
+    positions."""
     shape = pshape.shape
     chi = shape.chi
     dim = shape.space.dim
-    num = shape.numbering()
+    codes = shape.numbering().codes
     # Per copy: its summand's code table and the positions in I of its
     # index word.
-    copies = [(num.codes[i - 1], lo + up) for i, lo, up in pshape.plan(sigma).copies]
+    copies = [(codes[i - 1], lo + up) for i, lo, up in pshape.plan(sigma).copies]
     # The swap factors are summed per (monomial, coefficient exponent) and
     # each sum is multiplied by its root of unity once, at the end.
     sums = {}
@@ -270,9 +338,28 @@ def build_phi(pshape, sigma):
         c = swaps * chi.root(e)
         prev = total.get(mono)
         total[mono] = c if prev is None else prev + c
-    vs = num.variables
-    return PictureInvariant(pshape, tuple(sigma), SymPolynomial(
-        shape, {tuple(vs[k] for k in mono): c for mono, c in total.items()}))
+    return total
+
+def build_phi(pshape, sigma):
+    """The picture invariant phi_sigma as an element of S(W*): the product
+    of the pictures of sigma's components, each summed over its own index
+    tuples by _phi_terms.  Components equal as (sub-shape, sub-sigma) are
+    summed once per call."""
+    shape = pshape.shape
+    sigma = tuple(sigma)
+    built = {}
+    terms = None
+    for sub, sub_sigma in components(pshape, sigma):
+        key = sub.mults, sub_sigma
+        part = built.get(key)
+        if part is None:
+            part = built[key] = _phi_terms(sub, sub_sigma)
+        terms = part if terms is None else mul_terms(shape, terms, part)
+    if terms is None:
+        terms = _phi_terms(pshape, sigma)
+    vs = shape.numbering().variables
+    return PictureInvariant(pshape, sigma, SymPolynomial(
+        shape, {tuple(vs[k] for k in mono): c for mono, c in terms.items()}))
 
 def theta_eval(sigma, t):
     """Theta(sigma) on a tensor in sorted variance (primal^N, dual^N):

@@ -22,9 +22,10 @@ epsalgebra: sym_normalize runs eps_sort, the one eps insertion sort, over
 ids, reading each id's degree position and parity off lists (a word of
 SymVariables is mapped to ids and back); enumerate_sym_basis filters
 sorted_words; SymPolynomial sums, scales and compares through Terms.
-build_phi works on ids throughout and makes SymVariables once per
-distinct monomial; SymPolynomial keys, printing and parsing stay on
-SymVariables.
+mul_terms is the one monomial product, used by SymPolynomial and by
+build_phi, which multiplies its components' pictures over ids and makes
+SymVariables once per distinct monomial; SymPolynomial keys, printing
+and parsing stay on SymVariables.
 """
 
 from __future__ import annotations
@@ -174,6 +175,24 @@ def sym_normalize(shape, seq):
         mono = tuple(vs[k] for k in mono)
     return shape.chi.root(exp), mono
 
+def mul_terms(shape, left, right):
+    """The product in S(W*) of two {monomial: coefficient} dicts: each
+    pair of monomials is concatenated and put in normal form by
+    sym_normalize.  Monomials are tuples of SymVariables or of variable
+    ids, the same form on both sides, and the product keeps that form;
+    zero coefficients are dropped."""
+    out = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            res = sym_normalize(shape, m1 + m2)
+            if res is None:
+                continue
+            s, m = res
+            c = c1 * c2 * s
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+    return {m: c for m, c in out.items() if c}
+
 class SymPolynomial(Terms):
     """Element of S(W*): {sorted monomial: CycloRational}.  Immutable."""
 
@@ -215,17 +234,7 @@ class SymPolynomial(Terms):
         if not isinstance(other, SymPolynomial):
             return NotImplemented
         self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                res = sym_normalize(self.shape, m1 + m2)
-                if res is None:
-                    continue
-                s, m = res
-                c = c1 * c2 * s
-                prev = out.get(m)
-                out[m] = c if prev is None else prev + c
-        return SymPolynomial(self.shape, out)
+        return self._like(mul_terms(self.shape, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, SCALARS):

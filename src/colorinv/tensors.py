@@ -384,7 +384,8 @@ def psi_derivation(x, t):
     """Twisted derivation action of a homogeneous operator on a primal
     tensor word: slot i picks up eps(|x|, |v_j|) for every slot j < i,
     read by biadditivity as one eps(|x|, word degree - suffix from slot i),
-    and only at the slots x acts on."""
+    and only at the slots x acts on.  A word with no such slot is skipped
+    before its suffix sums are built."""
     if any(v != PRIMAL for v in t.variance):
         raise ValueError("the derivation action is defined on primal words")
     alpha = x.g_degree()
@@ -397,6 +398,8 @@ def psi_derivation(x, t):
     acc = {}
     degrees = space.degrees
     for idx, lam in t.terms.items():
+        if not any(r in cols for r in idx):
+            continue
         degs = [degrees[i - 1] for i in idx]
         suffix = _suffix_sums(grp, degs)
         for i in range(k):

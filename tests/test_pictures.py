@@ -18,6 +18,7 @@ from colorinv.pictures import (
     build_phi,
     coefficient,
     coefficient_exponent,
+    components,
     contraction_pairs,
     dual_word_exponent,
     mu,
@@ -257,7 +258,7 @@ def textbook_phi(pshape, sigma):
     shape = pshape.shape
     chi = shape.chi
     inv = perms.inverse(sigma)
-    total = SymPolynomial.zero(shape)
+    total = {}
     for I in itertools.product(range(1, shape.space.dim + 1), repeat=pshape.N):
         word = [SymVariable(i, tuple(I[p - 1] for p in pshape.lower_positions(i, j)),
                             tuple(I[inv[q - 1] - 1] for q in pshape.upper_positions(i, j)))
@@ -273,8 +274,14 @@ def textbook_phi(pshape, sigma):
         if any(x == y and shape.var_parity(x) for x, y in zip(word, word[1:])):
             continue
         c = chi.root(exp) * coefficient(pshape, sigma, I)
-        total = total + SymPolynomial(shape, {tuple(word): c})
-    return total
+        word = tuple(word)
+        total[word] = total[word] + c if word in total else c
+    return SymPolynomial(shape, total)
+
+
+def _assert_phi_matches_textbook(ps, name):
+    for sigma in all_perms(ps.N):
+        assert build_phi(ps, sigma).poly == textbook_phi(ps, sigma), (name, ps, sigma)
 
 
 def test_build_phi_matches_textbook_sum(cfgs):
@@ -282,9 +289,75 @@ def test_build_phi_matches_textbook_sum(cfgs):
         shapes = [PictureShape(cfg.shape, (n,)) for n in (1, 2, 3)]
         shapes.append(PictureShape(MixedShape(cfg.space, [(2, 1), (1, 2)]), (1, 1)))
         for ps in shapes:
-            for sigma in all_perms(ps.N):
-                assert build_phi(ps, sigma).poly == textbook_phi(ps, sigma), \
-                    (cfg.name, ps, sigma)
+            _assert_phi_matches_textbook(ps, cfg.name)
+
+
+def test_build_phi_matches_textbook_sum_over_components(cfgs):
+    """Shapes where sigma may split the copies into several components,
+    so build_phi multiplies the components' pictures; textbook_phi sums
+    over all index tuples at once."""
+    for name in ("super", "z3z3"):
+        _assert_phi_matches_textbook(PictureShape(cfgs[name].shape, (4,)), name)
+    z2z2 = cfgs["z2z2"]
+    mixed = MixedShape(z2z2.space, [(1, 1), (2, 2)])
+    _assert_phi_matches_textbook(PictureShape(mixed, (2, 1)), "z2z2")
+    # Copies whose lower and upper positions differ.  At (1,3,6,2,4,5)
+    # sigma splits them into {1,3}, {2,4}; linking through sigma instead of
+    # sigma^{-1} would join all four.
+    sup = cfgs["super"]
+    ps = PictureShape(MixedShape(sup.space, [(2, 1), (1, 2)]), (2, 2))
+    sigmas = [(1, 3, 6, 2, 4, 5)] + random.Random("components").sample(all_perms(ps.N), 10)
+    for sigma in sigmas:
+        assert build_phi(ps, sigma).poly == textbook_phi(ps, sigma), sigma
+
+
+def _cycle_phi(shape, length):
+    """phi of the standard length-cycle 1 -> 2 -> ... -> length -> 1 on
+    (1,1)^length: the trace of the length-th power of the matrix."""
+    sigma = tuple(range(2, length + 1)) + (1,)
+    return build_phi(PictureShape(shape, (length,)), sigma).poly
+
+
+def test_phi_is_the_product_of_its_cycles_traces(cfgs):
+    """On shape (1,1) a picture invariant is a trace monomial: phi_sigma is
+    the product over the cycles of sigma of phi of a cycle of that
+    length, and phi_sigma = phi_{pi sigma pi^{-1}} for every pi in S_N."""
+    for cfg in cfgs.values():
+        assert cfg.shape.pairs == ((1, 1),)
+        traces = {n: _cycle_phi(cfg.shape, n) for n in range(1, 5)}
+        for n in range(1, 5):
+            ps = PictureShape(cfg.shape, (n,))
+            phis = {sigma: build_phi(ps, sigma).poly for sigma in all_perms(n)}
+            for sigma, phi in phis.items():
+                expected = SymPolynomial.from_word(cfg.shape, ())
+                for cyc in perms.cycles(sigma):
+                    expected = expected * traces[len(cyc)]
+                assert phi == expected, (cfg.name, sigma)
+                for pi in all_perms(n):
+                    conj = perms.compose(pi, perms.compose(sigma, perms.inverse(pi)))
+                    assert phis[conj] == phi, (cfg.name, sigma, pi)
+
+
+MIXED_PICTURES = (([(1, 1), (2, 2)], (2, 1)), ([(2, 1), (1, 2)], (1, 1)),
+                  ([(1, 1), (1, 1)], (2, 1)), ([(2, 2), (1, 1)], (1, 1)),
+                  ([(2, 2)], (2,)))
+
+
+def test_components_are_balanced_of_degree_zero_and_multiply_to_phi(cfgs):
+    cfg = cfgs["z4"]
+    identity = cfg.chi.group.identity
+    for pairs, mults in MIXED_PICTURES:
+        ps = PictureShape(MixedShape(cfg.space, pairs), mults)
+        for sigma in all_perms(ps.N):
+            parts = components(ps, sigma)
+            assert sum(sub.k for sub, _ in parts) == ps.k
+            product = SymPolynomial.from_word(ps.shape, ())
+            for sub, sub_sigma in parts:
+                assert sub.balanced and sorted(sub_sigma) == list(range(1, sub.N + 1))
+                phi = build_phi(sub, sub_sigma).poly
+                assert phi.g_degree() == identity, (ps, sigma, sub)
+                product = product * phi
+            assert product == build_phi(ps, sigma).poly, (ps, sigma)
 
 
 def textbook_coefficient_exponent(pshape, sigma, I):
@@ -371,6 +444,7 @@ def test_random_sign_rules(cfg):
         for h in chi.group.elements():
             assert table[chi.position(g)][chi.position(h)] == chi.eps_exponent(g, h)
     _assert_plan_matches_textbook(PictureShape(cfg.shape, (3,)))
+    _assert_phi_matches_textbook(PictureShape(cfg.shape, (3,)), cfg.name)
     mixed = MixedShape(cfg.space, [(1, 1), (2, 2)])
     _assert_plan_matches_textbook(PictureShape(mixed, (1, 1)))
     rpt = suite("path-equality", cfg, max_n=2)

@@ -4,12 +4,13 @@ import itertools
 import random
 
 from colorinv.cyclo import CycloRational
-from colorinv.sampling import standard_test_algebra
+from colorinv.sampling import random_sym_polynomial, standard_test_algebra
 from colorinv.sympoly import (
     MixedShape,
     SymPolynomial,
     SymVariable,
     enumerate_sym_basis,
+    mul_terms,
     sym_dimension,
     sym_normalize,
     symmetrize,
@@ -147,6 +148,24 @@ def test_polynomial_ring_operations(cfgs):
     one = SymPolynomial.from_word(shape, ())
     assert one * p == p
     assert p.scale(CycloRational.zero()).is_zero()
+
+
+def test_mul_terms_on_ids_matches_variables(cfgs):
+    """The product keeps the monomials' form: over ids it is the product
+    over SymVariables with each variable replaced by its id."""
+    for name in ("super", "z3z3"):
+        shape = cfgs[name].shape
+        ids = shape.numbering().ids
+
+        def as_ids(terms):
+            return {tuple(ids[v] for v in m): c for m, c in terms.items()}
+
+        rng = random.Random("mul/%s" % name)
+        for _ in range(10):
+            left, right = (random_sym_polynomial(shape, 2, rng) for _ in range(2))
+            named = mul_terms(shape, left.terms, right.terms)
+            assert mul_terms(shape, as_ids(left.terms), as_ids(right.terms)) == as_ids(named)
+            assert (left * right).terms == named
 
 
 def test_variable_checks(cfgs):

@@ -9,7 +9,7 @@ every builtin configuration:
 * `validate`; `list` with the default bound, with `--max-degree` 1, 2 and 3,
   and with an out-of-range bound (an error, exit 2);
 * `picture` at M = (N,) for N <= 3 and every sigma in S_N, in text and
-  structured form;
+  structured form, and at M = (4,) for every sigma in S_4, in text form;
 * per seed 0-7, a seeded degree-0 point file (`sampling.random_w0_point`),
   the file of one phi_sigma and the files of two seeded random polynomials
   (`sampling.random_sym_polynomial`, of degree <= 1 and <= 2), then `eval`
@@ -93,6 +93,10 @@ def commands(tmp):
                     out.append(["picture"] + config
                                + ["--multiplicities", str(n),
                                   "--sigma", _sigma_text(sigma), "--format", fmt])
+        for sigma in perms.all_perms(MAX_N + 1):
+            out.append(["picture"] + config
+                       + ["--multiplicities", str(MAX_N + 1),
+                          "--sigma", _sigma_text(sigma), "--format", "text"])
         for seed in SEEDS:
             paths, sigma = _write_inputs(name, seed, tmp)
             point = ["--point", paths["point"]]
