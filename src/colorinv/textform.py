@@ -91,7 +91,7 @@ def parse_cyclo(text, order):
             coeff = Fraction(-1 if body.startswith("-") else 1)
             powtext = body.lstrip("-")
         else:
-            coeff = Fraction(m.group("num"))
+            coeff = parse_fraction(m.group("num"))
             powtext = m.group("pow") or ""
         if not powtext:
             k = 0

@@ -157,6 +157,24 @@ def test_eval_missing_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_eval_zero_denominator_in_poly_file(capsys, tmp_path):
+    poly_file = tmp_path / "poly.txt"
+    poly_file.write_text("(1/0) * T(1)[1]^[1]\n")
+    rc, out, err = run(capsys, "eval", "--config", "builtin:super",
+                       "--poly", str(poly_file), "--point", str(tmp_path / "absent.txt"))
+    assert (rc, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
+
+def test_eval_zero_denominator_in_point_file(capsys, tmp_path):
+    poly_file = tmp_path / "poly.txt"
+    poly_file.write_text("(1) * 1\n")
+    point_file = tmp_path / "point.txt"
+    point_file.write_text("1: ((1/0) * 1) * e1 ox e1*\n")
+    rc, out, err = run(capsys, "eval", "--config", "builtin:super",
+                       "--poly", str(poly_file), "--point", str(point_file))
+    assert (rc, out, err) == (2, "", "error: line 1: zero denominator in '1/0'\n")
+
+
 def test_verify_single_suite_with_report(capsys, tmp_path):
     report = tmp_path / "report.txt"
     rc, out, err = run(capsys, "verify", "--config", "builtin:trivial",
