@@ -16,7 +16,10 @@ every builtin configuration:
   of phi in text and structured form and at `--truncation 0`, `eval` of
   each random polynomial (a mix of degrees is an error, exit 2), and
   `trace` at a seeded sigma in text and structured form;
-* `verify --suite all` at seeds 0-7.
+* `verify --suite all` at seeds 0-7;
+* on super, `eval` of fixed hand-written poly and point files (`BAD_POLYS`,
+  `BAD_POINTS`): one per message of the text parsers, and two well-formed
+  files whose terms repeat, cancel or vanish, in text and structured form.
 
 Each command's argument list, exit code, standard output and standard error
 go into one SHA-256, and so does the text of every generated file; the
@@ -50,6 +53,53 @@ from colorinv.textform import format_point, format_sym  # noqa: E402
 SEEDS = range(8)
 MAX_N = 3
 TOKEN = "$TMP"
+
+# Malformed poly files, each read with a valid point file, and malformed
+# point files, each read with the poly '(1) * 1': one file per message.
+BAD_POLYS = (
+    "(1) * T(1)[1]^[1",                 # unbalanced brackets
+    "(1) * 1)(",                        # unbalanced brackets, ')(' in one term
+    "(1) * 1 + (1 - z) * T(1)[1]^[1])",
+    "1 * T(1)[1]^[1]",                  # coefficient not in parentheses
+    "(1] * 1",
+    "(1)",                              # bad polynomial term
+    "(1 +) * 1",                        # malformed scalar
+    "() * 1",                           # empty scalar
+    "(x) * 1",                          # bad scalar term
+    "(1/0) * T(1)[1]^[1]",              # zero denominator
+    "(1) * T(1)[1]",                    # bad variable
+    "(1) * T(9)[1]^[1]",                # check_variable: summand
+    "(1) * T(1)[1,1]^[1]",              # check_variable: shape
+    "(1) * T(1)[9]^[1]",                # check_variable: index
+    "(1) * T(1)[1,,1]^[1]",
+)
+BAD_POINTS = (
+    "1: ((1) * 1) * e1 ox e1*)(",       # unbalanced brackets
+    "1: (1 * x1) * e1 ox e1*",          # coefficient not in parentheses
+    "1: ((1)) * e1 ox e1*",             # bad algebra term
+    "1: (1)",                           # bad tensor term
+    "1: ((1) * 1) * e1 ox e1* * e1",
+    "1: ((1 +) * 1) * e1 ox e1*",       # malformed scalar
+    "1: ((y) * 1) * e1 ox e1*",         # bad scalar term
+    "1: ((1/0) * 1) * e1 ox e1*",       # zero denominator
+    "1: ((1) * y1) * e1 ox e1*",        # bad generator
+    "1: ((1) * x) * e1 ox e1*",
+    "1: ((1) * x99) * e1 ox e1*",       # generator index out of range
+    "1: ((1) * 1) * f1 ox e1*",         # bad tensor slot
+    "1: ((1) * 1) * e1 ox (e1* ox e2)",
+    "1: ((1) * 1) * e1 ox e1",          # variance mismatch
+    "1: ((1) * 1) * 1",
+    "1: ((1) * 1) * e9 ox e1*",         # basis index out of range
+    "garbage",                          # parse_point's line errors
+    "# comment\n\nx: 0",
+    "9: 0",
+    "1: 0\n1: 0",
+)
+GOOD_POLY = ("(1) * T(1)[1]^[1] + (-1) * T(1)[1]^[1] + (2 - z) * T(1)[2]^[2] * T(1)[1]^[1]"
+             " + (1/2) * T(1)[1]^[2] * T(1)[2]^[1] + (1) * 1 + (z) * 1")
+GOOD_POINT = ("# comment\n\n1: ((1) * x1.x1 + (1/2) * x3.x4 + (1/2) * x4.x3 + (1) * x3.x3) * e1 ox e1*"
+              " + ((1) * x3 + (-1) * x3 + (z) * x4.x1) * e1 ox e2* + ((2) * 1) * e2 ox e2*"
+              " + ((-1) * 1) * e2 ox e2* + ((1) * x2.x1.x1.x2.x4 + (3) * x4) * e2 ox e1*")
 
 
 def _sigma_text(sigma):
@@ -112,6 +162,27 @@ def commands(tmp):
                            + point + ["--format", fmt])
         for seed in SEEDS:
             out.append(["verify"] + config + ["--suite", "all", "--seed", str(seed)])
+    out.extend(_hand_written(tmp))
+    return out
+
+
+def _hand_written(tmp):
+    """eval on super of the BAD_POLYS, the BAD_POINTS and GOOD_POLY at
+    GOOD_POINT."""
+    def write(fname, text):
+        path = os.path.join(tmp, fname)
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+        return path
+    ev = ["eval", "--config", "builtin:super"]
+    good_poly, good_point = write("good.poly", GOOD_POLY), write("good.point", GOOD_POINT)
+    out = [ev + ["--poly", write("bad-%02d.poly" % i, text), "--point", good_point]
+           for i, text in enumerate(BAD_POLYS)]
+    one = write("one.poly", "(1) * 1")
+    out += [ev + ["--poly", one, "--point", write("bad-%02d.point" % i, text)]
+            for i, text in enumerate(BAD_POINTS)]
+    for fmt in ("text", "structured"):
+        out.append(ev + ["--poly", good_poly, "--point", good_point, "--format", fmt])
     return out
 
 
