@@ -13,6 +13,10 @@ variable order of their shape.  The grammar is deliberately small:
     tensor       (e) * e1 ox e2* + ...   '*' marks dual slots
     point file   one 'i: tensor' line per summand
 
+Algebra elements, polynomials and tensors are all '(c) * body + ...' sums,
+read by one term reader.  Malformed text raises ValueError, which the
+command line prints as 'error: ...' with exit status 2.
+
 Structured (JSON) emitters mirror the same data with the same ordering.
 """
 
@@ -21,11 +25,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 from .cyclo import CycloRational
-from .epsalgebra import EpsElement
-from .sympoly import SymPolynomial, SymVariable
+from .epsalgebra import EpsElement, add_term
+from .sympoly import SymPolynomial, SymVariable, sym_normalize
 from .tensors import PRIMAL, DUAL, GradedTensor
+from .traces import W0Point
 
 TENSOR_SEP = "ox"
 
@@ -78,7 +84,7 @@ def parse_cyclo(text, order):
     s = s.replace("- ", "+ -").replace("+ ", "+")
     if s.startswith("+"):
         s = s[1:]
-    total = CycloRational.zero()
+    coeffs = [0] * order
     for raw in s.split("+"):
         raw = raw.strip()
         if not raw:
@@ -88,57 +94,60 @@ def parse_cyclo(text, order):
             raise ValueError("bad scalar term %r" % raw)
         if m.group("bare"):
             body = m.group("bare")
-            coeff = Fraction(-1 if body.startswith("-") else 1)
+            coeff = -1 if body.startswith("-") else 1
             powtext = body.lstrip("-")
         else:
             coeff = parse_fraction(m.group("num"))
             powtext = m.group("pow") or ""
-        if not powtext:
-            k = 0
-        elif powtext == "z":
-            k = 1
-        else:
-            k = int(powtext[2:])
-        total = total + CycloRational.from_rational(coeff) * CycloRational.root(order, k)
-    return total
+        k = int(powtext[2:] or 1) if powtext else 0    # 'z^k', 'z' or none
+        coeffs[k % order] += coeff
+    return CycloRational(order, coeffs)
 
-# ------------------------------------------------------- splitting helper
+# ------------------------------------------------------- term reader
+
+_NOT_BRACKET = re.compile(r"[^][()]+")
+_STEP = {"(": 1, "[": 1, ")": -1, "]": -1}
+
+def _depth(text):
+    """Opening minus closing brackets, '(' and '[' alike."""
+    return text.count("(") + text.count("[") - text.count(")") - text.count("]")
 
 def split_top(text, sep):
     """Split on a separator token at bracket depth 0.  The separator is a
     token, not a character: ' + ', ' - ', or '*' between spaces survive
-    inside parentheses and brackets."""
+    inside parentheses and brackets.  A scan of the bracket characters
+    alone checks the nesting, then str.split's pieces are joined back up
+    to the points where every bracket is closed."""
+    depths = list(accumulate(map(_STEP.get, _NOT_BRACKET.sub("", text))))
+    if depths and (min(depths) < 0 or depths[-1]):
+        raise ValueError("unbalanced brackets in %r" % text)
     parts = []
     depth = 0
-    cur = []
-    i = 0
-    n = len(text)
-    w = len(sep)
-    while i < n:
-        c = text[i]
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced brackets in %r" % text)
-        if depth == 0 and text.startswith(sep, i):
-            parts.append("".join(cur))
-            cur = []
-            i += w
-            continue
-        cur.append(c)
-        i += 1
-    if depth:
-        raise ValueError("unbalanced brackets in %r" % text)
-    parts.append("".join(cur))
+    for piece in text.split(sep):
+        if depth:
+            parts[-1] += sep + piece
+        else:
+            parts.append(piece)
+        depth += _depth(piece)
     return parts
 
-def _strip_parens(text):
+def _terms(text, kind):
+    """(coefficient text, body pieces) of each term of a '(c) * body + ...'
+    sum, and no term for '0': the one reader of algebra elements,
+    polynomials and tensors.  The body is split on ' * ', and only a
+    polynomial term may have more than one piece; kind names the sum in
+    errors."""
     s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError("expected parenthesized coefficient in %r" % text)
-    return s[1:-1]
+    if s == "0":
+        return
+    for term in split_top(s, " + "):
+        pieces = split_top(term.strip(), " * ")
+        if len(pieces) < 2 or len(pieces) > 2 and kind != "polynomial":
+            raise ValueError("bad %s term %r" % (kind, term))
+        coeff = pieces[0].strip()
+        if not (coeff.startswith("(") and coeff.endswith(")")):
+            raise ValueError("expected parenthesized coefficient in %r" % pieces[0])
+        yield coeff[1:-1], pieces[1:]
 
 # ------------------------------------------------- eps-algebra elements
 
@@ -172,18 +181,12 @@ def format_eps(elem):
     return " + ".join(parts)
 
 def parse_eps(text, alg):
-    s = text.strip()
-    if s == "0":
-        return alg.zero()
-    total = alg.zero()
-    for term in split_top(s, " + "):
-        pieces = split_top(term.strip(), " * ")
-        if len(pieces) != 2:
-            raise ValueError("bad algebra term %r" % term)
-        c = parse_cyclo(_strip_parens(pieces[0]), alg.chi.m)
-        word = _parse_word(pieces[1], alg)
-        total = total + alg.monomial(word).scale(c)
-    return total
+    terms = {}
+    for coeff, (word,) in _terms(text, "algebra"):
+        c = parse_cyclo(coeff, alg.chi.m)
+        for w, x in alg.monomial(_parse_word(word, alg), c).terms.items():
+            add_term(terms, w, x)
+    return EpsElement(alg, terms)
 
 # ---------------------------------------------------------- variables
 
@@ -215,31 +218,19 @@ def format_sym(poly):
     return " + ".join(parts)
 
 def parse_sym(text, shape):
-    from .sympoly import sym_normalize
-    s = text.strip()
-    if s == "0":
-        return SymPolynomial.zero(shape)
-    # Like terms are summed into one dict; zero sums drop out at the end.
-    total = {}
-    for term in split_top(s, " + "):
-        pieces = split_top(term.strip(), " * ")
-        if len(pieces) < 2:
-            raise ValueError("bad polynomial term %r" % term)
-        c = parse_cyclo(_strip_parens(pieces[0]), shape.chi.m)
-        if len(pieces) == 2 and pieces[1].strip() == "1":
+    terms = {}
+    for coeff, names in _terms(text, "polynomial"):
+        c = parse_cyclo(coeff, shape.chi.m)
+        if len(names) == 1 and names[0].strip() == "1":
             word = ()
         else:
-            word = tuple(parse_variable(p) for p in pieces[1:])
+            word = tuple(parse_variable(p) for p in names)
             for v in word:
                 shape.check_variable(v)
         res = sym_normalize(shape, word)
-        if res is None:
-            continue
-        swap, mono = res
-        c = c * swap
-        prev = total.get(mono)
-        total[mono] = c if prev is None else prev + c
-    return SymPolynomial(shape, total)
+        if res is not None:
+            add_term(terms, res[1], c * res[0])
+    return SymPolynomial(shape, terms)
 
 # ------------------------------------------------------------- tensors
 
@@ -261,35 +252,25 @@ def format_tensor(t):
 _SLOT_RE = re.compile(r"^e(\d+)(\*?)$")
 
 def parse_tensor(text, space, alg, variance):
-    s = text.strip()
-    if s == "0":
-        return GradedTensor.zero(space, alg, variance)
-    total = GradedTensor.zero(space, alg, variance)
-    for term in split_top(s, " + "):
-        pieces = split_top(term.strip(), " * ")
-        if len(pieces) != 2:
-            raise ValueError("bad tensor term %r" % term)
-        coeff = parse_eps(_strip_parens(pieces[0]), alg)
-        slots = pieces[1].strip()
-        if slots == "1":
-            idx = ()
-            var = ()
-        else:
-            idx = []
-            var = []
+    variance = tuple(variance)
+    terms = {}
+    for coeff, (slots,) in _terms(text, "tensor"):
+        c = parse_eps(coeff, alg)
+        slots = slots.strip()
+        idx, var = [], []
+        if slots != "1":
             for piece in split_top(slots, " %s " % TENSOR_SEP):
                 m = _SLOT_RE.match(piece.strip())
                 if not m:
                     raise ValueError("bad tensor slot %r" % piece)
                 idx.append(int(m.group(1)))
                 var.append(DUAL if m.group(2) else PRIMAL)
-            idx = tuple(idx)
-            var = tuple(var)
-        if var != tuple(variance):
+        if tuple(var) != variance:
             raise ValueError("tensor term variance %r does not match %r"
-                             % (var, tuple(variance)))
-        total = total + GradedTensor.basis(space, alg, var, idx, coeff)
-    return total
+                             % (tuple(var), variance))
+        space.check_index(*idx)
+        add_term(terms, tuple(idx), c)
+    return GradedTensor(space, alg, variance, terms)
 
 # --------------------------------------------------------- point files
 
@@ -300,7 +281,6 @@ def format_point(point):
     return "\n".join(lines) + "\n"
 
 def parse_point(text, shape, alg):
-    from .traces import W0Point
     parts = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

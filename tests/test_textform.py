@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,12 @@ def test_cyclo_round_trip(data):
     coeffs = data.draw(st.lists(fractions, min_size=1, max_size=4))
     x = CycloRational(order, coeffs)
     assert parse_cyclo(format_cyclo(x), order) == x
+
+
+def test_cyclo_huge_power_reduces_mod_order():
+    k = 1000000000000001
+    for order in (1, 2, 3, 4, 12):
+        assert parse_cyclo("z^%d" % k, order) == CycloRational.root(order, k % order)
 
 
 def test_eps_round_trip(cfgs, algebras):
@@ -134,3 +141,46 @@ def test_sym_parse_rejects_garbage(cfgs):
         parse_sym("(1 *", shape)
     with pytest.raises(ValueError):
         parse_sym("(1) * T(9)[1]^[1]", shape)
+
+
+MUTATION_TOKENS = ("(", ")", "[", " + ", " * ", "/0", "z^99", " ox ")
+_MUTATION_RE = re.compile("|".join(re.escape(t) for t in MUTATION_TOKENS))
+
+
+def _mutate(text, rng):
+    """One or two token edits: insert a token at a random place or at an
+    edge of one of the text's own token occurrences, or delete or replace
+    such an occurrence."""
+    for _ in range(rng.randint(1, 2)):
+        spans = [m.span() for m in _MUTATION_RE.finditer(text)]
+        op = rng.randrange(4)
+        if not spans or op == 0:
+            i = j = rng.randrange(len(text) + 1)
+        elif op == 3:
+            i = j = rng.choice(rng.choice(spans))
+        else:
+            i, j = rng.choice(spans)
+        new = "" if op == 1 and spans else rng.choice(MUTATION_TOKENS)
+        text = text[:i] + new + text[j:]
+    return text
+
+
+def test_mutated_text_parses_or_raises_value_error(cfgs, algebras):
+    """Malformed text is an input error (ValueError, printed by the CLI
+    with exit 2), never another exception."""
+    for name, cfg in cfgs.items():
+        alg = algebras[name]
+        rng = random.Random("mutate/%s" % name)
+        cases = [(format_sym(random_sym_polynomial(cfg.shape, 2, rng)),
+                  lambda t: parse_sym(t, cfg.shape)),
+                 (format_point(random_w0_point(cfg.shape, alg, rng)),
+                  lambda t: parse_point(t, cfg.shape, alg))]
+        for text, parse in cases:
+            for _ in range(200):
+                mutated = _mutate(text, rng)
+                try:
+                    parse(mutated)
+                except ValueError:
+                    pass
+                except Exception as exc:
+                    pytest.fail("%r raised %r" % (mutated, exc))
