@@ -118,8 +118,8 @@ def split_top(text, sep):
     inside parentheses and brackets.  A scan of the bracket characters
     alone checks the nesting, then str.split's pieces are joined back up
     to the points where every bracket is closed."""
-    depths = list(accumulate(map(_STEP.get, _NOT_BRACKET.sub("", text))))
-    if depths and (min(depths) < 0 or depths[-1]):
+    steps = map(_STEP.get, _NOT_BRACKET.sub("", text))
+    if min(accumulate(steps), default=0) < 0 or _depth(text):
         raise ValueError("unbalanced brackets in %r" % text)
     parts = []
     depth = 0
