@@ -58,16 +58,14 @@ def _parse_mults(text, shape):
 def cmd_validate(args):
     cfg = resolve_config(args.config)
     chi = cfg.chi
-    n_even = len(chi.even_elements())
-    n_odd = len(chi.odd_elements())
+    n_odd = sum(chi.parity_table)
     print("config: %s" % cfg.name)
     print("group: factors %s, order %d, root order m=%d"
           % (list(chi.group.factors), chi.group.order, chi.m))
-    print("parities: %d even, %d odd elements" % (n_even, n_odd))
+    print("parities: %d even, %d odd elements" % (chi.group.order - n_odd, n_odd))
     print("space: dim %d, degrees %s"
           % (cfg.space.dim,
-             " ".join(str(cfg.space.degree(i))
-                      for i in range(1, cfg.space.dim + 1))))
+             " ".join(str(chi.element_order()[d]) for d in cfg.space.degrees)))
     print("shape: pairs %s" % " ".join("(%d,%d)" % p for p in cfg.shape.pairs))
     print("bounds: truncation %d, max copies %d" % (cfg.truncation, cfg.max_n))
     print("valid")

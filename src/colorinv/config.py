@@ -13,7 +13,9 @@ are Python literals:
 Blank lines and lines starting with '#' are ignored.  Parsing reports the
 offending line number; semantic checks (the exponent-matrix checks, which
 imply the bicharacter axioms, and the fixed basis order) run on load so
-that a Config in hand is always valid.
+that a Config in hand is always valid.  Degrees are int tuples in the
+file only: on load each becomes its position in the bicharacter's fixed
+order of G, the one form of a G-degree inside the package.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def parse_config_text(text, name="<config>"):
             d = (d,)
         degrees.append(tuple(_int_list(d, "space.degrees entry")))
     try:
-        space = GradedSpace(chi, degrees)
+        space = GradedSpace(chi, [chi.position(d) for d in degrees])
     except ValueError as exc:
         raise ConfigError("%s:%d: %s" % (name, lines["space.degrees"], exc))
 

@@ -2,7 +2,8 @@
 word enumerator that S(W*) shares with them.
 
 Lambda_eps has generators x_1, x_2, ... with G-degrees fixed at construction
-and relations  x_a x_b = eps(|x_a|, |x_b|) x_b x_a  for a != b, and
+(positions in the bicharacter's fixed order of G, as everywhere outside
+groups) and relations  x_a x_b = eps(|x_a|, |x_b|) x_b x_a  for a != b, and
 x_a^2 = 0 when x_a is odd.  A basis is given by normal-ordered words: index
 sequences that are nondecreasing, strictly increasing at odd generators.
 Words longer than the truncation bound D are set to zero, which makes the
@@ -27,7 +28,8 @@ same few words again and again.  The memo holds the sign as an exponent e
 of zeta_m, not as a CycloRational, so a product rotates each pair of
 coefficients once, (c1 * c2).times_root(m, e), instead of multiplying by a
 root.  Signs elsewhere (hop, the place permutation action) travel the same
-way, and word degrees are memoized per algebra too.
+way, and word degrees, summed through the bicharacter's sum_table, are
+memoized per algebra too.
 """
 
 from __future__ import annotations
@@ -109,22 +111,21 @@ class Terms:
 
     __hash__ = None
 
-def eps_sort(word, pos, parity, table):
+def eps_sort(word, degree, parity, table):
     """Sort a word of integer ids into nondecreasing order by insertion,
     collecting the eps swap factor: each time id y hops left past a larger
-    id x the word picks up eps(|x|, |y|) = zeta_m^table[pos[x]][pos[y]],
-    table the bicharacter's eps_table and pos[id] the position of the id's
-    degree in the fixed order of G.  Returns (exponent, sorted tuple), the
-    exponent not reduced mod m, or None when an id with parity[id] set
-    repeats and the word is zero."""
+    id x the word picks up eps(|x|, |y|) = zeta_m^table[degree[x]][degree[y]],
+    table the bicharacter's eps_table and degree[id] the id's G-degree.
+    Returns (exponent, sorted tuple), the exponent not reduced mod m, or
+    None when an id with parity[id] set repeats and the word is zero."""
     items = list(word)
     exp = 0
     for i in range(1, len(items)):
         x = items[i]
-        px = pos[x]
+        dx = degree[x]
         j = i
         while j > 0 and items[j - 1] > x:
-            exp += table[pos[items[j - 1]]][px]
+            exp += table[degree[items[j - 1]]][dx]
             items[j] = items[j - 1]
             j -= 1
         items[j] = x
@@ -156,16 +157,13 @@ class EpsAlgebra:
 
     def __init__(self, chi, gen_degrees, truncation=4):
         self.chi = chi
-        self.gen_degrees = tuple(chi.group.element(g) for g in gen_degrees)
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
         self.truncation = truncation
-        # parity of each generator; also validates eps(g,g) = +-1
-        self.gen_parity = tuple(chi.parity_bit(g) for g in self.gen_degrees)
-        # degree position and parity by generator index, entry 0 unused:
-        # what eps_sort and sorted_words read
-        self._pos = (None,) + tuple(chi.position(g) for g in self.gen_degrees)
-        self._parity = (0,) + self.gen_parity
+        # G-degree and parity by generator index, entry 0 unused: what
+        # eps_sort, sorted_words and word_degree read
+        self._degrees = (0,) + tuple(gen_degrees)
+        self._parity = tuple(chi.parity_table[d] for d in self._degrees)
         # by length bound: {degree: normal-ordered words of that degree}
         self._words = {}
         # (eps exponent, sorted word) or None, by word
@@ -175,17 +173,17 @@ class EpsAlgebra:
 
     @property
     def ngens(self):
-        return len(self.gen_degrees)
+        return len(self._degrees) - 1
 
     def degree(self, i):
         """G-degree of generator x_i (1-based)."""
-        return self.gen_degrees[i - 1]
+        return self._degrees[i]
 
     def word_degree(self, word):
         d = self._word_degrees.get(word)
         if d is None:
-            d = self._word_degrees[word] = self.chi.group.sum(
-                self.degree(i) for i in word)
+            degs = self._degrees
+            d = self._word_degrees[word] = self.chi.degree_sum(degs[i] for i in word)
         return d
 
     def zero(self):
@@ -217,7 +215,7 @@ class EpsAlgebra:
 
     def __eq__(self, other):
         return (isinstance(other, EpsAlgebra) and self.chi == other.chi
-                and self.gen_degrees == other.gen_degrees
+                and self._degrees == other._degrees
                 and self.truncation == other.truncation)
 
 def normal_order(alg, word):
@@ -240,7 +238,7 @@ def _normal_form(alg, word):
     try:
         return alg._normal[word]
     except KeyError:
-        res = eps_sort(word, alg._pos, alg._parity, alg.chi.eps_table())
+        res = eps_sort(word, alg._degrees, alg._parity, alg.chi.eps_table)
         if res is not None:
             res = res[0] % alg.chi.m, res[1]
         alg._normal[word] = res
@@ -306,13 +304,12 @@ class EpsElement(Terms):
         alg = self.alg
         degs = {alg.word_degree(w) for w in self.terms}
         if not degs:
-            return alg.chi.group.identity
+            return 0
         if len(degs) > 1:
             return None
         return degs.pop()
 
     def is_homogeneous_of(self, d):
-        d = self.alg.chi.group.element(d)
         return all(self.alg.word_degree(w) == d for w in self.terms)
 
     def constant_part(self):
@@ -343,11 +340,11 @@ def hop(elem, d, invert=False, shift=0):
     each word w picks up eps(|w|, d) (or its inverse), and zeta_m^shift
     besides, in one rotation of its coefficient."""
     alg = elem.alg
-    chi = alg.chi
-    m = chi.m
+    m = alg.chi.m
+    table = alg.chi.eps_table
     out = {}
     for w, c in elem.terms.items():
-        e = chi.eps_exponent(alg.word_degree(w), d)
+        e = table[alg.word_degree(w)][d]
         out[w] = c.times_root(m, shift - e if invert else shift + e)
     return elem._like(out)
 
@@ -373,4 +370,4 @@ def words_of_degree(alg, d, max_len=None):
         by_degree = alg._words[max_len] = {}
         for w in sorted_words(range(1, alg.ngens + 1), alg._parity, max_len):
             by_degree.setdefault(alg.word_degree(w), []).append(w)
-    return list(by_degree.get(alg.chi.group.element(d), ()))
+    return list(by_degree.get(d, ()))

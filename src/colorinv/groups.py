@@ -10,6 +10,16 @@ Skew-symmetry eps(g,h) eps(h,g) = 1 means B + B^T = 0 mod m, and
 well-definedness on each factor needs d_i B_ij = d_j B_ij = 0 mod m.
 These matrix checks imply the bicharacter axioms (validate_bicharacter),
 and for such eps, eps(g,g) = +-1, which splits G into even and odd parts.
+
+Outside this module a G-degree is one int: its position in the
+bicharacter's fixed order of G (element_order), where the identity is 0
+and even elements come first.  Bicharacter converts between the two forms
+(position, element_order) and serves per-position tables, so the rest of
+the package adds, negates and pairs degrees by lookup: eps exponents
+(eps_table) and sums (sum_table), each row filled through the tuple
+formulas when first read, so a large group costs only the rows its
+degrees reach, and negation and parity (neg_table, parity_table), made
+with the order.
 """
 
 from __future__ import annotations
@@ -29,10 +39,6 @@ class FiniteAbelianGroup:
         self.exponent = math.lcm(*factors)
         self.order = math.prod(factors)
 
-    @property
-    def rank(self):
-        return len(self.factors)
-
     def element(self, seq):
         seq = tuple(int(x) for x in seq)
         if len(seq) != len(self.factors):
@@ -49,15 +55,6 @@ class FiniteAbelianGroup:
     def neg(self, g):
         return tuple((-a) % d for a, d in zip(g, self.factors))
 
-    def sub(self, g, h):
-        return tuple((a - b) % d for a, b, d in zip(g, h, self.factors))
-
-    def sum(self, gs):
-        out = self.identity
-        for g in gs:
-            out = self.add(out, g)
-        return out
-
     def elements(self):
         return [tuple(t) for t in itertools.product(*(range(d) for d in self.factors))]
 
@@ -68,9 +65,12 @@ class FiniteAbelianGroup:
         return "FiniteAbelianGroup(%r)" % (self.factors,)
 
 class Bicharacter:
-    """Exponent-matrix bicharacter on a finite abelian group.  Treated as
-    immutable once built: it caches its roots of unity, eps exponents and
-    eps table."""
+    """Exponent-matrix bicharacter on a finite abelian group, with the
+    fixed order of G and the tables over positions: eps_table[a][b] =
+    eps_exponent(g_a, g_b), sum_table[a][b] the position of g_a + g_b,
+    parity_table[a] the parity bit of g_a and neg_table[a] the position of
+    -g_a.  Treated as immutable once built: it also caches its roots of
+    unity."""
 
     def __init__(self, group, expmat):
         if isinstance(group, (list, tuple)):
@@ -78,34 +78,35 @@ class Bicharacter:
         self.group = group
         m = group.exponent
         mat = tuple(tuple(int(x) % m for x in row) for row in expmat)
-        k = group.rank
+        k = len(group.factors)
         if len(mat) != k or any(len(row) != k for row in mat):
             raise ValueError("exponent matrix must be %d x %d" % (k, k))
         self.expmat = mat
         self.m = m
-        self._positions = None
         self._roots = {}
-        self._exponents = {}
-        self._eps_table = None
+        # eps(g,g) = +-1 once validate_bicharacter passes; odd when -1
+        bits = {g: int(self.eps_exponent(g, g) != 0) for g in group.elements()}
+        self._order = tuple(sorted(bits, key=lambda g: (bits[g], g)))
+        pos = self._positions = {g: a for a, g in enumerate(self._order)}
+        self.eps_table = _Rows(self._order, self.eps_exponent)
+        self.sum_table = _Rows(self._order, lambda g, h: pos[group.add(g, h)])
+        self.parity_table = [bits[g] for g in self._order]
+        self.neg_table = [pos[group.neg(g)] for g in self._order]
 
     def eps_exponent(self, g, h):
-        """g^T B h mod m.  Degrees are taken as raw int tuples; no reduction
-        of the inputs is needed because everything lives mod m.  Each
-        result is kept, keyed by (g, h) as given."""
-        key = g, h
-        e = self._exponents.get(key)
-        if e is None:
-            B = self.expmat
-            total = 0
-            for i, gi in enumerate(g):
-                if gi:
-                    row = B[i]
-                    total += gi * sum(row[j] * h[j] for j in range(len(h)))
-            e = self._exponents[key] = total % self.m
-        return e
+        """g^T B h mod m over int tuples.  No reduction of the inputs is
+        needed because everything lives mod m."""
+        B = self.expmat
+        total = 0
+        for i, gi in enumerate(g):
+            if gi:
+                row = B[i]
+                total += gi * sum(row[j] * h[j] for j in range(len(h)))
+        return total % self.m
 
-    def eps(self, g, h):
-        return self.root(self.eps_exponent(g, h))
+    def eps(self, a, b):
+        """eps of the degrees at positions a and b."""
+        return self.root(self.eps_table[a][b])
 
     def root(self, exponent):
         """zeta_m^exponent; one shared CycloRational per residue mod m,
@@ -116,38 +117,25 @@ class Bicharacter:
             r = self._roots[e] = CycloRational.root(self.m, e)
         return r
 
-    def eps_table(self):
-        """eps exponents over positions in the fixed order of G:
-        table[a][b] = eps_exponent(g_a, g_b).  Row a is filled when first
-        read, so a large group costs only the rows its degrees reach."""
-        if self._eps_table is None:
-            self._eps_table = _EpsRows(self)
-        return self._eps_table
-
-    def parity_bit(self, g):
-        """0 for even, 1 for odd; raises if eps(g,g) is not +-1."""
-        e = self.eps_exponent(g, g)
-        if e == 0:
-            return 0
-        if 2 * e % self.m == 0:
-            return 1
-        raise ValueError("eps(g,g) is not a sign at g=%r; bicharacter invalid" % (g,))
-
-    def even_elements(self):
-        return [g for g in self.group.elements() if self.parity_bit(g) == 0]
-
-    def odd_elements(self):
-        return [g for g in self.group.elements() if self.parity_bit(g) == 1]
+    def parity_bit(self, a):
+        """0 when the degree at position a is even, 1 when it is odd."""
+        return self.parity_table[a]
 
     def element_order(self):
-        """The fixed enumeration of G: even elements first, identity first,
-        lexicographic within each parity."""
-        return sorted(self.group.elements(), key=lambda g: (self.parity_bit(g), g))
+        """The fixed enumeration of G, position -> int tuple: even elements
+        first, identity first, lexicographic within each parity."""
+        return self._order
 
     def position(self, g):
-        if self._positions is None:
-            self._positions = {h: i for i, h in enumerate(self.element_order())}
-        return self._positions[g]
+        """The position of an int tuple, reduced mod the factors."""
+        return self._positions[self.group.element(g)]
+
+    def degree_sum(self, positions):
+        """The position of the sum of the degrees at the given positions."""
+        d = 0
+        for a in positions:
+            d = self.sum_table[d][a]
+        return d
 
     def __eq__(self, other):
         return (isinstance(other, Bicharacter)
@@ -156,17 +144,18 @@ class Bicharacter:
     def __repr__(self):
         return "Bicharacter(%r, %r)" % (self.group.factors, self.expmat)
 
-class _EpsRows(dict):
-    """The rows of Bicharacter.eps_table, keyed by position."""
+class _Rows(dict):
+    """A |G| x |G| table over positions, keyed by row: row a lists
+    f(g_a, g_b) over the positions b, filled when first read."""
 
-    def __init__(self, chi):
+    def __init__(self, elements, f):
         super().__init__()
-        self.chi = chi
-        self.elements = chi.element_order()
+        self.elements = elements
+        self.f = f
 
     def __missing__(self, a):
-        g = self.elements[a]
-        row = self[a] = [self.chi.eps_exponent(g, h) for h in self.elements]
+        g, f = self.elements[a], self.f
+        row = self[a] = [f(g, h) for h in self.elements]
         return row
 
 @dataclass
@@ -201,7 +190,7 @@ def validate_bicharacter(chi):
     G = chi.group
     m = chi.m
     B = chi.expmat
-    k = G.rank
+    k = len(G.factors)
     for i in range(k):
         for j in range(k):
             if (B[i][j] + B[j][i]) % m != 0:

@@ -180,7 +180,7 @@ def classical_invariant_dim(n, shape, r):
     else:
         pairs = tuple((int(b), int(t)) for b, t in shape)
     chi0 = Bicharacter([1], [[0]])
-    space0 = GradedSpace(chi0, [(0,)] * n)
+    space0 = GradedSpace(chi0, [0] * n)
     shape0 = MixedShape(space0, pairs)
     total = 0
     for M in _compositions(r, len(pairs)):
@@ -288,32 +288,32 @@ def _suite_bicharacter(cfg, rpt, seed, **_):
     rpt.add("skew-inverse", bad == 0,
             "eps(g,h)eps(h,g)=1 on all %d pairs" % (len(els) ** 2) if not bad
             else "%d pairs violate" % bad)
-    evens = odds = 0
+    evens, odds = [], []
     sign_ok = True
     for g in els:
         e = chi.eps_exponent(g, g)
         if e == 0:
-            evens += 1
+            evens.append(g)
         elif 2 * e % m == 0:
-            odds += 1
+            odds.append(g)
         else:
             sign_ok = False
     rpt.add("parity-partition", sign_ok,
-            "%d even, %d odd elements" % (evens, odds))
+            "%d even, %d odd elements" % (len(evens), len(odds)))
     order = chi.element_order()
-    expected = sorted([g for g in els if chi.parity_bit(g) == 0]) \
-        + sorted([g for g in els if chi.parity_bit(g) == 1])
-    rpt.add("element-order", order == expected and order[0] == grp.identity,
+    expected = sorted(evens) + sorted(odds)
+    rpt.add("element-order", list(order) == expected and order[0] == grp.identity,
             "evens before odds, lexicographic, identity first")
-    pos = [chi.position(cfg.space.degree(i))
-           for i in range(1, cfg.space.dim + 1)]
-    rpt.add("basis-degree-order", pos == sorted(pos),
+    degs = [order[d] for d in cfg.space.degrees]
+    rpt.add("basis-degree-order",
+            degs == sorted(degs, key=lambda g: (g in odds, g)),
             "space degrees follow the fixed enumeration")
 
 def _suite_cocycle(cfg, rpt, seed, **_):
     chi = cfg.chi
     space = cfg.space
-    degs = sorted(set(space.degree(i) for i in range(1, space.dim + 1)))
+    order = chi.element_order()
+    degs = sorted(set(space.degrees), key=order.__getitem__)
     m = chi.m
     for k in (2, 3, 4):
         sigmas = perms.all_perms(k)
@@ -331,7 +331,7 @@ def _suite_cocycle(cfg, rpt, seed, **_):
                 gmoved = table[at[perms.act_tuple(sg, v)]]
                 for j, tu_sg in enumerate(row):
                     if gv[tu_sg] != (gmoved[j] + base) % m and first is None:
-                        first = (v, sg, sigmas[j])
+                        first = (tuple(order[d] for d in v), sg, sigmas[j])
         rpt.add("cocycle-identity k=%d" % k, first is None,
                 "%d (degrees, sigma, tau) checks" % total if first is None
                 else "failed at %r" % (first,))
@@ -401,17 +401,18 @@ def _suite_jacobi(cfg, rpt, seed, **_):
             "all %d matrix unit triples" % total if not bad
             else "failed at units %r" % (first,))
     rng = _sub_rng(seed, "jacobi")
+    add, neg = chi.sum_table, chi.neg_table
     bad = total = 0
     for _ in range(6):
         ops = []
         for _ in range(3):
             a0 = rng.randint(1, n)
             b0 = rng.randint(1, n)
-            g = chi.group.sub(space.degree(a0), space.degree(b0))
+            g = add[space.degree(a0)][neg[space.degree(b0)]]
             T = GradedOperator.zero(space, alg)
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
-                    if chi.group.sub(space.degree(a), space.degree(b)) == g:
+                    if add[space.degree(a)][neg[space.degree(b)]] == g:
                         T = T + GradedOperator.matrix_unit(
                             space, alg, a, b, Fraction(rng.randint(-3, 3)))
             ops.append((T, g))
@@ -459,7 +460,7 @@ def _suite_centralizer(cfg, rpt, seed, **_):
                 "%d (sigma, unit, basis tensor) checks" % total if not bad
                 else "%d checks failed" % bad)
         bad = total = 0
-        for g in chi.group.elements():
+        for g in range(chi.group.order):
             for j, t in enumerate(basis):
                 gt = eta_action(g, t)
                 for sigma, mt in zip(sigmas, moved):

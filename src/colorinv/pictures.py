@@ -46,7 +46,8 @@ the inversions of rho, the copies' positions in I) is worked out once per
 kernel reads each copy's variable id off the entries of I at the copy's
 positions in the plan, through the shape's code tables
 (sympoly.Numbering), sorts the ids with sym_normalize, and sums entries
-of the bicharacter's eps table for the coefficient.  Because of these
+of the bicharacter's eps table, indexed by the degrees of the entries of
+I, for the coefficient.  Because of these
 caches, PictureShape, MixedShape and Bicharacter are treated as
 immutable once built.
 
@@ -159,11 +160,12 @@ def mu(pshape):
 def p_eps_exponent(chi, degs):
     """Exponent of the printed triangular product, diagonal included:
     sum over c <= c' of the eps exponent at (h_c, h_c')."""
+    table = chi.eps_table
     total = 0
     k = len(degs)
     for c in range(k):
         for cp in range(c, k):
-            total += chi.eps_exponent(degs[c], degs[cp])
+            total += table[degs[c]][degs[cp]]
     return total % chi.m
 
 def p_eps(chi, degs):
@@ -173,11 +175,12 @@ def dual_word_exponent(chi, degs):
     """Exponent of the dual-word normalization: the strict reversed product
     prod_{c < c'} eps(h_{c'}, h_c) over the block degrees.  Chosen so that
     restituting the invariant reproduces the direct evaluation path."""
+    table = chi.eps_table
     total = 0
     k = len(degs)
     for c in range(k):
         for cp in range(c + 1, k):
-            total += chi.eps_exponent(degs[cp], degs[c])
+            total += table[degs[cp]][degs[c]]
     return total % chi.m
 
 class SigmaPlan:
@@ -187,8 +190,7 @@ class SigmaPlan:
     copies: per copy (i, j) in blocked order, the summand i and the
         0-based positions in I of its lower indices and of its upper
         indices (the latter already read through sigma^{-1});
-    index_pos: the position, in the fixed order of G, of each basis
-        index's degree (entry 0 unused);
+    degrees: the G-degree of each basis vector, indexed from 0;
     terms: the coefficient exponent as a bilinear form in the degrees of
         I, a list of (a, b, c) meaning c * eps(deg I_a, deg I_b).
 
@@ -202,7 +204,7 @@ class SigmaPlan:
     pairs landing on the same two positions of I are merged.
     """
 
-    __slots__ = ("copies", "index_pos", "terms", "table", "m")
+    __slots__ = ("copies", "degrees", "terms", "table", "m")
 
     def __init__(self, pshape, sigma):
         pshape.require_balanced()
@@ -210,7 +212,6 @@ class SigmaPlan:
         if len(sigma) != N:
             raise ValueError("sigma must lie in S_%d" % N)
         chi = pshape.shape.chi
-        space = pshape.shape.space
         inv = perms.inverse(sigma)
         self.copies = tuple(
             (i,
@@ -236,13 +237,12 @@ class SigmaPlan:
         self.m = chi.m
         self.terms = tuple((a, b, c % self.m) for (a, b), c in counts.items()
                            if c % self.m)
-        self.index_pos = (None,) + tuple(chi.position(space.degree(r))
-                                         for r in range(1, space.dim + 1))
-        self.table = chi.eps_table()
+        self.degrees = pshape.shape.space.degrees
+        self.table = chi.eps_table
 
     def exponent(self, I):
-        pos = self.index_pos
-        d = [pos[r] for r in I]
+        degrees = self.degrees
+        d = [degrees[r - 1] for r in I]
         table = self.table
         return sum(c * table[d[a]][d[b]] for a, b, c in self.terms) % self.m
 

@@ -15,11 +15,9 @@ from .traces import W0Point
 def standard_test_algebra(chi, truncation=4):
     """An eps-Grassmann algebra with two generators per group element, so
     words of every degree exist at every parity the group allows."""
-    degs = []
-    for g in chi.element_order():
-        degs.extend([g, g])
     from .epsalgebra import EpsAlgebra
-    return EpsAlgebra(chi, degs, truncation)
+    return EpsAlgebra(chi, [d for d in range(chi.group.order) for _ in (0, 1)],
+                      truncation)
 
 def random_rational(rng):
     num = rng.randint(-4, 4)
@@ -45,7 +43,7 @@ def random_eps_of_degree(alg, d, rng, max_len=2, terms=2):
 
 def random_w0_point(shape, alg, rng, density=0.7, max_len=2):
     """A random degree-0 point of W with homogeneous coefficients."""
-    grp = shape.chi.group
+    neg = shape.chi.neg_table
     num = shape.numbering()
     parts = []
     for i in range(1, shape.s + 1):
@@ -53,7 +51,7 @@ def random_w0_point(shape, alg, rng, density=0.7, max_len=2):
         for idx, k in zip(shape.index_words(i), num.codes[i - 1]):
             if rng.random() > density:
                 continue
-            lam = random_eps_of_degree(alg, grp.neg(num.degree[k]), rng, max_len)
+            lam = random_eps_of_degree(alg, neg[num.degree[k]], rng, max_len)
             if lam:
                 terms[idx] = lam
         parts.append(GradedTensor(shape.space, alg, shape.variance(i), terms))

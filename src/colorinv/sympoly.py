@@ -8,9 +8,9 @@ by  v ox w - eps(|v|, |w|) w ox v,  so monomials have the canonical sorted
 form produced by sym_normalize, and a monomial containing a repeated odd
 variable is zero.
 
-Variables are ordered by (position of their G-degree in the fixed order of
-G, summand, index tuples); any total order compatible with the degree
-blocks yields an equivalent basis.
+Variables are ordered by (G-degree, summand, index tuples), a G-degree
+being its position in the fixed order of G; any total order compatible
+with the degree blocks yields an equivalent basis.
 
 Each MixedShape numbers its variables 0..n-1 in that order (its
 Numbering), the one table of W's variables: it works out each basis
@@ -19,7 +19,7 @@ and variables() all read it, as do the point builders of sampling and
 traces.  Comparing ids is comparing sort keys.  S(W*) and
 Lambda_eps share their normal form, basis and term arithmetic, all from
 epsalgebra: sym_normalize runs eps_sort, the one eps insertion sort, over
-ids, reading each id's degree position and parity off lists (a word of
+ids, reading each id's degree and parity off lists (a word of
 SymVariables is mapped to ids and back); enumerate_sym_basis filters
 sorted_words; SymPolynomial sums, scales and compares through Terms.
 mul_terms is the one monomial product, used by SymPolynomial and by
@@ -57,13 +57,11 @@ class Numbering(NamedTuple):
     codes: per summand, a list from the mixed-radix code of a variable's
         index word (lower + upper, digits index - 1, base dim, first index
         most significant; its place in index_words(i)) to its id;
-    position: id -> position of its G-degree in the fixed order of G;
     parity: id -> parity bit of its G-degree;
     degree: id -> its G-degree, sum(g_l) - sum(g_u)."""
     variables: tuple
     ids: dict
     codes: tuple
-    position: list
     parity: list
     degree: list
 
@@ -134,18 +132,16 @@ class MixedShape:
             for i, (b, _) in enumerate(self.pairs, start=1):
                 var = self.variance(i)
                 for code, w in enumerate(self.index_words(i)):
-                    d = chi.group.sum(table[v][x - 1] for v, x in zip(var, w))
-                    rows.append((chi.position(d), i, code,
-                                 SymVariable(i, w[:b], w[b:]), d))
+                    d = chi.degree_sum(table[v][x - 1] for v, x in zip(var, w))
+                    rows.append((d, i, code, SymVariable(i, w[:b], w[b:])))
             rows.sort()
             codes = [[None] * self.space.dim ** (b + t) for b, t in self.pairs]
-            for k, (_, i, code, _, _) in enumerate(rows):
+            for k, (_, i, code, _) in enumerate(rows):
                 codes[i - 1][code] = k
             vs = tuple(row[3] for row in rows)
             self._numbering = Numbering(
                 vs, {v: k for k, v in enumerate(vs)}, tuple(codes),
-                [row[0] for row in rows], [chi.parity_bit(row[4]) for row in rows],
-                [row[4] for row in rows])
+                [chi.parity_table[row[0]] for row in rows], [row[0] for row in rows])
         return self._numbering
 
     def __eq__(self, other):
@@ -166,7 +162,7 @@ def sym_normalize(shape, seq):
     if named:
         ids = num.ids
         seq = [ids[v] for v in seq]
-    res = eps_sort(seq, num.position, num.parity, shape.chi.eps_table())
+    res = eps_sort(seq, num.degree, num.parity, shape.chi.eps_table)
     if res is None:
         return None
     exp, mono = res
@@ -244,10 +240,10 @@ class SymPolynomial(Terms):
     def g_degree(self):
         """Common G-degree of the monomials, or None if inhomogeneous;
         zero counts as homogeneous of degree identity."""
-        grp = self.shape.chi.group
-        degs = {grp.sum(self.shape.var_degree(v) for v in m) for m in self.terms}
+        shape = self.shape
+        degs = {shape.chi.degree_sum(shape.var_degree(v) for v in m) for m in self.terms}
         if not degs:
-            return grp.identity
+            return 0
         if len(degs) > 1:
             return None
         return degs.pop()

@@ -18,11 +18,12 @@ coefficient by a rotation, CycloRational.times_root, never as a product
 with a root of unity.  psi_derivation folds its prefix sign into the hop
 of each entry the same way.
 
-Slot degrees are table lookups: each GradedSpace keeps its degrees and
-their negatives as one pair indexed by variance bit (slot_table), so a
-dual slot never calls group.neg.  psi_derivation and apply_operator
-build the suffix degree sums of a word once per term, the degree each
-emitted coefficient hops past.
+A G-degree is its position in the bicharacter's fixed order of G, and
+degrees are added, negated and paired through the bicharacter's tables
+(groups).  Each GradedSpace keeps its basis degrees and their negatives as
+one pair indexed by variance bit (slot_table), so a slot's degree is one
+lookup.  psi_derivation and apply_operator build the suffix degree sums
+of a word once per term, the degree each emitted coefficient hops past.
 
 Operators T act by T(e_b) = sum_a e_a T_ab.  On dual slots T acts through
 composition with T^{-1}, which in coordinates reads
@@ -59,17 +60,14 @@ class GradedSpace:
 
     def __init__(self, chi, degrees):
         self.chi = chi
-        self.degrees = tuple(chi.group.element(g) for g in degrees)
-        pos = [chi.position(g) for g in self.degrees]
-        if pos != sorted(pos):
+        self.degrees = tuple(degrees)
+        if list(self.degrees) != sorted(self.degrees):
             raise ValueError("basis degrees must be listed in the fixed order of G")
-        bits = [chi.parity_bit(g) for g in self.degrees]
-        self.m = sum(1 for b in bits if b == 0)
-        self.n = len(bits) - self.m
+        self.n = sum(chi.parity_table[d] for d in self.degrees)
+        self.m = len(self.degrees) - self.n
         # slot degrees by variance bit: slot_table[PRIMAL][i - 1] is g_i,
         # slot_table[DUAL][i - 1] is -g_i
-        self.slot_table = (self.degrees,
-                           tuple(chi.group.neg(d) for d in self.degrees))
+        self.slot_table = (self.degrees, tuple(chi.neg_table[d] for d in self.degrees))
 
     @property
     def dim(self):
@@ -97,9 +95,10 @@ class GradedSpace:
 def gamma_exponent(chi, degrees, sigma):
     """Exponent of gamma(degrees, sigma): sum of eps exponents over the
     inversions of sigma."""
+    table = chi.eps_table
     total = 0
     for i, j in perms.inversions(sigma):
-        total += chi.eps_exponent(degrees[i - 1], degrees[j - 1])
+        total += table[degrees[i - 1]][degrees[j - 1]]
     return total % chi.m
 
 def gamma(chi, degrees, sigma):
@@ -136,7 +135,7 @@ class GradedTensor(Terms):
         return tuple(table[v][i - 1] for v, i in zip(self.variance, indices))
 
     def word_degree(self, indices):
-        return self.space.chi.group.sum(self.slot_degrees(indices))
+        return self.space.chi.degree_sum(self.slot_degrees(indices))
 
     def _like(self, terms):
         t = object.__new__(GradedTensor)
@@ -294,21 +293,21 @@ class GradedOperator(Terms):
 
     def _find_degree(self):
         space = self.space
-        grp = space.chi.group
+        add, neg = space.chi.sum_table, space.chi.neg_table
         alpha = None
         for (a, b), e in self.terms.items():
             d = e.g_degree()
             if d is None:
                 return None
-            cand = grp.add(d, grp.sub(space.degree(a), space.degree(b)))
+            cand = add[add[d][space.degree(a)]][neg[space.degree(b)]]
             if alpha is None:
                 alpha = cand
             elif alpha != cand:
                 return None
-        return grp.identity if alpha is None else alpha
+        return 0 if alpha is None else alpha
 
     def is_degree_preserving(self):
-        return self.g_degree() == self.space.chi.group.identity
+        return self.g_degree() == 0
 
     def constant_part(self):
         """The dense matrix of empty-word coefficients, as Fractions; raises
@@ -319,13 +318,14 @@ class GradedOperator(Terms):
             out[a - 1][b - 1] = x.constant_part().as_fraction()
         return out
 
-def _suffix_sums(grp, degs):
+def _suffix_sums(chi, degs):
     """suffix[j] = degs[j] + degs[j+1] + ..., with suffix[len(degs)] the
     identity: the degree a coefficient emitted at slot j hops past is
     suffix[j + 1]."""
-    suffix = [grp.identity] * (len(degs) + 1)
+    add = chi.sum_table
+    suffix = [0] * (len(degs) + 1)
     for j in range(len(degs) - 1, -1, -1):
-        suffix[j] = grp.add(degs[j], suffix[j + 1])
+        suffix[j] = add[degs[j]][suffix[j + 1]]
     return suffix
 
 def dual_action_columns(opinv):
@@ -361,7 +361,7 @@ def apply_operator(t, op, opinv=None):
         for combo in itertools.product(*options):
             nidx = tuple(a for a, _ in combo)
             sd = [space.slot_degree(v, a) for v, a in zip(t.variance, nidx)]
-            suffix = _suffix_sums(chi.group, sd)
+            suffix = _suffix_sums(chi, sd)
             coeff = None
             for j, (_, cj) in enumerate(combo):
                 moved = hop(cj, suffix[j + 1])
@@ -383,7 +383,7 @@ def apply_operator(t, op, opinv=None):
 def psi_derivation(x, t):
     """Twisted derivation action of a homogeneous operator on a primal
     tensor word: slot i picks up eps(|x|, |v_j|) for every slot j < i,
-    read by biadditivity as one eps(|x|, word degree - suffix from slot i),
+    read by biadditivity as one eps(|x|, sum of the degrees before slot i),
     and only at the slots x acts on.  A word with no such slot is skipped
     before its suffix sums are built."""
     if any(v != PRIMAL for v in t.variance):
@@ -392,7 +392,7 @@ def psi_derivation(x, t):
     if alpha is None:
         raise ValueError("operator is not homogeneous")
     space, alg, chi = t.space, t.alg, t.space.chi
-    grp = chi.group
+    eps, add = chi.eps_table[alpha], chi.sum_table
     k = len(t.variance)
     cols = x.columns()
     acc = {}
@@ -401,13 +401,13 @@ def psi_derivation(x, t):
         if not any(r in cols for r in idx):
             continue
         degs = [degrees[i - 1] for i in idx]
-        suffix = _suffix_sums(grp, degs)
+        suffix = _suffix_sums(chi, degs)
+        before = 0  # the degree of the slots before slot i
         for i in range(k):
             entries = cols.get(idx[i])
-            if not entries:
-                continue
-            prefix = chi.eps_exponent(alpha, grp.sub(suffix[0], suffix[i])) if i else 0
-            for a, entry in entries:
+            prefix = eps[before]
+            before = add[before][degs[i]]
+            for a, entry in entries or ():
                 coeff = hop(entry, suffix[i + 1], shift=prefix) * lam
                 if not coeff:
                     continue
@@ -421,11 +421,10 @@ def eta_action(g, t):
     prod_i eps(g, |v_i|)."""
     if any(v != PRIMAL for v in t.variance):
         raise ValueError("the grouplike action is defined on primal words")
-    chi = t.space.chi
-    g = chi.group.element(g)
+    eps = t.space.chi.eps_table[g]
     out = {}
     for idx, lam in t.terms.items():
-        e = sum(chi.eps_exponent(g, t.space.degree(i)) for i in idx)
+        e = sum(eps[t.space.degree(i)] for i in idx)
         out[idx] = lam.times_root(e)
     return GradedTensor(t.space, t.alg, t.variance, out)
 
@@ -474,7 +473,7 @@ def random_gl_epsilon(space, alg, rng):
     matrix supported on the degree blocks; the generator part puts random
     short words of degree g_b - g_a into admissible entries."""
     from .epsalgebra import words_of_degree
-    grp = space.chi.group
+    add, neg = space.chi.sum_table, space.chi.neg_table
     n = space.dim
     while True:
         T = GradedOperator(space, alg,
@@ -489,7 +488,7 @@ def random_gl_epsilon(space, alg, rng):
         for b in range(1, n + 1):
             if rng.random() > 0.6:
                 continue
-            d = grp.sub(space.degree(b), space.degree(a))
+            d = add[space.degree(b)][neg[space.degree(a)]]
             pool = [w for w in words_of_degree(alg, d, maxlen) if w]
             if not pool:
                 continue

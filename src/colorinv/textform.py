@@ -166,7 +166,7 @@ def _parse_word(text, alg):
         if not piece.startswith("x"):
             raise ValueError("bad generator %r" % piece)
         i = int(piece[1:])
-        if not 1 <= i <= len(alg.gen_degrees):
+        if not 1 <= i <= alg.ngens:
             raise ValueError("generator index %d out of range" % i)
         word.append(i)
     return tuple(word)

@@ -33,18 +33,19 @@ class W0Point:
         self.parts = tuple(parts)
         if len(self.parts) != shape.s:
             raise ValueError("need one tensor per summand")
-        grp = shape.chi.group
+        neg = shape.chi.neg_table
         for i, u in enumerate(self.parts, start=1):
             if u.variance != shape.variance(i):
                 raise ValueError("summand %d tensor has wrong variance" % i)
             if u.space != shape.space or u.alg != alg:
                 raise ValueError("summand %d tensor over wrong space or algebra" % i)
             for idx, lam in u.terms.items():
-                d = u.word_degree(idx)
-                if not lam.is_homogeneous_of(grp.neg(d)):
+                d = neg[u.word_degree(idx)]
+                if not lam.is_homogeneous_of(d):
                     raise ValueError(
                         "summand %d term %r has coefficient of degree != %r; "
-                        "point is not degree 0" % (i, idx, grp.neg(d)))
+                        "point is not degree 0"
+                        % (i, idx, shape.chi.element_order()[d]))
 
     def part(self, i):
         return self.parts[i - 1]
@@ -113,7 +114,7 @@ def staircase_point(shape, r):
     num = shape.numbering()
     words = [(i, w, k) for i in range(1, shape.s + 1)
              for w, k in zip(shape.index_words(i), num.codes[i - 1])]
-    alg = EpsAlgebra(chi, [chi.group.neg(num.degree[k]) for _, _, k in words],
+    alg = EpsAlgebra(chi, [chi.neg_table[num.degree[k]] for _, _, k in words],
                      truncation=max(r, 1))
     index = {}
     parts_terms = [dict() for _ in shape.pairs]
@@ -159,13 +160,13 @@ def end_compose(x, y):
         raise ValueError("end_compose needs (primal, dual) words")
     if x.space != y.space or x.alg != y.alg:
         raise ValueError("operators over different spaces")
-    grp = x.space.chi.group
+    add, neg = x.space.chi.sum_table, x.space.chi.neg_table
     out = {}
     for (a, c), lam in x.terms.items():
         for (b, d), mu in y.terms.items():
             if c != b:
                 continue
-            shift = grp.sub(x.space.degree(b), x.space.degree(d))
+            shift = add[x.space.degree(b)][neg[x.space.degree(d)]]
             val = hop(lam, shift) * mu
             if not val:
                 continue
@@ -178,12 +179,12 @@ def end_trace(x):
     """tr(e_a ox e_c* . lam) = delta_ac eps(g_a, g_a) lam."""
     if x.variance != u11_variance():
         raise ValueError("end_trace needs a (primal, dual) word")
-    chi = x.space.chi
+    table = x.space.chi.eps_table
     total = x.alg.zero()
     for (a, c), lam in x.terms.items():
         if a == c:
             total = total + lam.times_root(
-                chi.eps_exponent(x.space.degree(a), x.space.degree(a)))
+                table[x.space.degree(a)][x.space.degree(a)])
     return total
 
 def operator_to_end(T):

@@ -48,7 +48,7 @@ def run_suite_everywhere(name, config_names):
 
 def trivial_space(n):
     chi0 = Bicharacter(FiniteAbelianGroup([1]), [[0]])
-    return GradedSpace(chi0, [(0,)] * n)
+    return GradedSpace(chi0, [0] * n)
 
 
 def test_criterion_01_bicharacter_axioms():

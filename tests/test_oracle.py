@@ -21,7 +21,7 @@ from colorinv.tensors import GradedSpace, GradedTensor
 
 def matrix_shape(n, pairs):
     chi0 = Bicharacter(FiniteAbelianGroup([1]), [[0]])
-    space = GradedSpace(chi0, [(0,)] * n)
+    space = GradedSpace(chi0, [0] * n)
     return MixedShape(space, pairs)
 
 
@@ -134,7 +134,9 @@ def test_tabulated_cocycle_check_catches_broken_gamma(cfgs, monkeypatch):
     assert clean["action-functoriality"].detail == "30 sampled (p, q, tensor) triples"
 
     # gamma off by one at a single (degree tuple, sigma)
-    wrong_v, wrong_sigma = ((0, 1), (1, 0), (0, 0)), (2, 3, 1)
+    order = chi.element_order()
+    wrong_v = tuple(chi.position(g) for g in ((0, 1), (1, 0), (0, 0)))
+    wrong_sigma = (2, 3, 1)
     real = oracle.gamma_exponent
 
     def broken(chi, v, sigma):
@@ -146,8 +148,9 @@ def test_tabulated_cocycle_check_catches_broken_gamma(cfgs, monkeypatch):
     monkeypatch.setattr(oracle, "gamma_exponent", broken)
     cases = {c.name: c for c in suite("cocycle", cfg).cases}
 
-    # the first failing triple of a direct loop over (v, sigma, tau)
-    degs = sorted(set(cfg.space.degree(i) for i in range(1, cfg.space.dim + 1)))
+    # the first failing triple of a direct loop over (v, sigma, tau), the
+    # degrees in the lexicographic order of their int tuples
+    degs = sorted(set(cfg.space.degrees), key=order.__getitem__)
     s3 = perms.all_perms(3)
     first = next((v, sg, tu)
                  for v in itertools.product(degs, repeat=3)
@@ -156,7 +159,9 @@ def test_tabulated_cocycle_check_catches_broken_gamma(cfgs, monkeypatch):
                  if broken(chi, v, perms.compose(tu, sg))
                  != (broken(chi, perms.act_tuple(sg, v), tu) + broken(chi, v, sg)) % chi.m)
     assert not cases["cocycle-identity k=3"].ok
-    assert cases["cocycle-identity k=3"].detail == "failed at %r" % (first,)
+    v, sg, tu = first
+    assert cases["cocycle-identity k=3"].detail == \
+        "failed at %r" % ((tuple(order[d] for d in v), sg, tu),)
     for name in ("cocycle-identity k=2", "cocycle-identity k=4", "action-functoriality"):
         assert cases[name].ok and cases[name].detail == clean[name].detail
 
@@ -172,9 +177,9 @@ def psi_on_basis_term(x, t, drop=False):
     degs = [space.degree(i) for i in idx]
     out = GradedTensor.zero(space, t.alg, t.variance)
     for i, b in enumerate(idx):
-        prefix = sum(chi.eps_exponent(alpha, degs[j]) for j in range(i)
+        prefix = sum(chi.eps_table[alpha][degs[j]] for j in range(i)
                      if not (drop and (i, j) == (2, 1)))
-        tail = chi.group.sum(degs[i + 1:])
+        tail = chi.degree_sum(degs[i + 1:])
         for (a, c), entry in x.terms.items():
             if c == b:
                 nidx = idx[:i] + (a,) + idx[i + 1:]
@@ -187,7 +192,7 @@ def eta_skipping_last_slot(g, t):
     """eta_g with the sign of the last slot left out."""
     chi = t.space.chi
     return GradedTensor(t.space, t.alg, t.variance, {
-        idx: lam.times_root(sum(chi.eps_exponent(g, t.space.degree(i))
+        idx: lam.times_root(sum(chi.eps_table[g][t.space.degree(i)]
                                 for i in idx[:-1]))
         for idx, lam in t.terms.items()})
 

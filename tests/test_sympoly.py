@@ -108,7 +108,6 @@ def test_monomials_sign_commute(cfgs):
     for name in ("super", "z2z2"):
         shape = cfgs[name].shape
         chi = shape.chi
-        grp = chi.group
         rng = random.Random("comm/%s" % name)
         pool = shape.variables()
         for _ in range(30):
@@ -116,8 +115,8 @@ def test_monomials_sign_commute(cfgs):
             w2 = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
             p1 = SymPolynomial.from_word(shape, w1)
             p2 = SymPolynomial.from_word(shape, w2)
-            d1 = grp.sum([shape.var_degree(v) for v in w1])
-            d2 = grp.sum([shape.var_degree(v) for v in w2])
+            d1 = chi.degree_sum([shape.var_degree(v) for v in w1])
+            d2 = chi.degree_sum([shape.var_degree(v) for v in w2])
             assert p1 * p2 == (p2 * p1).scale(chi.eps(d1, d2))
 
 
@@ -216,8 +215,14 @@ def test_variable_numbering(cfgs):
                     assert num.variables[table[code]] == SymVariable(i, word[:b], word[b:])
                 seen.extend(table)
             assert sorted(seen) == list(range(len(vs)))
+            order, grp = shape.chi.element_order(), shape.chi.group
             for k, v in enumerate(vs):
-                assert num.position[k] == shape.chi.position(shape.var_degree(v))
+                d = grp.identity
+                for x in v.lower:
+                    d = grp.add(d, order[shape.space.degree(x)])
+                for x in v.upper:
+                    d = grp.add(d, grp.neg(order[shape.space.degree(x)]))
+                assert order[num.degree[k]] == d
                 assert num.parity[k] == shape.var_parity(v)
             rng = random.Random("ids/%s" % cfg.name)
             for _ in range(20):
@@ -255,7 +260,7 @@ def test_variable_table_degrees_and_order(cfgs):
                 assert num.degree[num.ids[v]] == d
                 assert shape.var_degree(v) == d
                 assert shape.var_parity(v) == cfg.chi.parity_bit(d)
-                expected.append((cfg.chi.position(d), i, v.lower, v.upper, v))
+                expected.append((d, i, v.lower, v.upper, v))
         expected.sort()
         assert list(num.variables) == [row[-1] for row in expected]
         assert shape.variables() == [row[-1] for row in expected]
