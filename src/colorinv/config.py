@@ -13,14 +13,13 @@ are Python literals:
 Blank lines and lines starting with '#' are ignored.  Parsing reports the
 offending line number; semantic checks (the exponent-matrix checks, which
 imply the bicharacter axioms, and the fixed basis order) run on load so
-that a Config in hand is always valid.  Degrees are int tuples in the
-file only: on load each becomes its position in the bicharacter's fixed
-order of G, the one form of a G-degree inside the package.
+that a Config in hand is always valid.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -34,6 +33,9 @@ REQUIRED_KEYS = KNOWN_KEYS[:4]
 
 DEFAULT_TRUNCATION = 4
 DEFAULT_MAX_N = 5
+# The largest group order a configuration may declare: G is enumerated
+# whole when its fixed order is made.
+MAX_GROUP_ORDER = 4096
 
 class ConfigError(ValueError):
     pass
@@ -92,6 +94,10 @@ def parse_config_text(text, name="<config>"):
     if any(d < 1 for d in factors):
         raise ConfigError("%s:%d: cyclic orders must be >= 1"
                           % (name, lines["group.factors"]))
+    if math.prod(factors) > MAX_GROUP_ORDER:
+        raise ConfigError("%s:%d: group order %d exceeds the limit of %d"
+                          % (name, lines["group.factors"], math.prod(factors),
+                             MAX_GROUP_ORDER))
 
     expmat = values["bicharacter.expmat"]
     if (not isinstance(expmat, (list, tuple)) or len(expmat) != len(factors)

@@ -36,6 +36,22 @@ def test_validate_unknown_config(capsys):
     assert err.startswith("error:")
 
 
+def test_validate_rejects_group_order_beyond_limit(capsys, tmp_path):
+    """A group too large to enumerate is refused at load, before its
+    bicharacter is built; the limit itself is accepted."""
+    text = ("group.factors = [%d]\nbicharacter.expmat = [[0]]\n"
+            "space.degrees = [(0,)]\nshape.pairs = [(1, 1)]\n")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text % 1000000000)
+    rc, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert err == ("error: %s:1: group order 1000000000 exceeds the limit of 4096\n"
+                   % cfg)
+    cfg.write_text(text % 4096)
+    rc, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert rc == 0 and "order 4096" in out
+
+
 def test_list_enumerates_shapes(capsys):
     rc, out, err = run(capsys, "list", "--config", "builtin:super",
                        "--max-degree", "2")
