@@ -156,6 +156,8 @@ def _format_word(word):
         return "1"
     return ".".join("x%d" % i for i in word)
 
+_GEN_RE = re.compile(r"x([0-9]+)")
+
 def _parse_word(text, alg):
     s = text.strip()
     if s == "1":
@@ -163,9 +165,10 @@ def _parse_word(text, alg):
     word = []
     for piece in s.split("."):
         piece = piece.strip()
-        if not piece.startswith("x"):
+        m = _GEN_RE.fullmatch(piece)
+        if not m:
             raise ValueError("bad generator %r" % piece)
-        i = int(piece[1:])
+        i = int(m.group(1))
         if not 1 <= i <= alg.ngens:
             raise ValueError("generator index %d out of range" % i)
         word.append(i)
@@ -196,10 +199,11 @@ def format_variable(v):
         ",".join(str(i) for i in v.lower),
         ",".join(str(i) for i in v.upper))
 
-_VAR_RE = re.compile(r"^T\((\d+)\)\[([0-9,]*)\]\^\[([0-9,]*)\]$")
+_INDICES = r"((?:[0-9]+(?:,[0-9]+)*)?)"
+_VAR_RE = re.compile(r"T\(([0-9]+)\)\[%s\]\^\[%s\]" % (_INDICES, _INDICES))
 
 def parse_variable(text):
-    m = _VAR_RE.match(text.strip())
+    m = _VAR_RE.fullmatch(text.strip())
     if not m:
         raise ValueError("bad variable %r" % text)
     def ints(s):

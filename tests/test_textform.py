@@ -143,6 +143,18 @@ def test_sym_parse_rejects_garbage(cfgs):
         parse_sym("(1) * T(9)[1]^[1]", shape)
 
 
+
+def test_malformed_indices_get_the_parser_messages(cfgs, algebras):
+    """Empty index runs and stray letters are a bad variable or a bad
+    generator, never int()'s own message."""
+    cfg, alg = cfgs["super"], algebras["super"]
+    for name in ("T(1)[1,,1]^[1]", "T(1)[,1]^[1]", "T(1)[1,]^[1]", "T(1)[1]^[1]x"):
+        with pytest.raises(ValueError, match=r"^bad variable %s$" % re.escape(repr(name))):
+            parse_sym("(1) * " + name, cfg.shape)
+    for word, piece in (("x", "x"), ("x1.x", "x"), ("x1.x2a", "x2a"), ("x-1", "x-1")):
+        with pytest.raises(ValueError, match=r"^line 1: bad generator %s$" % re.escape(repr(piece))):
+            parse_point("1: ((1) * %s) * e1 ox e1*" % word, cfg.shape, alg)
+
 MUTATION_TOKENS = ("(", ")", "[", " + ", " * ", "/0", "z^99", " ox ")
 _MUTATION_RE = re.compile("|".join(re.escape(t) for t in MUTATION_TOKENS))
 

@@ -71,7 +71,7 @@ BAD_POLYS = (
     "(1) * T(9)[1]^[1]",                # check_variable: summand
     "(1) * T(1)[1,1]^[1]",              # check_variable: shape
     "(1) * T(1)[9]^[1]",                # check_variable: index
-    "(1) * T(1)[1,,1]^[1]",             # int() of an empty index
+    "(1) * T(1)[1,,1]^[1]",             # bad variable: an empty index run
 )
 BAD_POINTS = (
     "1: ((1) * 1) * e1 ox e1*)(",       # unbalanced brackets
@@ -83,7 +83,8 @@ BAD_POINTS = (
     "1: ((y) * 1) * e1 ox e1*",         # bad scalar term
     "1: ((1/0) * 1) * e1 ox e1*",       # zero denominator
     "1: ((1) * y1) * e1 ox e1*",        # bad generator
-    "1: ((1) * x) * e1 ox e1*",         # int() of an empty index
+    "1: ((1) * x) * e1 ox e1*",         # bad generator: no index
+    "1: ((1) * x1.x) * e1 ox e1*",      # bad generator: no index, second letter
     "1: ((1) * x99) * e1 ox e1*",       # generator index out of range
     "1: ((1) * 1) * f1 ox e1*",         # bad tensor slot
     "1: ((1) * 1) * e1 ox (e1* ox e2)",
