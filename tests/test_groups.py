@@ -139,6 +139,34 @@ def test_eps_exponent_consistent_with_eps(cfgs):
                 assert eps_of(chi, g, h) == chi.root(chi.eps_exponent(g, h))
 
 
+# ------------------------------------------ the tables over positions
+
+def assert_tables_match_tuples(chi):
+    """The referee of the position tables: at every position, and every
+    pair of positions, the parity, negation, sum and eps tables agree with
+    the int tuple arithmetic of FiniteAbelianGroup and with eps_exponent,
+    and position 0 is the identity."""
+    grp, order = chi.group, chi.element_order()
+    assert order[0] == grp.identity
+    assert sorted(order) == grp.elements()
+    minus_one = CycloRational.from_rational(Fraction(-1))
+    for a, g in enumerate(order):
+        assert chi.position(g) == a
+        sign = chi.root(chi.eps_exponent(g, g))
+        assert sign == (minus_one if chi.parity_table[a] else CycloRational.one())
+        assert chi.parity_bit(a) == chi.parity_table[a]
+        assert order[chi.neg_table[a]] == grp.neg(g)
+        for b, h in enumerate(order):
+            assert order[chi.sum_table[a][b]] == grp.add(g, h)
+            assert chi.eps_table[a][b] == chi.eps_exponent(g, h)
+
+
+def test_position_tables_match_tuple_arithmetic(cfgs, z12z12):
+    for cfg in list(cfgs.values()) + [z12z12]:
+        assert_tables_match_tuples(cfg.chi)
+    assert z12z12.chi.group.order == 144
+
+
 # ------------------------------------ the matrix checks imply the axioms
 
 @st.composite
@@ -178,7 +206,8 @@ def test_matrix_checks_imply_bicharacter_axioms(case):
     factors, B = case
     k = len(factors)
     m = math.lcm(*factors)
-    rpt = validate_bicharacter(Bicharacter(factors, B))
+    chi = Bicharacter(factors, B)
+    rpt = validate_bicharacter(chi)
 
     # every violated matrix condition is reported, once
     violated = sum((B[i][j] + B[j][i]) % m != 0 for i in range(k) for j in range(k)) \
@@ -187,6 +216,7 @@ def test_matrix_checks_imply_bicharacter_axioms(case):
     assert len(rpt.failures) == violated
     if not rpt.ok:
         return
+    assert_tables_match_tuples(chi)
 
     # g^T B h, written out, over every pair and triple of G
     els = list(itertools.product(*(range(d) for d in factors)))

@@ -123,6 +123,27 @@ def test_bicharacter_suite_catches_broken_additivity(monkeypatch):
     assert cases["exponent-matrix-axioms"]
 
 
+def test_centralizer_suite_catches_a_wrong_sum_table_entry(monkeypatch):
+    """One wrong entry in the bicharacter's sum table, (0,1) + (1,0) read
+    as (0,1) on z2z2, fails the psi checks of the centralizer suite at
+    max_n=2, and leaves the eta checks, which add no degrees, passing."""
+    def outcomes(broken):
+        cfg = builtin_config("z2z2")
+        chi = cfg.chi
+        a, b = chi.position((0, 1)), chi.position((1, 0))
+        assert chi.sum_table[a][b] == chi.position((1, 1))
+        if broken:
+            row = list(chi.sum_table[a])
+            row[b] = a
+            monkeypatch.setitem(chi.sum_table, a, row)
+        return {c.name: c.ok for c in suite("centralizer-commute", cfg, max_n=2).cases}
+
+    assert all(outcomes(broken=False).values())
+    cases = outcomes(broken=True)
+    assert not cases["psi-commutes k=2"] and not cases["psi-commutes k=3"]
+    assert all(cases["eta-commutes k=%d" % k] for k in (1, 2, 3))
+
+
 def test_tabulated_cocycle_check_catches_broken_gamma(cfgs, monkeypatch):
     cfg = cfgs["z3z3"]
     chi = cfg.chi

@@ -214,21 +214,12 @@ def test_join_builds_exactly_the_surviving_terms(cfgs):
     assert checked
 
 
-# Z12 x Z12 with eps((1,0),(0,1)) = zeta^5: every degree is even, and the
-# eps exponents between basis degrees reach 5 and 7.
-Z12Z12 = """group.factors = [12, 12]
-bicharacter.expmat = [[0, 5], [7, 0]]
-space.degrees = [(0, 0), (0, 1), (1, 0)]
-shape.pairs = [(1, 1)]
-"""
-
-
-def test_path_equality_on_length_one_points(cfgs):
+def test_path_equality_on_length_one_points(cfgs, z12z12):
     """With coefficient words of length 1, quadratic terms such as
     T[a]^[b] T[b]^[a] survive truncation 3, so a wrong sign on them shows
     up as a mismatch between the two paths."""
     configs = [cfgs[name] for name in ("super", "z2z2", "z3z3")]
-    configs.append(parse_config_text(Z12Z12, name="z12z12"))
+    configs.append(z12z12)
     for cfg in configs:
         alg = standard_test_algebra(cfg.chi, truncation=3)
         ps = PictureShape(cfg.shape, (2,))
