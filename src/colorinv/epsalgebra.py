@@ -58,6 +58,10 @@ class Terms:
     def __bool__(self):
         return bool(self.terms)
 
+    def terms_sorted(self):
+        """The (key, coefficient) pairs in increasing key order."""
+        return sorted(self.terms.items())
+
     def _check(self, other):
         if not self._same(other):
             raise ValueError("%s operands live in different places"
@@ -359,9 +363,12 @@ def filtration_level(elem):
 def words_of_degree(alg, d, max_len=None):
     """All normal-ordered basis words of the given G-degree with length up
     to max_len (default: the truncation bound), in lexicographic order.
-    The empty word is included when d is the identity.  The algebra sorts
-    the words of each length bound by degree once; callers get a fresh
-    list."""
+    The empty word is included when d is the identity.  A d that is not a
+    position of G raises ValueError.  The algebra sorts the words of each
+    length bound by degree once; callers get a fresh list."""
+    if d not in range(alg.chi.group.order):
+        raise ValueError("degree %r is not a position in 0..%d"
+                         % (d, alg.chi.group.order - 1))
     if max_len is None:
         max_len = alg.truncation
     max_len = min(max_len, alg.truncation)

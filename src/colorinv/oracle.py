@@ -127,13 +127,14 @@ def _gl_derivation_on_variable(v, a, b):
     return {w: c for w, c in out.items() if c}
 
 def _gl_derivation_on_monomial(shape, a, b, mono):
-    """Leibniz extension to a sorted monomial; everything is even here so
-    re-sorting carries no sign."""
+    """Leibniz extension to a sorted monomial of variable ids; everything
+    is even here so re-sorting carries no sign."""
+    vs = shape.numbering().variables
     out = {}
     for pos in range(len(mono)):
         rest = mono[:pos] + mono[pos + 1:]
-        for w, c in _gl_derivation_on_variable(mono[pos], a, b).items():
-            key = tuple(sorted(rest + (w,), key=shape.var_key))
+        for w, c in _gl_derivation_on_variable(vs[mono[pos]], a, b).items():
+            key = tuple(sorted(rest + (shape.var_id(w),)))
             nc = out.get(key, 0) + c
             if nc:
                 out[key] = nc
@@ -472,9 +473,10 @@ def _suite_centralizer(cfg, rpt, seed, **_):
                 if not bad else "%d checks failed" % bad)
 
 def _random_word(shape, rng, rmin=2, rmax=4):
-    vs = shape.variables()
+    """A random word of variable ids."""
+    n = len(shape.numbering().variables)
     r = rng.randint(rmin, rmax)
-    return tuple(vs[rng.randrange(len(vs))] for _ in range(r))
+    return tuple(rng.randrange(n) for _ in range(r))
 
 def _random_homogeneous(shape, r, rng, terms=2):
     """A random polynomial supported on degree exactly r monomials."""
@@ -500,8 +502,9 @@ def _suite_symalgebra(cfg, rpt, seed, **_):
     rpt.add("dimension-series", ok,
             "monomial counts r=0..3: %s match the generating function"
             % _fmt_tuple(dims))
-    odd_vs = [v for v in shape.variables() if shape.var_parity(v)]
-    bad = sum(1 for v in odd_vs if sym_normalize(shape, (v, v)) is not None)
+    num = shape.numbering()
+    odd_vs = [k for k, odd in enumerate(num.parity) if odd]
+    bad = sum(1 for k in odd_vs if sym_normalize(shape, (k, k)) is not None)
     rpt.add("odd-square-zero", bad == 0,
             "%d odd variables" % len(odd_vs))
     rng = _sub_rng(seed, "symalgebra")
@@ -511,7 +514,7 @@ def _suite_symalgebra(cfg, rpt, seed, **_):
         i = rng.randint(1, len(word) - 1)
         swapped = list(word)
         swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-        e = chi.eps(shape.var_degree(word[i - 1]), shape.var_degree(word[i]))
+        e = chi.eps(num.degree[word[i - 1]], num.degree[word[i]])
         nw = sym_normalize(shape, word)
         ns = sym_normalize(shape, tuple(swapped))
         total += 1

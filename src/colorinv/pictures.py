@@ -35,8 +35,8 @@ are Berele's traces of powers).  components() gives each K as its own
 PictureShape, with the multiplicities of its copies and sigma restricted
 and relabelled, kept on the shape (PictureShape.part) so that its plans
 serve every sigma.  _phi_terms, the one kernel, sums each component over
-{1..dim}^|K|; the products are taken over variable ids by
-sympoly.mul_terms, and SymVariables are made once at the end.  The cost
+{1..dim}^|K| into a dict keyed by variable id tuples, and
+sympoly.mul_terms multiplies these into the terms of phi_sigma.  The cost
 is sum_K dim^|K| kernel steps plus the products, against dim^N for the
 whole shape at once; equal components are summed once per call.
 
@@ -357,9 +357,7 @@ def build_phi(pshape, sigma):
         terms = part if terms is None else mul_terms(shape, terms, part)
     if terms is None:
         terms = _phi_terms(pshape, sigma)
-    vs = shape.numbering().variables
-    return PictureInvariant(pshape, sigma, SymPolynomial(
-        shape, {tuple(vs[k] for k in mono): c for mono, c in terms.items()}))
+    return PictureInvariant(pshape, sigma, SymPolynomial(shape, terms))
 
 def theta_eval(sigma, t):
     """Theta(sigma) on a tensor in sorted variance (primal^N, dual^N):

@@ -14,18 +14,18 @@ with the degree blocks yields an equivalent basis.
 
 Each MixedShape numbers its variables 0..n-1 in that order (its
 Numbering), the one table of W's variables: it works out each basis
-word's degree once, and var_degree, var_parity, var_key (the id itself)
-and variables() all read it, as do the point builders of sampling and
-traces.  Comparing ids is comparing sort keys.  S(W*) and
-Lambda_eps share their normal form, basis and term arithmetic, all from
-epsalgebra: sym_normalize runs eps_sort, the one eps insertion sort, over
-ids, reading each id's degree and parity off lists (a word of
-SymVariables is mapped to ids and back); enumerate_sym_basis filters
-sorted_words; SymPolynomial sums, scales and compares through Terms.
-mul_terms is the one monomial product, used by SymPolynomial and by
-build_phi, which multiplies its components' pictures over ids and makes
-SymVariables once per distinct monomial; SymPolynomial keys, printing
-and parsing stay on SymVariables.
+word's degree once.  Inside colorinv a variable is its id, and comparing
+ids is comparing sort keys: SymPolynomial.terms maps sorted id tuples to
+coefficients, and sym_normalize, mul_terms, enumerate_sym_basis,
+from_word and the point builders of sampling and traces read each id's
+degree, parity and SymVariable record off the Numbering.  A SymVariable
+is met only at the text boundary: var_id is the one validating
+conversion from it, used by parse_sym, and format_sym names an id at
+print time.  S(W*) and Lambda_eps share their normal form, basis and
+term arithmetic, all from epsalgebra: sym_normalize runs eps_sort, the
+one eps insertion sort; enumerate_sym_basis filters sorted_words;
+SymPolynomial sums, scales and compares through Terms.  mul_terms is the
+one monomial product, used by SymPolynomial and by build_phi.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class Numbering(NamedTuple):
 class MixedShape:
     """The space W: a graded space plus the list of (b_i, t_i) pairs.
     Treated as immutable once built: it keeps the numbering of its
-    variables and reads each variable's degree, parity and key off it."""
+    variables."""
 
     def __init__(self, space, pairs):
         self.space = space
@@ -95,16 +95,9 @@ class MixedShape:
         if not all(1 <= i <= self.space.dim for i in v.word()):
             raise ValueError("variable index out of range in %r" % (v,))
 
-    def var_degree(self, v):
-        num = self.numbering()
-        return num.degree[num.ids[v]]
-
-    def var_parity(self, v):
-        num = self.numbering()
-        return num.parity[num.ids[v]]
-
-    def var_key(self, v):
-        """The sort key of a variable: its id."""
+    def var_id(self, v):
+        """The id of a SymVariable, which check_variable must pass first."""
+        self.check_variable(v)
         return self.numbering().ids[v]
 
     def variance(self, i):
@@ -117,10 +110,6 @@ class MixedShape:
         lexicographic order."""
         return itertools.product(range(1, self.space.dim + 1),
                                  repeat=sum(self.pairs[i - 1]))
-
-    def variables(self):
-        """All variables, in the canonical order."""
-        return list(self.numbering().variables)
 
     def numbering(self):
         """The Numbering of the variables, built on first use: each basis
@@ -152,31 +141,19 @@ class MixedShape:
         return "MixedShape(%r)" % (list(self.pairs),)
 
 def sym_normalize(shape, seq):
-    """Sort a variable sequence into canonical order collecting eps swap
-    factors (eps_sort); returns (coefficient, monomial tuple) or None when
-    a repeated odd variable makes it zero.  The sequence is a list or tuple
-    of SymVariables or of variable ids, and the monomial comes back in the
-    same form."""
+    """Sort a sequence of variable ids into canonical order collecting eps
+    swap factors (eps_sort); returns (coefficient, sorted id tuple) or
+    None when a repeated odd variable makes it zero."""
     num = shape.numbering()
-    named = bool(seq) and isinstance(seq[0], SymVariable)
-    if named:
-        ids = num.ids
-        seq = [ids[v] for v in seq]
     res = eps_sort(seq, num.degree, num.parity, shape.chi.eps_table)
     if res is None:
         return None
-    exp, mono = res
-    if named:
-        vs = num.variables
-        mono = tuple(vs[k] for k in mono)
-    return shape.chi.root(exp), mono
+    return shape.chi.root(res[0]), res[1]
 
 def mul_terms(shape, left, right):
-    """The product in S(W*) of two {monomial: coefficient} dicts: each
+    """The product in S(W*) of two {id tuple: coefficient} dicts: each
     pair of monomials is concatenated and put in normal form by
-    sym_normalize.  Monomials are tuples of SymVariables or of variable
-    ids, the same form on both sides, and the product keeps that form;
-    zero coefficients are dropped."""
+    sym_normalize; zero coefficients are dropped."""
     out = {}
     for m1, c1 in left.items():
         for m2, c2 in right.items():
@@ -190,7 +167,7 @@ def mul_terms(shape, left, right):
     return {m: c for m, c in out.items() if c}
 
 class SymPolynomial(Terms):
-    """Element of S(W*): {sorted monomial: CycloRational}.  Immutable."""
+    """Element of S(W*): {sorted id tuple: CycloRational}.  Immutable."""
 
     __slots__ = ("shape", "terms")
     _scalars = SCALARS
@@ -214,9 +191,11 @@ class SymPolynomial(Terms):
 
     @classmethod
     def from_word(cls, shape, seq, coeff=1):
-        """Image of an arbitrary variable sequence in S(W*)."""
-        for v in seq:
-            shape.check_variable(v)
+        """Image of an arbitrary sequence of variable ids in S(W*)."""
+        n = len(shape.numbering().variables)
+        for k in seq:
+            if not 0 <= k < n:
+                raise ValueError("variable id %r out of range 0..%d" % (k, n - 1))
         res = sym_normalize(shape, seq)
         if res is None:
             return cls.zero(shape)
@@ -240,17 +219,13 @@ class SymPolynomial(Terms):
     def g_degree(self):
         """Common G-degree of the monomials, or None if inhomogeneous;
         zero counts as homogeneous of degree identity."""
-        shape = self.shape
-        degs = {shape.chi.degree_sum(shape.var_degree(v) for v in m) for m in self.terms}
+        chi, degree = self.shape.chi, self.shape.numbering().degree
+        degs = {chi.degree_sum(degree[k] for k in m) for m in self.terms}
         if not degs:
             return 0
         if len(degs) > 1:
             return None
         return degs.pop()
-
-    def terms_sorted(self):
-        ids = self.shape.numbering().ids
-        return sorted(self.terms.items(), key=lambda t: [ids[v] for v in t[0]])
 
     def __str__(self):
         from . import textform
@@ -261,30 +236,28 @@ class SymPolynomial(Terms):
 
 def enumerate_sym_basis(shape, r, multidegree=None):
     """Sorted monomials of total degree r (optionally of a fixed summand
-    multidegree): nondecreasing variable sequences in the canonical order,
-    odd variables strictly increasing, listed in the order of their id
-    tuples."""
-    vs = shape.variables()
+    multidegree) as id tuples: nondecreasing, odd ids strictly increasing,
+    in lexicographic order."""
+    num = shape.numbering()
     out = []
-    for word in sorted_words(range(len(vs)), shape.numbering().parity, r):
+    for word in sorted_words(range(len(num.variables)), num.parity, r):
         if len(word) != r:
             continue
-        mono = tuple(vs[k] for k in word)
         if multidegree is not None:
             counts = [0] * shape.s
-            for v in mono:
-                counts[v.summand - 1] += 1
+            for k in word:
+                counts[num.variables[k].summand - 1] += 1
             if tuple(counts) != tuple(multidegree):
                 continue
-        out.append(mono)
+        out.append(word)
     return out
 
 def sym_dimension(shape, r):
     """dim S^r(W*) from the generating function
     prod_even 1/(1-q) * prod_odd (1+q) over the variables."""
     coeffs = [Fraction(1)] + [Fraction(0)] * r
-    for v in shape.variables():
-        if shape.var_parity(v):
+    for odd in shape.numbering().parity:
+        if odd:
             # multiply by (1 + q)
             for k in range(r, 0, -1):
                 coeffs[k] += coeffs[k - 1]
@@ -297,11 +270,12 @@ def sym_dimension(shape, r):
 
 def symmetrize(shape, seq):
     """Image under the symmetrization e(r): the average over S_r of the
-    signed place permutation action on the variable word, pushed down to
-    S(W*)."""
+    signed place permutation action on a word of variable ids, pushed down
+    to S(W*)."""
     r = len(seq)
     chi = shape.chi
-    degs = tuple(shape.var_degree(v) for v in seq)
+    degree = shape.numbering().degree
+    degs = tuple(degree[k] for k in seq)
     out = SymPolynomial.zero(shape)
     for sigma in perms.all_perms(r):
         e = gamma_exponent(chi, degs, sigma)

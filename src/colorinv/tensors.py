@@ -147,9 +147,6 @@ class GradedTensor(Terms):
                 and (self.alg is other.alg or self.alg == other.alg)
                 and self.variance == other.variance)
 
-    def terms_sorted(self):
-        return sorted(self.terms.items(), key=lambda t: t[0])
-
     def __repr__(self):
         return "GradedTensor(variance=%r, %d terms)" % (self.variance, len(self.terms))
 
@@ -252,7 +249,7 @@ class GradedOperator(Terms):
     def columns(self):
         """{b: [(a, T_ab), ...]} over the nonzero entries, rows ascending."""
         out = {}
-        for (a, b), x in sorted(self.terms.items()):
+        for (a, b), x in self.terms_sorted():
             out.setdefault(b, []).append((a, x))
         return out
 

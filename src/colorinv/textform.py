@@ -179,7 +179,7 @@ def format_eps(elem):
     if not elem.terms:
         return "0"
     parts = []
-    for word, c in sorted(elem.terms.items()):
+    for word, c in elem.terms_sorted():
         parts.append("(%s) * %s" % (format_cyclo(c), _format_word(word)))
     return " + ".join(parts)
 
@@ -212,12 +212,15 @@ def parse_variable(text):
 
 def format_sym(poly):
     """Monomials in the canonical variable order of the shape; within a
-    term the coefficient comes first, then the variables."""
+    term the coefficient comes first, then the variables, each variable
+    named once per call."""
     if not poly.terms:
         return "0"
+    vs = poly.shape.numbering().variables
+    name = {k: format_variable(vs[k]) for k in set().union(*poly.terms)}
     parts = []
     for mono, c in poly.terms_sorted():
-        names = [format_variable(v) for v in mono] or ["1"]
+        names = [name[k] for k in mono] or ["1"]
         parts.append("(%s) * %s" % (format_cyclo(c), " * ".join(names)))
     return " + ".join(parts)
 
@@ -228,9 +231,8 @@ def parse_sym(text, shape):
         if len(names) == 1 and names[0].strip() == "1":
             word = ()
         else:
-            word = tuple(parse_variable(p) for p in names)
-            for v in word:
-                shape.check_variable(v)
+            word = [parse_variable(p) for p in names]
+            word = [shape.var_id(v) for v in word]
         res = sym_normalize(shape, word)
         if res is not None:
             add_term(terms, res[1], c * res[0])
@@ -319,14 +321,15 @@ def structured_cyclo(x):
 def structured_eps(elem):
     return {"truncation": elem.alg.truncation,
             "terms": [{"word": list(w), "coeff": structured_cyclo(c)}
-                      for w, c in sorted(elem.terms.items())]}
+                      for w, c in elem.terms_sorted()]}
 
 def structured_sym(poly):
+    vs = poly.shape.numbering().variables
     return {"pairs": [list(p) for p in poly.shape.pairs],
             "terms": [{"coeff": structured_cyclo(c),
-                       "monomial": [{"summand": v.summand,
-                                     "lower": list(v.lower),
-                                     "upper": list(v.upper)} for v in mono]}
+                       "monomial": [{"summand": vs[k].summand,
+                                     "lower": list(vs[k].lower),
+                                     "upper": list(vs[k].upper)} for k in mono]}
                       for mono, c in poly.terms_sorted()]}
 
 def dump_structured(obj):

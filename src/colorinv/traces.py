@@ -51,13 +51,15 @@ class W0Point:
         return self.parts[i - 1]
 
 def restitute_word(shape, word, point):
-    """Evaluate an arbitrary variable sequence (an element of T^r(W*)) at a
-    point: the ordered product of the point coefficients at the variables'
-    basis words, zero if any variable misses the point's support."""
+    """Evaluate an arbitrary sequence of variable ids (an element of
+    T^r(W*)) at a point: the ordered product of the point coefficients at
+    the variables' basis words, zero if any variable misses the point's
+    support."""
     alg = point.alg
+    vs = shape.numbering().variables
     acc = None
-    for v in word:
-        shape.check_variable(v)
+    for k in word:
+        v = vs[k]
         lam = point.part(v.summand).terms.get(v.word())
         if lam is None:
             return alg.zero()
@@ -98,7 +100,8 @@ def transposition_sign_check(shape, word, i, point):
     swapped = list(word)
     swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
     lhs = restitute_word(shape, tuple(word), point)
-    e = chi.eps(shape.var_degree(word[i - 1]), shape.var_degree(word[i]))
+    degree = shape.numbering().degree
+    e = chi.eps(degree[word[i - 1]], degree[word[i]])
     rhs = restitute_word(shape, tuple(swapped), point).scale(e)
     return lhs == rhs
 

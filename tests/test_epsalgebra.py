@@ -151,6 +151,20 @@ def test_words_of_degree_brute_force(algebras):
                 assert alg.word_degree(w) == d
 
 
+def test_words_of_degree_rejects_a_non_position(algebras):
+    """A degree is a position in 0..|G|-1; anything else raises instead of
+    giving no words, so random_eps_of_degree cannot draw zero unnoticed."""
+    for name in ("super", "z2z2"):
+        alg = algebras[name]
+        order = alg.chi.group.order
+        for bad in (alg.chi.element_order()[1], order, -1):
+            with pytest.raises(ValueError, match="not a position"):
+                words_of_degree(alg, bad)
+            with pytest.raises(ValueError, match="not a position"):
+                random_eps_of_degree(alg, bad, random.Random(0))
+        assert words_of_degree(alg, order - 1, 2)
+
+
 def test_homogeneity_tracking(algebras):
     alg = algebras["z2z2"]
     rng = random.Random("homog")
@@ -198,7 +212,7 @@ def test_term_core_contract(cfgs, algebras):
     other_alg = EpsAlgebra(alg.chi, [alg.degree(i) for i in range(1, alg.ngens + 1)],
                            alg.truncation - 1)
     space = cfg.space
-    v = cfg.shape.variables()[0]
+    v = cfg.shape.var_id(cfg.shape.numbering().variables[0])
     other_shape = MixedShape(space, [(1, 1), (1, 1)])
     other_space = GradedSpace(space.chi, space.degrees[:1])
 
@@ -211,7 +225,7 @@ def test_term_core_contract(cfgs, algebras):
     B = GradedOperator.identity(space, alg)
     pairs = [
         (e, f, EpsElement(other_alg, {(1,): CycloRational.one()})),
-        (p, q, SymPolynomial.from_word(other_shape, (other_shape.variables()[0],))),
+        (p, q, SymPolynomial.from_word(other_shape, (v,))),
         (t, u, GradedTensor.basis(space, alg, (DUAL, PRIMAL), (1, 2), e)),
         (A, B, GradedOperator.identity(other_space, alg)),
     ]
@@ -275,7 +289,7 @@ def test_sym_basis_order_is_pinned(cfgs):
     cases = [(cfg.shape, 3) for cfg in cfgs.values()]
     cases.append((MixedShape(cfgs["z4"].space, [(2, 1), (1, 2)]), 2))
     for shape, top in cases:
-        vs = shape.variables()
+        vs = shape.numbering().variables
         par = shape.numbering().parity
         for r in range(0, top + 1):
             brute = []
@@ -284,12 +298,11 @@ def test_sym_basis_order_is_pinned(cfgs):
                     continue
                 brute.append(ids)
             brute.sort()
-            assert enumerate_sym_basis(shape, r) == [
-                tuple(vs[k] for k in ids) for ids in brute], (shape, r)
+            assert enumerate_sym_basis(shape, r) == brute, (shape, r)
             for M in itertools.product(range(r + 1), repeat=shape.s):
                 if sum(M) != r:
                     continue
-                want = [tuple(vs[k] for k in ids) for ids in brute
+                want = [ids for ids in brute
                         if tuple(sum(1 for k in ids if vs[k].summand == i)
                                  for i in range(1, shape.s + 1)) == M]
                 assert enumerate_sym_basis(shape, r, multidegree=M) == want, (shape, r, M)

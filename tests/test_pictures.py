@@ -101,10 +101,11 @@ def test_phi_lands_in_degree_zero(cfgs):
                   (MixedShape(cfg.space, [(2, 1), (1, 2)]), (1, 1))]
         for shape, mults in shapes:
             ps = PictureShape(shape, mults)
+            degree = shape.numbering().degree
             for sigma in all_perms(ps.N):
                 poly = build_phi(ps, sigma).poly
                 for word in poly.terms:
-                    assert cfg.chi.degree_sum([shape.var_degree(v) for v in word]) == 0
+                    assert cfg.chi.degree_sum([degree[k] for k in word]) == 0
 
 
 def test_coefficient_is_a_root_of_unity(cfgs):
@@ -239,18 +240,36 @@ def test_phi_polynomials_are_normalized(cfgs):
     for sigma in all_perms(2):
         poly = build_phi(ps, sigma).poly
         for word in poly.terms:
-            assert list(word) == sorted(word, key=cfg.shape.var_key)
+            assert all(isinstance(k, int) for k in word)
+            assert list(word) == sorted(word)
+
+
+def textbook_degree(shape, v):
+    """The G-degree of a variable as an int tuple: its lower indices'
+    degrees minus its upper indices' degrees."""
+    grp, order = shape.chi.group, shape.chi.element_order()
+    d = grp.identity
+    for x in v.lower:
+        d = grp.add(d, order[shape.space.degree(x)])
+    for x in v.upper:
+        d = grp.add(d, grp.neg(order[shape.space.degree(x)]))
+    return d
 
 
 def textbook_phi(pshape, sigma):
     """phi_sigma summed from scratch: at each index tuple I, the variable
-    word of the copies, insertion-sorted by var_key with the eps exponent
-    of each swapped pair of degrees added up, dropped when it repeats an
-    odd variable, and multiplied by coefficient(pshape, sigma, I)."""
+    word of the copies, insertion-sorted by the written-out order (degree
+    position, summand, lower, upper) with the eps exponent of each swapped
+    pair of degrees added up, dropped when it repeats an odd variable, and
+    multiplied by coefficient(pshape, sigma, I).  Each sorted word becomes
+    an id tuple through var_id at the end."""
     shape = pshape.shape
     chi = shape.chi
-    order = chi.element_order()
     inv = perms.inverse(sigma)
+
+    def key(v):
+        return chi.position(textbook_degree(shape, v)), v.summand, v.lower, v.upper
+
     total = {}
     for I in itertools.product(range(1, shape.space.dim + 1), repeat=pshape.N):
         word = [SymVariable(i, tuple(I[p - 1] for p in pshape.lower_positions(i, j)),
@@ -259,15 +278,16 @@ def textbook_phi(pshape, sigma):
         exp = 0
         for a in range(1, len(word)):
             b = a
-            while b > 0 and shape.var_key(word[b - 1]) > shape.var_key(word[b]):
-                exp += chi.eps_exponent(order[shape.var_degree(word[b - 1])],
-                                        order[shape.var_degree(word[b])])
+            while b > 0 and key(word[b - 1]) > key(word[b]):
+                exp += chi.eps_exponent(textbook_degree(shape, word[b - 1]),
+                                        textbook_degree(shape, word[b]))
                 word[b - 1], word[b] = word[b], word[b - 1]
                 b -= 1
-        if any(x == y and shape.var_parity(x) for x, y in zip(word, word[1:])):
+        if any(x == y and chi.parity_bit(chi.position(textbook_degree(shape, x)))
+               for x, y in zip(word, word[1:])):
             continue
         c = chi.root(exp) * coefficient(pshape, sigma, I)
-        word = tuple(word)
+        word = tuple(shape.var_id(v) for v in word)
         total[word] = total[word] + c if word in total else c
     return SymPolynomial(shape, total)
 

@@ -3,14 +3,15 @@
 import itertools
 import random
 
+import pytest
+
 from colorinv.cyclo import CycloRational
-from colorinv.sampling import random_sym_polynomial, standard_test_algebra
+from colorinv.sampling import standard_test_algebra
 from colorinv.sympoly import (
     MixedShape,
     SymPolynomial,
     SymVariable,
     enumerate_sym_basis,
-    mul_terms,
     sym_dimension,
     sym_normalize,
     symmetrize,
@@ -26,8 +27,9 @@ DIMENSION_SERIES = {
 }
 
 
-def word_key(shape):
-    return lambda word: tuple(shape.var_key(v) for v in word)
+def id_pool(shape):
+    """Every variable id of the shape, in order."""
+    return list(range(len(shape.numbering().variables)))
 
 
 def test_dimension_series_frozen(cfgs):
@@ -47,14 +49,15 @@ def test_dimension_matches_enumeration(cfgs):
             basis = enumerate_sym_basis(cfg.shape, r)
             assert len(basis) == sym_dimension(cfg.shape, r)
             assert len(set(basis)) == len(basis)
-            assert sorted(basis, key=word_key(cfg.shape)) == list(basis)
+            assert all(isinstance(k, int) for word in basis for k in word)
+            assert sorted(basis) == list(basis)
 
 
 def test_normalize_is_idempotent_and_sorts(cfgs):
     for name in ("super", "z2z2"):
         shape = cfgs[name].shape
         rng = random.Random("norm/%s" % name)
-        pool = shape.variables()
+        pool = id_pool(shape)
         for _ in range(40):
             seq = tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
             res = sym_normalize(shape, seq)
@@ -62,7 +65,7 @@ def test_normalize_is_idempotent_and_sorts(cfgs):
                 continue
             c, word = res
             assert not c.is_zero()
-            assert list(word) == sorted(word, key=shape.var_key)
+            assert list(word) == sorted(word)
             c2, word2 = sym_normalize(shape, word)
             assert word2 == word
             assert c2 == CycloRational.one()
@@ -72,8 +75,9 @@ def test_normalize_swap_relation(cfgs):
     for name in ("super", "z4", "z3z3"):
         shape = cfgs[name].shape
         chi = shape.chi
+        degree = shape.numbering().degree
         rng = random.Random("swap/%s" % name)
-        pool = shape.variables()
+        pool = id_pool(shape)
         for _ in range(40):
             k = rng.randint(2, 4)
             seq = [rng.choice(pool) for _ in range(k)]
@@ -82,8 +86,7 @@ def test_normalize_swap_relation(cfgs):
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             res1 = sym_normalize(shape, tuple(seq))
             res2 = sym_normalize(shape, tuple(swapped))
-            factor = chi.eps(shape.var_degree(seq[i]),
-                             shape.var_degree(seq[i + 1]))
+            factor = chi.eps(degree[seq[i]], degree[seq[i + 1]])
             if res1 is None:
                 assert res2 is None
             else:
@@ -95,11 +98,12 @@ def test_normalize_swap_relation(cfgs):
 
 def test_odd_variable_squares_vanish(cfgs):
     shape = cfgs["super"].shape
-    odd = SymVariable(1, (1,), (2,))
-    assert shape.chi.parity_bit(shape.var_degree(odd)) == 1
+    degree = shape.numbering().degree
+    odd = shape.var_id(SymVariable(1, (1,), (2,)))
+    assert shape.chi.parity_bit(degree[odd]) == 1
     p = SymPolynomial.from_word(shape, (odd,))
     assert (p * p).is_zero()
-    even = SymVariable(1, (1,), (1,))
+    even = shape.var_id(SymVariable(1, (1,), (1,)))
     q = SymPolynomial.from_word(shape, (even,))
     assert not (q * q).is_zero()
 
@@ -108,15 +112,16 @@ def test_monomials_sign_commute(cfgs):
     for name in ("super", "z2z2"):
         shape = cfgs[name].shape
         chi = shape.chi
+        degree = shape.numbering().degree
         rng = random.Random("comm/%s" % name)
-        pool = shape.variables()
+        pool = id_pool(shape)
         for _ in range(30):
             w1 = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
             w2 = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
             p1 = SymPolynomial.from_word(shape, w1)
             p2 = SymPolynomial.from_word(shape, w2)
-            d1 = chi.degree_sum([shape.var_degree(v) for v in w1])
-            d2 = chi.degree_sum([shape.var_degree(v) for v in w2])
+            d1 = chi.degree_sum([degree[k] for k in w1])
+            d2 = chi.degree_sum([degree[k] for k in w2])
             assert p1 * p2 == (p2 * p1).scale(chi.eps(d1, d2))
 
 
@@ -124,7 +129,7 @@ def test_symmetrize_is_a_projector(cfgs):
     for name in ("super", "z4"):
         shape = cfgs[name].shape
         rng = random.Random("proj/%s" % name)
-        pool = shape.variables()
+        pool = id_pool(shape)
         for _ in range(8):
             seq = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
             once = symmetrize(shape, seq)
@@ -136,8 +141,8 @@ def test_symmetrize_is_a_projector(cfgs):
 
 def test_polynomial_ring_operations(cfgs):
     shape = cfgs["trivial"].shape
-    v11 = SymVariable(1, (1,), (1,))
-    v12 = SymVariable(1, (1,), (2,))
+    v11 = shape.var_id(SymVariable(1, (1,), (1,)))
+    v12 = shape.var_id(SymVariable(1, (1,), (2,)))
     p = SymPolynomial.from_word(shape, (v11,))
     q = SymPolynomial.from_word(shape, (v12,), CycloRational.from_rational(2))
     assert p + q == q + p
@@ -149,62 +154,81 @@ def test_polynomial_ring_operations(cfgs):
     assert p.scale(CycloRational.zero()).is_zero()
 
 
-def test_mul_terms_on_ids_matches_variables(cfgs):
-    """The product keeps the monomials' form: over ids it is the product
-    over SymVariables with each variable replaced by its id."""
-    for name in ("super", "z3z3"):
-        shape = cfgs[name].shape
-        ids = shape.numbering().ids
-
-        def as_ids(terms):
-            return {tuple(ids[v] for v in m): c for m, c in terms.items()}
-
-        rng = random.Random("mul/%s" % name)
-        for _ in range(10):
-            left, right = (random_sym_polynomial(shape, 2, rng) for _ in range(2))
-            named = mul_terms(shape, left.terms, right.terms)
-            assert mul_terms(shape, as_ids(left.terms), as_ids(right.terms)) == as_ids(named)
-            assert (left * right).terms == named
-
-
 def test_variable_checks(cfgs):
     shape = cfgs["super"].shape
     ok = SymVariable(1, (1,), (2,))
     shape.check_variable(ok)
-    import pytest
     with pytest.raises((AssertionError, ValueError)):
         shape.check_variable(SymVariable(2, (1,), (1,)))
     with pytest.raises((AssertionError, ValueError)):
         shape.check_variable(SymVariable(1, (1, 1), (1,)))
 
 
+def test_from_word_rejects_ids_outside_the_table(cfgs):
+    """Ids run 0..n-1; -1 would otherwise wrap to the last variable."""
+    shape = cfgs["super"].shape
+    n = len(shape.numbering().variables)
+    assert SymPolynomial.from_word(shape, (0, n - 1)).terms
+    for bad in (-1, n):
+        with pytest.raises(ValueError, match="out of range"):
+            SymPolynomial.from_word(shape, (0, bad))
+
+
 def test_enumerate_by_multidegree(cfgs):
     shape = MixedShape(cfgs["trivial"].space, [(1, 1), (1, 1)])
-    key = word_key(shape)
+    vs = shape.numbering().variables
     full = enumerate_sym_basis(shape, 2)
     split = []
     for M in ((2, 0), (1, 1), (0, 2)):
         split.extend(enumerate_sym_basis(shape, 2, multidegree=M))
-    assert sorted(full, key=key) == sorted(split, key=key)
+    assert sorted(full) == sorted(split)
     for word in enumerate_sym_basis(shape, 2, multidegree=(1, 1)):
         counts = [0, 0]
-        for v in word:
-            counts[v.summand - 1] += 1
+        for k in word:
+            counts[vs[k].summand - 1] += 1
         assert counts == [1, 1]
 
 
+def textbook_normalize(shape, word):
+    """A word of SymVariables bubble-sorted into the written-out order
+    (degree position, summand, lower, upper), one eps factor per swap of
+    neighbours; None when an odd variable repeats."""
+    chi, order = shape.chi, shape.chi.element_order()
+
+    def degree(v):
+        d = chi.group.identity
+        for x in v.lower:
+            d = chi.group.add(d, order[shape.space.degree(x)])
+        for x in v.upper:
+            d = chi.group.add(d, chi.group.neg(order[shape.space.degree(x)]))
+        return order.index(d)
+
+    def key(v):
+        return degree(v), v.summand, v.lower, v.upper
+
+    word = list(word)
+    c = chi.root(0)
+    for end in range(len(word) - 1, 0, -1):
+        for j in range(end):
+            if key(word[j]) > key(word[j + 1]):
+                c = c * chi.eps(degree(word[j]), degree(word[j + 1]))
+                word[j], word[j + 1] = word[j + 1], word[j]
+    if any(a == b and chi.parity_bit(degree(a)) for a, b in zip(word, word[1:])):
+        return None
+    return c, tuple(word)
+
+
 def test_variable_numbering(cfgs):
-    """Ids are 0..n-1 in variables() order, increasing in var_key; the
-    code tables and the id lists agree with the variables; a word of ids
-    normalizes like the word of its variables."""
+    """Ids are 0..n-1 in the order of Numbering.variables, and var_id maps
+    each variable to its place; the code tables and the id lists agree
+    with the variables; a word of ids normalizes like the word of its
+    variables, re-sorted by a textbook insertion sort."""
     for cfg in cfgs.values():
         for shape in (cfg.shape, MixedShape(cfg.space, [(2, 1), (1, 2), (0, 0)])):
             num = shape.numbering()
-            vs = shape.variables()
-            assert list(num.variables) == vs
+            vs = list(num.variables)
             assert [num.ids[v] for v in vs] == list(range(len(vs)))
-            keys = [shape.var_key(v) for v in vs]
-            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert [shape.var_id(v) for v in vs] == list(range(len(vs)))
             dim = shape.space.dim
             seen = []
             for i, (b, t) in enumerate(shape.pairs, start=1):
@@ -223,12 +247,12 @@ def test_variable_numbering(cfgs):
                 for x in v.upper:
                     d = grp.add(d, grp.neg(order[shape.space.degree(x)]))
                 assert order[num.degree[k]] == d
-                assert num.parity[k] == shape.var_parity(v)
+                assert num.parity[k] == shape.chi.parity_bit(num.degree[k])
             rng = random.Random("ids/%s" % cfg.name)
             for _ in range(20):
                 word = [rng.choice(vs) for _ in range(rng.randint(0, 4))]
-                named = sym_normalize(shape, word)
-                numbered = sym_normalize(shape, [num.ids[v] for v in word])
+                named = textbook_normalize(shape, word)
+                numbered = sym_normalize(shape, [shape.var_id(v) for v in word])
                 if named is None:
                     assert numbered is None
                 else:
@@ -257,14 +281,12 @@ def test_variable_table_degrees_and_order(cfgs):
                                           repeat=b + t):
                 v = SymVariable(i, word[:b], word[b:])
                 d = probe.word_degree(word)
-                assert num.degree[num.ids[v]] == d
-                assert shape.var_degree(v) == d
-                assert shape.var_parity(v) == cfg.chi.parity_bit(d)
+                assert num.degree[shape.var_id(v)] == d
+                assert num.parity[shape.var_id(v)] == cfg.chi.parity_bit(d)
                 expected.append((d, i, v.lower, v.upper, v))
         expected.sort()
         assert list(num.variables) == [row[-1] for row in expected]
-        assert shape.variables() == [row[-1] for row in expected]
-        assert [shape.var_key(v) for v in num.variables] == list(range(len(expected)))
+        assert [shape.var_id(v) for v in num.variables] == list(range(len(expected)))
 
 
 def test_sym_variable_hash_and_repr():

@@ -80,7 +80,7 @@ def test_eps_round_trip(cfgs, algebras):
 
 def test_variable_round_trip(cfgs):
     shape = cfgs["super"].shape
-    for v in shape.variables():
+    for v in shape.numbering().variables:
         assert parse_variable(format_variable(v)) == v
     v = SymVariable(2, (1, 3), (2,))
     assert parse_variable(format_variable(v)) == v
@@ -95,6 +95,19 @@ def test_sym_round_trip(cfgs):
         for _ in range(8):
             p = random_sym_polynomial(shape, 2, rng)
             assert parse_sym(format_sym(p), shape) == p
+
+
+def test_parse_sym_keys_by_id_and_rejects_aliases(cfgs):
+    """parse_sym keys monomials by id tuples, each variable through
+    var_id.  On super (dim 2) the index word (0, 3) has the mixed-radix
+    code of (1, 1), so a code lookup alone would read T(1)[0]^[3] as
+    T(1)[1]^[1]; check_variable refuses it first."""
+    shape = cfgs["super"].shape
+    p = parse_sym("(1) * T(1)[2]^[2] * T(1)[1]^[1]", shape)
+    ids = [shape.var_id(SymVariable(1, (i,), (i,))) for i in (1, 2)]
+    assert p.terms == {tuple(sorted(ids)): CycloRational.one()}
+    with pytest.raises(ValueError, match="variable index out of range"):
+        parse_sym("(1) * T(1)[0]^[3]", shape)
 
 
 def test_tensor_round_trip(cfgs, algebras):
