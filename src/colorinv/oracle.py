@@ -730,11 +730,16 @@ SUITES = tuple(_RUNNERS)
 
 def suite(name, cfg, seed=0, max_n=None):
     """Run one named verification suite against a configuration.  The
-    report is deterministic given (config, seed)."""
+    report is deterministic given (config, seed).  An exception raised
+    inside the suite is a fault of the library under test, not of the
+    input: it becomes one FAIL case, after the cases that already ran."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (known: %s)" % (name, ", ".join(SUITES)))
     if max_n is None:
         max_n = min(3, cfg.max_n)
     rpt = Report(name, cfg.name, seed)
-    _RUNNERS[name](cfg, rpt, seed, max_n=max_n)
+    try:
+        _RUNNERS[name](cfg, rpt, seed, max_n=max_n)
+    except Exception as e:
+        rpt.add("exception", False, "%s: %s" % (type(e).__name__, e))
     return rpt
