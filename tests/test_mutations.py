@@ -1,0 +1,167 @@
+"""Mutation catalog: faults planted in the library, and the suites that
+catch them.
+
+Each entry plants one fault, runs every verification suite on one builtin
+at seed 0 with max_n=2, and checks that exactly the named suites FAIL, with
+the FAIL lines they print.  A suite that stops catching its fault, or a
+suite that starts failing on a fault it never saw, shows up here.
+"""
+
+import pytest
+
+from colorinv import cli, oracle, permutations as perms, pictures, traces
+from colorinv.config import builtin_config
+from colorinv.tensors import GradedOperator
+
+
+def exponent_plus_one(monkeypatch, cfg):
+    """The coefficient exponent of phi_sigma off by one wherever I_1 = 2."""
+    exponent = pictures.SigmaPlan.exponent
+    monkeypatch.setattr(pictures.SigmaPlan, "exponent",
+                        lambda plan, I: (exponent(plan, I) + (I[0] == 2)) % plan.m)
+
+
+def t_sigma_negated(monkeypatch, cfg):
+    """The contraction path T_sigma negated for every sigma but the identity."""
+    t_sigma = oracle.t_sigma_on_parts
+
+    def negated(pshape, sigma, parts):
+        out = t_sigma(pshape, sigma, parts)
+        return out if sigma == perms.identity(len(sigma)) else -out
+    monkeypatch.setattr(oracle, "t_sigma_on_parts", negated)
+
+
+def trace_unsigned(monkeypatch, cfg):
+    """The supertrace without its eps(g_a, g_a) sign: a plain trace."""
+    def end_trace(x):
+        total = x.alg.zero()
+        for (a, c), lam in x.terms.items():
+            if a == c:
+                total = total + lam
+        return total
+    monkeypatch.setattr(traces, "end_trace", end_trace)
+
+
+def transform_by_t(monkeypatch, cfg):
+    """The point transform given T where T^-1 belongs."""
+    apply_operator = oracle.apply_operator
+    monkeypatch.setattr(oracle, "apply_operator",
+                        lambda part, T, Tinv: apply_operator(part, T, T))
+
+
+def compose_drops_row_1(monkeypatch, cfg):
+    """Operator products that lose their first row."""
+    compose = GradedOperator.compose
+
+    def dropped(S, T):
+        out = compose(S, T)
+        return GradedOperator(out.space, out.alg,
+                              {ab: x for ab, x in out.terms.items() if ab[0] != 1})
+    monkeypatch.setattr(GradedOperator, "compose", dropped)
+
+
+def wrong_sum(monkeypatch, cfg):
+    """identity + (1,0) read as the identity in the degree sum table."""
+    cfg.chi.sum_table[0][3] = 0
+
+
+POINT_NOT_DEGREE_0 = ("FAIL exception: ValueError: summand 1 term (1, 2) has "
+                      "coefficient of degree != (0, 1); point is not degree 0")
+
+# fault: (builtin, plant, {suite: its FAIL lines}); every other suite passes
+CATALOG = {
+    "exponent-plus-one": ("z2z2", exponent_plus_one, {
+        "path-equality": [
+            "FAIL M=1 sigma=1: 2 of 3 points differ",
+            "FAIL M=2 sigma=1,2: 2 of 3 points differ",
+            "FAIL M=2 sigma=2,1: 1 of 3 points differ"],
+        "invariance": [
+            "FAIL M=1 sigma=1: 1 of 3 points differ"],
+        "trace-match": [
+            "FAIL M=1 sigma=1: 3 of 3 points differ",
+            "FAIL M=2 sigma=1,2: 3 of 3 points differ",
+            "FAIL M=2 sigma=2,1: 2 of 3 points differ"],
+        "span": [
+            "FAIL r=1 invariance multidegree 1: 3 transformed-point comparisons, 1 failed",
+            "FAIL r=2 invariance multidegree 2: 6 transformed-point comparisons, 2 failed",
+            "FAIL r=3 invariance multidegree 3: 18 transformed-point comparisons, 3 failed"],
+    }),
+    "t-sigma-negated": ("z2z2", t_sigma_negated, {
+        "path-equality": [
+            "FAIL M=2 sigma=2,1: 3 of 3 points differ"],
+    }),
+    "trace-unsigned": ("super", trace_unsigned, {
+        "trace-match": [
+            "FAIL M=1 sigma=1: 2 of 3 points differ",
+            "FAIL M=2 sigma=1,2: 1 of 3 points differ",
+            "FAIL M=2 sigma=2,1: 1 of 3 points differ"],
+    }),
+    "transform-by-t": ("trivial", transform_by_t, {
+        "invariance": [
+            "FAIL M=1 sigma=1: 3 of 3 points differ",
+            "FAIL M=2 sigma=1,2: 2 of 3 points differ",
+            "FAIL M=2 sigma=2,1: 2 of 3 points differ"],
+    }),
+    "compose-drops-row-1": ("z2z2", compose_drops_row_1, {
+        "jacobi": [
+            "FAIL color-jacobi: failed at units ((1, 1), (1, 2), (2, 1))",
+            "FAIL jacobi-homogeneous-sampled: 2 triples failed"],
+        "invariance": [
+            "FAIL M=1 sigma=1: 2 of 3 points differ",
+            "FAIL M=2 sigma=2,1: 1 of 3 points differ"],
+        "span": [
+            "FAIL r=1 invariance multidegree 1: 3 transformed-point comparisons, 2 failed",
+            "FAIL r=2 invariance multidegree 2: 6 transformed-point comparisons, 5 failed",
+            "FAIL r=3 invariance multidegree 3: 18 transformed-point comparisons, 10 failed"],
+    }),
+    "wrong-sum": ("z2z2", wrong_sum, {
+        "jacobi": [
+            "FAIL color-jacobi: failed at units ((1, 2), (2, 3), (3, 1))",
+            "FAIL exception: ValueError: color bracket needs homogeneous operators"],
+        "centralizer-commute": [
+            "FAIL psi-commutes k=2: 12 checks failed",
+            "FAIL psi-commutes k=3: 205 checks failed"],
+        "path-equality": [
+            "FAIL M=2 sigma=1,2: 1 of 3 points differ"],
+        "invariance": [POINT_NOT_DEGREE_0],
+        "trace-match": [
+            "FAIL trace-cyclicity: 6 pairs failed"],
+        "span": [POINT_NOT_DEGREE_0],
+    }),
+}
+
+
+def fail_lines(rpt):
+    return [line for line in rpt.render().splitlines() if line.startswith("FAIL ")]
+
+
+@pytest.mark.parametrize("fault", sorted(CATALOG))
+def test_fault_fails_exactly_its_suites(fault, monkeypatch):
+    builtin, plant, expected = CATALOG[fault]
+    cfg = builtin_config(builtin)
+    plant(monkeypatch, cfg)
+    got = {}
+    for name in oracle.SUITES:
+        lines = fail_lines(oracle.suite(name, cfg, seed=0, max_n=2))
+        if lines:
+            got[name] = lines
+    assert got == expected
+
+
+def test_library_exception_in_verify_is_a_fail_report(monkeypatch, capsys):
+    cfg = builtin_config("z2z2")
+    wrong_sum(monkeypatch, cfg)
+    monkeypatch.setattr(cli, "resolve_config", lambda spec: cfg)
+    code = cli.main(["verify", "--config", "builtin:z2z2", "--suite", "invariance"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("suite: invariance\nconfig: builtin:z2z2\n")
+    assert POINT_NOT_DEGREE_0 in out.splitlines()
+    assert out.endswith("\nverify: FAIL\n")
+
+
+def test_unknown_suite_is_refused_before_any_work(capsys):
+    assert cli.main(["verify", "--config", "builtin:z2z2", "--suite", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown suite 'nope'" in captured.err
