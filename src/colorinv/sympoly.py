@@ -96,9 +96,13 @@ class MixedShape:
             raise ValueError("variable index out of range in %r" % (v,))
 
     def var_id(self, v):
-        """The id of a SymVariable, which check_variable must pass first."""
-        self.check_variable(v)
-        return self.numbering().ids[v]
+        """The id of a SymVariable.  ids holds exactly the shape's
+        variables, so only a miss calls check_variable, for its message."""
+        try:
+            return self.numbering().ids[v]
+        except KeyError:
+            self.check_variable(v)
+            raise
 
     def variance(self, i):
         """Slot variances of summand i: b_i primal, then t_i dual."""
@@ -194,6 +198,8 @@ class SymPolynomial(Terms):
         """Image of an arbitrary sequence of variable ids in S(W*)."""
         n = len(shape.numbering().variables)
         for k in seq:
+            if not isinstance(k, int):
+                raise ValueError("variable id %r is not an int" % (k,))
             if not 0 <= k < n:
                 raise ValueError("variable id %r out of range 0..%d" % (k, n - 1))
         res = sym_normalize(shape, seq)

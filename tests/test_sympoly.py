@@ -174,6 +174,17 @@ def test_from_word_rejects_ids_outside_the_table(cfgs):
             SymPolynomial.from_word(shape, (0, bad))
 
 
+def test_from_word_rejects_entries_that_are_not_ids(cfgs):
+    """A SymVariable, or any other non-int, where an id belongs is named."""
+    shape = cfgs["super"].shape
+    v = SymVariable(1, (1,), (1,))
+    with pytest.raises(ValueError, match=r"variable id SymVariable\(.*\) is not an int"):
+        SymPolynomial.from_word(shape, (0, v))
+    with pytest.raises(ValueError, match="variable id '0' is not an int"):
+        SymPolynomial.from_word(shape, ("0",))
+    assert SymPolynomial.from_word(shape, (shape.var_id(v),)).terms
+
+
 def test_enumerate_by_multidegree(cfgs):
     shape = MixedShape(cfgs["trivial"].space, [(1, 1), (1, 1)])
     vs = shape.numbering().variables
