@@ -64,6 +64,16 @@ class Report:
         assert all(c.name != name for c in self.cases), "duplicate case name %r" % name
         self.cases.append(CaseResult(name, bool(ok), detail))
 
+    def tally(self, name, holds, ok, fail):
+        """Add one case over a stream of verdicts, one per check, read in
+        order.  ok and fail are the details of a clean and of a failed
+        case, formatted with the counts %(total)d and %(bad)d."""
+        total = bad = 0
+        for h in holds:
+            total += 1
+            bad += not h
+        self.add(name, bad == 0, (fail if bad else ok) % {"total": total, "bad": bad})
+
     def render(self):
         lines = ["suite: %s" % self.suite,
                  "config: %s" % self.config,
@@ -95,18 +105,20 @@ def _compositions(total, s):
         for rest in _compositions(total - first, s - 1):
             yield (first,) + rest
 
+def balanced_blocks(pairs, copies):
+    """Multiplicity tuples over the (b, t) pairs with the given number of
+    copies and as many lower as upper slots, in lexicographic order."""
+    return [M for M in _compositions(copies, len(pairs))
+            if not sum((b - t) * m for (b, t), m in zip(pairs, M))]
+
 def balanced_multiplicities(shape, max_positions):
     """Multiplicity tuples whose picture shape is balanced with
     1 <= N <= max_positions, in lexicographic order.  Every copy holds at
     least one slot, so at most 2*max_positions copies can fit."""
-    out = []
-    for k in range(1, 2 * max_positions + 1):
-        for M in _compositions(k, shape.s):
-            N = sum(m * b for m, (b, _) in zip(M, shape.pairs))
-            Np = sum(m * t for m, (_, t) in zip(M, shape.pairs))
-            if N == Np and 1 <= N <= max_positions:
-                out.append(M)
-    return sorted(set(out))
+    return sorted(M for k in range(1, 2 * max_positions + 1)
+                  for M in balanced_blocks(shape.pairs, k)
+                  if 1 <= sum(m * b for m, (b, _) in zip(M, shape.pairs))
+                  <= max_positions)
 
 # ------------------------------------------------- classical gl oracle
 
@@ -183,12 +195,7 @@ def classical_invariant_dim(n, shape, r):
     chi0 = Bicharacter([1], [[0]])
     space0 = GradedSpace(chi0, [0] * n)
     shape0 = MixedShape(space0, pairs)
-    total = 0
-    for M in _compositions(r, len(pairs)):
-        if sum((b - t) * m for (b, t), m in zip(pairs, M)):
-            continue
-        total += _invariant_block_dim(shape0, M, r)
-    return total
+    return sum(_invariant_block_dim(shape0, M, r) for M in balanced_blocks(pairs, r))
 
 def _phi_rank_block(shape, M, r):
     """Rank over the rationals of the picture invariants of multiplicity M
@@ -222,8 +229,7 @@ def span_check(shape, r, seed=0):
                 "scale, certifying invariance of each picture invariant instead")
         _span_restricted(shape, r, rpt, seed)
         return rpt
-    blocks = [M for M in _compositions(r, shape.s)
-              if not sum((b - t) * m for (b, t), m in zip(shape.pairs, M))]
+    blocks = balanced_blocks(shape.pairs, r)
     if not blocks:
         dim = classical_invariant_dim(shape.space.dim, shape, r)
         rpt.add("degree %d" % r, dim == 0,
@@ -239,24 +245,17 @@ def span_check(shape, r, seed=0):
 def _span_restricted(shape, r, rpt, seed):
     alg = standard_test_algebra(shape.chi, truncation=3)
     rng = _sub_rng(seed, "span-restricted")
-    for M in _compositions(r, shape.s):
-        if sum((b - t) * m for (b, t), m in zip(shape.pairs, M)):
-            continue
-        pshape = PictureShape(shape, M)
-        bad = 0
-        count = 0
+
+    def invariant(pshape):
         for sigma in perms.all_perms(pshape.N):
             phi = build_phi(pshape, sigma).poly
             for _ in range(POINTS):
-                u = random_w0_point(shape, alg, rng)
-                T, Tinv = random_gl_epsilon(shape.space, alg, rng)
-                v = W0Point(shape, alg,
-                            [apply_operator(p, T, Tinv) for p in u.parts])
-                count += 1
-                if restitute(phi, v) != restitute(phi, u):
-                    bad += 1
-        rpt.add("invariance multidegree %s" % _fmt_tuple(M), bad == 0,
-                "%d transformed-point comparisons, %d failed" % (count, bad))
+                u, v = _transformed_pair(shape, alg, rng)
+                yield restitute(phi, v) == restitute(phi, u)
+    detail = "%(total)d transformed-point comparisons, %(bad)d failed"
+    for M in balanced_blocks(shape.pairs, r):
+        rpt.tally("invariance multidegree %s" % _fmt_tuple(M),
+                  invariant(PictureShape(shape, M)), detail, detail)
 
 # ----------------------------------------------------------- suites
 
@@ -282,13 +281,10 @@ def _suite_bicharacter(cfg, rpt, seed, **_):
     rpt.add("biadditive", bad == 0,
             "%d triples checked" % total if not bad
             else "failed at %r" % (first,))
-    bad = 0
-    for g, h in itertools.product(els, repeat=2):
-        if (chi.eps_exponent(g, h) + chi.eps_exponent(h, g)) % m:
-            bad += 1
-    rpt.add("skew-inverse", bad == 0,
-            "eps(g,h)eps(h,g)=1 on all %d pairs" % (len(els) ** 2) if not bad
-            else "%d pairs violate" % bad)
+    rpt.tally("skew-inverse",
+              ((chi.eps_exponent(g, h) + chi.eps_exponent(h, g)) % m == 0
+               for g, h in itertools.product(els, repeat=2)),
+              "eps(g,h)eps(h,g)=1 on all %(total)d pairs", "%(bad)d pairs violate")
     evens, odds = [], []
     sign_ok = True
     for g in els:
@@ -338,21 +334,19 @@ def _suite_cocycle(cfg, rpt, seed, **_):
                 else "failed at %r" % (first,))
     alg = standard_test_algebra(chi, truncation=2)
     rng = _sub_rng(seed, "cocycle")
-    bad = total = 0
-    for _ in range(30):
-        k = rng.choice([2, 3])
-        variance = tuple(rng.choice([PRIMAL, DUAL]) for _ in range(k))
-        idx = tuple(rng.randint(1, space.dim) for _ in range(k))
-        t = GradedTensor.basis(space, alg, variance, idx)
-        sk = perms.all_perms(k)
-        p = sk[rng.randrange(len(sk))]
-        q = sk[rng.randrange(len(sk))]
-        total += 1
-        if act_perm(p, act_perm(q, t)) != act_perm(perms.compose(p, q), t):
-            bad += 1
-    rpt.add("action-functoriality", bad == 0,
-            "%d sampled (p, q, tensor) triples" % total if not bad
-            else "%d triples failed" % bad)
+
+    def functorial():
+        for _ in range(30):
+            k = rng.choice([2, 3])
+            variance = tuple(rng.choice([PRIMAL, DUAL]) for _ in range(k))
+            idx = tuple(rng.randint(1, space.dim) for _ in range(k))
+            t = GradedTensor.basis(space, alg, variance, idx)
+            sk = perms.all_perms(k)
+            p = sk[rng.randrange(len(sk))]
+            q = sk[rng.randrange(len(sk))]
+            yield act_perm(p, act_perm(q, t)) == act_perm(perms.compose(p, q), t)
+    rpt.tally("action-functoriality", functorial(),
+              "%(total)d sampled (p, q, tensor) triples", "%(bad)d triples failed")
 
 def _jacobi_space(cfg):
     space = cfg.space
@@ -370,18 +364,17 @@ def _suite_jacobi(cfg, rpt, seed, **_):
         for b in range(1, n + 1):
             units[(a, b)] = GradedOperator.matrix_unit(space, alg, a, b)
     keys = sorted(units)
-    bad = 0
-    for x in keys:
-        for y in keys:
-            gx = units[x].g_degree()
-            gy = units[y].g_degree()
-            lhs = color_bracket(units[x], units[y])
-            rhs = color_bracket(units[y], units[x]).scale(chi.eps(gx, gy))
-            if not (lhs + rhs).is_zero():
-                bad += 1
-    rpt.add("bracket-antisymmetry", bad == 0,
-            "all %d matrix unit pairs" % (len(keys) ** 2) if not bad
-            else "%d pairs failed" % bad)
+
+    def antisymmetric():
+        for x in keys:
+            for y in keys:
+                gx = units[x].g_degree()
+                gy = units[y].g_degree()
+                lhs = color_bracket(units[x], units[y])
+                rhs = color_bracket(units[y], units[x]).scale(chi.eps(gx, gy))
+                yield (lhs + rhs).is_zero()
+    rpt.tally("bracket-antisymmetry", antisymmetric(),
+              "all %(total)d matrix unit pairs", "%(bad)d pairs failed")
     pair_brackets = {(x, y): color_bracket(units[x], units[y])
                      for x in keys for y in keys}
     degs = {x: units[x].g_degree() for x in keys}
@@ -403,30 +396,28 @@ def _suite_jacobi(cfg, rpt, seed, **_):
             else "failed at units %r" % (first,))
     rng = _sub_rng(seed, "jacobi")
     add, neg = chi.sum_table, chi.neg_table
-    bad = total = 0
-    for _ in range(6):
-        ops = []
-        for _ in range(3):
-            a0 = rng.randint(1, n)
-            b0 = rng.randint(1, n)
-            g = add[space.degree(a0)][neg[space.degree(b0)]]
-            T = GradedOperator.zero(space, alg)
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    if add[space.degree(a)][neg[space.degree(b)]] == g:
-                        T = T + GradedOperator.matrix_unit(
-                            space, alg, a, b, Fraction(rng.randint(-3, 3)))
-            ops.append((T, g))
-        (x, gx), (y, gy), (z, gz) = ops
-        s = color_bracket(x, color_bracket(y, z)).scale(chi.eps(gz, gx))
-        s = s + color_bracket(y, color_bracket(z, x)).scale(chi.eps(gx, gy))
-        s = s + color_bracket(z, color_bracket(x, y)).scale(chi.eps(gy, gz))
-        total += 1
-        if not s.is_zero():
-            bad += 1
-    rpt.add("jacobi-homogeneous-sampled", bad == 0,
-            "%d random homogeneous triples" % total if not bad
-            else "%d triples failed" % bad)
+
+    def sampled_jacobi():
+        for _ in range(6):
+            ops = []
+            for _ in range(3):
+                a0 = rng.randint(1, n)
+                b0 = rng.randint(1, n)
+                g = add[space.degree(a0)][neg[space.degree(b0)]]
+                T = GradedOperator.zero(space, alg)
+                for a in range(1, n + 1):
+                    for b in range(1, n + 1):
+                        if add[space.degree(a)][neg[space.degree(b)]] == g:
+                            T = T + GradedOperator.matrix_unit(
+                                space, alg, a, b, Fraction(rng.randint(-3, 3)))
+                ops.append((T, g))
+            (x, gx), (y, gy), (z, gz) = ops
+            s = color_bracket(x, color_bracket(y, z)).scale(chi.eps(gz, gx))
+            s = s + color_bracket(y, color_bracket(z, x)).scale(chi.eps(gx, gy))
+            s = s + color_bracket(z, color_bracket(x, y)).scale(chi.eps(gy, gz))
+            yield s.is_zero()
+    rpt.tally("jacobi-homogeneous-sampled", sampled_jacobi(),
+              "%(total)d random homogeneous triples", "%(bad)d triples failed")
 
 def _suite_centralizer(cfg, rpt, seed, **_):
     """sigma commutes with psi_x for every matrix unit x and with eta_g for
@@ -449,28 +440,25 @@ def _suite_centralizer(cfg, rpt, seed, **_):
                  for idx in itertools.product(range(1, n + 1), repeat=k)]
         sigmas = perms.all_perms(k)
         moved = [[act_perm(sigma, t) for t in basis] for sigma in sigmas]
-        bad = total = 0
-        for x in units:
-            for j, t in enumerate(basis):
-                xt = psi_derivation(x, t)
-                for sigma, mt in zip(sigmas, moved):
-                    total += 1
-                    if act_perm(sigma, xt) != psi_derivation(x, mt[j]):
-                        bad += 1
-        rpt.add("psi-commutes k=%d" % k, bad == 0,
-                "%d (sigma, unit, basis tensor) checks" % total if not bad
-                else "%d checks failed" % bad)
-        bad = total = 0
-        for g in range(chi.group.order):
-            for j, t in enumerate(basis):
-                gt = eta_action(g, t)
-                for sigma, mt in zip(sigmas, moved):
-                    total += 1
-                    if act_perm(sigma, gt) != eta_action(g, mt[j]):
-                        bad += 1
-        rpt.add("eta-commutes k=%d" % k, bad == 0,
-                "%d (sigma, group element, basis tensor) checks" % total
-                if not bad else "%d checks failed" % bad)
+
+        def psi_commutes():
+            for x in units:
+                for j, t in enumerate(basis):
+                    xt = psi_derivation(x, t)
+                    for sigma, mt in zip(sigmas, moved):
+                        yield act_perm(sigma, xt) == psi_derivation(x, mt[j])
+
+        def eta_commutes():
+            for g in range(chi.group.order):
+                for j, t in enumerate(basis):
+                    gt = eta_action(g, t)
+                    for sigma, mt in zip(sigmas, moved):
+                        yield act_perm(sigma, gt) == eta_action(g, mt[j])
+        rpt.tally("psi-commutes k=%d" % k, psi_commutes(),
+                  "%(total)d (sigma, unit, basis tensor) checks", "%(bad)d checks failed")
+        rpt.tally("eta-commutes k=%d" % k, eta_commutes(),
+                  "%(total)d (sigma, group element, basis tensor) checks",
+                  "%(bad)d checks failed")
 
 def _random_word(shape, rng, rmin=2, rmax=4):
     """A random word of variable ids."""
@@ -492,95 +480,78 @@ def _random_homogeneous(shape, r, rng, terms=2):
 def _suite_symalgebra(cfg, rpt, seed, **_):
     shape = cfg.shape
     chi = shape.chi
-    dims = []
-    ok = True
-    for r in range(0, 4):
-        got = len(enumerate_sym_basis(shape, r))
-        want = sym_dimension(shape, r)
-        dims.append(got)
-        ok = ok and got == want
-    rpt.add("dimension-series", ok,
+    dims = [len(enumerate_sym_basis(shape, r)) for r in range(4)]
+    rpt.add("dimension-series", dims == [sym_dimension(shape, r) for r in range(4)],
             "monomial counts r=0..3: %s match the generating function"
             % _fmt_tuple(dims))
     num = shape.numbering()
     odd_vs = [k for k, odd in enumerate(num.parity) if odd]
-    bad = sum(1 for k in odd_vs if sym_normalize(shape, (k, k)) is not None)
-    rpt.add("odd-square-zero", bad == 0,
-            "%d odd variables" % len(odd_vs))
+    rpt.tally("odd-square-zero",
+              (sym_normalize(shape, (k, k)) is None for k in odd_vs),
+              "%(total)d odd variables", "%(total)d odd variables")
     rng = _sub_rng(seed, "symalgebra")
-    bad = total = 0
-    for _ in range(40):
-        word = _random_word(shape, rng)
-        i = rng.randint(1, len(word) - 1)
-        swapped = list(word)
-        swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-        e = chi.eps(num.degree[word[i - 1]], num.degree[word[i]])
-        nw = sym_normalize(shape, word)
-        ns = sym_normalize(shape, tuple(swapped))
-        total += 1
-        if nw is None or ns is None:
-            if (nw is None) != (ns is None):
-                bad += 1
-        elif nw[1] != ns[1] or nw[0] != e * ns[0]:
-            bad += 1
-    rpt.add("normalize-swap-relation", bad == 0,
-            "%d random adjacent swaps" % total if not bad
-            else "%d swaps failed" % bad)
-    bad = total = 0
-    for _ in range(8):
-        word = _random_word(shape, rng, 2, 3)
-        p = symmetrize(shape, word)
-        q = SymPolynomial.zero(shape)
-        for mono, c in p.terms.items():
-            q = q + symmetrize(shape, mono).scale(c)
-        total += 1
-        if q != p:
-            bad += 1
-    rpt.add("symmetrize-projector", bad == 0,
-            "%d random words, e(r) o e(r) = e(r)" % total if not bad
-            else "%d words failed" % bad)
 
-def _suite_path_equality(cfg, rpt, seed, max_n):
+    def swap_relation():
+        for _ in range(40):
+            word = _random_word(shape, rng)
+            i = rng.randint(1, len(word) - 1)
+            swapped = list(word)
+            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+            e = chi.eps(num.degree[word[i - 1]], num.degree[word[i]])
+            nw = sym_normalize(shape, word)
+            ns = sym_normalize(shape, tuple(swapped))
+            if nw is None or ns is None:
+                yield (nw is None) == (ns is None)
+            else:
+                yield nw[1] == ns[1] and nw[0] == e * ns[0]
+    rpt.tally("normalize-swap-relation", swap_relation(),
+              "%(total)d random adjacent swaps", "%(bad)d swaps failed")
+
+    def projector():
+        for _ in range(8):
+            word = _random_word(shape, rng, 2, 3)
+            p = symmetrize(shape, word)
+            q = SymPolynomial.zero(shape)
+            for mono, c in p.terms.items():
+                q = q + symmetrize(shape, mono).scale(c)
+            yield q == p
+    rpt.tally("symmetrize-projector", projector(),
+              "%(total)d random words, e(r) o e(r) = e(r)", "%(bad)d words failed")
+
+def _sigma_cases(cfg, rpt, seed, max_n, tag, draw, differs, ok_detail):
+    """One case per balanced multiplicity tuple M and sigma in S_N.  Each M
+    draws POINTS samples x = draw(shape, alg, rng) from its own rng
+    "<tag>/<M>", and the case of (M, sigma) counts the samples where
+    differs(pshape, sigma, phi_sigma, x) holds."""
     shape = cfg.shape
     alg = standard_test_algebra(cfg.chi, truncation=3)
     for M in balanced_multiplicities(shape, max_n):
         pshape = PictureShape(shape, M)
-        rng = _sub_rng(seed, "path/%s" % _fmt_tuple(M))
-        us = [random_w0_point(shape, alg, rng) for _ in range(POINTS)]
+        rng = _sub_rng(seed, "%s/%s" % (tag, _fmt_tuple(M)))
+        xs = [draw(shape, alg, rng) for _ in range(POINTS)]
         for sigma in perms.all_perms(pshape.N):
             phi = build_phi(pshape, sigma)
-            bad = 0
-            for u in us:
-                lhs = restitute(phi.poly, u)
-                rhs = t_sigma_on_parts(pshape, sigma, u.parts)
-                if lhs != rhs:
-                    bad += 1
-            rpt.add("M=%s sigma=%s" % (_fmt_tuple(M), _fmt_tuple(sigma)),
-                    bad == 0,
-                    "%d points" % POINTS if not bad
-                    else "%d of %d points differ" % (bad, POINTS))
+            rpt.tally("M=%s sigma=%s" % (_fmt_tuple(M), _fmt_tuple(sigma)),
+                      (not differs(pshape, sigma, phi, x) for x in xs),
+                      ok_detail, "%(bad)d of %(total)d points differ")
+
+def _transformed_pair(shape, alg, rng):
+    """A random point u and its image under a random T in GL(V, Lambda)."""
+    u = random_w0_point(shape, alg, rng)
+    T, Tinv = random_gl_epsilon(shape.space, alg, rng)
+    return u, W0Point(shape, alg, [apply_operator(p, T, Tinv) for p in u.parts])
+
+def _suite_path_equality(cfg, rpt, seed, max_n):
+    _sigma_cases(cfg, rpt, seed, max_n, "path", random_w0_point,
+                 lambda pshape, sigma, phi, u: restitute(phi.poly, u)
+                 != t_sigma_on_parts(pshape, sigma, u.parts),
+                 "%(total)d points")
 
 def _suite_invariance(cfg, rpt, seed, max_n):
-    shape = cfg.shape
-    alg = standard_test_algebra(cfg.chi, truncation=3)
-    for M in balanced_multiplicities(shape, max_n):
-        pshape = PictureShape(shape, M)
-        rng = _sub_rng(seed, "invariance/%s" % _fmt_tuple(M))
-        pairs = []
-        for _ in range(POINTS):
-            u = random_w0_point(shape, alg, rng)
-            T, Tinv = random_gl_epsilon(shape.space, alg, rng)
-            v = W0Point(shape, alg,
-                        [apply_operator(p, T, Tinv) for p in u.parts])
-            pairs.append((u, v))
-        for sigma in perms.all_perms(pshape.N):
-            phi = build_phi(pshape, sigma).poly
-            bad = sum(1 for u, v in pairs
-                      if restitute(phi, u) != restitute(phi, v))
-            rpt.add("M=%s sigma=%s" % (_fmt_tuple(M), _fmt_tuple(sigma)),
-                    bad == 0,
-                    "%d transformed points" % POINTS if not bad
-                    else "%d of %d points differ" % (bad, POINTS))
+    _sigma_cases(cfg, rpt, seed, max_n, "invariance", _transformed_pair,
+                 lambda pshape, sigma, phi, uv: restitute(phi.poly, uv[0])
+                 != restitute(phi.poly, uv[1]),
+                 "%(total)d transformed points")
 
 def _suite_trace_match(cfg, rpt, seed, max_n):
     shape = cfg.shape
@@ -594,81 +565,63 @@ def _suite_trace_match(cfg, rpt, seed, max_n):
             "tr(id) = %d" % expect)
     rng = _sub_rng(seed, "trace-cyclic")
     mshape = MixedShape(space, [(1, 1)])
-    bad = total = 0
-    for _ in range(12):
-        x = random_w0_point(mshape, alg, rng).part(1)
-        y = random_w0_point(mshape, alg, rng).part(1)
-        total += 1
-        if end_trace(end_compose(x, y)) != end_trace(end_compose(y, x)):
-            bad += 1
-    rpt.add("trace-cyclicity", bad == 0,
-            "%d random degree-preserving pairs" % total if not bad
-            else "%d pairs failed" % bad)
+
+    def cyclic():
+        for _ in range(12):
+            x = random_w0_point(mshape, alg, rng).part(1)
+            y = random_w0_point(mshape, alg, rng).part(1)
+            yield end_trace(end_compose(x, y)) == end_trace(end_compose(y, x))
+    rpt.tally("trace-cyclicity", cyclic(),
+              "%(total)d random degree-preserving pairs", "%(bad)d pairs failed")
     if any(p != (1, 1) for p in shape.pairs):
         rpt.add("matrix-shape", True,
                 "skipped: trace monomials need every summand of arity (1,1); "
                 "this shape has %s" % ";".join("%d,%d" % p for p in shape.pairs))
         return
-    for M in balanced_multiplicities(shape, max_n):
-        pshape = PictureShape(shape, M)
-        rng = _sub_rng(seed, "trace/%s" % _fmt_tuple(M))
-        us = [random_w0_point(shape, alg, rng) for _ in range(POINTS)]
-        for sigma in perms.all_perms(pshape.N):
-            phi = build_phi(pshape, sigma)
-            bad = 0
-            for u in us:
-                okk, _, _ = trace_match(pshape, sigma, u, phi=phi)
-                if not okk:
-                    bad += 1
-            rpt.add("M=%s sigma=%s" % (_fmt_tuple(M), _fmt_tuple(sigma)),
-                    bad == 0,
-                    "%d points" % POINTS if not bad
-                    else "%d of %d points differ" % (bad, POINTS))
+    _sigma_cases(cfg, rpt, seed, max_n, "trace", random_w0_point,
+                 lambda pshape, sigma, phi, u:
+                 not trace_match(pshape, sigma, u, phi=phi)[0],
+                 "%(total)d points")
 
 def _suite_restitution(cfg, rpt, seed, **_):
     shape = cfg.shape
     chi = cfg.chi
     alg = standard_test_algebra(chi, truncation=3)
     rng = _sub_rng(seed, "restitution")
-    cases = 50
-    bad = 0
-    for _ in range(cases):
-        word = _random_word(shape, rng)
-        i = rng.randint(1, len(word) - 1)
-        point = random_w0_point(shape, alg, rng)
-        if not transposition_sign_check(shape, word, i, point):
-            bad += 1
-    rpt.add("transposition-relations", bad == 0,
-            "%d random (word, position, point) triples" % cases if not bad
-            else "%d of %d triples failed" % (bad, cases))
-    bad = total = 0
-    for _ in range(25):
-        word = _random_word(shape, rng)
-        point = random_w0_point(shape, alg, rng)
-        res = sym_normalize(shape, word)
-        total += 1
-        if res is None:
-            if restitute_word(shape, word, point):
-                bad += 1
-        else:
-            swap, mono = res
-            if restitute_word(shape, word, point) \
-                    != restitute_word(shape, mono, point).scale(swap):
-                bad += 1
-    rpt.add("normal-form-agreement", bad == 0,
-            "%d random words against their sorted forms" % total if not bad
-            else "%d words failed" % bad)
-    bad = total = 0
-    for _ in range(12):
-        p = _random_homogeneous(shape, rng.randint(1, 2), rng, terms=2)
-        q = _random_homogeneous(shape, rng.randint(1, 2), rng, terms=2)
-        point = random_w0_point(shape, alg, rng)
-        total += 1
-        if restitute(p * q, point) != restitute(p, point) * restitute(q, point):
-            bad += 1
-    rpt.add("algebra-map", bad == 0,
-            "%d random products F(pq) = F(p)F(q)" % total if not bad
-            else "%d products failed" % bad)
+
+    def transpositions():
+        for _ in range(50):
+            word = _random_word(shape, rng)
+            i = rng.randint(1, len(word) - 1)
+            point = random_w0_point(shape, alg, rng)
+            yield transposition_sign_check(shape, word, i, point)
+    rpt.tally("transposition-relations", transpositions(),
+              "%(total)d random (word, position, point) triples",
+              "%(bad)d of %(total)d triples failed")
+
+    def normal_forms():
+        for _ in range(25):
+            word = _random_word(shape, rng)
+            point = random_w0_point(shape, alg, rng)
+            res = sym_normalize(shape, word)
+            if res is None:
+                yield not restitute_word(shape, word, point)
+            else:
+                swap, mono = res
+                yield restitute_word(shape, word, point) \
+                    == restitute_word(shape, mono, point).scale(swap)
+    rpt.tally("normal-form-agreement", normal_forms(),
+              "%(total)d random words against their sorted forms",
+              "%(bad)d words failed")
+
+    def products():
+        for _ in range(12):
+            p = _random_homogeneous(shape, rng.randint(1, 2), rng, terms=2)
+            q = _random_homogeneous(shape, rng.randint(1, 2), rng, terms=2)
+            point = random_w0_point(shape, alg, rng)
+            yield restitute(p * q, point) == restitute(p, point) * restitute(q, point)
+    rpt.tally("algebra-map", products(),
+              "%(total)d random products F(pq) = F(p)F(q)", "%(bad)d products failed")
     nonzero = certified = 0
     attempts = 0
     while nonzero < 20 and attempts < 200:
@@ -684,14 +637,9 @@ def _suite_restitution(cfg, rpt, seed, **_):
             "%d nonzero polynomials certified nonzero, zero maps to zero"
             % nonzero if certified == nonzero
             else "%d of %d certificates missing" % (nonzero - certified, nonzero))
-    degree_case = None
-    for a in range(1, cfg.space.dim + 1):
-        for b in range(1, cfg.space.dim + 1):
-            if cfg.space.degree(a) != cfg.space.degree(b):
-                degree_case = (a, b)
-                break
-        if degree_case:
-            break
+    degree_case = next(((a, b) for a, b in
+                        itertools.product(range(1, cfg.space.dim + 1), repeat=2)
+                        if cfg.space.degree(a) != cfg.space.degree(b)), None)
     if degree_case is None:
         rpt.add("degree-zero-required", True,
                 "skipped: every tensor has degree 0 over the trivial group")
