@@ -109,11 +109,11 @@ def parse_config_text(text, name="<config>"):
     expmat = [_int_list(row, "bicharacter.expmat row") for row in expmat]
 
     chi = Bicharacter(factors, expmat)
-    report = validate_bicharacter(chi)
-    if not report.ok:
+    failures = validate_bicharacter(chi)
+    if failures:
         raise ConfigError("%s:%d: invalid bicharacter:\n  %s"
                           % (name, lines["bicharacter.expmat"],
-                             "\n  ".join(report.failures[:6])))
+                             "\n  ".join(failures[:6])))
 
     raw_degrees = values["space.degrees"]
     if not isinstance(raw_degrees, (list, tuple)) or not raw_degrees:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .cyclo import CycloRational
 
@@ -158,35 +157,19 @@ class _Rows(dict):
         row = self[a] = [f(g, h) for h in self.elements]
         return row
 
-@dataclass
-class ValidationReport:
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def add(self, msg):
-        self.failures.append(msg)
-
-    def __str__(self):
-        if self.ok:
-            return "valid"
-        return "\n".join(self.failures)
-
 def validate_bicharacter(chi):
     """Check the exponent-matrix constraints
 
       d_i B_ij = d_j B_ij = 0 and B_ij + B_ji = 0 (mod m)
 
-    and return a ValidationReport listing every failure.  They imply the
-    bicharacter axioms, so no pointwise pass is needed: g^T B h is
-    biadditive over the integers and, by the factor conditions, well
-    defined on G, so eps(f+g, h) = eps(f,h) eps(g,h) and likewise in h;
-    eps(g,h) eps(h,g) = zeta_m^(g^T (B + B^T) h) = 1; and 2 g^T B g =
-    g^T (B + B^T) g = 0 mod m gives eps(g,g) = +-1.
+    and return the list of failure messages, empty when the bicharacter
+    is valid.  They imply the bicharacter axioms, so no pointwise pass is
+    needed: g^T B h is biadditive over the integers and, by the factor
+    conditions, well defined on G, so eps(f+g, h) = eps(f,h) eps(g,h) and
+    likewise in h; eps(g,h) eps(h,g) = zeta_m^(g^T (B + B^T) h) = 1; and
+    2 g^T B g = g^T (B + B^T) g = 0 mod m gives eps(g,g) = +-1.
     """
-    rep = ValidationReport()
+    failures = []
     G = chi.group
     m = chi.m
     B = chi.expmat
@@ -194,12 +177,13 @@ def validate_bicharacter(chi):
     for i in range(k):
         for j in range(k):
             if (B[i][j] + B[j][i]) % m != 0:
-                rep.add("skew-symmetry fails at entry (%d,%d): B_ij + B_ji = %d mod %d"
-                        % (i + 1, j + 1, (B[i][j] + B[j][i]) % m, m))
+                failures.append(
+                    "skew-symmetry fails at entry (%d,%d): B_ij + B_ji = %d mod %d"
+                    % (i + 1, j + 1, (B[i][j] + B[j][i]) % m, m))
             if (G.factors[i] * B[i][j]) % m != 0:
-                rep.add("entry (%d,%d) not defined mod factor d_%d = %d"
-                        % (i + 1, j + 1, i + 1, G.factors[i]))
+                failures.append("entry (%d,%d) not defined mod factor d_%d = %d"
+                                % (i + 1, j + 1, i + 1, G.factors[i]))
             if (G.factors[j] * B[i][j]) % m != 0:
-                rep.add("entry (%d,%d) not defined mod factor d_%d = %d"
-                        % (i + 1, j + 1, j + 1, G.factors[j]))
-    return rep
+                failures.append("entry (%d,%d) not defined mod factor d_%d = %d"
+                                % (i + 1, j + 1, j + 1, G.factors[j]))
+    return failures

@@ -29,7 +29,7 @@ def test_builtin_configs_load_and_validate():
     for name in names:
         cfg = builtin_config(name)
         assert cfg.name == "builtin:%s" % name
-        assert validate_bicharacter(cfg.chi).ok
+        assert validate_bicharacter(cfg.chi) == []
         assert cfg.space.dim == len(cfg.space.degrees)
         assert cfg.shape.pairs
         assert cfg.truncation >= 1
