@@ -115,10 +115,10 @@ def balanced_multiplicities(shape, max_positions):
     """Multiplicity tuples whose picture shape is balanced with
     1 <= N <= max_positions, in lexicographic order.  Every copy holds at
     least one slot, so at most 2*max_positions copies can fit."""
+    pairs = shape.pairs
     return sorted(M for k in range(1, 2 * max_positions + 1)
-                  for M in balanced_blocks(shape.pairs, k)
-                  if 1 <= sum(m * b for m, (b, _) in zip(M, shape.pairs))
-                  <= max_positions)
+                  for M in balanced_blocks(pairs, k)
+                  if 1 <= sum(m * b for m, (b, _) in zip(M, pairs)) <= max_positions)
 
 # ------------------------------------------------- classical gl oracle
 
