@@ -13,39 +13,9 @@ from .config import ConfigError, list_builtin_configs, resolve_config
 from .oracle import SUITES, balanced_multiplicities, suite
 from .pictures import PictureShape, build_phi
 from .sampling import standard_test_algebra
-from .sympoly import MixedShape
 from .textform import (dump_structured, format_eps, format_sym, parse_point,
                        parse_sym, structured_eps, structured_sym)
 from .traces import restitute, trace_monomial
-
-def _partitions(n):
-    """Partitions of n in decreasing lexicographic order."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def extend(rest, maxpart, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(rest, maxpart), 0, -1):
-            acc.append(p)
-            extend(rest - p, p, acc)
-            acc.pop()
-
-    extend(n, n, [])
-    return out
-
-def _cycle_type_rep(partition):
-    """A representative permutation with the given cycle type, cycles laid
-    out consecutively on 1..n."""
-    cycs = []
-    next_pt = 1
-    for p in partition:
-        cycs.append(tuple(range(next_pt, next_pt + p)))
-        next_pt += p
-    n = next_pt - 1
-    return perms.from_cycles(cycs, n)
 
 def _parse_mults(text, shape):
     parts = [p for p in text.replace(",", " ").split() if p]
@@ -82,8 +52,7 @@ def cmd_list(args):
         pshape = PictureShape(cfg.shape, M)
         print("multiplicities %s  positions N=%d"
               % (",".join(str(m) for m in M), pshape.N))
-        for part in _partitions(pshape.N):
-            rep = _cycle_type_rep(part)
+        for part, rep in perms.cycle_type_reps(pshape.N):
             label = perms.format_cycles(rep) or "(identity)"
             print("  cycle type %s  sigma %s"
                   % ("+".join(str(p) for p in part), label))

@@ -1,43 +1,40 @@
-"""Exact linear algebra helpers.
-
-Everything here is fraction-exact; no floating point.  rank_int is the
-rank of an integer matrix by the Bareiss fraction-free scheme (fast with
-Python ints); invert_fraction_matrix inverts over Q by Gauss-Jordan.
+"""Exact linear algebra, with no floating point: the rank of an integer
+matrix given as sparse rows, and the inverse of a matrix over Q by
+Gauss-Jordan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import math
 
 def rank_int(rows):
-    """Rank of an integer matrix by Bareiss elimination."""
-    M = [list(r) for r in rows]
-    if not M or not M[0]:
-        return 0
-    nrows, ncols = len(M), len(M[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if M[r][col]:
-                piv = r
+    """Rank over Q of the integer matrix whose rows are dicts {column: int};
+    columns may be any mutually comparable keys.  Fraction-free elimination
+    on the nonzero entries: a row is reduced at its smallest column against
+    the pivot row kept there, r <- a*r - b*p with a/b the ratio of the two
+    leading entries in lowest terms, until it reaches a column with no
+    pivot row, where it is kept, divided by its content."""
+    pivots = {}
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
+        while r:
+            lead = min(r)
+            p = pivots.get(lead)
+            if p is None:
+                g = math.gcd(*r.values())
+                pivots[lead] = {c: x // g for c, x in r.items()}
                 break
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        p = M[row][col]
-        for r in range(row + 1, nrows):
-            t = M[r][col]
-            for c in range(col, ncols):
-                M[r][c] = (M[r][c] * p - t * M[row][c]) // prev
-        prev = p
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
+            g = math.gcd(r[lead], p[lead])
+            a, b = p[lead] // g, r[lead] // g
+            r = {c: a * x for c, x in r.items()}
+            for c, y in p.items():
+                x = r.get(c, 0) - b * y
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+    return len(pivots)
 
 def invert_fraction_matrix(rows):
     """Exact inverse of a square matrix over Q, or None if singular."""

@@ -20,7 +20,7 @@ import random
 
 from . import permutations as perms
 from .groups import Bicharacter, validate_bicharacter
-from .cyclo import CycloRational, as_cyclo
+from .cyclo import CycloRational
 from .tensors import (GradedSpace, GradedTensor, GradedOperator, PRIMAL, DUAL,
                       gamma_exponent, act_perm, apply_operator, psi_derivation,
                       eta_action, color_bracket, random_gl_epsilon)
@@ -67,11 +67,16 @@ class Report:
     def tally(self, name, holds, ok, fail):
         """Add one case over a stream of verdicts, one per check, read in
         order.  ok and fail are the details of a clean and of a failed
-        case, formatted with the counts %(total)d and %(bad)d."""
+        case, formatted with the counts %(total)d and %(bad)d.  An exception
+        raised by the stream fails this case alone, and names the error."""
         total = bad = 0
-        for h in holds:
-            total += 1
-            bad += not h
+        try:
+            for h in holds:
+                total += 1
+                bad += not h
+        except Exception as e:
+            self.add(name, False, "exception: %s: %s" % (type(e).__name__, e))
+            return
         self.add(name, bad == 0, (fail if bad else ok) % {"total": total, "bad": bad})
 
     def render(self):
@@ -157,21 +162,17 @@ def _gl_derivation_on_monomial(shape, a, b, mono):
 def _invariant_block_dim(shape, M, r):
     """Dimension of the gl_n invariants inside the multidegree M block of
     S^r(W*), as the kernel of the stacked derivation action of all matrix
-    units."""
+    units: one sparse row per (a, b, target monomial), one column per
+    source monomial."""
     monos = enumerate_sym_basis(shape, r, multidegree=M)
-    if not monos:
-        return 0
-    col = {m: i for i, m in enumerate(monos)}
     n = shape.space.dim
     rows = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             for j, mono in enumerate(monos):
                 for target, c in _gl_derivation_on_monomial(shape, a, b, mono).items():
-                    row = rows.setdefault((a, b, col[target]), [0] * len(monos))
-                    row[j] += c
-    mat = [row for _, row in sorted(rows.items()) if any(row)]
-    return len(monos) - rank_int(mat)
+                    rows.setdefault((a, b, target), {})[j] = c
+    return len(monos) - rank_int(rows.values())
 
 def classical_invariant_dim(n, shape, r):
     """Dimension over the rationals of the GL_n invariants in degree r of
@@ -197,22 +198,18 @@ def classical_invariant_dim(n, shape, r):
     shape0 = MixedShape(space0, pairs)
     return sum(_invariant_block_dim(shape0, M, r) for M in balanced_blocks(pairs, r))
 
-def _phi_rank_block(shape, M, r):
-    """Rank over the rationals of the picture invariants of multiplicity M
-    inside the multidegree M block of S^r(W*)."""
+def _phi_rank_block(shape, M):
+    """Rank over the rationals of the picture invariants of multiplicity M,
+    one sparse row per sigma keyed by monomial.  Each row is scaled by the
+    lcm of its own denominators, which leaves the rank unchanged."""
     pshape = PictureShape(shape, M)
-    monos = enumerate_sym_basis(shape, r, multidegree=M)
-    col = {m: i for i, m in enumerate(monos)}
     rows = []
     for sigma in perms.all_perms(pshape.N):
-        poly = build_phi(pshape, sigma).poly
-        row = [Fraction(0)] * len(monos)
-        for mono, c in poly.terms.items():
-            row[col[mono]] = as_cyclo(c).as_fraction()
-        rows.append(row)
-    scale = math.lcm(*(x.denominator for row in rows for x in row)) if rows else 1
-    mat = [[int(x * scale) for x in row] for row in rows]
-    return rank_int(mat)
+        terms = build_phi(pshape, sigma).poly.terms
+        row = {mono: c.as_fraction() for mono, c in terms.items()}
+        scale = math.lcm(*(x.denominator for x in row.values()))
+        rows.append({mono: int(x * scale) for mono, x in row.items()})
+    return rank_int(rows)
 
 def span_check(shape, r, seed=0):
     """Compare the rank of the picture invariants of total degree r with
@@ -236,7 +233,7 @@ def span_check(shape, r, seed=0):
                 "no balanced multidegree; classical invariant dimension %d" % dim)
         return rpt
     for M in blocks:
-        rk = _phi_rank_block(shape, M, r)
+        rk = _phi_rank_block(shape, M)
         dim = _invariant_block_dim(shape, M, r)
         rpt.add("multidegree %s" % _fmt_tuple(M), rk == dim,
                 "picture span rank %d, classical invariant dimension %d" % (rk, dim))
@@ -680,7 +677,8 @@ def suite(name, cfg, seed=0, max_n=None):
     """Run one named verification suite against a configuration.  The
     report is deterministic given (config, seed).  An exception raised
     inside the suite is a fault of the library under test, not of the
-    input: it becomes one FAIL case, after the cases that already ran."""
+    input: inside a tallied case it fails that case alone, and anywhere
+    else it becomes one FAIL case, after the cases that already ran."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (known: %s)" % (name, ", ".join(SUITES)))
     if max_n is None:

@@ -81,6 +81,23 @@ def from_cycles(cycs, k):
         raise ValueError("cycles are not disjoint")
     return tuple(p)
 
+def cycle_type_reps(n):
+    """(partition, representative) for each cycle type of S_n, partitions in
+    decreasing lexicographic order; each representative lays its cycles out
+    consecutively on 1..n."""
+    def partitions(rest, most):
+        if not rest:
+            yield ()
+        for p in range(min(rest, most), 0, -1):
+            for tail in partitions(rest - p, p):
+                yield (p,) + tail
+    out = []
+    for part in partitions(n, n):
+        starts = itertools.accumulate(part[:-1], initial=1)
+        cycs = [tuple(range(s, s + p)) for s, p in zip(starts, part)]
+        out.append((part, from_cycles(cycs, n)))
+    return out
+
 def parse_perm(text, k=None):
     """Accept one-line notation "[2,1,3]" (or "2,1,3") and cycle notation
     "(1 2)(3 4)"; "id" or "()" is the identity and needs k."""

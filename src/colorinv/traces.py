@@ -211,7 +211,7 @@ def trace_monomial(ops, cyclist, assign=None):
     indices (default: position j uses operator j)."""
     if not ops:
         raise ValueError("need at least one operator")
-    space, alg = ops[0].space, ops[0].alg
+    alg = ops[0].alg
     positions = sorted(x for cyc in cyclist for x in cyc)
     n = len(positions)
     if positions != list(range(1, n + 1)):
@@ -228,8 +228,8 @@ def trace_monomial(ops, cyclist, assign=None):
                              "outside 1..%d" % (a, pos, n, len(ops)))
     total = alg.one()
     for cyc in sorted(cyclist, key=min):
-        chain = identity_end(space, alg)
-        for pos in cyc:
+        chain = ops[assign[cyc[0] - 1] - 1]
+        for pos in cyc[1:]:
             chain = end_compose(chain, ops[assign[pos - 1] - 1])
         total = total * end_trace(chain)
     return total

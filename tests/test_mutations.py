@@ -65,8 +65,9 @@ def wrong_sum(monkeypatch, cfg):
     cfg.chi.sum_table[0][3] = 0
 
 
-POINT_NOT_DEGREE_0 = ("FAIL exception: ValueError: summand 1 term (1, 2) has "
-                      "coefficient of degree != (0, 1); point is not degree 0")
+NOT_DEGREE_0 = ("ValueError: summand 1 term (1, 2) has coefficient of "
+                "degree != (0, 1); point is not degree 0")
+POINT_NOT_DEGREE_0 = "FAIL exception: " + NOT_DEGREE_0
 
 # fault: (builtin, plant, {suite: its FAIL lines}); every other suite passes
 CATALOG = {
@@ -117,7 +118,8 @@ CATALOG = {
     "wrong-sum": ("z2z2", wrong_sum, {
         "jacobi": [
             "FAIL color-jacobi: failed at units ((1, 2), (2, 3), (3, 1))",
-            "FAIL exception: ValueError: color bracket needs homogeneous operators"],
+            "FAIL jacobi-homogeneous-sampled: exception: "
+            "ValueError: color bracket needs homogeneous operators"],
         "centralizer-commute": [
             "FAIL psi-commutes k=2: 12 checks failed",
             "FAIL psi-commutes k=3: 205 checks failed"],
@@ -126,7 +128,8 @@ CATALOG = {
         "invariance": [POINT_NOT_DEGREE_0],
         "trace-match": [
             "FAIL trace-cyclicity: 6 pairs failed"],
-        "span": [POINT_NOT_DEGREE_0],
+        "span": ["FAIL r=%d invariance multidegree %d: exception: %s"
+                 % (r, r, NOT_DEGREE_0) for r in (1, 2, 3)],
     }),
 }
 

@@ -96,6 +96,18 @@ def test_report_rendering_format(cfgs):
     assert "result: PASS (%d cases, 0 failed)" % len(rpt.cases) in text
 
 
+def test_tally_fails_only_the_case_whose_stream_raises():
+    rpt = oracle.Report("demo", "none", 0)
+
+    def raising():
+        yield True
+        raise KeyError("boom")
+    rpt.tally("a", raising(), "%(total)d checks", "%(bad)d failed")
+    rpt.tally("b", iter([True, True]), "%(total)d checks", "%(bad)d failed")
+    assert [c.line() for c in rpt.cases] == [
+        "FAIL a: exception: KeyError: 'boom'", "PASS b: 2 checks"]
+
+
 def test_balanced_multiplicities(cfgs):
     sup = cfgs["super"]
     assert balanced_multiplicities(sup.shape, 3) == [(1,), (2,), (3,)]

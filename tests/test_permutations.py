@@ -7,6 +7,7 @@ from colorinv.permutations import (
     act_tuple,
     all_perms,
     compose,
+    cycle_type_reps,
     cycles,
     format_cycles,
     from_cycles,
@@ -117,3 +118,22 @@ def test_hat_is_a_homomorphism(ab):
     assert hat_perm(compose(a, b)) == compose(hat_perm(a), hat_perm(b))
     k = len(a)
     assert hat_perm(a)[k:] == tuple(range(k + 1, 2 * k + 1))
+
+
+PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15)  # p(0) .. p(7)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_cycle_type_reps(n):
+    reps = cycle_type_reps(n)
+    parts = [part for part, _ in reps]
+    assert len(reps) == PARTITION_COUNTS[n]
+    assert parts == sorted(parts, reverse=True)
+    assert len(set(parts)) == len(parts)
+    assert set(parts) == {tuple(sorted(map(len, cycles(s)), reverse=True))
+                          for s in all_perms(n)}
+    for part, rep in reps:
+        assert sorted(rep) == list(range(1, n + 1))
+        assert tuple(map(len, cycles(rep))) == part
+        # cycles laid out consecutively: each is a run start, start+1, ...
+        assert all(c == tuple(range(c[0], c[0] + len(c))) for c in cycles(rep))

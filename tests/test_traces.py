@@ -17,7 +17,7 @@ from colorinv.sampling import (
     standard_test_algebra,
 )
 from colorinv.sympoly import MixedShape, SymPolynomial, SymVariable
-from colorinv.tensors import GradedOperator, GradedTensor, random_gl_epsilon
+from colorinv.tensors import PRIMAL, GradedOperator, GradedTensor, random_gl_epsilon
 from colorinv.traces import (
     W0Point,
     end_compose,
@@ -293,6 +293,17 @@ def test_trace_monomial_matches_numeric_traces(cfgs, algebras):
                 expected *= mat_trace(prod)
             got = trace_monomial(ops, cyclist)
             assert got == alg.scalar(CycloRational.from_rational(expected)), cyclist
+
+
+def test_trace_monomial_refuses_parts_that_are_not_primal_dual(cfgs, algebras):
+    """Each cycle's chain starts at its first operator, so a 1-cycle is
+    refused by end_trace and a longer cycle by end_compose."""
+    cfg, alg = cfgs["super"], algebras["super"]
+    part = GradedTensor.basis(cfg.space, alg, (PRIMAL, PRIMAL), (1, 1))
+    with pytest.raises(ValueError, match=r"^end_trace needs a \(primal, dual\) word$"):
+        trace_monomial([part], [(1,)])
+    with pytest.raises(ValueError, match=r"^end_compose needs \(primal, dual\) words$"):
+        trace_monomial([part], [(1, 2)], [1, 1])
 
 
 def test_trace_match_seeded(cfgs):

@@ -5,7 +5,9 @@
 Parses every Python file under src/, tests/, bench/ and tools/ and lists,
 as Markdown, the module-level functions and classes and the class methods
 of `src/colorinv` that only tests refer to, then those that nothing refers
-to.  Exits 1 when the second list is not empty, 0 otherwise.
+to, then the names a `src/colorinv` module imports and never reads
+(`from __future__` imports left out).  Exits 1 when the second or the
+third list is not empty, 0 otherwise.
 
 A reference is a read of the name (`f`, `mod.f`, `obj.f`), or a string
 constant equal to the name or ending in `.name` (how the benchmark's tracer
@@ -70,6 +72,23 @@ def references(path):
     return out
 
 
+def unused_imports(path):
+    """(name, line) of each name the module imports and never reads."""
+    tree = parse(path)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    out.append((name, node.lineno))
+    return out
+
+
 def main():
     refs = {tree: {} for tree in TREES}
     for tree in TREES:
@@ -97,7 +116,12 @@ def main():
     print("\n".join(tests_only) or "none")
     print("\n### src definitions referred to nowhere (%d)\n" % len(unreferenced))
     print("\n".join(unreferenced) or "none")
-    return 1 if unreferenced else 0
+    unread = ["- `%s` %s:%d" % (name, os.path.relpath(path, ROOT), line)
+              for path in python_files(os.path.join("src", "colorinv"))
+              for name, line in unused_imports(path)]
+    print("\n### names imported in src and never read (%d)\n" % len(unread))
+    print("\n".join(unread) or "none")
+    return 1 if unreferenced or unread else 0
 
 
 if __name__ == "__main__":
