@@ -65,6 +65,14 @@ def wrong_sum(monkeypatch, cfg):
     cfg.chi.sum_table[0][3] = 0
 
 
+def odd_pair_eps(monkeypatch, cfg):
+    """eps of z4's two odd degrees, (1) and (3), negated both ways: m/2
+    added to their two entries of the eps table."""
+    table, half = cfg.chi.eps_table, cfg.chi.m // 2
+    table[2][3] += half
+    table[3][2] += half
+
+
 NOT_DEGREE_0 = ("ValueError: summand 1 term (1, 2) has coefficient of "
                 "degree != (0, 1); point is not degree 0")
 POINT_NOT_DEGREE_0 = "FAIL exception: " + NOT_DEGREE_0
@@ -114,6 +122,26 @@ CATALOG = {
             "FAIL r=1 invariance multidegree 1: 3 transformed-point comparisons, 2 failed",
             "FAIL r=2 invariance multidegree 2: 6 transformed-point comparisons, 5 failed",
             "FAIL r=3 invariance multidegree 3: 18 transformed-point comparisons, 10 failed"],
+    }),
+    "odd-pair-eps": ("z4", odd_pair_eps, {
+        "jacobi": [
+            "FAIL color-jacobi: failed at units ((1, 2), (2, 3), (3, 1))",
+            "FAIL jacobi-homogeneous-sampled: 3 triples failed"],
+        "centralizer-commute": [
+            "FAIL psi-commutes k=2: 3 checks failed",
+            "FAIL psi-commutes k=3: 85 checks failed"],
+        "path-equality": [
+            "FAIL M=1 sigma=1: 2 of 3 points differ",
+            "FAIL M=2 sigma=1,2: 1 of 3 points differ"],
+        "invariance": [
+            "FAIL M=2 sigma=2,1: 1 of 3 points differ"],
+        "trace-match": [
+            "FAIL trace-cyclicity: 6 pairs failed"],
+        "restitution": [
+            "FAIL transposition-relations: 4 of 50 triples failed"],
+        "span": [
+            "FAIL r=1 invariance multidegree 1: 3 transformed-point comparisons, 2 failed",
+            "FAIL r=3 invariance multidegree 3: 18 transformed-point comparisons, 2 failed"],
     }),
     "wrong-sum": ("z2z2", wrong_sum, {
         "jacobi": [
