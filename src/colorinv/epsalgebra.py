@@ -22,14 +22,14 @@ one place.  Representation is canonical, so equality is dict comparison.
 Sums filter out the zeros they make; negation, hop and scaling by a
 nonzero scalar cannot make one, so they build their result unfiltered.
 
-Each algebra keeps a memo of normal forms, keyed by the word: the sort and
-its eps sign depend only on the generator degrees, and products meet the
-same few words again and again.  The memo holds the sign as an exponent e
-of zeta_m, not as a CycloRational, so a product rotates each pair of
-coefficients once, (c1 * c2).times_root(m, e), instead of multiplying by a
-root.  Signs elsewhere (hop, the place permutation action) travel the same
-way, and word degrees, summed through the bicharacter's sum_table, are
-memoized per algebra too.
+A sign is its exponent e of zeta_m, unreduced as eps_sort leaves it, and
+a coefficient takes it by a rotation, times_root, never as a product with
+a root.  normal_order keeps each algebra's memo of normal forms, keyed by
+the word: the sort and its exponent depend only on the generator degrees,
+and products meet the same few words again and again, so a product
+rotates each pair of coefficients once, (c1 * c2).times_root(m, e).  hop
+and the place permutation action carry signs the same way, and word
+degrees, summed through the bicharacter's sum_table, are memoized too.
 """
 
 from __future__ import annotations
@@ -211,10 +211,10 @@ class EpsAlgebra:
         res = normal_order(self, word)
         if res is None:
             return self.zero()
-        c, w = res
+        e, w = res
         if len(w) > self.truncation:
             return self.zero()
-        c = c * as_cyclo(coeff)
+        c = as_cyclo(coeff).times_root(self.chi.m, e)
         return EpsElement(self, {w: c} if c else {})
 
     def __eq__(self, other):
@@ -224,28 +224,21 @@ class EpsAlgebra:
 
 def normal_order(alg, word):
     """Sort a generator index sequence into normal order, collecting the
-    eps swap factor.  Returns (coefficient, sorted word), or None when the
-    word contains a repeated odd generator and is therefore zero.
+    eps swap factor.  Returns (exponent, sorted word), the factor being
+    zeta_m^exponent, or None when the word contains a repeated odd
+    generator and is therefore zero.
 
     Each time index a hops left past index b the word picks up the factor
-    eps(|x_b|, |x_a|) from rewriting x_b x_a (eps_sort).  The sort is kept
-    in the algebra's memo, with the factor as an exponent.
+    eps(|x_b|, |x_a|) from rewriting x_b x_a (eps_sort, whose unreduced
+    exponent is returned).  The result is kept in the algebra's memo,
+    keyed by the word.
     """
-    res = _normal_form(alg, tuple(word))
-    if res is None:
-        return None
-    e, w = res
-    return alg.chi.root(e), w
-
-def _normal_form(alg, word):
-    """(eps exponent, sorted word) or None, through the algebra's memo."""
+    word = tuple(word)
     try:
         return alg._normal[word]
     except KeyError:
-        res = eps_sort(word, alg._degrees, alg._parity, alg.chi.eps_table)
-        if res is not None:
-            res = res[0] % alg.chi.m, res[1]
-        alg._normal[word] = res
+        res = alg._normal[word] = eps_sort(word, alg._degrees, alg._parity,
+                                           alg.chi.eps_table)
         return res
 
 class EpsElement(Terms):
@@ -287,7 +280,7 @@ class EpsElement(Terms):
             for w2, c2 in other.terms.items():
                 if len(w1) + len(w2) > alg.truncation:
                     continue
-                res = _normal_form(alg, w1 + w2)
+                res = normal_order(alg, w1 + w2)
                 if res is None:
                     continue
                 e, w = res

@@ -47,9 +47,10 @@ kernel reads each copy's variable id off the entries of I at the copy's
 positions in the plan, through the shape's code tables
 (sympoly.Numbering), sorts the ids with sym_normalize, and sums entries
 of the bicharacter's eps table, indexed by the degrees of the entries of
-I, for the coefficient.  Because of these
-caches, PictureShape, MixedShape and Bicharacter are treated as
-immutable once built.
+I, for the coefficient exponent.  It counts index tuples per (monomial,
+swap plus coefficient exponent mod m) and makes one root of unity per
+count.  Because of these caches, PictureShape, MixedShape and
+Bicharacter are treated as immutable once built.
 
 The dual-word normalization multiplying the rearrangement sign is the
 strict reversed product  prod_{c < c'} eps(h_{c'}, h_c)  over the w-block
@@ -58,8 +59,7 @@ sign-valued eps this agrees with the diagonal-included triangular product
 prod_{c <= c'} eps(h_c, h_{c'}) (an even number of blocks is odd, and
 inverting a sign is harmless); for eps taking higher roots of unity only
 the reversed strict form keeps the two evaluation paths equal, which is
-how the evaluation oracle fixes it.  p_eps computes the triangular form
-for comparison; coefficient uses the strict reversed one.
+how the evaluation oracle fixes it.
 """
 
 from __future__ import annotations
@@ -168,9 +168,6 @@ def p_eps_exponent(chi, degs):
             total += table[degs[c]][degs[cp]]
     return total % chi.m
 
-def p_eps(chi, degs):
-    return chi.root(p_eps_exponent(chi, degs))
-
 def dual_word_exponent(chi, degs):
     """Exponent of the dual-word normalization: the strict reversed product
     prod_{c < c'} eps(h_{c'}, h_c) over the block degrees.  Chosen so that
@@ -252,9 +249,6 @@ def coefficient_exponent(pshape, sigma, I):
     normalization of the w-block degrees, read off the plan of sigma."""
     return pshape.plan(sigma).exponent(I)
 
-def coefficient(pshape, sigma, I):
-    return pshape.shape.chi.root(coefficient_exponent(pshape, sigma, I))
-
 @dataclass
 class PictureInvariant:
     pshape: PictureShape
@@ -305,8 +299,8 @@ def components(pshape, sigma):
 
 def _phi_terms(pshape, sigma):
     """phi_sigma as {id tuple: coefficient}: the sum over all index tuples
-    I in {1..dim}^N of coefficient(I) times the normalized monomial at I.
-    That monomial's copy (i, j) reads its lower indices off I at its
+    I in {1..dim}^N of the coefficient at I times the normalized monomial
+    at I.  That monomial's copy (i, j) reads its lower indices off I at its
     primal positions and its upper indices off I o sigma^{-1} at its dual
     positions."""
     shape = pshape.shape
@@ -316,9 +310,11 @@ def _phi_terms(pshape, sigma):
     # Per copy: its summand's code table and the positions in I of its
     # index word.
     copies = [(codes[i - 1], lo + up) for i, lo, up in pshape.plan(sigma).copies]
-    # The swap factors are summed per (monomial, coefficient exponent) and
-    # each sum is multiplied by its root of unity once, at the end.
-    sums = {}
+    # Index tuples are counted per (monomial, swap plus coefficient
+    # exponent mod m), and each count becomes a multiple of its root of
+    # unity once, at the end.
+    m = chi.m
+    counts = {}
     for I in itertools.product(range(1, dim + 1), repeat=pshape.N):
         word = []
         for table, places in copies:
@@ -330,12 +326,11 @@ def _phi_terms(pshape, sigma):
         if res is None:
             continue
         swap, mono = res
-        key = mono, coefficient_exponent(pshape, sigma, I)
-        prev = sums.get(key)
-        sums[key] = swap if prev is None else prev + swap
+        key = mono, (swap + coefficient_exponent(pshape, sigma, I)) % m
+        counts[key] = counts.get(key, 0) + 1
     total = {}
-    for (mono, e), swaps in sums.items():
-        c = swaps * chi.root(e)
+    for (mono, e), count in counts.items():
+        c = chi.root(e) * count
         prev = total.get(mono)
         total[mono] = c if prev is None else prev + c
     return total

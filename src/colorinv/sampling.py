@@ -36,7 +36,7 @@ def random_eps_of_degree(alg, d, rng, max_len=2, terms=2):
         w = pool[rng.randrange(len(pool))]
         c = random_rational(rng)
         if c:
-            add_term(out, w, alg.chi.root(0) * as_cyclo(c))
+            add_term(out, w, as_cyclo(c).times_root(alg.chi.m, 0))
     if not out:
         return alg.monomial(pool[rng.randrange(len(pool))], 1)
     return EpsElement(alg, out)

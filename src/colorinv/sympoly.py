@@ -22,8 +22,9 @@ degree, parity and SymVariable record off the Numbering.  A SymVariable
 is met only at the text boundary: var_id is the one validating
 conversion from it, used by parse_sym, and format_sym names an id at
 print time.  S(W*) and Lambda_eps share their normal form, basis and
-term arithmetic, all from epsalgebra: sym_normalize runs eps_sort, the
-one eps insertion sort; enumerate_sym_basis filters sorted_words;
+term arithmetic, all from epsalgebra: sym_normalize is eps_sort, the one
+eps insertion sort, and returns its swap exponent, which mul_terms and
+from_word apply by times_root; enumerate_sym_basis filters sorted_words;
 SymPolynomial sums, scales and compares through Terms.  mul_terms is the
 one monomial product, used by SymPolynomial and by build_phi.
 """
@@ -146,29 +147,28 @@ class MixedShape:
 
 def sym_normalize(shape, seq):
     """Sort a sequence of variable ids into canonical order collecting eps
-    swap factors (eps_sort); returns (coefficient, sorted id tuple) or
-    None when a repeated odd variable makes it zero."""
+    swap factors: eps_sort's (exponent, sorted id tuple), the factor being
+    zeta_m^exponent, or None when a repeated odd variable makes it zero."""
     num = shape.numbering()
-    res = eps_sort(seq, num.degree, num.parity, shape.chi.eps_table)
-    if res is None:
-        return None
-    return shape.chi.root(res[0]), res[1]
+    return eps_sort(seq, num.degree, num.parity, shape.chi.eps_table)
 
 def mul_terms(shape, left, right):
     """The product in S(W*) of two {id tuple: coefficient} dicts: each
     pair of monomials is concatenated and put in normal form by
-    sym_normalize; zero coefficients are dropped."""
+    sym_normalize, and the product of coefficients rotated by its swap
+    exponent; zero coefficients are dropped."""
+    m = shape.chi.m
     out = {}
     for m1, c1 in left.items():
         for m2, c2 in right.items():
             res = sym_normalize(shape, m1 + m2)
             if res is None:
                 continue
-            s, m = res
-            c = c1 * c2 * s
-            prev = out.get(m)
-            out[m] = c if prev is None else prev + c
-    return {m: c for m, c in out.items() if c}
+            e, mono = res
+            c = (c1 * c2).times_root(m, e)
+            prev = out.get(mono)
+            out[mono] = c if prev is None else prev + c
+    return {mono: c for mono, c in out.items() if c}
 
 class SymPolynomial(Terms):
     """Element of S(W*): {sorted id tuple: CycloRational}.  Immutable."""
@@ -205,8 +205,8 @@ class SymPolynomial(Terms):
         res = sym_normalize(shape, seq)
         if res is None:
             return cls.zero(shape)
-        c, mono = res
-        c = c * as_cyclo(coeff)
+        e, mono = res
+        c = as_cyclo(coeff).times_root(shape.chi.m, e)
         return cls(shape, {mono: c} if c else {})
 
     def __mul__(self, other):

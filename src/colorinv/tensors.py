@@ -12,10 +12,10 @@ eps(|word|, d) per word of the coefficient (the hop rule); tensor products
 and operator applications below keep all coefficients collected on the
 right through that rule.
 
-Every such sign is a power of zeta_m, so it is carried as an exponent mod m
-(gamma_exponent, eps exponents summed along a word) and applied once per
-coefficient by a rotation, CycloRational.times_root, never as a product
-with a root of unity.  psi_derivation folds its prefix sign into the hop
+Every such sign is a power of zeta_m, so here, as everywhere in colorinv,
+it is carried as an exponent (gamma_exponent, eps exponents summed along a
+word) and applied once per coefficient by a rotation, times_root, never as
+a product with a root of unity.  psi_derivation folds its prefix sign into the hop
 of each entry the same way.
 
 A G-degree is its position in the bicharacter's fixed order of G, and
@@ -100,9 +100,6 @@ def gamma_exponent(chi, degrees, sigma):
     for i, j in perms.inversions(sigma):
         total += table[degrees[i - 1]][degrees[j - 1]]
     return total % chi.m
-
-def gamma(chi, degrees, sigma):
-    return chi.root(gamma_exponent(chi, degrees, sigma))
 
 class GradedTensor(Terms):
     """Element of a mixed tensor power of a graded space, coefficients in

@@ -101,8 +101,8 @@ def transposition_sign_check(shape, word, i, point):
     swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
     lhs = restitute_word(shape, tuple(word), point)
     degree = shape.numbering().degree
-    e = chi.eps(degree[word[i - 1]], degree[word[i]])
-    rhs = restitute_word(shape, tuple(swapped), point).scale(e)
+    e = chi.eps_table[degree[word[i - 1]]][degree[word[i]]]
+    rhs = restitute_word(shape, tuple(swapped), point).times_root(e)
     return lhs == rhs
 
 def staircase_point(shape, r):

@@ -56,6 +56,8 @@ def test_normal_order_matches_brute_force(algebras):
             for word in itertools.product(gens, repeat=length):
                 expected = brute_normal(alg, word)
                 got = normal_order(alg, word)
+                if got is not None:
+                    got = alg.chi.root(got[0]), got[1]
                 assert got == expected, (name, word)
                 elem = chain_product(alg, word)
                 if expected is None:

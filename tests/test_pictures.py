@@ -17,14 +17,12 @@ from colorinv.pictures import (
     PictureShape,
     blocked_word,
     build_phi,
-    coefficient,
     coefficient_exponent,
     components,
     contraction_pairs,
     dual_word_exponent,
     mu,
     nu,
-    p_eps,
     p_eps_exponent,
     sigma_hat,
     t_sigma_on_parts,
@@ -108,18 +106,6 @@ def test_phi_lands_in_degree_zero(cfgs):
                     assert cfg.chi.degree_sum([degree[k] for k in word]) == 0
 
 
-def test_coefficient_is_a_root_of_unity(cfgs):
-    for name in ("super", "z4"):
-        cfg = cfgs[name]
-        ps = PictureShape(cfg.shape, (2,))
-        dim = cfg.space.dim
-        for sigma in all_perms(2):
-            for I in itertools.product(range(1, dim + 1), repeat=2):
-                c = coefficient(ps, sigma, I)
-                e = coefficient_exponent(ps, sigma, I)
-                assert c == cfg.chi.root(e)
-
-
 def test_p_eps_brute_force(cfgs):
     for cfg in cfgs.values():
         chi = cfg.chi
@@ -129,7 +115,6 @@ def test_p_eps_brute_force(cfgs):
             expected = sum(chi.eps_exponent(g[i], g[j])
                            for i in range(3) for j in range(i, 3))
             assert chi.root(p_eps_exponent(chi, degs)) == chi.root(expected)
-            assert p_eps(chi, degs) == chi.root(expected)
             reversed_expected = sum(chi.eps_exponent(g[j], g[i])
                                     for i in range(3) for j in range(i + 1, 3))
             assert chi.root(dual_word_exponent(chi, degs)) == \
@@ -261,7 +246,7 @@ def textbook_phi(pshape, sigma):
     word of the copies, insertion-sorted by the written-out order (degree
     position, summand, lower, upper) with the eps exponent of each swapped
     pair of degrees added up, dropped when it repeats an odd variable, and
-    multiplied by coefficient(pshape, sigma, I).  Each sorted word becomes
+    multiplied by the root of coefficient_exponent(pshape, sigma, I).  Each sorted word becomes
     an id tuple through var_id at the end."""
     shape = pshape.shape
     chi = shape.chi
@@ -286,7 +271,7 @@ def textbook_phi(pshape, sigma):
         if any(x == y and chi.parity_bit(chi.position(textbook_degree(shape, x)))
                for x, y in zip(word, word[1:])):
             continue
-        c = chi.root(exp) * coefficient(pshape, sigma, I)
+        c = chi.root(exp) * chi.root(coefficient_exponent(pshape, sigma, I))
         word = tuple(shape.var_id(v) for v in word)
         total[word] = total[word] + c if word in total else c
     return SymPolynomial(shape, total)

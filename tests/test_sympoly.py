@@ -63,12 +63,11 @@ def test_normalize_is_idempotent_and_sorts(cfgs):
             res = sym_normalize(shape, seq)
             if res is None:
                 continue
-            c, word = res
-            assert not c.is_zero()
+            _, word = res
             assert list(word) == sorted(word)
-            c2, word2 = sym_normalize(shape, word)
+            e2, word2 = sym_normalize(shape, word)
             assert word2 == word
-            assert c2 == CycloRational.one()
+            assert shape.chi.root(e2) == CycloRational.one()
 
 
 def test_normalize_swap_relation(cfgs):
@@ -90,10 +89,10 @@ def test_normalize_swap_relation(cfgs):
             if res1 is None:
                 assert res2 is None
             else:
-                c1, w1 = res1
-                c2, w2 = res2
+                e1, w1 = res1
+                e2, w2 = res2
                 assert w1 == w2
-                assert c1 == c2 * factor
+                assert chi.root(e1) == chi.root(e2) * factor
 
 
 def test_odd_variable_squares_vanish(cfgs):
@@ -267,7 +266,7 @@ def test_variable_numbering(cfgs):
                 if named is None:
                     assert numbered is None
                 else:
-                    assert numbered[0] == named[0]
+                    assert shape.chi.root(numbered[0]) == named[0]
                     assert tuple(num.variables[k] for k in numbered[1]) == named[1]
 
 

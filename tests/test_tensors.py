@@ -19,7 +19,6 @@ from colorinv.tensors import (
     contract_pairs,
     eta_action,
     ev_pair,
-    gamma,
     gamma_exponent,
     invert_operator,
     psi_derivation,
@@ -37,7 +36,6 @@ def test_gamma_exponent_brute_force(cfgs):
             for triple in itertools.product(degs, repeat=3):
                 expected = sum(chi.eps_exponent(order[triple[i - 1]], order[triple[j - 1]])
                                for i, j in inversions(sigma))
-                assert gamma(chi, triple, sigma) == chi.root(expected)
                 assert chi.root(gamma_exponent(chi, triple, sigma)) == chi.root(expected)
 
 
