@@ -487,6 +487,8 @@ def _suite_symalgebra(cfg, rpt, seed, **_):
               (sym_normalize(shape, (k, k)) is None for k in odd_vs),
               "%(total)d odd variables", "%(total)d odd variables")
     rng = _sub_rng(seed, "symalgebra")
+    # swap factors from g^T B h, not the eps table sym_normalize sorts with
+    g = [chi.element_order()[d] for d in num.degree]
 
     def swap_relation():
         for _ in range(40):
@@ -494,7 +496,7 @@ def _suite_symalgebra(cfg, rpt, seed, **_):
             i = rng.randint(1, len(word) - 1)
             swapped = list(word)
             swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-            e = chi.eps_table[num.degree[word[i - 1]]][num.degree[word[i]]]
+            e = chi.eps_exponent(g[word[i - 1]], g[word[i]])
             nw = sym_normalize(shape, word)
             ns = sym_normalize(shape, tuple(swapped))
             if nw is None or ns is None:
