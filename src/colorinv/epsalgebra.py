@@ -224,22 +224,17 @@ class EpsAlgebra:
 
 def normal_order(alg, word):
     """Sort a generator index sequence into normal order, collecting the
-    eps swap factor.  Returns (exponent, sorted word), the factor being
-    zeta_m^exponent, or None when the word contains a repeated odd
-    generator and is therefore zero.
+    eps swap factor.  Returns eps_sort's (exponent, sorted word), or None
+    when the word contains a repeated odd generator and is therefore zero.
 
     Each time index a hops left past index b the word picks up the factor
-    eps(|x_b|, |x_a|) from rewriting x_b x_a (eps_sort, whose unreduced
-    exponent is returned).  The result is kept in the algebra's memo,
-    keyed by the word.
+    eps(|x_b|, |x_a|) from rewriting x_b x_a.  The result is kept in the
+    algebra's memo, keyed by the word.
     """
-    word = tuple(word)
-    try:
-        return alg._normal[word]
-    except KeyError:
-        res = alg._normal[word] = eps_sort(word, alg._degrees, alg._parity,
-                                           alg.chi.eps_table)
-        return res
+    memo, word = alg._normal, tuple(word)
+    if word not in memo:
+        memo[word] = eps_sort(word, alg._degrees, alg._parity, alg.chi.eps_table)
+    return memo[word]
 
 class EpsElement(Terms):
     """Element of a truncated eps-Grassmann algebra: {word: CycloRational}.
