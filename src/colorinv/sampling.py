@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import as_cyclo
-from .epsalgebra import EpsElement, add_term, words_of_degree
+from .epsalgebra import EpsAlgebra, EpsElement, add_term, words_of_degree
 from .sympoly import SymPolynomial, enumerate_sym_basis
 from .tensors import GradedTensor
 from .traces import W0Point
@@ -15,7 +15,6 @@ from .traces import W0Point
 def standard_test_algebra(chi, truncation=4):
     """An eps-Grassmann algebra with two generators per group element, so
     words of every degree exist at every parity the group allows."""
-    from .epsalgebra import EpsAlgebra
     return EpsAlgebra(chi, [d for d in range(chi.group.order) for _ in (0, 1)],
                       truncation)
 

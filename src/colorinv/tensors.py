@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .epsalgebra import EpsElement, Terms, hop
+from .epsalgebra import EpsElement, Terms, hop, words_of_degree
 from . import permutations as perms
 from .linalg import invert_fraction_matrix
 
@@ -466,7 +466,6 @@ def random_gl_epsilon(space, alg, rng):
     exact inverse.  The constant part is a random invertible rational
     matrix supported on the degree blocks; the generator part puts random
     short words of degree g_b - g_a into admissible entries."""
-    from .epsalgebra import words_of_degree
     add, neg = space.chi.sum_table, space.chi.neg_table
     n = space.dim
     while True:

@@ -6,8 +6,10 @@ Parses every Python file under src/, tests/, bench/ and tools/ and lists,
 as Markdown, the module-level functions and classes and the class methods
 of `src/colorinv` that only tests refer to, then those that nothing refers
 to, then the names a `src/colorinv` module imports and never reads
-(`from __future__` imports left out).  Exits 1 when the second or the
-third list is not empty, 0 otherwise.
+(`from __future__` imports left out), then the imports inside a function
+or class of a `src/colorinv` module from a module that the same file
+already imports at top level.  Exits 1 when the second, third or fourth
+list is not empty, 0 otherwise.
 
 A reference is a read of the name (`f`, `mod.f`, `obj.f`), or a string
 constant equal to the name or ending in `.name` (how the benchmark's tracer
@@ -89,6 +91,29 @@ def unused_imports(path):
     return out
 
 
+def imported_modules(node):
+    """The modules an import statement reads from, relative ones with
+    their leading dots (`from . import x` reads from `.x`)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    dots = "." * node.level
+    if node.module is None:
+        return [dots + alias.name for alias in node.names]
+    return [dots + node.module]
+
+
+def nested_imports(path):
+    """(module, line) of each import below module level from a module the
+    file also imports at top level."""
+    tree = parse(path)
+    top = {m for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+           for m in imported_modules(node)}
+    nested = {node for stmt in tree.body if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+              for node in ast.walk(stmt) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return sorted((m, node.lineno) for node in nested
+                  for m in imported_modules(node) if m in top)
+
+
 def main():
     refs = {tree: {} for tree in TREES}
     for tree in TREES:
@@ -121,7 +146,13 @@ def main():
               for name, line in unused_imports(path)]
     print("\n### names imported in src and never read (%d)\n" % len(unread))
     print("\n".join(unread) or "none")
-    return 1 if unreferenced or unread else 0
+    nested = ["- `%s` %s:%d" % (module, os.path.relpath(path, ROOT), line)
+              for path in python_files(os.path.join("src", "colorinv"))
+              for module, line in nested_imports(path)]
+    print("\n### function-level imports of a module imported at top level (%d)\n"
+          % len(nested))
+    print("\n".join(nested) or "none")
+    return 1 if unreferenced or unread or nested else 0
 
 
 if __name__ == "__main__":
