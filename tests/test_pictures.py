@@ -121,6 +121,21 @@ def test_p_eps_brute_force(cfgs):
                 chi.root(reversed_expected)
 
 
+def test_triangular_form_agrees_with_dual_word_form_for_signs(cfgs):
+    """On block degrees summing to the identity, the printed triangular
+    product (p_eps_exponent) equals the strict reversed one that phi_sigma
+    uses when eps takes only the values +-1, and not on z3z3, where eps
+    takes cube roots of unity."""
+    for name, cfg in cfgs.items():
+        chi = cfg.chi
+        differ = 0
+        for degs in itertools.product(range(chi.group.order), repeat=3):
+            if chi.degree_sum(degs) == 0:
+                differ += (p_eps_exponent(chi, degs)
+                           - dual_word_exponent(chi, degs)) % chi.m != 0
+        assert (differ > 0) == (name == "z3z3"), name
+
+
 def test_path_equality_seeded(cfgs):
     for name in ("super", "z2z2"):
         cfg = cfgs[name]
