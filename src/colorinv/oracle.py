@@ -521,13 +521,19 @@ def _sigma_cases(cfg, rpt, seed, max_n, tag, draw, differs, ok_detail):
     """One case per balanced multiplicity tuple M and sigma in S_N.  Each M
     draws POINTS samples x = draw(shape, alg, rng) from its own rng
     "<tag>/<M>", and the case of (M, sigma) counts the samples where
-    differs(pshape, sigma, phi_sigma, x) holds."""
+    differs(pshape, sigma, phi_sigma, x) holds.  An exception while
+    drawing fails one case "M=<M>" in place of that M's cases."""
     shape = cfg.shape
     alg = standard_test_algebra(cfg.chi, truncation=3)
     for M in balanced_multiplicities(shape, max_n):
         pshape = PictureShape(shape, M)
         rng = _sub_rng(seed, "%s/%s" % (tag, _fmt_tuple(M)))
-        xs = [draw(shape, alg, rng) for _ in range(POINTS)]
+        try:
+            xs = [draw(shape, alg, rng) for _ in range(POINTS)]
+        except Exception as e:
+            rpt.add("M=%s" % _fmt_tuple(M), False,
+                    "exception: %s: %s" % (type(e).__name__, e))
+            continue
         for sigma in perms.all_perms(pshape.N):
             phi = build_phi(pshape, sigma)
             rpt.tally("M=%s sigma=%s" % (_fmt_tuple(M), _fmt_tuple(sigma)),
@@ -679,7 +685,8 @@ def suite(name, cfg, seed=0, max_n=None):
     """Run one named verification suite against a configuration.  The
     report is deterministic given (config, seed).  An exception raised
     inside the suite is a fault of the library under test, not of the
-    input: inside a tallied case it fails that case alone, and anywhere
+    input: inside a tallied case it fails that case alone, while drawing
+    one M's points (_sigma_cases) it fails that M alone, and anywhere
     else it becomes one FAIL case, after the cases that already ran."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (known: %s)" % (name, ", ".join(SUITES)))

@@ -225,10 +225,9 @@ def format_sym(poly):
     return " + ".join(parts)
 
 def parse_sym(text, shape):
-    m = shape.chi.m
     terms = {}
     for coeff, names in _terms(text, "polynomial"):
-        c = parse_cyclo(coeff, m)
+        c = parse_cyclo(coeff, shape.chi.m)
         if len(names) == 1 and names[0].strip() == "1":
             word = ()
         else:
@@ -236,7 +235,7 @@ def parse_sym(text, shape):
             word = [shape.var_id(v) for v in word]
         res = sym_normalize(shape, word)
         if res is not None:
-            add_term(terms, res[1], c.times_root(m, res[0]))
+            add_term(terms, res[1], c.times_root(shape.chi.m, res[0]))
     return SymPolynomial(shape, terms)
 
 # ------------------------------------------------------------- tensors

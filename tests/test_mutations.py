@@ -73,9 +73,11 @@ def odd_pair_eps(monkeypatch, cfg):
     table[3][2] += half
 
 
-NOT_DEGREE_0 = ("ValueError: summand 1 term (1, 2) has coefficient of "
+NOT_DEGREE_0 = ("ValueError: summand 1 term %s has coefficient of "
                 "degree != (0, 1); point is not degree 0")
-POINT_NOT_DEGREE_0 = "FAIL exception: " + NOT_DEGREE_0
+# the invariance suite's lines: drawing each M's points raises
+POINT_NOT_DEGREE_0 = ["FAIL M=%d: exception: %s" % (M, NOT_DEGREE_0 % term)
+                      for M, term in ((1, "(1, 2)"), (2, "(2, 1)"))]
 
 # fault: (builtin, plant, {suite: its FAIL lines}); every other suite passes
 CATALOG = {
@@ -155,11 +157,11 @@ CATALOG = {
             "FAIL psi-commutes k=3: 205 checks failed"],
         "path-equality": [
             "FAIL M=2 sigma=1,2: 1 of 3 points differ"],
-        "invariance": [POINT_NOT_DEGREE_0],
+        "invariance": POINT_NOT_DEGREE_0,
         "trace-match": [
             "FAIL trace-cyclicity: 6 pairs failed"],
         "span": ["FAIL r=%d invariance multidegree %d: exception: %s"
-                 % (r, r, NOT_DEGREE_0) for r in (1, 2, 3)],
+                 % (r, r, NOT_DEGREE_0 % "(1, 2)") for r in (1, 2, 3)],
     }),
 }
 
@@ -189,7 +191,9 @@ def test_library_exception_in_verify_is_a_fail_report(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("suite: invariance\nconfig: builtin:z2z2\n")
-    assert POINT_NOT_DEGREE_0 in out.splitlines()
+    # verify runs to N = 3, so M=3 adds a third line
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] \
+        == POINT_NOT_DEGREE_0 + ["FAIL M=3: exception: " + NOT_DEGREE_0 % "(1, 2)"]
     assert out.endswith("\nverify: FAIL\n")
 
 
