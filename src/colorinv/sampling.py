@@ -26,7 +26,7 @@ def random_rational(rng):
 def random_eps_of_degree(alg, d, rng, max_len=2, terms=2):
     """A random homogeneous element of the given G-degree; zero only when no
     word of that degree exists within the length bound.  Pool words are
-    normal, so alg.monomial(w, c) would be root(0) * c at w."""
+    normal, so alg.monomial(w, c) would be c.times_root(m, 0) at w."""
     pool = words_of_degree(alg, d, max_len)
     if not pool:
         return alg.zero()

@@ -15,8 +15,8 @@ right through that rule.
 Every such sign is a power of zeta_m, so here, as everywhere in colorinv,
 it is carried as an exponent (gamma_exponent, eps exponents summed along a
 word) and applied once per coefficient by a rotation, times_root, never as
-a product with a root of unity.  psi_derivation folds its prefix sign into the hop
-of each entry the same way.
+a product with a root of unity.  psi_derivation folds its prefix sign into
+the hop of each entry the same way.
 
 A G-degree is its position in the bicharacter's fixed order of G, and
 degrees are added, negated and paired through the bicharacter's tables
