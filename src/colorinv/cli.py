@@ -6,6 +6,7 @@ stored points, and run the verification suites.  All output uses the
 canonical text formats, so everything printed here parses back."""
 
 import argparse
+import functools
 import sys
 
 from . import permutations as perms
@@ -139,7 +140,10 @@ def cmd_verify(args):
     print("\nverify: %s" % ("PASS" if all_ok else "FAIL"))
     return 0 if all_ok else 1
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process; the cmd_* functions it holds
+    read the library functions from module globals at call time."""
     ap = argparse.ArgumentParser(
         prog="colorinv",
         description="Picture invariants of mixed tensor spaces over Lie "

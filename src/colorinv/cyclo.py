@@ -14,7 +14,8 @@ a positive int, normalized so that gcd(den, *num) = 1; zero is num all 0
 over den 1.  Phi_m is monic, so x^k mod Phi_m has integer coefficients: a
 per-order table of those rows reduces products and lifts without leaving
 the integers.  Sums, products, lifts and equality build no Fraction; only
-the constructor, `coeffs`, `lift` and `as_fraction` do.
+the constructor, `from_rational` of a non-int, `coeffs`, `lift` and
+`as_fraction` do.  Printing (textform.format_cyclo) reads num and den.
 
 Elements of different orders are compared and combined by lifting both to
 the lcm order via zeta_m = zeta_M^(M/m).  A result keeps that lcm as its
@@ -23,13 +24,13 @@ order 4), and an order-1 operand, a plain rational, leaves the other
 operand's order alone.  Printed output carries the order (`--format
 structured` writes it), so the rule is part of the output format.
 
-Signs of the color calculus are powers of one root zeta_m, so they are
-applied with `times_root(m, e)` rather than a product: it is a table
-shift, numerator k moving to row (k + e) mod m of the power table, with no
-convolution.  It keeps the order rule above, returning exactly what
-self * root(m, e) returns: an order-1 or lower-order operand is lifted to
-m, e = 0 mod m at order m returns self, and an order that does not divide
-m falls back to the product.
+Signs of the color calculus are powers of one root zeta_m, applied by
+`times_root(m, e)`, a shift along the power table that returns exactly
+what self * root(m, e) returns, order included.  One convolution,
+_convolve, serves both products, __mul__ and product_sums, the shift
+folded in.  product_sums, the coefficient part of every eps product, sums
+c1 * c2 * zeta_m^e over the pairs of each word in one int list over a
+common denominator and makes one element per word.
 """
 
 from __future__ import annotations
@@ -123,6 +124,50 @@ def _make(order, num, den):
     z.den = den
     return z
 
+def _convolve(a, b, e, rows, out):
+    """out += a * b * zeta_m^e for int sequences a, b read as polynomials in
+    zeta_m (length 1: a rational), rows the power table of order m: term i
+    of a times term j of b is added along row (i + j + e) mod m."""
+    m = len(rows)
+    for i, x in enumerate(a, e):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    y *= x
+                    for k, z in enumerate(rows[j % m]):
+                        if z:
+                            out[k] += y * z
+
+def product_sums(groups, m):
+    """{key: the sum of c1 * c2 * zeta_m^e over the key's (c1, c2, e)
+    triples}, keys whose sum is zero left out.  Each sum equals in value
+    and in `order` the sum of (c1 * c2).times_root(m, e): its order is the
+    lcm of m and of every operand's order."""
+    out = {}
+    for key, triples in groups.items():
+        n = m
+        for c1, c2, _ in triples:
+            if n % c1.order or n % c2.order:
+                n = math.lcm(n, c1.order, c2.order)
+        rows = _TABLES.get(n) or _power_table(n)
+        step = n // m
+        num = [0] * len(rows[0])
+        den = triples[0][0].den * triples[0][1].den
+        for c1, c2, e in triples:
+            a = c1.num if c1.order == n or c1.order == 1 else c1._lift(n)
+            b = c2.num if c2.order == n or c2.order == 1 else c2._lift(n)
+            d = c1.den * c2.den
+            if d != den:
+                g = math.lcm(den, d)
+                if g != den:
+                    num = [x * (g // den) for x in num]
+                    den = g
+                a = [x * (g // d) for x in a]
+            _convolve(a, b, e * step, rows, num)
+        if any(num):
+            out[key] = _make(n, tuple(num), den)
+    return out
+
 class CycloRational:
     """An element of Q(zeta_m) in canonical reduced form: integer
     numerators over one positive denominator, in lowest terms.  Immutable."""
@@ -146,6 +191,8 @@ class CycloRational:
 
     @classmethod
     def from_rational(cls, q):
+        if q.__class__ is int:
+            return _make(1, (q,), 1)
         q = Fraction(q)
         return _make(1, (q.numerator,), q.denominator)
 
@@ -227,58 +274,45 @@ class CycloRational:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        m1, m2 = self.order, other.order
-        den = self.den * other.den
         # an order-1 operand is a rational: it scales the other one
-        if m2 == 1:
-            k = other.num[0]
-            return _make(m1, tuple(x * k for x in self.num), den)
-        if m1 == 1:
-            k = self.num[0]
-            return _make(m2, tuple(x * k for x in other.num), den)
+        x, q = (other, self) if self.order == 1 else (self, other)
+        if q.order == 1:
+            k = q.num[0]
+            return _make(x.order, tuple(v * k for v in x.num), x.den * q.den)
         m, a, b, _ = self._pair(other)
-        if len(a) == 1:
-            return _make(m, (a[0] * b[0],), den)
-        out = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    if y:
-                        out[j] += x * y
-        return _make(m, tuple(_reduce(out, m)), den)
+        if len(a) == 1:  # phi(m) = 1: m is 2
+            return _make(m, (a[0] * b[0],), self.den * other.den)
+        out = [0] * len(a)
+        _convolve(a, b, 0, _TABLES.get(m) or _power_table(m), out)
+        return _make(m, tuple(out), self.den * other.den)
 
-    __rmul__ = __mul__
+    __rmul__ = scale = __mul__
 
     def times_root(self, m, e):
         """self * zeta_m^e, equal in value and in `order` to
-        self * CycloRational.root(m, e), by a shift along the power table
-        (see the module docstring).  Multiplying by a unit, like lifting,
-        keeps the content of the numerators, so the result is already in
-        lowest terms."""
+        self * CycloRational.root(m, e): a rational times one row of the
+        power table, otherwise, lifted to m (to the lcm if its order does
+        not divide m), numerator k shifted to row (k + e) mod m.  A unit,
+        like a lift, keeps the content, so the result is in lowest terms."""
         n = self.order
-        if m % n:
-            return self * CycloRational.root(m, e)
-        e %= m
-        if n == m and not e:
+        if n == m and not e % m:
             return self
-        rows = _TABLES.get(m) or _power_table(m)
+        z = object.__new__(CycloRational)
+        z.den = self.den
         if n == 1:
             k = self.num[0]
-            a = rows[e] if k == 1 else tuple(k * y for y in rows[e])
-        else:
-            a = self.num if n == m else self._lift(m)
-            if e:
-                out = [0] * len(a)
-                for k, x in enumerate(a, e):
-                    if x:
-                        for j, y in enumerate(rows[k % m]):
-                            if y:
-                                out[j] += x * y
-                a = tuple(out)
-        z = object.__new__(CycloRational)
-        z.order = m
-        z.num = a
-        z.den = self.den
+            row = (_TABLES.get(m) or _power_table(m))[e % m]
+            z.order, z.num = m, (row if k == 1 else tuple(k * y for y in row))
+            return z
+        big = m if n == m else math.lcm(n, m)
+        rows = _TABLES.get(big) or _power_table(big)
+        out = [0] * len(rows[0])
+        for k, x in enumerate(self.num if n == big else self._lift(big), e * (big // m)):
+            if x:
+                for j, y in enumerate(rows[k % big]):
+                    if y:
+                        out[j] += x * y
+        z.order, z.num = big, tuple(out)
         return z
 
     def is_zero(self):

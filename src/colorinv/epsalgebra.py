@@ -23,20 +23,23 @@ Sums filter out the zeros they make; negation, hop and scaling by a
 nonzero scalar cannot make one, so they build their result unfiltered.
 
 A sign is its exponent e of zeta_m, unreduced as eps_sort leaves it, and
-a coefficient takes it by a rotation, times_root, never as a product with
-a root.  normal_order keeps each algebra's memo of normal forms, keyed by
-the word: the sort and its exponent depend only on the generator degrees,
-and products meet the same few words again and again, so a product
-rotates each pair of coefficients once, (c1 * c2).times_root(m, e).  hop
-and the place permutation action carry signs the same way, and word
-degrees, summed through the bicharacter's sum_table, are memoized too.
+a coefficient takes it by a rotation, never as a product with a root.
+normal_order keeps each algebra's memo of normal forms, keyed by the word:
+the sort and its exponent depend only on the generator degrees, and
+products meet the same few words again and again.  eps_product is the one
+product of Lambda_eps and S(W*): it groups the pairs of words by normal
+word, and cyclo.product_sums turns each word's (c1, c2, exponent) triples
+into one coefficient in integer arithmetic.  hop and the place
+permutation action rotate by times_root, and word degrees, summed through
+the bicharacter's sum_table, are memoized too.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .cyclo import CycloRational, as_cyclo
+from .cyclo import CycloRational, as_cyclo, product_sums
 
 SCALARS = (int, Fraction, CycloRational)
 
@@ -104,7 +107,7 @@ class Terms:
         c = as_cyclo(c)
         if not c:
             return self._like({})
-        return self._like({w: x * c for w, x in self.terms.items()})
+        return self._like({w: x.scale(c) for w, x in self.terms.items()})
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -236,6 +239,21 @@ def normal_order(alg, word):
         memo[word] = eps_sort(word, alg._degrees, alg._parity, alg.chi.eps_table)
     return memo[word]
 
+def eps_product(left, right, normalize, ctx, m, bound=math.inf):
+    """The product of two {word: coefficient} dicts: each pair of words no
+    longer than bound together is put in normal form by normalize(ctx,
+    word), normal_order or sym_normalize, and product_sums makes each
+    normal word's coefficient from its pairs' (c1, c2, swap exponent)."""
+    groups = {}
+    for w1, c1 in left.items():
+        room = bound - len(w1)
+        for w2, c2 in right.items():
+            if len(w2) <= room:
+                res = normalize(ctx, w1 + w2)
+                if res is not None:
+                    groups.setdefault(res[1], []).append((c1, c2, res[0]))
+    return product_sums(groups, m)
+
 class EpsElement(Terms):
     """Element of a truncated eps-Grassmann algebra: {word: CycloRational}.
     Treated as immutable."""
@@ -269,20 +287,8 @@ class EpsElement(Terms):
             return NotImplemented
         self._check(other)
         alg = self.alg
-        m = alg.chi.m
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                if len(w1) + len(w2) > alg.truncation:
-                    continue
-                res = normal_order(alg, w1 + w2)
-                if res is None:
-                    continue
-                e, w = res
-                c = (c1 * c2).times_root(m, e)
-                prev = out.get(w)
-                out[w] = c if prev is None else prev + c
-        return EpsElement(alg, out)
+        return self._like(eps_product(self.terms, other.terms, normal_order, alg,
+                                      alg.chi.m, alg.truncation))
 
     def __rmul__(self, other):
         if isinstance(other, SCALARS):

@@ -36,9 +36,10 @@ PictureShape, with the multiplicities of its copies and sigma restricted
 and relabelled, kept on the shape (PictureShape.part) so that its plans
 serve every sigma.  _phi_terms, the one kernel, sums each component over
 {1..dim}^|K| into a dict keyed by variable id tuples, and
-sympoly.mul_terms multiplies these into the terms of phi_sigma.  The cost
-is sum_K dim^|K| kernel steps plus the products, against dim^N for the
-whole shape at once; equal components are summed once per call.
+sympoly.mul_terms (epsalgebra.eps_product, the one eps product)
+multiplies these into the terms of phi_sigma.  The cost is sum_K dim^|K|
+kernel steps plus the products, against dim^N for the whole shape at
+once; equal components are summed once per call.
 
 Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
 the inversions of rho, the copies' positions in I) is worked out once per

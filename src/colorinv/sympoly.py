@@ -23,10 +23,11 @@ is met only at the text boundary: var_id is the one validating
 conversion from it, used by parse_sym, and format_sym names an id at
 print time.  S(W*) and Lambda_eps share their normal form, basis and
 term arithmetic, all from epsalgebra: sym_normalize is eps_sort, the one
-eps insertion sort, and returns its swap exponent, which mul_terms and
-from_word apply by times_root; enumerate_sym_basis filters sorted_words;
-SymPolynomial sums, scales and compares through Terms.  mul_terms is the
-one monomial product, used by SymPolynomial and by build_phi.
+eps insertion sort, and returns its swap exponent, which from_word applies
+by times_root; enumerate_sym_basis filters sorted_words; SymPolynomial
+sums, scales and compares through Terms.  mul_terms, the product used by
+SymPolynomial and by build_phi, is epsalgebra.eps_product with
+sym_normalize as the normal form, the same product as Lambda_eps's.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclo import as_cyclo
-from .epsalgebra import SCALARS, Terms, eps_sort, sorted_words
+from .epsalgebra import SCALARS, Terms, eps_product, eps_sort, sorted_words
 from . import permutations as perms
 from .tensors import PRIMAL, DUAL, gamma_exponent
 
@@ -153,22 +154,8 @@ def sym_normalize(shape, seq):
     return eps_sort(seq, num.degree, num.parity, shape.chi.eps_table)
 
 def mul_terms(shape, left, right):
-    """The product in S(W*) of two {id tuple: coefficient} dicts: each
-    pair of monomials is concatenated and put in normal form by
-    sym_normalize, and the product of coefficients rotated by its swap
-    exponent; zero coefficients are dropped."""
-    m = shape.chi.m
-    out = {}
-    for m1, c1 in left.items():
-        for m2, c2 in right.items():
-            res = sym_normalize(shape, m1 + m2)
-            if res is None:
-                continue
-            e, mono = res
-            c = (c1 * c2).times_root(m, e)
-            prev = out.get(mono)
-            out[mono] = c if prev is None else prev + c
-    return {mono: c for mono, c in out.items() if c}
+    """The product in S(W*) of two {id tuple: coefficient} dicts."""
+    return eps_product(left, right, sym_normalize, shape, shape.chi.m)
 
 class SymPolynomial(Terms):
     """Element of S(W*): {sorted id tuple: CycloRational}.  Immutable."""

@@ -23,6 +23,7 @@ Structured (JSON) emitters mirror the same data with the same ordering.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from itertools import accumulate
@@ -37,41 +38,30 @@ TENSOR_SEP = "ox"
 
 # ---------------------------------------------------------------- scalars
 
-def format_fraction(q):
-    return str(q)
-
 def parse_fraction(text):
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text.strip())
 
-def _power_name(k):
-    if k == 0:
-        return ""
-    if k == 1:
-        return "z"
-    return "z^%d" % k
-
 def format_cyclo(x):
-    """Terms by ascending power of z; '0' for zero; rational part bare."""
-    parts = []
-    for k, a in enumerate(x.coeffs):
-        if a == 0:
-            continue
-        mag = format_fraction(abs(a))
-        name = _power_name(k)
-        body = mag if not name else "%s*%s" % (mag, name)
-        parts.append((a < 0, body))
-    if not parts:
-        return "0"
+    """Terms by ascending power of z; '0' for zero; rational part bare.
+    Each magnitude is |num[k]|/den in lowest terms, one gcd per nonzero
+    numerator, written as str(Fraction) writes it."""
+    den = x.den
     out = []
-    for i, (negative, body) in enumerate(parts):
-        if i == 0:
-            out.append("-" + body if negative else body)
-        else:
-            out.append("- " + body if negative else "+ " + body)
-    return " ".join(out)
+    for k, a in enumerate(x.num):
+        if a:
+            g = math.gcd(a, den)
+            body = "%d" % (abs(a) // g) if g == den else "%d/%d" % (abs(a) // g, den // g)
+            if k:
+                body += "*z" if k == 1 else "*z^%d" % k
+            if out:
+                body = ("- " if a < 0 else "+ ") + body
+            elif a < 0:
+                body = "-" + body
+            out.append(body)
+    return " ".join(out) or "0"
 
 _TERM_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)(?:\*(?P<pow>z(?:\^\d+)?))?|(?P<bare>-?z(?:\^\d+)?))$")
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorinv.cyclo import CycloRational
 from colorinv.epsalgebra import (
@@ -17,7 +18,7 @@ from colorinv.epsalgebra import (
     words_of_degree,
 )
 from colorinv.sampling import random_eps_of_degree, standard_test_algebra
-from colorinv.sympoly import MixedShape, SymPolynomial, enumerate_sym_basis
+from colorinv.sympoly import MixedShape, SymPolynomial, enumerate_sym_basis, sym_normalize
 from colorinv.tensors import DUAL, PRIMAL, GradedOperator, GradedSpace, GradedTensor
 
 
@@ -308,3 +309,97 @@ def test_sym_basis_order_is_pinned(cfgs):
                         if tuple(sum(1 for k in ids if vs[k].summand == i)
                                  for i in range(1, shape.s + 1)) == M]
                 assert enumerate_sym_basis(shape, r, multidegree=M) == want, (shape, r, M)
+
+
+# ------------------------------------- the eps product against its chain
+
+# Per root order m of a builtin, a coefficient order that does not divide m.
+FOREIGN_ORDER = {2: 3, 3: 4, 4: 3}
+
+
+def chain_of_products(left, right, normalize, m, bound):
+    """The product of two {word: coefficient} dicts pair by pair:
+    c1 * c2 * root(m, e) per pair of words no longer than bound together,
+    added up per normal word with +, zero sums dropped."""
+    out = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            res = normalize(w1 + w2)
+            if len(w1) + len(w2) > bound or res is None:
+                continue
+            e, w = res
+            c = c1 * c2 * CycloRational.root(m, e)
+            out[w] = out[w] + c if w in out else c
+    return {w: c for w, c in out.items() if c}
+
+
+@st.composite
+def coefficients(draw, m):
+    """Orders 1, m and one not dividing m; denominators up to 6."""
+    order = draw(st.sampled_from((1, m, FOREIGN_ORDER[m])))
+    den = draw(st.sampled_from((1, 2, 3, 6)))
+    nums = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    return CycloRational(order, [Fraction(k, den) for k in nums])
+
+
+@st.composite
+def product_cases(draw, cfgs):
+    """(kind, m, x, y, normalize, bound, cancelled word or None).  Terms
+    are words of up to two ids from a pool of two to four, with odd ids
+    where the builtin has them, so several pairs often land on one word;
+    Lambda_eps is truncated at 3, so products of two two-letter words
+    vanish.  The "cancel" branch is {u: a, v: k a} * {v: c, u: d} with
+    d = -c * zeta^(-e) / k, e the swap exponent of v u, so the word u v
+    gets a c - a c = 0 from two pairs whose denominators differ when k is
+    not 1."""
+    cfg = cfgs[draw(st.sampled_from(("super", "z2z2", "z3z3", "z4")))]
+    m = cfg.chi.m
+    if draw(st.booleans()):
+        alg = standard_test_algebra(cfg.chi, 3)
+        kind, ids, bound = "eps", range(1, alg.ngens + 1), alg.truncation
+        make, zero = alg.monomial, alg.zero()
+
+        def normalize(w):
+            return normal_order(alg, w)
+    else:
+        shape = cfg.shape
+        kind, ids, bound = "sym", range(len(shape.numbering().variables)), float("inf")
+        zero = SymPolynomial.zero(shape)
+
+        def make(w, c):
+            return SymPolynomial.from_word(shape, w, c)
+
+        def normalize(w):
+            return sym_normalize(shape, w)
+    if draw(st.sampled_from(("random", "cancel"))) == "cancel":
+        p, q = sorted(draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)))
+        a, c = draw(coefficients(m)), draw(coefficients(m))
+        k = draw(st.sampled_from((1, 2, -3, Fraction(1, 2), Fraction(-2, 3))))
+        e = normalize((q, p))[0]
+        x = make((p,), a) + make((q,), a * k)
+        y = make((q,), c) + make((p,), (-c).times_root(m, -e) * (1 / Fraction(k)))
+        return kind, m, x, y, normalize, bound, (p, q) if a and c else None
+    pool = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=4, unique=True))
+    sums = []
+    for _ in range(2):
+        elem = zero
+        for _ in range(draw(st.integers(0, 4))):
+            word = tuple(draw(st.lists(st.sampled_from(pool), max_size=2)))
+            elem = elem + make(word, draw(coefficients(m)))
+        sums.append(elem)
+    return (kind, m) + tuple(sums) + (normalize, bound, None)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_eps_product_matches_the_chain_of_products(cfgs, data):
+    """EpsElement and SymPolynomial products equal the pair-by-pair chain
+    in value and in each coefficient's order, truncation and cancellation
+    included."""
+    kind, m, x, y, normalize, bound, cancelled = data.draw(product_cases(cfgs))
+    want = chain_of_products(x.terms, y.terms, normalize, m, bound)
+    got = (x * y).terms
+    assert got.keys() == want.keys(), kind
+    for w, c in want.items():
+        assert (got[w].order, got[w].num, got[w].den) == (c.order, c.num, c.den), (kind, w)
+    assert cancelled not in got

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorinv.cyclo import CycloRational
 from colorinv.sampling import (
@@ -20,7 +20,6 @@ from colorinv.textform import (
     dump_structured,
     format_cyclo,
     format_eps,
-    format_fraction,
     format_point,
     format_sym,
     format_tensor,
@@ -41,7 +40,7 @@ fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 @given(q=fractions)
 def test_fraction_round_trip(q):
-    assert parse_fraction(format_fraction(q)) == q
+    assert parse_fraction(str(q)) == q
 
 
 def test_fraction_parse_errors():
@@ -58,6 +57,38 @@ def test_cyclo_round_trip(data):
     coeffs = data.draw(st.lists(fractions, min_size=1, max_size=4))
     x = CycloRational(order, coeffs)
     assert parse_cyclo(format_cyclo(x), order) == x
+
+
+def cyclo_text_from_fractions(x):
+    """format_cyclo's text built from the Fraction coefficients: each
+    nonzero one as str(Fraction) of its magnitude, then '*z' or '*z^k',
+    '-' before a negative first term, ' + ' or ' - ' before the others."""
+    out = []
+    for k, a in enumerate(x.coeffs):
+        if a == 0:
+            continue
+        body = str(abs(a)) + ("" if k == 0 else "*z" if k == 1 else "*z^%d" % k)
+        if not out:
+            out.append("-" + body if a < 0 else body)
+        else:
+            out.append(("- " if a < 0 else "+ ") + body)
+    return " ".join(out) if out else "0"
+
+
+@given(order=st.sampled_from((1, 2, 3, 4, 5, 12)),
+       coeffs=st.lists(fractions, min_size=1, max_size=6))
+@example(order=1, coeffs=[Fraction(0)])
+@example(order=3, coeffs=[Fraction(0)] * 3)
+@example(order=1, coeffs=[Fraction(-7, 6)])
+@example(order=4, coeffs=[Fraction(-2, 3), Fraction(5, 4)])
+@example(order=5, coeffs=[Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(3, 2)])
+@example(order=12, coeffs=[Fraction(6, 4), Fraction(0), Fraction(-10, 4), Fraction(1, 9)])
+@settings(max_examples=150, deadline=None)
+def test_format_cyclo_matches_the_fraction_text(order, coeffs):
+    """Zero, a negative leading term, denominators above 1 and order 1
+    print byte for byte as the Fraction coefficients read."""
+    x = CycloRational(order, coeffs)
+    assert format_cyclo(x) == cyclo_text_from_fractions(x)
 
 
 def test_cyclo_huge_power_reduces_mod_order():
