@@ -27,11 +27,13 @@ a coefficient takes it by a rotation, never as a product with a root.
 normal_order keeps each algebra's memo of normal forms, keyed by the word:
 the sort and its exponent depend only on the generator degrees, and
 products meet the same few words again and again.  eps_product is the one
-product of Lambda_eps and S(W*): it groups the pairs of words by normal
-word, and cyclo.product_sums turns each word's (c1, c2, exponent) triples
-into one coefficient in integer arithmetic.  hop and the place
-permutation action rotate by times_root, and word degrees, summed through
-the bicharacter's sum_table, are memoized too.
+product of Lambda_eps and S(W*), and of their sums of products: it groups
+the pairs of words of a list of (left, right) term dicts by normal word,
+and cyclo.product_sums turns each word's (c1, c2, exponent) triples into
+one coefficient in integer arithmetic.  eps_sums makes one EpsElement
+per key of {key: [pairs]}, for callers whose entries are sums.  hop and
+the place permutation action rotate by times_root, and word degrees,
+summed through the bicharacter's sum_table, are memoized too.
 """
 
 from __future__ import annotations
@@ -239,20 +241,36 @@ def normal_order(alg, word):
         memo[word] = eps_sort(word, alg._degrees, alg._parity, alg.chi.eps_table)
     return memo[word]
 
-def eps_product(left, right, normalize, ctx, m, bound=math.inf):
-    """The product of two {word: coefficient} dicts: each pair of words no
-    longer than bound together is put in normal form by normalize(ctx,
-    word), normal_order or sym_normalize, and product_sums makes each
-    normal word's coefficient from its pairs' (c1, c2, swap exponent)."""
+def eps_product(pairs, normalize, ctx, m, bound=math.inf):
+    """The sum of left * right over a list of (left, right) {word:
+    coefficient} dicts: each pair of words no longer than bound together
+    is put in normal form by normalize(ctx, word), normal_order or
+    sym_normalize, and product_sums makes each normal word's coefficient
+    from its (c1, c2, swap exponent) triples.  A word's `order` is the lcm
+    of m and of every operand order that meets there, the order of the
+    sum of the single products whenever every operand order divides m."""
     groups = {}
-    for w1, c1 in left.items():
-        room = bound - len(w1)
-        for w2, c2 in right.items():
-            if len(w2) <= room:
-                res = normalize(ctx, w1 + w2)
-                if res is not None:
-                    groups.setdefault(res[1], []).append((c1, c2, res[0]))
+    for left, right in pairs:
+        for w1, c1 in left.items():
+            room = bound - len(w1)
+            for w2, c2 in right.items():
+                if len(w2) <= room:
+                    res = normalize(ctx, w1 + w2)
+                    if res is not None:
+                        groups.setdefault(res[1], []).append((c1, c2, res[0]))
     return product_sums(groups, m)
+
+def eps_sums(alg, sums):
+    """{key: the EpsElement eps_product of the key's pairs of term
+    dicts}, keys whose sum is zero left out."""
+    m, bound = alg.chi.m, alg.truncation
+    out = {}
+    for key, pairs in sums.items():
+        terms = eps_product(pairs, normal_order, alg, m, bound)
+        if terms:
+            elem = out[key] = object.__new__(EpsElement)
+            elem.alg, elem.terms = alg, terms
+    return out
 
 class EpsElement(Terms):
     """Element of a truncated eps-Grassmann algebra: {word: CycloRational}.
@@ -287,7 +305,7 @@ class EpsElement(Terms):
             return NotImplemented
         self._check(other)
         alg = self.alg
-        return self._like(eps_product(self.terms, other.terms, normal_order, alg,
+        return self._like(eps_product([(self.terms, other.terms)], normal_order, alg,
                                       alg.chi.m, alg.truncation))
 
     def __rmul__(self, other):

@@ -155,7 +155,7 @@ def sym_normalize(shape, seq):
 
 def mul_terms(shape, left, right):
     """The product in S(W*) of two {id tuple: coefficient} dicts."""
-    return eps_product(left, right, sym_normalize, shape, shape.chi.m)
+    return eps_product([(left, right)], sym_normalize, shape, shape.chi.m)
 
 class SymPolynomial(Terms):
     """Element of S(W*): {sorted id tuple: CycloRational}.  Immutable."""

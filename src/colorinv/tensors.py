@@ -22,8 +22,10 @@ A G-degree is its position in the bicharacter's fixed order of G, and
 degrees are added, negated and paired through the bicharacter's tables
 (groups).  Each GradedSpace keeps its basis degrees and their negatives as
 one pair indexed by variance bit (slot_table), so a slot's degree is one
-lookup.  psi_derivation and apply_operator build the suffix degree sums
-of a word once per term, the degree each emitted coefficient hops past.
+lookup.  The degree an emitted coefficient hops past is the degree of the
+slots to its right: psi_derivation takes it as the word's degree less the
+degrees up to the slot, apply_operator carries it along as it places new
+indices from the right.
 
 Operators T act by T(e_b) = sum_a e_a T_ab.  On dual slots T acts through
 composition with T^{-1}, which in coordinates reads
@@ -32,18 +34,19 @@ T . e_c* = sum_a e_a* unhop(S_ca, g_a) with S = T^{-1}.
 Operators are sparse like tensors: GradedOperator.terms maps an index pair
 (a, b), 1-based, to the nonzero entry T_ab and holds nothing else, so a
 matrix unit is one term.  Both classes take sums, negation, scaling and
-equality from epsalgebra.Terms.  Products pair each entry T_ab with row b of the
-right factor; readers that need a column group the entries once per call
-(GradedOperator.columns).  An operator never changes after construction,
-so its G-degree is computed on first use and kept.
+equality from epsalgebra.Terms.  An operator never changes after
+construction, so its G-degree and its entries grouped by column
+(GradedOperator.columns) are computed on first use and kept.  compose,
+psi_derivation, apply_operator and tensor_product collect the (left,
+right) pairs of each output entry and multiply them in one
+epsalgebra.eps_sums call.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .epsalgebra import EpsElement, Terms, hop, words_of_degree
+from .epsalgebra import EpsElement, Terms, eps_sums, hop, words_of_degree
 from . import permutations as perms
 from .linalg import invert_fraction_matrix
 
@@ -81,9 +84,6 @@ class GradedSpace:
         for i in indices:
             if not 1 <= i <= self.dim:
                 raise ValueError("basis index %r out of range 1..%d" % (i, self.dim))
-
-    def slot_degree(self, variance_bit, i):
-        return self.slot_table[variance_bit][i - 1]
 
     def __eq__(self, other):
         return (isinstance(other, GradedSpace) and self.chi == other.chi
@@ -172,14 +172,12 @@ def tensor_product(a, b):
     """Concatenate tensor words; a's coefficient hops past b's basis word."""
     if a.space != b.space or a.alg != b.alg:
         raise ValueError("tensor factors live over different spaces")
-    out = {}
+    sums = {}
     for ib, cb in b.terms.items():
         d = b.word_degree(ib)
         for ia, ca in a.terms.items():
-            c = hop(ca, d) * cb
-            if c:
-                out[ia + ib] = c
-    return GradedTensor(a.space, a.alg, a.variance + b.variance, out)
+            sums[ia + ib] = [(hop(ca, d).terms, cb.terms)]
+    return GradedTensor(a.space, a.alg, a.variance + b.variance, eps_sums(a.alg, sums))
 
 def contract_pairs(t):
     """Full contraction of a word in alternating (dual, primal) variance:
@@ -215,13 +213,13 @@ class GradedOperator(Terms):
     what they hold.  Treated as immutable; the G-degree is computed on the
     first g_degree() call and kept on the instance."""
 
-    __slots__ = ("space", "alg", "terms", "_degree")
+    __slots__ = ("space", "alg", "terms", "_degree", "_columns")
 
     def __init__(self, space, alg, terms):
         self.space = space
         self.alg = alg
         self.terms = {ab: x for ab, x in terms.items() if x}
-        self._degree = _UNSET
+        self._degree = self._columns = _UNSET
 
     @classmethod
     def zero(cls, space, alg):
@@ -244,15 +242,18 @@ class GradedOperator(Terms):
         return self.alg.zero() if x is None else x
 
     def columns(self):
-        """{b: [(a, T_ab), ...]} over the nonzero entries, rows ascending."""
-        out = {}
-        for (a, b), x in self.terms_sorted():
-            out.setdefault(b, []).append((a, x))
-        return out
+        """{b: [(a, T_ab), ...]} over the nonzero entries, rows ascending;
+        built on the first call and kept."""
+        if self._columns is _UNSET:
+            self._columns = {}
+            for (a, b), x in self.terms_sorted():
+                self._columns.setdefault(b, []).append((a, x))
+        return self._columns
 
     def _like(self, terms):
         op = object.__new__(GradedOperator)
-        op.space, op.alg, op.terms, op._degree = self.space, self.alg, terms, _UNSET
+        op.space, op.alg, op.terms = self.space, self.alg, terms
+        op._degree = op._columns = _UNSET
         return op
 
     def _same(self, other):
@@ -261,20 +262,14 @@ class GradedOperator(Terms):
 
     def compose(self, other):
         """Matrix product in operator order: (self other)(v) = self(other(v)).
-        Each entry T_ab of self meets the entries of row b of other."""
+        Each entry S_bc of other meets column b of self."""
         self._check(other)
-        rows = {}
+        cols = self.columns()
+        sums = {}
         for (b, c), y in other.terms.items():
-            rows.setdefault(b, []).append((c, y))
-        out = {}
-        for (a, b), x in self.terms.items():
-            for c, y in rows.get(b, ()):
-                val = x * y
-                if not val:
-                    continue
-                prev = out.get((a, c))
-                out[a, c] = val if prev is None else prev + val
-        return GradedOperator(self.space, self.alg, out)
+            for a, x in cols.get(b, ()):
+                sums.setdefault((a, c), []).append((x.terms, y.terms))
+        return self._like(eps_sums(self.alg, sums))
 
     def g_degree(self):
         """The G-degree alpha with T(U_h) <= U_{alpha+h}, or None when the
@@ -312,16 +307,6 @@ class GradedOperator(Terms):
             out[a - 1][b - 1] = x.constant_part().as_fraction()
         return out
 
-def _suffix_sums(chi, degs):
-    """suffix[j] = degs[j] + degs[j+1] + ..., with suffix[len(degs)] the
-    identity: the degree a coefficient emitted at slot j hops past is
-    suffix[j + 1]."""
-    add = chi.sum_table
-    suffix = [0] * (len(degs) + 1)
-    for j in range(len(degs) - 1, -1, -1):
-        suffix[j] = add[degs[j]][suffix[j + 1]]
-    return suffix
-
 def dual_action_columns(opinv):
     """Columns of the induced action on dual slots: with S = T^{-1}, e_c*
     goes to sum_a e_a* unhop(S_ca, g_a).  Returned as {c: [(a, entry),
@@ -336,79 +321,71 @@ def dual_action_columns(opinv):
 def apply_operator(t, op, opinv=None):
     """Apply an operator to every slot of a tensor.  Dual slots transform
     through composition with the inverse, so opinv is required when the
-    tensor has a dual slot.  Coefficients emitted at a slot hop right past
-    the new basis factors."""
-    space, alg, chi = t.space, t.alg, t.space.chi
-    if op.space != space or op.alg != alg:
+    tensor has a dual slot.  Each term is worked slot by slot from the
+    right: the coefficient emitted at a slot hops past the new basis
+    factors already placed to its right and multiplies the coefficient
+    built so far, the same product as the chain over all slots by
+    associativity.  The products of slot 0 are summed per new word."""
+    if not op._same(t):
         raise ValueError("operator and tensor live over different spaces")
-    primal_cols = op.columns()
-    dual_cols = None
+    if opinv is not None and not opinv._same(t):
+        raise ValueError("inverse operator and tensor live over different spaces")
+    cols = [op.columns(), None]
     if DUAL in t.variance:
         if opinv is None:
             raise ValueError("dual slots need the inverse operator")
-        dual_cols = dual_action_columns(opinv)
-    acc = {}
+        cols[DUAL] = dual_action_columns(opinv)
+    k, add = len(t.variance), t.space.chi.sum_table
+    if not k:
+        return t
+    sums = {}
     for idx, lam in t.terms.items():
-        # per slot: list of (new index, emitted coefficient)
-        options = [(dual_cols if v == DUAL else primal_cols).get(i, ())
-                   for v, i in zip(t.variance, idx)]
-        for combo in itertools.product(*options):
-            nidx = tuple(a for a, _ in combo)
-            sd = [space.slot_degree(v, a) for v, a in zip(t.variance, nidx)]
-            suffix = _suffix_sums(chi, sd)
-            coeff = None
-            for j, (_, cj) in enumerate(combo):
-                moved = hop(cj, suffix[j + 1])
-                coeff = moved if coeff is None else coeff * moved
-                if not coeff:
-                    break
-            if coeff is None:
-                coeff = lam
-            else:
-                if not coeff:
-                    continue
-                coeff = coeff * lam
-            if not coeff:
-                continue
-            prev = acc.get(nidx)
-            acc[nidx] = coeff if prev is None else prev + coeff
-    return GradedTensor(space, alg, t.variance, acc)
+        # the new indices right of slot j -> (their degree, the coefficient
+        # built so far)
+        built = {(): (0, lam)}
+        for j in range(k - 1, -1, -1):
+            v = t.variance[j]
+            step = sums if j == 0 else {}
+            for a, c in cols[v].get(idx[j], ()):
+                for right, (d, x) in built.items():
+                    step.setdefault((a,) + right, []).append((hop(c, d).terms, x.terms))
+            if j:
+                # the new index at slot j joins the degree of those right of it
+                degrees = t.space.slot_table[v]
+                built = {nidx: (add[degrees[nidx[0] - 1]][built[nidx[1:]][0]], x)
+                         for nidx, x in eps_sums(t.alg, step).items()}
+    return t._like(eps_sums(t.alg, sums))
 
 def psi_derivation(x, t):
     """Twisted derivation action of a homogeneous operator on a primal
     tensor word: slot i picks up eps(|x|, |v_j|) for every slot j < i,
     read by biadditivity as one eps(|x|, sum of the degrees before slot i),
-    and only at the slots x acts on.  A word with no such slot is skipped
-    before its suffix sums are built."""
+    and only at the slots x acts on, where the entry hops past the degrees
+    after slot i.  The products are summed per new word."""
+    if not x._same(t):
+        raise ValueError("operator and tensor live over different spaces")
     if any(v != PRIMAL for v in t.variance):
         raise ValueError("the derivation action is defined on primal words")
     alpha = x.g_degree()
     if alpha is None:
         raise ValueError("operator is not homogeneous")
-    space, alg, chi = t.space, t.alg, t.space.chi
-    eps, add = chi.eps_table[alpha], chi.sum_table
-    k = len(t.variance)
+    chi, degrees = t.space.chi, t.space.degrees
+    eps, add, neg = chi.eps_table[alpha], chi.sum_table, chi.neg_table
     cols = x.columns()
-    acc = {}
-    degrees = space.degrees
+    sums = {}
     for idx, lam in t.terms.items():
         if not any(r in cols for r in idx):
             continue
-        degs = [degrees[i - 1] for i in idx]
-        suffix = _suffix_sums(chi, degs)
+        total = chi.degree_sum(degrees[r - 1] for r in idx)
         before = 0  # the degree of the slots before slot i
-        for i in range(k):
-            entries = cols.get(idx[i])
+        for i, r in enumerate(idx):
             prefix = eps[before]
-            before = add[before][degs[i]]
-            for a, entry in entries or ():
-                coeff = hop(entry, suffix[i + 1], shift=prefix) * lam
-                if not coeff:
-                    continue
-                nidx = idx[:i] + (a,) + idx[i + 1:]
-                prev = acc.get(nidx)
-                acc[nidx] = coeff if prev is None else prev + coeff
-    return GradedTensor(space, alg, t.variance, acc)
+            before = add[before][degrees[r - 1]]
+            after = add[total][neg[before]]
+            for a, entry in cols.get(r, ()):
+                sums.setdefault(idx[:i] + (a,) + idx[i + 1:], []).append(
+                    (hop(entry, after, shift=prefix).terms, lam.terms))
+    return t._like(eps_sums(t.alg, sums))
 
 def eta_action(g, t):
     """The grouplike action: multiply each basis word by

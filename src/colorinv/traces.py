@@ -20,7 +20,7 @@ arguments.
 from __future__ import annotations
 
 from . import permutations as perms
-from .epsalgebra import EpsAlgebra, EpsElement, add_term, hop
+from .epsalgebra import EpsAlgebra, eps_sums, hop
 from .sympoly import SymPolynomial
 from .tensors import PRIMAL, DUAL, GradedTensor, GradedOperator
 
@@ -73,18 +73,35 @@ def restitute(poly, point):
     """F^r on S(W*) at a degree-0 point, monomials evaluated on their
     canonical sorted representatives.  The input must be homogeneous: F^r
     is defined degree by degree, so a mix of total degrees is rejected.
-    The values c * F(monomial) are summed into one term dict, in monomial
-    order, and one element is built at the end."""
+    The monomials are walked in sorted order, each reusing the products of
+    the prefix it shares with the one before, and the values
+    c * F(monomial) are summed in one eps_sums call."""
     degrees = sorted({len(mono) for mono in poly.terms})
     if len(degrees) > 1:
         raise ValueError("restitution needs a homogeneous polynomial; "
                          "found total degrees %s" % degrees)
-    total = {}
-    for mono, c in poly.terms.items():
-        val = restitute_word(poly.shape, mono, point)
-        for w, x in val.terms.items():
-            add_term(total, w, c * x)
-    return EpsElement(point.alg, total)
+    alg = point.alg
+    if degrees == [0]:
+        return alg.scalar(poly.terms[()])
+    vs = poly.shape.numbering().variables
+    chain, prev, pairs = [], (), []  # chain[i]: the product over prev[:i + 1]
+    for mono in sorted(poly.terms):
+        lams = [point.part(vs[k].summand).terms.get(vs[k].word()) for k in mono]
+        if any(lam is None for lam in lams):
+            continue
+        n = 0
+        while n < len(chain) and mono[n] == prev[n]:
+            n += 1
+        del chain[n:]
+        prev = mono
+        for lam in lams[n:]:
+            x = chain[-1] * lam if chain else lam
+            if not x:
+                break
+            chain.append(x)
+        if len(chain) == len(mono):
+            pairs.append((chain[-1].terms, {(): poly.terms[mono]}))
+    return eps_sums(alg, {(): pairs}).get((), alg.zero())
 
 def transposition_sign_check(shape, word, i, point):
     """The adjacent-swap identity behind well-definedness on W_0:
@@ -164,19 +181,13 @@ def end_compose(x, y):
     if x.space != y.space or x.alg != y.alg:
         raise ValueError("operators over different spaces")
     add, neg = x.space.chi.sum_table, x.space.chi.neg_table
-    out = {}
+    sums = {}
     for (a, c), lam in x.terms.items():
         for (b, d), mu in y.terms.items():
-            if c != b:
-                continue
-            shift = add[x.space.degree(b)][neg[x.space.degree(d)]]
-            val = hop(lam, shift) * mu
-            if not val:
-                continue
-            key = (a, d)
-            prev = out.get(key)
-            out[key] = val if prev is None else prev + val
-    return GradedTensor(x.space, x.alg, u11_variance(), out)
+            if c == b:
+                shift = add[x.space.degree(b)][neg[x.space.degree(d)]]
+                sums.setdefault((a, d), []).append((hop(lam, shift).terms, mu.terms))
+    return x._like(eps_sums(x.alg, sums))
 
 def end_trace(x):
     """tr(e_a ox e_c* . lam) = delta_ac eps(g_a, g_a) lam."""

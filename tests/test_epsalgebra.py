@@ -11,6 +11,8 @@ from colorinv.cyclo import CycloRational
 from colorinv.epsalgebra import (
     EpsAlgebra,
     EpsElement,
+    eps_product,
+    eps_sums,
     filtration_level,
     filtration_member,
     hop,
@@ -403,3 +405,79 @@ def test_eps_product_matches_the_chain_of_products(cfgs, data):
     for w, c in want.items():
         assert (got[w].order, got[w].num, got[w].den) == (c.order, c.num, c.den), (kind, w)
     assert cancelled not in got
+
+
+# ----------------------------------- sums of eps products against their sum
+
+
+@st.composite
+def sums_of_products(draw, cfgs):
+    """(alg, {key: [(x, y), ...]}) over EpsElements of a builtin's standard
+    algebra truncated at 3: one to three keys, each with one to four pairs
+    of sums of up to three words of up to two generators, coefficients of
+    orders 1, m and one not dividing m.  A key may repeat one of its pairs
+    negated, so that its pairs cancel in part or in full."""
+    cfg = cfgs[draw(st.sampled_from(("super", "z2z2", "z3z3", "z4")))]
+    alg = standard_test_algebra(cfg.chi, 3)
+    m = cfg.chi.m
+    words = st.sampled_from([w for d in range(cfg.chi.group.order)
+                             for w in words_of_degree(alg, d, 2)])
+
+    def element():
+        elem = alg.zero()
+        for _ in range(draw(st.integers(0, 3))):
+            elem = elem + EpsElement(alg, {draw(words): draw(coefficients(m))})
+        return elem
+
+    sums = {}
+    for key in range(draw(st.integers(1, 3))):
+        pairs = [(element(), element()) for _ in range(draw(st.integers(1, 4)))]
+        if draw(st.booleans()):
+            x, y = pairs[draw(st.integers(0, len(pairs) - 1))]
+            pairs.append((x, -y))
+        sums[key] = pairs
+    return alg, sums
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_eps_sums_match_the_sum_of_products(cfgs, data):
+    """eps_sums, and eps_product on several pairs, equal the EpsElement sum
+    of the products x * y in value, a key whose sum is zero left out; in
+    `order` too when every operand order divides m."""
+    alg, sums = data.draw(sums_of_products(cfgs))
+    m = alg.chi.m
+    got = eps_sums(alg, {key: [(x.terms, y.terms) for x, y in pairs]
+                         for key, pairs in sums.items()})
+    for key, pairs in sums.items():
+        want = alg.zero()
+        for x, y in pairs:
+            want = want + x * y
+        terms = eps_product([(x.terms, y.terms) for x, y in pairs],
+                            normal_order, alg, m, alg.truncation)
+        assert (got[key].terms if key in got else {}) == terms
+        assert terms == want.terms, key
+        if all(m % c.order == 0 for x, y in pairs for c in (*x.terms.values(),
+                                                            *y.terms.values())):
+            assert {w: (c.order, c.num, c.den) for w, c in terms.items()} == \
+                {w: (c.order, c.num, c.den) for w, c in want.terms.items()}, key
+    assert all(got.values())
+
+
+def test_eps_product_order_is_the_lcm_of_the_operands_meeting_at_a_word(cfgs):
+    """On super (m = 2), x_1 with coefficient 1 at order 3 meets itself
+    negated and then a plain x_1.  The running sum of products drops the
+    cancelled pair and its order with it, leaving order 2; the summed
+    product keeps every order that met at the word, lcm(2, 3) = 6.  The
+    value is 1 both ways."""
+    alg = standard_test_algebra(cfgs["super"].chi, 3)
+    one = alg.one()
+    third = EpsElement(alg, {(1,): CycloRational(3, [1])})
+    pairs = [(third, one), (-third, one), (alg.gen(1), one)]
+    fused = eps_product([(x.terms, y.terms) for x, y in pairs], normal_order, alg,
+                        alg.chi.m, alg.truncation)
+    chained = alg.zero()
+    for x, y in pairs:
+        chained = chained + x * y
+    assert fused == chained.terms == {(1,): CycloRational.one()}
+    assert (fused[(1,)].order, chained.terms[(1,)].order) == (6, 2)

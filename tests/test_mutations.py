@@ -9,7 +9,7 @@ suite that starts failing on a fault it never saw, shows up here.
 
 import pytest
 
-from colorinv import cli, oracle, permutations as perms, pictures, traces
+from colorinv import cli, epsalgebra, oracle, permutations as perms, pictures, traces
 from colorinv.config import builtin_config
 from colorinv.tensors import GradedOperator
 
@@ -58,6 +58,15 @@ def compose_drops_row_1(monkeypatch, cfg):
         return GradedOperator(out.space, out.alg,
                               {ab: x for ab, x in out.terms.items() if ab[0] != 1})
     monkeypatch.setattr(GradedOperator, "compose", dropped)
+
+
+def sum_drops_last_pair(monkeypatch, cfg):
+    """A sum of eps products (eps_sums: operator products, psi_x, T.u,
+    end_compose, restitution) that loses its last pair whenever it has
+    more than one; a single product is left alone."""
+    eps_product = epsalgebra.eps_product
+    monkeypatch.setattr(epsalgebra, "eps_product", lambda pairs, *args: eps_product(
+        pairs[:-1] if len(pairs) > 1 else pairs, *args))
 
 
 def wrong_sum(monkeypatch, cfg):
@@ -146,6 +155,23 @@ CATALOG = {
         "span": [
             "FAIL r=1 invariance multidegree 1: 3 transformed-point comparisons, 2 failed",
             "FAIL r=3 invariance multidegree 3: 18 transformed-point comparisons, 2 failed"],
+    }),
+    "sum-drops-last-pair": ("trivial", sum_drops_last_pair, {
+        "jacobi": [
+            "FAIL jacobi-homogeneous-sampled: 6 triples failed"],
+        "path-equality": [
+            "FAIL M=1 sigma=1: 2 of 3 points differ",
+            "FAIL M=2 sigma=1,2: 2 of 3 points differ",
+            "FAIL M=2 sigma=2,1: 3 of 3 points differ"],
+        "invariance": [
+            "FAIL M=1 sigma=1: 2 of 3 points differ",
+            "FAIL M=2 sigma=1,2: 2 of 3 points differ",
+            "FAIL M=2 sigma=2,1: 2 of 3 points differ"],
+        "trace-match": [
+            "FAIL M=1 sigma=1: 1 of 3 points differ",
+            "FAIL M=2 sigma=1,2: 1 of 3 points differ",
+            "FAIL M=2 sigma=2,1: 2 of 3 points differ",
+            "FAIL trace-cyclicity: 3 pairs failed"],
     }),
     "wrong-sum": ("z2z2", wrong_sum, {
         "jacobi": [

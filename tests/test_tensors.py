@@ -4,14 +4,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorinv.cyclo import CycloRational
+from colorinv.epsalgebra import hop
 from colorinv.permutations import all_perms, compose, identity, inverse, inversions
 from colorinv.sampling import random_eps_of_degree, standard_test_algebra
 from colorinv.tensors import (
     DUAL,
     PRIMAL,
     GradedOperator,
+    GradedSpace,
     GradedTensor,
     act_perm,
     apply_operator,
@@ -79,8 +82,8 @@ def test_act_perm_matches_textbook_referee(cfgs, algebras):
         order = chi.element_order()
         els = [chi.position(g) for g in grp.elements()]
         for i in range(1, space.dim + 1):
-            assert space.slot_degree(PRIMAL, i) == space.degree(i)
-            assert order[space.slot_degree(DUAL, i)] == grp.neg(order[space.degree(i)])
+            assert space.slot_table[PRIMAL][i - 1] == space.degree(i)
+            assert order[space.slot_table[DUAL][i - 1]] == grp.neg(order[space.degree(i)])
         for k in (1, 2, 3):
             words = list(itertools.product(range(1, space.dim + 1), repeat=k))
             for variance in itertools.product((PRIMAL, DUAL), repeat=k):
@@ -260,6 +263,84 @@ def test_pairing_invariant_under_gl(cfgs, algebras):
                     t = GradedTensor.basis(cfg.space, alg, (1, 0), (a, b))
                     moved = apply_operator(t, T, Tinv)
                     assert ev_pair(moved) == ev_pair(t)
+
+
+def all_slots_chain(t, op, opinv):
+    """apply_operator as the chain over all slots at once: every choice of
+    one (new index, emitted coefficient) per slot gives the product
+    hop(c_1, s_2) * ... * hop(c_k, s_(k+1)) * lam, s_j the degree of the
+    new slots j..k, multiplied left to right and summed per new word.  A
+    dual slot e_c* emits unhop(S_ca, g_a) with S = opinv."""
+    space, chi = t.space, t.space.chi
+    out = GradedTensor.zero(space, t.alg, t.variance)
+    for idx, lam in t.terms.items():
+        options = []
+        for v, i in zip(t.variance, idx):
+            if v == PRIMAL:
+                options.append([(a, x) for (a, b), x in op.terms.items() if b == i])
+            else:
+                options.append([(a, hop(s, space.degree(a), invert=True))
+                                for (c, a), s in opinv.terms.items() if c == i])
+        for combo in itertools.product(*options):
+            nidx = tuple(a for a, _ in combo)
+            degs = t.slot_degrees(nidx)
+            coeff = t.alg.one()
+            for j, (_, c) in enumerate(combo):
+                coeff = coeff * hop(c, chi.degree_sum(degs[j + 1:]))
+            out = out + GradedTensor(space, t.alg, t.variance, {nidx: coeff * lam})
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_apply_operator_matches_the_all_slots_chain(cfgs, data):
+    """Slot by slot from the right equals the chain over all slots, in
+    value and in each coefficient's order, on mixed variances of width up
+    to 3; opinv need not be the inverse for the formula to hold."""
+    cfg = cfgs[data.draw(st.sampled_from(("super", "z2z2", "z3z3", "z4")))]
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    space, alg = cfg.space, standard_test_algebra(cfg.chi, 3)
+    variance = tuple(data.draw(st.lists(st.sampled_from((PRIMAL, DUAL)),
+                                        min_size=1, max_size=3)))
+    t = GradedTensor.zero(space, alg, variance)
+    for _ in range(data.draw(st.integers(1, 3))):
+        idx = tuple(rng.randint(1, space.dim) for _ in variance)
+        lam = random_eps_of_degree(alg, rng.randrange(cfg.chi.group.order), rng, 1)
+        t = t + GradedTensor(space, alg, variance, {idx: lam})
+    T, Tinv = random_gl_epsilon(space, alg, rng)
+    opinv = Tinv if data.draw(st.booleans()) else random_gl_epsilon(space, alg, rng)[0]
+    got, want = apply_operator(t, T, opinv), all_slots_chain(t, T, opinv)
+    assert exact_coefficients(got) == exact_coefficients(want)
+
+
+def exact_coefficients(t):
+    """{(basis word, word): (order, num, den)} over the tensor's terms."""
+    return {(idx, w): (c.order, c.num, c.den)
+            for idx, x in t.terms.items() for w, c in x.terms.items()}
+
+
+def test_apply_operator_refuses_an_inverse_over_another_space(cfgs, algebras):
+    """Checked before any work, whether or not the tensor has a dual slot."""
+    cfg, alg = cfgs["z2z2"], algebras["z2z2"]
+    T = GradedOperator.identity(cfg.space, alg)
+    other = GradedOperator.identity(GradedSpace(cfg.chi, cfg.space.degrees[:-1]), alg)
+    for variance in ((PRIMAL,), (PRIMAL, DUAL)):
+        t = GradedTensor.basis(cfg.space, alg, variance, (1,) * len(variance))
+        with pytest.raises(ValueError, match="^inverse operator and tensor live "
+                                             "over different spaces$"):
+            apply_operator(t, T, other)
+
+
+def test_psi_derivation_refuses_an_operator_over_another_space_or_algebra(cfgs, algebras):
+    cfg, alg = cfgs["z2z2"], algebras["z2z2"]
+    t = GradedTensor.basis(cfg.space, alg, (PRIMAL, PRIMAL), (1, 2))
+    foreign = (GradedOperator.matrix_unit(GradedSpace(cfg.chi, cfg.space.degrees[:-1]),
+                                          alg, 1, 1),
+               GradedOperator.matrix_unit(cfg.space, standard_test_algebra(cfg.chi, 2), 1, 1))
+    for x in foreign:
+        with pytest.raises(ValueError, match="^operator and tensor live over "
+                                             "different spaces$"):
+            psi_derivation(x, t)
 
 
 def test_basis_slot_degrees(cfgs, algebras):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorinv.cyclo import CycloRational
 from colorinv.epsalgebra import EpsElement, words_of_degree
@@ -28,6 +29,7 @@ from colorinv.traces import (
     operator_to_end,
     position_assignment,
     restitute,
+    restitute_word,
     staircase_point,
     trace_match,
     trace_monomial,
@@ -164,6 +166,29 @@ def test_restitute_pins_one_seeded_products(cfgs):
             for point in points:
                 assert exact_terms(restitute(poly, point)) == \
                     exact_terms(one_seeded_restitute(poly, point)), name
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_restitute_is_the_sum_of_its_monomials_words(cfgs, data):
+    """restitute equals sum c * restitute_word(monomial), in value and in
+    each coefficient's order, on homogeneous polynomials of degree 0 to 3
+    at points that miss part of W's basis, so some monomials restitute to
+    zero; a constant keeps c * 1 at c's own order."""
+    cfg = cfgs[data.draw(st.sampled_from(sorted(cfgs)))]
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    alg = standard_test_algebra(cfg.chi, 3)
+    point = random_w0_point(cfg.shape, alg, rng, density=data.draw(st.sampled_from((0.4, 0.8))))
+    r = data.draw(st.integers(0, 3))
+    if r:
+        poly = random_sym_polynomial(cfg.shape, r, rng, terms=data.draw(st.integers(1, 8)))
+        poly = SymPolynomial(cfg.shape, {w: c for w, c in poly.terms.items() if len(w) == r})
+    else:
+        poly = SymPolynomial(cfg.shape, {(): CycloRational.from_rational(random_rational(rng))})
+    want = alg.zero()
+    for mono, c in poly.terms.items():
+        want = want + restitute_word(cfg.shape, mono, point).scale(c)
+    assert exact_terms(restitute(poly, point)) == exact_terms(want)
 
 
 def test_staircase_separates_single_variables(cfgs):
