@@ -10,6 +10,9 @@ the ordered product of the matched coefficients.  No extra sign appears;
 because the coefficients carry the negated variable degrees, reordering
 them tracks exactly the eps-symmetric relations of the monomials, which
 is what makes the value independent of the representative word.
+restitute walks the monomials in sorted order, so that each reuses the
+products of the prefix it shares with the one before, and sums the
+values c * F(monomial) in one epsalgebra.eps_sums call.
 
 Elements of U ox U* act as operators by e_a ox e_c* . lam : e_b ->
 delta_cb e_a eps(|lam|, g_b) lam, which fixes the composition and trace
@@ -72,10 +75,8 @@ def restitute_word(shape, word, point):
 def restitute(poly, point):
     """F^r on S(W*) at a degree-0 point, monomials evaluated on their
     canonical sorted representatives.  The input must be homogeneous: F^r
-    is defined degree by degree, so a mix of total degrees is rejected.
-    The monomials are walked in sorted order, each reusing the products of
-    the prefix it shares with the one before, and the values
-    c * F(monomial) are summed in one eps_sums call."""
+    is defined degree by degree, so a mix of total degrees is rejected,
+    and a constant c restitutes to c * 1 at c's own order."""
     degrees = sorted({len(mono) for mono in poly.terms})
     if len(degrees) > 1:
         raise ValueError("restitution needs a homogeneous polynomial; "
