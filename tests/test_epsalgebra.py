@@ -440,7 +440,7 @@ def sums_of_products(draw, cfgs):
 
 
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_eps_sums_match_the_sum_of_products(cfgs, data):
     """eps_sums, and eps_product on several pairs, equal the EpsElement sum
     of the products x * y in value, a key whose sum is zero left out; in

@@ -292,7 +292,7 @@ def all_slots_chain(t, op, opinv):
 
 
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_apply_operator_matches_the_all_slots_chain(cfgs, data):
     """Slot by slot from the right equals the chain over all slots, in
     value and in each coefficient's order, on mixed variances of width up

@@ -169,7 +169,7 @@ def test_restitute_pins_one_seeded_products(cfgs):
 
 
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_restitute_is_the_sum_of_its_monomials_words(cfgs, data):
     """restitute equals sum c * restitute_word(monomial), in value and in
     each coefficient's order, on homogeneous polynomials of degree 0 to 3
