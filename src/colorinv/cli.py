@@ -26,6 +26,13 @@ def _parse_mults(text, shape):
                          % (shape.s, len(mults)))
     return mults
 
+def _print_value(args, value, structured, text):
+    """Print value as JSON (--format structured) or in its text form."""
+    if args.format == "structured":
+        print(dump_structured(structured(value)))
+    else:
+        print(text(value))
+
 def cmd_validate(args):
     cfg = resolve_config(args.config)
     chi = cfg.chi
@@ -72,10 +79,7 @@ def cmd_picture(args):
     pshape.require_balanced()
     sigma = perms.parse_perm(args.sigma, k=pshape.N)
     phi = build_phi(pshape, sigma)
-    if args.format == "structured":
-        print(dump_structured(structured_sym(phi.poly)))
-    else:
-        print(format_sym(phi.poly))
+    _print_value(args, phi.poly, structured_sym, format_sym)
     return 0
 
 def _truncation(args, cfg):
@@ -99,10 +103,7 @@ def cmd_trace(args):
     else:
         sigma = perms.parse_perm(args.sigma)
     value = trace_monomial(list(point.parts), perms.cycles(sigma), assign)
-    if args.format == "structured":
-        print(dump_structured(structured_eps(value)))
-    else:
-        print(format_eps(value))
+    _print_value(args, value, structured_eps, format_eps)
     return 0
 
 def cmd_eval(args):
@@ -112,11 +113,7 @@ def cmd_eval(args):
         poly = parse_sym(fh.read(), cfg.shape)
     with open(args.point) as fh:
         point = parse_point(fh.read(), cfg.shape, alg)
-    value = restitute(poly, point)
-    if args.format == "structured":
-        print(dump_structured(structured_eps(value)))
-    else:
-        print(format_eps(value))
+    _print_value(args, restitute(poly, point), structured_eps, format_eps)
     return 0
 
 def cmd_verify(args):

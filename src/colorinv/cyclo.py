@@ -12,10 +12,10 @@ The layout is that of FLINT's fmpq_poly: integer numerators over one
 denominator.  `num` is an int tuple of length deg Phi_m = phi(m) and `den`
 a positive int, normalized so that gcd(den, *num) = 1; zero is num all 0
 over den 1.  Phi_m is monic, so x^k mod Phi_m has integer coefficients: a
-per-order table of those rows reduces products and lifts without leaving
-the integers.  Sums, products, lifts and equality build no Fraction; only
-the constructor, `from_rational` of a non-int, `coeffs`, `lift` and
-`as_fraction` do.  Printing (textform.format_cyclo) reads num and den.
+per-order table of those rows, the module's one cache, reduces products
+and lifts without leaving the integers.  Sums, products, lifts and
+equality build no Fraction; only the constructor, `from_rational` of a
+non-int, `coeffs` and `as_fraction` do.  textform.format_cyclo prints.
 
 Elements of different orders are compared and combined by lifting both to
 the lcm order via zeta_m = zeta_M^(M/m).  A result keeps that lcm as its
@@ -51,14 +51,10 @@ def _mobius(n):
         p += 1
     return -mu if n > 1 else mu
 
-_PHI_CACHE = {}
-
 def cyclotomic_poly(m):
     """Coefficients of Phi_m, low degree first, as a tuple of ints: the
     product of (x^d - 1)^mu(m/d) over d | m, the mu = +1 factors multiplied
     in first and the mu = -1 factors then divided out exactly."""
-    if m in _PHI_CACHE:
-        return _PHI_CACHE[m]
     if m < 1:
         raise ValueError("order must be positive")
     factors = [(d, _mobius(m // d)) for d in range(1, m + 1) if m % d == 0]
@@ -74,8 +70,7 @@ def cyclotomic_poly(m):
             for i in range(len(p) - d):
                 p[i] = (p[i - d] if i >= d else 0) - p[i]
             del p[-d:]
-    _PHI_CACHE[m] = tuple(p)
-    return _PHI_CACHE[m]
+    return tuple(p)
 
 _TABLES = {}
 
@@ -222,10 +217,6 @@ class CycloRational:
         spread[::step] = self.num
         return tuple(_reduce(spread, bigm))
 
-    def lift(self, bigm):
-        """Coefficient tuple of this element viewed in Q(zeta_bigm)."""
-        return tuple(Fraction(x, self.den) for x in self._lift(bigm))
-
     def _pair(self, other):
         """(order, numerators of self, numerators of other) at the lcm
         order, or None when other is not a scalar."""
@@ -257,14 +248,7 @@ class CycloRational:
         return _make(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        m, a, b, other = p
-        da, db = self.den, other.den
-        g = math.gcd(da, db)
-        fa, fb = db // g, da // g
-        return _make(m, tuple(x * fa - y * fb for x, y in zip(a, b)), da * fa)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -17,10 +17,11 @@ bicharacter's eps_table, and sorted_words lists the basis words.
 
 Terms holds the arithmetic of sparse sums {key: nonzero coefficient} for
 EpsElement here and for SymPolynomial, GradedTensor and GradedOperator:
-sums, negation, scaling, equality and the check that both operands live in
-one place.  Representation is canonical, so equality is dict comparison.
-Sums filter out the zeros they make; negation, hop and scaling by a
-nonzero scalar cannot make one, so they build their result unfiltered.
+sums, negation, scaling, equality, the check that both operands live in
+one place, and the one G-degree of a sum.  Representation is canonical,
+so equality is dict comparison.  Sums filter out the zeros they make;
+negation, hop and scaling by a nonzero scalar cannot make one, so they
+build their result unfiltered.
 
 A sign is its exponent e of zeta_m, unreduced as eps_sort leaves it, and
 a coefficient takes it by a rotation, never as a product with a root.
@@ -103,6 +104,15 @@ class Terms:
 
     def __rsub__(self, other):
         return (-self) + other
+
+    @staticmethod
+    def _single_degree(degrees):
+        """The one G-degree among degrees: the identity when there is none,
+        None when they are not all the same."""
+        degrees = set(degrees)
+        if len(degrees) > 1:
+            return None
+        return degrees.pop() if degrees else 0
 
     def scale(self, c):
         """Multiple by a central scalar."""
@@ -317,13 +327,7 @@ class EpsElement(Terms):
         """Common G-degree of all words, or None when inhomogeneous.
         The zero element is homogeneous of every degree; returns the
         identity for it."""
-        alg = self.alg
-        degs = {alg.word_degree(w) for w in self.terms}
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            return None
-        return degs.pop()
+        return self._single_degree(map(self.alg.word_degree, self.terms))
 
     def is_homogeneous_of(self, d):
         return all(self.alg.word_degree(w) == d for w in self.terms)

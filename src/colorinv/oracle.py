@@ -19,8 +19,9 @@ import math
 import random
 
 from . import permutations as perms
-from .groups import Bicharacter, validate_bicharacter
+from .groups import validate_bicharacter
 from .cyclo import CycloRational
+from .epsalgebra import add_term
 from .tensors import (GradedSpace, GradedTensor, GradedOperator, PRIMAL, DUAL,
                       gamma_exponent, act_perm, apply_operator, psi_derivation,
                       eta_action, color_bracket, random_gl_epsilon)
@@ -152,11 +153,7 @@ def _gl_derivation_on_monomial(shape, a, b, mono):
         rest = mono[:pos] + mono[pos + 1:]
         for w, c in _gl_derivation_on_variable(vs[mono[pos]], a, b).items():
             key = tuple(sorted(rest + (shape.var_id(w),)))
-            nc = out.get(key, 0) + c
-            if nc:
-                out[key] = nc
-            elif key in out:
-                del out[key]
+            add_term(out, key, c)
     return out
 
 def _invariant_block_dim(shape, M, r):
@@ -174,29 +171,21 @@ def _invariant_block_dim(shape, M, r):
                     rows.setdefault((a, b, target), {})[j] = c
     return len(monos) - rank_int(rows.values())
 
-def classical_invariant_dim(n, shape, r):
+def classical_invariant_dim(shape, r):
     """Dimension over the rationals of the GL_n invariants in degree r of
-    the symmetric algebra on the mixed tensor coordinates, computed from
-    scratch: the kernel of the derivation action of the matrix units E_ab
-    on the degree r monomial basis.
+    the symmetric algebra on the mixed tensor coordinates of a MixedShape,
+    n = shape.space.dim, computed from scratch: the kernel of the
+    derivation action of the matrix units E_ab on the degree r monomial
+    basis.
 
     Only balanced multidegrees can carry invariants (the scaling operators
     sum_a E_aa act on a multidegree M block with eigenvalue
     sum_i (t_i - b_i) M_i), so the kernel is assembled block by block.
-
-    Accepts a MixedShape over a trivially graded space or a plain list of
-    (lower, upper) arity pairs; the grading group must be trivial."""
-    if isinstance(shape, MixedShape):
-        if shape.chi.group.order != 1:
-            raise ValueError("classical invariant dimensions need the trivial "
-                             "grading group")
-        pairs = shape.pairs
-    else:
-        pairs = tuple((int(b), int(t)) for b, t in shape)
-    chi0 = Bicharacter([1], [[0]])
-    space0 = GradedSpace(chi0, [0] * n)
-    shape0 = MixedShape(space0, pairs)
-    return sum(_invariant_block_dim(shape0, M, r) for M in balanced_blocks(pairs, r))
+    The grading group must be trivial."""
+    if shape.chi.group.order != 1:
+        raise ValueError("classical invariant dimensions need the trivial "
+                         "grading group")
+    return sum(_invariant_block_dim(shape, M, r) for M in balanced_blocks(shape.pairs, r))
 
 def _phi_rank_block(shape, M):
     """Rank over the rationals of the picture invariants of multiplicity M,
@@ -228,7 +217,7 @@ def span_check(shape, r, seed=0):
         return rpt
     blocks = balanced_blocks(shape.pairs, r)
     if not blocks:
-        dim = classical_invariant_dim(shape.space.dim, shape, r)
+        dim = classical_invariant_dim(shape, r)
         rpt.add("degree %d" % r, dim == 0,
                 "no balanced multidegree; classical invariant dimension %d" % dim)
         return rpt

@@ -69,6 +69,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import permutations as perms
+from .epsalgebra import add_term
 from .sympoly import MixedShape, SymPolynomial, mul_terms, sym_normalize
 from .tensors import (PRIMAL, DUAL, GradedTensor, act_perm, contract_pairs,
                       tensor_product)
@@ -120,9 +121,6 @@ class PictureShape:
         t = self.shape.pairs[i - 1][1]
         base += (j - 1) * t
         return list(range(base + 1, base + t + 1))
-
-    def blocked_variance(self):
-        return tuple(v for i, _ in self.copies() for v in self.shape.variance(i))
 
     def __repr__(self):
         return "PictureShape(pairs=%r, mults=%r)" % (list(self.shape.pairs),
@@ -331,9 +329,7 @@ def _phi_terms(pshape, sigma):
         counts[key] = counts.get(key, 0) + 1
     total = {}
     for (mono, e), count in counts.items():
-        c = chi.root(e) * count
-        prev = total.get(mono)
-        total[mono] = c if prev is None else prev + c
+        add_term(total, mono, chi.root(e) * count)
     return total
 
 def build_phi(pshape, sigma):
@@ -404,6 +400,8 @@ def blocked_word(pshape, parts, pairs=()):
     for i, u in enumerate(parts, start=1):
         if u.variance != pshape.shape.variance(i):
             raise ValueError("summand %d tensor has wrong variance" % i)
+        if u.space is not pshape.shape.space and u.space != pshape.shape.space:
+            raise ValueError("summand %d tensor over wrong space or algebra" % i)
     out, lo = None, 0
     for i, _ in pshape.copies():
         u = parts[i - 1]

@@ -213,12 +213,8 @@ class SymPolynomial(Terms):
         """Common G-degree of the monomials, or None if inhomogeneous;
         zero counts as homogeneous of degree identity."""
         chi, degree = self.shape.chi, self.shape.numbering().degree
-        degs = {chi.degree_sum(degree[k] for k in m) for m in self.terms}
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            return None
-        return degs.pop()
+        return self._single_degree(chi.degree_sum(degree[k] for k in m)
+                                   for m in self.terms)
 
     def __str__(self):
         from . import textform

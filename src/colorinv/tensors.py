@@ -34,8 +34,9 @@ T . e_c* = sum_a e_a* unhop(S_ca, g_a) with S = T^{-1}.
 Operators are sparse like tensors: GradedOperator.terms maps an index pair
 (a, b), 1-based, to the nonzero entry T_ab and holds nothing else, so a
 matrix unit is one term.  Both classes take sums, negation, scaling and
-equality from epsalgebra.Terms.  An operator never changes after
-construction, so its G-degree and its entries grouped by column
+equality from epsalgebra.Terms, and an operator's G-degree is the Terms
+degree of the ones its entries ask for.  An operator never changes after
+construction, so that degree and its entries grouped by column
 (GradedOperator.columns) are computed on first use and kept.  compose,
 psi_derivation, apply_operator and tensor_product collect the (left,
 right) pairs of each output entry and multiply them in one
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .epsalgebra import EpsElement, Terms, eps_sums, hop, words_of_degree
+from .epsalgebra import EpsElement, Terms, add_term, eps_sums, hop, words_of_degree
 from . import permutations as perms
 from .linalg import invert_fraction_matrix
 
@@ -66,8 +67,6 @@ class GradedSpace:
         self.degrees = tuple(degrees)
         if list(self.degrees) != sorted(self.degrees):
             raise ValueError("basis degrees must be listed in the fixed order of G")
-        self.n = sum(chi.parity_table[d] for d in self.degrees)
-        self.m = len(self.degrees) - self.n
         # slot degrees by variance bit: slot_table[PRIMAL][i - 1] is g_i,
         # slot_table[DUAL][i - 1] is -g_i
         self.slot_table = (self.degrees, tuple(chi.neg_table[d] for d in self.degrees))
@@ -277,26 +276,15 @@ class GradedOperator(Terms):
         Lambda_eps-degree alpha + g_b - g_a.  The zero operator has the
         identity degree."""
         if self._degree is _UNSET:
-            self._degree = self._find_degree()
+            space = self.space
+            add, neg = space.chi.sum_table, space.chi.neg_table
+            alphas = []
+            for (a, b), e in self.terms.items():
+                d = e.g_degree()
+                alphas.append(None if d is None
+                              else add[add[d][space.degree(a)]][neg[space.degree(b)]])
+            self._degree = self._single_degree(alphas)
         return self._degree
-
-    def _find_degree(self):
-        space = self.space
-        add, neg = space.chi.sum_table, space.chi.neg_table
-        alpha = None
-        for (a, b), e in self.terms.items():
-            d = e.g_degree()
-            if d is None:
-                return None
-            cand = add[add[d][space.degree(a)]][neg[space.degree(b)]]
-            if alpha is None:
-                alpha = cand
-            elif alpha != cand:
-                return None
-        return 0 if alpha is None else alpha
-
-    def is_degree_preserving(self):
-        return self.g_degree() == 0
 
     def constant_part(self):
         """The dense matrix of empty-word coefficients, as Fractions; raises
@@ -464,8 +452,6 @@ def random_gl_epsilon(space, alg, rng):
                 continue
             w = pool[rng.randrange(len(pool))]
             coeff = rng.choice([-2, -1, 1, 2])
-            extra = alg.monomial(w, coeff)
-            prev = terms.get((a, b))
-            terms[a, b] = extra if prev is None else prev + extra
+            add_term(terms, (a, b), alg.monomial(w, coeff))
     T = GradedOperator(space, alg, terms)
     return T, invert_operator(T)

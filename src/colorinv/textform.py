@@ -14,8 +14,9 @@ variable order of their shape.  The grammar is deliberately small:
     point file   one 'i: tensor' line per summand
 
 Algebra elements, polynomials and tensors are all '(c) * body + ...' sums,
-read by one term reader.  Malformed text raises ValueError, which the
-command line prints as 'error: ...' with exit status 2.
+read by one term reader (_terms) and written by one term writer
+(_format_terms).  Malformed text raises ValueError, which the command line
+prints as 'error: ...' with exit status 2.
 
 Structured (JSON) emitters mirror the same data with the same ordering.
 """
@@ -93,7 +94,7 @@ def parse_cyclo(text, order):
         coeffs[k % order] += coeff
     return CycloRational(order, coeffs)
 
-# ------------------------------------------------------- term reader
+# ------------------------------------------------ term reader and writer
 
 _NOT_BRACKET = re.compile(r"[^][()]+")
 _STEP = {"(": 1, "[": 1, ")": -1, "]": -1}
@@ -139,6 +140,12 @@ def _terms(text, kind):
             raise ValueError("expected parenthesized coefficient in %r" % pieces[0])
         yield coeff[1:-1], pieces[1:]
 
+def _format_terms(terms):
+    """'(c) * body + ...' from (coefficient text, body text) pairs, and '0'
+    for none: the one writer of algebra elements, polynomials and
+    tensors."""
+    return " + ".join(["(%s) * %s" % (c, body) for c, body in terms]) or "0"
+
 # ------------------------------------------------- eps-algebra elements
 
 def _format_word(word):
@@ -166,12 +173,8 @@ def _parse_word(text, alg):
 
 def format_eps(elem):
     """Terms sorted lexicographically by word; '(c) * word' per term."""
-    if not elem.terms:
-        return "0"
-    parts = []
-    for word, c in elem.terms_sorted():
-        parts.append("(%s) * %s" % (format_cyclo(c), _format_word(word)))
-    return " + ".join(parts)
+    return _format_terms((format_cyclo(c), _format_word(word))
+                         for word, c in elem.terms_sorted())
 
 def parse_eps(text, alg):
     terms = {}
@@ -203,16 +206,11 @@ def parse_variable(text):
 def format_sym(poly):
     """Monomials in the canonical variable order of the shape; within a
     term the coefficient comes first, then the variables, each variable
-    named once per call."""
-    if not poly.terms:
-        return "0"
+    named once per call; the empty monomial is '1'."""
     vs = poly.shape.numbering().variables
     name = {k: format_variable(vs[k]) for k in set().union(*poly.terms)}
-    parts = []
-    for mono, c in poly.terms_sorted():
-        names = [name[k] for k in mono] or ["1"]
-        parts.append("(%s) * %s" % (format_cyclo(c), " * ".join(names)))
-    return " + ".join(parts)
+    return _format_terms((format_cyclo(c), " * ".join([name[k] for k in mono]) or "1")
+                         for mono, c in poly.terms_sorted())
 
 def parse_sym(text, shape):
     terms = {}
@@ -238,12 +236,8 @@ def _format_slots(idx, variance):
 
 def format_tensor(t):
     """'(coefficient) * e1 ox e2*' terms, sorted by index word."""
-    if not t.terms:
-        return "0"
-    parts = []
-    for idx, c in t.terms_sorted():
-        parts.append("(%s) * %s" % (format_eps(c), _format_slots(idx, t.variance)))
-    return " + ".join(parts)
+    return _format_terms((format_eps(c), _format_slots(idx, t.variance))
+                         for idx, c in t.terms_sorted())
 
 _SLOT_RE = re.compile(r"^e(\d+)(\*?)$")
 

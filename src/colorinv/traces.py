@@ -77,6 +77,8 @@ def restitute(poly, point):
     canonical sorted representatives.  The input must be homogeneous: F^r
     is defined degree by degree, so a mix of total degrees is rejected,
     and a constant c restitutes to c * 1 at c's own order."""
+    if poly.shape is not point.shape and poly.shape != point.shape:
+        raise ValueError("polynomial and point live over different shapes")
     degrees = sorted({len(mono) for mono in poly.terms})
     if len(degrees) > 1:
         raise ValueError("restitution needs a homogeneous polynomial; "

@@ -187,6 +187,41 @@ def test_homogeneity_tracking(algebras):
         assert (a * b).g_degree() == chi.position((1, 1))
 
 
+def test_g_degree_is_the_one_degree_of_a_sum(cfgs, algebras):
+    """EpsElement, SymPolynomial and GradedOperator share one reading of a
+    sum's G-degree: zero has the identity, a homogeneous sum its degree,
+    a sum of two degrees None, and an operator with one inhomogeneous
+    entry None, whatever degree its other entries ask for."""
+    cfg, alg = cfgs["z4"], algebras["z4"]
+    # the standard algebra has two generators per degree: x1, x2 of the
+    # identity, x3, x4 of the next position
+    x1, x3, x4 = alg.gen(1), alg.gen(3), alg.gen(4)
+    d = alg.degree(3)
+    assert d != 0 and alg.degree(4) == d
+    assert alg.zero().g_degree() == 0
+    assert (x3 + x4).g_degree() == d
+    assert (x1 + x3).g_degree() is None
+
+    shape = cfg.shape
+    degree = shape.numbering().degree
+    even = degree.index(0)
+    graded = next(k for k, g in enumerate(degree) if g)
+    assert SymPolynomial.zero(shape).g_degree() == 0
+    assert SymPolynomial.from_word(shape, (graded,), 2).g_degree() == degree[graded]
+    mixed = SymPolynomial.from_word(shape, (even,)) + SymPolynomial.from_word(shape, (graded,))
+    assert mixed.g_degree() is None
+
+    space = cfg.space
+    unit = GradedOperator.matrix_unit
+    assert GradedOperator.zero(space, alg).g_degree() == 0
+    # E_11 x3 and E_22 x4 both raise the degree by that of x3
+    shifted = unit(space, alg, 1, 1, x3) + unit(space, alg, 2, 2, x4)
+    assert shifted.g_degree() == d
+    assert (unit(space, alg, 1, 1) + unit(space, alg, 2, 2, x3)).g_degree() is None
+    assert unit(space, alg, 1, 1, x1 + x3).g_degree() is None
+    assert (shifted + unit(space, alg, 3, 3, x1 + x3)).g_degree() is None
+
+
 def test_constant_and_proper_parts(algebras):
     alg = algebras["super"]
     e = alg.scalar(CycloRational.from_rational(3)) + alg.gen(1) * alg.gen(3)

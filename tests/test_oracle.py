@@ -27,23 +27,23 @@ def matrix_shape(n, pairs):
 
 def test_classical_invariant_dimensions_frozen():
     one_matrix_2 = matrix_shape(2, [(1, 1)])
-    assert classical_invariant_dim(2, one_matrix_2, 1) == 1
-    assert classical_invariant_dim(2, one_matrix_2, 2) == 2
+    assert classical_invariant_dim(one_matrix_2, 1) == 1
+    assert classical_invariant_dim(one_matrix_2, 2) == 2
     # tr(A)^3, tr(A)tr(A^2), tr(A^3) are dependent for 2 x 2 matrices.
-    assert classical_invariant_dim(2, one_matrix_2, 3) == 2
+    assert classical_invariant_dim(one_matrix_2, 3) == 2
     one_matrix_1 = matrix_shape(1, [(1, 1)])
-    assert classical_invariant_dim(1, one_matrix_1, 2) == 1
+    assert classical_invariant_dim(one_matrix_1, 2) == 1
     two_matrix = matrix_shape(2, [(1, 1), (1, 1)])
-    assert classical_invariant_dim(2, two_matrix, 2) == 6
+    assert classical_invariant_dim(two_matrix, 2) == 6
     lopsided = matrix_shape(2, [(2, 1)])
-    assert classical_invariant_dim(2, lopsided, 2) == 0
+    assert classical_invariant_dim(lopsided, 2) == 0
     mixed = matrix_shape(2, [(2, 1), (1, 2)])
-    assert classical_invariant_dim(2, mixed, 2) == 5
+    assert classical_invariant_dim(mixed, 2) == 5
 
 
 def test_classical_oracle_needs_trivial_group(cfgs):
     with pytest.raises(ValueError):
-        classical_invariant_dim(2, cfgs["super"].shape, 2)
+        classical_invariant_dim(cfgs["super"].shape, 2)
 
 
 def test_span_check_matches_classical_ranks():

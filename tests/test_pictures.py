@@ -72,13 +72,23 @@ def test_mu_is_a_permutation(cfgs):
         assert sorted(image) == list(range(1, n + 1))
 
 
+def test_t_sigma_on_parts_refuses_parts_over_another_space(cfgs, algebras):
+    """Checked before any work: a super picture shape with z2z2 parts."""
+    u = random_w0_point(cfgs["z2z2"].shape, algebras["z2z2"], random.Random("foreign"))
+    ps = PictureShape(cfgs["super"].shape, (2,))
+    with pytest.raises(ValueError, match="^summand 1 tensor over wrong space "
+                                         "or algebra$"):
+        t_sigma_on_parts(ps, (2, 1), u.parts)
+
+
 def test_picture_shape_bookkeeping(cfgs):
     sup = cfgs["super"]
     ps = PictureShape(sup.shape, (2,))
     assert (ps.N, ps.Nprime, ps.k) == (2, 2, 2)
     assert ps.balanced
     assert ps.copies() == [(1, 1), (1, 2)]
-    assert ps.blocked_variance() == (0, 1, 0, 1)
+    blocked = tuple(v for i, _ in ps.copies() for v in sup.shape.variance(i))
+    assert blocked == (0, 1, 0, 1)
     unbalanced = PictureShape(MixedShape(sup.space, [(2, 1)]), (1,))
     assert not unbalanced.balanced
     with pytest.raises(ValueError):

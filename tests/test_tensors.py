@@ -178,7 +178,7 @@ def test_operator_compose_identity_and_inverse(cfgs, algebras):
             assert T.compose(Tinv) == ident
             assert Tinv.compose(T) == ident
             assert invert_operator(T) == Tinv
-            assert T.is_degree_preserving()
+            assert T.g_degree() == 0
 
 
 def test_operator_compose_associative(cfgs, algebras):
@@ -354,8 +354,8 @@ def test_degree_preservation_detection(cfgs, algebras):
     cfg, alg = cfgs["super"], algebras["super"]
     same = GradedOperator.matrix_unit(cfg.space, alg, 1, 1)
     crossing = GradedOperator.matrix_unit(cfg.space, alg, 1, 2)
-    assert same.is_degree_preserving()
-    assert not crossing.is_degree_preserving()
+    assert same.g_degree() == 0
+    assert crossing.g_degree() != 0
 
 
 def test_matrix_unit_rejects_out_of_range_indices(cfgs, algebras):

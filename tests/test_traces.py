@@ -82,6 +82,20 @@ def test_restitute_rejects_mixed_degrees(cfgs, algebras):
         restitute(mixed, u)
 
 
+def test_restitute_refuses_a_polynomial_over_another_shape(cfgs, algebras):
+    """Checked before any work: over another space a monomial names other
+    variables, and a summand the point lacks would be read past its end."""
+    z2z2 = cfgs["z2z2"]
+    u = random_w0_point(z2z2.shape, algebras["z2z2"], random.Random("foreign"))
+    phi = build_phi(PictureShape(cfgs["super"].shape, (2,)), (2, 1)).poly
+    wide = MixedShape(z2z2.space, [(1, 1), (1, 1)])
+    second = SymPolynomial.from_word(wide, (wide.var_id(SymVariable(2, (1,), (1,))),))
+    for poly in (phi, second):
+        with pytest.raises(ValueError, match="^polynomial and point live over "
+                                             "different shapes$"):
+            restitute(poly, u)
+
+
 def exact_terms(elem):
     """Each coefficient as (order, num, den): equal values kept at
     different orders print differently, so they must not compare equal."""

@@ -13,11 +13,14 @@ list is not empty, 0 otherwise.
 
 A reference is a read of the name (`f`, `mod.f`, `obj.f`), or a string
 constant equal to the name or ending in `.name` (how the benchmark's tracer
-names what it wraps).  A read inside the definition's own body does not
-count.  Names are matched without types, so a method counts as referenced
-wherever any attribute of that name is read: the lists are what certainly
-has no other caller, not everything that might lack one.  Dunder methods
-are called by the language and are not listed.
+names what it wraps).  A method is only ever reached through an attribute,
+so only attribute reads and strings count for it: a bare local variable of
+the same name (`entry = ...; entry`) does not.  A read inside the
+definition's own body does not count.  Names are matched without types, so
+a method counts as referenced wherever any attribute of that name is read:
+the lists are what certainly has no other caller, not everything that
+might lack one.  Dunder methods are called by the language and are not
+listed.
 
 Run from anywhere; paths are taken relative to the checkout.
 """
@@ -43,34 +46,35 @@ def parse(path):
 
 
 def definitions(path, module):
-    """(qualified name, name, first line, last line) of each module-level
-    function or class and each method, dunders left out."""
+    """(qualified name, name, first line, last line, is a method) of each
+    module-level function or class and each method, dunders left out."""
     out = []
     for node in parse(path).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append(("%s.%s" % (module, node.name), node.name,
-                        node.lineno, node.end_lineno))
+                        node.lineno, node.end_lineno, False))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                     out.append(("%s.%s.%s" % (module, node.name, item.name), item.name,
-                                item.lineno, item.end_lineno))
+                                item.lineno, item.end_lineno, True))
     return out
 
 
 def references(path):
-    """{name: [line, ...]} of every name read and string constant."""
+    """{name: [(line, bare), ...]} of every name read and string constant,
+    bare true for a read of a plain name (`f`, not `obj.f` or "f")."""
     out = {}
     for node in ast.walk(parse(path)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name = node.id
+            name, bare = node.id, True
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            name = node.attr
+            name, bare = node.attr, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            name = node.value.rpartition(".")[2]
+            name, bare = node.value.rpartition(".")[2], False
         else:
             continue
-        out.setdefault(name, []).append(node.lineno)
+        out.setdefault(name, []).append((node.lineno, bare))
     return out
 
 
@@ -124,11 +128,11 @@ def main():
     src_dir = os.path.join(ROOT, "src", "colorinv")
     for path in python_files(os.path.join("src", "colorinv")):
         module = os.path.splitext(os.path.relpath(path, src_dir))[0].replace(os.sep, ".")
-        for qualname, name, first, last in definitions(path, module):
+        for qualname, name, first, last, method in definitions(path, module):
             where = set()
             for tree in TREES:
                 for other, names in refs[tree].items():
-                    lines = names.get(name, ())
+                    lines = [n for n, bare in names.get(name, ()) if not (method and bare)]
                     if any(other != path or not first <= n <= last for n in lines):
                         where.add(tree)
             entry = "- `%s` %s:%d" % (qualname, os.path.relpath(path, ROOT), first)
