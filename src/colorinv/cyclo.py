@@ -185,11 +185,12 @@ class CycloRational:
         return tuple(Fraction(x, self.den) for x in self.num)
 
     @classmethod
-    def from_rational(cls, q):
-        if q.__class__ is int:
-            return _make(1, (q,), 1)
-        q = Fraction(q)
-        return _make(1, (q.numerator,), q.denominator)
+    def from_rational(cls, q, den=1):
+        """q / den, q an int or a Fraction and den a positive int."""
+        if q.__class__ is not int:
+            q = Fraction(q)
+            q, den = q.numerator, q.denominator * den
+        return _make(1, (q,), den)
 
     @classmethod
     def zero(cls):

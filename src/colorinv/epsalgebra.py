@@ -28,10 +28,12 @@ a coefficient takes it by a rotation, never as a product with a root.
 normal_order keeps each algebra's memo of normal forms, keyed by the word:
 the sort and its exponent depend only on the generator degrees, and
 products meet the same few words again and again.  eps_product is the one
-product of Lambda_eps and S(W*), and of their sums of products: it groups
-the pairs of words of a list of (left, right) term dicts by normal word,
-and cyclo.product_sums turns each word's (c1, c2, exponent) triples into
-one coefficient in integer arithmetic.  eps_sums makes one EpsElement
+product of EpsElements and of SymPolynomials, and of their sums of
+products: it groups the pairs of words of a list of (left, right) term
+dicts by normal word, and cyclo.product_sums turns each word's (c1, c2,
+exponent) triples into one coefficient in integer arithmetic.  (build_phi
+multiplies integer counts per exponent instead, through
+sympoly.sym_merge.)  eps_sums makes one EpsElement
 per key of {key: [pairs]}, for callers whose entries are sums.  hop and
 the place permutation action rotate by times_root, and word degrees,
 summed through the bicharacter's sum_table, are memoized too.

@@ -34,12 +34,14 @@ therefore commute without an eps sign, and phi_sigma is their product
 are Berele's traces of powers).  components() gives each K as its own
 PictureShape, with the multiplicities of its copies and sigma restricted
 and relabelled, kept on the shape (PictureShape.part) so that its plans
-serve every sigma.  _phi_terms, the one kernel, sums each component over
-{1..dim}^|K| into a dict keyed by variable id tuples, and
-sympoly.mul_terms (epsalgebra.eps_product, the one eps product)
-multiplies these into the terms of phi_sigma.  The cost is sum_K dim^|K|
-kernel steps plus the products, against dim^N for the whole shape at
-once; equal components are summed once per call.
+serve every sigma.  _phi_counts, the one kernel, counts each component's
+index tuples in {1..dim}^|K| per (monomial, exponent of zeta_m), and the
+components are multiplied as these exponent counts, not as CycloRationals:
+sympoly.sym_merge merges each pair of sorted monomials in one pass with
+its swap exponent, the exponents add and the counts multiply.  Each count
+of the product becomes a multiple of its root of unity once, at the end.
+The cost is sum_K dim^|K| kernel steps plus the merges, against dim^N for
+the whole shape at once; equal components are counted once per call.
 
 Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
 the inversions of rho, the copies' positions in I) is worked out once per
@@ -48,10 +50,10 @@ kernel reads each copy's variable id off the entries of I at the copy's
 positions in the plan, through the shape's code tables
 (sympoly.Numbering), sorts the ids with sym_normalize, and sums entries
 of the bicharacter's eps table, indexed by the degrees of the entries of
-I, for the coefficient exponent.  It counts index tuples per (monomial,
-swap plus coefficient exponent mod m) and makes one root of unity per
-count.  Because of these caches, PictureShape, MixedShape and
-Bicharacter are treated as immutable once built.
+I, for the coefficient exponent; the count's key is the monomial and the
+swap plus coefficient exponent mod m.  Because of these caches,
+PictureShape, MixedShape and Bicharacter are treated as immutable once
+built.
 
 The dual-word normalization multiplying the rearrangement sign is the
 strict reversed product  prod_{c < c'} eps(h_{c'}, h_c)  over the w-block
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 
 from . import permutations as perms
 from .epsalgebra import add_term
-from .sympoly import MixedShape, SymPolynomial, mul_terms, sym_normalize
+from .sympoly import MixedShape, SymPolynomial, sym_merge, sym_normalize
 from .tensors import (PRIMAL, DUAL, GradedTensor, act_perm, contract_pairs,
                       tensor_product)
 
@@ -296,23 +298,20 @@ def components(pshape, sigma):
                     tuple(rank[sigma[p - 1]] for c in members for p in lows[c])))
     return out
 
-def _phi_terms(pshape, sigma):
-    """phi_sigma as {id tuple: coefficient}: the sum over all index tuples
-    I in {1..dim}^N of the coefficient at I times the normalized monomial
-    at I.  That monomial's copy (i, j) reads its lower indices off I at its
-    primal positions and its upper indices off I o sigma^{-1} at its dual
-    positions."""
+def _phi_counts(pshape, sigma):
+    """phi_sigma in the kernel's own form, {(id tuple, exponent mod m):
+    count}: the index tuples I in {1..dim}^N counted per normalized
+    monomial at I and per swap plus coefficient exponent, so that phi_sigma
+    is the sum of count * zeta_m^exponent * monomial.  The monomial's copy
+    (i, j) reads its lower indices off I at its primal positions and its
+    upper indices off I o sigma^{-1} at its dual positions."""
     shape = pshape.shape
-    chi = shape.chi
     dim = shape.space.dim
     codes = shape.numbering().codes
     # Per copy: its summand's code table and the positions in I of its
     # index word.
     copies = [(codes[i - 1], lo + up) for i, lo, up in pshape.plan(sigma).copies]
-    # Index tuples are counted per (monomial, swap plus coefficient
-    # exponent mod m), and each count becomes a multiple of its root of
-    # unity once, at the end.
-    m = chi.m
+    m = shape.chi.m
     counts = {}
     for I in itertools.product(range(1, dim + 1), repeat=pshape.N):
         word = []
@@ -327,28 +326,44 @@ def _phi_terms(pshape, sigma):
         swap, mono = res
         key = mono, (swap + coefficient_exponent(pshape, sigma, I)) % m
         counts[key] = counts.get(key, 0) + 1
-    total = {}
-    for (mono, e), count in counts.items():
-        add_term(total, mono, chi.root(e) * count)
-    return total
+    return counts
+
+def _mul_counts(shape, left, right):
+    """The product of two counts dicts of _phi_counts: each pair of
+    monomials merged by sym_merge, its exponents added to the swap
+    exponent and its counts multiplied."""
+    m = shape.chi.m
+    out = {}
+    for (w1, e1), n1 in left.items():
+        for (w2, e2), n2 in right.items():
+            res = sym_merge(shape, w1, w2)
+            if res is not None:
+                key = res[1], (e1 + e2 + res[0]) % m
+                out[key] = out.get(key, 0) + n1 * n2
+    return out
 
 def build_phi(pshape, sigma):
     """The picture invariant phi_sigma as an element of S(W*): the product
-    of the pictures of sigma's components, each summed over its own index
-    tuples by _phi_terms.  Components equal as (sub-shape, sub-sigma) are
-    summed once per call."""
+    of the pictures of sigma's components, each counted over its own index
+    tuples by _phi_counts and multiplied as counts, and each count made a
+    multiple of its root of unity once, at the end.  Components equal as
+    (sub-shape, sub-sigma) are counted once per call."""
     shape = pshape.shape
+    chi = shape.chi
     sigma = tuple(sigma)
     built = {}
-    terms = None
+    counts = None
     for sub, sub_sigma in components(pshape, sigma):
         key = sub.mults, sub_sigma
         part = built.get(key)
         if part is None:
-            part = built[key] = _phi_terms(sub, sub_sigma)
-        terms = part if terms is None else mul_terms(shape, terms, part)
-    if terms is None:
-        terms = _phi_terms(pshape, sigma)
+            part = built[key] = _phi_counts(sub, sub_sigma)
+        counts = part if counts is None else _mul_counts(shape, counts, part)
+    if counts is None:
+        counts = _phi_counts(pshape, sigma)
+    terms = {}
+    for (mono, e), count in counts.items():
+        add_term(terms, mono, chi.root(e) * count)
     return PictureInvariant(pshape, sigma, SymPolynomial(shape, terms))
 
 def theta_eval(sigma, t):

@@ -4,9 +4,7 @@ random.Random so verification runs are reproducible."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclo import as_cyclo
+from .cyclo import CycloRational
 from .epsalgebra import EpsAlgebra, EpsElement, add_term, words_of_degree
 from .sympoly import SymPolynomial, enumerate_sym_basis
 from .tensors import GradedTensor
@@ -19,9 +17,9 @@ def standard_test_algebra(chi, truncation=4):
                       truncation)
 
 def random_rational(rng):
+    """A rational CycloRational num/den, num in -4..4 and den in 1, 2, 3."""
     num = rng.randint(-4, 4)
-    den = rng.choice([1, 1, 2, 3])
-    return Fraction(num, den)
+    return CycloRational.from_rational(num, rng.choice([1, 1, 2, 3]))
 
 def random_eps_of_degree(alg, d, rng, max_len=2, terms=2):
     """A random homogeneous element of the given G-degree; zero only when no
@@ -35,7 +33,7 @@ def random_eps_of_degree(alg, d, rng, max_len=2, terms=2):
         w = pool[rng.randrange(len(pool))]
         c = random_rational(rng)
         if c:
-            add_term(out, w, as_cyclo(c).times_root(alg.chi.m, 0))
+            add_term(out, w, c.times_root(alg.chi.m, 0))
     if not out:
         return alg.monomial(pool[rng.randrange(len(pool))], 1)
     return EpsElement(alg, out)
@@ -68,7 +66,7 @@ def random_sym_polynomial(shape, r, rng, terms=4):
         if not basis:
             continue
         mono = basis[rng.randrange(len(basis))]
-        c = as_cyclo(random_rational(rng))
+        c = random_rational(rng)
         if c:
             out = out + SymPolynomial(shape, {mono: c})
     return out

@@ -9,7 +9,7 @@ from fractions import Fraction
 from colorinv.config import builtin_config, list_builtin_configs
 from colorinv.cyclo import CycloRational
 from colorinv.groups import Bicharacter, FiniteAbelianGroup
-from colorinv.oracle import classical_invariant_dim, span_check, suite
+from colorinv.oracle import span_check, suite
 from colorinv.permutations import all_perms
 from colorinv.pictures import PictureShape, build_phi, t_sigma_on_parts
 from colorinv.sampling import (

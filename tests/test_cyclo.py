@@ -79,6 +79,15 @@ def test_rational_embedding_round_trip(q):
     assert x.as_fraction() == q
 
 
+@given(q=fractions, k=st.integers(1, 6))
+def test_rational_from_numerator_and_denominator(q, k):
+    """from_rational(num, den) is num/den in lowest terms, stored as the
+    element of the Fraction num/den is."""
+    x = CycloRational.from_rational(q.numerator * k, q.denominator * k)
+    y = CycloRational.from_rational(q)
+    assert (x.order, x.num, x.den) == (y.order, y.num, y.den)
+
+
 @given(p=fractions, q=fractions)
 def test_rational_arithmetic_matches_fractions(p, q):
     xp, xq = CycloRational.from_rational(p), CycloRational.from_rational(q)

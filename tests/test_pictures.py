@@ -302,9 +302,15 @@ def textbook_phi(pshape, sigma):
     return SymPolynomial(shape, total)
 
 
-def _assert_phi_matches_textbook(ps, name):
-    for sigma in all_perms(ps.N):
-        assert build_phi(ps, sigma).poly == textbook_phi(ps, sigma), (name, ps, sigma)
+def _assert_phi_matches_textbook(ps, name, sigmas=None):
+    """build_phi equals textbook_phi for each sigma (all of S_N by
+    default), in value and in each coefficient's order: CycloRational's ==
+    compares values across orders, and the order shows in printed text."""
+    for sigma in all_perms(ps.N) if sigmas is None else sigmas:
+        got, want = build_phi(ps, sigma).poly, textbook_phi(ps, sigma)
+        assert got == want, (name, ps, sigma)
+        assert {w: c.order for w, c in got.terms.items()} == \
+            {w: c.order for w, c in want.terms.items()}, (name, ps, sigma)
 
 
 def test_build_phi_matches_textbook_sum(cfgs):
@@ -330,8 +336,7 @@ def test_build_phi_matches_textbook_sum_over_components(cfgs):
     sup = cfgs["super"]
     ps = PictureShape(MixedShape(sup.space, [(2, 1), (1, 2)]), (2, 2))
     sigmas = [(1, 3, 6, 2, 4, 5)] + random.Random("components").sample(all_perms(ps.N), 10)
-    for sigma in sigmas:
-        assert build_phi(ps, sigma).poly == textbook_phi(ps, sigma), sigma
+    _assert_phi_matches_textbook(ps, "super", sigmas)
 
 
 def _cycle_phi(shape, length):

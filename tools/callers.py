@@ -5,11 +5,11 @@
 Parses every Python file under src/, tests/, bench/ and tools/ and lists,
 as Markdown, the module-level functions and classes and the class methods
 of `src/colorinv` that only tests refer to, then those that nothing refers
-to, then the names a `src/colorinv` module imports and never reads
-(`from __future__` imports left out), then the imports inside a function
-or class of a `src/colorinv` module from a module that the same file
-already imports at top level.  Exits 1 when the second, third or fourth
-list is not empty, 0 otherwise.
+to, then the names a file of `src/colorinv`, `tests/` or `tools/` imports
+and never reads (`from __future__` imports left out), then the imports
+inside a function or class of a `src/colorinv` module from a module that
+the same file already imports at top level.  Exits 1 when the second,
+third or fourth list is not empty, 0 otherwise.
 
 A reference is a read of the name (`f`, `mod.f`, `obj.f`), or a string
 constant equal to the name or ending in `.name` (how the benchmark's tracer
@@ -146,9 +146,11 @@ def main():
     print("\n### src definitions referred to nowhere (%d)\n" % len(unreferenced))
     print("\n".join(unreferenced) or "none")
     unread = ["- `%s` %s:%d" % (name, os.path.relpath(path, ROOT), line)
-              for path in python_files(os.path.join("src", "colorinv"))
+              for tree in (os.path.join("src", "colorinv"), "tests", "tools")
+              for path in python_files(tree)
               for name, line in unused_imports(path)]
-    print("\n### names imported in src and never read (%d)\n" % len(unread))
+    print("\n### names imported in src, tests or tools and never read (%d)\n"
+          % len(unread))
     print("\n".join(unread) or "none")
     nested = ["- `%s` %s:%d" % (module, os.path.relpath(path, ROOT), line)
               for path in python_files(os.path.join("src", "colorinv"))
