@@ -178,14 +178,15 @@ def classical_invariant_dim(shape, r):
     derivation action of the matrix units E_ab on the degree r monomial
     basis.
 
-    Only balanced multidegrees can carry invariants (the scaling operators
-    sum_a E_aa act on a multidegree M block with eigenvalue
-    sum_i (t_i - b_i) M_i), so the kernel is assembled block by block.
-    The grading group must be trivial."""
+    The matrix units keep each summand multidegree M, so the kernel is
+    assembled block by block, over every M of total degree r: that only
+    balanced blocks carry invariants (the scaling operators sum_a E_aa act
+    on block M with eigenvalue sum_i (t_i - b_i) M_i) is computed here,
+    not assumed.  The grading group must be trivial."""
     if shape.chi.group.order != 1:
         raise ValueError("classical invariant dimensions need the trivial "
                          "grading group")
-    return sum(_invariant_block_dim(shape, M, r) for M in balanced_blocks(shape.pairs, r))
+    return sum(_invariant_block_dim(shape, M, r) for M in _compositions(r, shape.s))
 
 def _phi_rank_block(shape, M):
     """Rank over the rationals of the picture invariants of multiplicity M,

@@ -23,6 +23,11 @@ def inverse(a):
         inv[j - 1] = i
     return tuple(inv)
 
+def require_perm(sigma, n):
+    """Refuse sigma unless it is a permutation of 1..n."""
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError("sigma must lie in S_%d" % n)
+
 def act_tuple(sigma, items):
     """Place the content of slot i into slot sigma(i); (sigma.x)_j = x_{sigma^-1(j)}."""
     assert len(sigma) == len(items)

@@ -4,6 +4,10 @@ For a mixed shape with multiplicities m_1..m_s, the blocked space is
 (U_{b_1}^{t_1})^{ox m_1} ox ... ; its words list, per copy, b_i primal then
 t_i dual slots.  mu is the permutation moving a blocked word into sorted
 variance (all primal slots first, original order kept within each half).
+PictureShape.layout holds this layout, worked out once per shape: per copy
+in blocked order, its summand and its lower and upper positions in the
+primal and the dual half of sorted variance.  mu, the SigmaPlan, the
+components and the blocked word all read it.
 
 A picture invariant is a polynomial in S(W*) built so that its restitution
 at u agrees with the functional evaluation
@@ -46,14 +50,15 @@ the whole shape at once; equal components are counted once per call.
 Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
 the inversions of rho, the copies' positions in I) is worked out once per
 (PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  The
-kernel reads each copy's variable id off the entries of I at the copy's
-positions in the plan, through the shape's code tables
-(sympoly.Numbering), sorts the ids with sym_normalize, and sums entries
-of the bicharacter's eps table, indexed by the degrees of the entries of
-I, for the coefficient exponent; the count's key is the monomial and the
-swap plus coefficient exponent mod m.  Because of these caches,
-PictureShape, MixedShape and Bicharacter are treated as immutable once
-built.
+kernel fetches the plan once per call; per tuple it reads each copy's
+variable id off the entries of I at the copy's positions in the plan,
+through the shape's code tables (sympoly.Numbering), sorts the ids with
+sym_normalize, and sums entries of the bicharacter's eps table, indexed
+by the degrees of the entries of I, for coefficient_exponent(plan, I);
+the count's key is the monomial and the swap plus coefficient exponent
+mod m.  A shape with no copies has no components, and its picture is 1.
+Because of these caches, PictureShape, MixedShape and Bicharacter are
+treated as immutable once built.
 
 The dual-word normalization multiplying the rearrangement sign is the
 strict reversed product  prod_{c < c'} eps(h_{c'}, h_c)  over the w-block
@@ -81,7 +86,9 @@ nu = perms.nu_perm
 sigma_hat = perms.hat_perm
 
 class PictureShape:
-    """A mixed shape with copy multiplicities."""
+    """A mixed shape with copy multiplicities.  layout: per copy in
+    blocked order, (summand i, lower positions, upper positions), 1-based;
+    N, N' and k (the number of copies) are its totals."""
 
     def __init__(self, shape, multiplicities):
         if not isinstance(shape, MixedShape):
@@ -90,9 +97,14 @@ class PictureShape:
         self.mults = tuple(int(m) for m in multiplicities)
         if len(self.mults) != shape.s or any(m < 0 for m in self.mults):
             raise ValueError("multiplicities must list one nonnegative int per summand")
-        self.N = sum(m * b for m, (b, _) in zip(self.mults, shape.pairs))
-        self.Nprime = sum(m * t for m, (_, t) in zip(self.mults, shape.pairs))
-        self.k = sum(self.mults)
+        layout, N, Nprime = [], 0, 0
+        for i, (m, (b, t)) in enumerate(zip(self.mults, shape.pairs), start=1):
+            for _ in range(m):
+                layout.append((i, tuple(range(N + 1, N + b + 1)),
+                               tuple(range(Nprime + 1, Nprime + t + 1))))
+                N, Nprime = N + b, Nprime + t
+        self.layout = tuple(layout)
+        self.N, self.Nprime, self.k = N, Nprime, len(layout)
         self._plans = {}
         self._parts = {self.mults: self}
 
@@ -104,25 +116,6 @@ class PictureShape:
         if not self.balanced:
             raise ValueError("shape is unbalanced: N=%d primal vs N'=%d dual slots"
                              % (self.N, self.Nprime))
-
-    def copies(self):
-        """(summand, copy) pairs in blocked order."""
-        return [(i, j) for i, m in enumerate(self.mults, start=1)
-                for j in range(1, m + 1)]
-
-    def lower_positions(self, i, j):
-        """Primal-slot positions (1-based, within the primal half) of copy
-        (i, j)."""
-        base = sum(m * b for m, (b, _) in zip(self.mults[:i - 1], self.shape.pairs[:i - 1]))
-        b = self.shape.pairs[i - 1][0]
-        base += (j - 1) * b
-        return list(range(base + 1, base + b + 1))
-
-    def upper_positions(self, i, j):
-        base = sum(m * t for m, (_, t) in zip(self.mults[:i - 1], self.shape.pairs[:i - 1]))
-        t = self.shape.pairs[i - 1][1]
-        base += (j - 1) * t
-        return list(range(base + 1, base + t + 1))
 
     def __repr__(self):
         return "PictureShape(pairs=%r, mults=%r)" % (list(self.shape.pairs),
@@ -151,9 +144,7 @@ def mu(pshape):
     """Blocked-to-sorted rearrangement in S_{N+N'}."""
     N = pshape.N
     p = []
-    for i, j in pshape.copies():
-        lo = pshape.lower_positions(i, j)
-        up = pshape.upper_positions(i, j)
+    for _, lo, up in pshape.layout:
         p.extend(lo)
         p.extend(N + q for q in up)
     return tuple(p)
@@ -185,9 +176,9 @@ class SigmaPlan:
     """Everything the summand of phi_sigma at an index tuple I needs of
     sigma and the shape, worked out once.
 
-    copies: per copy (i, j) in blocked order, the summand i and the
-        0-based positions in I of its lower indices and of its upper
-        indices (the latter already read through sigma^{-1});
+    copies: per copy of pshape.layout, the summand i and the 0-based
+        positions in I of its lower indices and of its upper indices (the
+        latter already read through sigma^{-1});
     degrees: the G-degree of each basis vector, indexed from 0;
     terms: the coefficient exponent as a bilinear form in the degrees of
         I, a list of (a, b, c) meaning c * eps(deg I_a, deg I_b).
@@ -207,15 +198,12 @@ class SigmaPlan:
     def __init__(self, pshape, sigma):
         pshape.require_balanced()
         N = pshape.N
-        if len(sigma) != N:
-            raise ValueError("sigma must lie in S_%d" % N)
+        perms.require_perm(sigma, N)
         chi = pshape.shape.chi
         inv = perms.inverse(sigma)
-        self.copies = tuple(
-            (i,
-             tuple(p - 1 for p in pshape.lower_positions(i, j)),
-             tuple(inv[q - 1] - 1 for q in pshape.upper_positions(i, j)))
-            for i, j in pshape.copies())
+        self.copies = tuple((i, tuple(p - 1 for p in lo),
+                             tuple(inv[q - 1] - 1 for q in up))
+                            for i, lo, up in pshape.layout)
         mu_p = mu(pshape)
         # Blocked slot -> (position in I, sign of its degree in J).
         sources = tuple([(r, 1) for r in range(N)]
@@ -238,17 +226,14 @@ class SigmaPlan:
         self.degrees = pshape.shape.space.degrees
         self.table = chi.eps_table
 
-    def exponent(self, I):
-        degrees = self.degrees
-        d = [degrees[r - 1] for r in I]
-        table = self.table
-        return sum(c * table[d[a]][d[b]] for a, b, c in self.terms) % self.m
-
-def coefficient_exponent(pshape, sigma, I):
+def coefficient_exponent(plan, I):
     """Exponent of the coefficient at index tuple I: the rearrangement sign
     gamma(J, rho^{-1}) over the blocked degree tuple J, plus the dual-word
-    normalization of the w-block degrees, read off the plan of sigma."""
-    return pshape.plan(sigma).exponent(I)
+    normalization of the w-block degrees, read off sigma's SigmaPlan."""
+    degrees = plan.degrees
+    d = [degrees[r - 1] for r in I]
+    table = plan.table
+    return sum(c * table[d[a]][d[b]] for a, b, c in plan.terms) % plan.m
 
 @dataclass
 class PictureInvariant:
@@ -266,36 +251,33 @@ def components(pshape, sigma):
     sigma with the component's lower and upper positions relabelled 1..
     in order."""
     pshape.require_balanced()
-    if len(sigma) != pshape.N:
-        raise ValueError("sigma must lie in S_%d" % pshape.N)
-    copies = pshape.copies()
-    lows = [pshape.lower_positions(i, j) for i, j in copies]
-    ups = [pshape.upper_positions(i, j) for i, j in copies]
-    owner = {p: c for c, lo in enumerate(lows) for p in lo}
+    perms.require_perm(sigma, pshape.N)
+    layout = pshape.layout
+    owner = {p: c for c, (_, lo, _) in enumerate(layout) for p in lo}
     inv = perms.inverse(sigma)
-    label = list(range(len(copies)))
+    label = list(range(len(layout)))
 
     def root(c):
         while label[c] != c:
             c = label[c]
         return c
 
-    for c, up in enumerate(ups):
+    for c, (_, _, up) in enumerate(layout):
         for q in up:
             a, b = sorted((root(c), root(owner[inv[q - 1]])))
             label[b] = a
     groups = {}
-    for c in range(len(copies)):
+    for c in range(len(layout)):
         groups.setdefault(root(c), []).append(c)
     out = []
     for members in groups.values():
         mults = [0] * pshape.shape.s
         for c in members:
-            mults[copies[c][0] - 1] += 1
-        upper = [q for c in members for q in ups[c]]
+            mults[layout[c][0] - 1] += 1
+        upper = [q for c in members for q in layout[c][2]]
         rank = {q: r for r, q in enumerate(upper, start=1)}
         out.append((pshape.part(mults),
-                    tuple(rank[sigma[p - 1]] for c in members for p in lows[c])))
+                    tuple(rank[sigma[p - 1]] for c in members for p in layout[c][1])))
     return out
 
 def _phi_counts(pshape, sigma):
@@ -308,9 +290,10 @@ def _phi_counts(pshape, sigma):
     shape = pshape.shape
     dim = shape.space.dim
     codes = shape.numbering().codes
+    plan = pshape.plan(sigma)
     # Per copy: its summand's code table and the positions in I of its
     # index word.
-    copies = [(codes[i - 1], lo + up) for i, lo, up in pshape.plan(sigma).copies]
+    copies = [(codes[i - 1], lo + up) for i, lo, up in plan.copies]
     m = shape.chi.m
     counts = {}
     for I in itertools.product(range(1, dim + 1), repeat=pshape.N):
@@ -324,7 +307,7 @@ def _phi_counts(pshape, sigma):
         if res is None:
             continue
         swap, mono = res
-        key = mono, (swap + coefficient_exponent(pshape, sigma, I)) % m
+        key = mono, (swap + coefficient_exponent(plan, I)) % m
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -360,7 +343,7 @@ def build_phi(pshape, sigma):
             part = built[key] = _phi_counts(sub, sub_sigma)
         counts = part if counts is None else _mul_counts(shape, counts, part)
     if counts is None:
-        counts = _phi_counts(pshape, sigma)
+        counts = {((), 0): 1}
     terms = {}
     for (mono, e), count in counts.items():
         add_term(terms, mono, chi.root(e) * count)
@@ -376,8 +359,7 @@ def theta_eval(sigma, t):
     N = two_n // 2
     if t.variance != (PRIMAL,) * N + (DUAL,) * N:
         raise ValueError("theta needs variance (primal^N, dual^N)")
-    if len(sigma) != N:
-        raise ValueError("sigma must lie in S_%d" % N)
+    perms.require_perm(sigma, N)
     s = act_perm(sigma_hat(sigma), t)
     s = act_perm(tau(N), s)
     s = act_perm(nu(N), s)
@@ -388,8 +370,7 @@ def contraction_pairs(pshape, sigma):
     Theta(sigma) contracts: labels 0..2N-1 moved as act_perm moves slots
     by mu, sigma_hat, tau and nu, read off final slots 2i, 2i+1."""
     N = pshape.N
-    if len(sigma) != N:
-        raise ValueError("sigma must lie in S_%d" % N)
+    perms.require_perm(sigma, N)
     labels = tuple(range(2 * N))
     for p in (mu(pshape), sigma_hat(sigma), tau(N), nu(N)):
         labels = perms.act_tuple(p, labels)
@@ -410,15 +391,9 @@ def blocked_word(pshape, parts, pairs=()):
     the new copy filter it, pairs linking it to the product so far group
     both sides by the linked entries, and tensor_product runs once per
     matching group.  With no pairs it is the full product."""
-    if len(parts) != pshape.shape.s:
-        raise ValueError("need one tensor per summand")
-    for i, u in enumerate(parts, start=1):
-        if u.variance != pshape.shape.variance(i):
-            raise ValueError("summand %d tensor has wrong variance" % i)
-        if u.space is not pshape.shape.space and u.space != pshape.shape.space:
-            raise ValueError("summand %d tensor over wrong space or algebra" % i)
+    pshape.shape.check_parts(parts)
     out, lo = None, 0
-    for i, _ in pshape.copies():
+    for i, _, _ in pshape.layout:
         u = parts[i - 1]
         hi = lo + len(u.variance)
         inner = [(a - lo, b - lo) for a, b in pairs if lo <= a and b < hi]

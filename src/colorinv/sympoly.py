@@ -114,6 +114,19 @@ class MixedShape:
         b, t = self.pairs[i - 1]
         return (PRIMAL,) * b + (DUAL,) * t
 
+    def check_parts(self, parts, alg=None):
+        """Refuse tensors unless one per summand, each in its summand's
+        variance, over this space and one algebra (alg, else the first's)."""
+        if len(parts) != self.s:
+            raise ValueError("need one tensor per summand")
+        for i, u in enumerate(parts, start=1):
+            alg = u.alg if alg is None else alg
+            if u.variance != self.variance(i):
+                raise ValueError("summand %d tensor has wrong variance" % i)
+            if not ((u.space is self.space or u.space == self.space)
+                    and (u.alg is alg or u.alg == alg)):
+                raise ValueError("summand %d tensor over wrong space or algebra" % i)
+
     def index_words(self, i):
         """The basis words of summand i, lower then upper indices, in
         lexicographic order."""

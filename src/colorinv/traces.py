@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from . import permutations as perms
 from .epsalgebra import EpsAlgebra, eps_sums, hop
+from .pictures import build_phi
 from .sympoly import SymPolynomial
 from .tensors import PRIMAL, DUAL, GradedTensor, GradedOperator
 
@@ -34,14 +35,9 @@ class W0Point:
         self.shape = shape
         self.alg = alg
         self.parts = tuple(parts)
-        if len(self.parts) != shape.s:
-            raise ValueError("need one tensor per summand")
+        shape.check_parts(self.parts, alg)
         neg = shape.chi.neg_table
         for i, u in enumerate(self.parts, start=1):
-            if u.variance != shape.variance(i):
-                raise ValueError("summand %d tensor has wrong variance" % i)
-            if u.space != shape.space or u.alg != alg:
-                raise ValueError("summand %d tensor over wrong space or algebra" % i)
             for idx, lam in u.terms.items():
                 d = neg[u.word_degree(idx)]
                 if not lam.is_homogeneous_of(d):
@@ -250,18 +246,13 @@ def trace_monomial(ops, cyclist, assign=None):
 
 def position_assignment(pshape):
     """For matrix shapes: which summand each of the N positions holds."""
-    out = []
-    for i, j in pshape.copies():
-        b, t = pshape.shape.pairs[i - 1]
-        if (b, t) != (1, 1):
-            raise ValueError("trace monomials need matrix shape summands (1,1)")
-        out.append(i)
-    return out
+    if any(len(lo) != 1 or len(up) != 1 for _, lo, up in pshape.layout):
+        raise ValueError("trace monomials need matrix shape summands (1,1)")
+    return [i for i, _, _ in pshape.layout]
 
 def trace_match(pshape, sigma, point, phi=None):
     """Compare restitution of phi_sigma at a degree-0 matrix point with the
     product of cycle traces of sigma^{-1}.  Returns (match, lhs, rhs)."""
-    from .pictures import build_phi
     assign = position_assignment(pshape)
     if phi is None:
         phi = build_phi(pshape, sigma)

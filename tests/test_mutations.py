@@ -16,8 +16,8 @@ from colorinv.tensors import GradedOperator
 
 def exponent_plus_one(monkeypatch, cfg):
     """The coefficient exponent of phi_sigma off by one wherever I_1 = 2."""
-    exponent = pictures.SigmaPlan.exponent
-    monkeypatch.setattr(pictures.SigmaPlan, "exponent",
+    exponent = pictures.coefficient_exponent
+    monkeypatch.setattr(pictures, "coefficient_exponent",
                         lambda plan, I: (exponent(plan, I) + (I[0] == 2)) % plan.m)
 
 

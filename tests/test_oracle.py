@@ -55,6 +55,18 @@ def test_span_check_matches_classical_ranks():
     assert span_check(matrix_shape(2, [(2, 1), (1, 2)]), 2).ok
 
 
+def test_span_check_computes_the_unbalanced_dimension(cfgs, monkeypatch):
+    """With no balanced multidegree the classical dimension is still
+    computed block by block, so a nonzero block is reported."""
+    shape = MixedShape(cfgs["trivial"].space, [(2, 1)])
+    assert span_check(shape, 1).ok
+    monkeypatch.setattr(oracle, "_invariant_block_dim", lambda shape, M, r: 1)
+    rpt = span_check(shape, 1)
+    assert not rpt.ok
+    assert [c.detail for c in rpt.cases] == [
+        "no balanced multidegree; classical invariant dimension 1"]
+
+
 def test_span_check_restricted_mode_on_graded_groups(cfgs):
     rpt = span_check(cfgs["super"].shape, 2)
     assert rpt.ok

@@ -81,14 +81,45 @@ def test_t_sigma_on_parts_refuses_parts_over_another_space(cfgs, algebras):
         t_sigma_on_parts(ps, (2, 1), u.parts)
 
 
+def test_t_sigma_on_parts_refuses_parts_over_two_algebras(cfgs):
+    """Checked before the join: summand 2 over another truncation."""
+    z2z2 = cfgs["z2z2"]
+    mixed = MixedShape(z2z2.space, [(2, 1), (1, 2)])
+    rng = random.Random("two-algebras")
+    parts = [random_w0_point(mixed, standard_test_algebra(z2z2.chi, truncation=t),
+                             rng).part(i) for i, t in ((1, 3), (2, 2))]
+    with pytest.raises(ValueError, match="^summand 2 tensor over wrong space "
+                                         "or algebra$"):
+        t_sigma_on_parts(PictureShape(mixed, (1, 1)), (1, 2, 3), parts)
+
+
+@pytest.mark.parametrize("sigma", [(1, 1), (3, 1), (2, 1, 3), (1,)])
+def test_sigma_outside_s_n_is_refused(cfgs, algebras, sigma):
+    """Every entry point that takes sigma refuses one that is not a
+    permutation of 1..N, with the same message, before any work."""
+    ps = PictureShape(cfgs["super"].shape, (2,))
+    u = random_w0_point(ps.shape, algebras["super"], random.Random("outside"))
+    blocked = act_perm(mu(ps), blocked_word(ps, u.parts))
+    for call in (lambda: build_phi(ps, sigma), lambda: ps.plan(sigma),
+                 lambda: components(ps, sigma), lambda: contraction_pairs(ps, sigma),
+                 lambda: theta_eval(sigma, blocked),
+                 lambda: t_sigma_on_parts(ps, sigma, u.parts)):
+        with pytest.raises(ValueError, match="^sigma must lie in S_2$"):
+            call()
+
+
 def test_picture_shape_bookkeeping(cfgs):
     sup = cfgs["super"]
     ps = PictureShape(sup.shape, (2,))
     assert (ps.N, ps.Nprime, ps.k) == (2, 2, 2)
     assert ps.balanced
-    assert ps.copies() == [(1, 1), (1, 2)]
-    blocked = tuple(v for i, _ in ps.copies() for v in sup.shape.variance(i))
+    assert ps.layout == ((1, (1,), (1,)), (1, (2,), (2,)))
+    blocked = tuple(v for i, _, _ in ps.layout for v in sup.shape.variance(i))
     assert blocked == (0, 1, 0, 1)
+    mixed = PictureShape(MixedShape(sup.space, [(2, 1), (1, 2), (0, 1)]), (2, 1, 0))
+    assert (mixed.N, mixed.Nprime, mixed.k) == (5, 4, 3)
+    assert mixed.layout == ((1, (1, 2), (1,)), (1, (3, 4), (2,)),
+                            (2, (5,), (3, 4)))
     unbalanced = PictureShape(MixedShape(sup.space, [(2, 1)]), (1,))
     assert not unbalanced.balanced
     with pytest.raises(ValueError):
@@ -271,20 +302,21 @@ def textbook_phi(pshape, sigma):
     word of the copies, insertion-sorted by the written-out order (degree
     position, summand, lower, upper) with the eps exponent of each swapped
     pair of degrees added up, dropped when it repeats an odd variable, and
-    multiplied by the root of coefficient_exponent(pshape, sigma, I).  Each sorted word becomes
-    an id tuple through var_id at the end."""
+    multiplied by the root of the plan's coefficient_exponent at I.  Each
+    sorted word becomes an id tuple through var_id at the end."""
     shape = pshape.shape
     chi = shape.chi
     inv = perms.inverse(sigma)
+    plan = pshape.plan(sigma)
 
     def key(v):
         return chi.position(textbook_degree(shape, v)), v.summand, v.lower, v.upper
 
     total = {}
     for I in itertools.product(range(1, shape.space.dim + 1), repeat=pshape.N):
-        word = [SymVariable(i, tuple(I[p - 1] for p in pshape.lower_positions(i, j)),
-                            tuple(I[inv[q - 1] - 1] for q in pshape.upper_positions(i, j)))
-                for i, j in pshape.copies()]
+        word = [SymVariable(i, tuple(I[p - 1] for p in lo),
+                            tuple(I[inv[q - 1] - 1] for q in up))
+                for i, lo, up in pshape.layout]
         exp = 0
         for a in range(1, len(word)):
             b = a
@@ -296,7 +328,7 @@ def textbook_phi(pshape, sigma):
         if any(x == y and chi.parity_bit(chi.position(textbook_degree(shape, x)))
                for x, y in zip(word, word[1:])):
             continue
-        c = chi.root(exp) * chi.root(coefficient_exponent(pshape, sigma, I))
+        c = chi.root(exp) * chi.root(coefficient_exponent(plan, I))
         word = tuple(shape.var_id(v) for v in word)
         total[word] = total[word] + c if word in total else c
     return SymPolynomial(shape, total)
@@ -412,18 +444,19 @@ def textbook_coefficient_exponent(pshape, sigma, I):
     rho = perms.compose(perms.nu_perm(N), perms.compose(
         perms.tau_perm(N), perms.compose(perms.hat_perm(sigma), mu_p)))
     h = []
-    for i, j in pshape.copies():
-        lo = total(deg(I[p - 1]) for p in pshape.lower_positions(i, j))
-        up = total(deg(I[inv[q - 1] - 1]) for q in pshape.upper_positions(i, j))
-        h.append(chi.position(grp.add(lo, grp.neg(up))))
+    for _, lo, up in pshape.layout:
+        lo_deg = total(deg(I[p - 1]) for p in lo)
+        up_deg = total(deg(I[inv[q - 1] - 1]) for q in up)
+        h.append(chi.position(grp.add(lo_deg, grp.neg(up_deg))))
     return (gamma_exponent(chi, J, rho) + dual_word_exponent(chi, h)) % chi.m
 
 
 def _assert_plan_matches_textbook(ps):
     dim = ps.shape.space.dim
     for sigma in all_perms(ps.N):
+        plan = ps.plan(sigma)
         for I in itertools.product(range(1, dim + 1), repeat=ps.N):
-            assert coefficient_exponent(ps, sigma, I) == \
+            assert coefficient_exponent(plan, I) == \
                 textbook_coefficient_exponent(ps, sigma, I), (ps, sigma, I)
 
 

@@ -17,6 +17,13 @@ every builtin configuration:
   each random polynomial (a mix of degrees is an error, exit 2), and
   `trace` at a seeded sigma in text and structured form;
 * `verify --suite all` at seeds 0-7;
+* on two configuration files written to the temporary directory
+  (`MIXED_CONFIGS`: z2z2 with shape (2,1)+(1,2) and z3z3 with two matrix
+  summands, both with `bounds.max_n = 3`), so that the copies of one
+  picture belong to different summands: `validate`, `list`, `picture` at
+  the listed multiplicities for every sigma in S_3 in text and structured
+  form, and `verify --suite all --seed 0`; on the first also `picture` at
+  the unbalanced M = (0, 2), an error, exit 2;
 * on super, `eval` of fixed hand-written poly and point files (`BAD_POLYS`,
   `BAD_POINTS`): one per message of the text parsers, and two well-formed
   files whose terms repeat, cancel or vanish, in text and structured form.
@@ -103,6 +110,17 @@ GOOD_POINT = ("# comment\n\n1: ((1) * x1.x1 + (1/2) * x3.x4 + (1/2) * x4.x3 + (1
               " + ((-1) * 1) * e2 ox e2* + ((1) * x2.x1.x1.x2.x4 + (3) * x4) * e2 ox e1*")
 
 
+# name -> (configuration text, multiplicities of its picture commands).
+MIXED_CONFIGS = {
+    "z2z2-mixed.cfg": ("group.factors = [2, 2]\nbicharacter.expmat = [[1, 1], [1, 1]]\n"
+                       "space.degrees = [(0, 0), (0, 1), (1, 0)]\n"
+                       "shape.pairs = [(2, 1), (1, 2)]\nbounds.max_n = 3\n", ("1,1",)),
+    "z3z3-two.cfg": ("group.factors = [3, 3]\nbicharacter.expmat = [[0, 1], [2, 0]]\n"
+                     "space.degrees = [(0, 0), (0, 1), (1, 0)]\n"
+                     "shape.pairs = [(1, 1), (1, 1)]\nbounds.max_n = 3\n", ("1,2", "2,1")),
+}
+
+
 def _sigma_text(sigma):
     return ",".join(str(x) for x in sigma)
 
@@ -163,7 +181,29 @@ def commands(tmp):
                            + point + ["--format", fmt])
         for seed in SEEDS:
             out.append(["verify"] + config + ["--suite", "all", "--seed", str(seed)])
+    out.extend(_mixed(tmp))
     out.extend(_hand_written(tmp))
+    return out
+
+
+def _mixed(tmp):
+    """validate, list, picture and verify on the MIXED_CONFIGS files."""
+    out = []
+    for fname, (text, mults) in MIXED_CONFIGS.items():
+        path = os.path.join(tmp, fname)
+        with open(path, "w") as fh:
+            fh.write(text)
+        config = ["--config", path]
+        out += [["validate"] + config, ["list"] + config]
+        for m in mults:
+            for sigma in perms.all_perms(3):
+                for fmt in ("text", "structured"):
+                    out.append(["picture"] + config
+                               + ["--multiplicities", m,
+                                  "--sigma", _sigma_text(sigma), "--format", fmt])
+        out.append(["verify"] + config + ["--suite", "all", "--seed", "0"])
+    mixed = ["--config", os.path.join(tmp, "z2z2-mixed.cfg")]
+    out.append(["picture"] + mixed + ["--multiplicities", "0,2", "--sigma", "1,2"])
     return out
 
 
