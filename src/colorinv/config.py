@@ -36,6 +36,9 @@ DEFAULT_MAX_N = 5
 # The largest group order a configuration may declare: G is enumerated
 # whole when its fixed order is made.
 MAX_GROUP_ORDER = 4096
+# The largest bounds.max_n: `list` enumerates balanced multiplicities and
+# cycle types up to it, and `picture` builds pictures up to it.
+MAX_N = 8
 
 class ConfigError(ValueError):
     pass
@@ -151,6 +154,9 @@ def parse_config_text(text, name="<config>"):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise ConfigError("%s:%d: %s must be a positive integer"
                               % (name, lines[key], key))
+    if max_n > MAX_N:
+        raise ConfigError("%s:%d: bounds.max_n %d exceeds the limit of %d"
+                          % (name, lines["bounds.max_n"], max_n, MAX_N))
 
     return Config(name, chi, space, shape, truncation, max_n)
 

@@ -27,8 +27,11 @@ structured` writes it), so the rule is part of the output format.
 Signs of the color calculus are powers of one root zeta_m, applied by
 `times_root(m, e)`, a shift along the power table that returns exactly
 what self * root(m, e) returns, order included.  One convolution,
-_convolve, serves both products, __mul__ and product_sums, the shift
-folded in.  product_sums, the coefficient part of every eps product, sums
+_convolve, is the only loop over power-table rows: it serves both
+products, __mul__ and product_sums, the shift folded in, and, with one
+factor 1 (_shift), the reductions of the constructor and of lifts and
+the shifts of times_root; a rational's shift is one row, scaled.
+product_sums, the coefficient part of every eps product, sums
 c1 * c2 * zeta_m^e over the pairs of each word in one int list over a
 common denominator and makes one element per word.
 """
@@ -93,19 +96,6 @@ def _power_table(m):
         table = _TABLES[m] = tuple(table)
     return table
 
-def _reduce(ints, m):
-    """An int coefficient list of any length, reduced modulo Phi_m."""
-    table = _power_table(m)
-    deg = len(table[0])
-    out = list(ints[:deg]) + [0] * (deg - len(ints))
-    for k in range(deg, len(ints)):
-        c = ints[k]
-        if c:
-            for j, x in enumerate(table[k % m]):
-                if x:
-                    out[j] += c * x
-    return out
-
 def _make(order, num, den):
     """The element num/den of Q(zeta_order), brought to lowest terms:
     gcd(den, *num) = 1 with den > 0, so zero comes out as num all 0 over 1."""
@@ -132,6 +122,16 @@ def _convolve(a, b, e, rows, out):
                     for k, z in enumerate(rows[j % m]):
                         if z:
                             out[k] += y * z
+
+def _shift(a, e, m):
+    """a * zeta_m^e as an int tuple of length deg Phi_m, for an int
+    sequence a of any length read as a polynomial in zeta_m: _convolve
+    of 1 and a, which reduces a modulo Phi_m as it shifts it (1 first, so
+    the outer loop runs once)."""
+    rows = _TABLES.get(m) or _power_table(m)
+    out = [0] * len(rows[0])
+    _convolve((1,), a, e, rows, out)
+    return tuple(out)
 
 def product_sums(groups, m):
     """{key: the sum of c1 * c2 * zeta_m^e over the key's (c1, c2, e)
@@ -172,12 +172,9 @@ class CycloRational:
     def __init__(self, order, coeffs):
         coeffs = [Fraction(x) for x in coeffs]
         den = math.lcm(*(x.denominator for x in coeffs))
-        ints = [x.numerator * (den // x.denominator) for x in coeffs]
-        num = _reduce(ints, order)
-        g = math.gcd(den, *num)
-        self.order = order
-        self.num = tuple(x // g for x in num)
-        self.den = den // g
+        z = _make(order, _shift([x.numerator * (den // x.denominator) for x in coeffs],
+                                0, order), den)
+        self.order, self.num, self.den = order, z.num, z.den
 
     @property
     def coeffs(self):
@@ -216,7 +213,7 @@ class CycloRational:
         step = bigm // m
         spread = [0] * ((len(self.num) - 1) * step + 1)
         spread[::step] = self.num
-        return tuple(_reduce(spread, bigm))
+        return _shift(spread, 0, bigm)
 
     def _pair(self, other):
         """(order, numerators of self, numerators of other) at the lcm
@@ -285,19 +282,15 @@ class CycloRational:
         z = object.__new__(CycloRational)
         z.den = self.den
         if n == 1:
+            # one row, scaled: most shifts in verify are of rationals, and
+            # through _shift they cost verify-all wall_s 2 % (BENCH_24.json)
             k = self.num[0]
             row = (_TABLES.get(m) or _power_table(m))[e % m]
             z.order, z.num = m, (row if k == 1 else tuple(k * y for y in row))
             return z
         big = m if n == m else math.lcm(n, m)
-        rows = _TABLES.get(big) or _power_table(big)
-        out = [0] * len(rows[0])
-        for k, x in enumerate(self.num if n == big else self._lift(big), e * (big // m)):
-            if x:
-                for j, y in enumerate(rows[k % big]):
-                    if y:
-                        out[j] += x * y
-        z.order, z.num = big, tuple(out)
+        z.order = big
+        z.num = _shift(self.num if n == big else self._lift(big), e * (big // m), big)
         return z
 
     def is_zero(self):

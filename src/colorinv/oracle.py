@@ -459,7 +459,7 @@ def _random_homogeneous(shape, r, rng, terms=2):
     out = SymPolynomial.zero(shape)
     for _ in range(terms):
         mono = basis[rng.randrange(len(basis))]
-        c = CycloRational.from_rational(Fraction(rng.randint(-3, 3)))
+        c = CycloRational.from_rational(rng.randint(-3, 3))
         if c:
             out = out + SymPolynomial(shape, {mono: c})
     return out

@@ -284,8 +284,9 @@ def enumerate_sym_basis(shape, r, multidegree=None):
 
 def sym_dimension(shape, r):
     """dim S^r(W*) from the generating function
-    prod_even 1/(1-q) * prod_odd (1+q) over the variables."""
-    coeffs = [Fraction(1)] + [Fraction(0)] * r
+    prod_even 1/(1-q) * prod_odd (1+q) over the variables, counted in ints:
+    the series has integer coefficients."""
+    coeffs = [1] + [0] * r
     for odd in shape.numbering().parity:
         if odd:
             # multiply by (1 + q)
@@ -295,8 +296,7 @@ def sym_dimension(shape, r):
             # multiply by 1/(1-q): running partial sums
             for k in range(1, r + 1):
                 coeffs[k] += coeffs[k - 1]
-    assert coeffs[r].denominator == 1
-    return int(coeffs[r])
+    return coeffs[r]
 
 def symmetrize(shape, seq):
     """Image under the symmetrization e(r): the average over S_r of the

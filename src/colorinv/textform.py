@@ -13,6 +13,9 @@ variable order of their shape.  The grammar is deliberately small:
     tensor       (e) * e1 ox e2* + ...   '*' marks dual slots
     point file   one 'i: tensor' line per summand
 
+A scalar is read as the sum of its terms, each built from its ints by
+from_rational and times_root: reading text makes no Fraction.
+
 Algebra elements, polynomials and tensors are all '(c) * body + ...' sums,
 read by one term reader (_terms) and written by one term writer
 (_format_terms).  Malformed text raises ValueError, which the command line
@@ -26,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from fractions import Fraction
 from itertools import accumulate
 
 from .cyclo import CycloRational
@@ -38,12 +40,6 @@ from .traces import W0Point
 TENSOR_SEP = "ox"
 
 # ---------------------------------------------------------------- scalars
-
-def parse_fraction(text):
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text.strip())
 
 def format_cyclo(x):
     """Terms by ascending power of z; '0' for zero; rational part bare.
@@ -75,7 +71,7 @@ def parse_cyclo(text, order):
     s = s.replace("- ", "+ -").replace("+ ", "+")
     if s.startswith("+"):
         s = s[1:]
-    coeffs = [0] * order
+    total = CycloRational.zero()
     for raw in s.split("+"):
         raw = raw.strip()
         if not raw:
@@ -84,15 +80,17 @@ def parse_cyclo(text, order):
         if not m:
             raise ValueError("bad scalar term %r" % raw)
         if m.group("bare"):
-            body = m.group("bare")
-            coeff = -1 if body.startswith("-") else 1
-            powtext = body.lstrip("-")
+            powtext = m.group("bare").lstrip("-")
+            num, den = (-1 if raw.startswith("-") else 1), 1
         else:
-            coeff = parse_fraction(m.group("num"))
             powtext = m.group("pow") or ""
+            num, _, den = m.group("num").partition("/")
+            num, den = int(num), int(den or 1)
+            if not den:
+                raise ValueError("zero denominator in %r" % m.group("num"))
         k = int(powtext[2:] or 1) if powtext else 0    # 'z^k', 'z' or none
-        coeffs[k % order] += coeff
-    return CycloRational(order, coeffs)
+        total = total + CycloRational.from_rational(num, den).times_root(order, k)
+    return total
 
 # ------------------------------------------------ term reader and writer
 

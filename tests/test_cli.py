@@ -92,6 +92,23 @@ def test_list_rejects_max_degree_outside_bounds(capsys, monkeypatch):
     assert "positions N=%d" % cfg.max_n in out
 
 
+def test_max_n_above_the_ceiling_is_refused_on_load(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "huge.cfg"
+    text = (Path(__file__).parents[1] / "src/colorinv/configs/super.cfg").read_text()
+    path.write_text(text + "bounds.max_n = 200\n")
+    line = len(text.splitlines()) + 1
+
+    def refuse(shape, max_positions):
+        raise AssertionError("enumerated to N=%d" % max_positions)
+
+    monkeypatch.setattr("colorinv.cli.balanced_multiplicities", refuse)
+    for command in ("validate", "list"):
+        rc, out, err = run(capsys, command, "--config", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err == "error: %s:%d: bounds.max_n 200 exceeds the limit of 8\n" % (path, line)
+
+
 def test_picture_structured_output(capsys):
     rc, out, err = run(capsys, "picture", "--config", "builtin:super",
                        "--multiplicities", "2", "--sigma", "id")

@@ -3,6 +3,7 @@
 import pytest
 
 from colorinv.config import (
+    MAX_N,
     ConfigError,
     builtin_config,
     list_builtin_configs,
@@ -51,6 +52,13 @@ def test_bounds_have_defaults():
     cfg = parse_config_text(text, name="nobounds")
     assert cfg.truncation >= 1
     assert cfg.max_n >= 1
+
+
+def test_max_n_ceiling():
+    assert parse_config_text(GOOD.replace("max_n = 4", "max_n = %d" % MAX_N)).max_n == MAX_N
+    with pytest.raises(ConfigError, match=r"^ceiling:8: bounds.max_n %d exceeds the limit "
+                                          r"of %d$" % (MAX_N + 1, MAX_N)):
+        parse_config_text(GOOD.replace("max_n = 4", "max_n = %d" % (MAX_N + 1)), name="ceiling")
 
 
 def test_missing_section_reports_error():

@@ -1,12 +1,15 @@
-"""Finite abelian grading groups and their bicharacters."""
+"""Finite abelian grading groups and their bicharacters, and every
+verification suite on drawn gradings."""
 
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from colorinv import oracle
+from colorinv.config import parse_config_text
 from colorinv.cyclo import CycloRational
 from colorinv.groups import Bicharacter, FiniteAbelianGroup, validate_bicharacter
 
@@ -232,3 +235,31 @@ def test_matrix_checks_imply_bicharacter_axioms(case):
             for c in range(len(els)):
                 assert exp[ab][c] == (exp[a][c] + exp[b][c]) % m
                 assert exp[c][ab] == (exp[c][a] + exp[c][b]) % m
+
+
+# ------------------------------------------ every suite on drawn gradings
+
+DRAWN_SHAPES = ("[(1, 1)]", "[(2, 1), (1, 2)]", "[(1, 1), (1, 1)]")
+
+
+@given(case=factors_and_matrices(), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_every_suite_passes_on_drawn_gradings(case, data):
+    """A valid drawn bicharacter, at most three basis degrees in the fixed
+    order of G and one of DRAWN_SHAPES, written as config text with
+    bounds.max_n = 2: all ten suites pass.  A failure prints the text,
+    which `colorinv verify --config FILE` replays."""
+    factors, B = case
+    chi = Bicharacter(factors, B)
+    assume(not validate_bicharacter(chi))
+    order = chi.element_order()
+    positions = data.draw(st.lists(st.integers(0, len(order) - 1), min_size=1, max_size=3))
+    text = ("group.factors = %r\nbicharacter.expmat = %r\nspace.degrees = %r\n"
+            "shape.pairs = %s\nbounds.max_n = 2\n"
+            % (factors, B, [order[a] for a in sorted(positions)],
+               data.draw(st.sampled_from(DRAWN_SHAPES))))
+    cfg = parse_config_text(text, name="drawn")
+    failed = [line for name in oracle.SUITES
+              for line in oracle.suite(name, cfg, seed=0).render().splitlines()
+              if line.startswith("FAIL")]
+    assert not failed, "config text:\n%s%s" % (text, "\n".join(failed))

@@ -9,8 +9,10 @@ suite that starts failing on a fault it never saw, shows up here.
 
 import pytest
 
-from colorinv import cli, epsalgebra, oracle, permutations as perms, pictures, traces
+from colorinv import (cli, epsalgebra, oracle, permutations as perms, pictures, sympoly,
+                      tensors, traces)
 from colorinv.config import builtin_config
+from colorinv.cyclo import CycloRational
 from colorinv.tensors import GradedOperator
 
 
@@ -80,6 +82,44 @@ def odd_pair_eps(monkeypatch, cfg):
     table, half = cfg.chi.eps_table, cfg.chi.m // 2
     table[2][3] += half
     table[3][2] += half
+
+
+def dual_word_pairs_dropped(monkeypatch, cfg):
+    """Each SigmaPlan without the pairs of the dual-word normalization:
+    their counts are taken back out of the plan's terms."""
+    init = pictures.SigmaPlan.__init__
+
+    def dropped(plan, pshape, sigma):
+        init(plan, pshape, sigma)
+        counts = {(a, b): c for a, b, c in plan.terms}
+        signed = [[(p, 1) for p in lo] + [(p, -1) for p in up] for _, lo, up in plan.copies]
+        for c in range(len(signed)):
+            for cp in range(c + 1, len(signed)):
+                for a, sa in signed[cp]:
+                    for b, sb in signed[c]:
+                        counts[a, b] = counts.get((a, b), 0) - sa * sb
+        plan.terms = tuple((a, b, c % plan.m) for (a, b), c in counts.items() if c % plan.m)
+    monkeypatch.setattr(pictures.SigmaPlan, "__init__", dropped)
+
+
+def wrong_root(monkeypatch, cfg):
+    """The bicharacter's root table holding zeta^2 where zeta^1 belongs."""
+    cfg.chi._roots[1] = CycloRational.root(cfg.chi.m, 2)
+
+
+def gamma_off_by_one(monkeypatch, cfg):
+    """gamma off by one at a single (degree tuple, sigma), wherever the
+    library reads it."""
+    wrong_v = tuple(cfg.chi.position(g) for g in ((0, 1), (1, 0), (0, 0)))
+    real = tensors.gamma_exponent
+
+    def broken(chi, v, sigma):
+        e = real(chi, v, sigma)
+        if tuple(v) == wrong_v and tuple(sigma) == (2, 3, 1):
+            e = (e + 1) % chi.m
+        return e
+    for module in (tensors, sympoly, oracle):
+        monkeypatch.setattr(module, "gamma_exponent", broken)
 
 
 NOT_DEGREE_0 = ("ValueError: summand 1 term %s has coefficient of "
@@ -188,6 +228,29 @@ CATALOG = {
             "FAIL trace-cyclicity: 6 pairs failed"],
         "span": ["FAIL r=%d invariance multidegree %d: exception: %s"
                  % (r, r, NOT_DEGREE_0 % "(1, 2)") for r in (1, 2, 3)],
+    }),
+    "dual-word-pairs-dropped": ("z4", dual_word_pairs_dropped, {
+        "path-equality": [
+            "FAIL M=2 sigma=2,1: 1 of 3 points differ"],
+        "invariance": [
+            "FAIL M=2 sigma=2,1: 1 of 3 points differ"],
+        "span": [
+            "FAIL r=3 invariance multidegree 3: 18 transformed-point comparisons, 2 failed"],
+    }),
+    "wrong-root": ("z3z3", wrong_root, {
+        "jacobi": [
+            "FAIL bracket-antisymmetry: 6 pairs failed",
+            "FAIL color-jacobi: failed at units ((1, 1), (1, 2), (2, 3))",
+            "FAIL jacobi-homogeneous-sampled: 1 triples failed"],
+        "symalgebra": [
+            "FAIL symmetrize-projector: 1 words failed"],
+    }),
+    "gamma-off-by-one": ("z3z3", gamma_off_by_one, {
+        "cocycle": [
+            "FAIL cocycle-identity k=3: failed at "
+            "(((0, 0), (0, 1), (1, 0)), (3, 1, 2), (2, 3, 1))"],
+        "centralizer-commute": [
+            "FAIL psi-commutes k=3: 12 checks failed"],
     }),
 }
 

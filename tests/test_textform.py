@@ -26,7 +26,6 @@ from colorinv.textform import (
     format_variable,
     parse_cyclo,
     parse_eps,
-    parse_fraction,
     parse_point,
     parse_sym,
     parse_tensor,
@@ -36,18 +35,6 @@ from colorinv.textform import (
 )
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-
-
-@given(q=fractions)
-def test_fraction_round_trip(q):
-    assert parse_fraction(str(q)) == q
-
-
-def test_fraction_parse_errors():
-    with pytest.raises(ValueError):
-        parse_fraction("1/0")
-    with pytest.raises(ValueError):
-        parse_fraction("x")
 
 
 @given(data=st.data())

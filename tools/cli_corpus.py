@@ -26,7 +26,11 @@ every builtin configuration:
   the unbalanced M = (0, 2), an error, exit 2;
 * on super, `eval` of fixed hand-written poly and point files (`BAD_POLYS`,
   `BAD_POINTS`): one per message of the text parsers, and two well-formed
-  files whose terms repeat, cancel or vanish, in text and structured form.
+  files whose terms repeat, cancel or vanish, in text and structured form;
+* on z3z3 and z4, `eval` of each hand-written scalar of `SCALARS` as the
+  constant poly '(s) * 1' at the zero point, in text and structured form;
+* `validate` of a configuration file whose `bounds.max_n` is above
+  `config.MAX_N` (an error, exit 2).
 
 Each command's argument list, exit code, standard output and standard error
 go into one SHA-256, and so does the text of every generated file; the
@@ -109,6 +113,12 @@ GOOD_POINT = ("# comment\n\n1: ((1) * x1.x1 + (1/2) * x3.x4 + (1/2) * x4.x3 + (1
               " + ((1) * x3 + (-1) * x3 + (z) * x4.x1) * e1 ox e2* + ((2) * 1) * e2 ox e2*"
               " + ((-1) * 1) * e2 ox e2* + ((1) * x2.x1.x1.x2.x4 + (3) * x4) * e2 ox e1*")
 
+# Hand-written scalars reaching every branch of the scalar parser: bare
+# 'z', '-z^k' first and after ' - ', a leading '+', powers k >= m,
+# unreduced fractions, a repeated power, and terms that cancel.
+SCALARS = ("z", "-z^2", "+ 1/3*z^2", "3/6 - z^5 + 2*z^7", "1/2*z + z - 3/6*z + z^4",
+           "-6/4 + z^3 - z^0", "z - z")
+
 
 # name -> (configuration text, multiplicities of its picture commands).
 MIXED_CONFIGS = {
@@ -183,6 +193,12 @@ def commands(tmp):
             out.append(["verify"] + config + ["--suite", "all", "--seed", str(seed)])
     out.extend(_mixed(tmp))
     out.extend(_hand_written(tmp))
+    out.extend(_scalars(tmp))
+    path = os.path.join(tmp, "over-ceiling.cfg")
+    with open(path, "w") as fh:
+        fh.write("group.factors = [2]\nbicharacter.expmat = [[1]]\n"
+                 "space.degrees = [(0,), (1,)]\nshape.pairs = [(1, 1)]\nbounds.max_n = 200\n")
+    out.append(["validate", "--config", path])
     return out
 
 
@@ -224,6 +240,23 @@ def _hand_written(tmp):
             for i, text in enumerate(BAD_POINTS)]
     for fmt in ("text", "structured"):
         out.append(ev + ["--poly", good_poly, "--point", good_point, "--format", fmt])
+    return out
+
+
+def _scalars(tmp):
+    """eval on z3z3 and z4 of each of SCALARS as a constant poly."""
+    point = os.path.join(tmp, "zero.point")
+    with open(point, "w") as fh:
+        fh.write("1: 0\n")
+    out = []
+    for i, text in enumerate(SCALARS):
+        poly = os.path.join(tmp, "scalar-%d.poly" % i)
+        with open(poly, "w") as fh:
+            fh.write("(%s) * 1\n" % text)
+        for name in ("z3z3", "z4"):
+            for fmt in ("text", "structured"):
+                out.append(["eval", "--config", "builtin:" + name, "--poly", poly,
+                            "--point", point, "--format", fmt])
     return out
 
 
