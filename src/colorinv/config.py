@@ -39,6 +39,13 @@ MAX_GROUP_ORDER = 4096
 # The largest bounds.max_n: `list` enumerates balanced multiplicities and
 # cycle types up to it, and `picture` builds pictures up to it.
 MAX_N = 8
+# The most shape.pairs: `list` and the sigma-case suites run through every
+# multiplicity tuple of up to 2 * max_n copies over the summands, and
+# `list` takes about 1 s at this limit with max_n = 8.
+MAX_PAIRS = 6
+# The most variables, sum_i dim^(b_i + t_i): the first command that needs a
+# variable numbers them all.
+MAX_VARIABLES = 65536
 
 class ConfigError(ValueError):
     pass
@@ -136,6 +143,9 @@ def parse_config_text(text, name="<config>"):
     if not isinstance(raw_pairs, (list, tuple)) or not raw_pairs:
         raise ConfigError("%s:%d: shape.pairs must be a nonempty list of (b, t)"
                           % (name, lines["shape.pairs"]))
+    if len(raw_pairs) > MAX_PAIRS:
+        raise ConfigError("%s:%d: %d shape pairs exceed the limit of %d"
+                          % (name, lines["shape.pairs"], len(raw_pairs), MAX_PAIRS))
     pairs = []
     for p in raw_pairs:
         bt = _int_list(p, "shape.pairs entry")
@@ -143,6 +153,13 @@ def parse_config_text(text, name="<config>"):
             raise ConfigError("%s:%d: each shape pair needs b, t >= 0, not both 0"
                               % (name, lines["shape.pairs"]))
         pairs.append(tuple(bt))
+    # unless dim is 1, a power whose exponent passes the limit's bit length
+    # passes the limit, so capping the exponent there keeps every power small
+    cap = MAX_VARIABLES.bit_length()
+    if sum(space.dim ** min(b + t, cap) for b, t in pairs) > MAX_VARIABLES:
+        raise ConfigError("%s:%d: the shape's variables, the sum of dim^(b+t), "
+                          "exceed the limit of %d"
+                          % (name, lines["shape.pairs"], MAX_VARIABLES))
     try:
         shape = MixedShape(space, pairs)
     except ValueError as exc:

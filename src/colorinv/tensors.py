@@ -38,9 +38,10 @@ equality from epsalgebra.Terms, and an operator's G-degree is the Terms
 degree of the ones its entries ask for.  An operator never changes after
 construction, so that degree and its entries grouped by column
 (GradedOperator.columns) are computed on first use and kept.  compose,
-psi_derivation, apply_operator and tensor_product collect the (left,
-right) pairs of each output entry and multiply them in one
-epsalgebra.eps_sums call.
+color_bracket, psi_derivation, apply_operator and tensor_product collect
+the (left, right) pairs of each output entry and multiply them in one
+epsalgebra.eps_sums call; the bracket's sign eps(|x|, |y|) is a rotation
+of the left entries of its y x pairs, as the signs above are.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from fractions import Fraction
 
 from .epsalgebra import EpsElement, Terms, add_term, eps_sums, hop, words_of_degree
 from . import permutations as perms
-from .linalg import invert_fraction_matrix
+from .linalg import invert_fraction_matrix, rank_int
 
 PRIMAL, DUAL = 0, 1
 
@@ -388,13 +389,36 @@ def eta_action(g, t):
     return GradedTensor(t.space, t.alg, t.variance, out)
 
 def color_bracket(x, y):
-    """[x, y] = x y - eps(|x|, |y|) y x for homogeneous operators."""
+    """[x, y] = x y - eps(|x|, |y|) y x for homogeneous operators, in one
+    epsalgebra.eps_sums call: the pairs of x y are those compose collects,
+    and those of y x have each entry of y negated and rotated by
+    zeta_m^eps_exponent(|x|, |y|).  A word's `order` is the lcm of m and of
+    the operand orders that meet there (eps_product's rule), the order of
+    x.compose(y) - y.compose(x).scale(eps(|x|, |y|)) whenever every operand
+    order divides m."""
+    x._check(y)
     a = x.g_degree()
     b = y.g_degree()
     if a is None or b is None:
         raise ValueError("color bracket needs homogeneous operators")
-    e = x.space.chi.eps(a, b)
-    return x.compose(y) - y.compose(x).scale(e)
+    chi = x.space.chi
+    m, e = chi.m, chi.eps_table[a][b]
+    xcols = x.columns()
+    sums = {}
+    for (k, c), v in y.terms.items():
+        for i, u in xcols.get(k, ()):
+            sums.setdefault((i, c), []).append((u.terms, v.terms))
+    # the entries of -eps(|x|, |y|) y, each made when first met: turning
+    # all of y's columns up front took the jacobi suite 20 % longer
+    turned = {}
+    ycols = y.columns()
+    for (k, c), v in x.terms.items():
+        for i, u in ycols.get(k, ()):
+            t = turned.get((i, k))
+            if t is None:
+                t = turned[i, k] = {w: (-z).times_root(m, e) for w, z in u.terms.items()}
+            sums.setdefault((i, c), []).append((t, v.terms))
+    return x._like(eps_sums(x.alg, sums))
 
 def invert_operator(T):
     """Inverse of T = D + N with D the constant (empty word) part and N
@@ -428,19 +452,20 @@ def invert_operator(T):
 
 def random_gl_epsilon(space, alg, rng):
     """A random invertible degree preserving operator together with its
-    exact inverse.  The constant part is a random invertible rational
-    matrix supported on the degree blocks; the generator part puts random
-    short words of degree g_b - g_a into admissible entries."""
+    exact inverse.  The constant part is a random integer matrix supported
+    on the degree blocks, drawn again until linalg.rank_int finds it of full
+    rank, so invert_operator inverts it once; the generator part puts
+    random short words of degree g_b - g_a into admissible entries."""
     add, neg = space.chi.sum_table, space.chi.neg_table
     n = space.dim
     while True:
-        T = GradedOperator(space, alg,
-                           {(a, b): alg.scalar(rng.randint(-3, 3))
-                            for a in range(1, n + 1) for b in range(1, n + 1)
-                            if space.degree(a) == space.degree(b)})
-        if invert_fraction_matrix(T.constant_part()) is not None:
+        drawn = {(a, b): rng.randint(-3, 3)
+                 for a in range(1, n + 1) for b in range(1, n + 1)
+                 if space.degree(a) == space.degree(b)}
+        if rank_int([{b: k for (r, b), k in drawn.items() if r == a}
+                     for a in range(1, n + 1)]) == n:
             break
-    terms = dict(T.terms)
+    terms = {ab: alg.scalar(k) for ab, k in drawn.items() if k}
     maxlen = min(alg.truncation, 2)
     for a in range(1, n + 1):
         for b in range(1, n + 1):

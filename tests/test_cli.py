@@ -109,6 +109,32 @@ def test_max_n_above_the_ceiling_is_refused_on_load(capsys, monkeypatch, tmp_pat
         assert err == "error: %s:%d: bounds.max_n 200 exceeds the limit of 8\n" % (path, line)
 
 
+def test_unbounded_shapes_are_refused_on_load(capsys, monkeypatch, tmp_path):
+    """Over either shape limit, validate, list and verify exit 2 naming the
+    line and the limit; enumerating multiplicities or numbering variables
+    raises, so the refusal comes before any work."""
+    def refuse(*args):
+        raise AssertionError("work started on an over-limit shape")
+
+    monkeypatch.setattr("colorinv.cli.balanced_multiplicities", refuse)
+    monkeypatch.setattr("colorinv.sympoly.MixedShape.numbering", refuse)
+    head = ("group.factors = [2]\nbicharacter.expmat = [[1]]\n"
+            "space.degrees = [(0,), (1,)]\n")
+    cases = {"pairs": ("shape.pairs = %r\n" % ([(1, 1)] * 7),
+                       "7 shape pairs exceed the limit of 6"),
+             "variables": ("shape.pairs = [(10, 10)]\n",
+                           "the shape's variables, the sum of dim^(b+t), "
+                           "exceed the limit of 65536")}
+    for name, (line, message) in cases.items():
+        path = tmp_path / (name + ".cfg")
+        path.write_text(head + line)
+        for command in ("validate", "list", "verify"):
+            rc, out, err = run(capsys, command, "--config", str(path))
+            assert rc == 2
+            assert out == ""
+            assert err == "error: %s:4: %s\n" % (path, message)
+
+
 def test_picture_structured_output(capsys):
     rc, out, err = run(capsys, "picture", "--config", "builtin:super",
                        "--multiplicities", "2", "--sigma", "id")

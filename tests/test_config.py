@@ -4,6 +4,8 @@ import pytest
 
 from colorinv.config import (
     MAX_N,
+    MAX_PAIRS,
+    MAX_VARIABLES,
     ConfigError,
     builtin_config,
     list_builtin_configs,
@@ -59,6 +61,30 @@ def test_max_n_ceiling():
     with pytest.raises(ConfigError, match=r"^ceiling:8: bounds.max_n %d exceeds the limit "
                                           r"of %d$" % (MAX_N + 1, MAX_N)):
         parse_config_text(GOOD.replace("max_n = 4", "max_n = %d" % (MAX_N + 1)), name="ceiling")
+
+
+def test_shape_pairs_ceiling():
+    at_limit = GOOD.replace("[(1, 1), (2, 1)]", repr([(1, 1)] * MAX_PAIRS))
+    assert parse_config_text(at_limit).shape.s == MAX_PAIRS
+    over = GOOD.replace("[(1, 1), (2, 1)]", repr([(1, 1)] * (MAX_PAIRS + 1)))
+    with pytest.raises(ConfigError, match=r"^ceiling:6: %d shape pairs exceed the limit "
+                                          r"of %d$" % (MAX_PAIRS + 1, MAX_PAIRS)):
+        parse_config_text(over, name="ceiling")
+
+
+def test_shape_variable_ceiling():
+    """GOOD's space has dim 2, so one pair with b + t = log2(MAX_VARIABLES)
+    has exactly MAX_VARIABLES variables; one more summand is refused, and
+    so is a pair whose power is never built."""
+    k = MAX_VARIABLES.bit_length() - 1
+    assert 2 ** k == MAX_VARIABLES
+    at_limit = GOOD.replace("[(1, 1), (2, 1)]", repr([(k - 1, 1)]))
+    assert parse_config_text(at_limit).shape.pairs == ((k - 1, 1),)
+    message = (r"^ceiling:6: the shape's variables, the sum of dim\^\(b\+t\), exceed the "
+               r"limit of %d$" % MAX_VARIABLES)
+    for pairs in ([(k - 1, 1), (1, 0)], [(10 ** 12, 1)]):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(GOOD.replace("[(1, 1), (2, 1)]", repr(pairs)), name="ceiling")
 
 
 def test_missing_section_reports_error():

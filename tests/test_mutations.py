@@ -1,17 +1,18 @@
 """Mutation catalog: faults planted in the library, and the suites that
 catch them.
 
-Each entry plants one fault, runs every verification suite on one builtin
-at seed 0 with max_n=2, and checks that exactly the named suites FAIL, with
-the FAIL lines they print.  A suite that stops catching its fault, or a
-suite that starts failing on a fault it never saw, shows up here.
+Each entry plants one fault, runs every verification suite on one builtin,
+or on one configuration given as text, at seed 0 with max_n=2, and checks
+that exactly the named suites FAIL, with the FAIL lines they print.  A
+suite that stops catching its fault, or a suite that starts failing on a
+fault it never saw, shows up here.
 """
 
 import pytest
 
 from colorinv import (cli, epsalgebra, oracle, permutations as perms, pictures, sympoly,
                       tensors, traces)
-from colorinv.config import builtin_config
+from colorinv.config import builtin_config, parse_config_text
 from colorinv.cyclo import CycloRational
 from colorinv.tensors import GradedOperator
 
@@ -63,9 +64,9 @@ def compose_drops_row_1(monkeypatch, cfg):
 
 
 def sum_drops_last_pair(monkeypatch, cfg):
-    """A sum of eps products (eps_sums: operator products, psi_x, T.u,
-    end_compose, restitution) that loses its last pair whenever it has
-    more than one; a single product is left alone."""
+    """A sum of eps products (eps_sums: operator products, color brackets,
+    psi_x, T.u, end_compose, restitution) that loses its last pair whenever
+    it has more than one; a single product is left alone."""
     eps_product = epsalgebra.eps_product
     monkeypatch.setattr(epsalgebra, "eps_product", lambda pairs, *args: eps_product(
         pairs[:-1] if len(pairs) > 1 else pairs, *args))
@@ -107,6 +108,15 @@ def wrong_root(monkeypatch, cfg):
     cfg.chi._roots[1] = CycloRational.root(cfg.chi.m, 2)
 
 
+def eps_shifted_from_5(monkeypatch, cfg):
+    """Every eps table entry >= 5 shifted by 3 (mod m); it plants nothing
+    where m <= 5, so it runs on Z6Z6."""
+    table, m = cfg.chi.eps_table, cfg.chi.m
+    for a in range(cfg.chi.group.order):
+        row = table[a]
+        row[:] = [(x + 3) % m if x >= 5 else x for x in row]
+
+
 def gamma_off_by_one(monkeypatch, cfg):
     """gamma off by one at a single (degree tuple, sigma), wherever the
     library reads it."""
@@ -122,13 +132,22 @@ def gamma_off_by_one(monkeypatch, cfg):
         monkeypatch.setattr(module, "gamma_exponent", broken)
 
 
+# Z6 x Z6 with eps((1,0),(0,1)) = zeta_6: eps table entries reach 5, which
+# no builtin's do.
+Z6Z6 = """group.factors = [6, 6]
+bicharacter.expmat = [[0, 1], [5, 0]]
+space.degrees = [(0, 0), (0, 1), (1, 0)]
+shape.pairs = [(1, 1)]
+"""
+
 NOT_DEGREE_0 = ("ValueError: summand 1 term %s has coefficient of "
                 "degree != (0, 1); point is not degree 0")
 # the invariance suite's lines: drawing each M's points raises
 POINT_NOT_DEGREE_0 = ["FAIL M=%d: exception: %s" % (M, NOT_DEGREE_0 % term)
                       for M, term in ((1, "(1, 2)"), (2, "(2, 1)"))]
 
-# fault: (builtin, plant, {suite: its FAIL lines}); every other suite passes
+# fault: (builtin name or configuration text, plant, {suite: its FAIL
+# lines}); every other suite passes
 CATALOG = {
     "exponent-plus-one": ("z2z2", exponent_plus_one, {
         "path-equality": [
@@ -163,9 +182,6 @@ CATALOG = {
             "FAIL M=2 sigma=2,1: 2 of 3 points differ"],
     }),
     "compose-drops-row-1": ("z2z2", compose_drops_row_1, {
-        "jacobi": [
-            "FAIL color-jacobi: failed at units ((1, 1), (1, 2), (2, 1))",
-            "FAIL jacobi-homogeneous-sampled: 2 triples failed"],
         "invariance": [
             "FAIL M=1 sigma=1: 2 of 3 points differ",
             "FAIL M=2 sigma=2,1: 1 of 3 points differ"],
@@ -198,6 +214,8 @@ CATALOG = {
     }),
     "sum-drops-last-pair": ("trivial", sum_drops_last_pair, {
         "jacobi": [
+            "FAIL bracket-antisymmetry: 2 pairs failed",
+            "FAIL color-jacobi: failed at units ((1, 1), (1, 1), (1, 1))",
             "FAIL jacobi-homogeneous-sampled: 6 triples failed"],
         "path-equality": [
             "FAIL M=1 sigma=1: 2 of 3 points differ",
@@ -240,10 +258,29 @@ CATALOG = {
     "wrong-root": ("z3z3", wrong_root, {
         "jacobi": [
             "FAIL bracket-antisymmetry: 6 pairs failed",
-            "FAIL color-jacobi: failed at units ((1, 1), (1, 2), (2, 3))",
-            "FAIL jacobi-homogeneous-sampled: 1 triples failed"],
+            "FAIL color-jacobi: failed at units ((1, 1), (1, 2), (3, 1))"],
         "symalgebra": [
             "FAIL symmetrize-projector: 1 words failed"],
+    }),
+    "eps-shifted-from-5": (Z6Z6, eps_shifted_from_5, {
+        "cocycle": [
+            "FAIL action-functoriality: 5 triples failed",
+            "FAIL cocycle-identity k=2: failed at (((0, 1), (1, 0)), (2, 1), (2, 1))",
+            "FAIL cocycle-identity k=3: failed at "
+            "(((0, 0), (0, 1), (1, 0)), (1, 3, 2), (1, 3, 2))",
+            "FAIL cocycle-identity k=4: failed at "
+            "(((0, 0), (0, 0), (0, 1), (1, 0)), (1, 2, 4, 3), (1, 2, 4, 3))"],
+        "jacobi": [
+            "FAIL bracket-antisymmetry: 6 pairs failed",
+            "FAIL color-jacobi: failed at units ((1, 1), (1, 2), (2, 3))",
+            "FAIL jacobi-homogeneous-sampled: 1 triples failed"],
+        "centralizer-commute": [
+            "FAIL psi-commutes k=2: 8 checks failed",
+            "FAIL psi-commutes k=3: 162 checks failed"],
+        "symalgebra": [
+            "FAIL normalize-swap-relation: 6 swaps failed"],
+        "path-equality": [
+            "FAIL M=2 sigma=2,1: 1 of 3 points differ"],
     }),
     "gamma-off-by-one": ("z3z3", gamma_off_by_one, {
         "cocycle": [
@@ -261,8 +298,8 @@ def fail_lines(rpt):
 
 @pytest.mark.parametrize("fault", sorted(CATALOG))
 def test_fault_fails_exactly_its_suites(fault, monkeypatch):
-    builtin, plant, expected = CATALOG[fault]
-    cfg = builtin_config(builtin)
+    where, plant, expected = CATALOG[fault]
+    cfg = parse_config_text(where, name=fault) if "\n" in where else builtin_config(where)
     plant(monkeypatch, cfg)
     got = {}
     for name in oracle.SUITES:

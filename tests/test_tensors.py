@@ -212,6 +212,52 @@ def test_matrix_unit_color_commutator(cfgs, algebras):
             assert lhs == rhs, (name, a, b, c, d)
 
 
+def _random_homogeneous_operator(space, alg, rng, alpha):
+    """Entries of degree alpha + g_b - g_a with up to three words each,
+    about half of the admissible entries set."""
+    add, neg = space.chi.sum_table, space.chi.neg_table
+    terms = {}
+    for a in range(1, space.dim + 1):
+        for b in range(1, space.dim + 1):
+            if rng.random() < 0.5:
+                d = add[add[alpha][space.degree(b)]][neg[space.degree(a)]]
+                terms[(a, b)] = random_eps_of_degree(alg, d, rng, max_len=2, terms=3)
+    return GradedOperator(space, alg, terms)
+
+
+def _with_orders(op):
+    return {(ab, w): (c.order, c) for ab, x in op.terms.items() for w, c in x.terms.items()}
+
+
+def test_color_bracket_matches_two_products(cfgs, z12z12):
+    """The one-sum bracket equals x y - eps(|x|, |y|) y x made from compose,
+    scale and subtraction, `order` included, on multi-word entries."""
+    for cfg in list(cfgs.values()) + [z12z12]:
+        alg = standard_test_algebra(cfg.chi)
+        chi = cfg.chi
+        rng = random.Random("bracket/%s" % cfg.name)
+        for _ in range(6):
+            a, b = rng.randrange(chi.group.order), rng.randrange(chi.group.order)
+            x = _random_homogeneous_operator(cfg.space, alg, rng, a)
+            y = _random_homogeneous_operator(cfg.space, alg, rng, b)
+            got = color_bracket(x, y)
+            want = x.compose(y) - y.compose(x).scale(chi.eps(a, b))
+            assert got == want, cfg.name
+            assert _with_orders(got) == _with_orders(want), cfg.name
+
+
+def test_color_bracket_refuses_operators_over_two_places(cfgs, algebras):
+    cfg, alg = cfgs["z2z2"], algebras["z2z2"]
+    x = GradedOperator.matrix_unit(cfg.space, alg, 1, 2)
+    for y in (GradedOperator.matrix_unit(cfg.space, standard_test_algebra(cfg.chi, 2), 2, 1),
+              GradedOperator.matrix_unit(GradedSpace(cfg.chi, cfg.space.degrees[:-1]),
+                                         alg, 2, 1)):
+        for args in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="^GradedOperator operands live in "
+                                                 "different places$"):
+                color_bracket(*args)
+
+
 def test_eta_action_is_multiplicative(cfgs, algebras):
     cfg, alg = cfgs["z2z2"], algebras["z2z2"]
     chi = cfg.chi

@@ -30,7 +30,9 @@ every builtin configuration:
 * on z3z3 and z4, `eval` of each hand-written scalar of `SCALARS` as the
   constant poly '(s) * 1' at the zero point, in text and structured form;
 * `validate` of a configuration file whose `bounds.max_n` is above
-  `config.MAX_N` (an error, exit 2).
+  `config.MAX_N`, of one with more `shape.pairs` than `config.MAX_PAIRS`
+  and of one with more variables than `config.MAX_VARIABLES` (`OVER_LIMITS`;
+  each an error, exit 2).
 
 Each command's argument list, exit code, standard output and standard error
 go into one SHA-256, and so does the text of every generated file; the
@@ -120,6 +122,13 @@ SCALARS = ("z", "-z^2", "+ 1/3*z^2", "3/6 - z^5 + 2*z^7", "1/2*z + z - 3/6*z + z
            "-6/4 + z^3 - z^0", "z - z")
 
 
+# name -> configuration text over one load limit.
+OVER_LIMITS = {
+    "over-ceiling.cfg": "shape.pairs = [(1, 1)]\nbounds.max_n = 200\n",
+    "over-pairs.cfg": "shape.pairs = [%s]\n" % ", ".join(["(1, 1)"] * 7),
+    "over-variables.cfg": "shape.pairs = [(10, 10)]\n",
+}
+
 # name -> (configuration text, multiplicities of its picture commands).
 MIXED_CONFIGS = {
     "z2z2-mixed.cfg": ("group.factors = [2, 2]\nbicharacter.expmat = [[1, 1], [1, 1]]\n"
@@ -194,11 +203,12 @@ def commands(tmp):
     out.extend(_mixed(tmp))
     out.extend(_hand_written(tmp))
     out.extend(_scalars(tmp))
-    path = os.path.join(tmp, "over-ceiling.cfg")
-    with open(path, "w") as fh:
-        fh.write("group.factors = [2]\nbicharacter.expmat = [[1]]\n"
-                 "space.degrees = [(0,), (1,)]\nshape.pairs = [(1, 1)]\nbounds.max_n = 200\n")
-    out.append(["validate", "--config", path])
+    for fname, text in OVER_LIMITS.items():
+        path = os.path.join(tmp, fname)
+        with open(path, "w") as fh:
+            fh.write("group.factors = [2]\nbicharacter.expmat = [[1]]\n"
+                     "space.degrees = [(0,), (1,)]\n" + text)
+        out.append(["validate", "--config", path])
     return out
 
 
