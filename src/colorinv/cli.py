@@ -7,10 +7,11 @@ canonical text formats, so everything printed here parses back."""
 
 import argparse
 import functools
+import re
 import sys
 
 from . import permutations as perms
-from .config import ConfigError, list_builtin_configs, resolve_config
+from .config import MAX_TUPLES, ConfigError, list_builtin_configs, resolve_config
 from .oracle import SUITES, balanced_multiplicities, suite
 from .pictures import PictureShape, build_phi
 from .sampling import standard_test_algebra
@@ -25,6 +26,12 @@ def _parse_mults(text, shape):
         raise ValueError("expected %d multiplicities (one per summand), got %d"
                          % (shape.s, len(mults)))
     return mults
+
+def _check_positions(n, cfg):
+    """Refuse n tensor positions above the config's bounds.max_n."""
+    if n > cfg.max_n:
+        raise ValueError("N=%d tensor positions exceed bounds.max_n=%d of %s"
+                         % (n, cfg.max_n, cfg.name))
 
 def _print_value(args, value, structured, text):
     """Print value as JSON (--format structured) or in its text form."""
@@ -73,9 +80,12 @@ def cmd_picture(args):
     cfg = resolve_config(args.config)
     mults = _parse_mults(args.multiplicities, cfg.shape)
     pshape = PictureShape(cfg.shape, mults)
-    if pshape.N > cfg.max_n:
-        raise ValueError("N=%d tensor positions exceed bounds.max_n=%d of %s"
-                         % (pshape.N, cfg.max_n, cfg.name))
+    _check_positions(pshape.N, cfg)
+    tuples = cfg.space.dim ** pshape.N
+    if tuples > MAX_TUPLES:
+        raise ValueError("N=%d tensor positions on a space of dim %d give %d index "
+                         "tuples, above the limit of %d"
+                         % (pshape.N, cfg.space.dim, tuples, MAX_TUPLES))
     pshape.require_balanced()
     sigma = perms.parse_perm(args.sigma, k=pshape.N)
     phi = build_phi(pshape, sigma)
@@ -97,10 +107,14 @@ def cmd_trace(args):
         point = parse_point(fh.read(), cfg.shape, alg)
     assign = None
     if args.assign:
-        assign = [int(x) for x in args.assign.replace(",", " ").split()]
-    if assign is not None:
+        entries = args.assign.replace(",", " ").split()
+        _check_positions(len(entries), cfg)
+        assign = [int(x) for x in entries]
         sigma = perms.parse_perm(args.sigma, k=len(assign))
     else:
+        # without --assign sigma lies in S_K, K its largest entry: refused
+        # by that entry before S_K is built
+        _check_positions(max(map(int, re.findall(r"\d+", args.sigma)), default=0), cfg)
         sigma = perms.parse_perm(args.sigma)
     value = trace_monomial(list(point.parts), perms.cycles(sigma), assign)
     _print_value(args, value, structured_eps, format_eps)
@@ -206,6 +220,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # argparse before Python 3.12 reads "--sigma=--" as an empty list
+        for key, value in vars(args).items():
+            if value == []:
+                raise ValueError("--%s needs a value" % key.replace("_", "-"))
         return args.func(args)
     except (ConfigError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -46,6 +46,9 @@ MAX_PAIRS = 6
 # The most variables, sum_i dim^(b_i + t_i): the first command that needs a
 # variable numbers them all.
 MAX_VARIABLES = 65536
+# The most index tuples, dim^N, that `picture` visits for N positions:
+# every builtin pictures up to N = 8 (3^8 = 6,561 tuples).
+MAX_TUPLES = 2 ** 16
 
 class ConfigError(ValueError):
     pass
@@ -160,6 +163,12 @@ def parse_config_text(text, name="<config>"):
         raise ConfigError("%s:%d: the shape's variables, the sum of dim^(b+t), "
                           "exceed the limit of %d"
                           % (name, lines["shape.pairs"], MAX_VARIABLES))
+    # a pair with b or t above max_n <= MAX_N is in no picture, and on a
+    # one-dimensional space the count above is 1 whatever b + t is
+    longest = max(b + t for b, t in pairs)
+    if longest > 2 * MAX_N:
+        raise ConfigError("%s:%d: a shape pair with b + t = %d exceeds the limit of %d"
+                          % (name, lines["shape.pairs"], longest, 2 * MAX_N))
     try:
         shape = MixedShape(space, pairs)
     except ValueError as exc:

@@ -15,7 +15,9 @@ over den 1.  Phi_m is monic, so x^k mod Phi_m has integer coefficients: a
 per-order table of those rows, the module's one cache, reduces products
 and lifts without leaving the integers.  Sums, products, lifts and
 equality build no Fraction; only the constructor, `from_rational` of a
-non-int, `coeffs` and `as_fraction` do.  textform.format_cyclo prints.
+non-int, `coeffs` and the coercion of a Fraction do.  With
+epsalgebra.SCALARS they are the package's only Fraction: below them a
+rational is read as `num` over `den`.  textform.format_cyclo prints.
 
 Elements of different orders are compared and combined by lifting both to
 the lcm order via zeta_m = zeta_M^(M/m).  A result keeps that lcm as its
@@ -316,14 +318,6 @@ class CycloRational:
     # equal values can live at different stored orders, so no consistent
     # cheap hash exists; elements are used as dict values, never keys
     __hash__ = None
-
-    def is_rational(self):
-        return not any(self.num[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("%s is not rational" % self)
-        return Fraction(self.num[0], self.den)
 
     def __str__(self):
         from . import textform

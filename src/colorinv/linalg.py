@@ -1,11 +1,11 @@
-"""Exact linear algebra, with no floating point: the rank of an integer
-matrix given as sparse rows, and the inverse of a matrix over Q by
-Gauss-Jordan.
+"""Exact linear algebra over the integers, with no floating point and no
+Fraction: the rank of an integer matrix given as sparse rows, and the
+inverse of a square integer matrix as integer numerators over one
+denominator, by fraction-free Gauss-Jordan.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 import math
 
 def rank_int(rows):
@@ -36,24 +36,27 @@ def rank_int(rows):
                     del r[c]
     return len(pivots)
 
-def invert_fraction_matrix(rows):
-    """Exact inverse of a square matrix over Q, or None if singular."""
+def inverse_int(rows):
+    """Exact inverse of a square integer matrix (lists of ints) as
+    (numerators, den) with den > 0, or None if it is singular.
+    Fraction-free Gauss-Jordan (Bareiss) on [rows | I]: each step turns
+    every other row r into (p*r - r[k]*pivot row) / previous pivot, an
+    exact division, and ends with the last pivot p times I on the left, so
+    the right block is p times the inverse.  p is the determinant only up
+    to the sign of the row swaps, so the inverse is returned over |p|."""
     n = len(rows)
-    M = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col]:
-                piv = r
-                break
+    M = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
         if piv is None:
             return None
-        M[col], M[piv] = M[piv], M[col]
-        p = M[col][col]
-        M[col] = [x / p for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                t = M[r][col]
-                M[r] = [a - t * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+        M[k], M[piv] = M[piv], M[k]
+        pk, top = M[k][k], M[k]
+        for i, row in enumerate(M):
+            if i != k:
+                t = row[k]
+                M[i] = [(pk * x - t * y) // prev for x, y in zip(row, top)]
+        prev = pk
+    sign = -1 if prev < 0 else 1
+    return [[sign * x for x in row[n:]] for row in M], abs(prev)

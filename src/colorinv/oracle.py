@@ -13,7 +13,6 @@ details carry counts and counterexamples but never timing or ids.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import itertools
 import math
 import random
@@ -189,16 +188,15 @@ def classical_invariant_dim(shape, r):
     return sum(_invariant_block_dim(shape, M, r) for M in _compositions(r, shape.s))
 
 def _phi_rank_block(shape, M):
-    """Rank over the rationals of the picture invariants of multiplicity M,
-    one sparse row per sigma keyed by monomial.  Each row is scaled by the
-    lcm of its own denominators, which leaves the rank unchanged."""
+    """Rank over Q of the picture invariants of multiplicity M: one row per
+    sigma keyed by monomial, each rational c.num[0] / c.den (the grading is
+    trivial) scaled by the lcm of its row's dens, which keeps the rank."""
     pshape = PictureShape(shape, M)
     rows = []
     for sigma in perms.all_perms(pshape.N):
         terms = build_phi(pshape, sigma).poly.terms
-        row = {mono: c.as_fraction() for mono, c in terms.items()}
-        scale = math.lcm(*(x.denominator for x in row.values()))
-        rows.append({mono: int(x * scale) for mono, x in row.items()})
+        scale = math.lcm(*(c.den for c in terms.values()))
+        rows.append({mono: c.num[0] * (scale // c.den) for mono, c in terms.items()})
     return rank_int(rows)
 
 def span_check(shape, r, seed=0):
@@ -396,7 +394,7 @@ def _suite_jacobi(cfg, rpt, seed, **_):
                     for b in range(1, n + 1):
                         if add[space.degree(a)][neg[space.degree(b)]] == g:
                             T = T + GradedOperator.matrix_unit(
-                                space, alg, a, b, Fraction(rng.randint(-3, 3)))
+                                space, alg, a, b, rng.randint(-3, 3))
                 ops.append((T, g))
             (x, gx), (y, gy), (z, gz) = ops
             s = color_bracket(x, color_bracket(y, z)).scale(chi.eps(gz, gx))

@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclo import as_cyclo
+from .cyclo import CycloRational, as_cyclo
 from .epsalgebra import SCALARS, Terms, eps_product, eps_sort, sorted_words
 from . import permutations as perms
 from .tensors import PRIMAL, DUAL, gamma_exponent
@@ -311,4 +310,4 @@ def symmetrize(shape, seq):
         e = gamma_exponent(chi, degs, sigma)
         word = perms.act_tuple(sigma, tuple(seq))
         out = out + SymPolynomial.from_word(shape, word, chi.root(e))
-    return out.scale(Fraction(1, math.factorial(r)))
+    return out.scale(CycloRational.from_rational(1, math.factorial(r)))

@@ -46,11 +46,12 @@ of the left entries of its y x pairs, as the signs above are.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
+from .cyclo import CycloRational
 from .epsalgebra import EpsElement, Terms, add_term, eps_sums, hop, words_of_degree
 from . import permutations as perms
-from .linalg import invert_fraction_matrix, rank_int
+from .linalg import inverse_int
 
 PRIMAL, DUAL = 0, 1
 
@@ -287,15 +288,6 @@ class GradedOperator(Terms):
             self._degree = self._single_degree(alphas)
         return self._degree
 
-    def constant_part(self):
-        """The dense matrix of empty-word coefficients, as Fractions; raises
-        if a constant coefficient is irrational."""
-        n = self.space.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for (a, b), x in self.terms.items():
-            out[a - 1][b - 1] = x.constant_part().as_fraction()
-        return out
-
 def dual_action_columns(opinv):
     """Columns of the induced action on dual slots: with S = T^{-1}, e_c*
     goes to sum_a e_a* unhop(S_ca, g_a).  Returned as {c: [(a, entry),
@@ -422,17 +414,26 @@ def color_bracket(x, y):
 
 def invert_operator(T):
     """Inverse of T = D + N with D the constant (empty word) part and N
-    strictly generator supported: D is inverted exactly over Q and the
-    rest comes from the finite Neumann series, which terminates because N
-    is nilpotent under truncation."""
-    space, alg = T.space, T.alg
-    D = T.constant_part()
-    Dinv = invert_fraction_matrix(D)
-    if Dinv is None:
+    strictly generator supported: D, whose entries must be rational, is
+    read as integers over the lcm of their denominators and inverted
+    exactly by linalg.inverse_int, and the rest comes from the finite
+    Neumann series, which terminates because N is nilpotent under
+    truncation."""
+    space, alg, n = T.space, T.alg, T.space.dim
+    consts = {ab: x.constant_part() for ab, x in T.terms.items()}
+    if any(any(c.num[1:]) for c in consts.values()):
+        raise ValueError("constant part of the operator is not rational")
+    den = math.lcm(*(c.den for c in consts.values()))
+    D = [[0] * n for _ in range(n)]
+    for (a, b), c in consts.items():
+        D[a - 1][b - 1] = c.num[0] * (den // c.den)
+    inverse = inverse_int(D)
+    if inverse is None:
         raise ValueError("constant part of the operator is singular")
+    num, d = inverse  # (D / den)^-1 = den * num / d
     Dinv_op = GradedOperator(space, alg,
-                             {(a, b): alg.scalar(x)
-                              for a, row in enumerate(Dinv, start=1)
+                             {(a, b): alg.scalar(CycloRational.from_rational(x * den, d))
+                              for a, row in enumerate(num, start=1)
                               for b, x in enumerate(row, start=1)})
     N = GradedOperator(space, alg,
                        {ab: x.proper_part() for ab, x in T.terms.items()})
@@ -453,17 +454,17 @@ def invert_operator(T):
 def random_gl_epsilon(space, alg, rng):
     """A random invertible degree preserving operator together with its
     exact inverse.  The constant part is a random integer matrix supported
-    on the degree blocks, drawn again until linalg.rank_int finds it of full
-    rank, so invert_operator inverts it once; the generator part puts
-    random short words of degree g_b - g_a into admissible entries."""
+    on the degree blocks, drawn again until linalg.inverse_int finds it
+    invertible; the generator part puts random short words of degree
+    g_b - g_a into admissible entries."""
     add, neg = space.chi.sum_table, space.chi.neg_table
     n = space.dim
     while True:
         drawn = {(a, b): rng.randint(-3, 3)
                  for a in range(1, n + 1) for b in range(1, n + 1)
                  if space.degree(a) == space.degree(b)}
-        if rank_int([{b: k for (r, b), k in drawn.items() if r == a}
-                     for a in range(1, n + 1)]) == n:
+        if inverse_int([[drawn.get((a, b), 0) for b in range(1, n + 1)]
+                        for a in range(1, n + 1)]) is not None:
             break
     terms = {ab: alg.scalar(k) for ab, k in drawn.items() if k}
     maxlen = min(alg.truncation, 2)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from colorinv.cli import main
-from colorinv.config import builtin_config
+from colorinv.config import MAX_TUPLES, builtin_config
 from colorinv.pictures import PictureShape, build_phi
 from colorinv.sampling import random_w0_point, standard_test_algebra
 from colorinv.textform import (format_eps, format_point, format_sym,
@@ -110,29 +110,82 @@ def test_max_n_above_the_ceiling_is_refused_on_load(capsys, monkeypatch, tmp_pat
 
 
 def test_unbounded_shapes_are_refused_on_load(capsys, monkeypatch, tmp_path):
-    """Over either shape limit, validate, list and verify exit 2 naming the
-    line and the limit; enumerating multiplicities or numbering variables
-    raises, so the refusal comes before any work."""
+    """Over any shape limit, validate, list and verify exit 2 naming the
+    line and the limit; building the shape, enumerating multiplicities or
+    numbering variables raises, so the refusal comes before any work."""
     def refuse(*args):
         raise AssertionError("work started on an over-limit shape")
 
     monkeypatch.setattr("colorinv.cli.balanced_multiplicities", refuse)
     monkeypatch.setattr("colorinv.sympoly.MixedShape.numbering", refuse)
-    head = ("group.factors = [2]\nbicharacter.expmat = [[1]]\n"
-            "space.degrees = [(0,), (1,)]\n")
-    cases = {"pairs": ("shape.pairs = %r\n" % ([(1, 1)] * 7),
+    monkeypatch.setattr("colorinv.sympoly.MixedShape.__init__", refuse)
+    head = "group.factors = [2]\nbicharacter.expmat = [[1]]\n"
+    plane, line_ = "space.degrees = [(0,), (1,)]\n", "space.degrees = [(0,)]\n"
+    cases = {"pairs": (plane, "shape.pairs = %r\n" % ([(1, 1)] * 7),
                        "7 shape pairs exceed the limit of 6"),
-             "variables": ("shape.pairs = [(10, 10)]\n",
+             "variables": (plane, "shape.pairs = [(10, 10)]\n",
                            "the shape's variables, the sum of dim^(b+t), "
-                           "exceed the limit of 65536")}
-    for name, (line, message) in cases.items():
+                           "exceed the limit of 65536"),
+             "long-pair": (line_, "shape.pairs = [(1000000, 1)]\n",
+                           "a shape pair with b + t = 1000001 exceeds the "
+                           "limit of 16")}
+    for name, (degrees, line, message) in cases.items():
         path = tmp_path / (name + ".cfg")
-        path.write_text(head + line)
+        path.write_text(head + degrees + line)
         for command in ("validate", "list", "verify"):
             rc, out, err = run(capsys, command, "--config", str(path))
             assert rc == 2
             assert out == ""
             assert err == "error: %s:4: %s\n" % (path, message)
+
+
+def test_picture_refuses_too_many_index_tuples(capsys, monkeypatch, tmp_path):
+    """A picture visits dim^N index tuples: on a trivially graded space of
+    dim 8, N = 5 is within MAX_TUPLES and N = 6 is refused with exit 2
+    before the picture is built."""
+    path = tmp_path / "dim8.cfg"
+    path.write_text("group.factors = [1]\nbicharacter.expmat = [[0]]\n"
+                    "space.degrees = %r\nshape.pairs = [(1, 1)]\n"
+                    "bounds.max_n = 8\n" % ([(0,)] * 8))
+    assert 8 ** 5 <= MAX_TUPLES < 8 ** 6
+
+    def refuse(*args):
+        raise AssertionError("picture built over the tuple limit")
+    monkeypatch.setattr("colorinv.cli.build_phi", refuse)
+    rc, out, err = run(capsys, "picture", "--config", str(path),
+                       "--multiplicities", "6", "--sigma", "id")
+    assert (rc, out) == (2, "")
+    assert err == ("error: N=6 tensor positions on a space of dim 8 give 262144 "
+                   "index tuples, above the limit of %d\n" % MAX_TUPLES)
+    with pytest.raises(AssertionError, match="over the tuple limit"):
+        run(capsys, "picture", "--config", str(path), "--multiplicities", "5",
+            "--sigma", "id")
+
+
+def test_trace_refuses_more_positions_than_max_n(capsys, monkeypatch, tmp_path):
+    """A sigma without --assign lies in S_K, K its largest entry, and an
+    --assign names N positions: above bounds.max_n (5 on super) either is
+    refused with exit 2 before sigma is parsed or the trace taken."""
+    cfg = builtin_config("super")
+    point = random_w0_point(cfg.shape, standard_test_algebra(cfg.chi),
+                            random.Random("cli-positions"))
+    point_file = tmp_path / "point.txt"
+    point_file.write_text(format_point(point))
+    trace = ("trace", "--config", "builtin:super", "--point", str(point_file))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started over bounds.max_n")
+    monkeypatch.setattr("colorinv.permutations.parse_perm", refuse)
+    monkeypatch.setattr("colorinv.permutations.from_cycles", refuse)
+    monkeypatch.setattr("colorinv.cli.trace_monomial", refuse)
+    for extra, n in ((("--sigma", "(1 1000000)"), 1000000),
+                     (("--sigma", "(1 10000000000)(2 3)"), 10000000000),
+                     (("--sigma", "1,2,3,4,5,6"), 6),
+                     (("--sigma", "(1 2)", "--assign", "1,1,1,1,1,1"), 6)):
+        rc, out, err = run(capsys, *trace, *extra)
+        assert (rc, out) == (2, ""), extra
+        assert err == ("error: N=%d tensor positions exceed bounds.max_n=5 of "
+                       "builtin:super\n" % n)
 
 
 def test_picture_structured_output(capsys):
@@ -152,6 +205,12 @@ def test_picture_rejects_bad_sigma(capsys):
                        "--multiplicities", "2", "--sigma", "[1,1]")
     assert rc == 2
     assert err.startswith("error:")
+    # argparse before Python 3.12 reads "--sigma=--" as an empty list,
+    # refused as a missing value; later versions pass "--" on to the parser
+    rc, out, err = run(capsys, "picture", "--config", "builtin:super",
+                       "--multiplicities", "2", "--sigma=--")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_picture_rejects_wrong_multiplicity_count(capsys):

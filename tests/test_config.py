@@ -87,6 +87,21 @@ def test_shape_variable_ceiling():
             parse_config_text(GOOD.replace("[(1, 1), (2, 1)]", repr(pairs)), name="ceiling")
 
 
+def test_shape_pair_length_ceiling():
+    """On a one-dimensional space every pair has one variable, so the
+    variable count cannot refuse a long pair; b + t above 2 * MAX_N is
+    refused on its own, naming the line and the limit."""
+    line = GOOD.replace("space.degrees = [(0,), (1,)]", "space.degrees = [(0,)]")
+    at_limit = line.replace("[(1, 1), (2, 1)]", repr([(2 * MAX_N - 1, 1)]))
+    assert parse_config_text(at_limit).shape.pairs == ((2 * MAX_N - 1, 1),)
+    for pairs in ([(2 * MAX_N, 1)], [(1, 1), (0, 2 * MAX_N + 1)], [(10 ** 6, 1)]):
+        longest = max(b + t for b, t in pairs)
+        with pytest.raises(ConfigError, match=r"^ceiling:6: a shape pair with b \+ t = %d "
+                                              r"exceeds the limit of %d$"
+                                              % (longest, 2 * MAX_N)):
+            parse_config_text(line.replace("[(1, 1), (2, 1)]", repr(pairs)), name="ceiling")
+
+
 def test_missing_section_reports_error():
     text = "group.factors = [2]\nbicharacter.expmat = [[1]]\n"
     with pytest.raises(ConfigError):

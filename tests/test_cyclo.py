@@ -1,10 +1,13 @@
 """Exact cyclotomic arithmetic: reduction, ring axioms, roots, lifts."""
 
+import ast
 from fractions import Fraction
+import pathlib
 
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import colorinv
 from colorinv.cyclo import CycloRational, as_cyclo, cyclotomic_poly
 
 ORDERS = (1, 2, 3, 4, 6, 8, 12)
@@ -64,19 +67,19 @@ def test_roots_sum_to_zero():
 
 def test_known_root_values():
     assert CycloRational.root(1, 0) == CycloRational.one()
-    assert CycloRational.root(2, 1).as_fraction() == Fraction(-1)
+    assert CycloRational.root(2, 1).coeffs == (Fraction(-1),)
     assert CycloRational.root(4, 2) == CycloRational.from_rational(Fraction(-1))
     assert CycloRational.root(6, 3) == CycloRational.from_rational(Fraction(-1))
     i = CycloRational.root(4, 1)
     assert i * i == CycloRational.from_rational(Fraction(-1))
-    assert not i.is_rational()
+    assert i.coeffs == (0, 1)
 
 
 @given(q=fractions)
 def test_rational_embedding_round_trip(q):
     x = CycloRational.from_rational(q)
-    assert x.is_rational()
-    assert x.as_fraction() == q
+    assert x.order == 1
+    assert x.coeffs == (q,)
 
 
 @given(q=fractions, k=st.integers(1, 6))
@@ -91,9 +94,9 @@ def test_rational_from_numerator_and_denominator(q, k):
 @given(p=fractions, q=fractions)
 def test_rational_arithmetic_matches_fractions(p, q):
     xp, xq = CycloRational.from_rational(p), CycloRational.from_rational(q)
-    assert (xp + xq).as_fraction() == p + q
-    assert (xp * xq).as_fraction() == p * q
-    assert (xp - xq).as_fraction() == p - q
+    assert (xp + xq).coeffs == (p + q,)
+    assert (xp * xq).coeffs == (p * q,)
+    assert (xp - xq).coeffs == (p - q,)
 
 
 @given(a=elements(4))
@@ -226,3 +229,25 @@ def test_cyclotomic_polynomial_matches_sympy_at_larger_orders():
     for m in (30, 36, 60, 64, 81, 100, 105, 120, 210):
         theirs = sympy.Poly(sympy.cyclotomic_poly(m, X), X).all_coeffs()
         assert cyclotomic_poly(m) == tuple(int(c) for c in reversed(theirs))
+
+
+# ------------------------------------------------ the scalar boundary
+
+def test_only_the_scalar_boundary_imports_fractions():
+    """Below the scalar boundary a rational is integer numerators over one
+    denominator; Fraction is taken and shown only where the public API
+    does, in cyclo (constructor, from_rational, coeffs, coercion) and in
+    epsalgebra.SCALARS.  Every module of the package is parsed, and any
+    other one that imports from `fractions` fails the test."""
+    importers = set()
+    for path in sorted(pathlib.Path(colorinv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(n == "fractions" or n.startswith("fractions.") for n in names):
+                importers.add(path.name)
+    assert importers == {"cyclo.py", "epsalgebra.py"}

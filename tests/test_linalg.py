@@ -1,11 +1,12 @@
-"""Exact rank over sparse integer rows, and exact inversion over Q."""
+"""Exact rank over sparse integer rows, and the exact inverse of an integer
+matrix as integer numerators over one denominator."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from colorinv.groups import Bicharacter
-from colorinv.linalg import invert_fraction_matrix, rank_int
+from colorinv.linalg import inverse_int, rank_int
 from colorinv.oracle import span_check
 from colorinv.sympoly import MixedShape
 from colorinv.tensors import GradedSpace
@@ -73,15 +74,57 @@ def test_rank_of_no_rows_and_of_zero_rows():
     assert rank_int(iter([{3: 0, 5: 7}, {}])) == 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.lists(
-    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_inverse_round_trip(mat):
+def gauss_jordan_inverse(mat):
+    """Referee: the inverse over Fraction by Gauss-Jordan on [mat | I], or
+    None if mat is singular."""
     n = len(mat)
-    inv = invert_fraction_matrix(mat)
+    M = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col]), None)
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        M[col] = [x / M[col][col] for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col]:
+                t = M[r][col]
+                M[r] = [a - t * b for a, b in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
+@st.composite
+def square_matrices(draw):
+    """Square int matrices of size 0-4, a third of them with a row that is
+    a multiple of another, so singular ones are common."""
+    n = draw(st.integers(0, 4))
+    mat = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                        min_size=n, max_size=n))
+    if n >= 2 and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        mat[i] = [draw(st.integers(-2, 2)) * x for x in mat[j]]
+    return mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_inverse_round_trip(mat):
+    """inverse_int is None exactly when the referee finds mat singular;
+    otherwise its numerators over its positive denominator are the
+    referee's inverse, and multiply with mat to the identity on both
+    sides."""
+    n = len(mat)
+    before = [list(row) for row in mat]
+    inverse = inverse_int(mat)
+    assert mat == before
+    want = gauss_jordan_inverse(mat)
     if gauss_rank([dict(enumerate(row)) for row in mat], range(n)) < n:
-        assert inv is None
+        assert want is None and inverse is None
         return
+    num, den = inverse
+    assert isinstance(den, int) and den > 0
+    inv = [[Fraction(x, den) for x in row] for row in num]
+    assert inv == want
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     assert [[sum(mat[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)] == eye
@@ -90,9 +133,18 @@ def test_inverse_round_trip(mat):
 
 
 def test_inverse_of_a_singular_matrix_is_none():
-    assert invert_fraction_matrix([[1, 2], [2, 4]]) is None
-    assert invert_fraction_matrix([[0, 0], [0, 0]]) is None
-    assert invert_fraction_matrix([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert inverse_int([[1, 2], [2, 4]]) is None
+    assert inverse_int([[0, 0], [0, 0]]) is None
+    assert inverse_int([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
+    assert inverse_int([]) == ([], 1)
+    # after one row swap the last pivot is 1 (or 6) while the determinant
+    # is -1 (or -6): the pivot is no determinant, and the inverse over it
+    # still has the right signs
+    assert inverse_int([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
+    num, den = inverse_int([[0, 2], [3, 0]])
+    assert den > 0
+    assert [[Fraction(x, den) for x in row] for row in num] == [
+        [0, Fraction(1, 3)], [Fraction(1, 2), 0]]
 
 
 def test_span_rank_of_a_six_position_block():

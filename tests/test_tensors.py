@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +180,41 @@ def test_operator_compose_identity_and_inverse(cfgs, algebras):
             assert Tinv.compose(T) == ident
             assert invert_operator(T) == Tinv
             assert T.g_degree() == 0
+
+
+def test_invert_operator_on_a_non_integer_constant_part(cfgs, algebras):
+    """The GL draws have integer constant parts; here the columns of one
+    are scaled by 1/2, -2/3, 3/4, ..., so the constant entries have
+    several denominators, and the generator words of the draw stay.  The
+    inverse composes to the identity on both sides."""
+    scales = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-5, 6))
+    for name in ("super", "z2z2"):
+        cfg, alg = cfgs[name], algebras[name]
+        n = cfg.space.dim
+        ident = GradedOperator.identity(cfg.space, alg)
+        diag = GradedOperator(cfg.space, alg, {(a, a): alg.scalar(scales[a - 1])
+                                               for a in range(1, n + 1)})
+        rng = random.Random("ops-rational/%s" % name)
+        for _ in range(3):
+            T = random_gl_epsilon(cfg.space, alg, rng)[0].compose(diag)
+            assert any(x.constant_part().den > 1 for x in T.terms.values())
+            assert any(x.proper_part() for x in T.terms.values())
+            Tinv = invert_operator(T)
+            assert T.compose(Tinv) == ident
+            assert Tinv.compose(T) == ident
+
+
+def test_invert_operator_refuses_a_singular_or_irrational_constant_part(cfgs, algebras):
+    cfg, alg = cfgs["super"], algebras["super"]
+    word = GradedOperator.matrix_unit(cfg.space, alg, 1, 1, alg.gen(1) * alg.gen(2))
+    singular = GradedOperator.matrix_unit(cfg.space, alg, 1, 1, Fraction(1, 2)) + word
+    with pytest.raises(ValueError, match="constant part of the operator is singular"):
+        invert_operator(singular)
+    cfg, alg = cfgs["z4"], algebras["z4"]
+    irrational = GradedOperator.identity(cfg.space, alg) + GradedOperator.matrix_unit(
+        cfg.space, alg, 2, 2, CycloRational.root(4, 1))
+    with pytest.raises(ValueError, match="constant part of the operator is not rational"):
+        invert_operator(irrational)
 
 
 def test_operator_compose_associative(cfgs, algebras):

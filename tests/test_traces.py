@@ -151,11 +151,16 @@ def one_seeded_restitute(poly, point):
 
 
 def rational_copy(point):
-    """The point with every coefficient rebuilt at order 1."""
+    """The point with every coefficient rebuilt at order 1; an irrational
+    coefficient raises ValueError."""
+    def rational(c):
+        q, *rest = c.coeffs
+        if any(rest):
+            raise ValueError("%s is not rational" % c)
+        return CycloRational.from_rational(q)
     parts = [GradedTensor(u.space, u.alg, u.variance,
                           {idx: EpsElement(u.alg, {
-                              w: CycloRational.from_rational(c.as_fraction())
-                              for w, c in lam.terms.items()})
+                              w: rational(c) for w, c in lam.terms.items()})
                            for idx, lam in u.terms.items()})
              for u in point.parts]
     return W0Point(point.shape, point.alg, parts)
@@ -180,6 +185,16 @@ def test_restitute_pins_one_seeded_products(cfgs):
             for point in points:
                 assert exact_terms(restitute(poly, point)) == \
                     exact_terms(one_seeded_restitute(poly, point)), name
+
+
+def test_rational_copy_refuses_an_irrational_coefficient(cfgs):
+    cfg = cfgs["z4"]
+    alg = standard_test_algebra(cfg.chi, truncation=3)
+    u = GradedTensor.basis(cfg.space, alg, u11_variance(), (1, 1))
+    point = W0Point(cfg.shape, alg, [u.scale(CycloRational.root(4, 1))])
+    with pytest.raises(ValueError, match="not rational"):
+        rational_copy(point)
+    assert rational_copy(W0Point(cfg.shape, alg, [u])).parts == (u,)
 
 
 @given(data=st.data())

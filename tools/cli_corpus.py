@@ -30,9 +30,14 @@ every builtin configuration:
 * on z3z3 and z4, `eval` of each hand-written scalar of `SCALARS` as the
   constant poly '(s) * 1' at the zero point, in text and structured form;
 * `validate` of a configuration file whose `bounds.max_n` is above
-  `config.MAX_N`, of one with more `shape.pairs` than `config.MAX_PAIRS`
-  and of one with more variables than `config.MAX_VARIABLES` (`OVER_LIMITS`;
-  each an error, exit 2).
+  `config.MAX_N`, of one with more `shape.pairs` than `config.MAX_PAIRS`,
+  of one with more variables than `config.MAX_VARIABLES` and of one on a
+  one-dimensional space with a pair whose b + t is above 2 * `config.MAX_N`
+  (`OVER_LIMITS`); `picture` at N = 6 on a space of dim 8, whose 8^6 index
+  tuples are above `config.MAX_TUPLES` (`WIDE_CONFIG`); and on super,
+  `trace` of a sigma in S_1000000 and of an `--assign` of 6 positions,
+  both above `bounds.max_n`, and `picture` with `--sigma=--`, which
+  argparse reads as an empty list (each an error, exit 2).
 
 Each command's argument list, exit code, standard output and standard error
 go into one SHA-256, and so does the text of every generated file; the
@@ -122,12 +127,21 @@ SCALARS = ("z", "-z^2", "+ 1/3*z^2", "3/6 - z^5 + 2*z^7", "1/2*z + z - 3/6*z + z
            "-6/4 + z^3 - z^0", "z - z")
 
 
-# name -> configuration text over one load limit.
+PLANE = "space.degrees = [(0,), (1,)]\n"
+
+# name -> configuration text, after its group and bicharacter lines, over
+# one load limit.
 OVER_LIMITS = {
-    "over-ceiling.cfg": "shape.pairs = [(1, 1)]\nbounds.max_n = 200\n",
-    "over-pairs.cfg": "shape.pairs = [%s]\n" % ", ".join(["(1, 1)"] * 7),
-    "over-variables.cfg": "shape.pairs = [(10, 10)]\n",
+    "over-ceiling.cfg": PLANE + "shape.pairs = [(1, 1)]\nbounds.max_n = 200\n",
+    "over-pairs.cfg": PLANE + "shape.pairs = [%s]\n" % ", ".join(["(1, 1)"] * 7),
+    "over-variables.cfg": PLANE + "shape.pairs = [(10, 10)]\n",
+    "over-pair-length.cfg": "space.degrees = [(0,)]\nshape.pairs = [(1000000, 1)]\n",
 }
+
+# A valid configuration of dim 8 with bounds.max_n = 8, whose pictures pass
+# config.MAX_TUPLES at N = 6.
+WIDE_CONFIG = ("group.factors = [1]\nbicharacter.expmat = [[0]]\nspace.degrees = %r\n"
+               "shape.pairs = [(1, 1)]\nbounds.max_n = 8\n" % ([(0,)] * 8))
 
 # name -> (configuration text, multiplicities of its picture commands).
 MIXED_CONFIGS = {
@@ -203,12 +217,7 @@ def commands(tmp):
     out.extend(_mixed(tmp))
     out.extend(_hand_written(tmp))
     out.extend(_scalars(tmp))
-    for fname, text in OVER_LIMITS.items():
-        path = os.path.join(tmp, fname)
-        with open(path, "w") as fh:
-            fh.write("group.factors = [2]\nbicharacter.expmat = [[1]]\n"
-                     "space.degrees = [(0,), (1,)]\n" + text)
-        out.append(["validate", "--config", path])
+    out.extend(_over_limits(tmp))
     return out
 
 
@@ -267,6 +276,29 @@ def _scalars(tmp):
             for fmt in ("text", "structured"):
                 out.append(["eval", "--config", "builtin:" + name, "--poly", poly,
                             "--point", point, "--format", fmt])
+    return out
+
+
+def _over_limits(tmp):
+    """validate of each OVER_LIMITS file, picture at N = 6 on WIDE_CONFIG,
+    trace on super of a sigma in S_1000000 and of an assignment of 6
+    positions, and picture with the empty value '--sigma=--': each an
+    error, exit 2."""
+    out = []
+    for fname, text in OVER_LIMITS.items():
+        path = os.path.join(tmp, fname)
+        with open(path, "w") as fh:
+            fh.write("group.factors = [2]\nbicharacter.expmat = [[1]]\n" + text)
+        out.append(["validate", "--config", path])
+    wide = os.path.join(tmp, "wide.cfg")
+    with open(wide, "w") as fh:
+        fh.write(WIDE_CONFIG)
+    out.append(["picture", "--config", wide, "--multiplicities", "6", "--sigma", "id"])
+    trace = ["trace", "--config", "builtin:super",
+             "--point", os.path.join(tmp, "super-0.point")]
+    out.append(trace + ["--sigma", "(1 1000000)"])
+    out.append(trace + ["--sigma", "(1 2)", "--assign", "1,1,1,1,1,1"])
+    out.append(["picture", "--config", "builtin:super", "--multiplicities", "2", "--sigma=--"])
     return out
 
 
