@@ -44,19 +44,28 @@ components are multiplied as these exponent counts, not as CycloRationals:
 sympoly.sym_merge merges each pair of sorted monomials in one pass with
 its swap exponent, the exponents add and the counts multiply.  Each count
 of the product becomes a multiple of its root of unity once, at the end.
-The cost is sum_K dim^|K| kernel steps plus the merges, against dim^N for
-the whole shape at once; equal components are counted once per call.
+Equal components are counted once per call.
 
 Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
 the inversions of rho, the copies' positions in I) is worked out once per
-(PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  The
-kernel fetches the plan once per call; per tuple it reads each copy's
-variable id off the entries of I at the copy's positions in the plan,
-through the shape's code tables (sympoly.Numbering), sorts the ids with
-sym_normalize, and sums entries of the bicharacter's eps table, indexed
-by the degrees of the entries of I, for coefficient_exponent(plan, I);
-the count's key is the monomial and the swap plus coefficient exponent
-mod m.  A shape with no copies has no components, and its picture is 1.
+(PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  That
+includes sigma's symmetries on a component: the relabellings of copies
+within their summands that fix sigma (on shape (1,1), the rotations of a
+cycle, under which a trace is unchanged).  Such a relabelling sends the
+summand at I to an equal summand at the relabelled tuple, so the kernel
+works out one tuple per orbit, the least, and counts it by the orbit's
+size.  The kernel fetches the plan once per call; it walks every I,
+drops those that an image under a symmetry undercuts, and at the rest
+reads each copy's variable id off the entries of I at the copy's
+positions in the plan, through the shape's code tables
+(sympoly.Numbering), sorts the ids with sym_normalize, and sums entries
+of the bicharacter's eps table, indexed by the degrees of the entries of
+I, for coefficient_exponent(plan, I); the count's key is the monomial and
+the swap plus coefficient exponent mod m.  The cost is sum_K dim^|K|
+orbit tests plus, per component K, about dim^|K| / g_K normalizations
+and exponents (g_K symmetries with the identity), then the merges; the
+whole shape at once would take dim^N of each.  A shape with no copies
+has no components, and its picture is 1.
 Because of these caches, PictureShape, MixedShape and Bicharacter are
 treated as immutable once built.
 
@@ -74,6 +83,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import permutations as perms
 from .epsalgebra import add_term
@@ -181,7 +191,11 @@ class SigmaPlan:
         latter already read through sigma^{-1});
     degrees: the G-degree of each basis vector, indexed from 0;
     terms: the coefficient exponent as a bilinear form in the degrees of
-        I, a list of (a, b, c) meaning c * eps(deg I_a, deg I_b).
+        I, a list of (a, b, c) meaning c * eps(deg I_a, deg I_b);
+    symmetries: the position maps on I (P with P[p] the image of
+        position p) of the copy permutations pi other than the identity
+        that keep every copy in its summand and fix sigma; empty unless
+        sigma links all the copies, as on a component (see _symmetries).
 
     terms comes from two lists of pairs.  Each blocked slot reads the
     degree of one entry of I, negated on dual slots: that is the tuple
@@ -193,7 +207,7 @@ class SigmaPlan:
     pairs landing on the same two positions of I are merged.
     """
 
-    __slots__ = ("copies", "degrees", "terms", "table", "m")
+    __slots__ = ("copies", "degrees", "terms", "table", "m", "symmetries")
 
     def __init__(self, pshape, sigma):
         pshape.require_balanced()
@@ -225,6 +239,57 @@ class SigmaPlan:
                            if c % self.m)
         self.degrees = pshape.shape.space.degrees
         self.table = chi.eps_table
+        self.symmetries = _symmetries(self.copies)
+
+def _symmetries(copies):
+    """The position maps on I of the copy permutations pi != identity that
+    keep every copy in its summand and fix sigma.  pi moves copy c's
+    lower positions, in order, onto those of pi(c), and its upper
+    positions (read through sigma^{-1}) onto those of pi(c); it fixes
+    sigma when the two give one map P of the positions of I.  Each copy
+    of copy 0's summand is tried as pi(0), and the other images follow
+    along sigma's links: a position shared by copies c and c' sends c'
+    to the copy that shares the image position with pi(c).  When that
+    does not reach every copy, sigma links the copies in more than one
+    component, and no map is kept."""
+    lower = {p: c for c, (_, lo, _) in enumerate(copies) for p in lo}
+    upper = {p: c for c, (_, _, up) in enumerate(copies) for p in up}
+    maps = []
+    for target, (i, _, _) in enumerate(copies):
+        if i != copies[0][0]:
+            continue
+        image, todo = {0: target}, [0]
+        while todo:
+            c = todo.pop()
+            _, lo, up = copies[c]
+            _, lo_d, up_d = copies[image[c]]
+            for p, q in zip(lo + up, lo_d + up_d):
+                for owner in (lower, upper):
+                    if owner[p] not in image:
+                        image[owner[p]] = owner[q]
+                        todo.append(owner[p])
+        if len(image) < len(copies):
+            return ()
+        P = _position_map(copies, image)
+        if target and P is not None:
+            maps.append(P)
+    return tuple(maps)
+
+def _position_map(copies, image):
+    """The map P of the positions of I that the copy map image gives, or
+    None when image is not a permutation of the copies within their
+    summands, or its lower and upper positions give two maps."""
+    if len(set(image.values())) < len(image):
+        return None
+    P = {}
+    for c, d in image.items():
+        (i, lo, up), (i_d, lo_d, up_d) = copies[c], copies[d]
+        if i != i_d:
+            return None
+        for p, q in zip(lo + up, lo_d + up_d):
+            if P.setdefault(p, q) != q:
+                return None
+    return tuple(P[p] for p in range(len(P)))
 
 def coefficient_exponent(plan, I):
     """Exponent of the coefficient at index tuple I: the rearrangement sign
@@ -286,7 +351,9 @@ def _phi_counts(pshape, sigma):
     monomial at I and per swap plus coefficient exponent, so that phi_sigma
     is the sum of count * zeta_m^exponent * monomial.  The monomial's copy
     (i, j) reads its lower indices off I at its primal positions and its
-    upper indices off I o sigma^{-1} at its dual positions."""
+    upper indices off I o sigma^{-1} at its dual positions.  Only the
+    least tuple of each orbit of the plan's symmetries is worked out, and
+    it counts for the orbit's size."""
     shape = pshape.shape
     dim = shape.space.dim
     codes = shape.numbering().codes
@@ -294,9 +361,14 @@ def _phi_counts(pshape, sigma):
     # Per copy: its summand's code table and the positions in I of its
     # index word.
     copies = [(codes[i - 1], lo + up) for i, lo, up in plan.copies]
+    # I o P for each symmetry P: with I itself, its orbit, since the
+    # symmetries and the identity form a group.
+    images = [itemgetter(*P) for P in plan.symmetries]
     m = shape.chi.m
     counts = {}
     for I in itertools.product(range(1, dim + 1), repeat=pshape.N):
+        if any(image(I) < I for image in images):
+            continue
         word = []
         for table, places in copies:
             code = 0
@@ -308,7 +380,8 @@ def _phi_counts(pshape, sigma):
             continue
         swap, mono = res
         key = mono, (swap + coefficient_exponent(plan, I)) % m
-        counts[key] = counts.get(key, 0) + 1
+        size = len({I, *[image(I) for image in images]})
+        counts[key] = counts.get(key, 0) + size
     return counts
 
 def _mul_counts(shape, left, right):

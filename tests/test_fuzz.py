@@ -3,13 +3,13 @@
 The seeds are, per builtin, its configuration text and the CLI corpus's
 sigma, polynomial and point texts on it; each example drops, repeats and
 swaps characters and tokens of them and swaps in large integers, then runs
-`validate`, `picture`, `eval` and `trace` in process, on the mutated
-configuration and on the builtin itself.  Every command must
-exit 0 or 2, and an exit of 2 prints one `error:` line and no traceback.
-The work is bounded by the load limits, not by a deadline: every
-numbering of variables built along the way is counted against
-`config.MAX_VARIABLES`.  (`list` is left out: at the load limits it takes
-about a second.)
+`validate`, `list --max-degree 2`, `picture`, `eval` and `trace` in
+process, on the mutated configuration and on the builtin itself.  Every
+command must exit 0 or 2, and an exit of 2 prints one `error:` line and no
+traceback.  The work is bounded by the load limits, not by a deadline:
+every numbering of variables built along the way is counted against
+`config.MAX_VARIABLES`.  (`list` runs at degree 2 only: at the load limits
+and its default bound it takes about a second.)
 """
 
 import contextlib
@@ -121,6 +121,7 @@ def test_every_reader_exits_0_or_2(monkeypatch, drawn, mults, assign):
         for cfg in ("--config=" + files["config"], "--config=builtin:" + name):
             commands = (
                 ["validate", cfg],
+                ["list", cfg, "--max-degree=2"],
                 ["picture", cfg, "--multiplicities=" + mults, "--sigma=" + sigma],
                 ["eval", cfg, "--poly=" + files["poly"], "--point=" + files["point"]],
                 ["trace", cfg, "--sigma=" + sigma, "--point=" + files["point"]],

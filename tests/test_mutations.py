@@ -162,7 +162,7 @@ CATALOG = {
             "FAIL M=2 sigma=2,1: 2 of 3 points differ"],
         "span": [
             "FAIL r=1 invariance multidegree 1: 3 transformed-point comparisons, 1 failed",
-            "FAIL r=2 invariance multidegree 2: 6 transformed-point comparisons, 2 failed",
+            "FAIL r=2 invariance multidegree 2: 6 transformed-point comparisons, 1 failed",
             "FAIL r=3 invariance multidegree 3: 18 transformed-point comparisons, 3 failed"],
     }),
     "t-sigma-negated": ("z2z2", t_sigma_negated, {
@@ -201,8 +201,7 @@ CATALOG = {
             "FAIL normalize-swap-relation: 2 swaps failed"],
         "path-equality": [
             "FAIL M=1 sigma=1: 2 of 3 points differ",
-            "FAIL M=2 sigma=1,2: 1 of 3 points differ"],
-        "invariance": [
+            "FAIL M=2 sigma=1,2: 1 of 3 points differ",
             "FAIL M=2 sigma=2,1: 1 of 3 points differ"],
         "trace-match": [
             "FAIL trace-cyclicity: 6 pairs failed"],
@@ -210,7 +209,7 @@ CATALOG = {
             "FAIL transposition-relations: 4 of 50 triples failed"],
         "span": [
             "FAIL r=1 invariance multidegree 1: 3 transformed-point comparisons, 2 failed",
-            "FAIL r=3 invariance multidegree 3: 18 transformed-point comparisons, 2 failed"],
+            "FAIL r=3 invariance multidegree 3: 18 transformed-point comparisons, 1 failed"],
     }),
     "sum-drops-last-pair": ("trivial", sum_drops_last_pair, {
         "jacobi": [
@@ -243,6 +242,7 @@ CATALOG = {
             "FAIL M=2 sigma=1,2: 1 of 3 points differ"],
         "invariance": POINT_NOT_DEGREE_0,
         "trace-match": [
+            "FAIL M=2 sigma=2,1: 1 of 3 points differ",
             "FAIL trace-cyclicity: 6 pairs failed"],
         "span": ["FAIL r=%d invariance multidegree %d: exception: %s"
                  % (r, r, NOT_DEGREE_0 % "(1, 2)") for r in (1, 2, 3)],

@@ -371,6 +371,110 @@ def test_build_phi_matches_textbook_sum_over_components(cfgs):
     _assert_phi_matches_textbook(ps, "super", sigmas)
 
 
+def test_build_phi_matches_textbook_sum_on_symmetric_components(cfgs):
+    """Components with symmetries, where build_phi works out one index
+    tuple per orbit: one sigma per cycle type at M=(5,) (rotations of each
+    cycle), shape (2,2) at M=(2,) and (1,1)+(1,1) at M=(2,1)."""
+    for name in ("super", "z3z3"):
+        cfg = cfgs[name]
+        _assert_phi_matches_textbook(PictureShape(cfg.shape, (5,)), name,
+                                     [rep for _, rep in perms.cycle_type_reps(5)])
+        for pairs, mults in (([(2, 2)], (2,)), ([(1, 1), (1, 1)], (2, 1))):
+            ps = PictureShape(MixedShape(cfg.space, pairs), mults)
+            _assert_phi_matches_textbook(ps, name)
+
+
+def copy_relabellings(ps):
+    """Every pi in prod_i S_{M_i}, as (pi on the copies, pi_low on the
+    lower positions 1..N, pi_up on the upper positions 1..N): pi sends
+    each copy c to a copy pi(c) of the same summand, and c's lower and
+    upper positions, in order, to those of pi(c)."""
+    blocks = [[c for c, (i, _, _) in enumerate(ps.layout) if i == s]
+              for s in range(1, ps.shape.s + 1)]
+    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        pi = {c: d for block, images in zip(blocks, choice)
+              for c, d in zip(block, images)}
+        low, up = [0] * ps.N, [0] * ps.N
+        for c, d in pi.items():
+            for half, slot in ((low, 1), (up, 2)):
+                for p, q in zip(ps.layout[c][slot], ps.layout[d][slot]):
+                    half[p - 1] = q
+        yield pi, tuple(low), tuple(up)
+
+
+def _assert_symmetries_written_out(ps, sigma):
+    """The plan's symmetries against every pi of prod_i S_{M_i} that fixes
+    sigma, pi_up . sigma . pi_low^{-1} = sigma: when sigma links all the
+    copies they are exactly these pi other than the identity, as maps of
+    0-based positions of I (pi_low), and each moves every copy; otherwise
+    there are none.  With the identity they are closed under composition."""
+    plan = ps.plan(sigma)
+    ident = tuple(range(ps.N))
+    fixing = {}
+    for pi, low, up in copy_relabellings(ps):
+        if perms.compose(up, sigma) == perms.compose(sigma, low):
+            fixing[tuple(q - 1 for q in low)] = pi
+    assert len(set(plan.symmetries)) == len(plan.symmetries), (ps, sigma)
+    if len(components(ps, sigma)) > 1:
+        assert plan.symmetries == (), (ps, sigma)
+        return
+    assert set(plan.symmetries) == set(fixing) - {ident}, (ps, sigma)
+    for P in plan.symmetries:
+        assert all(d != c for c, d in fixing[P].items()), (ps, sigma, P)
+    group = set(plan.symmetries) | {ident}
+    for a in group:
+        for b in group:
+            assert tuple(a[b[p]] for p in ident) in group, (ps, sigma, a, b)
+
+
+def test_sigma_plan_symmetries_are_the_relabellings_fixing_sigma(cfgs):
+    """On each component of sigma and on the whole shape: shape (1,1) at
+    N <= 5, the mixed pictures, and (2,1)+(1,2) at M=(2,2) on a seeded
+    sample of sigma."""
+    sup = cfgs["super"]
+    shapes = [(PictureShape(sup.shape, (n,)), all_perms(n)) for n in range(1, 6)]
+    for pairs, mults in MIXED_PICTURES:
+        ps = PictureShape(MixedShape(sup.space, pairs), mults)
+        shapes.append((ps, all_perms(ps.N)))
+    big = PictureShape(MixedShape(sup.space, [(2, 1), (1, 2)]), (2, 2))
+    shapes.append((big, random.Random("symmetries").sample(all_perms(6), 60)))
+    found = 0
+    for ps, sigmas in shapes:
+        for sigma in sigmas:
+            _assert_symmetries_written_out(ps, sigma)
+            for sub, sub_sigma in components(ps, sigma):
+                _assert_symmetries_written_out(sub, sub_sigma)
+                found += len(sub.plan(sub_sigma).symmetries)
+    assert found
+
+
+def _assert_phi_constant_on_orbits(ps, sigmas):
+    """phi_sigma equals phi of pi_up . sigma . pi_low^{-1} for every pi in
+    prod_i S_{M_i}, term by term and in each coefficient's order."""
+    for sigma in sigmas:
+        phi = build_phi(ps, sigma).poly
+        orders = {w: c.order for w, c in phi.terms.items()}
+        for _, low, up in copy_relabellings(ps):
+            moved = perms.compose(up, perms.compose(sigma, perms.inverse(low)))
+            other = build_phi(ps, moved).poly
+            assert other.terms == phi.terms, (ps, sigma, moved)
+            assert {w: c.order for w, c in other.terms.items()} == orders, \
+                (ps, sigma, moved)
+
+
+def test_phi_is_constant_on_relabelling_orbits_of_mixed_shapes(cfgs):
+    """Copies of two summands relabelled within each summand: (2,1)+(1,2)
+    at M=(2,2) on a seeded sample of sigma, (1,1)+(2,2) at M=(2,1) on
+    every sigma."""
+    for name in ("super", "z3z3"):
+        cfg = cfgs[name]
+        ps = PictureShape(MixedShape(cfg.space, [(2, 1), (1, 2)]), (2, 2))
+        _assert_phi_constant_on_orbits(
+            ps, random.Random("orbits/" + name).sample(all_perms(ps.N), 6))
+        ps = PictureShape(MixedShape(cfg.space, [(1, 1), (2, 2)]), (2, 1))
+        _assert_phi_constant_on_orbits(ps, all_perms(ps.N))
+
+
 def _cycle_phi(shape, length):
     """phi of the standard length-cycle 1 -> 2 -> ... -> length -> 1 on
     (1,1)^length: the trace of the length-th power of the matrix."""
@@ -512,6 +616,9 @@ def test_random_sign_rules(cfg):
             assert table[chi.position(g)][chi.position(h)] == chi.eps_exponent(g, h)
     _assert_plan_matches_textbook(PictureShape(cfg.shape, (3,)))
     _assert_phi_matches_textbook(PictureShape(cfg.shape, (3,)), cfg.name)
+    # a 4-cycle and (12)(34): components with rotations
+    _assert_phi_matches_textbook(PictureShape(cfg.shape, (4,)), cfg.name,
+                                 [(2, 3, 4, 1), (2, 1, 4, 3)])
     mixed = MixedShape(cfg.space, [(1, 1), (2, 2)])
     _assert_plan_matches_textbook(PictureShape(mixed, (1, 1)))
     rpt = suite("path-equality", cfg, max_n=2)

@@ -9,7 +9,8 @@ every builtin configuration:
 * `validate`; `list` with the default bound, with `--max-degree` 1, 2 and 3,
   and with an out-of-range bound (an error, exit 2);
 * `picture` at M = (N,) for N <= 3 and every sigma in S_N, in text and
-  structured form, and at M = (4,) for every sigma in S_4, in text form;
+  structured form, at M = (4,) for every sigma in S_4, in text form, and
+  at M = (5,) for one sigma per cycle type, in text and structured form;
 * per seed 0-7, a seeded degree-0 point file (`sampling.random_w0_point`),
   the file of one phi_sigma and the files of two seeded random polynomials
   (`sampling.random_sym_polynomial`, of degree <= 1 and <= 2), then `eval`
@@ -24,6 +25,9 @@ every builtin configuration:
   the listed multiplicities for every sigma in S_3 in text and structured
   form, and `verify --suite all --seed 0`; on the first also `picture` at
   the unbalanced M = (0, 2), an error, exit 2;
+* on a z3z3 configuration file with `bounds.max_n = 6` (`Z3Z3_SIX`),
+  `picture` at M = (6,) for one sigma per cycle type, in text and
+  structured form;
 * on super, `eval` of fixed hand-written poly and point files (`BAD_POLYS`,
   `BAD_POINTS`): one per message of the text parsers, and two well-formed
   files whose terms repeat, cancel or vanish, in text and structured form;
@@ -153,6 +157,11 @@ MIXED_CONFIGS = {
                      "shape.pairs = [(1, 1), (1, 1)]\nbounds.max_n = 3\n", ("1,2", "2,1")),
 }
 
+# z3z3 with bounds.max_n = 6, for pictures at M = (6,).
+Z3Z3_SIX = ("group.factors = [3, 3]\nbicharacter.expmat = [[0, 1], [2, 0]]\n"
+            "space.degrees = [(0, 0), (0, 1), (1, 0)]\n"
+            "shape.pairs = [(1, 1)]\nbounds.max_n = 6\n")
+
 
 def _sigma_text(sigma):
     return ",".join(str(x) for x in sigma)
@@ -199,6 +208,7 @@ def commands(tmp):
             out.append(["picture"] + config
                        + ["--multiplicities", str(MAX_N + 1),
                           "--sigma", _sigma_text(sigma), "--format", "text"])
+        out.extend(_cycle_type_pictures(config, 5))
         for seed in SEEDS:
             paths, sigma = _write_inputs(name, seed, tmp)
             point = ["--point", paths["point"]]
@@ -215,6 +225,7 @@ def commands(tmp):
         for seed in SEEDS:
             out.append(["verify"] + config + ["--suite", "all", "--seed", str(seed)])
     out.extend(_mixed(tmp))
+    out.extend(_six(tmp))
     out.extend(_hand_written(tmp))
     out.extend(_scalars(tmp))
     out.extend(_over_limits(tmp))
@@ -240,6 +251,22 @@ def _mixed(tmp):
     mixed = ["--config", os.path.join(tmp, "z2z2-mixed.cfg")]
     out.append(["picture"] + mixed + ["--multiplicities", "0,2", "--sigma", "1,2"])
     return out
+
+
+def _six(tmp):
+    """picture at M = (6,) on the Z3Z3_SIX file."""
+    path = os.path.join(tmp, "z3z3-six.cfg")
+    with open(path, "w") as fh:
+        fh.write(Z3Z3_SIX)
+    return _cycle_type_pictures(["--config", path], 6)
+
+
+def _cycle_type_pictures(config, n):
+    """picture at M = (n,) for one sigma per cycle type of S_n, in text
+    and structured form."""
+    return [["picture"] + config + ["--multiplicities", str(n),
+                                    "--sigma", _sigma_text(sigma), "--format", fmt]
+            for _, sigma in perms.cycle_type_reps(n) for fmt in ("text", "structured")]
 
 
 def _hand_written(tmp):
