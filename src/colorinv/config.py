@@ -103,35 +103,34 @@ def _int_list(value, what):
 def parse_config_text(text, name="<config>"):
     values, lines = _parse_lines(text, name)
 
+    def error(key, message):
+        """A ConfigError naming the file and the line of key."""
+        return ConfigError("%s:%d: %s" % (name, lines[key], message))
+
     factors = _int_list(values["group.factors"], "group.factors")
     if any(d < 1 for d in factors):
-        raise ConfigError("%s:%d: cyclic orders must be >= 1"
-                          % (name, lines["group.factors"]))
+        raise error("group.factors", "cyclic orders must be >= 1")
     if math.prod(factors) > MAX_GROUP_ORDER:
-        raise ConfigError("%s:%d: group order %d exceeds the limit of %d"
-                          % (name, lines["group.factors"], math.prod(factors),
-                             MAX_GROUP_ORDER))
+        raise error("group.factors", "group order %d exceeds the limit of %d"
+                    % (math.prod(factors), MAX_GROUP_ORDER))
 
     expmat = values["bicharacter.expmat"]
     if (not isinstance(expmat, (list, tuple)) or len(expmat) != len(factors)
             or any(not isinstance(row, (list, tuple)) or len(row) != len(factors)
                    for row in expmat)):
-        raise ConfigError("%s:%d: bicharacter.expmat must be a %dx%d integer matrix"
-                          % (name, lines["bicharacter.expmat"],
-                             len(factors), len(factors)))
+        raise error("bicharacter.expmat", "bicharacter.expmat must be a %dx%d "
+                    "integer matrix" % (len(factors), len(factors)))
     expmat = [_int_list(row, "bicharacter.expmat row") for row in expmat]
 
     chi = Bicharacter(factors, expmat)
     failures = validate_bicharacter(chi)
     if failures:
-        raise ConfigError("%s:%d: invalid bicharacter:\n  %s"
-                          % (name, lines["bicharacter.expmat"],
-                             "\n  ".join(failures[:6])))
+        raise error("bicharacter.expmat", "invalid bicharacter:\n  %s"
+                    % "\n  ".join(failures[:6]))
 
     raw_degrees = values["space.degrees"]
     if not isinstance(raw_degrees, (list, tuple)) or not raw_degrees:
-        raise ConfigError("%s:%d: space.degrees must be a nonempty list"
-                          % (name, lines["space.degrees"]))
+        raise error("space.degrees", "space.degrees must be a nonempty list")
     degrees = []
     for d in raw_degrees:
         if isinstance(d, int) and not isinstance(d, bool):
@@ -140,49 +139,45 @@ def parse_config_text(text, name="<config>"):
     try:
         space = GradedSpace(chi, [chi.position(d) for d in degrees])
     except ValueError as exc:
-        raise ConfigError("%s:%d: %s" % (name, lines["space.degrees"], exc))
+        raise error("space.degrees", exc)
 
     raw_pairs = values["shape.pairs"]
     if not isinstance(raw_pairs, (list, tuple)) or not raw_pairs:
-        raise ConfigError("%s:%d: shape.pairs must be a nonempty list of (b, t)"
-                          % (name, lines["shape.pairs"]))
+        raise error("shape.pairs", "shape.pairs must be a nonempty list of (b, t)")
     if len(raw_pairs) > MAX_PAIRS:
-        raise ConfigError("%s:%d: %d shape pairs exceed the limit of %d"
-                          % (name, lines["shape.pairs"], len(raw_pairs), MAX_PAIRS))
+        raise error("shape.pairs", "%d shape pairs exceed the limit of %d"
+                    % (len(raw_pairs), MAX_PAIRS))
     pairs = []
     for p in raw_pairs:
         bt = _int_list(p, "shape.pairs entry")
         if len(bt) != 2 or min(bt) < 0 or max(bt) == 0:
-            raise ConfigError("%s:%d: each shape pair needs b, t >= 0, not both 0"
-                              % (name, lines["shape.pairs"]))
+            raise error("shape.pairs", "each shape pair needs b, t >= 0, not both 0")
         pairs.append(tuple(bt))
     # unless dim is 1, a power whose exponent passes the limit's bit length
     # passes the limit, so capping the exponent there keeps every power small
     cap = MAX_VARIABLES.bit_length()
     if sum(space.dim ** min(b + t, cap) for b, t in pairs) > MAX_VARIABLES:
-        raise ConfigError("%s:%d: the shape's variables, the sum of dim^(b+t), "
-                          "exceed the limit of %d"
-                          % (name, lines["shape.pairs"], MAX_VARIABLES))
+        raise error("shape.pairs", "the shape's variables, the sum of dim^(b+t), "
+                    "exceed the limit of %d" % MAX_VARIABLES)
     # a pair with b or t above max_n <= MAX_N is in no picture, and on a
     # one-dimensional space the count above is 1 whatever b + t is
     longest = max(b + t for b, t in pairs)
     if longest > 2 * MAX_N:
-        raise ConfigError("%s:%d: a shape pair with b + t = %d exceeds the limit of %d"
-                          % (name, lines["shape.pairs"], longest, 2 * MAX_N))
+        raise error("shape.pairs", "a shape pair with b + t = %d exceeds the limit "
+                    "of %d" % (longest, 2 * MAX_N))
     try:
         shape = MixedShape(space, pairs)
     except ValueError as exc:
-        raise ConfigError("%s:%d: %s" % (name, lines["shape.pairs"], exc))
+        raise error("shape.pairs", exc)
 
     truncation = values.get("bounds.truncation", DEFAULT_TRUNCATION)
     max_n = values.get("bounds.max_n", DEFAULT_MAX_N)
     for key, val in (("bounds.truncation", truncation), ("bounds.max_n", max_n)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise ConfigError("%s:%d: %s must be a positive integer"
-                              % (name, lines[key], key))
+            raise error(key, "%s must be a positive integer" % key)
     if max_n > MAX_N:
-        raise ConfigError("%s:%d: bounds.max_n %d exceeds the limit of %d"
-                          % (name, lines["bounds.max_n"], max_n, MAX_N))
+        raise error("bounds.max_n", "bounds.max_n %d exceeds the limit of %d"
+                    % (max_n, MAX_N))
 
     return Config(name, chi, space, shape, truncation, max_n)
 

@@ -49,23 +49,23 @@ Equal components are counted once per call.
 Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
 the inversions of rho, the copies' positions in I) is worked out once per
 (PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  That
-includes sigma's symmetries on a component: the relabellings of copies
-within their summands that fix sigma (on shape (1,1), the rotations of a
-cycle, under which a trace is unchanged).  Such a relabelling sends the
-summand at I to an equal summand at the relabelled tuple, so the kernel
-works out one tuple per orbit, the least, and counts it by the orbit's
-size.  The kernel fetches the plan once per call; it walks every I,
-drops those that an image under a symmetry undercuts, and at the rest
-reads each copy's variable id off the entries of I at the copy's
-positions in the plan, through the shape's code tables
-(sympoly.Numbering), sorts the ids with sym_normalize, and sums entries
-of the bicharacter's eps table, indexed by the degrees of the entries of
-I, for coefficient_exponent(plan, I); the count's key is the monomial and
-the swap plus coefficient exponent mod m.  The cost is sum_K dim^|K|
-orbit tests plus, per component K, about dim^|K| / g_K normalizations
-and exponents (g_K symmetries with the identity), then the merges; the
-whole shape at once would take dim^N of each.  A shape with no copies
-has no components, and its picture is 1.
+includes sigma's symmetries on a component, found by matching walks along
+the entries of I that copies share: the relabellings of copies within
+their summands that fix sigma (on shape (1,1), the rotations of a cycle,
+under which a trace is unchanged).  Such a relabelling sends the summand
+at I to an equal summand at the relabelled tuple, so the kernel works out
+one tuple per orbit, the least, and counts it by the orbit's size.  The
+kernel fetches the plan once per call; it walks every I, drops those that
+an image under a symmetry undercuts, and at the rest reads each copy's
+variable id off the entries of I at the copy's positions in the plan,
+through the shape's code tables (sympoly.Numbering), sorts the ids with
+sym_normalize, and sums entries of the bicharacter's eps table, indexed
+by the degrees of the entries of I, for coefficient_exponent(plan, I);
+the count's key is the monomial and the swap plus coefficient exponent
+mod m.  The cost is sum_K dim^|K| orbit tests plus, per component K, about
+dim^|K| / g_K normalizations and exponents (g_K symmetries with the
+identity), then the merges; the whole shape at once would take dim^N of
+each.  A shape with no copies has no components, and its picture is 1.
 Because of these caches, PictureShape, MixedShape and Bicharacter are
 treated as immutable once built.
 
@@ -194,8 +194,9 @@ class SigmaPlan:
         I, a list of (a, b, c) meaning c * eps(deg I_a, deg I_b);
     symmetries: the position maps on I (P with P[p] the image of
         position p) of the copy permutations pi other than the identity
-        that keep every copy in its summand and fix sigma; empty unless
-        sigma links all the copies, as on a component (see _symmetries).
+        that keep every copy in its summand and fix sigma, found by
+        matching walks along shared entries of I; empty unless sigma
+        links all the copies, as on a component (see _symmetries).
 
     terms comes from two lists of pairs.  Each blocked slot reads the
     degree of one entry of I, negated on dual slots: that is the tuple
@@ -243,53 +244,45 @@ class SigmaPlan:
 
 def _symmetries(copies):
     """The position maps on I of the copy permutations pi != identity that
-    keep every copy in its summand and fix sigma.  pi moves copy c's
-    lower positions, in order, onto those of pi(c), and its upper
-    positions (read through sigma^{-1}) onto those of pi(c); it fixes
-    sigma when the two give one map P of the positions of I.  Each copy
-    of copy 0's summand is tried as pi(0), and the other images follow
-    along sigma's links: a position shared by copies c and c' sends c'
-    to the copy that shares the image position with pi(c).  When that
-    does not reach every copy, sigma links the copies in more than one
-    component, and no map is kept."""
-    lower = {p: c for c, (_, lo, _) in enumerate(copies) for p in lo}
-    upper = {p: c for c, (_, _, up) in enumerate(copies) for p in up}
-    maps = []
-    for target, (i, _, _) in enumerate(copies):
-        if i != copies[0][0]:
-            continue
-        image, todo = {0: target}, [0]
-        while todo:
-            c = todo.pop()
-            _, lo, up = copies[c]
-            _, lo_d, up_d = copies[image[c]]
-            for p, q in zip(lo + up, lo_d + up_d):
-                for owner in (lower, upper):
-                    if owner[p] not in image:
-                        image[owner[p]] = owner[q]
-                        todo.append(owner[p])
-        if len(image) < len(copies):
-            return ()
-        P = _position_map(copies, image)
-        if target and P is not None:
-            maps.append(P)
-    return tuple(maps)
+    keep every copy in its summand and fix sigma: one map P of the
+    positions of I moves each copy's lower and upper positions, in order,
+    onto those of its image.  Each entry of I has a lower and an upper
+    reader, a (copy, slot).  A walk from a copy reaches the readers of the
+    entries of each copy reached, and records per copy its summand and the
+    (visit number, slot) of both readers of each entry.  The walks from
+    copy 0 and copy t record one pattern exactly when pi, sending the n-th
+    copy of one to the n-th of the other, fixes sigma.  When the walk from
+    copy 0 misses a copy, sigma splits the copies, and no map is kept."""
+    readers = [[None, None] for _, lo, _ in copies for _ in lo]
+    for c, (_, lo, up) in enumerate(copies):
+        for half, places in enumerate((lo, up)):
+            for slot, p in enumerate(places):
+                readers[p][half] = c, slot
 
-def _position_map(copies, image):
-    """The map P of the positions of I that the copy map image gives, or
-    None when image is not a permutation of the copies within their
-    summands, or its lower and upper positions give two maps."""
-    if len(set(image.values())) < len(image):
-        return None
-    P = {}
-    for c, d in image.items():
-        (i, lo, up), (i_d, lo_d, up_d) = copies[c], copies[d]
-        if i != i_d:
-            return None
-        for p, q in zip(lo + up, lo_d + up_d):
-            if P.setdefault(p, q) != q:
-                return None
-    return tuple(P[p] for p in range(len(P)))
+    def walk(start):
+        order, visit, pattern = [start], {start: 0}, []
+        for c in order:
+            i, lo, up = copies[c]
+            reads = []
+            for p in lo + up:
+                for d, slot in readers[p]:
+                    if d not in visit:
+                        visit[d] = len(order)
+                        order.append(d)
+                    reads.append((visit[d], slot))
+            pattern.append((i, reads))
+        return order, pattern
+
+    order, pattern = walk(0) if copies else ((), ())
+    if len(order) < len(copies):
+        return ()
+    maps = []
+    for t in range(1, len(copies)):
+        image, other = walk(t)
+        if other == pattern:
+            pi = dict(zip(order, image))
+            maps.append(tuple(copies[pi[c]][1][slot] for (c, slot), _ in readers))
+    return tuple(maps)
 
 def coefficient_exponent(plan, I):
     """Exponent of the coefficient at index tuple I: the rearrangement sign

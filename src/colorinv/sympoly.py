@@ -16,7 +16,7 @@ Each MixedShape numbers its variables 0..n-1 in that order (its
 Numbering), the one table of W's variables: it works out each basis
 word's degree once.  Inside colorinv a variable is its id, and comparing
 ids is comparing sort keys: SymPolynomial.terms maps sorted id tuples to
-coefficients, and sym_normalize, mul_terms, enumerate_sym_basis,
+coefficients, and sym_normalize, the product, enumerate_sym_basis,
 from_word and the point builders of sampling and traces read each id's
 degree, parity and SymVariable record off the Numbering.  A SymVariable
 is met only at the text boundary: var_id is the one validating
@@ -25,12 +25,12 @@ print time.  S(W*) and Lambda_eps share their normal form, basis and
 term arithmetic, all from epsalgebra: sym_normalize is eps_sort, the one
 eps insertion sort, and returns its swap exponent, which from_word applies
 by times_root; enumerate_sym_basis filters sorted_words; SymPolynomial
-sums, scales and compares through Terms.  mul_terms, the product of
-SymPolynomial only, is epsalgebra.eps_product with sym_normalize as the
-normal form, the same product as Lambda_eps's.  build_phi multiplies
-sorted monomials through sym_merge instead, which gives what
-sym_normalize gives for their concatenation in one merge; mul_terms stays
-on the full sort, so the two paths referee each other.
+sums, scales and compares through Terms.  SymPolynomial's product is
+epsalgebra.eps_product with sym_normalize as the normal form, the same
+product as Lambda_eps's.  build_phi multiplies sorted monomials through
+sym_merge instead, which gives what sym_normalize gives for their
+concatenation in one merge; the product stays on the full sort, so the
+two paths referee each other.
 """
 
 from __future__ import annotations
@@ -193,10 +193,6 @@ def sym_merge(shape, w1, w2):
     out.extend(w1[i:])
     return exp, tuple(out)
 
-def mul_terms(shape, left, right):
-    """The product in S(W*) of two {id tuple: coefficient} dicts."""
-    return eps_product([(left, right)], sym_normalize, shape, shape.chi.m)
-
 class SymPolynomial(Terms):
     """Element of S(W*): {sorted id tuple: CycloRational}.  Immutable."""
 
@@ -242,7 +238,8 @@ class SymPolynomial(Terms):
         if not isinstance(other, SymPolynomial):
             return NotImplemented
         self._check(other)
-        return self._like(mul_terms(self.shape, self.terms, other.terms))
+        return self._like(eps_product([(self.terms, other.terms)], sym_normalize,
+                                      self.shape, self.shape.chi.m))
 
     def __rmul__(self, other):
         if isinstance(other, SCALARS):
