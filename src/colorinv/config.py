@@ -90,16 +90,6 @@ def _parse_lines(text, name):
             raise ConfigError("%s: missing required key %r" % (name, key))
     return values, lines
 
-def _int_list(value, what):
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError("%s must be a nonempty list of integers" % what)
-    out = []
-    for x in value:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ConfigError("%s must contain only integers, got %r" % (what, x))
-        out.append(x)
-    return out
-
 def parse_config_text(text, name="<config>"):
     values, lines = _parse_lines(text, name)
 
@@ -107,7 +97,17 @@ def parse_config_text(text, name="<config>"):
         """A ConfigError naming the file and the line of key."""
         return ConfigError("%s:%d: %s" % (name, lines[key], message))
 
-    factors = _int_list(values["group.factors"], "group.factors")
+    def int_list(key, value, part=""):
+        """value, named key + part in errors, as a list of ints."""
+        if not isinstance(value, (list, tuple)) or not value:
+            raise error(key, "%s%s must be a nonempty list of integers" % (key, part))
+        for x in value:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise error(key, "%s%s must contain only integers, got %r"
+                            % (key, part, x))
+        return list(value)
+
+    factors = int_list("group.factors", values["group.factors"])
     if any(d < 1 for d in factors):
         raise error("group.factors", "cyclic orders must be >= 1")
     if math.prod(factors) > MAX_GROUP_ORDER:
@@ -120,7 +120,7 @@ def parse_config_text(text, name="<config>"):
                    for row in expmat)):
         raise error("bicharacter.expmat", "bicharacter.expmat must be a %dx%d "
                     "integer matrix" % (len(factors), len(factors)))
-    expmat = [_int_list(row, "bicharacter.expmat row") for row in expmat]
+    expmat = [int_list("bicharacter.expmat", row, " row") for row in expmat]
 
     chi = Bicharacter(factors, expmat)
     failures = validate_bicharacter(chi)
@@ -135,7 +135,7 @@ def parse_config_text(text, name="<config>"):
     for d in raw_degrees:
         if isinstance(d, int) and not isinstance(d, bool):
             d = (d,)
-        degrees.append(tuple(_int_list(d, "space.degrees entry")))
+        degrees.append(tuple(int_list("space.degrees", d, " entry")))
     try:
         space = GradedSpace(chi, [chi.position(d) for d in degrees])
     except ValueError as exc:
@@ -149,7 +149,7 @@ def parse_config_text(text, name="<config>"):
                     % (len(raw_pairs), MAX_PAIRS))
     pairs = []
     for p in raw_pairs:
-        bt = _int_list(p, "shape.pairs entry")
+        bt = int_list("shape.pairs", p, " entry")
         if len(bt) != 2 or min(bt) < 0 or max(bt) == 0:
             raise error("shape.pairs", "each shape pair needs b, t >= 0, not both 0")
         pairs.append(tuple(bt))

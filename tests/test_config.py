@@ -115,6 +115,24 @@ def test_bad_value_reports_line():
     assert "badline" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("group.factors = [2]", "group.factors = [2.0]",
+     "3: group.factors must contain only integers, got 2.0"),
+    ("bicharacter.expmat = [[1]]", "bicharacter.expmat = [[True]]",
+     "4: bicharacter.expmat row must contain only integers, got True"),
+    ("space.degrees = [(0,), (1,)]", "space.degrees = [(0,), (1.5,)]",
+     "5: space.degrees entry must contain only integers, got 1.5"),
+    ("shape.pairs = [(1, 1), (2, 1)]", "shape.pairs = [(1, 1), ()]",
+     "6: shape.pairs entry must be a nonempty list of integers"),
+], ids=["factors", "expmat-row", "degrees-entry", "pairs-entry"])
+def test_integer_list_errors_name_the_line(old, new, message):
+    """Every integer list a configuration holds, when malformed, is
+    reported with the file name and the line of its key."""
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(GOOD.replace(old, new), name="ints")
+    assert str(err.value) == "ints:" + message
+
+
 def test_wrong_matrix_shape_rejected():
     text = GOOD.replace("bicharacter.expmat = [[1]]",
                         "bicharacter.expmat = [[1, 0], [0, 1]]")

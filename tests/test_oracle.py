@@ -67,6 +67,33 @@ def test_span_check_computes_the_unbalanced_dimension(cfgs, monkeypatch):
         "no balanced multidegree; classical invariant dimension 1"]
 
 
+def test_span_check_skips_blocks_over_the_monomial_limit(monkeypatch):
+    """On a trivially graded space of dim 8 the r = 3 block of one matrix
+    has C(66, 3) = 45,760 monomials, and the one block of (2,1) C(514, 3):
+    both are skipped before any picture rank or derivation row is worked
+    out, in the balanced and in the unbalanced branch.  A block of as many
+    monomials as the limit still runs."""
+    def refuse(*args):
+        raise AssertionError("classical work ran on a block over the limit")
+    for name in ("_phi_rank_block", "_invariant_block_dim", "rank_int"):
+        monkeypatch.setattr(oracle, name, refuse)
+    limit = oracle.MAX_SPAN_MONOMIALS
+    assert [c.line() for c in span_check(matrix_shape(8, [(1, 1)]), 3).cases] == [
+        "PASS multidegree 3: skipped: 45760 monomials in one block exceed the "
+        "limit of %d" % limit]
+    assert [c.line() for c in span_check(matrix_shape(8, [(2, 1)]), 3).cases] == [
+        "PASS degree 3: skipped: 22500864 monomials in one block exceed the "
+        "limit of %d" % limit]
+    monkeypatch.undo()
+    # one 2 x 2 matrix at r = 2: C(5, 2) = 10 monomials
+    monkeypatch.setattr(oracle, "MAX_SPAN_MONOMIALS", 10)
+    assert [c.detail for c in span_check(matrix_shape(2, [(1, 1)]), 2).cases] == [
+        "picture span rank 2, classical invariant dimension 2"]
+    monkeypatch.setattr(oracle, "MAX_SPAN_MONOMIALS", 9)
+    assert [c.detail for c in span_check(matrix_shape(2, [(1, 1)]), 2).cases] == [
+        "skipped: 10 monomials in one block exceed the limit of 9"]
+
+
 def test_span_check_restricted_mode_on_graded_groups(cfgs):
     rpt = span_check(cfgs["super"].shape, 2)
     assert rpt.ok

@@ -384,6 +384,15 @@ def test_build_phi_matches_textbook_sum_on_symmetric_components(cfgs):
             _assert_phi_matches_textbook(ps, name)
 
 
+def test_build_phi_matches_textbook_sum_on_empty_halves_and_twin_summands(cfgs):
+    """EDGE_PICTURES, where some copies have no lower or no upper
+    positions, or two summands are equal pairs, for every sigma."""
+    for name in ("super", "z3z3", "z4"):
+        for pairs, mults in EDGE_PICTURES:
+            ps = PictureShape(MixedShape(cfgs[name].space, pairs), mults)
+            _assert_phi_matches_textbook(ps, name)
+
+
 def copy_relabellings(ps):
     """Every pi in prod_i S_{M_i}, as (pi on the copies, pi_low on the
     lower positions 1..N, pi_up on the upper positions 1..N): pi sends
@@ -429,11 +438,11 @@ def _assert_symmetries_written_out(ps, sigma):
 
 def test_sigma_plan_symmetries_are_the_relabellings_fixing_sigma(cfgs):
     """On each component of sigma and on the whole shape: shape (1,1) at
-    N <= 5, the mixed pictures, and (2,1)+(1,2) at M=(2,2) on a seeded
-    sample of sigma."""
+    N <= 5, the mixed pictures, pairs with an empty half and twin
+    summands, and (2,1)+(1,2) at M=(2,2) on a seeded sample of sigma."""
     sup = cfgs["super"]
     shapes = [(PictureShape(sup.shape, (n,)), all_perms(n)) for n in range(1, 6)]
-    for pairs, mults in MIXED_PICTURES:
+    for pairs, mults in MIXED_PICTURES + EDGE_PICTURES:
         ps = PictureShape(MixedShape(sup.space, pairs), mults)
         shapes.append((ps, all_perms(ps.N)))
     big = PictureShape(MixedShape(sup.space, [(2, 1), (1, 2)]), (2, 2))
@@ -505,6 +514,10 @@ def test_phi_is_the_product_of_its_cycles_traces(cfgs):
 MIXED_PICTURES = (([(1, 1), (2, 2)], (2, 1)), ([(2, 1), (1, 2)], (1, 1)),
                   ([(1, 1), (1, 1)], (2, 1)), ([(2, 2), (1, 1)], (1, 1)),
                   ([(2, 2)], (2,)))
+# Pairs with an empty half (copies with no lower or no upper positions),
+# and twin summands, two copies each.
+EDGE_PICTURES = (([(2, 0), (0, 2)], (2, 2)), ([(1, 0), (0, 1)], (3, 3)),
+                 ([(2, 1), (0, 1)], (1, 1)), ([(1, 1), (1, 1)], (2, 2)))
 
 
 def test_components_are_balanced_of_degree_zero_and_multiply_to_phi(cfgs):

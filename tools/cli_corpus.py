@@ -41,7 +41,13 @@ every builtin configuration:
   tuples are above `config.MAX_TUPLES` (`WIDE_CONFIG`); and on super,
   `trace` of a sigma in S_1000000 and of an `--assign` of 6 positions,
   both above `bounds.max_n`, and `picture` with `--sigma=--`, which
-  argparse reads as an empty list (each an error, exit 2).
+  argparse reads as an empty list (each an error, exit 2); `verify --suite
+  span` on the same space of dim 8, whose r = 3 block passes
+  `oracle.MAX_SPAN_MONOMIALS` and is skipped;
+* `validate` of one configuration file per integer list the loader reads
+  (`group.factors`, a `bicharacter.expmat` row, a `space.degrees` entry, a
+  `shape.pairs` entry) holding a malformed literal (`MALFORMED_LISTS`, each
+  an error naming its line, exit 2).
 
 Each command's argument list, exit code, standard output and standard error
 go into one SHA-256, and so does the text of every generated file; the
@@ -142,8 +148,18 @@ OVER_LIMITS = {
     "over-pair-length.cfg": "space.degrees = [(0,)]\nshape.pairs = [(1000000, 1)]\n",
 }
 
+# name -> (a line of a valid configuration, the same line with a malformed
+# integer list), one per integer list the loader reads.
+MALFORMED_LISTS = {
+    "bad-factors.cfg": ("group.factors = [2]", "group.factors = [2.0]"),
+    "bad-expmat-row.cfg": ("bicharacter.expmat = [[1]]", "bicharacter.expmat = [[True]]"),
+    "bad-degrees-entry.cfg": (PLANE.strip(), "space.degrees = [(0,), (1.5,)]"),
+    "bad-pairs-entry.cfg": ("shape.pairs = [(1, 1)]", "shape.pairs = [(1, 1), (1, 'a')]"),
+}
+
 # A valid configuration of dim 8 with bounds.max_n = 8, whose pictures pass
-# config.MAX_TUPLES at N = 6.
+# config.MAX_TUPLES at N = 6 and whose span block at r = 3 passes
+# oracle.MAX_SPAN_MONOMIALS.
 WIDE_CONFIG = ("group.factors = [1]\nbicharacter.expmat = [[0]]\nspace.degrees = %r\n"
                "shape.pairs = [(1, 1)]\nbounds.max_n = 8\n" % ([(0,)] * 8))
 
@@ -229,6 +245,7 @@ def commands(tmp):
     out.extend(_hand_written(tmp))
     out.extend(_scalars(tmp))
     out.extend(_over_limits(tmp))
+    out.extend(_malformed_lists(tmp))
     return out
 
 
@@ -310,7 +327,8 @@ def _over_limits(tmp):
     """validate of each OVER_LIMITS file, picture at N = 6 on WIDE_CONFIG,
     trace on super of a sigma in S_1000000 and of an assignment of 6
     positions, and picture with the empty value '--sigma=--': each an
-    error, exit 2."""
+    error, exit 2; then verify --suite span on WIDE_CONFIG, which skips
+    its r = 3 block."""
     out = []
     for fname, text in OVER_LIMITS.items():
         path = os.path.join(tmp, fname)
@@ -326,6 +344,20 @@ def _over_limits(tmp):
     out.append(trace + ["--sigma", "(1 1000000)"])
     out.append(trace + ["--sigma", "(1 2)", "--assign", "1,1,1,1,1,1"])
     out.append(["picture", "--config", "builtin:super", "--multiplicities", "2", "--sigma=--"])
+    out.append(["verify", "--config", wide, "--suite", "span"])
+    return out
+
+
+def _malformed_lists(tmp):
+    """validate of each MALFORMED_LISTS file: an error, exit 2."""
+    good = ("group.factors = [2]\nbicharacter.expmat = [[1]]\n" + PLANE
+            + "shape.pairs = [(1, 1)]\n")
+    out = []
+    for fname, (line, bad) in MALFORMED_LISTS.items():
+        path = os.path.join(tmp, fname)
+        with open(path, "w") as fh:
+            fh.write(good.replace(line, bad))
+        out.append(["validate", "--config", path])
     return out
 
 
