@@ -23,7 +23,8 @@ Elements of different orders are compared and combined by lifting both to
 the lcm order via zeta_m = zeta_M^(M/m).  A result keeps that lcm as its
 `order` even when its value lies in a smaller field (zeta_4 * zeta_4 has
 order 4), and an order-1 operand, a plain rational, leaves the other
-operand's order alone.  Printed output carries the order (`--format
+operand's order alone; an int operand scales the numerators in one step,
+as its rational would.  Printed output carries the order (`--format
 structured` writes it), so the rule is part of the output format.
 
 Signs of the color calculus are powers of one root zeta_m, applied by
@@ -254,6 +255,8 @@ class CycloRational:
         return (-self) + other
 
     def __mul__(self, other):
+        if other.__class__ is int:
+            return _make(self.order, tuple(v * other for v in self.num), self.den)
         if other.__class__ is not CycloRational:
             other = _coerce(other)
             if other is None:

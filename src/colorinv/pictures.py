@@ -42,9 +42,11 @@ serve every sigma.  _phi_counts, the one kernel, counts each component's
 index tuples in {1..dim}^|K| per (monomial, exponent of zeta_m), and the
 components are multiplied as these exponent counts, not as CycloRationals:
 sympoly.sym_merge merges each pair of sorted monomials in one pass with
-its swap exponent, the exponents add and the counts multiply.  Each count
-of the product becomes a multiple of its root of unity once, at the end.
-Equal components are counted once per call.
+its swap exponent, the exponents add and the counts multiply.  As the
+components commute without a sign, the product and its exponents mod m
+do not depend on the order, so the smallest dicts go first, making fewer
+merges.  Each count of the product becomes a multiple of its root of
+unity once, at the end.  Equal components are counted once per call.
 
 Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
 the inversions of rho, the copies' positions in I) is worked out once per
@@ -394,25 +396,29 @@ def _mul_counts(shape, left, right):
 def build_phi(pshape, sigma):
     """The picture invariant phi_sigma as an element of S(W*): the product
     of the pictures of sigma's components, each counted over its own index
-    tuples by _phi_counts and multiplied as counts, and each count made a
-    multiple of its root of unity once, at the end.  Components equal as
-    (sub-shape, sub-sigma) are counted once per call."""
+    tuples by _phi_counts and multiplied as counts, smallest first (exact,
+    as components of G-degree 0 commute without a sign), and each count
+    made a multiple of its root of unity once, at the end.  Components
+    equal as (sub-shape, sub-sigma) are counted once per call."""
     shape = pshape.shape
     chi = shape.chi
     sigma = tuple(sigma)
     built = {}
-    counts = None
+    parts = []
     for sub, sub_sigma in components(pshape, sigma):
         key = sub.mults, sub_sigma
         part = built.get(key)
         if part is None:
             part = built[key] = _phi_counts(sub, sub_sigma)
-        counts = part if counts is None else _mul_counts(shape, counts, part)
-    if counts is None:
-        counts = {((), 0): 1}
+        parts.append(part)
+    parts.sort(key=len)
+    counts = parts[0] if parts else {((), 0): 1}
+    for part in parts[1:]:
+        counts = _mul_counts(shape, counts, part)
+    roots = [chi.root(e) for e in range(chi.m)]
     terms = {}
     for (mono, e), count in counts.items():
-        add_term(terms, mono, chi.root(e) * count)
+        add_term(terms, mono, roots[e] * count)
     return PictureInvariant(pshape, sigma, SymPolynomial(shape, terms))
 
 def theta_eval(sigma, t):

@@ -122,6 +122,29 @@ def test_as_cyclo_coercion():
     assert as_cyclo(x) is x
 
 
+@st.composite
+def int_scalings(draw):
+    """(order, coefficients, lift, k): x = CycloRational(order, coefficients)
+    lifted to the order `lift`, a multiple of its order, and an int k."""
+    n = draw(st.sampled_from((1, 2, 3, 4, 12)))
+    cs = draw(st.lists(fractions, min_size=1, max_size=6))
+    lift = draw(st.sampled_from([m for m in (1, 2, 3, 4, 12) if m % n == 0]))
+    return n, cs, lift, draw(st.integers(-12, 12))
+
+
+@given(case=int_scalings())
+@example(case=(3, [Fraction(1, 2), Fraction(-3, 4)], 12, 0))
+@example(case=(1, [Fraction(5, 6)], 1, -3))
+@example(case=(12, [Fraction(2, 3), Fraction(0), Fraction(-1)], 12, 6))
+@settings(max_examples=150, deadline=None)
+def test_int_operand_scales_as_its_rational(case):
+    n, cs, lift, k = case
+    x = CycloRational(n, cs).times_root(lift, 0)
+    want = x * CycloRational.from_rational(k)
+    for got in (x * k, k * x):
+        assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+
+
 # ----------------------------------------- sympy referee for the arithmetic
 
 REFEREE_ORDERS = (1, 2, 3, 4, 6, 12)

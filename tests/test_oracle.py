@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from colorinv import oracle, permutations as perms
-from colorinv.config import builtin_config
+from colorinv.config import builtin_config, parse_config_text
 from colorinv.groups import Bicharacter, FiniteAbelianGroup
 from colorinv.oracle import (
     SUITES,
@@ -92,6 +92,28 @@ def test_span_check_skips_blocks_over_the_monomial_limit(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_SPAN_MONOMIALS", 9)
     assert [c.detail for c in span_check(matrix_shape(2, [(1, 1)]), 2).cases] == [
         "skipped: 10 monomials in one block exceed the limit of 9"]
+
+
+def test_span_suite_skips_graded_blocks_over_max_n(monkeypatch):
+    """On super with one (4,4) pair every block has N = 4r; with
+    bounds.max_n = 3 the restricted mode skips each one before building
+    any phi or drawing any point.  A block at N = max_n still runs."""
+    cfg = parse_config_text("group.factors = [2]\nbicharacter.expmat = [[1]]\n"
+                            "space.degrees = [(0,), (1,)]\nshape.pairs = [(4, 4)]\n"
+                            "bounds.max_n = 3\n")
+
+    def refuse(*args):
+        raise AssertionError("a block over bounds.max_n was worked on")
+    monkeypatch.setattr(oracle, "build_phi", refuse)
+    monkeypatch.setattr(oracle, "_transformed_pair", refuse)
+    rpt = suite("span", cfg)
+    assert [c.line() for c in rpt.cases if "invariance" in c.name] == [
+        "PASS r=%d invariance multidegree %d: skipped: N=%d exceeds bounds.max_n=3"
+        % (r, r, 4 * r) for r in (1, 2, 3)]
+    monkeypatch.undo()
+    one_matrix = MixedShape(cfg.space, [(1, 1)])
+    assert [c.detail for c in span_check(one_matrix, 2, max_n=2).cases][1:] == [
+        "6 transformed-point comparisons, 0 failed"]
 
 
 def test_span_check_restricted_mode_on_graded_groups(cfgs):

@@ -15,6 +15,8 @@ from colorinv.oracle import suite
 from colorinv.permutations import all_perms
 from colorinv.pictures import (
     PictureShape,
+    _mul_counts,
+    _phi_counts,
     blocked_word,
     build_phi,
     coefficient_exponent,
@@ -482,6 +484,44 @@ def test_phi_is_constant_on_relabelling_orbits_of_mixed_shapes(cfgs):
             ps, random.Random("orbits/" + name).sample(all_perms(ps.N), 6))
         ps = PictureShape(MixedShape(cfg.space, [(1, 1), (2, 2)]), (2, 1))
         _assert_phi_constant_on_orbits(ps, all_perms(ps.N))
+
+
+def test_component_counts_multiply_in_either_order(cfgs):
+    """Components are balanced of G-degree 0, so multiplying two of their
+    counts dicts gives the same dict, exponents mod m included, in either
+    order; build_phi relies on this when it multiplies the smallest first.
+    On super a repeated odd variable drops some pairs of monomials."""
+    dropped = 0
+    for name in ("super", "z3z3"):
+        space = cfgs[name].space
+        shapes = [(PictureShape(MixedShape(space, [(1, 1)]), (4,)), all_perms(4)),
+                  (PictureShape(MixedShape(space, [(1, 1), (2, 2)]), (2, 1)), all_perms(4))]
+        ps = PictureShape(MixedShape(space, [(2, 1), (1, 2)]), (2, 2))
+        shapes.append((ps, [(1, 3, 6, 2, 4, 5)]
+                       + random.Random("components").sample(all_perms(6), 10)))
+        for ps, sigmas in shapes:
+            for sigma in sigmas:
+                parts = [_phi_counts(sub, s) for sub, s in components(ps, sigma)]
+                for a, b in itertools.combinations(parts, 2):
+                    ab = _mul_counts(ps.shape, a, b)
+                    assert ab == _mul_counts(ps.shape, b, a), (name, ps, sigma)
+                    dropped += sum(ab.values()) < sum(a.values()) * sum(b.values())
+        if name == "super":
+            assert dropped
+
+
+def test_build_phi_matches_textbook_sum_when_the_smallest_component_is_not_first(cfgs):
+    """sigma whose components, in components() order, do not come smallest
+    counts dict first, so build_phi multiplies them in another order."""
+    cases = ((([(1, 1)], (4,)), [(2, 1, 3, 4), (1, 3, 2, 4)]),
+             (([(1, 1), (2, 2)], (2, 1)), [(3, 2, 1, 4)]))
+    for name in ("super", "z3z3"):
+        for (pairs, mults), sigmas in cases:
+            ps = PictureShape(MixedShape(cfgs[name].space, pairs), mults)
+            for sigma in sigmas:
+                sizes = [len(_phi_counts(sub, s)) for sub, s in components(ps, sigma)]
+                assert sizes != sorted(sizes), (name, ps, sigma, sizes)
+            _assert_phi_matches_textbook(ps, name, sigmas)
 
 
 def _cycle_phi(shape, length):

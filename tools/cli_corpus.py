@@ -43,7 +43,9 @@ every builtin configuration:
   both above `bounds.max_n`, and `picture` with `--sigma=--`, which
   argparse reads as an empty list (each an error, exit 2); `verify --suite
   span` on the same space of dim 8, whose r = 3 block passes
-  `oracle.MAX_SPAN_MONOMIALS` and is skipped;
+  `oracle.MAX_SPAN_MONOMIALS` and is skipped, and on super with one (4,4)
+  pair and `bounds.max_n = 3` (`LONG_PAIR`), whose blocks of N = 4, 8 and
+  12 exceed `bounds.max_n` and are skipped;
 * `validate` of one configuration file per integer list the loader reads
   (`group.factors`, a `bicharacter.expmat` row, a `space.degrees` entry, a
   `shape.pairs` entry) holding a malformed literal (`MALFORMED_LISTS`, each
@@ -162,6 +164,11 @@ MALFORMED_LISTS = {
 # oracle.MAX_SPAN_MONOMIALS.
 WIDE_CONFIG = ("group.factors = [1]\nbicharacter.expmat = [[0]]\nspace.degrees = %r\n"
                "shape.pairs = [(1, 1)]\nbounds.max_n = 8\n" % ([(0,)] * 8))
+
+# super with one (4,4) pair and bounds.max_n = 3: every span block has
+# N = 4r > 3, and the restricted mode would otherwise build all of S_4r.
+LONG_PAIR = ("group.factors = [2]\nbicharacter.expmat = [[1]]\nspace.degrees = [(0,), (1,)]\n"
+             "shape.pairs = [(4, 4)]\nbounds.max_n = 3\n")
 
 # name -> (configuration text, multiplicities of its picture commands).
 MIXED_CONFIGS = {
@@ -328,7 +335,7 @@ def _over_limits(tmp):
     trace on super of a sigma in S_1000000 and of an assignment of 6
     positions, and picture with the empty value '--sigma=--': each an
     error, exit 2; then verify --suite span on WIDE_CONFIG, which skips
-    its r = 3 block."""
+    its r = 3 block, and on LONG_PAIR, which skips every block."""
     out = []
     for fname, text in OVER_LIMITS.items():
         path = os.path.join(tmp, fname)
@@ -345,6 +352,10 @@ def _over_limits(tmp):
     out.append(trace + ["--sigma", "(1 2)", "--assign", "1,1,1,1,1,1"])
     out.append(["picture", "--config", "builtin:super", "--multiplicities", "2", "--sigma=--"])
     out.append(["verify", "--config", wide, "--suite", "span"])
+    long_pair = os.path.join(tmp, "long-pair.cfg")
+    with open(long_pair, "w") as fh:
+        fh.write(LONG_PAIR)
+    out.append(["verify", "--config", long_pair, "--suite", "span"])
     return out
 
 
