@@ -24,8 +24,9 @@ degrees are added, negated and paired through the bicharacter's tables
 one pair indexed by variance bit (slot_table), so a slot's degree is one
 lookup.  The degree an emitted coefficient hops past is the degree of the
 slots to its right: psi_derivation takes it as the word's degree less the
-degrees up to the slot, apply_operator carries it along as it places new
-indices from the right.
+degrees up to the slot; apply_operator, acting on the whole tensor one
+slot at a time from the right, sums the degrees of the slots right of
+the slot, which already hold their new indices.
 
 Operators T act by T(e_b) = sum_a e_a T_ab.  On dual slots T acts through
 composition with T^{-1}, which in coordinates reads
@@ -302,11 +303,12 @@ def dual_action_columns(opinv):
 def apply_operator(t, op, opinv=None):
     """Apply an operator to every slot of a tensor.  Dual slots transform
     through composition with the inverse, so opinv is required when the
-    tensor has a dual slot.  Each term is worked slot by slot from the
-    right: the coefficient emitted at a slot hops past the new basis
-    factors already placed to its right and multiplies the coefficient
-    built so far, the same product as the chain over all slots by
-    associativity.  The products of slot 0 are summed per new word."""
+    tensor has a dual slot.  The whole tensor is acted on one slot at a
+    time from the right: at slot j each term's entry hops past the degree
+    of the slots right of j, which already hold their new indices, and
+    multiplies the term's coefficient, the same product as the chain over
+    all slots by associativity.  Each pass sums its products per new
+    word."""
     if not op._same(t):
         raise ValueError("operator and tensor live over different spaces")
     if opinv is not None and not opinv._same(t):
@@ -316,26 +318,17 @@ def apply_operator(t, op, opinv=None):
         if opinv is None:
             raise ValueError("dual slots need the inverse operator")
         cols[DUAL] = dual_action_columns(opinv)
-    k, add = len(t.variance), t.space.chi.sum_table
-    if not k:
-        return t
-    sums = {}
-    for idx, lam in t.terms.items():
-        # the new indices right of slot j -> (their degree, the coefficient
-        # built so far)
-        built = {(): (0, lam)}
-        for j in range(k - 1, -1, -1):
-            v = t.variance[j]
-            step = sums if j == 0 else {}
-            for a, c in cols[v].get(idx[j], ()):
-                for right, (d, x) in built.items():
-                    step.setdefault((a,) + right, []).append((hop(c, d).terms, x.terms))
-            if j:
-                # the new index at slot j joins the degree of those right of it
-                degrees = t.space.slot_table[v]
-                built = {nidx: (add[degrees[nidx[0] - 1]][built[nidx[1:]][0]], x)
-                         for nidx, x in eps_sums(t.alg, step).items()}
-    return t._like(eps_sums(t.alg, sums))
+    degree_sum, terms = t.space.chi.degree_sum, t.terms
+    for j in range(len(t.variance) - 1, -1, -1):
+        col = cols[t.variance[j]]
+        sums = {}
+        for idx, lam in terms.items():
+            d = degree_sum(t.slot_degrees(idx)[j + 1:])
+            for a, c in col.get(idx[j], ()):
+                sums.setdefault(idx[:j] + (a,) + idx[j + 1:], []).append(
+                    (hop(c, d).terms, lam.terms))
+        terms = eps_sums(t.alg, sums)
+    return t._like(terms)
 
 def psi_derivation(x, t):
     """Twisted derivation action of a homogeneous operator on a primal
