@@ -65,20 +65,27 @@ class Report:
         assert all(c.name != name for c in self.cases), "duplicate case name %r" % name
         self.cases.append(CaseResult(name, bool(ok), detail))
 
-    def tally(self, name, holds, ok, fail):
-        """Add one case over a stream of verdicts, one per check, read in
-        order.  ok and fail are the details of a clean and of a failed
-        case, formatted with the counts %(total)d and %(bad)d.  An exception
-        raised by the stream fails this case alone, and names the error."""
+    def tally(self, name, items, ok, fail, check=bool):
+        """Add one case over a stream of items, one per check, read in
+        order; an item holds when check(item) is true.  ok and fail are
+        the details of a clean and of a failed case, formatted with the
+        counts %(total)d and %(bad)d and the first refused item %(first)r.
+        An exception raised by the stream or by check fails this case
+        alone, and names the error."""
         total = bad = 0
+        first = None
         try:
-            for h in holds:
+            for item in items:
                 total += 1
-                bad += not h
+                if not check(item):
+                    if not bad:
+                        first = item
+                    bad += 1
         except Exception as e:
             self.add(name, False, "exception: %s: %s" % (type(e).__name__, e))
             return
-        self.add(name, bad == 0, (fail if bad else ok) % {"total": total, "bad": bad})
+        self.add(name, bad == 0, (fail if bad else ok)
+                 % {"total": total, "bad": bad, "first": first})
 
     def render(self):
         lines = ["suite: %s" % self.suite,
@@ -215,14 +222,23 @@ def _skip_oversized(rpt, name, shape, blocks):
                 "of %d" % (size, MAX_SPAN_MONOMIALS))
     return size > MAX_SPAN_MONOMIALS
 
+def _skip_long(rpt, name, shape, M, max_n):
+    """Whether block M has N = sum M_i b_i above max_n, all N! of whose phi
+    its case would build; if so the case name passes as skipped."""
+    N = sum(m * b for m, (b, _) in zip(M, shape.pairs))
+    if N > max_n:
+        rpt.add(name, True, "skipped: N=%d exceeds bounds.max_n=%d" % (N, max_n))
+    return N > max_n
+
 def span_check(shape, r, seed=0, max_n=MAX_N):
     """Compare the rank of the picture invariants of total degree r with
     the classically computed invariant dimension, block by balanced
     multidegree.  Needs the trivial grading group for the classical side;
     with a nontrivial group the report instead records a restricted-mode
-    notice and certifies invariance of each phi on sampled points, skipping
-    a block of N above max_n, all N! of whose phi it would build.  Blocks
-    over MAX_SPAN_MONOMIALS monomials are skipped before any row is built."""
+    notice and certifies invariance of each phi on sampled points.  Either
+    way a block of N above max_n is skipped before any phi is built, and on
+    the trivial grading then a block over MAX_SPAN_MONOMIALS monomials,
+    before any row is built."""
     label = "n=%d pairs=%s r=%d" % (shape.space.dim,
                                     ";".join("%d,%d" % p for p in shape.pairs), r)
     rpt = Report("span", label, seed)
@@ -242,7 +258,7 @@ def span_check(shape, r, seed=0, max_n=MAX_N):
         return rpt
     for M in blocks:
         name = "multidegree %s" % _fmt_tuple(M)
-        if _skip_oversized(rpt, name, shape, [M]):
+        if _skip_long(rpt, name, shape, M, max_n) or _skip_oversized(rpt, name, shape, [M]):
             continue
         rk = _phi_rank_block(shape, M)
         dim = _invariant_block_dim(shape, M, r)
@@ -263,10 +279,7 @@ def _span_restricted(shape, r, rpt, seed, max_n):
     detail = "%(total)d transformed-point comparisons, %(bad)d failed"
     for M in balanced_blocks(shape.pairs, r):
         name = "invariance multidegree %s" % _fmt_tuple(M)
-        N = sum(m * b for m, (b, _) in zip(M, shape.pairs))
-        if N > max_n:
-            rpt.add(name, True, "skipped: N=%d exceeds bounds.max_n=%d" % (N, max_n))
-        else:
+        if not _skip_long(rpt, name, shape, M, max_n):
             rpt.tally(name, invariant(PictureShape(shape, M)), detail, detail)
 
 # ----------------------------------------------------------- suites
@@ -279,20 +292,13 @@ def _suite_bicharacter(cfg, rpt, seed, **_):
             failures[0] if failures else "valid")
     els = grp.elements()
     m = chi.m
-    bad = total = 0
-    first = None
-    for g, h, k in itertools.product(els, repeat=3):
-        total += 1
-        lhs = chi.eps_exponent(grp.add(g, h), k)
-        rhs = (chi.eps_exponent(g, k) + chi.eps_exponent(h, k)) % m
-        lhs2 = chi.eps_exponent(k, grp.add(g, h))
-        rhs2 = (chi.eps_exponent(k, g) + chi.eps_exponent(k, h)) % m
-        if lhs != rhs or lhs2 != rhs2:
-            bad += 1
-            first = first or (g, h, k)
-    rpt.add("biadditive", bad == 0,
-            "%d triples checked" % total if not bad
-            else "failed at %r" % (first,))
+
+    def biadditive(triple):
+        g, h, k = triple
+        gh, e = grp.add(g, h), chi.eps_exponent
+        return e(gh, k) == (e(g, k) + e(h, k)) % m and e(k, gh) == (e(k, g) + e(k, h)) % m
+    rpt.tally("biadditive", itertools.product(els, repeat=3),
+              "%(total)d triples checked", "failed at %(first)r", biadditive)
     rpt.tally("skew-inverse",
               ((chi.eps_exponent(g, h) + chi.eps_exponent(h, g)) % m == 0
                for g, h in itertools.product(els, repeat=2)),
@@ -386,17 +392,12 @@ def _suite_jacobi(cfg, rpt, seed, **_):
     # J[u, v, w] = eps(w, u) [u, [v, w]], each nested term built once
     J = {(u, v, w): color_bracket(units[u], pair_brackets[v, w]).scale(
         chi.eps(degs[w], degs[u])) for u, v, w in itertools.product(keys, repeat=3)}
-    bad = total = 0
-    first = None
-    for x, y, z in itertools.product(keys, repeat=3):
-        total += 1
-        s = J[x, y, z] + J[y, z, x] + J[z, x, y]
-        if not s.is_zero():
-            bad += 1
-            first = first or (x, y, z)
-    rpt.add("color-jacobi", bad == 0,
-            "all %d matrix unit triples" % total if not bad
-            else "failed at units %r" % (first,))
+
+    def jacobi(triple):
+        x, y, z = triple
+        return (J[x, y, z] + J[y, z, x] + J[z, x, y]).is_zero()
+    rpt.tally("color-jacobi", itertools.product(keys, repeat=3),
+              "all %(total)d matrix unit triples", "failed at units %(first)r", jacobi)
     rng = _sub_rng(seed, "jacobi")
     add, neg = chi.sum_table, chi.neg_table
 
@@ -407,12 +408,10 @@ def _suite_jacobi(cfg, rpt, seed, **_):
                 a0 = rng.randint(1, n)
                 b0 = rng.randint(1, n)
                 g = add[space.degree(a0)][neg[space.degree(b0)]]
-                T = GradedOperator.zero(space, alg)
-                for a in range(1, n + 1):
-                    for b in range(1, n + 1):
-                        if add[space.degree(a)][neg[space.degree(b)]] == g:
-                            T = T + GradedOperator.matrix_unit(
-                                space, alg, a, b, rng.randint(-3, 3))
+                T = GradedOperator(space, alg, {
+                    (a, b): alg.scalar(rng.randint(-3, 3))
+                    for a in range(1, n + 1) for b in range(1, n + 1)
+                    if add[space.degree(a)][neg[space.degree(b)]] == g})
                 ops.append((T, g))
             (x, gx), (y, gy), (z, gz) = ops
             s = color_bracket(x, color_bracket(y, z)).scale(chi.eps(gz, gx))

@@ -71,7 +71,7 @@ def parse_cyclo(text, order):
     s = s.replace("- ", "+ -").replace("+ ", "+")
     if s.startswith("+"):
         s = s[1:]
-    total = CycloRational.zero()
+    total = None
     for raw in s.split("+"):
         raw = raw.strip()
         if not raw:
@@ -89,7 +89,8 @@ def parse_cyclo(text, order):
             if not den:
                 raise ValueError("zero denominator in %r" % m.group("num"))
         k = int(powtext[2:] or 1) if powtext else 0    # 'z^k', 'z' or none
-        total = total + CycloRational.from_rational(num, den).times_root(order, k)
+        term = CycloRational.from_rational(num, den).times_root(order, k)
+        total = term if total is None else total + term
     return total
 
 # ------------------------------------------------ term reader and writer

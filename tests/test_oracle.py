@@ -116,6 +116,28 @@ def test_span_suite_skips_graded_blocks_over_max_n(monkeypatch):
         "6 transformed-point comparisons, 0 failed"]
 
 
+def test_span_suite_skips_trivial_blocks_over_max_n(monkeypatch):
+    """On a one-dimensional trivial space with one (4,4) pair each block
+    has one monomial, so the monomial limit never fires; with
+    bounds.max_n = 3 every block of N = 4r is skipped before any phi, rank
+    or derivation row.  A block at N = max_n still runs."""
+    cfg = parse_config_text("group.factors = [1]\nbicharacter.expmat = [[0]]\n"
+                            "space.degrees = [(0,)]\nshape.pairs = [(4, 4)]\n"
+                            "bounds.max_n = 3\n")
+
+    def refuse(*args):
+        raise AssertionError("a block over bounds.max_n was worked on")
+    for name in ("build_phi", "_phi_rank_block", "_invariant_block_dim", "rank_int"):
+        monkeypatch.setattr(oracle, name, refuse)
+    assert [c.line() for c in suite("span", cfg).cases] == [
+        "PASS r=%d multidegree %d: skipped: N=%d exceeds bounds.max_n=3"
+        % (r, r, 4 * r) for r in (1, 2, 3)]
+    monkeypatch.undo()
+    one_matrix = MixedShape(cfg.space, [(1, 1)])
+    assert [c.line() for c in span_check(one_matrix, 2, max_n=2).cases] == [
+        "PASS multidegree 2: picture span rank 1, classical invariant dimension 1"]
+
+
 def test_span_check_restricted_mode_on_graded_groups(cfgs):
     rpt = span_check(cfgs["super"].shape, 2)
     assert rpt.ok
@@ -158,6 +180,8 @@ def test_report_rendering_format(cfgs):
 
 
 def test_tally_fails_only_the_case_whose_stream_raises():
+    """A raising stream or check fails its own case alone; check decides
+    each item, and the first refused one fills %(first)r."""
     rpt = oracle.Report("demo", "none", 0)
 
     def raising():
@@ -165,8 +189,23 @@ def test_tally_fails_only_the_case_whose_stream_raises():
         raise KeyError("boom")
     rpt.tally("a", raising(), "%(total)d checks", "%(bad)d failed")
     rpt.tally("b", iter([True, True]), "%(total)d checks", "%(bad)d failed")
+    rpt.tally("c", [1, 0], "%(total)d checks", "%(bad)d failed", lambda x: 1 // x)
+    rpt.tally("d", [(1, 2), (3, 3), (4, 4)], "%(total)d checks",
+              "%(bad)d of %(total)d, first %(first)r", lambda p: p[0] < p[1])
     assert [c.line() for c in rpt.cases] == [
-        "FAIL a: exception: KeyError: 'boom'", "PASS b: 2 checks"]
+        "FAIL a: exception: KeyError: 'boom'", "PASS b: 2 checks",
+        "FAIL c: exception: ZeroDivisionError: integer division or modulo by zero",
+        "FAIL d: 2 of 3, first (3, 3)"]
+
+
+def test_biadditive_names_the_first_failing_triple(cfgs, monkeypatch):
+    """A non-biadditive eps_exponent (one exponent raised at (2, 2) on z4)
+    fails the case at its first triple in product order."""
+    orig = Bicharacter.eps_exponent
+    monkeypatch.setattr(Bicharacter, "eps_exponent", lambda self, g, h:
+                        (orig(self, g, h) + (g == h == (2,))) % self.m)
+    lines = [c.line() for c in suite("bicharacter", cfgs["z4"]).cases]
+    assert "FAIL biadditive: failed at ((1,), (1,), (2,))" in lines
 
 
 def test_balanced_multiplicities(cfgs):

@@ -376,21 +376,35 @@ def all_slots_chain(t, op, opinv):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_apply_operator_matches_the_all_slots_chain(cfgs, data):
-    """Slot by slot from the right equals the chain over all slots, in
-    value and in each coefficient's order, on mixed variances of width up
-    to 3; opinv need not be the inverse for the formula to hold."""
+    """Slot by slot over the whole tensor equals the chain over all slots,
+    each coefficient's order, numerators and denominator included, on
+    mixed variances of width up to 4; opinv need not be the inverse for
+    the formula to hold.  When every slot has one image whatever its
+    index, terms that differ only in the last slot meet at its pass, and a
+    negated twin cancels there."""
     cfg = cfgs[data.draw(st.sampled_from(("super", "z2z2", "z3z3", "z4")))]
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     space, alg = cfg.space, standard_test_algebra(cfg.chi, 3)
     variance = tuple(data.draw(st.lists(st.sampled_from((PRIMAL, DUAL)),
-                                        min_size=1, max_size=3)))
+                                        min_size=1, max_size=4)))
+    T, Tinv = random_gl_epsilon(space, alg, rng)
+    opinv = Tinv if data.draw(st.booleans()) else random_gl_epsilon(space, alg, rng)[0]
+    if data.draw(st.booleans()):
+        # every column of T and every row of opinv alike: e_b and e_c* have
+        # one image whatever b and c are
+        n = range(1, space.dim + 1)
+        T = GradedOperator(space, alg, {(a, b): x for (a, c), x in T.terms.items()
+                                        if c == 1 for b in n})
+        opinv = GradedOperator(space, alg, {(c, a): x for (r, a), x in opinv.terms.items()
+                                            if r == 1 for c in n})
     t = GradedTensor.zero(space, alg, variance)
     for _ in range(data.draw(st.integers(1, 3))):
         idx = tuple(rng.randint(1, space.dim) for _ in variance)
         lam = random_eps_of_degree(alg, rng.randrange(cfg.chi.group.order), rng, 1)
+        twin = idx[:-1] + (rng.randint(1, space.dim),)
         t = t + GradedTensor(space, alg, variance, {idx: lam})
-    T, Tinv = random_gl_epsilon(space, alg, rng)
-    opinv = Tinv if data.draw(st.booleans()) else random_gl_epsilon(space, alg, rng)[0]
+        t = t + GradedTensor(space, alg, variance, {twin: data.draw(st.sampled_from(
+            (lam, -lam, alg.zero())))})
     got, want = apply_operator(t, T, opinv), all_slots_chain(t, T, opinv)
     assert exact_coefficients(got) == exact_coefficients(want)
 

@@ -44,8 +44,9 @@ every builtin configuration:
   argparse reads as an empty list (each an error, exit 2); `verify --suite
   span` on the same space of dim 8, whose r = 3 block passes
   `oracle.MAX_SPAN_MONOMIALS` and is skipped, and on super with one (4,4)
-  pair and `bounds.max_n = 3` (`LONG_PAIR`), whose blocks of N = 4, 8 and
-  12 exceed `bounds.max_n` and are skipped;
+  pair and `bounds.max_n = 3` (`LONG_PAIR`) and on a one-dimensional
+  trivial space with the same pair and bound (`LONG_TRIVIAL`), whose
+  blocks of N = 4, 8 and 12 exceed `bounds.max_n` and are skipped;
 * `validate` of one configuration file per integer list the loader reads
   (`group.factors`, a `bicharacter.expmat` row, a `space.degrees` entry, a
   `shape.pairs` entry) holding a malformed literal (`MALFORMED_LISTS`, each
@@ -169,6 +170,11 @@ WIDE_CONFIG = ("group.factors = [1]\nbicharacter.expmat = [[0]]\nspace.degrees =
 # N = 4r > 3, and the restricted mode would otherwise build all of S_4r.
 LONG_PAIR = ("group.factors = [2]\nbicharacter.expmat = [[1]]\nspace.degrees = [(0,), (1,)]\n"
              "shape.pairs = [(4, 4)]\nbounds.max_n = 3\n")
+
+# the same pair on a one-dimensional trivial space: one monomial per block,
+# so only bounds.max_n keeps the span suite from building all of S_4r.
+LONG_TRIVIAL = ("group.factors = [1]\nbicharacter.expmat = [[0]]\nspace.degrees = [(0,)]\n"
+                "shape.pairs = [(4, 4)]\nbounds.max_n = 3\n")
 
 # name -> (configuration text, multiplicities of its picture commands).
 MIXED_CONFIGS = {
@@ -335,7 +341,8 @@ def _over_limits(tmp):
     trace on super of a sigma in S_1000000 and of an assignment of 6
     positions, and picture with the empty value '--sigma=--': each an
     error, exit 2; then verify --suite span on WIDE_CONFIG, which skips
-    its r = 3 block, and on LONG_PAIR, which skips every block."""
+    its r = 3 block, and on LONG_PAIR and LONG_TRIVIAL, which skip every
+    block."""
     out = []
     for fname, text in OVER_LIMITS.items():
         path = os.path.join(tmp, fname)
@@ -356,6 +363,10 @@ def _over_limits(tmp):
     with open(long_pair, "w") as fh:
         fh.write(LONG_PAIR)
     out.append(["verify", "--config", long_pair, "--suite", "span"])
+    long_trivial = os.path.join(tmp, "long-trivial.cfg")
+    with open(long_trivial, "w") as fh:
+        fh.write(LONG_TRIVIAL)
+    out.append(["verify", "--config", long_trivial, "--suite", "span"])
     return out
 
 
