@@ -359,14 +359,11 @@ def _over_limits(tmp):
     out.append(trace + ["--sigma", "(1 2)", "--assign", "1,1,1,1,1,1"])
     out.append(["picture", "--config", "builtin:super", "--multiplicities", "2", "--sigma=--"])
     out.append(["verify", "--config", wide, "--suite", "span"])
-    long_pair = os.path.join(tmp, "long-pair.cfg")
-    with open(long_pair, "w") as fh:
-        fh.write(LONG_PAIR)
-    out.append(["verify", "--config", long_pair, "--suite", "span"])
-    long_trivial = os.path.join(tmp, "long-trivial.cfg")
-    with open(long_trivial, "w") as fh:
-        fh.write(LONG_TRIVIAL)
-    out.append(["verify", "--config", long_trivial, "--suite", "span"])
+    for fname, text in (("long-pair.cfg", LONG_PAIR), ("long-trivial.cfg", LONG_TRIVIAL)):
+        path = os.path.join(tmp, fname)
+        with open(path, "w") as fh:
+            fh.write(text)
+        out.append(["verify", "--config", path, "--suite", "span"])
     return out
 
 
