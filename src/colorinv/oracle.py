@@ -104,6 +104,12 @@ POINTS = 3  # sampled points per case of the sampling suites
 # The most monomials in one block of the classical span side: its rows
 # grow with the count (about 1.5 s at 8,436 monomials, dim 6 and r = 3).
 MAX_SPAN_MONOMIALS = 10000
+# The most checks of one centralizer-commute case (the builtins' largest
+# is 1,458; about 0.45 s at 46,656, dim 6 and k = 3), and the most
+# monomials of degree 3 that symalgebra lists against the generating
+# function (27,720 on a mixed shape of dim 3).
+MAX_COMMUTE_CHECKS = 50000
+MAX_SYM_LISTING = 30000
 
 def _sub_rng(seed, tag):
     # stable across runs and platforms: string seeding hashes via sha512
@@ -217,10 +223,14 @@ def _skip_oversized(rpt, name, shape, blocks):
     n = shape.space.dim
     size = max(math.prod(math.comb(n ** (b + t) + m - 1, m)
                          for (b, t), m in zip(shape.pairs, M)) for M in blocks)
-    if size > MAX_SPAN_MONOMIALS:
-        rpt.add(name, True, "skipped: %d monomials in one block exceed the limit "
-                "of %d" % (size, MAX_SPAN_MONOMIALS))
-    return size > MAX_SPAN_MONOMIALS
+    return _skip_over(rpt, name, size, "monomials in one block", MAX_SPAN_MONOMIALS)
+
+def _skip_over(rpt, name, count, what, limit):
+    """Whether count, of what a case would build or check, is over limit;
+    if so the case name passes as skipped."""
+    if count > limit:
+        rpt.add(name, True, "skipped: %d %s exceed the limit of %d" % (count, what, limit))
+    return count > limit
 
 def _skip_long(rpt, name, shape, M, max_n):
     """Whether block M has N = sum M_i b_i above max_n, all N! of whose phi
@@ -429,14 +439,24 @@ def _suite_centralizer(cfg, rpt, seed, **_):
     sigma.t, each psi_x(t) and each eta_g(t) is made once and reused by
     every check that needs it, and each side of each comparison still
     comes from act_perm, psi_derivation or eta_action, so those library
-    functions are what is being checked."""
+    functions are what is being checked.
+
+    Each case counts its checks before anything is built, n^(k+2) k! for
+    psi and |G| n^k k! for eta, and one over MAX_COMMUTE_CHECKS passes as
+    skipped; a width with both cases skipped builds nothing."""
     chi = cfg.chi
     space = cfg.space
     alg = standard_test_algebra(chi, truncation=2)
     n = space.dim
-    units = [GradedOperator.matrix_unit(space, alg, a, b)
-             for a in range(1, n + 1) for b in range(1, n + 1)]
     for k in (1, 2, 3):
+        psi_name, eta_name = "psi-commutes k=%d" % k, "eta-commutes k=%d" % k
+        psi = not _skip_over(rpt, psi_name, n ** (k + 2) * math.factorial(k),
+                             "checks", MAX_COMMUTE_CHECKS)
+        eta = not _skip_over(rpt, eta_name,
+                             chi.group.order * n ** k * math.factorial(k),
+                             "checks", MAX_COMMUTE_CHECKS)
+        if not (psi or eta):
+            continue
         variance = (PRIMAL,) * k
         basis = [GradedTensor.basis(space, alg, variance, idx)
                  for idx in itertools.product(range(1, n + 1), repeat=k)]
@@ -444,7 +464,8 @@ def _suite_centralizer(cfg, rpt, seed, **_):
         moved = [[act_perm(sigma, t) for t in basis] for sigma in sigmas]
 
         def psi_commutes():
-            for x in units:
+            for a, b in itertools.product(range(1, n + 1), repeat=2):
+                x = GradedOperator.matrix_unit(space, alg, a, b)
                 for j, t in enumerate(basis):
                     xt = psi_derivation(x, t)
                     for sigma, mt in zip(sigmas, moved):
@@ -456,11 +477,14 @@ def _suite_centralizer(cfg, rpt, seed, **_):
                     gt = eta_action(g, t)
                     for sigma, mt in zip(sigmas, moved):
                         yield act_perm(sigma, gt) == eta_action(g, mt[j])
-        rpt.tally("psi-commutes k=%d" % k, psi_commutes(),
-                  "%(total)d (sigma, unit, basis tensor) checks", "%(bad)d checks failed")
-        rpt.tally("eta-commutes k=%d" % k, eta_commutes(),
-                  "%(total)d (sigma, group element, basis tensor) checks",
-                  "%(bad)d checks failed")
+        if psi:
+            rpt.tally(psi_name, psi_commutes(),
+                      "%(total)d (sigma, unit, basis tensor) checks",
+                      "%(bad)d checks failed")
+        if eta:
+            rpt.tally(eta_name, eta_commutes(),
+                      "%(total)d (sigma, group element, basis tensor) checks",
+                      "%(bad)d checks failed")
 
 def _random_word(shape, rng, rmin=2, rmax=4):
     """A random word of variable ids."""
@@ -482,11 +506,14 @@ def _random_homogeneous(shape, r, rng, terms=2):
 def _suite_symalgebra(cfg, rpt, seed, **_):
     shape = cfg.shape
     chi = shape.chi
-    dims = [len(enumerate_sym_basis(shape, r)) for r in range(4)]
-    rpt.add("dimension-series", dims == [sym_dimension(shape, r) for r in range(4)],
-            "monomial counts r=0..3: %s match the generating function"
-            % _fmt_tuple(dims))
     num = shape.numbering()
+    # n variables have at most C(n+2, 3) monomials of degree 3, all when even
+    if not _skip_over(rpt, "dimension-series", math.comb(len(num.variables) + 2, 3),
+                      "monomials of degree 3", MAX_SYM_LISTING):
+        dims = [len(enumerate_sym_basis(shape, r)) for r in range(4)]
+        rpt.add("dimension-series", dims == [sym_dimension(shape, r) for r in range(4)],
+                "monomial counts r=0..3: %s match the generating function"
+                % _fmt_tuple(dims))
     odd_vs = [k for k, odd in enumerate(num.parity) if odd]
     rpt.tally("odd-square-zero",
               (sym_normalize(shape, (k, k)) is None for k in odd_vs),

@@ -57,17 +57,24 @@ their summands that fix sigma (on shape (1,1), the rotations of a cycle,
 under which a trace is unchanged).  Such a relabelling sends the summand
 at I to an equal summand at the relabelled tuple, so the kernel works out
 one tuple per orbit, the least, and counts it by the orbit's size.  The
-kernel fetches the plan once per call; it walks every I, drops those that
-an image under a symmetry undercuts, and at the rest reads each copy's
+kernel fetches the plan once per call and walks every I in lexicographic
+order with a set of pending images: an I in the set is the image of an
+earlier, least tuple, and is dropped from the set and skipped; any other
+I is the least of its orbit, and its images join the set.  The walk
+needs no structure of the symmetries beyond their forming a group with
+the identity (on shape (2,2) they can be a Klein four-group, so no
+necklace order would do).  At each least I it reads each copy's
 variable id off the entries of I at the copy's positions in the plan,
 through the shape's code tables (sympoly.Numbering), sorts the ids with
 sym_normalize, and sums entries of the bicharacter's eps table, indexed
 by the degrees of the entries of I, for coefficient_exponent(plan, I);
 the count's key is the monomial and the swap plus coefficient exponent
-mod m.  The cost is sum_K dim^|K| orbit tests plus, per component K, about
-dim^|K| / g_K normalizations and exponents (g_K symmetries with the
-identity), then the merges; the whole shape at once would take dim^N of
-each.  A shape with no copies has no components, and its picture is 1.
+mod m.  The cost is sum_K dim^|K| set lookups plus, per component K,
+about dim^|K| / g_K image sets, normalizations and exponents (g_K
+symmetries with the identity), then the merges; the whole shape at once
+would take dim^N of each.  The set never holds more than dim^|K| tuples,
+which the picture command keeps under config.MAX_TUPLES.  A shape with
+no copies has no components, and its picture is 1.
 Because of these caches, PictureShape, MixedShape and Bicharacter are
 treated as immutable once built.
 
@@ -348,7 +355,9 @@ def _phi_counts(pshape, sigma):
     (i, j) reads its lower indices off I at its primal positions and its
     upper indices off I o sigma^{-1} at its dual positions.  Only the
     least tuple of each orbit of the plan's symmetries is worked out, and
-    it counts for the orbit's size."""
+    it counts for the orbit's size: the tuples are walked in
+    lexicographic order, the first one met of an orbit is its least, and
+    its other images wait in a pending set until the walk reaches them."""
     shape = pshape.shape
     dim = shape.space.dim
     codes = shape.numbering().codes
@@ -361,9 +370,15 @@ def _phi_counts(pshape, sigma):
     images = [itemgetter(*P) for P in plan.symmetries]
     m = shape.chi.m
     counts = {}
+    # The images of the orbits met so far, not yet reached in the walk.
+    pending = set()
     for I in itertools.product(range(1, dim + 1), repeat=pshape.N):
-        if any(image(I) < I for image in images):
+        if I in pending:
+            pending.remove(I)
             continue
+        others = {image(I) for image in images}
+        others.discard(I)
+        pending |= others
         word = []
         for table, places in copies:
             code = 0
@@ -375,8 +390,7 @@ def _phi_counts(pshape, sigma):
             continue
         swap, mono = res
         key = mono, (swap + coefficient_exponent(plan, I)) % m
-        size = len({I, *[image(I) for image in images]})
-        counts[key] = counts.get(key, 0) + size
+        counts[key] = counts.get(key, 0) + len(others) + 1
     return counts
 
 def _mul_counts(shape, left, right):

@@ -138,6 +138,48 @@ def test_span_suite_skips_trivial_blocks_over_max_n(monkeypatch):
         "PASS multidegree 2: picture span rank 1, classical invariant dimension 1"]
 
 
+def test_wide_verify_skips_checks_over_the_work_limits(monkeypatch):
+    """On a trivially graded space of dim 8, centralizer-commute at k = 3
+    would make 8^5 * 3! = 196,608 psi checks, and symalgebra would list
+    C(66, 3) = 45,760 monomials of degree 3: both pass as skipped before
+    the work starts, while the cases under the limits still run."""
+    cfg = parse_config_text("group.factors = [1]\nbicharacter.expmat = [[0]]\n"
+                            "space.degrees = %r\nshape.pairs = [(1, 1)]\n"
+                            % ([(0,)] * 8))
+    psi = oracle.psi_derivation
+
+    def psi_below_width_3(x, t):
+        assert len(t.variance) < 3, "psi ran at a width over the limit"
+        return psi(x, t)
+
+    def refuse(*args):
+        raise AssertionError("symalgebra listed monomials over the limit")
+    monkeypatch.setattr(oracle, "psi_derivation", psi_below_width_3)
+    monkeypatch.setattr(oracle, "enumerate_sym_basis", refuse)
+    limit = oracle.MAX_COMMUTE_CHECKS
+    assert [c.line() for c in suite("centralizer-commute", cfg).cases] == [
+        "PASS psi-commutes k=1: 512 (sigma, unit, basis tensor) checks",
+        "PASS eta-commutes k=1: 8 (sigma, group element, basis tensor) checks",
+        "PASS psi-commutes k=2: 8192 (sigma, unit, basis tensor) checks",
+        "PASS eta-commutes k=2: 128 (sigma, group element, basis tensor) checks",
+        "PASS psi-commutes k=3: skipped: 196608 checks exceed the limit of %d" % limit,
+        "PASS eta-commutes k=3: 3072 (sigma, group element, basis tensor) checks"]
+    assert [c.line() for c in suite("symalgebra", cfg).cases][0] == (
+        "PASS dimension-series: skipped: 45760 monomials of degree 3 exceed the "
+        "limit of %d" % oracle.MAX_SYM_LISTING)
+    monkeypatch.undo()
+    # super at k = 3: 2^5 * 3! = 192 psi checks; 4 variables: C(6, 3) = 20
+    sup = builtin_config("super")
+    for limit, skipped in ((192, False), (191, True)):
+        monkeypatch.setattr(oracle, "MAX_COMMUTE_CHECKS", limit)
+        detail = {c.name: c.detail for c in suite("centralizer-commute", sup).cases}
+        assert detail["psi-commutes k=3"].startswith("skipped") == skipped
+    for limit, skipped in ((20, False), (19, True)):
+        monkeypatch.setattr(oracle, "MAX_SYM_LISTING", limit)
+        detail = {c.name: c.detail for c in suite("symalgebra", sup).cases}
+        assert detail["dimension-series"].startswith("skipped") == skipped
+
+
 def test_span_check_restricted_mode_on_graded_groups(cfgs):
     rpt = span_check(cfgs["super"].shape, 2)
     assert rpt.ok

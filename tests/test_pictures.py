@@ -1,7 +1,9 @@
 """Picture invariants: position maps, coefficients, evaluation paths."""
 
+import collections
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -376,7 +378,9 @@ def test_build_phi_matches_textbook_sum_over_components(cfgs):
 def test_build_phi_matches_textbook_sum_on_symmetric_components(cfgs):
     """Components with symmetries, where build_phi works out one index
     tuple per orbit: one sigma per cycle type at M=(5,) (rotations of each
-    cycle), shape (2,2) at M=(2,) and (1,1)+(1,1) at M=(2,1)."""
+    cycle), shape (2,2) at M=(2,) and (1,1)+(1,1) at M=(2,1); and shape
+    (2,2) at M=(4,) with a sigma whose symmetries are three involutions, a
+    Klein four-group, so no one rotation generates the orbits."""
     for name in ("super", "z3z3"):
         cfg = cfgs[name]
         _assert_phi_matches_textbook(PictureShape(cfg.shape, (5,)), name,
@@ -384,6 +388,35 @@ def test_build_phi_matches_textbook_sum_on_symmetric_components(cfgs):
         for pairs, mults in (([(2, 2)], (2,)), ([(1, 1), (1, 1)], (2, 1))):
             ps = PictureShape(MixedShape(cfg.space, pairs), mults)
             _assert_phi_matches_textbook(ps, name)
+    klein = (3, 6, 1, 8, 7, 2, 5, 4)
+    for name in ("super", "trivial"):
+        ps = PictureShape(MixedShape(cfgs[name].space, [(2, 2)]), (4,))
+        symmetries = ps.plan(klein).symmetries
+        assert len(symmetries) == 3, (name, symmetries)
+        for P in symmetries:
+            assert all(P[P[p]] == p for p in range(ps.N)), (name, P)
+        _assert_phi_matches_textbook(ps, name, [klein])
+
+
+def test_sign_character_sum_of_one_matrix_vanishes_exactly_past_dim(cfgs):
+    """The color trace identity of the column (1^N): the sum over S_N of
+    sgn(sigma) phi_sigma, one sigma per cycle type weighted by its class
+    size, on one matrix.  It lies in the sign's ideal of Q[S_N], which acts
+    as 0 on V^{ox N} exactly when V has no odd basis vector and N > dim
+    (the column leaves the (k,0)-hook: Cayley-Hamilton for 2x2 at N = 3 on
+    trivial); otherwise the sum is nonzero."""
+    for name, cfg in cfgs.items():
+        chi, space = cfg.chi, cfg.space
+        odd = any(chi.parity_bit(d) for d in space.degrees)
+        for N in range(1, 7):
+            ps = PictureShape(cfg.shape, (N,))
+            total = SymPolynomial.zero(cfg.shape)
+            for part, sigma in perms.cycle_type_reps(N):
+                size = math.factorial(N) // math.prod(part) // math.prod(
+                    math.factorial(m) for m in collections.Counter(part).values())
+                sign = (-1) ** (N - len(part))
+                total = total + build_phi(ps, sigma).poly.scale(sign * size)
+            assert total.is_zero() == (not odd and N > space.dim), (name, N)
 
 
 def test_build_phi_matches_textbook_sum_on_empty_halves_and_twin_summands(cfgs):

@@ -28,6 +28,10 @@ every builtin configuration:
 * on a z3z3 configuration file with `bounds.max_n = 6` (`Z3Z3_SIX`),
   `picture` at M = (6,) for one sigma per cycle type, in text and
   structured form;
+* on a super configuration file with one (2,2) pair and `bounds.max_n = 8`
+  (`KLEIN`), `picture` at M = (4,) and sigma = 3,6,1,8,7,2,5,4
+  (`KLEIN_SIGMA`), whose symmetries form a Klein four-group, in text and
+  structured form;
 * on super, `eval` of fixed hand-written poly and point files (`BAD_POLYS`,
   `BAD_POINTS`): one per message of the text parsers, and two well-formed
   files whose terms repeat, cancel or vanish, in text and structured form;
@@ -43,10 +47,14 @@ every builtin configuration:
   both above `bounds.max_n`, and `picture` with `--sigma=--`, which
   argparse reads as an empty list (each an error, exit 2); `verify --suite
   span` on the same space of dim 8, whose r = 3 block passes
-  `oracle.MAX_SPAN_MONOMIALS` and is skipped, and on super with one (4,4)
-  pair and `bounds.max_n = 3` (`LONG_PAIR`) and on a one-dimensional
-  trivial space with the same pair and bound (`LONG_TRIVIAL`), whose
-  blocks of N = 4, 8 and 12 exceed `bounds.max_n` and are skipped;
+  `oracle.MAX_SPAN_MONOMIALS` and is skipped, `verify --suite
+  centralizer-commute` and `--suite symalgebra` there, whose psi checks at
+  k = 3 pass `oracle.MAX_COMMUTE_CHECKS` and whose degree-3 monomials pass
+  `oracle.MAX_SYM_LISTING`, each skipped, and `verify --suite span` on
+  super with one (4,4) pair and `bounds.max_n = 3` (`LONG_PAIR`) and on a
+  one-dimensional trivial space with the same pair and bound
+  (`LONG_TRIVIAL`), whose blocks of N = 4, 8 and 12 exceed `bounds.max_n`
+  and are skipped;
 * `validate` of one configuration file per integer list the loader reads
   (`group.factors`, a `bicharacter.expmat` row, a `space.degrees` entry, a
   `shape.pairs` entry) holding a malformed literal (`MALFORMED_LISTS`, each
@@ -161,8 +169,10 @@ MALFORMED_LISTS = {
 }
 
 # A valid configuration of dim 8 with bounds.max_n = 8, whose pictures pass
-# config.MAX_TUPLES at N = 6 and whose span block at r = 3 passes
-# oracle.MAX_SPAN_MONOMIALS.
+# config.MAX_TUPLES at N = 6, whose span block at r = 3 passes
+# oracle.MAX_SPAN_MONOMIALS, whose psi checks at k = 3 pass
+# oracle.MAX_COMMUTE_CHECKS and whose degree-3 monomials pass
+# oracle.MAX_SYM_LISTING.
 WIDE_CONFIG = ("group.factors = [1]\nbicharacter.expmat = [[0]]\nspace.degrees = %r\n"
                "shape.pairs = [(1, 1)]\nbounds.max_n = 8\n" % ([(0,)] * 8))
 
@@ -185,6 +195,12 @@ MIXED_CONFIGS = {
                      "space.degrees = [(0, 0), (0, 1), (1, 0)]\n"
                      "shape.pairs = [(1, 1), (1, 1)]\nbounds.max_n = 3\n", ("1,2", "2,1")),
 }
+
+# super with one (2,2) pair and bounds.max_n = 8, for the picture at
+# M = (4,) and KLEIN_SIGMA, whose symmetries are three involutions.
+KLEIN = ("group.factors = [2]\nbicharacter.expmat = [[1]]\nspace.degrees = [(0,), (1,)]\n"
+         "shape.pairs = [(2, 2)]\nbounds.max_n = 8\n")
+KLEIN_SIGMA = (3, 6, 1, 8, 7, 2, 5, 4)
 
 # z3z3 with bounds.max_n = 6, for pictures at M = (6,).
 Z3Z3_SIX = ("group.factors = [3, 3]\nbicharacter.expmat = [[0, 1], [2, 0]]\n"
@@ -255,6 +271,7 @@ def commands(tmp):
             out.append(["verify"] + config + ["--suite", "all", "--seed", str(seed)])
     out.extend(_mixed(tmp))
     out.extend(_six(tmp))
+    out.extend(_klein(tmp))
     out.extend(_hand_written(tmp))
     out.extend(_scalars(tmp))
     out.extend(_over_limits(tmp))
@@ -289,6 +306,17 @@ def _six(tmp):
     with open(path, "w") as fh:
         fh.write(Z3Z3_SIX)
     return _cycle_type_pictures(["--config", path], 6)
+
+
+def _klein(tmp):
+    """picture at M = (4,) and KLEIN_SIGMA on the KLEIN file, in text and
+    structured form."""
+    path = os.path.join(tmp, "klein.cfg")
+    with open(path, "w") as fh:
+        fh.write(KLEIN)
+    return [["picture", "--config", path, "--multiplicities", "4",
+             "--sigma", _sigma_text(KLEIN_SIGMA), "--format", fmt]
+            for fmt in ("text", "structured")]
 
 
 def _cycle_type_pictures(config, n):
@@ -341,8 +369,10 @@ def _over_limits(tmp):
     trace on super of a sigma in S_1000000 and of an assignment of 6
     positions, and picture with the empty value '--sigma=--': each an
     error, exit 2; then verify --suite span on WIDE_CONFIG, which skips
-    its r = 3 block, and on LONG_PAIR and LONG_TRIVIAL, which skip every
-    block."""
+    its r = 3 block, --suite centralizer-commute and --suite symalgebra
+    on WIDE_CONFIG, which skip their psi checks at k = 3 and their
+    dimension-series, and --suite span on LONG_PAIR and LONG_TRIVIAL,
+    which skip every block."""
     out = []
     for fname, text in OVER_LIMITS.items():
         path = os.path.join(tmp, fname)
@@ -358,7 +388,8 @@ def _over_limits(tmp):
     out.append(trace + ["--sigma", "(1 1000000)"])
     out.append(trace + ["--sigma", "(1 2)", "--assign", "1,1,1,1,1,1"])
     out.append(["picture", "--config", "builtin:super", "--multiplicities", "2", "--sigma=--"])
-    out.append(["verify", "--config", wide, "--suite", "span"])
+    for name in ("span", "centralizer-commute", "symalgebra"):
+        out.append(["verify", "--config", wide, "--suite", name])
     for fname, text in (("long-pair.cfg", LONG_PAIR), ("long-trivial.cfg", LONG_TRIVIAL)):
         path = os.path.join(tmp, fname)
         with open(path, "w") as fh:
