@@ -6,8 +6,8 @@ t_i dual slots.  mu is the permutation moving a blocked word into sorted
 variance (all primal slots first, original order kept within each half).
 PictureShape.layout holds this layout, worked out once per shape: per copy
 in blocked order, its summand and its lower and upper positions in the
-primal and the dual half of sorted variance.  mu, the SigmaPlan, the
-components and the blocked word all read it.
+primal and the dual half of sorted variance.  mu, the SigmaPlan and the
+blocked word all read it.
 
 A picture invariant is a polynomial in S(W*) built so that its restitution
 at u agrees with the functional evaluation
@@ -35,46 +35,27 @@ connected component K of this relation is closed under sigma, so it is
 balanced and its monomials have G-degree 0; the components' polynomials
 therefore commute without an eps sign, and phi_sigma is their product
 (on shape (1,1) the components are the cycles of sigma, and the factors
-are Berele's traces of powers).  components() gives each K as its own
-PictureShape, with the multiplicities of its copies and sigma restricted
-and relabelled, kept on the shape (PictureShape.part) so that its plans
-serve every sigma.  _phi_counts, the one kernel, counts each component's
-index tuples in {1..dim}^|K| per (monomial, exponent of zeta_m), and the
-components are multiplied as these exponent counts, not as CycloRationals:
-sympoly.sym_merge merges each pair of sorted monomials in one pass with
-its swap exponent, the exponents add and the counts multiply.  As the
-components commute without a sign, the product and its exponents mod m
-do not depend on the order, so the smallest dicts go first, making fewer
-merges.  Each count of the product becomes a multiple of its root of
-unity once, at the end.  Equal components are counted once per call.
+are Berele's traces of powers).  Each K is its own PictureShape, with the
+multiplicities of its copies and sigma restricted and relabelled, kept on
+the shape (PictureShape.part) so that its plans serve every sigma.
+_phi_counts, the one kernel, counts each component's index tuples in
+{1..dim}^|K| per (monomial, exponent of zeta_m); build_phi multiplies
+these exponent counts, smallest first, and turns each count of the
+product into a multiple of its root of unity once, at the end.
 
 Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
 the inversions of rho, the copies' positions in I) is worked out once per
-(PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  That
-includes sigma's symmetries on a component, found by matching walks along
-the entries of I that copies share: the relabellings of copies within
-their summands that fix sigma (on shape (1,1), the rotations of a cycle,
-under which a trace is unchanged).  Such a relabelling sends the summand
-at I to an equal summand at the relabelled tuple, so the kernel works out
-one tuple per orbit, the least, and counts it by the orbit's size.  The
-kernel fetches the plan once per call and walks every I in lexicographic
-order with a set of pending images: an I in the set is the image of an
-earlier, least tuple, and is dropped from the set and skipped; any other
-I is the least of its orbit, and its images join the set.  The walk
-needs no structure of the symmetries beyond their forming a group with
-the identity (on shape (2,2) they can be a Klein four-group, so no
-necklace order would do).  At each least I it reads each copy's
-variable id off the entries of I at the copy's positions in the plan,
-through the shape's code tables (sympoly.Numbering), sorts the ids with
-sym_normalize, and sums entries of the bicharacter's eps table, indexed
-by the degrees of the entries of I, for coefficient_exponent(plan, I);
-the count's key is the monomial and the swap plus coefficient exponent
-mod m.  The cost is sum_K dim^|K| set lookups plus, per component K,
-about dim^|K| / g_K image sets, normalizations and exponents (g_K
-symmetries with the identity), then the merges; the whole shape at once
-would take dim^N of each.  The set never holds more than dim^|K| tuples,
-which the picture command keeps under config.MAX_TUPLES.  A shape with
-no copies has no components, and its picture is 1.
+(PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  One
+walk along the entries of I that copies share gives both sigma's
+components and, on a component, sigma's symmetries: the relabellings of
+copies within their summands that fix sigma (on shape (1,1), the
+rotations of a cycle, under which a trace is unchanged).  Such a
+relabelling sends the summand at I to an equal summand at the relabelled
+tuple, so the kernel works out one tuple per orbit and counts it by the
+orbit's size.  The cost is sum_K dim^|K| set lookups plus, per component
+K, about dim^|K| / g_K normalizations and exponents (g_K symmetries with
+the identity), then the merges; the whole shape at once would take dim^N
+of each.  A shape with no copies has no components, and its picture is 1.
 Because of these caches, PictureShape, MixedShape and Bicharacter are
 treated as immutable once built.
 
@@ -201,11 +182,13 @@ class SigmaPlan:
     degrees: the G-degree of each basis vector, indexed from 0;
     terms: the coefficient exponent as a bilinear form in the degrees of
         I, a list of (a, b, c) meaning c * eps(deg I_a, deg I_b);
+    components: sigma's connected components on the copies, as
+        (sub-shape, sub-sigma) pairs in the order of their first copies;
     symmetries: the position maps on I (P with P[p] the image of
         position p) of the copy permutations pi other than the identity
-        that keep every copy in its summand and fix sigma, found by
-        matching walks along shared entries of I; empty unless sigma
-        links all the copies, as on a component (see _symmetries).
+        that keep every copy in its summand and fix sigma; empty unless
+        sigma links all the copies, as on a component.  Both come from
+        one walk (see _walk_links).
 
     terms comes from two lists of pairs.  Each blocked slot reads the
     degree of one entry of I, negated on dual slots: that is the tuple
@@ -217,7 +200,8 @@ class SigmaPlan:
     pairs landing on the same two positions of I are merged.
     """
 
-    __slots__ = ("copies", "degrees", "terms", "table", "m", "symmetries")
+    __slots__ = ("copies", "degrees", "terms", "table", "m", "components",
+                 "symmetries")
 
     def __init__(self, pshape, sigma):
         pshape.require_balanced()
@@ -249,19 +233,23 @@ class SigmaPlan:
                            if c % self.m)
         self.degrees = pshape.shape.space.degrees
         self.table = chi.eps_table
-        self.symmetries = _symmetries(self.copies)
+        self.components, self.symmetries = _walk_links(pshape, sigma, self.copies)
 
-def _symmetries(copies):
-    """The position maps on I of the copy permutations pi != identity that
-    keep every copy in its summand and fix sigma: one map P of the
-    positions of I moves each copy's lower and upper positions, in order,
-    onto those of its image.  Each entry of I has a lower and an upper
+def _walk_links(pshape, sigma, copies):
+    """sigma's components and symmetries, from one walk along the entries
+    of I that copies share.  Each entry of I has a lower and an upper
     reader, a (copy, slot).  A walk from a copy reaches the readers of the
     entries of each copy reached, and records per copy its summand and the
-    (visit number, slot) of both readers of each entry.  The walks from
-    copy 0 and copy t record one pattern exactly when pi, sending the n-th
-    copy of one to the n-th of the other, fixes sigma.  When the walk from
-    copy 0 misses a copy, sigma splits the copies, and no map is kept."""
+    (visit number, slot) of both readers of each entry.  The copies reached
+    from each copy not yet reached form a component, given as its sub-shape
+    (pshape.part, its copies in blocked order with their multiplicities)
+    and sub-sigma (sigma with the component's lower and upper positions
+    relabelled 1.. in order).  When the walk from copy 0 reaches every
+    copy, sigma is its own component, and the walks from copy 0 and copy t
+    record one pattern exactly when pi, sending the n-th copy of one to
+    the n-th of the other, fixes sigma; the symmetry is pi's map P of the
+    positions of I, moving each copy's lower and upper positions, in
+    order, onto those of its image."""
     readers = [[None, None] for _, lo, _ in copies for _ in lo]
     for c, (_, lo, up) in enumerate(copies):
         for half, places in enumerate((lo, up)):
@@ -282,16 +270,32 @@ def _symmetries(copies):
             pattern.append((i, reads))
         return order, pattern
 
-    order, pattern = walk(0) if copies else ((), ())
-    if len(order) < len(copies):
-        return ()
-    maps = []
-    for t in range(1, len(copies)):
-        image, other = walk(t)
-        if other == pattern:
-            pi = dict(zip(order, image))
-            maps.append(tuple(copies[pi[c]][1][slot] for (c, slot), _ in readers))
-    return tuple(maps)
+    walks, reached = [], set()
+    for start in range(len(copies)):
+        if start not in reached:
+            walks.append(walk(start))
+            reached.update(walks[-1][0])
+    if len(walks) == 1:
+        (order, pattern), = walks
+        maps = []
+        for t in range(1, len(copies)):
+            image, other = walk(t)
+            if other == pattern:
+                pi = dict(zip(order, image))
+                maps.append(tuple(copies[pi[c]][1][slot] for (c, slot), _ in readers))
+        return ((pshape, sigma),), tuple(maps)
+    layout = pshape.layout
+    parts = []
+    for order, _ in walks:
+        members = sorted(order)
+        mults = [0] * pshape.shape.s
+        for c in members:
+            mults[layout[c][0] - 1] += 1
+        upper = [q for c in members for q in layout[c][2]]
+        rank = {q: r for r, q in enumerate(upper, start=1)}
+        parts.append((pshape.part(mults),
+                      tuple(rank[sigma[p - 1]] for c in members for p in layout[c][1])))
+    return tuple(parts), ()
 
 def coefficient_exponent(plan, I):
     """Exponent of the coefficient at index tuple I: the rearrangement sign
@@ -308,45 +312,6 @@ class PictureInvariant:
     sigma: tuple
     poly: SymPolynomial
 
-def components(pshape, sigma):
-    """The connected components of sigma on the copies of pshape, as
-    (sub-shape, sub-sigma) pairs.  A copy's upper positions, read through
-    sigma^{-1}, land on the lower positions of other copies; linked copies
-    share a component.  Each component is closed under sigma, so balanced,
-    and its monomials have G-degree 0.  Its sub-shape (pshape.part) holds
-    its copies in blocked order, with their multiplicities; sub-sigma is
-    sigma with the component's lower and upper positions relabelled 1..
-    in order."""
-    pshape.require_balanced()
-    perms.require_perm(sigma, pshape.N)
-    layout = pshape.layout
-    owner = {p: c for c, (_, lo, _) in enumerate(layout) for p in lo}
-    inv = perms.inverse(sigma)
-    label = list(range(len(layout)))
-
-    def root(c):
-        while label[c] != c:
-            c = label[c]
-        return c
-
-    for c, (_, _, up) in enumerate(layout):
-        for q in up:
-            a, b = sorted((root(c), root(owner[inv[q - 1]])))
-            label[b] = a
-    groups = {}
-    for c in range(len(layout)):
-        groups.setdefault(root(c), []).append(c)
-    out = []
-    for members in groups.values():
-        mults = [0] * pshape.shape.s
-        for c in members:
-            mults[layout[c][0] - 1] += 1
-        upper = [q for c in members for q in layout[c][2]]
-        rank = {q: r for r, q in enumerate(upper, start=1)}
-        out.append((pshape.part(mults),
-                    tuple(rank[sigma[p - 1]] for c in members for p in layout[c][1])))
-    return out
-
 def _phi_counts(pshape, sigma):
     """phi_sigma in the kernel's own form, {(id tuple, exponent mod m):
     count}: the index tuples I in {1..dim}^N counted per normalized
@@ -357,7 +322,11 @@ def _phi_counts(pshape, sigma):
     least tuple of each orbit of the plan's symmetries is worked out, and
     it counts for the orbit's size: the tuples are walked in
     lexicographic order, the first one met of an orbit is its least, and
-    its other images wait in a pending set until the walk reaches them."""
+    its other images wait in a pending set until the walk reaches them.
+    This needs nothing of the symmetries but their forming a group with
+    the identity (on shape (2,2) a Klein four-group, which no necklace
+    order serves).  The set never holds more than dim^N tuples, which the
+    picture command keeps under config.MAX_TUPLES."""
     shape = pshape.shape
     dim = shape.space.dim
     codes = shape.numbering().codes
@@ -419,7 +388,7 @@ def build_phi(pshape, sigma):
     sigma = tuple(sigma)
     built = {}
     parts = []
-    for sub, sub_sigma in components(pshape, sigma):
+    for sub, sub_sigma in pshape.plan(sigma).components:
         key = sub.mults, sub_sigma
         part = built.get(key)
         if part is None:

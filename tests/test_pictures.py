@@ -13,7 +13,7 @@ from colorinv import permutations as perms
 from colorinv.config import parse_config_text
 from colorinv.cyclo import CycloRational
 from colorinv.groups import Bicharacter
-from colorinv.oracle import suite
+from colorinv.oracle import classical_invariant_dim, suite
 from colorinv.permutations import all_perms
 from colorinv.pictures import (
     PictureShape,
@@ -22,7 +22,6 @@ from colorinv.pictures import (
     blocked_word,
     build_phi,
     coefficient_exponent,
-    components,
     contraction_pairs,
     dual_word_exponent,
     mu,
@@ -105,7 +104,7 @@ def test_sigma_outside_s_n_is_refused(cfgs, algebras, sigma):
     u = random_w0_point(ps.shape, algebras["super"], random.Random("outside"))
     blocked = act_perm(mu(ps), blocked_word(ps, u.parts))
     for call in (lambda: build_phi(ps, sigma), lambda: ps.plan(sigma),
-                 lambda: components(ps, sigma), lambda: contraction_pairs(ps, sigma),
+                 lambda: ps.plan(sigma).components, lambda: contraction_pairs(ps, sigma),
                  lambda: theta_eval(sigma, blocked),
                  lambda: t_sigma_on_parts(ps, sigma, u.parts)):
         with pytest.raises(ValueError, match="^sigma must lie in S_2$"):
@@ -459,7 +458,7 @@ def _assert_symmetries_written_out(ps, sigma):
         if perms.compose(up, sigma) == perms.compose(sigma, low):
             fixing[tuple(q - 1 for q in low)] = pi
     assert len(set(plan.symmetries)) == len(plan.symmetries), (ps, sigma)
-    if len(components(ps, sigma)) > 1:
+    if len(plan.components) > 1:
         assert plan.symmetries == (), (ps, sigma)
         return
     assert set(plan.symmetries) == set(fixing) - {ident}, (ps, sigma)
@@ -486,7 +485,7 @@ def test_sigma_plan_symmetries_are_the_relabellings_fixing_sigma(cfgs):
     for ps, sigmas in shapes:
         for sigma in sigmas:
             _assert_symmetries_written_out(ps, sigma)
-            for sub, sub_sigma in components(ps, sigma):
+            for sub, sub_sigma in ps.plan(sigma).components:
                 _assert_symmetries_written_out(sub, sub_sigma)
                 found += len(sub.plan(sub_sigma).symmetries)
     assert found
@@ -534,7 +533,7 @@ def test_component_counts_multiply_in_either_order(cfgs):
                        + random.Random("components").sample(all_perms(6), 10)))
         for ps, sigmas in shapes:
             for sigma in sigmas:
-                parts = [_phi_counts(sub, s) for sub, s in components(ps, sigma)]
+                parts = [_phi_counts(sub, s) for sub, s in ps.plan(sigma).components]
                 for a, b in itertools.combinations(parts, 2):
                     ab = _mul_counts(ps.shape, a, b)
                     assert ab == _mul_counts(ps.shape, b, a), (name, ps, sigma)
@@ -544,7 +543,7 @@ def test_component_counts_multiply_in_either_order(cfgs):
 
 
 def test_build_phi_matches_textbook_sum_when_the_smallest_component_is_not_first(cfgs):
-    """sigma whose components, in components() order, do not come smallest
+    """sigma whose components, in the plan's order, do not come smallest
     counts dict first, so build_phi multiplies them in another order."""
     cases = ((([(1, 1)], (4,)), [(2, 1, 3, 4), (1, 3, 2, 4)]),
              (([(1, 1), (2, 2)], (2, 1)), [(3, 2, 1, 4)]))
@@ -552,7 +551,7 @@ def test_build_phi_matches_textbook_sum_when_the_smallest_component_is_not_first
         for (pairs, mults), sigmas in cases:
             ps = PictureShape(MixedShape(cfgs[name].space, pairs), mults)
             for sigma in sigmas:
-                sizes = [len(_phi_counts(sub, s)) for sub, s in components(ps, sigma)]
+                sizes = [len(_phi_counts(sub, s)) for sub, s in ps.plan(sigma).components]
                 assert sizes != sorted(sizes), (name, ps, sigma, sizes)
             _assert_phi_matches_textbook(ps, name, sigmas)
 
@@ -598,7 +597,7 @@ def test_components_are_balanced_of_degree_zero_and_multiply_to_phi(cfgs):
     for pairs, mults in MIXED_PICTURES:
         ps = PictureShape(MixedShape(cfg.space, pairs), mults)
         for sigma in all_perms(ps.N):
-            parts = components(ps, sigma)
+            parts = ps.plan(sigma).components
             assert sum(sub.k for sub, _ in parts) == ps.k
             product = SymPolynomial.from_word(ps.shape, ())
             for sub, sub_sigma in parts:
@@ -607,6 +606,69 @@ def test_components_are_balanced_of_degree_zero_and_multiply_to_phi(cfgs):
                 assert phi.g_degree() == 0, (ps, sigma, sub)
                 product = product * phi
             assert product == build_phi(ps, sigma).poly, (ps, sigma)
+
+
+def union_find_components(ps, sigma):
+    """sigma's components on the copies of ps worked out apart from the
+    plan, as (member copies, multiplicities, sub-sigma): copy c is linked
+    to the copy owning lower position sigma^{-1}(q) for each of its upper
+    positions q, and linked copies are joined by union-find.  Components
+    come in the order of their first copies, members in blocked order;
+    sub-sigma is sigma with the members' lower and upper positions
+    relabelled 1.. in order."""
+    layout = ps.layout
+    owner = {p: c for c, (_, lo, _) in enumerate(layout) for p in lo}
+    inv = perms.inverse(sigma)
+    label = list(range(len(layout)))
+
+    def root(c):
+        while label[c] != c:
+            c = label[c]
+        return c
+
+    for c, (_, _, up) in enumerate(layout):
+        for q in up:
+            a, b = sorted((root(c), root(owner[inv[q - 1]])))
+            label[b] = a
+    groups = {}
+    for c in range(len(layout)):
+        groups.setdefault(root(c), []).append(c)
+    out = []
+    for members in groups.values():
+        mults = [0] * ps.shape.s
+        for c in members:
+            mults[layout[c][0] - 1] += 1
+        upper = [q for c in members for q in layout[c][2]]
+        rank = {q: r for r, q in enumerate(upper, start=1)}
+        out.append((members, tuple(mults),
+                    tuple(rank[sigma[p - 1]] for c in members for p in layout[c][1])))
+    return out
+
+
+def test_plan_components_match_a_union_find_referee(cfgs):
+    """For every sigma on the mixed and edge pictures, the plan's
+    components are the referee's: the same multiplicities and sub-sigma in
+    the same order, the member copies (each copy in exactly one component,
+    as many in the sub-shape as the referee lists, each in its summand),
+    and one kept tuple that a second lookup returns again."""
+    sup = cfgs["super"]
+    split = 0
+    for pairs, mults in MIXED_PICTURES + EDGE_PICTURES:
+        ps = PictureShape(MixedShape(sup.space, pairs), mults)
+        for sigma in all_perms(ps.N):
+            got = ps.plan(sigma).components
+            want = union_find_components(ps, sigma)
+            assert [(sub.mults, s) for sub, s in got] == \
+                [(m, s) for _, m, s in want], (ps, sigma)
+            members = [c for copies, _, _ in want for c in copies]
+            assert sorted(members) == list(range(ps.k)), (ps, sigma)
+            for (sub, _), (copies, _, _) in zip(got, want):
+                assert sub.k == len(copies) and sub is ps.part(sub.mults)
+                assert [i for i, _, _ in sub.layout] == \
+                    [ps.layout[c][0] for c in copies], (ps, sigma)
+            assert ps.plan(sigma).components is got
+            split += len(got) > 1
+    assert split
 
 
 def textbook_coefficient_exponent(pshape, sigma, I):
@@ -660,6 +722,87 @@ def test_coefficient_exponent_matches_textbook_formula_mixed(cfgs):
     for cfg in cfgs.values():
         mixed = MixedShape(cfg.space, [(1, 1), (2, 2)])
         _assert_plan_matches_textbook(PictureShape(mixed, (2, 1)))
+
+
+def hook_count(r, k, l):
+    """The number of partitions lambda of r inside the (k,l)-hook,
+    lambda_{k+1} <= l, counted part by part: rows past the k-th take at
+    most l."""
+    def count(rest, most, row):
+        if not rest:
+            return 1
+        cap = most if row <= k else min(most, l)
+        return sum(count(rest - p, p, row + 1) for p in range(1, min(rest, cap) + 1))
+    return count(r, r, 1)
+
+
+def test_hook_count_matches_brute_force_and_the_classical_dimension(cfgs):
+    """hook_count against the cycle types of every permutation of S_r,
+    and, on the trivial grading (two even basis vectors), against the
+    classical invariant dimension of one 2x2 matrix."""
+    for r in range(1, 7):
+        types = {tuple(sorted(map(len, perms.cycles(s)), reverse=True))
+                 for s in all_perms(r)}
+        for k, l in itertools.product(range(4), repeat=2):
+            brute = sum(len(lam) <= k or lam[k] <= l for lam in types)
+            assert hook_count(r, k, l) == brute, (r, k, l)
+    trivial = cfgs["trivial"]
+    for r in range(1, 5):
+        assert classical_invariant_dim(trivial.shape, r) == hook_count(r, 2, 0), r
+
+
+def rank_mod_p(polys, m):
+    """Rank of polynomials with coefficients in Q(zeta_m) over F_p, p the
+    least prime = 1 (mod m) above 2^30: zeta_m goes to an element w of
+    order m in F_p, and each coefficient's numerators are read over the
+    inverse of its den."""
+    p = 2 ** 30 + 1
+    while (p - 1) % m or not all(p % q for q in range(2, math.isqrt(p) + 1)):
+        p += 1
+    w = next(w for w in (pow(a, (p - 1) // m, p) for a in range(2, p))
+             if len({pow(w, i, p) for i in range(m)}) == m)
+    pivots = {}
+    for poly in polys:
+        row = {}
+        for mono, c in poly.terms.items():
+            z = pow(w, m // c.order, p)
+            row[mono] = sum(x * pow(z, i, p) for i, x in enumerate(c.num)) \
+                * pow(c.den, -1, p) % p
+        row = {key: x for key, x in row.items() if x}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            f = row[lead] * pow(pivots[lead][lead], -1, p)
+            for key, x in pivots[lead].items():
+                row[key] = (row.get(key, 0) - f * x) % p
+            row = {key: x for key, x in row.items() if x}
+    return len(pivots)
+
+
+# Ranks over r = 1..6 of the phi_sigma on one matrix, per builtin.
+ONE_MATRIX_RANKS = {"super": [1, 2, 3, 4, 5, 6], "trivial": [1, 2, 2, 3, 3, 4],
+                    "z2z2": [1, 2, 3, 5, 7, 10], "z3z3": [1, 2, 3, 4, 5, 7],
+                    "z4": [1, 2, 3, 5, 7, 10]}
+
+
+def test_one_matrix_pictures_span_the_hook_partitions(cfgs):
+    """Graded spanning on one matrix: for r = 1..6 the phi_sigma, one
+    sigma per cycle type, have rank the number of partitions of r inside
+    the (k,l)-hook, k and l the numbers of even and odd basis vectors (the
+    centre of the image of Q[S_r] in End(V^{ox r}))."""
+    ranks = {}
+    for name, cfg in cfgs.items():
+        odd = sum(cfg.chi.parity_bit(d) for d in cfg.space.degrees)
+        k = cfg.space.dim - odd
+        for r in range(1, 7):
+            ps = PictureShape(cfg.shape, (r,))
+            polys = [build_phi(ps, sigma).poly for _, sigma in perms.cycle_type_reps(r)]
+            rank = rank_mod_p(polys, cfg.chi.m)
+            assert rank == hook_count(r, k, odd), (name, r)
+            ranks.setdefault(name, []).append(rank)
+    assert ranks == ONE_MATRIX_RANKS
 
 
 SIGN_RULE_FACTORS = ([6, 6], [3, 6], [12, 12])

@@ -212,6 +212,14 @@ def _sigma_text(sigma):
     return ",".join(str(x) for x in sigma)
 
 
+def _write(tmp, fname, text):
+    """Write text to the file fname in tmp; returns its path."""
+    path = os.path.join(tmp, fname)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
 def _write_inputs(name, seed, tmp):
     """The seeded point, phi and random polynomial files of one (builtin,
     seed); returns (paths by role, sigma of the trace commands)."""
@@ -226,11 +234,8 @@ def _write_inputs(name, seed, tmp):
         "poly1": format_sym(random_sym_polynomial(cfg.shape, 1, rng)) + "\n",
         "poly2": format_sym(random_sym_polynomial(cfg.shape, 2, rng)) + "\n",
     }
-    paths = {}
-    for role, text in texts.items():
-        path = paths[role] = os.path.join(tmp, "%s-%d.%s" % (name, seed, role))
-        with open(path, "w") as fh:
-            fh.write(text)
+    paths = {role: _write(tmp, "%s-%d.%s" % (name, seed, role), text)
+             for role, text in texts.items()}
     return paths, rng.choice(perms.all_perms(n))
 
 
@@ -283,10 +288,7 @@ def _mixed(tmp):
     """validate, list, picture and verify on the MIXED_CONFIGS files."""
     out = []
     for fname, (text, mults) in MIXED_CONFIGS.items():
-        path = os.path.join(tmp, fname)
-        with open(path, "w") as fh:
-            fh.write(text)
-        config = ["--config", path]
+        config = ["--config", _write(tmp, fname, text)]
         out += [["validate"] + config, ["list"] + config]
         for m in mults:
             for sigma in perms.all_perms(3):
@@ -302,18 +304,13 @@ def _mixed(tmp):
 
 def _six(tmp):
     """picture at M = (6,) on the Z3Z3_SIX file."""
-    path = os.path.join(tmp, "z3z3-six.cfg")
-    with open(path, "w") as fh:
-        fh.write(Z3Z3_SIX)
-    return _cycle_type_pictures(["--config", path], 6)
+    return _cycle_type_pictures(["--config", _write(tmp, "z3z3-six.cfg", Z3Z3_SIX)], 6)
 
 
 def _klein(tmp):
     """picture at M = (4,) and KLEIN_SIGMA on the KLEIN file, in text and
     structured form."""
-    path = os.path.join(tmp, "klein.cfg")
-    with open(path, "w") as fh:
-        fh.write(KLEIN)
+    path = _write(tmp, "klein.cfg", KLEIN)
     return [["picture", "--config", path, "--multiplicities", "4",
              "--sigma", _sigma_text(KLEIN_SIGMA), "--format", fmt]
             for fmt in ("text", "structured")]
@@ -331,10 +328,7 @@ def _hand_written(tmp):
     """eval on super of the BAD_POLYS, the BAD_POINTS and GOOD_POLY at
     GOOD_POINT."""
     def write(fname, text):
-        path = os.path.join(tmp, fname)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        return path
+        return _write(tmp, fname, text + "\n")
     ev = ["eval", "--config", "builtin:super"]
     good_poly, good_point = write("good.poly", GOOD_POLY), write("good.point", GOOD_POINT)
     out = [ev + ["--poly", write("bad-%02d.poly" % i, text), "--point", good_point]
@@ -349,14 +343,10 @@ def _hand_written(tmp):
 
 def _scalars(tmp):
     """eval on z3z3 and z4 of each of SCALARS as a constant poly."""
-    point = os.path.join(tmp, "zero.point")
-    with open(point, "w") as fh:
-        fh.write("1: 0\n")
+    point = _write(tmp, "zero.point", "1: 0\n")
     out = []
     for i, text in enumerate(SCALARS):
-        poly = os.path.join(tmp, "scalar-%d.poly" % i)
-        with open(poly, "w") as fh:
-            fh.write("(%s) * 1\n" % text)
+        poly = _write(tmp, "scalar-%d.poly" % i, "(%s) * 1\n" % text)
         for name in ("z3z3", "z4"):
             for fmt in ("text", "structured"):
                 out.append(["eval", "--config", "builtin:" + name, "--poly", poly,
@@ -375,13 +365,9 @@ def _over_limits(tmp):
     which skip every block."""
     out = []
     for fname, text in OVER_LIMITS.items():
-        path = os.path.join(tmp, fname)
-        with open(path, "w") as fh:
-            fh.write("group.factors = [2]\nbicharacter.expmat = [[1]]\n" + text)
-        out.append(["validate", "--config", path])
-    wide = os.path.join(tmp, "wide.cfg")
-    with open(wide, "w") as fh:
-        fh.write(WIDE_CONFIG)
+        text = "group.factors = [2]\nbicharacter.expmat = [[1]]\n" + text
+        out.append(["validate", "--config", _write(tmp, fname, text)])
+    wide = _write(tmp, "wide.cfg", WIDE_CONFIG)
     out.append(["picture", "--config", wide, "--multiplicities", "6", "--sigma", "id"])
     trace = ["trace", "--config", "builtin:super",
              "--point", os.path.join(tmp, "super-0.point")]
@@ -391,10 +377,7 @@ def _over_limits(tmp):
     for name in ("span", "centralizer-commute", "symalgebra"):
         out.append(["verify", "--config", wide, "--suite", name])
     for fname, text in (("long-pair.cfg", LONG_PAIR), ("long-trivial.cfg", LONG_TRIVIAL)):
-        path = os.path.join(tmp, fname)
-        with open(path, "w") as fh:
-            fh.write(text)
-        out.append(["verify", "--config", path, "--suite", "span"])
+        out.append(["verify", "--config", _write(tmp, fname, text), "--suite", "span"])
     return out
 
 
@@ -404,10 +387,7 @@ def _malformed_lists(tmp):
             + "shape.pairs = [(1, 1)]\n")
     out = []
     for fname, (line, bad) in MALFORMED_LISTS.items():
-        path = os.path.join(tmp, fname)
-        with open(path, "w") as fh:
-            fh.write(good.replace(line, bad))
-        out.append(["validate", "--config", path])
+        out.append(["validate", "--config", _write(tmp, fname, good.replace(line, bad))])
     return out
 
 
