@@ -220,9 +220,9 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        # argparse before Python 3.12 reads "--sigma=--" as an empty list
+        # argparse reads "--sigma=--" as [] up to Python 3.12, as "--" after
         for key, value in vars(args).items():
-            if value == []:
+            if value in ([], "--"):
                 raise ValueError("--%s needs a value" % key.replace("_", "-"))
         return args.func(args)
     except (ConfigError, ValueError, OSError) as e:

@@ -43,21 +43,21 @@ _phi_counts, the one kernel, counts each component's index tuples in
 these exponent counts, smallest first, and turns each count of the
 product into a multiple of its root of unity once, at the end.
 
-Everything in a summand that depends on sigma alone (sigma^{-1}, mu, rho,
-the inversions of rho, the copies' positions in I) is worked out once per
-(PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  One
-walk along the entries of I that copies share gives both sigma's
-components and, on a component, sigma's symmetries: the relabellings of
-copies within their summands that fix sigma (on shape (1,1), the
-rotations of a cycle, under which a trace is unchanged).  Such a
-relabelling sends the summand at I to an equal summand at the relabelled
-tuple, so the kernel works out one tuple per orbit and counts it by the
-orbit's size.  The cost is sum_K dim^|K| set lookups plus, per component
-K, about dim^|K| / g_K normalizations and exponents (g_K symmetries with
-the identity), then the merges; the whole shape at once would take dim^N
-of each.  A shape with no copies has no components, and its picture is 1.
-Because of these caches, PictureShape, MixedShape and Bicharacter are
-treated as immutable once built.
+Everything in a summand that depends on sigma alone is worked out once per
+(PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  Its one
+walk along the entries of I that copies share gives sigma's components
+and, on a component, sigma's symmetries: the relabellings of copies within
+their summands that fix sigma (on shape (1,1), the rotations of a cycle,
+under which a trace is unchanged).  The plan of a sigma with several
+components stops there; a component's goes on to mu, rho and the
+coefficient form.  A symmetry sends the summand at I to an equal summand
+at the relabelled tuple, so the kernel works out one tuple per orbit and
+counts it by the orbit's size.  The cost is sum_K dim^|K| set lookups
+plus, per component K, about dim^|K| / g_K normalizations and exponents
+(g_K symmetries with the identity), then the merges; the whole shape at
+once would take dim^N of each.  A shape with no copies has no components,
+and its picture is 1.  Because of these caches, PictureShape, MixedShape
+and Bicharacter are treated as immutable once built.
 
 The dual-word normalization multiplying the rearrangement sign is the
 strict reversed product  prod_{c < c'} eps(h_{c'}, h_c)  over the w-block
@@ -179,16 +179,17 @@ class SigmaPlan:
     copies: per copy of pshape.layout, the summand i and the 0-based
         positions in I of its lower indices and of its upper indices (the
         latter already read through sigma^{-1});
-    degrees: the G-degree of each basis vector, indexed from 0;
-    terms: the coefficient exponent as a bilinear form in the degrees of
-        I, a list of (a, b, c) meaning c * eps(deg I_a, deg I_b);
     components: sigma's connected components on the copies, as
         (sub-shape, sub-sigma) pairs in the order of their first copies;
     symmetries: the position maps on I (P with P[p] the image of
         position p) of the copy permutations pi other than the identity
         that keep every copy in its summand and fix sigma; empty unless
         sigma links all the copies, as on a component.  Both come from
-        one walk (see _walk_links).
+        one walk (see _walk_links).  The plan of a sigma with several
+        components stops there: it has no degrees, terms, table or m;
+    degrees: the G-degree of each basis vector, indexed from 0;
+    terms: the coefficient exponent as a bilinear form in the degrees of
+        I, a list of (a, b, c) meaning c * eps(deg I_a, deg I_b).
 
     terms comes from two lists of pairs.  Each blocked slot reads the
     degree of one entry of I, negated on dual slots: that is the tuple
@@ -207,11 +208,14 @@ class SigmaPlan:
         pshape.require_balanced()
         N = pshape.N
         perms.require_perm(sigma, N)
-        chi = pshape.shape.chi
         inv = perms.inverse(sigma)
         self.copies = tuple((i, tuple(p - 1 for p in lo),
                              tuple(inv[q - 1] - 1 for q in up))
                             for i, lo, up in pshape.layout)
+        self.components, self.symmetries = _walk_links(pshape, sigma, self.copies)
+        if len(self.components) > 1:
+            return
+        chi = pshape.shape.chi
         mu_p = mu(pshape)
         # Blocked slot -> (position in I, sign of its degree in J).
         sources = tuple([(r, 1) for r in range(N)]
@@ -233,7 +237,6 @@ class SigmaPlan:
                            if c % self.m)
         self.degrees = pshape.shape.space.degrees
         self.table = chi.eps_table
-        self.components, self.symmetries = _walk_links(pshape, sigma, self.copies)
 
 def _walk_links(pshape, sigma, copies):
     """sigma's components and symmetries, from one walk along the entries

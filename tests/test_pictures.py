@@ -300,17 +300,49 @@ def textbook_degree(shape, v):
     return d
 
 
+def textbook_coefficient_exponent(pshape, sigma, I):
+    """The coefficient exponent at index tuple I worked out from scratch:
+    gamma over the inversions of rho = nu tau sigma_hat mu on the blocked
+    degree tuple J = mu^{-1} . (degrees of I, negated degrees of
+    I o sigma^{-1}), plus the dual-word normalization of the w-block
+    degrees, the degrees added and negated as int tuples."""
+    chi = pshape.shape.chi
+    grp = chi.group
+    space = pshape.shape.space
+    N = pshape.N
+    inv = perms.inverse(sigma)
+
+    def deg(r):
+        return chi.element_order()[space.degree(r)]
+
+    def total(gs):
+        return functools.reduce(grp.add, gs, grp.identity)
+
+    sorted_degs = ([deg(r) for r in I]
+                   + [grp.neg(deg(I[inv[y - 1] - 1])) for y in range(1, N + 1)])
+    mu_p = mu(pshape)
+    J = perms.act_tuple(perms.inverse(mu_p), tuple(chi.position(g) for g in sorted_degs))
+    rho = perms.compose(perms.nu_perm(N), perms.compose(
+        perms.tau_perm(N), perms.compose(perms.hat_perm(sigma), mu_p)))
+    h = []
+    for _, lo, up in pshape.layout:
+        lo_deg = total(deg(I[p - 1]) for p in lo)
+        up_deg = total(deg(I[inv[q - 1] - 1]) for q in up)
+        h.append(chi.position(grp.add(lo_deg, grp.neg(up_deg))))
+    return (gamma_exponent(chi, J, rho) + dual_word_exponent(chi, h)) % chi.m
+
+
 def textbook_phi(pshape, sigma):
     """phi_sigma summed from scratch: at each index tuple I, the variable
     word of the copies, insertion-sorted by the written-out order (degree
     position, summand, lower, upper) with the eps exponent of each swapped
     pair of degrees added up, dropped when it repeats an odd variable, and
-    multiplied by the root of the plan's coefficient_exponent at I.  Each
-    sorted word becomes an id tuple through var_id at the end."""
+    multiplied by the root of textbook_coefficient_exponent at I, so no
+    formula of the library's SigmaPlan is shared.  Each sorted word
+    becomes an id tuple through var_id at the end."""
     shape = pshape.shape
     chi = shape.chi
     inv = perms.inverse(sigma)
-    plan = pshape.plan(sigma)
 
     def key(v):
         return chi.position(textbook_degree(shape, v)), v.summand, v.lower, v.upper
@@ -331,7 +363,7 @@ def textbook_phi(pshape, sigma):
         if any(x == y and chi.parity_bit(chi.position(textbook_degree(shape, x)))
                for x, y in zip(word, word[1:])):
             continue
-        c = chi.root(exp) * chi.root(coefficient_exponent(plan, I))
+        c = chi.root(exp) * chi.root(textbook_coefficient_exponent(pshape, sigma, I))
         word = tuple(shape.var_id(v) for v in word)
         total[word] = total[word] + c if word in total else c
     return SymPolynomial(shape, total)
@@ -397,25 +429,63 @@ def test_build_phi_matches_textbook_sum_on_symmetric_components(cfgs):
         _assert_phi_matches_textbook(ps, name, [klein])
 
 
-def test_sign_character_sum_of_one_matrix_vanishes_exactly_past_dim(cfgs):
-    """The color trace identity of the column (1^N): the sum over S_N of
-    sgn(sigma) phi_sigma, one sigma per cycle type weighted by its class
-    size, on one matrix.  It lies in the sign's ideal of Q[S_N], which acts
-    as 0 on V^{ox N} exactly when V has no odd basis vector and N > dim
-    (the column leaves the (k,0)-hook: Cayley-Hamilton for 2x2 at N = 3 on
-    trivial); otherwise the sum is nonzero."""
-    for name, cfg in cfgs.items():
+@functools.lru_cache(maxsize=None)
+def character(lam, cycle_type):
+    """chi^lam of S_r at a permutation of the given cycle type, by
+    Murnaghan-Nakayama on beta-sets: the beads lam_i + n - i (n parts,
+    i = 1..n), where removing a rim hook of length h moves a bead b to the
+    empty place b - h, with sign (-1) to the number of beads in between."""
+    if not cycle_type:
+        return 1
+    h, rest = cycle_type[0], cycle_type[1:]
+    n = len(lam)
+    beads = {part + n - 1 - i for i, part in enumerate(lam)}
+    total = 0
+    for b in beads:
+        if b >= h and b - h not in beads:
+            moved = sorted(beads - {b} | {b - h}, reverse=True)
+            mu = tuple(x - (n - 1 - i) for i, x in enumerate(moved) if x > n - 1 - i)
+            total += (-1) ** sum(b - h < x < b for x in beads) * character(mu, rest)
+    return total
+
+
+def test_sign_character_sum_of_one_matrix_vanishes_exactly_past_dim(cfgs, z12z12):
+    """The color trace identities of one matrix: for every lambda of r,
+    Phi_lambda, the sum over S_r of chi^lambda(sigma) phi_sigma (one sigma
+    per cycle type weighted by its class size), lies in lambda's ideal of
+    Q[S_r], which acts as 0 on V^{ox r} exactly when lambda leaves the
+    (k,l)-hook, lambda_{k+1} > l, k and l the numbers of even and odd basis
+    vectors; otherwise Phi_lambda is nonzero, so hook_count(r, k, l) of
+    them are.  The sign character, lambda = (1^r), gives zero exactly when
+    V has no odd basis vector and r > dim (Cayley-Hamilton for 2x2 at
+    r = 3 on trivial).  The characters are pinned by sum chi^lambda(1)^2
+    = r! and by chi^(1^r) being the sign."""
+    for r in range(1, 7):
+        types = [part for part, _ in perms.cycle_type_reps(r)]
+        assert sum(character(lam, (1,) * r) ** 2 for lam in types) == math.factorial(r)
+        assert all(character((1,) * r, part) == (-1) ** (r - len(part)) for part in types)
+    for cfg in list(cfgs.values()) + [z12z12]:
         chi, space = cfg.chi, cfg.space
-        odd = any(chi.parity_bit(d) for d in space.degrees)
-        for N in range(1, 7):
-            ps = PictureShape(cfg.shape, (N,))
-            total = SymPolynomial.zero(cfg.shape)
-            for part, sigma in perms.cycle_type_reps(N):
-                size = math.factorial(N) // math.prod(part) // math.prod(
+        odd = sum(chi.parity_bit(d) for d in space.degrees)
+        k = space.dim - odd
+        for r in range(1, 7):
+            ps = PictureShape(cfg.shape, (r,))
+            phis = []
+            for part, sigma in perms.cycle_type_reps(r):
+                size = math.factorial(r) // math.prod(part) // math.prod(
                     math.factorial(m) for m in collections.Counter(part).values())
-                sign = (-1) ** (N - len(part))
-                total = total + build_phi(ps, sigma).poly.scale(sign * size)
-            assert total.is_zero() == (not odd and N > space.dim), (name, N)
+                phis.append((part, build_phi(ps, sigma).poly.scale(size)))
+            nonzero = 0
+            for lam, _ in phis:
+                total = SymPolynomial.zero(cfg.shape)
+                for part, phi in phis:
+                    total = total + phi.scale(character(lam, part))
+                zero = total.is_zero()
+                assert zero == (len(lam) > k and lam[k] > odd), (cfg.name, lam)
+                nonzero += not zero
+                if lam == (1,) * r:
+                    assert zero == (not odd and r > space.dim), (cfg.name, r)
+            assert nonzero == hook_count(r, k, odd), (cfg.name, r)
 
 
 def test_build_phi_matches_textbook_sum_on_empty_halves_and_twin_summands(cfgs):
@@ -671,45 +741,21 @@ def test_plan_components_match_a_union_find_referee(cfgs):
     assert split
 
 
-def textbook_coefficient_exponent(pshape, sigma, I):
-    """The coefficient exponent at index tuple I worked out from scratch:
-    gamma over the inversions of rho = nu tau sigma_hat mu on the blocked
-    degree tuple J = mu^{-1} . (degrees of I, negated degrees of
-    I o sigma^{-1}), plus the dual-word normalization of the w-block
-    degrees, the degrees added and negated as int tuples."""
-    chi = pshape.shape.chi
-    grp = chi.group
-    space = pshape.shape.space
-    N = pshape.N
-    inv = perms.inverse(sigma)
-
-    def deg(r):
-        return chi.element_order()[space.degree(r)]
-
-    def total(gs):
-        return functools.reduce(grp.add, gs, grp.identity)
-
-    sorted_degs = ([deg(r) for r in I]
-                   + [grp.neg(deg(I[inv[y - 1] - 1])) for y in range(1, N + 1)])
-    mu_p = mu(pshape)
-    J = perms.act_tuple(perms.inverse(mu_p), tuple(chi.position(g) for g in sorted_degs))
-    rho = perms.compose(perms.nu_perm(N), perms.compose(
-        perms.tau_perm(N), perms.compose(perms.hat_perm(sigma), mu_p)))
-    h = []
-    for _, lo, up in pshape.layout:
-        lo_deg = total(deg(I[p - 1]) for p in lo)
-        up_deg = total(deg(I[inv[q - 1] - 1]) for q in up)
-        h.append(chi.position(grp.add(lo_deg, grp.neg(up_deg))))
-    return (gamma_exponent(chi, J, rho) + dual_word_exponent(chi, h)) % chi.m
-
-
 def _assert_plan_matches_textbook(ps):
+    """coefficient_exponent against the textbook formula at every index
+    tuple, for every sigma of S_N.  The plan of a sigma with several
+    components has no coefficient form; each of its components' plans is
+    checked over the component's own tuples instead."""
     dim = ps.shape.space.dim
     for sigma in all_perms(ps.N):
         plan = ps.plan(sigma)
-        for I in itertools.product(range(1, dim + 1), repeat=ps.N):
-            assert coefficient_exponent(plan, I) == \
-                textbook_coefficient_exponent(ps, sigma, I), (ps, sigma, I)
+        if len(plan.components) > 1:
+            assert not hasattr(plan, "terms"), (ps, sigma)
+        for sub, sub_sigma in plan.components:
+            sub_plan = sub.plan(sub_sigma)
+            for I in itertools.product(range(1, dim + 1), repeat=sub.N):
+                assert coefficient_exponent(sub_plan, I) == \
+                    textbook_coefficient_exponent(sub, sub_sigma, I), (sub, sub_sigma, I)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

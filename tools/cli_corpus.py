@@ -45,8 +45,9 @@ every builtin configuration:
   tuples are above `config.MAX_TUPLES` (`WIDE_CONFIG`); and on super,
   `trace` of a sigma in S_1000000 and of an `--assign` of 6 positions,
   both above `bounds.max_n`, and `picture` with `--sigma=--`, which
-  argparse reads as an empty list (each an error, exit 2); `verify --suite
-  span` on the same space of dim 8, whose r = 3 block passes
+  argparse reads as an empty list up to Python 3.12 and as "--" from 3.13
+  (each an error, exit 2); `verify --suite span` on the same space of dim
+  8, whose r = 3 block passes
   `oracle.MAX_SPAN_MONOMIALS` and is skipped, `verify --suite
   centralizer-commute` and `--suite symalgebra` there, whose psi checks at
   k = 3 pass `oracle.MAX_COMMUTE_CHECKS` and whose degree-3 monomials pass
@@ -65,7 +66,8 @@ go into one SHA-256, and so does the text of every generated file; the
 temporary directory's path is replaced by a fixed token first.  A change
 that keeps the printed line unchanged leaves every byte the CLI prints
 unchanged on this set.  With `--check FILE` the script compares its line
-with the first line of FILE and exits 1 when they differ.
+with the first line of FILE and exits 1 when they differ.  The line is the
+same on Python 3.10 to 3.13.
 
 Run from the root of a source checkout; colorinv is imported from `src/`.
 """
