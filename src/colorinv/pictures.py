@@ -40,8 +40,8 @@ multiplicities of its copies and sigma restricted and relabelled, kept on
 the shape (PictureShape.part) so that its plans serve every sigma.
 _phi_counts, the one kernel, counts each component's index tuples in
 {1..dim}^|K| per (monomial, exponent of zeta_m); build_phi multiplies
-these exponent counts, smallest first, and turns each count of the
-product into a multiple of its root of unity once, at the end.
+these exponent counts, smallest first, and at the end makes each
+coefficient count * zeta_m^e once per distinct (exponent, count).
 
 Everything in a summand that depends on sigma alone is worked out once per
 (PictureShape, sigma) into a SigmaPlan, kept on the PictureShape.  Its one
@@ -383,9 +383,9 @@ def build_phi(pshape, sigma):
     """The picture invariant phi_sigma as an element of S(W*): the product
     of the pictures of sigma's components, each counted over its own index
     tuples by _phi_counts and multiplied as counts, smallest first (exact,
-    as components of G-degree 0 commute without a sign), and each count
-    made a multiple of its root of unity once, at the end.  Components
-    equal as (sub-shape, sub-sigma) are counted once per call."""
+    as components of G-degree 0 commute without a sign).  Per call, each
+    coefficient count * zeta_m^e is made once per distinct (exponent,
+    count), and each component counted once per (sub-shape, sub-sigma)."""
     shape = pshape.shape
     chi = shape.chi
     sigma = tuple(sigma)
@@ -402,9 +402,11 @@ def build_phi(pshape, sigma):
     for part in parts[1:]:
         counts = _mul_counts(shape, counts, part)
     roots = [chi.root(e) for e in range(chi.m)]
-    terms = {}
+    made, terms = {}, {}
     for (mono, e), count in counts.items():
-        add_term(terms, mono, roots[e] * count)
+        if (e, count) not in made:
+            made[e, count] = roots[e] * count
+        add_term(terms, mono, made[e, count])
     return PictureInvariant(pshape, sigma, SymPolynomial(shape, terms))
 
 def theta_eval(sigma, t):

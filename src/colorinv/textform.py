@@ -204,11 +204,16 @@ def parse_variable(text):
 
 def format_sym(poly):
     """Monomials in the canonical variable order of the shape; within a
-    term the coefficient comes first, then the variables, each variable
-    named once per call; the empty monomial is '1'."""
+    term the coefficient comes first, then the variables; the empty
+    monomial is '1'.  Each variable is named, and each coefficient value
+    (num, den) written, once per call."""
     vs = poly.shape.numbering().variables
     name = {k: format_variable(vs[k]) for k in set().union(*poly.terms)}
-    return _format_terms((format_cyclo(c), " * ".join([name[k] for k in mono]) or "1")
+    scalar = {}
+    for c in poly.terms.values():
+        if (c.num, c.den) not in scalar:
+            scalar[c.num, c.den] = format_cyclo(c)
+    return _format_terms((scalar[c.num, c.den], " * ".join([name[k] for k in mono]) or "1")
                          for mono, c in poly.terms_sorted())
 
 def parse_sym(text, shape):
