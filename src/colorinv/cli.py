@@ -13,7 +13,7 @@ import sys
 from . import permutations as perms
 from .config import MAX_TUPLES, ConfigError, list_builtin_configs, resolve_config
 from .oracle import SUITES, balanced_multiplicities, suite
-from .pictures import PictureShape, build_phi
+from .pictures import PictureShape, build_phi, check_balanced
 from .sampling import standard_test_algebra
 from .textform import (dump_structured, format_eps, format_sym, parse_point,
                        parse_sym, structured_eps, structured_sym)
@@ -25,6 +25,8 @@ def _parse_mults(text, shape):
     if len(mults) != shape.s:
         raise ValueError("expected %d multiplicities (one per summand), got %d"
                          % (shape.s, len(mults)))
+    if min(mults) < 0:  # PictureShape's refusal, ahead of the totals below
+        raise ValueError("multiplicities must list one nonnegative int per summand")
     return mults
 
 def _check_positions(n, cfg):
@@ -79,15 +81,17 @@ def cmd_list(args):
 def cmd_picture(args):
     cfg = resolve_config(args.config)
     mults = _parse_mults(args.multiplicities, cfg.shape)
-    pshape = PictureShape(cfg.shape, mults)
-    _check_positions(pshape.N, cfg)
-    tuples = cfg.space.dim ** pshape.N
+    # N and N' are refused before PictureShape lays out one entry per copy
+    N, Nprime = (sum(m * p[j] for m, p in zip(mults, cfg.shape.pairs)) for j in (0, 1))
+    _check_positions(N, cfg)
+    tuples = cfg.space.dim ** N
     if tuples > MAX_TUPLES:
         raise ValueError("N=%d tensor positions on a space of dim %d give %d index "
                          "tuples, above the limit of %d"
-                         % (pshape.N, cfg.space.dim, tuples, MAX_TUPLES))
-    pshape.require_balanced()
-    sigma = perms.parse_perm(args.sigma, k=pshape.N)
+                         % (N, cfg.space.dim, tuples, MAX_TUPLES))
+    check_balanced(N, Nprime)
+    pshape = PictureShape(cfg.shape, mults)
+    sigma = perms.parse_perm(args.sigma, k=N)
     phi = build_phi(pshape, sigma)
     _print_value(args, phi.poly, structured_sym, format_sym)
     return 0

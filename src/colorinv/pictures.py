@@ -85,6 +85,12 @@ tau = perms.tau_perm
 nu = perms.nu_perm
 sigma_hat = perms.hat_perm
 
+def check_balanced(N, Nprime):
+    """Refuse a shape of N primal and N' dual slots unless N = N'."""
+    if N != Nprime:
+        raise ValueError("shape is unbalanced: N=%d primal vs N'=%d dual slots"
+                         % (N, Nprime))
+
 class PictureShape:
     """A mixed shape with copy multiplicities.  layout: per copy in
     blocked order, (summand i, lower positions, upper positions), 1-based;
@@ -108,14 +114,8 @@ class PictureShape:
         self._plans = {}
         self._parts = {self.mults: self}
 
-    @property
-    def balanced(self):
-        return self.N == self.Nprime
-
     def require_balanced(self):
-        if not self.balanced:
-            raise ValueError("shape is unbalanced: N=%d primal vs N'=%d dual slots"
-                             % (self.N, self.Nprime))
+        check_balanced(self.N, self.Nprime)
 
     def __repr__(self):
         return "PictureShape(pairs=%r, mults=%r)" % (list(self.shape.pairs),

@@ -310,20 +310,39 @@ def test_verify_unknown_suite(capsys):
     assert err.startswith("error:")
 
 
-def test_picture_rejects_n_beyond_max_n(capsys, monkeypatch):
+def test_picture_rejects_n_beyond_max_n(capsys, monkeypatch, tmp_path):
+    """N and N' past bounds.max_n are refused from the multiplicities
+    alone: PictureShape, which lays out one entry per copy, is never
+    built, so a huge multiplicity ends at once.  A (0, 1) pair gives
+    N = 0 and a huge N'.  A negative multiplicity is refused first, as
+    PictureShape refuses it."""
     cfg = builtin_config("z2z2")
+    one_sided = tmp_path / "one-sided.cfg"
+    one_sided.write_text("group.factors = [4]\nbicharacter.expmat = [[2]]\n"
+                         "space.degrees = [(0,), (2,), (1,)]\n"
+                         "shape.pairs = [(1, 1), (0, 1)]\n")
+    cases = (
+        ("builtin:z2z2", str(cfg.max_n + 1),
+         "N=%d tensor positions exceed bounds.max_n=%d of builtin:z2z2"
+         % (cfg.max_n + 1, cfg.max_n)),
+        ("builtin:z4", "99999999999",
+         "N=99999999999 tensor positions exceed bounds.max_n=5 of builtin:z4"),
+        (str(one_sided), "0,99999999999",
+         "shape is unbalanced: N=0 primal vs N'=99999999999 dual slots"),
+        (str(one_sided), "-1,99999999999",
+         "multiplicities must list one nonnegative int per summand"),
+    )
 
-    def refuse(pshape, sigma):
-        raise AssertionError("build_phi reached past bounds.max_n")
+    def refuse(*args):
+        raise AssertionError("picture reached past bounds.max_n")
 
-    with monkeypatch.context() as patch:
-        patch.setattr("colorinv.cli.build_phi", refuse)
-        rc, out, err = run(capsys, "picture", "--config", "builtin:z2z2",
-                           "--multiplicities", str(cfg.max_n + 1), "--sigma", "id")
-    assert rc == 2
-    assert out == ""
-    assert "N=%d" % (cfg.max_n + 1) in err
-    assert "bounds.max_n=%d" % cfg.max_n in err
+    for config, mults, message in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr("colorinv.cli.PictureShape", refuse)
+            patch.setattr("colorinv.cli.build_phi", refuse)
+            rc, out, err = run(capsys, "picture", "--config", config,
+                               "--multiplicities=" + mults, "--sigma", "id")
+        assert (rc, out, err) == (2, "", "error: %s\n" % message)
     rc, out, err = run(capsys, "picture", "--config", "builtin:z2z2",
                        "--multiplicities", str(cfg.max_n), "--sigma", "id")
     assert rc == 0

@@ -101,7 +101,8 @@ def inputs(draw):
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(drawn=inputs(), mults=st.sampled_from(("1", "2", "3", "1,1")),
+@given(drawn=inputs(),
+       mults=st.sampled_from(("1", "2", "3", "1,1", "99999999999", "0,99999999999")),
        assign=st.sampled_from(("1", "1,1", "1,1,1", "2,1")))
 def test_every_reader_exits_0_or_2(monkeypatch, drawn, mults, assign):
     name, texts = drawn

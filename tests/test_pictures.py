@@ -13,7 +13,7 @@ from colorinv import permutations as perms
 from colorinv.config import parse_config_text
 from colorinv.cyclo import CycloRational
 from colorinv.groups import Bicharacter
-from colorinv.oracle import classical_invariant_dim, suite
+from colorinv.oracle import balanced_multiplicities, classical_invariant_dim, suite
 from colorinv.permutations import all_perms
 from colorinv.pictures import (
     PictureShape,
@@ -115,7 +115,6 @@ def test_picture_shape_bookkeeping(cfgs):
     sup = cfgs["super"]
     ps = PictureShape(sup.shape, (2,))
     assert (ps.N, ps.Nprime, ps.k) == (2, 2, 2)
-    assert ps.balanced
     assert ps.layout == ((1, (1,), (1,)), (1, (2,), (2,)))
     blocked = tuple(v for i, _, _ in ps.layout for v in sup.shape.variance(i))
     assert blocked == (0, 1, 0, 1)
@@ -124,7 +123,7 @@ def test_picture_shape_bookkeeping(cfgs):
     assert mixed.layout == ((1, (1, 2), (1,)), (1, (3, 4), (2,)),
                             (2, (5,), (3, 4)))
     unbalanced = PictureShape(MixedShape(sup.space, [(2, 1)]), (1,))
-    assert not unbalanced.balanced
+    assert unbalanced.N != unbalanced.Nprime
     with pytest.raises(ValueError):
         unbalanced.require_balanced()
 
@@ -488,6 +487,50 @@ def test_sign_character_sum_of_one_matrix_vanishes_exactly_past_dim(cfgs, z12z12
             assert nonzero == hook_count(r, k, odd), (cfg.name, r)
 
 
+def test_character_sums_on_mixed_shapes_vanish_exactly_outside_the_hook(cfgs):
+    """The color trace identities on mixed shapes (1,1)+(1,1),
+    (2,1)+(1,2) and (1,1)+(2,2), every balanced M with N <= 4: for lambda
+    of N and g in S_N, Phi_lambda,g = sum over all sigma of S_N of
+    chi^lambda(sigma g^{-1}) phi_sigma lies in lambda's two-sided ideal of
+    Q[S_N], so it is zero when lambda leaves the (k,l)-hook,
+    lambda_{k+1} > l.  It is checked at g = id and two seeded g.  At
+    g = id, hook_count(N, k, l) of the Phi_lambda are nonzero on every
+    block, so they vanish exactly outside the hook.  No lambda of N <= 4
+    leaves z4's (2|1)-hook, so super ((2,2) at N = 4) and trivial (three
+    rows from N = 3) carry the vanishing; z4 carries m = 4."""
+    for name in ("z4", "super", "trivial"):
+        cfg = cfgs[name]
+        odd = sum(cfg.chi.parity_bit(d) for d in cfg.space.degrees)
+        k = cfg.space.dim - odd
+        for pairs in ([(1, 1), (1, 1)], [(2, 1), (1, 2)], [(1, 1), (2, 2)]):
+            shape = MixedShape(cfg.space, pairs)
+            for M in balanced_multiplicities(shape, 4):
+                ps = PictureShape(shape, M)
+                sigmas = all_perms(ps.N)
+                phis = [(sigma, build_phi(ps, sigma).poly) for sigma in sigmas]
+                rng = random.Random("identities/%s/%s/%s" % (name, pairs, M))
+                gs = [perms.identity(ps.N), rng.choice(sigmas), rng.choice(sigmas)]
+                lams = [part for part, _ in perms.cycle_type_reps(ps.N)]
+                for i, g in enumerate(gs):
+                    g_inv = perms.inverse(g)
+                    classes = {}     # cycle type of sigma g^{-1} -> sum of its phi_sigma
+                    for sigma, phi in phis:
+                        part = tuple(sorted(map(len, perms.cycles(perms.compose(sigma, g_inv))),
+                                            reverse=True))
+                        classes[part] = classes[part] + phi if part in classes else phi
+                    nonzero = 0
+                    for lam in lams:
+                        total = SymPolynomial.zero(shape)
+                        for part, phi in classes.items():
+                            total = total + phi.scale(character(lam, part))
+                        zero = total.is_zero()
+                        if len(lam) > k and lam[k] > odd:
+                            assert zero, (name, pairs, M, lam, g)
+                        nonzero += not zero
+                    if i == 0:
+                        assert nonzero == hook_count(ps.N, k, odd), (name, pairs, M)
+
+
 def test_build_phi_matches_textbook_sum_on_empty_halves_and_twin_summands(cfgs):
     """EDGE_PICTURES, where some copies have no lower or no upper
     positions, or two summands are equal pairs, for every sigma."""
@@ -671,7 +714,7 @@ def test_components_are_balanced_of_degree_zero_and_multiply_to_phi(cfgs):
             assert sum(sub.k for sub, _ in parts) == ps.k
             product = SymPolynomial.from_word(ps.shape, ())
             for sub, sub_sigma in parts:
-                assert sub.balanced and sorted(sub_sigma) == list(range(1, sub.N + 1))
+                assert sub.N == sub.Nprime and sorted(sub_sigma) == list(range(1, sub.N + 1))
                 phi = build_phi(sub, sub_sigma).poly
                 assert phi.g_degree() == 0, (ps, sigma, sub)
                 product = product * phi

@@ -8,13 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from colorinv import permutations as perms
 from colorinv.cyclo import CycloRational
+from colorinv.pictures import PictureShape, build_phi
 from colorinv.sampling import (
     random_eps_of_degree,
     random_sym_polynomial,
     random_w0_point,
 )
-from colorinv.sympoly import SymVariable
+from colorinv.sympoly import SymPolynomial, SymVariable
 from colorinv.tensors import GradedTensor
 from colorinv.textform import (
     dump_structured,
@@ -113,6 +115,41 @@ def test_sym_round_trip(cfgs):
         for _ in range(8):
             p = random_sym_polynomial(shape, 2, rng)
             assert parse_sym(format_sym(p), shape) == p
+
+
+def format_sym_term_by_term(poly):
+    """format_sym's text written one term at a time: '(format_cyclo(c)) * '
+    and the joined format_variable names, '1' for the empty monomial."""
+    vs = poly.shape.numbering().variables
+    return " + ".join("(%s) * %s" % (format_cyclo(c),
+                                     " * ".join(format_variable(vs[k]) for k in mono) or "1")
+                      for mono, c in sorted(poly.terms.items())) or "0"
+
+
+def test_format_sym_matches_a_term_by_term_writer(cfgs):
+    """format_sym writes each coefficient once per distinct (num, den).
+    The inputs: every phi of picture-build's shapes (z2z2 and z3z3 at
+    M = (5,), one sigma per cycle type); 1 at order 1 and at order 4, and
+    zeta_3 at order 3 and as zeta_6^2 at order 6, equal values whose
+    numerators differ (the second pair prints differently); and equal
+    numerators over denominators 1 and 2.  A memo keyed on the numerators
+    alone or on the value misprints them, and the unhashable
+    CycloRational cannot key one."""
+    polys = []
+    for name in ("z2z2", "z3z3"):
+        ps = PictureShape(cfgs[name].shape, (5,))
+        polys += [build_phi(ps, sigma).poly for _, sigma in perms.cycle_type_reps(5)]
+    assert CycloRational.root(3) == CycloRational.root(6, 2)
+    coefficients = (CycloRational.one(), CycloRational.root(4, 0),
+                    CycloRational.root(3), CycloRational.root(6, 2),
+                    CycloRational(4, [1, -1]), CycloRational(4, [Fraction(1, 2), Fraction(-1, 2)]))
+    polys.append(SymPolynomial(cfgs["z4"].shape,
+                               {mono: c for mono, c in zip(((), (0,), (1,), (0, 2), (3,), (4, 4)),
+                                                           coefficients)}))
+    polys.append(SymPolynomial.zero(cfgs["z4"].shape))
+    for poly in polys:
+        assert format_sym(poly) == format_sym_term_by_term(poly)
+    assert format_sym(polys[-2]).count("(1) * ") == 2
 
 
 def test_parse_sym_keys_by_id_and_rejects_aliases(cfgs):

@@ -44,9 +44,11 @@ every builtin configuration:
   (`OVER_LIMITS`); `picture` at N = 6 on a space of dim 8, whose 8^6 index
   tuples are above `config.MAX_TUPLES` (`WIDE_CONFIG`); and on super,
   `trace` of a sigma in S_1000000 and of an `--assign` of 6 positions,
-  both above `bounds.max_n`, and `picture` with `--sigma=--`, which
-  argparse reads as an empty list up to Python 3.12 and as "--" from 3.13
-  (each an error, exit 2); `verify --suite span` on the same space of dim
+  both above `bounds.max_n`, `picture` with `--sigma=--`, which
+  argparse reads as an empty list up to Python 3.12 and as "--" from 3.13,
+  and `picture` at M = (99999999999,) on z4 and at M = (0, 99999999999) on
+  z4 with a (0, 1) pair (`ONE_SIDED`), whose N and N' are above
+  `bounds.max_n` (each an error, exit 2); `verify --suite span` on the same space of dim
   8, whose r = 3 block passes
   `oracle.MAX_SPAN_MONOMIALS` and is skipped, `verify --suite
   centralizer-commute` and `--suite symalgebra` there, whose psi checks at
@@ -187,6 +189,10 @@ LONG_PAIR = ("group.factors = [2]\nbicharacter.expmat = [[1]]\nspace.degrees = [
 # so only bounds.max_n keeps the span suite from building all of S_4r.
 LONG_TRIVIAL = ("group.factors = [1]\nbicharacter.expmat = [[0]]\nspace.degrees = [(0,)]\n"
                 "shape.pairs = [(4, 4)]\nbounds.max_n = 3\n")
+
+# z4 with a (0, 1) pair: M = (0, t) has N = 0 and N' = t.
+ONE_SIDED = ("group.factors = [4]\nbicharacter.expmat = [[2]]\n"
+             "space.degrees = [(0,), (2,), (1,)]\nshape.pairs = [(1, 1), (0, 1)]\n")
 
 # name -> (configuration text, multiplicities of its picture commands).
 MIXED_CONFIGS = {
@@ -359,8 +365,8 @@ def _scalars(tmp):
 def _over_limits(tmp):
     """validate of each OVER_LIMITS file, picture at N = 6 on WIDE_CONFIG,
     trace on super of a sigma in S_1000000 and of an assignment of 6
-    positions, and picture with the empty value '--sigma=--': each an
-    error, exit 2; then verify --suite span on WIDE_CONFIG, which skips
+    positions, picture with the empty value '--sigma=--', and picture at
+    a huge multiplicity on z4 and on ONE_SIDED: each an error, exit 2; then verify --suite span on WIDE_CONFIG, which skips
     its r = 3 block, --suite centralizer-commute and --suite symalgebra
     on WIDE_CONFIG, which skip their psi checks at k = 3 and their
     dimension-series, and --suite span on LONG_PAIR and LONG_TRIVIAL,
@@ -376,6 +382,10 @@ def _over_limits(tmp):
     out.append(trace + ["--sigma", "(1 1000000)"])
     out.append(trace + ["--sigma", "(1 2)", "--assign", "1,1,1,1,1,1"])
     out.append(["picture", "--config", "builtin:super", "--multiplicities", "2", "--sigma=--"])
+    out.append(["picture", "--config", "builtin:z4", "--multiplicities", "99999999999",
+                "--sigma", "id"])
+    out.append(["picture", "--config", _write(tmp, "one-sided.cfg", ONE_SIDED),
+                "--multiplicities", "0,99999999999", "--sigma", "id"])
     for name in ("span", "centralizer-commute", "symalgebra"):
         out.append(["verify", "--config", wide, "--suite", name])
     for fname, text in (("long-pair.cfg", LONG_PAIR), ("long-trivial.cfg", LONG_TRIVIAL)):
