@@ -25,7 +25,7 @@ def _parse_mults(text, shape):
     if len(mults) != shape.s:
         raise ValueError("expected %d multiplicities (one per summand), got %d"
                          % (shape.s, len(mults)))
-    if min(mults) < 0:  # PictureShape's refusal, ahead of the totals below
+    if min(mults) < 0:  # PictureShape's own refusal, ahead of cmd_picture's totals
         raise ValueError("multiplicities must list one nonnegative int per summand")
     return mults
 
@@ -82,7 +82,8 @@ def cmd_picture(args):
     cfg = resolve_config(args.config)
     mults = _parse_mults(args.multiplicities, cfg.shape)
     # N and N' are refused before PictureShape lays out one entry per copy
-    N, Nprime = (sum(m * p[j] for m, p in zip(mults, cfg.shape.pairs)) for j in (0, 1))
+    N = sum(m * b for m, (b, _) in zip(mults, cfg.shape.pairs))
+    Nprime = sum(m * t for m, (_, t) in zip(mults, cfg.shape.pairs))
     _check_positions(N, cfg)
     tuples = cfg.space.dim ** N
     if tuples > MAX_TUPLES:

@@ -142,11 +142,11 @@ def test_format_sym_matches_a_term_by_term_writer(cfgs):
     assert CycloRational.root(3) == CycloRational.root(6, 2)
     coefficients = (CycloRational.one(), CycloRational.root(4, 0),
                     CycloRational.root(3), CycloRational.root(6, 2),
-                    CycloRational(4, [1, -1]), CycloRational(4, [Fraction(1, 2), Fraction(-1, 2)]))
-    polys.append(SymPolynomial(cfgs["z4"].shape,
-                               {mono: c for mono, c in zip(((), (0,), (1,), (0, 2), (3,), (4, 4)),
-                                                           coefficients)}))
-    polys.append(SymPolynomial.zero(cfgs["z4"].shape))
+                    CycloRational(4, [1, -1]),
+                    CycloRational(4, [Fraction(1, 2), Fraction(-1, 2)]))
+    z4 = cfgs["z4"].shape
+    monomials = ((), (0,), (1,), (0, 2), (3,), (4,))
+    polys += [SymPolynomial(z4, dict(zip(monomials, coefficients))), SymPolynomial.zero(z4)]
     for poly in polys:
         assert format_sym(poly) == format_sym_term_by_term(poly)
     assert format_sym(polys[-2]).count("(1) * ") == 2

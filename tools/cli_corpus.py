@@ -48,8 +48,8 @@ every builtin configuration:
   argparse reads as an empty list up to Python 3.12 and as "--" from 3.13,
   and `picture` at M = (99999999999,) on z4 and at M = (0, 99999999999) on
   z4 with a (0, 1) pair (`ONE_SIDED`), whose N and N' are above
-  `bounds.max_n` (each an error, exit 2); `verify --suite span` on the same space of dim
-  8, whose r = 3 block passes
+  `bounds.max_n` (each an error, exit 2); `verify --suite span` on the
+  same space of dim 8, whose r = 3 block passes
   `oracle.MAX_SPAN_MONOMIALS` and is skipped, `verify --suite
   centralizer-commute` and `--suite symalgebra` there, whose psi checks at
   k = 3 pass `oracle.MAX_COMMUTE_CHECKS` and whose degree-3 monomials pass
@@ -366,11 +366,11 @@ def _over_limits(tmp):
     """validate of each OVER_LIMITS file, picture at N = 6 on WIDE_CONFIG,
     trace on super of a sigma in S_1000000 and of an assignment of 6
     positions, picture with the empty value '--sigma=--', and picture at
-    a huge multiplicity on z4 and on ONE_SIDED: each an error, exit 2; then verify --suite span on WIDE_CONFIG, which skips
-    its r = 3 block, --suite centralizer-commute and --suite symalgebra
-    on WIDE_CONFIG, which skip their psi checks at k = 3 and their
-    dimension-series, and --suite span on LONG_PAIR and LONG_TRIVIAL,
-    which skip every block."""
+    a huge multiplicity on z4 and on ONE_SIDED: each an error, exit 2;
+    then verify --suite span on WIDE_CONFIG, which skips its r = 3 block,
+    --suite centralizer-commute and --suite symalgebra on WIDE_CONFIG,
+    which skip their psi checks at k = 3 and their dimension-series, and
+    --suite span on LONG_PAIR and LONG_TRIVIAL, which skip every block."""
     out = []
     for fname, text in OVER_LIMITS.items():
         text = "group.factors = [2]\nbicharacter.expmat = [[1]]\n" + text
