@@ -13,7 +13,7 @@ import sys
 from . import permutations as perms
 from .config import MAX_TUPLES, ConfigError, list_builtin_configs, resolve_config
 from .oracle import SUITES, balanced_multiplicities, suite
-from .pictures import PictureShape, build_phi, check_balanced
+from .pictures import PictureShape, build_phi
 from .sampling import standard_test_algebra
 from .textform import (dump_structured, format_eps, format_sym, parse_point,
                        parse_sym, structured_eps, structured_sym)
@@ -25,8 +25,6 @@ def _parse_mults(text, shape):
     if len(mults) != shape.s:
         raise ValueError("expected %d multiplicities (one per summand), got %d"
                          % (shape.s, len(mults)))
-    if min(mults) < 0:  # PictureShape's own refusal, ahead of cmd_picture's totals
-        raise ValueError("multiplicities must list one nonnegative int per summand")
     return mults
 
 def _check_positions(n, cfg):
@@ -80,18 +78,15 @@ def cmd_list(args):
 
 def cmd_picture(args):
     cfg = resolve_config(args.config)
-    mults = _parse_mults(args.multiplicities, cfg.shape)
-    # N and N' are refused before PictureShape lays out one entry per copy
-    N = sum(m * b for m, (b, _) in zip(mults, cfg.shape.pairs))
-    Nprime = sum(m * t for m, (_, t) in zip(mults, cfg.shape.pairs))
+    pshape = PictureShape(cfg.shape, _parse_mults(args.multiplicities, cfg.shape))
+    N = pshape.N
     _check_positions(N, cfg)
     tuples = cfg.space.dim ** N
     if tuples > MAX_TUPLES:
         raise ValueError("N=%d tensor positions on a space of dim %d give %d index "
                          "tuples, above the limit of %d"
                          % (N, cfg.space.dim, tuples, MAX_TUPLES))
-    check_balanced(N, Nprime)
-    pshape = PictureShape(cfg.shape, mults)
+    pshape.require_balanced()
     sigma = perms.parse_perm(args.sigma, k=N)
     phi = build_phi(pshape, sigma)
     _print_value(args, phi.poly, structured_sym, format_sym)

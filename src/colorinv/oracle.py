@@ -204,11 +204,10 @@ def classical_invariant_dim(shape, r):
                          "grading group")
     return sum(_invariant_block_dim(shape, M, r) for M in _compositions(r, shape.s))
 
-def _phi_rank_block(shape, M):
-    """Rank over Q of the picture invariants of multiplicity M: one row per
+def _phi_rank_block(pshape):
+    """Rank over Q of the picture invariants of one block: one row per
     sigma keyed by monomial, each rational c.num[0] / c.den (the grading is
     trivial) scaled by the lcm of its row's dens, which keeps the rank."""
-    pshape = PictureShape(shape, M)
     rows = []
     for sigma in perms.all_perms(pshape.N):
         terms = build_phi(pshape, sigma).poly.terms
@@ -216,29 +215,19 @@ def _phi_rank_block(shape, M):
         rows.append({mono: c.num[0] * (scale // c.den) for mono, c in terms.items()})
     return rank_int(rows)
 
-def _skip_oversized(rpt, name, shape, blocks):
-    """Whether a block M among blocks has more than MAX_SPAN_MONOMIALS
-    monomials, counted without listing them (all even on the trivial
-    grading); if so the case name passes as skipped."""
+def _block_monomials(shape, M):
+    """The monomials of block M, counted without listing them (all even on
+    the trivial grading)."""
     n = shape.space.dim
-    size = max(math.prod(math.comb(n ** (b + t) + m - 1, m)
-                         for (b, t), m in zip(shape.pairs, M)) for M in blocks)
-    return _skip_over(rpt, name, size, "monomials in one block", MAX_SPAN_MONOMIALS)
+    return math.prod(math.comb(n ** (b + t) + m - 1, m)
+                     for (b, t), m in zip(shape.pairs, M))
 
-def _skip_over(rpt, name, count, what, limit):
+def _skip(rpt, name, count, limit, detail):
     """Whether count, of what a case would build or check, is over limit;
-    if so the case name passes as skipped."""
+    if so the case name passes as skipped, with detail % (count, limit)."""
     if count > limit:
-        rpt.add(name, True, "skipped: %d %s exceed the limit of %d" % (count, what, limit))
+        rpt.add(name, True, "skipped: " + detail % (count, limit))
     return count > limit
-
-def _skip_long(rpt, name, shape, M, max_n):
-    """Whether block M has N = sum M_i b_i above max_n, all N! of whose phi
-    its case would build; if so the case name passes as skipped."""
-    N = sum(m * b for m, (b, _) in zip(M, shape.pairs))
-    if N > max_n:
-        rpt.add(name, True, "skipped: N=%d exceeds bounds.max_n=%d" % (N, max_n))
-    return N > max_n
 
 def span_check(shape, r, seed=0, max_n=MAX_N):
     """Compare the rank of the picture invariants of total degree r with
@@ -252,6 +241,7 @@ def span_check(shape, r, seed=0, max_n=MAX_N):
     label = "n=%d pairs=%s r=%d" % (shape.space.dim,
                                     ";".join("%d,%d" % p for p in shape.pairs), r)
     rpt = Report("span", label, seed)
+    over = "%d monomials in one block exceed the limit of %d"
     if shape.chi.group.order != 1:
         rpt.add("restricted-mode", True,
                 "nontrivial grading group: no classical rank oracle at this "
@@ -261,16 +251,19 @@ def span_check(shape, r, seed=0, max_n=MAX_N):
     blocks = balanced_blocks(shape.pairs, r)
     if not blocks:
         name = "degree %d" % r
-        if not _skip_oversized(rpt, name, shape, _compositions(r, shape.s)):
+        size = max(_block_monomials(shape, M) for M in _compositions(r, shape.s))
+        if not _skip(rpt, name, size, MAX_SPAN_MONOMIALS, over):
             dim = classical_invariant_dim(shape, r)
             rpt.add(name, dim == 0,
                     "no balanced multidegree; classical invariant dimension %d" % dim)
         return rpt
     for M in blocks:
         name = "multidegree %s" % _fmt_tuple(M)
-        if _skip_long(rpt, name, shape, M, max_n) or _skip_oversized(rpt, name, shape, [M]):
+        pshape = PictureShape(shape, M)
+        if (_skip(rpt, name, pshape.N, max_n, "N=%d exceeds bounds.max_n=%d")
+                or _skip(rpt, name, _block_monomials(shape, M), MAX_SPAN_MONOMIALS, over)):
             continue
-        rk = _phi_rank_block(shape, M)
+        rk = _phi_rank_block(pshape)
         dim = _invariant_block_dim(shape, M, r)
         rpt.add(name, rk == dim,
                 "picture span rank %d, classical invariant dimension %d" % (rk, dim))
@@ -289,8 +282,9 @@ def _span_restricted(shape, r, rpt, seed, max_n):
     detail = "%(total)d transformed-point comparisons, %(bad)d failed"
     for M in balanced_blocks(shape.pairs, r):
         name = "invariance multidegree %s" % _fmt_tuple(M)
-        if not _skip_long(rpt, name, shape, M, max_n):
-            rpt.tally(name, invariant(PictureShape(shape, M)), detail, detail)
+        pshape = PictureShape(shape, M)
+        if not _skip(rpt, name, pshape.N, max_n, "N=%d exceeds bounds.max_n=%d"):
+            rpt.tally(name, invariant(pshape), detail, detail)
 
 # ----------------------------------------------------------- suites
 
@@ -450,11 +444,11 @@ def _suite_centralizer(cfg, rpt, seed, **_):
     n = space.dim
     for k in (1, 2, 3):
         psi_name, eta_name = "psi-commutes k=%d" % k, "eta-commutes k=%d" % k
-        psi = not _skip_over(rpt, psi_name, n ** (k + 2) * math.factorial(k),
-                             "checks", MAX_COMMUTE_CHECKS)
-        eta = not _skip_over(rpt, eta_name,
-                             chi.group.order * n ** k * math.factorial(k),
-                             "checks", MAX_COMMUTE_CHECKS)
+        over = "%d checks exceed the limit of %d"
+        psi = not _skip(rpt, psi_name, n ** (k + 2) * math.factorial(k),
+                        MAX_COMMUTE_CHECKS, over)
+        eta = not _skip(rpt, eta_name, chi.group.order * n ** k * math.factorial(k),
+                        MAX_COMMUTE_CHECKS, over)
         if not (psi or eta):
             continue
         variance = (PRIMAL,) * k
@@ -508,8 +502,8 @@ def _suite_symalgebra(cfg, rpt, seed, **_):
     chi = shape.chi
     num = shape.numbering()
     # n variables have at most C(n+2, 3) monomials of degree 3, all when even
-    if not _skip_over(rpt, "dimension-series", math.comb(len(num.variables) + 2, 3),
-                      "monomials of degree 3", MAX_SYM_LISTING):
+    if not _skip(rpt, "dimension-series", math.comb(len(num.variables) + 2, 3),
+                 MAX_SYM_LISTING, "%d monomials of degree 3 exceed the limit of %d"):
         dims = [len(enumerate_sym_basis(shape, r)) for r in range(4)]
         rpt.add("dimension-series", dims == [sym_dimension(shape, r) for r in range(4)],
                 "monomial counts r=0..3: %s match the generating function"

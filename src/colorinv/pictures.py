@@ -4,7 +4,9 @@ For a mixed shape with multiplicities m_1..m_s, the blocked space is
 (U_{b_1}^{t_1})^{ox m_1} ox ... ; its words list, per copy, b_i primal then
 t_i dual slots.  mu is the permutation moving a blocked word into sorted
 variance (all primal slots first, original order kept within each half).
-PictureShape.layout holds this layout, worked out once per shape: per copy
+PictureShape is the one place a block's size is worked out: N and N' are
+sums over the pairs, so a shape is refused by them before anything is laid
+out.  PictureShape.layout holds the layout, built on first read: per copy
 in blocked order, its summand and its lower and upper positions in the
 primal and the dual half of sorted variance.  mu, the SigmaPlan and the
 blocked word all read it.
@@ -71,6 +73,7 @@ how the evaluation oracle fixes it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -85,16 +88,12 @@ tau = perms.tau_perm
 nu = perms.nu_perm
 sigma_hat = perms.hat_perm
 
-def check_balanced(N, Nprime):
-    """Refuse a shape of N primal and N' dual slots unless N = N'."""
-    if N != Nprime:
-        raise ValueError("shape is unbalanced: N=%d primal vs N'=%d dual slots"
-                         % (N, Nprime))
-
 class PictureShape:
-    """A mixed shape with copy multiplicities.  layout: per copy in
-    blocked order, (summand i, lower positions, upper positions), 1-based;
-    N, N' and k (the number of copies) are its totals."""
+    """A mixed shape with copy multiplicities m_i over its pairs (b_i, t_i):
+    the block of multidegree mults.  Its totals N = sum m_i b_i primal and
+    N' = sum m_i t_i dual slots and k = sum m_i copies are summed over the
+    pairs; layout, built on first read, holds per copy in blocked order
+    (summand i, lower positions, upper positions), 1-based."""
 
     def __init__(self, shape, multiplicities):
         if not isinstance(shape, MixedShape):
@@ -103,19 +102,27 @@ class PictureShape:
         self.mults = tuple(int(m) for m in multiplicities)
         if len(self.mults) != shape.s or any(m < 0 for m in self.mults):
             raise ValueError("multiplicities must list one nonnegative int per summand")
-        layout, N, Nprime = [], 0, 0
-        for i, (m, (b, t)) in enumerate(zip(self.mults, shape.pairs), start=1):
-            for _ in range(m):
-                layout.append((i, tuple(range(N + 1, N + b + 1)),
-                               tuple(range(Nprime + 1, Nprime + t + 1))))
-                N, Nprime = N + b, Nprime + t
-        self.layout = tuple(layout)
-        self.N, self.Nprime, self.k = N, Nprime, len(layout)
+        self.N = sum(m * b for m, (b, _) in zip(self.mults, shape.pairs))
+        self.Nprime = sum(m * t for m, (_, t) in zip(self.mults, shape.pairs))
+        self.k = sum(self.mults)
         self._plans = {}
         self._parts = {self.mults: self}
 
+    @functools.cached_property
+    def layout(self):
+        layout, lo, up = [], 0, 0
+        for i, (m, (b, t)) in enumerate(zip(self.mults, self.shape.pairs), start=1):
+            for _ in range(m):
+                layout.append((i, tuple(range(lo + 1, lo + b + 1)),
+                               tuple(range(up + 1, up + t + 1))))
+                lo, up = lo + b, up + t
+        return tuple(layout)
+
     def require_balanced(self):
-        check_balanced(self.N, self.Nprime)
+        """Refuse this shape unless N = N'."""
+        if self.N != self.Nprime:
+            raise ValueError("shape is unbalanced: N=%d primal vs N'=%d dual slots"
+                             % (self.N, self.Nprime))
 
     def __repr__(self):
         return "PictureShape(pairs=%r, mults=%r)" % (list(self.shape.pairs),

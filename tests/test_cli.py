@@ -312,10 +312,10 @@ def test_verify_unknown_suite(capsys):
 
 def test_picture_rejects_n_beyond_max_n(capsys, monkeypatch, tmp_path):
     """N and N' past bounds.max_n are refused from the multiplicities
-    alone: PictureShape, which lays out one entry per copy, is never
-    built, so a huge multiplicity ends at once.  A (0, 1) pair gives
-    N = 0 and a huge N'.  A negative multiplicity is refused first, as
-    PictureShape refuses it."""
+    alone: PictureShape sums them over the pairs, and its layout, with one
+    entry per copy, is never built, so a huge multiplicity ends at once.
+    A (0, 1) pair gives N = 0 and a huge N'.  A negative multiplicity is
+    refused first, by PictureShape."""
     cfg = builtin_config("z2z2")
     one_sided = tmp_path / "one-sided.cfg"
     one_sided.write_text("group.factors = [4]\nbicharacter.expmat = [[2]]\n"
@@ -338,7 +338,7 @@ def test_picture_rejects_n_beyond_max_n(capsys, monkeypatch, tmp_path):
 
     for config, mults, message in cases:
         with monkeypatch.context() as patch:
-            patch.setattr("colorinv.cli.PictureShape", refuse)
+            patch.setattr(PictureShape, "layout", property(refuse))
             patch.setattr("colorinv.cli.build_phi", refuse)
             rc, out, err = run(capsys, "picture", "--config", config,
                                "--multiplicities=" + mults, "--sigma", "id")
