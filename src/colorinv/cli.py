@@ -20,8 +20,7 @@ from .textform import (dump_structured, format_eps, format_sym, parse_point,
 from .traces import restitute, trace_monomial
 
 def _parse_mults(text, shape):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    mults = tuple(int(p) for p in parts)
+    mults = tuple(int(p) for p in text.replace(",", " ").split())
     if len(mults) != shape.s:
         raise ValueError("expected %d multiplicities (one per summand), got %d"
                          % (shape.s, len(mults)))
@@ -79,15 +78,14 @@ def cmd_list(args):
 def cmd_picture(args):
     cfg = resolve_config(args.config)
     pshape = PictureShape(cfg.shape, _parse_mults(args.multiplicities, cfg.shape))
-    N = pshape.N
-    _check_positions(N, cfg)
-    tuples = cfg.space.dim ** N
+    _check_positions(pshape.N, cfg)
+    tuples = cfg.space.dim ** pshape.N
     if tuples > MAX_TUPLES:
         raise ValueError("N=%d tensor positions on a space of dim %d give %d index "
                          "tuples, above the limit of %d"
-                         % (N, cfg.space.dim, tuples, MAX_TUPLES))
+                         % (pshape.N, cfg.space.dim, tuples, MAX_TUPLES))
     pshape.require_balanced()
-    sigma = perms.parse_perm(args.sigma, k=N)
+    sigma = perms.parse_perm(args.sigma, k=pshape.N)
     phi = build_phi(pshape, sigma)
     _print_value(args, phi.poly, structured_sym, format_sym)
     return 0

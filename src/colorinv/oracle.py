@@ -104,11 +104,12 @@ POINTS = 3  # sampled points per case of the sampling suites
 # The most monomials in one block of the classical span side: its rows
 # grow with the count (about 1.5 s at 8,436 monomials, dim 6 and r = 3).
 MAX_SPAN_MONOMIALS = 10000
-# The most checks of one centralizer-commute case (the builtins' largest
-# is 1,458; about 0.45 s at 46,656, dim 6 and k = 3), and the most
-# monomials of degree 3 that symalgebra lists against the generating
-# function (27,720 on a mixed shape of dim 3).
-MAX_COMMUTE_CHECKS = 50000
+# The most checks of one case: centralizer-commute psi or eta checks (the
+# builtins' largest is 1,458; 0.45 s at 46,656), bicharacter triples or
+# pairs (729; 0.6 s at 46,656 triples) and a cocycle table's gamma values
+# (1,944; the suite takes 0.2 s at 31,104).  And the most monomials of
+# degree 3 that symalgebra lists (27,720 on a mixed shape of dim 3).
+MAX_CHECKS = 50000
 MAX_SYM_LISTING = 30000
 
 def _sub_rng(seed, tag):
@@ -137,10 +138,9 @@ def balanced_multiplicities(shape, max_positions):
     """Multiplicity tuples whose picture shape is balanced with
     1 <= N <= max_positions, in lexicographic order.  Every copy holds at
     least one slot, so at most 2*max_positions copies can fit."""
-    pairs = shape.pairs
     return sorted(M for k in range(1, 2 * max_positions + 1)
-                  for M in balanced_blocks(pairs, k)
-                  if 1 <= sum(m * b for m, (b, _) in zip(M, pairs)) <= max_positions)
+                  for M in balanced_blocks(shape.pairs, k)
+                  if 1 <= PictureShape(shape, M).N <= max_positions)
 
 # ------------------------------------------------- classical gl oracle
 
@@ -301,12 +301,16 @@ def _suite_bicharacter(cfg, rpt, seed, **_):
         g, h, k = triple
         gh, e = grp.add(g, h), chi.eps_exponent
         return e(gh, k) == (e(g, k) + e(h, k)) % m and e(k, gh) == (e(k, g) + e(k, h)) % m
-    rpt.tally("biadditive", itertools.product(els, repeat=3),
-              "%(total)d triples checked", "failed at %(first)r", biadditive)
-    rpt.tally("skew-inverse",
-              ((chi.eps_exponent(g, h) + chi.eps_exponent(h, g)) % m == 0
-               for g, h in itertools.product(els, repeat=2)),
-              "eps(g,h)eps(h,g)=1 on all %(total)d pairs", "%(bad)d pairs violate")
+    if not _skip(rpt, "biadditive", grp.order ** 3, MAX_CHECKS,
+                 "%d triples exceed the limit of %d"):
+        rpt.tally("biadditive", itertools.product(els, repeat=3),
+                  "%(total)d triples checked", "failed at %(first)r", biadditive)
+    if not _skip(rpt, "skew-inverse", grp.order ** 2, MAX_CHECKS,
+                 "%d pairs exceed the limit of %d"):
+        rpt.tally("skew-inverse",
+                  ((chi.eps_exponent(g, h) + chi.eps_exponent(h, g)) % m == 0
+                   for g, h in itertools.product(els, repeat=2)),
+                  "eps(g,h)eps(h,g)=1 on all %(total)d pairs", "%(bad)d pairs violate")
     evens, odds = [], []
     sign_ok = True
     for g in els:
@@ -335,6 +339,10 @@ def _suite_cocycle(cfg, rpt, seed, **_):
     degs = sorted(set(space.degrees), key=order.__getitem__)
     m = chi.m
     for k in (2, 3, 4):
+        name = "cocycle-identity k=%d" % k
+        if _skip(rpt, name, len(degs) ** k * math.factorial(k), MAX_CHECKS,
+                 "%d gamma values exceed the limit of %d"):
+            continue
         sigmas = perms.all_perms(k)
         where = {sg: i for i, sg in enumerate(sigmas)}
         # positions of the k!^2 products tau o sigma, one row per sigma
@@ -351,7 +359,7 @@ def _suite_cocycle(cfg, rpt, seed, **_):
                 for j, tu_sg in enumerate(row):
                     if gv[tu_sg] != (gmoved[j] + base) % m and first is None:
                         first = (tuple(order[d] for d in v), sg, sigmas[j])
-        rpt.add("cocycle-identity k=%d" % k, first is None,
+        rpt.add(name, first is None,
                 "%d (degrees, sigma, tau) checks" % total if first is None
                 else "failed at %r" % (first,))
     alg = standard_test_algebra(chi, truncation=2)
@@ -436,7 +444,7 @@ def _suite_centralizer(cfg, rpt, seed, **_):
     functions are what is being checked.
 
     Each case counts its checks before anything is built, n^(k+2) k! for
-    psi and |G| n^k k! for eta, and one over MAX_COMMUTE_CHECKS passes as
+    psi and |G| n^k k! for eta, and one over MAX_CHECKS passes as
     skipped; a width with both cases skipped builds nothing."""
     chi = cfg.chi
     space = cfg.space
@@ -446,9 +454,9 @@ def _suite_centralizer(cfg, rpt, seed, **_):
         psi_name, eta_name = "psi-commutes k=%d" % k, "eta-commutes k=%d" % k
         over = "%d checks exceed the limit of %d"
         psi = not _skip(rpt, psi_name, n ** (k + 2) * math.factorial(k),
-                        MAX_COMMUTE_CHECKS, over)
+                        MAX_CHECKS, over)
         eta = not _skip(rpt, eta_name, chi.group.order * n ** k * math.factorial(k),
-                        MAX_COMMUTE_CHECKS, over)
+                        MAX_CHECKS, over)
         if not (psi or eta):
             continue
         variance = (PRIMAL,) * k

@@ -4,12 +4,10 @@ For a mixed shape with multiplicities m_1..m_s, the blocked space is
 (U_{b_1}^{t_1})^{ox m_1} ox ... ; its words list, per copy, b_i primal then
 t_i dual slots.  mu is the permutation moving a blocked word into sorted
 variance (all primal slots first, original order kept within each half).
-PictureShape is the one place a block's size is worked out: N and N' are
-sums over the pairs, so a shape is refused by them before anything is laid
-out.  PictureShape.layout holds the layout, built on first read: per copy
-in blocked order, its summand and its lower and upper positions in the
-primal and the dual half of sorted variance.  mu, the SigmaPlan and the
-blocked word all read it.
+PictureShape sums N and N' over its pairs and builds this layout on first
+read: per copy in blocked order, its summand and its lower and upper
+positions in the primal and the dual half of sorted variance.  mu, the
+SigmaPlan and the blocked word all read it.
 
 A picture invariant is a polynomial in S(W*) built so that its restitution
 at u agrees with the functional evaluation
@@ -89,11 +87,10 @@ nu = perms.nu_perm
 sigma_hat = perms.hat_perm
 
 class PictureShape:
-    """A mixed shape with copy multiplicities m_i over its pairs (b_i, t_i):
-    the block of multidegree mults.  Its totals N = sum m_i b_i primal and
-    N' = sum m_i t_i dual slots and k = sum m_i copies are summed over the
-    pairs; layout, built on first read, holds per copy in blocked order
-    (summand i, lower positions, upper positions), 1-based."""
+    """A mixed shape with copy multiplicities m_i over its pairs (b_i, t_i).
+    N = sum m_i b_i primal slots, N' = sum m_i t_i dual slots and k = sum m_i
+    copies are summed over the pairs; layout, built on first read: per copy
+    in blocked order, (summand i, lower positions, upper positions), 1-based."""
 
     def __init__(self, shape, multiplicities):
         if not isinstance(shape, MixedShape):
@@ -119,7 +116,6 @@ class PictureShape:
         return tuple(layout)
 
     def require_balanced(self):
-        """Refuse this shape unless N = N'."""
         if self.N != self.Nprime:
             raise ValueError("shape is unbalanced: N=%d primal vs N'=%d dual slots"
                              % (self.N, self.Nprime))

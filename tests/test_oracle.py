@@ -156,7 +156,7 @@ def test_wide_verify_skips_checks_over_the_work_limits(monkeypatch):
         raise AssertionError("symalgebra listed monomials over the limit")
     monkeypatch.setattr(oracle, "psi_derivation", psi_below_width_3)
     monkeypatch.setattr(oracle, "enumerate_sym_basis", refuse)
-    limit = oracle.MAX_COMMUTE_CHECKS
+    limit = oracle.MAX_CHECKS
     assert [c.line() for c in suite("centralizer-commute", cfg).cases] == [
         "PASS psi-commutes k=1: 512 (sigma, unit, basis tensor) checks",
         "PASS eta-commutes k=1: 8 (sigma, group element, basis tensor) checks",
@@ -171,13 +171,60 @@ def test_wide_verify_skips_checks_over_the_work_limits(monkeypatch):
     # super at k = 3: 2^5 * 3! = 192 psi checks; 4 variables: C(6, 3) = 20
     sup = builtin_config("super")
     for limit, skipped in ((192, False), (191, True)):
-        monkeypatch.setattr(oracle, "MAX_COMMUTE_CHECKS", limit)
+        monkeypatch.setattr(oracle, "MAX_CHECKS", limit)
         detail = {c.name: c.detail for c in suite("centralizer-commute", sup).cases}
         assert detail["psi-commutes k=3"].startswith("skipped") == skipped
     for limit, skipped in ((20, False), (19, True)):
         monkeypatch.setattr(oracle, "MAX_SYM_LISTING", limit)
         detail = {c.name: c.detail for c in suite("symalgebra", sup).cases}
         assert detail["dimension-series"].startswith("skipped") == skipped
+
+
+def test_bicharacter_and_cocycle_skip_checks_over_the_work_limit(monkeypatch):
+    """On Z_64 with seven space degrees the bicharacter suite would check
+    64^3 = 262,144 biadditive triples, and the cocycle table at k = 4
+    would hold 7^4 * 4! = 57,624 gamma values: both pass as skipped before
+    the work starts, while the cases under the limit still run.  On z3z3
+    (|G| = 9, three degrees) each case runs at its own count and is
+    skipped one below it."""
+    cfg = parse_config_text("group.factors = [64]\nbicharacter.expmat = [[32]]\n"
+                            "space.degrees = [(0,), (2,), (4,), (6,), (1,), (3,), (5,)]\n"
+                            "shape.pairs = [(1, 1)]\n")
+    gamma = oracle.gamma_exponent
+
+    def gamma_below_width_4(chi, degs, sigma):
+        assert len(degs) < 4, "a cocycle table over the limit was built"
+        return gamma(chi, degs, sigma)
+    monkeypatch.setattr(oracle, "gamma_exponent", gamma_below_width_4)
+    limit = oracle.MAX_CHECKS
+    lines = [c.line() for c in suite("bicharacter", cfg).cases]
+    assert lines[1:3] == [
+        "PASS biadditive: skipped: 262144 triples exceed the limit of %d" % limit,
+        "PASS skew-inverse: eps(g,h)eps(h,g)=1 on all 4096 pairs"]
+    assert [c.line() for c in suite("cocycle", cfg).cases][:3] == [
+        "PASS cocycle-identity k=2: 196 (degrees, sigma, tau) checks",
+        "PASS cocycle-identity k=3: 12348 (degrees, sigma, tau) checks",
+        "PASS cocycle-identity k=4: skipped: 57624 gamma values exceed the "
+        "limit of %d" % limit]
+    monkeypatch.undo()
+    z3z3 = builtin_config("z3z3")
+    for case, count, what, run in (
+            ("biadditive", 729, "triples", "729 triples checked"),
+            ("skew-inverse", 81, "pairs", "eps(g,h)eps(h,g)=1 on all 81 pairs")):
+        monkeypatch.setattr(oracle, "MAX_CHECKS", count)
+        assert {c.name: c.detail for c in suite("bicharacter", z3z3).cases}[case] == run
+        monkeypatch.setattr(oracle, "MAX_CHECKS", count - 1)
+        assert {c.name: c.detail for c in suite("bicharacter", z3z3).cases}[case] == (
+            "skipped: %d %s exceed the limit of %d" % (count, what, count - 1))
+    # 3^4 * 4! = 1,944 gamma values at k = 4
+    monkeypatch.setattr(oracle, "MAX_CHECKS", 1944)
+    detail = {c.name: c.detail for c in suite("cocycle", z3z3).cases}
+    assert detail["cocycle-identity k=4"] == "46656 (degrees, sigma, tau) checks"
+    monkeypatch.setattr(oracle, "MAX_CHECKS", 1943)
+    detail = {c.name: c.detail for c in suite("cocycle", z3z3).cases}
+    assert detail["cocycle-identity k=4"] == (
+        "skipped: 1944 gamma values exceed the limit of 1943")
+    assert detail["cocycle-identity k=3"] == "972 (degrees, sigma, tau) checks"
 
 
 def test_span_check_restricted_mode_on_graded_groups(cfgs):
