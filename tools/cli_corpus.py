@@ -52,12 +52,22 @@ every builtin configuration:
   same space of dim 8, whose r = 3 block passes
   `oracle.MAX_SPAN_MONOMIALS` and is skipped, `verify --suite
   centralizer-commute` and `--suite symalgebra` there, whose psi checks at
-  k = 3 pass `oracle.MAX_COMMUTE_CHECKS` and whose degree-3 monomials pass
+  k = 3 pass `oracle.MAX_CHECKS` and whose degree-3 monomials pass
   `oracle.MAX_SYM_LISTING`, each skipped, and `verify --suite span` on
   super with one (4,4) pair and `bounds.max_n = 3` (`LONG_PAIR`) and on a
   one-dimensional trivial space with the same pair and bound
   (`LONG_TRIVIAL`), whose blocks of N = 4, 8 and 12 exceed `bounds.max_n`
-  and are skipped;
+  and are skipped; `verify --suite bicharacter` and `--suite cocycle` on
+  Z_64 with seven space degrees (`WIDE_GROUP`), whose 64^3 biadditive
+  triples and 7^4 * 4! gamma values at k = 4 pass `oracle.MAX_CHECKS` and
+  are skipped;
+* on super, `picture` at M = (3,) with sigma written in cycle notation,
+  as `()`, as `id` and in bracketed one-line notation, in text and
+  structured form, and `trace` with sigma `(1 2)` and `--assign 1,1`; and
+  the refusals of sigma (each an error, exit 2, `SIGMA_REFUSALS`): an
+  unclosed cycle, cycles that are not disjoint, a cycle entry past N, a
+  one-line list that is not a permutation, a permutation of the wrong
+  size, and `trace` of `id` without `--assign`;
 * `validate` of one configuration file per integer list the loader reads
   (`group.factors`, a `bicharacter.expmat` row, a `space.degrees` entry, a
   `shape.pairs` entry) holding a malformed literal (`MALFORMED_LISTS`, each
@@ -175,7 +185,7 @@ MALFORMED_LISTS = {
 # A valid configuration of dim 8 with bounds.max_n = 8, whose pictures pass
 # config.MAX_TUPLES at N = 6, whose span block at r = 3 passes
 # oracle.MAX_SPAN_MONOMIALS, whose psi checks at k = 3 pass
-# oracle.MAX_COMMUTE_CHECKS and whose degree-3 monomials pass
+# oracle.MAX_CHECKS and whose degree-3 monomials pass
 # oracle.MAX_SYM_LISTING.
 WIDE_CONFIG = ("group.factors = [1]\nbicharacter.expmat = [[0]]\nspace.degrees = %r\n"
                "shape.pairs = [(1, 1)]\nbounds.max_n = 8\n" % ([(0,)] * 8))
@@ -189,6 +199,17 @@ LONG_PAIR = ("group.factors = [2]\nbicharacter.expmat = [[1]]\nspace.degrees = [
 # so only bounds.max_n keeps the span suite from building all of S_4r.
 LONG_TRIVIAL = ("group.factors = [1]\nbicharacter.expmat = [[0]]\nspace.degrees = [(0,)]\n"
                 "shape.pairs = [(4, 4)]\nbounds.max_n = 3\n")
+
+# Z_64 with seven space degrees, whose bicharacter triples and cocycle
+# gamma values at k = 4 pass oracle.MAX_CHECKS.
+WIDE_GROUP = ("group.factors = [64]\nbicharacter.expmat = [[32]]\n"
+              "space.degrees = [(0,), (2,), (4,), (6,), (1,), (3,), (5,)]\n"
+              "shape.pairs = [(1, 1)]\n")
+
+# sigma texts for picture on super at M = (3,): four that parse, then one
+# refusal per message of permutations.parse_perm and from_cycles.
+SIGMA_TEXTS = ("(1 3 2)", "()", "id", "[2,1,3]")
+SIGMA_REFUSALS = ("(1 2", "(1 2)(2 3)", "(1 4)", "2,2,1", "2,1")
 
 # z4 with a (0, 1) pair: M = (0, t) has N = 0 and N' = t.
 ONE_SIDED = ("group.factors = [4]\nbicharacter.expmat = [[2]]\n"
@@ -288,6 +309,7 @@ def commands(tmp):
     out.extend(_hand_written(tmp))
     out.extend(_scalars(tmp))
     out.extend(_over_limits(tmp))
+    out.extend(_sigma_notation(tmp))
     out.extend(_malformed_lists(tmp))
     return out
 
@@ -370,7 +392,9 @@ def _over_limits(tmp):
     then verify --suite span on WIDE_CONFIG, which skips its r = 3 block,
     --suite centralizer-commute and --suite symalgebra on WIDE_CONFIG,
     which skip their psi checks at k = 3 and their dimension-series, and
-    --suite span on LONG_PAIR and LONG_TRIVIAL, which skip every block."""
+    --suite span on LONG_PAIR and LONG_TRIVIAL, which skip every block,
+    and --suite bicharacter and --suite cocycle on WIDE_GROUP, which skip
+    their biadditive triples and their cocycle table at k = 4."""
     out = []
     for fname, text in OVER_LIMITS.items():
         text = "group.factors = [2]\nbicharacter.expmat = [[1]]\n" + text
@@ -390,6 +414,24 @@ def _over_limits(tmp):
         out.append(["verify", "--config", wide, "--suite", name])
     for fname, text in (("long-pair.cfg", LONG_PAIR), ("long-trivial.cfg", LONG_TRIVIAL)):
         out.append(["verify", "--config", _write(tmp, fname, text), "--suite", "span"])
+    wide_group = _write(tmp, "wide-group.cfg", WIDE_GROUP)
+    for name in ("bicharacter", "cocycle"):
+        out.append(["verify", "--config", wide_group, "--suite", name])
+    return out
+
+
+def _sigma_notation(tmp):
+    """picture on super at M = (3,) for each of SIGMA_TEXTS in text and
+    structured form and for each of SIGMA_REFUSALS; trace of '(1 2)' with
+    --assign 1,1, and of 'id' without --assign (an error, exit 2)."""
+    picture = ["picture", "--config", "builtin:super", "--multiplicities", "3"]
+    out = [picture + ["--sigma", text, "--format", fmt]
+           for text in SIGMA_TEXTS for fmt in ("text", "structured")]
+    out += [picture + ["--sigma", text] for text in SIGMA_REFUSALS]
+    trace = ["trace", "--config", "builtin:super",
+             "--point", os.path.join(tmp, "super-0.point")]
+    out.append(trace + ["--sigma", "(1 2)", "--assign", "1,1"])
+    out.append(trace + ["--sigma", "id"])
     return out
 
 
