@@ -413,3 +413,13 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
             (tmp_path / "phi.txt").write_text(printed)
         ran.append(argv[0])
     assert ran == ["validate", "list", "picture", "eval", "trace"]
+
+
+def test_readme_library_quickstart_runs():
+    """The README's ```python block, run in a fresh namespace; it asserts
+    that the restituted picture equals the trace monomial itself."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["lhs"] == namespace["rhs"]
