@@ -451,9 +451,9 @@ def _suite_centralizer(cfg, rpt, seed, **_):
     space = cfg.space
     alg = standard_test_algebra(chi, truncation=2)
     n = space.dim
+    over = "%d checks exceed the limit of %d"
     for k in (1, 2, 3):
         psi_name, eta_name = "psi-commutes k=%d" % k, "eta-commutes k=%d" % k
-        over = "%d checks exceed the limit of %d"
         psi = not _skip(rpt, psi_name, n ** (k + 2) * math.factorial(k),
                         MAX_CHECKS, over)
         eta = not _skip(rpt, eta_name, chi.group.order * n ** k * math.factorial(k),
