@@ -242,13 +242,13 @@ def span_check(shape, r, seed=0, max_n=MAX_N):
     label = "n=%d pairs=%s r=%d" % (shape.space.dim,
                                     ";".join("%d,%d" % p for p in shape.pairs), r)
     rpt = Report("span", label, seed)
-    over = "%d monomials in one block exceed the limit of %d"
     if shape.chi.group.order != 1:
         rpt.add("restricted-mode", True,
                 "nontrivial grading group: no classical rank oracle at this "
                 "scale, certifying invariance of each picture invariant instead")
         _span_restricted(shape, r, rpt, seed, max_n)
         return rpt
+    over = "%d monomials in one block exceed the limit of %d"
     blocks = balanced_blocks(shape.pairs, r)
     if not blocks:
         name = "degree %d" % r
