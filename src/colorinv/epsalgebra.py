@@ -32,8 +32,8 @@ product of EpsElements and of SymPolynomials, and of their sums of
 products: it groups the pairs of words of a list of (left, right) term
 dicts by normal word, and cyclo.product_sums turns each word's (c1, c2,
 exponent) triples into one coefficient in integer arithmetic.  (build_phi
-multiplies integer counts per exponent instead, through
-sympoly.sym_merge.)  eps_sums makes one EpsElement
+multiplies integer counts per exponent instead, merging sorted monomials
+in pictures._mul_counts.)  eps_sums makes one EpsElement
 per key of {key: [pairs]}, for callers whose entries are sums.  hop and
 the place permutation action rotate by times_root, and word degrees,
 summed through the bicharacter's sum_table, are memoized too.

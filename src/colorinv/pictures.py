@@ -78,7 +78,7 @@ from operator import itemgetter
 
 from . import permutations as perms
 from .epsalgebra import add_term
-from .sympoly import MixedShape, SymPolynomial, sym_merge, sym_normalize
+from .sympoly import MixedShape, SymPolynomial, sym_normalize
 from .tensors import (PRIMAL, DUAL, GradedTensor, act_perm, contract_pairs,
                       tensor_product)
 
@@ -369,26 +369,51 @@ def _phi_counts(pshape, sigma):
     return counts
 
 def _mul_counts(shape, left, right):
-    """The product of two counts dicts of _phi_counts: each pair of
-    monomials merged by sym_merge, its exponents added to the swap
-    exponent and its counts multiplied."""
+    """The product of two counts dicts of _phi_counts, one merge per pair
+    of sorted monomials w1, w2, giving what sym_normalize gives for w1 + w2:
+    each right id y passes the left ids x > y, adding the exponent
+    table[degree[x]][degree[y]] for each, as eps_sort would, and a pair
+    with an odd id in both halves is zero and dropped.  The pair's
+    exponents are added to this swap exponent, mod m, and its counts
+    multiplied."""
+    num = shape.numbering()
+    degree, parity, table = num.degree, num.parity, shape.chi.eps_table
     m = shape.chi.m
     out = {}
     for (w1, e1), n1 in left.items():
+        n = len(w1)
         for (w2, e2), n2 in right.items():
-            res = sym_merge(shape, w1, w2)
-            if res is not None:
-                key = res[1], (e1 + e2 + res[0]) % m
+            word, e, i = [], e1 + e2, 0
+            for y in w2:
+                while i < n and w1[i] <= y:
+                    x = w1[i]
+                    if x == y and parity[x]:
+                        break
+                    word.append(x)
+                    i += 1
+                else:
+                    if i < n:
+                        row = degree[y]
+                        for x in w1[i:]:
+                            e += table[degree[x]][row]
+                    word.append(y)
+                    continue
+                break
+            else:
+                word.extend(w1[i:])
+                key = tuple(word), e % m
                 out[key] = out.get(key, 0) + n1 * n2
     return out
 
 def build_phi(pshape, sigma):
     """The picture invariant phi_sigma as an element of S(W*): the product
     of the pictures of sigma's components, each counted over its own index
-    tuples by _phi_counts and multiplied as counts, smallest first (exact,
-    as components of G-degree 0 commute without a sign).  Per call, each
-    coefficient count * zeta_m^e is made once per distinct (exponent,
-    count), and each component counted once per (sub-shape, sub-sigma)."""
+    tuples by _phi_counts and multiplied as counts by _mul_counts, smallest
+    first (exact, as components of G-degree 0 commute without a sign).  Per
+    call, each coefficient count * zeta_m^e is made once per distinct
+    (exponent, count), and each component counted once per (sub-shape,
+    sub-sigma).  add_term drops the monomials whose coefficients cancel,
+    so the terms are wrapped as they are, not filtered again."""
     shape = pshape.shape
     chi = shape.chi
     sigma = tuple(sigma)
@@ -410,7 +435,7 @@ def build_phi(pshape, sigma):
         if (e, count) not in made:
             made[e, count] = roots[e] * count
         add_term(terms, mono, made[e, count])
-    return PictureInvariant(pshape, sigma, SymPolynomial(shape, terms))
+    return PictureInvariant(pshape, sigma, SymPolynomial.zero(shape)._like(terms))
 
 def theta_eval(sigma, t):
     """Theta(sigma) on a tensor in sorted variance (primal^N, dual^N):

@@ -27,10 +27,10 @@ eps insertion sort, and returns its swap exponent, which from_word applies
 by times_root; enumerate_sym_basis filters sorted_words; SymPolynomial
 sums, scales and compares through Terms.  SymPolynomial's product is
 epsalgebra.eps_product with sym_normalize as the normal form, the same
-product as Lambda_eps's.  build_phi multiplies sorted monomials through
-sym_merge instead, which gives what sym_normalize gives for their
-concatenation in one merge; the product stays on the full sort, so the
-two paths referee each other.
+product as Lambda_eps's.  build_phi multiplies sorted monomials by a
+merge of its own instead (pictures._mul_counts), which gives what
+sym_normalize gives for their concatenation; the product stays on the
+full sort, so the two paths referee each other.
 """
 
 from __future__ import annotations
@@ -167,31 +167,6 @@ def sym_normalize(shape, seq):
     zeta_m^exponent, or None when a repeated odd variable makes it zero."""
     num = shape.numbering()
     return eps_sort(seq, num.degree, num.parity, shape.chi.eps_table)
-
-def sym_merge(shape, w1, w2):
-    """sym_normalize(shape, w1 + w2) for two sorted monomials, in one merge:
-    each right id y passes the left ids x > y, adding the exponent
-    table[degree[x]][degree[y]] for each, as eps_sort would; None when
-    an odd id is in both halves.  The exponent is not reduced mod m."""
-    num = shape.numbering()
-    degree, parity, table = num.degree, num.parity, shape.chi.eps_table
-    out = []
-    exp = i = 0
-    n1 = len(w1)
-    for y in w2:
-        while i < n1 and w1[i] <= y:
-            x = w1[i]
-            if x == y and parity[x]:
-                return None
-            out.append(x)
-            i += 1
-        if i < n1:
-            dy = degree[y]
-            for x in w1[i:]:
-                exp += table[degree[x]][dy]
-        out.append(y)
-    out.extend(w1[i:])
-    return exp, tuple(out)
 
 class SymPolynomial(Terms):
     """Element of S(W*): {sorted id tuple: CycloRational}.  Immutable."""

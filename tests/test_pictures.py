@@ -33,7 +33,7 @@ from colorinv.pictures import (
     theta_eval,
 )
 from colorinv.sampling import random_w0_point, standard_test_algebra
-from colorinv.sympoly import MixedShape, SymPolynomial, SymVariable
+from colorinv.sympoly import MixedShape, SymPolynomial, SymVariable, sym_normalize
 from colorinv.tensors import act_perm, gamma_exponent
 from colorinv.textform import format_sym
 from colorinv.traces import restitute
@@ -653,6 +653,47 @@ def test_component_counts_multiply_in_either_order(cfgs):
                     dropped += sum(ab.values()) < sum(a.values()) * sum(b.values())
         if name == "super":
             assert dropped
+
+
+def _mul_counts_by_sort(shape, left, right):
+    """The product of two counts dicts the long way: sym_normalize of each
+    concatenated pair of monomials, counts summed per (monomial, exponent
+    mod m)."""
+    m = shape.chi.m
+    out = collections.Counter()
+    for (w1, e1), n1 in left.items():
+        for (w2, e2), n2 in right.items():
+            res = sym_normalize(shape, w1 + w2)
+            if res is not None:
+                out[res[1], (e1 + e2 + res[0]) % m] += n1 * n2
+    return dict(out)
+
+
+def test_mul_counts_matches_the_sort_of_each_concatenated_pair(cfgs):
+    """_mul_counts, multiplying sigma's component counts in plan order as
+    build_phi does, against the full sort of each concatenated pair.  On
+    super and z2z2 a repeated odd variable drops pairs; on z3z3 m = 3,
+    and the (1,1)+(2,2) shape has components over both summands."""
+    cases = {"super": ([(1, 1)], (5,), [(2, 1, 4, 3, 5), (1, 2, 3, 4, 5)]),
+             "z2z2": ([(1, 1)], (5,), [(2, 1, 4, 3, 5), (1, 3, 2, 4, 5)]),
+             "z3z3": ([(1, 1)], (5,), [(2, 1, 4, 3, 5), (1, 2, 3, 5, 4)]),
+             "z3z3 mixed": ([(1, 1), (2, 2)], (2, 1), [(1, 2, 3, 4), (3, 2, 1, 4)])}
+    for name, (pairs, mults, sigmas) in cases.items():
+        ps = PictureShape(MixedShape(cfgs[name.split()[0]].space, pairs), mults)
+        dropped = products = 0
+        for sigma in sigmas:
+            components = ps.plan(sigma).components
+            assert len(components) >= 2, (name, sigma)
+            counts = _phi_counts(*components[0])
+            for sub, s in components[1:]:
+                part = _phi_counts(sub, s)
+                got = _mul_counts(ps.shape, counts, part)
+                assert got == _mul_counts_by_sort(ps.shape, counts, part), (name, sigma)
+                dropped += sum(got.values()) < sum(counts.values()) * sum(part.values())
+                products += 1
+                counts = got
+        assert products >= 3
+        assert bool(dropped) == (name in ("super", "z2z2")), (name, dropped)
 
 
 def test_build_phi_matches_textbook_sum_when_the_smallest_component_is_not_first(cfgs):

@@ -4,7 +4,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from colorinv.cyclo import CycloRational
 from colorinv.sampling import standard_test_algebra
@@ -14,7 +13,6 @@ from colorinv.sympoly import (
     SymVariable,
     enumerate_sym_basis,
     sym_dimension,
-    sym_merge,
     sym_normalize,
     symmetrize,
 )
@@ -309,50 +307,3 @@ def test_sym_variable_hash_and_repr():
     assert repr(v) == "SymVariable(summand=2, lower=(1, 3), upper=(2,))"
     assert v == SymVariable(2, (1, 3), (2,))
     assert v.word() == (1, 3, 2)
-
-
-_MERGE_BASES = {}
-
-
-def merge_basis(cfg, mixed):
-    """(shape, sorted monomials of degree <= 3, their set) for a builtin's
-    (1,1) shape or (2,1)+(1,2) over its space, built once per shape."""
-    key = cfg.name, mixed
-    if key not in _MERGE_BASES:
-        shape = MixedShape(cfg.space, [(2, 1), (1, 2)]) if mixed else cfg.shape
-        basis = [w for r in range(4) for w in enumerate_sym_basis(shape, r)]
-        _MERGE_BASES[key] = shape, basis, set(basis)
-    return _MERGE_BASES[key]
-
-
-@st.composite
-def merge_cases(draw, cfgs):
-    """(shape, w1, w2), two sorted monomials of one shape.  w2 is either
-    drawn from the basis too, or is a word of degree <= 2 with an id of w1
-    sorted in, so that odd ids are shared and even ids repeat."""
-    cfg = cfgs[draw(st.sampled_from(sorted(cfgs)))]
-    shape, basis, normal = merge_basis(cfg, draw(st.booleans()))
-    w1 = draw(st.sampled_from(basis))
-    w2 = draw(st.sampled_from(basis))
-    if w1 and len(w2) < 3 and draw(st.booleans()):
-        shared = tuple(sorted(w2 + (draw(st.sampled_from(w1)),)))
-        # not normal only when the id is odd and already in w2
-        if shared in normal:
-            w2 = shared
-    return shape, w1, w2
-
-
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_sym_merge_matches_the_sort_of_the_concatenation(cfgs, data):
-    """sym_merge of two sorted monomials is sym_normalize of w1 + w2: the
-    same word, the same exponent mod m, and None exactly when the sort
-    finds a repeated odd id."""
-    shape, w1, w2 = data.draw(merge_cases(cfgs))
-    got, want = sym_merge(shape, w1, w2), sym_normalize(shape, w1 + w2)
-    if want is None:
-        assert got is None
-    else:
-        m = shape.chi.m
-        assert got is not None and got[1] == want[1]
-        assert got[0] % m == want[0] % m
