@@ -109,8 +109,11 @@ MAX_SPAN_MONOMIALS = 10000
 # The most checks of one case: centralizer-commute psi or eta checks (the
 # builtins' largest is 1,458; 0.45 s at 46,656), bicharacter triples or
 # pairs (729; 0.6 s at 46,656 triples) and a cocycle table's gamma values
-# (1,944; the suite takes 0.2 s at 31,104).  And the most monomials of
-# degree 3 that symalgebra lists (27,720 on a mixed shape of dim 3).
+# (1,944; the suite takes 0.2 s at 31,104).  Also the most words of the
+# sampling suites' test algebra (the builtins' largest is 190; on Z_256,
+# 131,585 words took a suite 0.3 to 0.9 s and 34 to 54 MB).  And the most
+# monomials of degree 3 that symalgebra lists (27,720 on a mixed shape of
+# dim 3).
 MAX_CHECKS = 50000
 MAX_SYM_LISTING = 30000
 
@@ -230,12 +233,25 @@ def _skip(rpt, name, count, limit, detail):
         rpt.add(name, True, "skipped: " + detail % (count, limit))
     return count > limit
 
+def _skip_sampling(rpt, chi):
+    """Whether the sampling suites' test algebra has too many words to
+    draw from; if so, one case passes as skipped.  Its coefficients are
+    drawn from the normal words of length <= 2 over standard_test_algebra's
+    2|G| generators, listed in full on the first draw, and counted here
+    without listing them: the empty word, each generator, each pair of
+    distinct generators and each square of an even generator."""
+    gens = 2 * chi.group.order
+    words = 1 + gens + math.comb(gens, 2) + 2 * chi.parity_table.count(0)
+    return _skip(rpt, "test-algebra", words, MAX_CHECKS,
+                 "%d normal words of length <= 2 exceed the limit of %d")
+
 def span_check(shape, r, seed=0, max_n=MAX_N):
     """Compare the rank of the picture invariants of total degree r with
     the classically computed invariant dimension, block by balanced
     multidegree.  Needs the trivial grading group for the classical side;
     with a nontrivial group the report instead records a restricted-mode
-    notice and certifies invariance of each phi on sampled points.  Either
+    notice and certifies invariance of each phi on sampled points, unless
+    the test algebra is over its word limit (_skip_sampling).  Either
     way a block of N above max_n is skipped before any phi is built, and on
     the trivial grading then a block over MAX_SPAN_MONOMIALS monomials,
     before any row is built."""
@@ -271,6 +287,8 @@ def span_check(shape, r, seed=0, max_n=MAX_N):
     return rpt
 
 def _span_restricted(shape, r, rpt, seed, max_n):
+    if _skip_sampling(rpt, shape.chi):
+        return
     alg = standard_test_algebra(shape.chi, truncation=3)
     rng = _sub_rng(seed, "span-restricted")
 
@@ -582,12 +600,16 @@ def _transformed_pair(shape, alg, rng):
     return u, W0Point(shape, alg, [apply_operator(p, T, Tinv) for p in u.parts])
 
 def _suite_path_equality(cfg, rpt, seed, max_n):
+    if _skip_sampling(rpt, cfg.chi):
+        return
     _sigma_cases(cfg, rpt, seed, max_n, "path", random_w0_point,
                  lambda pshape, sigma, phi, u: restitute(phi.poly, u)
                  != t_sigma_on_parts(pshape, sigma, u.parts),
                  "%(total)d points")
 
 def _suite_invariance(cfg, rpt, seed, max_n):
+    if _skip_sampling(rpt, cfg.chi):
+        return
     _sigma_cases(cfg, rpt, seed, max_n, "invariance", _transformed_pair,
                  lambda pshape, sigma, phi, uv: restitute(phi.poly, uv[0])
                  != restitute(phi.poly, uv[1]),
@@ -597,6 +619,8 @@ def _suite_trace_match(cfg, rpt, seed, max_n):
     shape = cfg.shape
     chi = cfg.chi
     space = cfg.space
+    if _skip_sampling(rpt, chi):
+        return
     alg = standard_test_algebra(chi, truncation=3)
     expect = sum(1 if chi.parity_bit(space.degree(a)) == 0 else -1
                  for a in range(1, space.dim + 1))
@@ -626,6 +650,8 @@ def _suite_trace_match(cfg, rpt, seed, max_n):
 def _suite_restitution(cfg, rpt, seed, **_):
     shape = cfg.shape
     chi = cfg.chi
+    if _skip_sampling(rpt, chi):
+        return
     alg = standard_test_algebra(chi, truncation=3)
     rng = _sub_rng(seed, "restitution")
 

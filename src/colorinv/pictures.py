@@ -103,7 +103,7 @@ class PictureShape:
         self.Nprime = sum(m * t for m, (_, t) in zip(self.mults, shape.pairs))
         self.k = sum(self.mults)
         self._plans = {}
-        self._parts = {self.mults: self}
+        self._parts = {}
 
     @functools.cached_property
     def layout(self):
@@ -126,9 +126,12 @@ class PictureShape:
 
     def part(self, mults):
         """The PictureShape of the same MixedShape with multiplicities
-        mults (this shape itself for its own), built on first use and kept
-        here, so that a component's plans serve every sigma that has it."""
+        mults, built on first use and kept here, so that a component's plans
+        serve every sigma that has it; this shape itself for its own, which
+        is not kept, so that no shape refers to itself."""
         mults = tuple(mults)
+        if mults == self.mults:
+            return self
         sub = self._parts.get(mults)
         if sub is None:
             sub = self._parts[mults] = PictureShape(self.shape, mults)
@@ -183,7 +186,9 @@ class SigmaPlan:
         positions in I of its lower indices and of its upper indices (the
         latter already read through sigma^{-1});
     components: sigma's connected components on the copies, as
-        (sub-shape, sub-sigma) pairs in the order of their first copies;
+        (multiplicities, sub-sigma) pairs in the order of their first
+        copies, the sub-shape being pshape.part(multiplicities), so that no
+        plan refers to a shape;
     symmetries: the position maps on I (P with P[p] the image of
         position p) of the copy permutations pi other than the identity
         that keep every copy in its summand and fix sigma; empty unless
@@ -247,9 +252,9 @@ def _walk_links(pshape, sigma, copies):
     reader, a (copy, slot).  A walk from a copy reaches the readers of the
     entries of each copy reached, and records per copy its summand and the
     (visit number, slot) of both readers of each entry.  The copies reached
-    from each copy not yet reached form a component, given as its sub-shape
-    (pshape.part, its copies in blocked order with their multiplicities)
-    and sub-sigma (sigma with the component's lower and upper positions
+    from each copy not yet reached form a component, given as the
+    multiplicities of its sub-shape (its copies in blocked order) and its
+    sub-sigma (sigma with the component's lower and upper positions
     relabelled 1.. in order).  When the walk from copy 0 reaches every
     copy, sigma is its own component, and the walks from copy 0 and copy t
     record one pattern exactly when pi, sending the n-th copy of one to
@@ -289,7 +294,7 @@ def _walk_links(pshape, sigma, copies):
             if other == pattern:
                 pi = dict(zip(order, image))
                 maps.append(tuple(copies[pi[c]][1][slot] for (c, slot), _ in readers))
-        return ((pshape, sigma),), tuple(maps)
+        return ((pshape.mults, sigma),), tuple(maps)
     layout = pshape.layout
     parts = []
     for order, _ in walks:
@@ -299,7 +304,7 @@ def _walk_links(pshape, sigma, copies):
             mults[layout[c][0] - 1] += 1
         upper = [q for c in members for q in layout[c][2]]
         rank = {q: r for r, q in enumerate(upper, start=1)}
-        parts.append((pshape.part(mults),
+        parts.append((tuple(mults),
                       tuple(rank[sigma[p - 1]] for c in members for p in layout[c][1])))
     return tuple(parts), ()
 
@@ -419,11 +424,11 @@ def build_phi(pshape, sigma):
     sigma = tuple(sigma)
     built = {}
     parts = []
-    for sub, sub_sigma in pshape.plan(sigma).components:
-        key = sub.mults, sub_sigma
+    for key in pshape.plan(sigma).components:
         part = built.get(key)
         if part is None:
-            part = built[key] = _phi_counts(sub, sub_sigma)
+            mults, sub_sigma = key
+            part = built[key] = _phi_counts(pshape.part(mults), sub_sigma)
         parts.append(part)
     parts.sort(key=len)
     counts = parts[0] if parts else {((), 0): 1}

@@ -2,9 +2,11 @@
 
 import collections
 import functools
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -598,7 +600,8 @@ def test_sigma_plan_symmetries_are_the_relabellings_fixing_sigma(cfgs):
     for ps, sigmas in shapes:
         for sigma in sigmas:
             _assert_symmetries_written_out(ps, sigma)
-            for sub, sub_sigma in ps.plan(sigma).components:
+            for mults, sub_sigma in ps.plan(sigma).components:
+                sub = ps.part(mults)
                 _assert_symmetries_written_out(sub, sub_sigma)
                 found += len(sub.plan(sub_sigma).symmetries)
     assert found
@@ -646,7 +649,8 @@ def test_component_counts_multiply_in_either_order(cfgs):
                        + random.Random("components").sample(all_perms(6), 10)))
         for ps, sigmas in shapes:
             for sigma in sigmas:
-                parts = [_phi_counts(sub, s) for sub, s in ps.plan(sigma).components]
+                parts = [_phi_counts(ps.part(mults), s)
+                         for mults, s in ps.plan(sigma).components]
                 for a, b in itertools.combinations(parts, 2):
                     ab = _mul_counts(ps.shape, a, b)
                     assert ab == _mul_counts(ps.shape, b, a), (name, ps, sigma)
@@ -682,11 +686,10 @@ def test_mul_counts_matches_the_sort_of_each_concatenated_pair(cfgs):
         ps = PictureShape(MixedShape(cfgs[name.split()[0]].space, pairs), mults)
         dropped = products = 0
         for sigma in sigmas:
-            components = ps.plan(sigma).components
-            assert len(components) >= 2, (name, sigma)
-            counts = _phi_counts(*components[0])
-            for sub, s in components[1:]:
-                part = _phi_counts(sub, s)
+            parts = [_phi_counts(ps.part(sub), s) for sub, s in ps.plan(sigma).components]
+            assert len(parts) >= 2, (name, sigma)
+            counts = parts[0]
+            for part in parts[1:]:
                 got = _mul_counts(ps.shape, counts, part)
                 assert got == _mul_counts_by_sort(ps.shape, counts, part), (name, sigma)
                 dropped += sum(got.values()) < sum(counts.values()) * sum(part.values())
@@ -705,7 +708,8 @@ def test_build_phi_matches_textbook_sum_when_the_smallest_component_is_not_first
         for (pairs, mults), sigmas in cases:
             ps = PictureShape(MixedShape(cfgs[name].space, pairs), mults)
             for sigma in sigmas:
-                sizes = [len(_phi_counts(sub, s)) for sub, s in ps.plan(sigma).components]
+                sizes = [len(_phi_counts(ps.part(mults), s))
+                         for mults, s in ps.plan(sigma).components]
                 assert sizes != sorted(sizes), (name, ps, sigma, sizes)
             _assert_phi_matches_textbook(ps, name, sigmas)
 
@@ -751,7 +755,7 @@ def test_components_are_balanced_of_degree_zero_and_multiply_to_phi(cfgs):
     for pairs, mults in MIXED_PICTURES:
         ps = PictureShape(MixedShape(cfg.space, pairs), mults)
         for sigma in all_perms(ps.N):
-            parts = ps.plan(sigma).components
+            parts = [(ps.part(mults), s) for mults, s in ps.plan(sigma).components]
             assert sum(sub.k for sub, _ in parts) == ps.k
             product = SymPolynomial.from_word(ps.shape, ())
             for sub, sub_sigma in parts:
@@ -812,17 +816,39 @@ def test_plan_components_match_a_union_find_referee(cfgs):
         for sigma in all_perms(ps.N):
             got = ps.plan(sigma).components
             want = union_find_components(ps, sigma)
-            assert [(sub.mults, s) for sub, s in got] == \
-                [(m, s) for _, m, s in want], (ps, sigma)
+            assert list(got) == [(m, s) for _, m, s in want], (ps, sigma)
             members = [c for copies, _, _ in want for c in copies]
             assert sorted(members) == list(range(ps.k)), (ps, sigma)
-            for (sub, _), (copies, _, _) in zip(got, want):
-                assert sub.k == len(copies) and sub is ps.part(sub.mults)
+            for (mults, _), (copies, _, _) in zip(got, want):
+                sub = ps.part(mults)
+                assert sub.k == len(copies) and sub is ps.part(mults)
                 assert [i for i, _, _ in sub.layout] == \
                     [ps.layout[c][0] for c in copies], (ps, sigma)
             assert ps.plan(sigma).components is got
             split += len(got) > 1
     assert split
+
+
+def test_a_picture_shape_is_freed_without_the_cyclic_collector(cfgs):
+    """Neither a shape nor a plan refers to its own shape: with the
+    cyclic collector off, a shape that has built phi for a split and a
+    connected sigma, and kept their plans and sub-shapes, is freed, with
+    its sub-shapes, as soon as the last reference to it goes."""
+    ps = PictureShape(cfgs["super"].shape, (3,))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for sigma in ((2, 1, 3), (2, 3, 1)):
+            build_phi(ps, sigma)
+        assert ps.part((3,)) is ps
+        shapes = [weakref.ref(ps), weakref.ref(ps.part((1,))), weakref.ref(ps.part((2,)))]
+        assert len(ps.plan((2, 1, 3)).components) == 2
+        assert len(ps.plan((2, 3, 1)).components) == 1
+        del ps
+        assert [ref() for ref in shapes] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _assert_plan_matches_textbook(ps):
@@ -835,7 +861,8 @@ def _assert_plan_matches_textbook(ps):
         plan = ps.plan(sigma)
         if len(plan.components) > 1:
             assert not hasattr(plan, "terms"), (ps, sigma)
-        for sub, sub_sigma in plan.components:
+        for mults, sub_sigma in plan.components:
+            sub = ps.part(mults)
             sub_plan = sub.plan(sub_sigma)
             for I in itertools.product(range(1, dim + 1), repeat=sub.N):
                 assert coefficient_exponent(sub_plan, I) == \

@@ -32,6 +32,14 @@ every builtin configuration:
   (`KLEIN`), `picture` at M = (4,) and sigma = 3,6,1,8,7,2,5,4
   (`KLEIN_SIGMA`), whose symmetries form a Klein four-group, in text and
   structured form;
+* pictures whose sigma has three or more components, so that build_phi
+  multiplies component counts more than once, and a repeated odd variable
+  drops pairs of monomials on super: on super and z2z2, `picture` at
+  M = (5,) and sigma = (1 3)(2 5), whose components are not runs of
+  positions, and on a super configuration file with two (1,1) pairs and
+  `bounds.max_n = 4` (`SUPER_TWO`), `picture` at M = (2,2) for every sigma
+  in S_4 with three or more cycles, whose components mix the summands,
+  each in text and structured form;
 * on super, `eval` of fixed hand-written poly and point files (`BAD_POLYS`,
   `BAD_POINTS`): one per message of the text parsers, and two well-formed
   files whose terms repeat, cancel or vanish, in text and structured form;
@@ -60,7 +68,9 @@ every builtin configuration:
   and are skipped; `verify --suite bicharacter` and `--suite cocycle` on
   Z_64 with seven space degrees (`WIDE_GROUP`), whose 64^3 biadditive
   triples and 7^4 * 4! gamma values at k = 4 pass `oracle.MAX_CHECKS` and
-  are skipped;
+  are skipped; `verify --suite restitution` on Z_256 (`HUGE_GROUP`), whose
+  test algebra's 131,585 words of length <= 2 pass `oracle.MAX_CHECKS`, so
+  that the suite is skipped;
 * on super, `picture` at M = (3,) with sigma written in cycle notation,
   as `()`, as `id` and in bracketed one-line notation, in text and
   structured form, and `trace` with sigma `(1 2)` and `--assign 1,1`; and
@@ -206,6 +216,11 @@ WIDE_GROUP = ("group.factors = [64]\nbicharacter.expmat = [[32]]\n"
               "space.degrees = [(0,), (2,), (4,), (6,), (1,), (3,), (5,)]\n"
               "shape.pairs = [(1, 1)]\n")
 
+# Z_256, whose sampling suites' test algebra has 512 generators and passes
+# oracle.MAX_CHECKS in its words of length <= 2.
+HUGE_GROUP = ("group.factors = [256]\nbicharacter.expmat = [[128]]\n"
+              "space.degrees = [(0,), (1,)]\nshape.pairs = [(1, 1)]\n")
+
 # sigma texts for picture on super at M = (3,): four that parse, then one
 # refusal per message of permutations.parse_perm and from_cycles.
 SIGMA_TEXTS = ("(1 3 2)", "()", "id", "[2,1,3]")
@@ -230,6 +245,11 @@ MIXED_CONFIGS = {
 KLEIN = ("group.factors = [2]\nbicharacter.expmat = [[1]]\nspace.degrees = [(0,), (1,)]\n"
          "shape.pairs = [(2, 2)]\nbounds.max_n = 8\n")
 KLEIN_SIGMA = (3, 6, 1, 8, 7, 2, 5, 4)
+
+# super with two (1,1) pairs and bounds.max_n = 4, for pictures at
+# M = (2,2) whose sigma has three or more components.
+SUPER_TWO = ("group.factors = [2]\nbicharacter.expmat = [[1]]\nspace.degrees = [(0,), (1,)]\n"
+             "shape.pairs = [(1, 1), (1, 1)]\nbounds.max_n = 4\n")
 
 # z3z3 with bounds.max_n = 6, for pictures at M = (6,).
 Z3Z3_SIX = ("group.factors = [3, 3]\nbicharacter.expmat = [[0, 1], [2, 0]]\n"
@@ -306,6 +326,7 @@ def commands(tmp):
     out.extend(_mixed(tmp))
     out.extend(_six(tmp))
     out.extend(_klein(tmp))
+    out.extend(_many_components(tmp))
     out.extend(_hand_written(tmp))
     out.extend(_scalars(tmp))
     out.extend(_over_limits(tmp))
@@ -343,6 +364,20 @@ def _klein(tmp):
     path = _write(tmp, "klein.cfg", KLEIN)
     return [["picture", "--config", path, "--multiplicities", "4",
              "--sigma", _sigma_text(KLEIN_SIGMA), "--format", fmt]
+            for fmt in ("text", "structured")]
+
+
+def _many_components(tmp):
+    """picture at M = (5,) and sigma = (1 3)(2 5) on super and z2z2, and
+    at M = (2,2) on the SUPER_TWO file for every sigma in S_4 with three
+    or more cycles, in text and structured form."""
+    configs = [(["--config", "builtin:" + name], "5", [(3, 5, 1, 4, 2)])
+               for name in ("super", "z2z2")]
+    configs.append((["--config", _write(tmp, "super-two.cfg", SUPER_TWO)], "2,2",
+                    [s for s in perms.all_perms(4) if len(perms.cycles(s)) >= 3]))
+    return [["picture"] + config + ["--multiplicities", mults,
+                                    "--sigma", _sigma_text(sigma), "--format", fmt]
+            for config, mults, sigmas in configs for sigma in sigmas
             for fmt in ("text", "structured")]
 
 
@@ -393,8 +428,9 @@ def _over_limits(tmp):
     --suite centralizer-commute and --suite symalgebra on WIDE_CONFIG,
     which skip their psi checks at k = 3 and their dimension-series, and
     --suite span on LONG_PAIR and LONG_TRIVIAL, which skip every block,
-    and --suite bicharacter and --suite cocycle on WIDE_GROUP, which skip
-    their biadditive triples and their cocycle table at k = 4."""
+    --suite bicharacter and --suite cocycle on WIDE_GROUP, which skip
+    their biadditive triples and their cocycle table at k = 4, and --suite
+    restitution on HUGE_GROUP, which skips the whole suite."""
     out = []
     for fname, text in OVER_LIMITS.items():
         text = "group.factors = [2]\nbicharacter.expmat = [[1]]\n" + text
@@ -417,6 +453,8 @@ def _over_limits(tmp):
     wide_group = _write(tmp, "wide-group.cfg", WIDE_GROUP)
     for name in ("bicharacter", "cocycle"):
         out.append(["verify", "--config", wide_group, "--suite", name])
+    out.append(["verify", "--config", _write(tmp, "huge-group.cfg", HUGE_GROUP),
+                "--suite", "restitution"])
     return out
 
 
