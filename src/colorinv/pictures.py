@@ -391,19 +391,15 @@ def _mul_counts(shape, left, right):
             word, e, i = [], e1 + e2, 0
             for y in w2:
                 while i < n and w1[i] <= y:
-                    x = w1[i]
-                    if x == y and parity[x]:
-                        break
-                    word.append(x)
+                    word.append(w1[i])
                     i += 1
-                else:
-                    if i < n:
-                        row = degree[y]
-                        for x in w1[i:]:
-                            e += table[degree[x]][row]
-                    word.append(y)
-                    continue
-                break
+                if parity[y] and i and w1[i - 1] == y:
+                    break
+                if i < n:
+                    row = degree[y]
+                    for x in w1[i:]:
+                        e += table[degree[x]][row]
+                word.append(y)
             else:
                 word.extend(w1[i:])
                 key = tuple(word), e % m
