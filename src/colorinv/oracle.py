@@ -109,9 +109,8 @@ MAX_SPAN_MONOMIALS = 10000
 # The most checks of one case: centralizer-commute psi or eta checks (the
 # builtins' largest is 1,458; 0.45 s at 46,656), bicharacter triples or
 # pairs (729; 0.6 s at 46,656 triples) and a cocycle table's gamma values
-# (1,944; the suite takes 0.2 s at 31,104).  Also the most words of the
-# sampling suites' test algebra (the builtins' largest is 190; on Z_256,
-# 131,585 words took a suite 0.3 to 0.9 s and 34 to 54 MB).  And the most
+# (1,944; the suite takes 0.2 s at 31,104), and the sampling suites' test
+# algebra words (190; a suite took 0.3 to 0.9 s at 131,585).  And the most
 # monomials of degree 3 that symalgebra lists (27,720 on a mixed shape of
 # dim 3).
 MAX_CHECKS = 50000
@@ -234,12 +233,9 @@ def _skip(rpt, name, count, limit, detail):
     return count > limit
 
 def _skip_sampling(rpt, chi):
-    """Whether the sampling suites' test algebra has too many words to
-    draw from; if so, one case passes as skipped.  Its coefficients are
-    drawn from the normal words of length <= 2 over standard_test_algebra's
-    2|G| generators, listed in full on the first draw, and counted here
-    without listing them: the empty word, each generator, each pair of
-    distinct generators and each square of an even generator."""
+    """_skip over the normal words of length <= 2 that a sampling suite's
+    first draw lists, over standard_test_algebra's 2|G| generators: the
+    empty word, each generator, each pair and each even square."""
     gens = 2 * chi.group.order
     words = 1 + gens + math.comb(gens, 2) + 2 * chi.parity_table.count(0)
     return _skip(rpt, "test-algebra", words, MAX_CHECKS,
@@ -250,8 +246,8 @@ def span_check(shape, r, seed=0, max_n=MAX_N):
     the classically computed invariant dimension, block by balanced
     multidegree.  Needs the trivial grading group for the classical side;
     with a nontrivial group the report instead records a restricted-mode
-    notice and certifies invariance of each phi on sampled points, unless
-    the test algebra is over its word limit (_skip_sampling).  Either
+    notice and certifies invariance of each phi on sampled points
+    (_skip_sampling first).  Either
     way a block of N above max_n is skipped before any phi is built, and on
     the trivial grading then a block over MAX_SPAN_MONOMIALS monomials,
     before any row is built."""

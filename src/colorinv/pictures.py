@@ -127,8 +127,8 @@ class PictureShape:
     def part(self, mults):
         """The PictureShape of the same MixedShape with multiplicities
         mults, built on first use and kept here, so that a component's plans
-        serve every sigma that has it; this shape itself for its own, which
-        is not kept, so that no shape refers to itself."""
+        serve every sigma that has it; this shape itself, not kept, for its
+        own."""
         mults = tuple(mults)
         if mults == self.mults:
             return self
@@ -187,8 +187,7 @@ class SigmaPlan:
         latter already read through sigma^{-1});
     components: sigma's connected components on the copies, as
         (multiplicities, sub-sigma) pairs in the order of their first
-        copies, the sub-shape being pshape.part(multiplicities), so that no
-        plan refers to a shape;
+        copies (no plan refers to a shape: see PictureShape.part);
     symmetries: the position maps on I (P with P[p] the image of
         position p) of the copy permutations pi other than the identity
         that keep every copy in its summand and fix sigma; empty unless
@@ -374,13 +373,10 @@ def _phi_counts(pshape, sigma):
     return counts
 
 def _mul_counts(shape, left, right):
-    """The product of two counts dicts of _phi_counts, one merge per pair
-    of sorted monomials w1, w2, giving what sym_normalize gives for w1 + w2:
-    each right id y passes the left ids x > y, adding the exponent
-    table[degree[x]][degree[y]] for each, as eps_sort would, and a pair
-    with an odd id in both halves is zero and dropped.  The pair's
-    exponents are added to this swap exponent, mod m, and its counts
-    multiplied."""
+    """The product of two counts dicts of _phi_counts.  Each pair of sorted
+    monomials w1, w2 is merged as sym_normalize would sort w1 + w2: each
+    right id y passes the left ids x > y, adding table[degree[x]][degree[y]]
+    to the exponent, and an odd id in both halves drops the pair."""
     num = shape.numbering()
     degree, parity, table = num.degree, num.parity, shape.chi.eps_table
     m = shape.chi.m
@@ -413,8 +409,8 @@ def build_phi(pshape, sigma):
     first (exact, as components of G-degree 0 commute without a sign).  Per
     call, each coefficient count * zeta_m^e is made once per distinct
     (exponent, count), and each component counted once per (sub-shape,
-    sub-sigma).  add_term drops the monomials whose coefficients cancel,
-    so the terms are wrapped as they are, not filtered again."""
+    sub-sigma).  add_term has dropped the zeros, so the terms are not
+    filtered again."""
     shape = pshape.shape
     chi = shape.chi
     sigma = tuple(sigma)
