@@ -232,22 +232,12 @@ def _skip(rpt, name, count, limit, detail):
         rpt.add(name, True, "skipped: " + detail % (count, limit))
     return count > limit
 
-def _skip_sampling(rpt, chi):
-    """_skip over the normal words of length <= 2 that a sampling suite's
-    first draw lists, over standard_test_algebra's 2|G| generators: the
-    empty word, each generator, each pair and each even square."""
-    gens = 2 * chi.group.order
-    words = 1 + gens + math.comb(gens, 2) + 2 * chi.parity_table.count(0)
-    return _skip(rpt, "test-algebra", words, MAX_CHECKS,
-                 "%d normal words of length <= 2 exceed the limit of %d")
-
 def span_check(shape, r, seed=0, max_n=MAX_N):
     """Compare the rank of the picture invariants of total degree r with
     the classically computed invariant dimension, block by balanced
     multidegree.  Needs the trivial grading group for the classical side;
     with a nontrivial group the report instead records a restricted-mode
-    notice and certifies invariance of each phi on sampled points
-    (_skip_sampling first).  Either
+    notice and certifies invariance of each phi on sampled points.  Either
     way a block of N above max_n is skipped before any phi is built, and on
     the trivial grading then a block over MAX_SPAN_MONOMIALS monomials,
     before any row is built."""
@@ -283,8 +273,6 @@ def span_check(shape, r, seed=0, max_n=MAX_N):
     return rpt
 
 def _span_restricted(shape, r, rpt, seed, max_n):
-    if _skip_sampling(rpt, shape.chi):
-        return
     alg = standard_test_algebra(shape.chi, truncation=3)
     rng = _sub_rng(seed, "span-restricted")
 
@@ -596,16 +584,12 @@ def _transformed_pair(shape, alg, rng):
     return u, W0Point(shape, alg, [apply_operator(p, T, Tinv) for p in u.parts])
 
 def _suite_path_equality(cfg, rpt, seed, max_n):
-    if _skip_sampling(rpt, cfg.chi):
-        return
     _sigma_cases(cfg, rpt, seed, max_n, "path", random_w0_point,
                  lambda pshape, sigma, phi, u: restitute(phi.poly, u)
                  != t_sigma_on_parts(pshape, sigma, u.parts),
                  "%(total)d points")
 
 def _suite_invariance(cfg, rpt, seed, max_n):
-    if _skip_sampling(rpt, cfg.chi):
-        return
     _sigma_cases(cfg, rpt, seed, max_n, "invariance", _transformed_pair,
                  lambda pshape, sigma, phi, uv: restitute(phi.poly, uv[0])
                  != restitute(phi.poly, uv[1]),
@@ -615,8 +599,6 @@ def _suite_trace_match(cfg, rpt, seed, max_n):
     shape = cfg.shape
     chi = cfg.chi
     space = cfg.space
-    if _skip_sampling(rpt, chi):
-        return
     alg = standard_test_algebra(chi, truncation=3)
     expect = sum(1 if chi.parity_bit(space.degree(a)) == 0 else -1
                  for a in range(1, space.dim + 1))
@@ -646,8 +628,6 @@ def _suite_trace_match(cfg, rpt, seed, max_n):
 def _suite_restitution(cfg, rpt, seed, **_):
     shape = cfg.shape
     chi = cfg.chi
-    if _skip_sampling(rpt, chi):
-        return
     alg = standard_test_algebra(chi, truncation=3)
     rng = _sub_rng(seed, "restitution")
 
@@ -737,6 +717,9 @@ _RUNNERS = {
     "span": _suite_span,
 }
 SUITES = tuple(_RUNNERS)
+# The suites that draw points from standard_test_algebra: span only on a
+# nontrivial group, as the trivial group's 6 test words are never too many.
+SAMPLING = ("path-equality", "invariance", "trace-match", "restitution", "span")
 
 def suite(name, cfg, seed=0, max_n=None):
     """Run one named verification suite against a configuration.  The
@@ -744,12 +727,22 @@ def suite(name, cfg, seed=0, max_n=None):
     inside the suite is a fault of the library under test, not of the
     input: inside a tallied case it fails that case alone, while drawing
     one M's points (_sigma_cases) it fails that M alone, and anywhere
-    else it becomes one FAIL case, after the cases that already ran."""
+    else it becomes one FAIL case, after the cases that already ran.  A
+    SAMPLING suite whose test algebra has more than MAX_CHECKS words to
+    draw from passes as one skipped case, before any draw."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (known: %s)" % (name, ", ".join(SUITES)))
     if max_n is None:
         max_n = min(3, cfg.max_n)
     rpt = Report(name, cfg.name, seed)
+    # A sampling suite's first draw lists the normal words of length <= 2
+    # over the test algebra's 2|G| generators: the empty word, each
+    # generator, each pair and each even square.
+    gens = 2 * cfg.chi.group.order
+    words = 1 + gens + math.comb(gens, 2) + 2 * cfg.chi.parity_table.count(0)
+    if name in SAMPLING and _skip(rpt, "test-algebra", words, MAX_CHECKS,
+                                  "%d normal words of length <= 2 exceed the limit of %d"):
+        return rpt
     try:
         _RUNNERS[name](cfg, rpt, seed, max_n=max_n)
     except Exception as e:

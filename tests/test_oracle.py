@@ -227,29 +227,25 @@ def test_bicharacter_and_cocycle_skip_checks_over_the_work_limit(monkeypatch):
     assert detail["cocycle-identity k=3"] == "972 (degrees, sigma, tau) checks"
 
 
-SAMPLING_SUITES = ("restitution", "path-equality", "invariance", "trace-match", "span")
-
-
 def test_sampling_suites_skip_over_the_test_algebra_word_limit(cfgs, monkeypatch):
     """On Z_256 the test algebra has 512 generators and 1 + 512 + C(512, 2)
     + 256 = 131,585 normal words of length <= 2: each sampling suite passes
-    as one skipped case (span once per degree r, after its restricted-mode
-    notice) before any algebra is built.  The count is the listing's on
-    every builtin, and z3z3 (190 words) runs at its own count and is
-    skipped one below it."""
+    as one skipped case before any algebra is built.  The count is the
+    listing's on every builtin, and z3z3 (190 words) runs at its own count
+    and is skipped one below it."""
     cfg = parse_config_text("group.factors = [256]\nbicharacter.expmat = [[128]]\n"
                             "space.degrees = [(0,), (1,)]\nshape.pairs = [(1, 1)]\n")
 
     def refused(*args, **kwargs):
         raise AssertionError("a test algebra over the word limit was built")
     monkeypatch.setattr(oracle, "standard_test_algebra", refused)
-    skip = ("PASS %stest-algebra: skipped: 131585 normal words of length <= 2 "
+    skip = ("PASS test-algebra: skipped: 131585 normal words of length <= 2 "
             "exceed the limit of %d")
     limit = oracle.MAX_CHECKS
-    for name in SAMPLING_SUITES[:-1]:
-        assert [c.line() for c in suite(name, cfg).cases] == [skip % ("", limit)], name
-    assert [c.line() for c in suite("span", cfg).cases][1::2] == [
-        skip % ("r=%d " % r, limit) for r in (1, 2, 3)]
+    assert oracle.SAMPLING == ("path-equality", "invariance", "trace-match",
+                               "restitution", "span")
+    for name in oracle.SAMPLING:
+        assert [c.line() for c in suite(name, cfg).cases] == [skip % limit], name
     monkeypatch.undo()
     for name, c in cfgs.items():
         alg = oracle.standard_test_algebra(c.chi, truncation=3)
@@ -260,7 +256,7 @@ def test_sampling_suites_skip_over_the_test_algebra_word_limit(cfgs, monkeypatch
             "PASS test-algebra: skipped: %d normal words of length <= 2 exceed "
             "the limit of %d" % (words, words - 1)], name
     monkeypatch.setattr(oracle, "MAX_CHECKS", 190)
-    for name in SAMPLING_SUITES:
+    for name in oracle.SAMPLING:
         rpt = suite(name, cfgs["z3z3"], max_n=2)
         assert rpt.ok and all("test-algebra" not in c.name for c in rpt.cases), name
 
