@@ -165,10 +165,7 @@ def parse_config_text(text, name="<config>"):
     if longest > 2 * MAX_N:
         raise error("shape.pairs", "a shape pair with b + t = %d exceeds the limit "
                     "of %d" % (longest, 2 * MAX_N))
-    try:
-        shape = MixedShape(space, pairs)
-    except ValueError as exc:
-        raise error("shape.pairs", exc)
+    shape = MixedShape(space, pairs)
 
     truncation = values.get("bounds.truncation", DEFAULT_TRUNCATION)
     max_n = values.get("bounds.max_n", DEFAULT_MAX_N)

@@ -251,9 +251,6 @@ class CycloRational:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if other.__class__ is int:
             return _make(self.order, tuple(v * other for v in self.num), self.den)

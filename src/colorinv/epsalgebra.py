@@ -76,9 +76,7 @@ class Terms:
                              % type(self).__name__)
 
     def _operand(self, other, scalars):
-        """other as an element beside self, or None."""
-        if isinstance(other, type(self)):
-            return other
+        """A scalar other as an element beside self, or None."""
         if isinstance(other, scalars):
             c = as_cyclo(other)
             return self._like({(): c} if c else {})
@@ -311,19 +309,12 @@ class EpsElement(Terms):
         return self._like({w: c.times_root(m, e) for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scale(other)
         if not isinstance(other, EpsElement):
             return NotImplemented
         self._check(other)
         alg = self.alg
         return self._like(eps_product([(self.terms, other.terms)], normal_order, alg,
                                       alg.chi.m, alg.truncation))
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scale(other)
-        return NotImplemented
 
     def g_degree(self):
         """Common G-degree of all words, or None when inhomogeneous.

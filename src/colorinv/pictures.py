@@ -318,7 +318,6 @@ def coefficient_exponent(plan, I):
 
 @dataclass
 class PictureInvariant:
-    pshape: PictureShape
     sigma: tuple
     poly: SymPolynomial
 
@@ -432,7 +431,7 @@ def build_phi(pshape, sigma):
         if (e, count) not in made:
             made[e, count] = roots[e] * count
         add_term(terms, mono, made[e, count])
-    return PictureInvariant(pshape, sigma, SymPolynomial.zero(shape)._like(terms))
+    return PictureInvariant(sigma, SymPolynomial.zero(shape)._like(terms))
 
 def theta_eval(sigma, t):
     """Theta(sigma) on a tensor in sorted variance (primal^N, dual^N):

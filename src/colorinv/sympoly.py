@@ -208,18 +208,11 @@ class SymPolynomial(Terms):
         return cls(shape, {mono: c} if c else {})
 
     def __mul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scale(other)
         if not isinstance(other, SymPolynomial):
             return NotImplemented
         self._check(other)
         return self._like(eps_product([(self.terms, other.terms)], sym_normalize,
                                       self.shape, self.shape.chi.m))
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scale(other)
-        return NotImplemented
 
     def g_degree(self):
         """Common G-degree of the monomials, or None if inhomogeneous;

@@ -103,14 +103,11 @@ def _depth(text):
     return text.count("(") + text.count("[") - text.count(")") - text.count("]")
 
 def split_top(text, sep):
-    """Split on a separator token at bracket depth 0.  The separator is a
-    token, not a character: ' + ', ' - ', or '*' between spaces survive
-    inside parentheses and brackets.  A scan of the bracket characters
-    alone checks the nesting, then str.split's pieces are joined back up
-    to the points where every bracket is closed."""
-    steps = map(_STEP.get, _NOT_BRACKET.sub("", text))
-    if min(accumulate(steps), default=0) < 0 or _depth(text):
-        raise ValueError("unbalanced brackets in %r" % text)
+    """Split a text whose brackets are balanced on a separator token at
+    bracket depth 0.  The separator is a token, not a character: ' + ',
+    ' - ', or '*' between spaces survive inside parentheses and brackets.
+    str.split's pieces are joined back up to the points where every
+    bracket is closed, so each part is balanced too."""
     parts = []
     depth = 0
     for piece in text.split(sep):
@@ -126,10 +123,13 @@ def _terms(text, kind):
     sum, and no term for '0': the one reader of algebra elements,
     polynomials and tensors.  The body is split on ' * ', and only a
     polynomial term may have more than one piece; kind names the sum in
-    errors."""
+    errors.  The bracket nesting is checked once, for the whole sum."""
     s = text.strip()
     if s == "0":
         return
+    steps = map(_STEP.get, _NOT_BRACKET.sub("", s))
+    if min(accumulate(steps), default=0) < 0 or _depth(s):
+        raise ValueError("unbalanced brackets in %r" % s)
     for term in split_top(s, " + "):
         pieces = split_top(term.strip(), " * ")
         if len(pieces) < 2 or len(pieces) > 2 and kind != "polynomial":
