@@ -156,19 +156,19 @@ def eps_sort(word, degree, parity, table):
 def sorted_words(ids, parity, max_len):
     """The normal-ordered words over the increasing ids with at most
     max_len letters: nondecreasing, strictly increasing at ids with
-    parity[id] set.  Depth first, each word before its extensions and
-    siblings in increasing order, so the list is in lexicographic order."""
+    parity[id] set.  Depth first off a stack of (word, next index), each
+    word before its extensions and siblings in increasing order, so the
+    list is in lexicographic order."""
     ids = tuple(ids)
     out = []
-
-    def extend(word, start):
+    stack = [((), 0)]
+    while stack:
+        word, start = stack.pop()
         out.append(word)
         if len(word) < max_len:
-            for k in range(start, len(ids)):
+            for k in range(len(ids) - 1, start - 1, -1):
                 i = ids[k]
-                extend(word + (i,), k + parity[i])
-
-    extend((), 0)
+                stack.append((word + (i,), k + parity[i]))
     return out
 
 class EpsAlgebra:

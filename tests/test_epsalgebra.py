@@ -1,5 +1,6 @@
 """Truncated sign-commutative coefficient algebras and normal ordering."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from colorinv.epsalgebra import (
     filtration_member,
     hop,
     normal_order,
+    sorted_words,
     words_of_degree,
 )
 from colorinv.sampling import random_eps_of_degree, standard_test_algebra
@@ -516,3 +518,40 @@ def test_eps_product_order_is_the_lcm_of_the_operands_meeting_at_a_word(cfgs):
         chained = chained + x * y
     assert fused == chained.terms == {(1,): CycloRational.one()}
     assert (fused[(1,)].order, chained.terms[(1,)].order) == (6, 2)
+
+
+def recursive_sorted_words(ids, parity, max_len):
+    """sorted_words as a recursive walk: each word, then each extension by
+    an id from the last one on (past it when that id is odd)."""
+    ids = tuple(ids)
+    out = []
+
+    def extend(word, start):
+        out.append(word)
+        if len(word) < max_len:
+            for k in range(start, len(ids)):
+                extend(word + (ids[k],), k + parity[ids[k]])
+
+    extend((), 0)
+    return out
+
+
+@given(ids=st.lists(st.integers(0, 9), unique=True, max_size=6).map(sorted),
+       parity=st.lists(st.integers(0, 1), min_size=10, max_size=10),
+       max_len=st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_sorted_words_matches_the_recursive_walk(ids, parity, max_len):
+    assert sorted_words(ids, parity, max_len) == recursive_sorted_words(ids, parity, max_len)
+
+
+def test_sorted_words_leaves_no_cyclic_garbage():
+    """The word list is freed by reference counting alone: with the cyclic
+    collector off, a call leaves nothing for it to find."""
+    gc.disable()
+    try:
+        gc.collect()
+        words = sorted_words(range(1, 9), [0, 0, 1, 0, 1, 0, 1, 0, 1], 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert words == recursive_sorted_words(range(1, 9), [0, 0, 1, 0, 1, 0, 1, 0, 1], 3)
