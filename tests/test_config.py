@@ -124,13 +124,40 @@ def test_bad_value_reports_line():
      "5: space.degrees entry must contain only integers, got 1.5"),
     ("shape.pairs = [(1, 1), (2, 1)]", "shape.pairs = [(1, 1), ()]",
      "6: shape.pairs entry must be a nonempty list of integers"),
-], ids=["factors", "expmat-row", "degrees-entry", "pairs-entry"])
+    ("# comment line", "bicharacter.expmat = [[1]]",
+     "4: key 'bicharacter.expmat' given twice (first at line 2)"),
+    ("group.factors = [2]", "group.factors = [0]",
+     "3: cyclic orders must be >= 1"),
+    ("group.factors = [2]", "group.factors = [3]",
+     "4: invalid bicharacter:\n  skew-symmetry fails at entry (1,1): "
+     "B_ij + B_ji = 2 mod 3"),
+    ("space.degrees = [(0,), (1,)]", "space.degrees = []",
+     "5: space.degrees must be a nonempty list"),
+    ("shape.pairs = [(1, 1), (2, 1)]", "shape.pairs = []",
+     "6: shape.pairs must be a nonempty list of (b, t)"),
+    ("shape.pairs = [(1, 1), (2, 1)]", "shape.pairs = [(1, 1), (-1, 1)]",
+     "6: each shape pair needs b, t >= 0, not both 0"),
+    ("shape.pairs = [(1, 1), (2, 1)]", "shape.pairs = [(1, 1), (0, 0)]",
+     "6: each shape pair needs b, t >= 0, not both 0"),
+    ("bounds.max_n = 4", "bounds.max_n = 0",
+     "8: bounds.max_n must be a positive integer"),
+], ids=["factors", "expmat-row", "degrees-entry", "pairs-entry", "twice",
+        "factor-order", "bicharacter", "degrees-empty", "pairs-empty",
+        "pair-negative", "pair-empty", "max-n"])
 def test_integer_list_errors_name_the_line(old, new, message):
-    """Every integer list a configuration holds, when malformed, is
-    reported with the file name and the line of its key."""
+    """Every integer list a configuration holds, and every other value,
+    when malformed, is reported with the file name and the line of its
+    key."""
     with pytest.raises(ConfigError) as err:
         parse_config_text(GOOD.replace(old, new), name="ints")
     assert str(err.value) == "ints:" + message
+
+
+def test_bare_int_degrees_are_one_factor_tuples():
+    bare = GOOD.replace("[(0,), (1,)]", "[0, 0, 1, 1]")
+    tuples = GOOD.replace("[(0,), (1,)]", "[(0,), (0,), (1,), (1,)]")
+    assert parse_config_text(bare).space.degrees == (0, 0, 1, 1)
+    assert parse_config_text(bare).space == parse_config_text(tuples).space
 
 
 def test_wrong_matrix_shape_rejected():

@@ -261,6 +261,17 @@ def test_sampling_suites_skip_over_the_test_algebra_word_limit(cfgs, monkeypatch
         assert rpt.ok and all("test-algebra" not in c.name for c in rpt.cases), name
 
 
+def test_jacobi_brackets_three_basis_vectors_of_a_wider_space():
+    """On a space of dim 4 the jacobi suite brackets the matrix units of
+    the first three basis vectors: 9 units, 81 pairs, 729 triples."""
+    dim4 = parse_config_text("group.factors = [2]\nbicharacter.expmat = [[1]]\n"
+                             "space.degrees = [0, 0, 1, 1]\nshape.pairs = [(1, 1)]\n",
+                             name="dim4")
+    detail = {c.name: c.detail for c in suite("jacobi", dim4).cases}
+    assert detail["bracket-antisymmetry"] == "all 81 matrix unit pairs"
+    assert detail["color-jacobi"] == "all 729 matrix unit triples"
+
+
 def test_span_check_restricted_mode_on_graded_groups(cfgs):
     rpt = span_check(cfgs["super"].shape, 2)
     assert rpt.ok

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from colorinv import permutations as perms
+from colorinv.config import parse_config_text
 from colorinv.cyclo import CycloRational
 from colorinv.pictures import PictureShape, build_phi
 from colorinv.sampling import (
@@ -222,6 +223,22 @@ def test_malformed_indices_get_the_parser_messages(cfgs, algebras):
     for word, piece in (("x", "x"), ("x1.x", "x"), ("x1.x2a", "x2a"), ("x-1", "x-1")):
         with pytest.raises(ValueError, match=r"^line 1: bad generator %s$" % re.escape(repr(piece))):
             parse_point("1: ((1) * %s) * e1 ox e1*" % word, cfg.shape, alg)
+
+
+def test_point_checks_the_brackets_inside_a_coefficient(cfgs, algebras):
+    """The tensor text is balanced as a whole; its coefficient's inner
+    text is checked again as an algebra sum of its own."""
+    with pytest.raises(ValueError, match=r"^line 1: unbalanced brackets in '1\)\(1'$"):
+        parse_point("1: (1)(1) * e1 ox e1*", cfgs["super"].shape, algebras["super"])
+
+
+def test_point_reads_a_missing_summand_as_zero(cfgs, algebras):
+    cfg = parse_config_text("group.factors = [2]\nbicharacter.expmat = [[1]]\n"
+                            "space.degrees = [0, 1]\nshape.pairs = [(1, 1), (2, 1)]\n")
+    alg = algebras["super"]
+    point = parse_point("1: 0", cfg.shape, alg)
+    assert list(point.parts) == [GradedTensor.zero(cfg.space, alg, cfg.shape.variance(i))
+                                 for i in (1, 2)]
 
 MUTATION_TOKENS = ("(", ")", "[", " + ", " * ", "/0", "z^99", " ox ")
 _MUTATION_RE = re.compile("|".join(re.escape(t) for t in MUTATION_TOKENS))
