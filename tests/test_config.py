@@ -154,10 +154,10 @@ def test_integer_list_errors_name_the_line(old, new, message):
 
 
 def test_bare_int_degrees_are_one_factor_tuples():
-    bare = GOOD.replace("[(0,), (1,)]", "[0, 0, 1, 1]")
+    bare = parse_config_text(GOOD.replace("[(0,), (1,)]", "[0, 0, 1, 1]")).space
     tuples = GOOD.replace("[(0,), (1,)]", "[(0,), (0,), (1,), (1,)]")
-    assert parse_config_text(bare).space.degrees == (0, 0, 1, 1)
-    assert parse_config_text(bare).space == parse_config_text(tuples).space
+    assert bare.degrees == (0, 0, 1, 1)
+    assert bare == parse_config_text(tuples).space
 
 
 def test_wrong_matrix_shape_rejected():

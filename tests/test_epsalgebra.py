@@ -547,11 +547,12 @@ def test_sorted_words_matches_the_recursive_walk(ids, parity, max_len):
 def test_sorted_words_leaves_no_cyclic_garbage():
     """The word list is freed by reference counting alone: with the cyclic
     collector off, a call leaves nothing for it to find."""
+    ids, parity = range(1, 9), [0, 0, 1, 0, 1, 0, 1, 0, 1]
     gc.disable()
     try:
         gc.collect()
-        words = sorted_words(range(1, 9), [0, 0, 1, 0, 1, 0, 1, 0, 1], 3)
+        words = sorted_words(ids, parity, 3)
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert words == recursive_sorted_words(range(1, 9), [0, 0, 1, 0, 1, 0, 1, 0, 1], 3)
+    assert words == recursive_sorted_words(ids, parity, 3)
