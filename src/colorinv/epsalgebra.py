@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .cyclo import CycloRational, as_cyclo, product_sums
 
@@ -67,8 +68,9 @@ class Terms:
         return bool(self.terms)
 
     def terms_sorted(self):
-        """The (key, coefficient) pairs in increasing key order."""
-        return sorted(self.terms.items())
+        """The (key, coefficient) pairs in increasing key order.  Keys are
+        unique, so the sort compares keys only, never coefficients."""
+        return sorted(self.terms.items(), key=itemgetter(0))
 
     def _check(self, other):
         if not self._same(other):

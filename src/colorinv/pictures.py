@@ -196,7 +196,8 @@ class SigmaPlan:
         components stops there: it has no degrees, terms, table or m;
     degrees: the G-degree of each basis vector, indexed from 0;
     terms: the coefficient exponent as a bilinear form in the degrees of
-        I, a list of (a, b, c) meaning c * eps(deg I_a, deg I_b).
+        I, a tuple of (a, b, c) meaning c * eps(deg I_a, deg I_b), sorted
+        by the position pair (a, b), one term per pair.
 
     terms comes from two lists of pairs.  Each blocked slot reads the
     degree of one entry of I, negated on dual slots: that is the tuple
@@ -240,8 +241,8 @@ class SigmaPlan:
         for (a, sa), (b, sb) in pairs:
             counts[a, b] = counts.get((a, b), 0) + sa * sb
         self.m = chi.m
-        self.terms = tuple((a, b, c % self.m) for (a, b), c in counts.items()
-                           if c % self.m)
+        self.terms = tuple(sorted((a, b, c % self.m) for (a, b), c in counts.items()
+                                  if c % self.m))
         self.degrees = pshape.shape.space.degrees
         self.table = chi.eps_table
 
@@ -310,11 +311,19 @@ def _walk_links(pshape, sigma, copies):
 def coefficient_exponent(plan, I):
     """Exponent of the coefficient at index tuple I: the rearrangement sign
     gamma(J, rho^{-1}) over the blocked degree tuple J, plus the dual-word
-    normalization of the w-block degrees, read off sigma's SigmaPlan."""
+    normalization of the w-block degrees, read off sigma's SigmaPlan.  The
+    eps table row of deg I_a is read once per run of terms with equal a,
+    so once per position on the plan's sorted terms; any order of the
+    terms gives the same sum."""
     degrees = plan.degrees
     d = [degrees[r - 1] for r in I]
     table = plan.table
-    return sum(c * table[d[a]][d[b]] for a, b, c in plan.terms) % plan.m
+    total, last = 0, None
+    for a, b, c in plan.terms:
+        if a != last:
+            last, row = a, table[d[a]]
+        total += c * row[d[b]]
+    return total % plan.m
 
 @dataclass
 class PictureInvariant:
@@ -408,8 +417,10 @@ def build_phi(pshape, sigma):
     first (exact, as components of G-degree 0 commute without a sign).  Per
     call, each coefficient count * zeta_m^e is made once per distinct
     (exponent, count), and each component counted once per (sub-shape,
-    sub-sigma).  add_term has dropped the zeros, so the terms are not
-    filtered again."""
+    sub-sigma).  A monomial's first coefficient, a positive count times a
+    root of unity, is never zero and is written directly; add_term sums in
+    the coefficients at its other exponents and drops the monomials that
+    cancel, so the terms are not filtered again."""
     shape = pshape.shape
     chi = shape.chi
     sigma = tuple(sigma)
@@ -428,9 +439,13 @@ def build_phi(pshape, sigma):
     roots = [chi.root(e) for e in range(chi.m)]
     made, terms = {}, {}
     for (mono, e), count in counts.items():
-        if (e, count) not in made:
-            made[e, count] = roots[e] * count
-        add_term(terms, mono, made[e, count])
+        c = made.get((e, count))
+        if c is None:
+            c = made[e, count] = roots[e] * count
+        if mono in terms:
+            add_term(terms, mono, c)
+        else:
+            terms[mono] = c
     return PictureInvariant(sigma, SymPolynomial.zero(shape)._like(terms))
 
 def theta_eval(sigma, t):

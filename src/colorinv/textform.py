@@ -213,7 +213,7 @@ def format_sym(poly):
     for c in poly.terms.values():
         if (c.num, c.den) not in scalar:
             scalar[c.num, c.den] = format_cyclo(c)
-    return _format_terms((scalar[c.num, c.den], " * ".join([name[k] for k in mono]) or "1")
+    return _format_terms((scalar[c.num, c.den], " * ".join(map(name.__getitem__, mono)) or "1")
                          for mono, c in poly.terms_sorted())
 
 def parse_sym(text, shape):

@@ -224,6 +224,30 @@ def test_g_degree_is_the_one_degree_of_a_sum(cfgs, algebras):
     assert (shifted + unit(space, alg, 3, 3, x1 + x3)).g_degree() is None
 
 
+def test_terms_sorted_is_the_sort_of_the_items(cfgs, algebras):
+    """terms_sorted orders by key alone, and keys are unique, so it gives
+    exactly sorted(terms.items()): here on the four term classes, each
+    with its keys inserted in reverse order."""
+    cfg, alg = cfgs["super"], algebras["super"]
+    space, shape = cfg.space, cfg.shape
+
+    def reversed_terms(keys, coeff):
+        return {k: coeff(n) for n, k in enumerate(sorted(keys, reverse=True), start=1)}
+
+    words = [w for d in range(alg.chi.group.order) for w in words_of_degree(alg, d, 2)]
+    monos = enumerate_sym_basis(shape, 1) + enumerate_sym_basis(shape, 2)
+    pairs = list(itertools.product(range(1, space.dim + 1), repeat=2))
+    elems = [
+        EpsElement(alg, reversed_terms(words, CycloRational.from_rational)),
+        SymPolynomial(shape, reversed_terms(monos, CycloRational.from_rational)),
+        GradedTensor(space, alg, (PRIMAL, DUAL), reversed_terms(pairs, alg.gen)),
+        GradedOperator(space, alg, reversed_terms(pairs, alg.gen)),
+    ]
+    for x in elems:
+        assert len(x.terms) > 2 and list(x.terms) == sorted(x.terms, reverse=True)
+        assert x.terms_sorted() == sorted(x.terms.items())
+
+
 def test_constant_and_proper_parts(algebras):
     alg = algebras["super"]
     e = alg.scalar(CycloRational.from_rational(3)) + alg.gen(1) * alg.gen(3)

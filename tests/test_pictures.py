@@ -1,6 +1,7 @@
 """Picture invariants: position maps, coefficients, evaluation paths."""
 
 import collections
+import copy
 import functools
 import gc
 import itertools
@@ -879,6 +880,35 @@ def test_coefficient_exponent_matches_textbook_formula_mixed(cfgs):
     for cfg in cfgs.values():
         mixed = MixedShape(cfg.space, [(1, 1), (2, 2)])
         _assert_plan_matches_textbook(PictureShape(mixed, (2, 1)))
+
+
+def test_coefficient_exponent_does_not_depend_on_the_order_of_terms(cfgs):
+    """A plan's terms are sorted by position pair, and its exponent is the
+    plain sum over them in any order: on a copy whose terms are shuffled,
+    as a plan rewritten after it was built may hold them, it is the same."""
+    rng = random.Random(38)
+    reordered = 0
+    for name in ("z3z3", "z4"):
+        cfg = cfgs[name]
+        dim = cfg.space.dim
+        for _ in range(25):
+            ps = PictureShape(cfg.shape, (rng.randint(1, 5),))
+            sigma = rng.sample(range(1, ps.N + 1), ps.N)
+            for mults, sub_sigma in ps.plan(sigma).components:
+                sub = ps.part(mults)
+                plan = sub.plan(sub_sigma)
+                assert plan.terms == tuple(sorted(plan.terms)), (sub, sub_sigma)
+                shuffled = copy.copy(plan)
+                shuffled.terms = tuple(rng.sample(plan.terms, len(plan.terms)))
+                reordered += shuffled.terms != plan.terms
+                table = plan.table
+                for _ in range(10):
+                    I = tuple(rng.randint(1, dim) for _ in range(sub.N))
+                    d = [plan.degrees[r - 1] for r in I]
+                    summed = sum(c * table[d[a]][d[b]] for a, b, c in plan.terms) % plan.m
+                    assert coefficient_exponent(plan, I) == summed, (sub, sub_sigma, I)
+                    assert coefficient_exponent(shuffled, I) == summed, (sub, sub_sigma, I)
+    assert reordered > 20
 
 
 def hook_count(r, k, l):
