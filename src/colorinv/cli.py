@@ -6,6 +6,7 @@ stored points, and run the verification suites.  All output uses the
 canonical text formats, so everything printed here parses back."""
 
 import argparse
+import contextlib
 import functools
 import re
 import sys
@@ -134,17 +135,20 @@ def cmd_verify(args):
     else:
         configs = [resolve_config("builtin:%s" % n) for n in list_builtin_configs()]
     names = SUITES if args.suite == "all" else (args.suite,)
-    chunks = []
-    all_ok = True
-    for cfg in configs:
-        for name in names:
-            rpt = suite(name, cfg, seed=args.seed)
-            all_ok = all_ok and rpt.ok
-            chunks.append(rpt.render())
-    text = "\n".join(chunks)
-    print(text, end="")
-    if args.report:
-        with open(args.report, "w") as fh:
+    if names[0] not in SUITES:
+        raise ValueError("unknown suite %r (known: %s)" % (args.suite, ", ".join(SUITES)))
+    # An unwritable report is refused before any suite runs.
+    with open(args.report, "w") if args.report else contextlib.nullcontext() as fh:
+        chunks = []
+        all_ok = True
+        for cfg in configs:
+            for name in names:
+                rpt = suite(name, cfg, seed=args.seed)
+                all_ok = all_ok and rpt.ok
+                chunks.append(rpt.render())
+        text = "\n".join(chunks)
+        print(text, end="")
+        if fh:
             fh.write(text)
     print("\nverify: %s" % ("PASS" if all_ok else "FAIL"))
     return 0 if all_ok else 1

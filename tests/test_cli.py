@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from colorinv import cli
 from colorinv.cli import main
 from colorinv.config import MAX_TUPLES, builtin_config
 from colorinv.pictures import PictureShape, build_phi
@@ -301,6 +302,30 @@ def test_verify_single_suite_with_report(capsys, tmp_path):
     text = report.read_text()
     assert text.startswith("suite: bicharacter")
     assert "result: PASS" in text
+
+
+@pytest.mark.parametrize("where", ["missing/report.txt", "."])
+def test_verify_refuses_unwritable_report_before_any_suite(capsys, monkeypatch,
+                                                           tmp_path, where):
+    """A report in a missing directory, or at a directory, is refused
+    before the first suite runs: nothing is printed but one error line."""
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(cli, "suite", never)
+    rc, out, err = run(capsys, "verify", "--config", "builtin:super",
+                       "--suite", "bicharacter", "--report", str(tmp_path / where))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
+def test_verify_unknown_suite_leaves_the_report_alone(capsys, tmp_path):
+    report = tmp_path / "report.txt"
+    report.write_text("kept\n")
+    rc, out, err = run(capsys, "verify", "--config", "builtin:trivial",
+                       "--suite", "nonsense", "--report", str(report))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: unknown suite 'nonsense'")
+    assert report.read_text() == "kept\n"
 
 
 def test_verify_unknown_suite(capsys):
