@@ -36,7 +36,10 @@ factor 1 (_shift), the reductions of the constructor and of lifts and
 the shifts of times_root; a rational's shift is one row, scaled.
 product_sums, the coefficient part of every eps product, sums
 c1 * c2 * zeta_m^e over the pairs of each word in one int list over a
-common denominator and makes one element per word.
+common denominator and makes one element per word.  A word of order
+n <= 2 has phi(n) = 1, so each of its products is a signed rational,
+the sign (-1)^(e n/m) when n is 2: its sum is one int over the common
+denominator, with no power table and no convolution.
 """
 
 from __future__ import annotations
@@ -147,10 +150,25 @@ def product_sums(groups, m):
         for c1, c2, _ in triples:
             if n % c1.order or n % c2.order:
                 n = math.lcm(n, c1.order, c2.order)
-        rows = _TABLES.get(n) or _power_table(n)
         step = n // m
-        num = [0] * len(rows[0])
         den = triples[0][0].den * triples[0][1].den
+        if n <= 2:  # phi(n) = 1: each product is a signed rational
+            q = 0
+            for c1, c2, e in triples:
+                x = c1.num[0] * c2.num[0]
+                d = c1.den * c2.den
+                if d != den:
+                    g = math.lcm(den, d)
+                    if g != den:
+                        q *= g // den
+                        den = g
+                    x *= g // d
+                q = q - x if n == 2 and e * step % 2 else q + x
+            if q:
+                out[key] = _make(n, (q,), den)
+            continue
+        rows = _TABLES.get(n) or _power_table(n)
+        num = [0] * len(rows[0])
         for c1, c2, e in triples:
             a = c1.num if c1.order == n or c1.order == 1 else c1._lift(n)
             b = c2.num if c2.order == n or c2.order == 1 else c2._lift(n)

@@ -270,7 +270,7 @@ def eps_product(pairs, normalize, ctx, m, bound=math.inf):
                     res = normalize(ctx, w1 + w2)
                     if res is not None:
                         groups.setdefault(res[1], []).append((c1, c2, res[0]))
-    return product_sums(groups, m)
+    return product_sums(groups, m) if groups else {}
 
 def eps_sums(alg, sums):
     """{key: the EpsElement eps_product of the key's pairs of term

@@ -18,8 +18,9 @@ the right side computed here by t_sigma_on_parts.  Theta contracts
 adjacent final slots; contraction_pairs pulls those N pairs back through
 the index moves of mu, sigma_hat, tau and nu to blocked positions, and
 blocked_word builds the blocked tensor as a hash join on them, so only
-terms that survive contraction are multiplied or moved.  The four moves
-still act on the survivors through act_perm, each with its own sign.
+terms that survive contraction are multiplied or moved.  The moves still
+act on the survivors through act_perm: mu, then nu tau sigma_hat as one
+permutation, since act_perm is an S_2N action.
 
 The polynomial's monomial at index tuple I = (r_1..r_N) uses, for copy
 (i,j), lower indices r at the copy's primal positions and upper indices
@@ -451,7 +452,8 @@ def build_phi(pshape, sigma):
 def theta_eval(sigma, t):
     """Theta(sigma) on a tensor in sorted variance (primal^N, dual^N):
     apply the extended sigma to the primal half, interleave, swap each
-    pair, contract."""
+    pair, contract.  act_perm is an S_2N action, so the three moves are
+    one act_perm by rho = nu tau sigma_hat."""
     two_n = len(t.variance)
     if two_n % 2:
         raise ValueError("theta needs an even number of slots")
@@ -459,10 +461,8 @@ def theta_eval(sigma, t):
     if t.variance != (PRIMAL,) * N + (DUAL,) * N:
         raise ValueError("theta needs variance (primal^N, dual^N)")
     perms.require_perm(sigma, N)
-    s = act_perm(sigma_hat(sigma), t)
-    s = act_perm(tau(N), s)
-    s = act_perm(nu(N), s)
-    return contract_pairs(s)
+    rho = perms.compose(nu(N), perms.compose(tau(N), sigma_hat(sigma)))
+    return contract_pairs(act_perm(rho, t))
 
 def contraction_pairs(pshape, sigma):
     """The N pairs (a, b), a < b, of 0-based blocked positions that

@@ -16,7 +16,10 @@ Every such sign is a power of zeta_m, so here, as everywhere in colorinv,
 it is carried as an exponent (gamma_exponent, eps exponents summed along a
 word) and applied once per coefficient by a rotation, times_root, never as
 a product with a root of unity.  psi_derivation folds its prefix sign into
-the hop of each entry the same way.
+the hop of each entry the same way.  A rotation of a nonzero coefficient
+is nonzero, and a permutation moves distinct words to distinct words, so
+act_perm and eta_action build their results term by term, with no merge
+and no zero filter.
 
 A G-degree is its position in the bicharacter's fixed order of G, and
 degrees are added, negated and paired through the bicharacter's tables
@@ -154,21 +157,24 @@ def act_perm(sigma, t):
     and the term picks up gamma(slot degrees, sigma).  Evaluating gamma at
     the original degrees over the inversions of sigma itself is what makes
     the action a genuine S_k action: inverted-then-restored pairs cancel
-    by skewness of eps."""
+    by skewness of eps.  sigma moves distinct words to distinct words and a
+    rotation of a nonzero coefficient is nonzero, so the result is built
+    term by term with no merge and no zero filter."""
     k = len(t.variance)
     if len(sigma) != k:
         raise ValueError("permutation size %d does not match tensor width %d"
                          % (len(sigma), k))
     chi = t.space.chi
-    new_var = perms.act_tuple(sigma, t.variance)
+    rows = [t.space.slot_table[v] for v in t.variance]
+    # new slot j holds old slot sigma^-1(j)
+    src = [i - 1 for i in perms.inverse(sigma)]
     out = {}
     for idx, c in t.terms.items():
-        g = gamma_exponent(chi, t.slot_degrees(idx), sigma)
-        nidx = perms.act_tuple(sigma, idx)
-        nc = c.times_root(g)
-        prev = out.get(nidx)
-        out[nidx] = nc if prev is None else prev + nc
-    return GradedTensor(t.space, t.alg, new_var, out)
+        g = gamma_exponent(chi, [row[i - 1] for row, i in zip(rows, idx)], sigma)
+        out[tuple(map(idx.__getitem__, src))] = c.times_root(g)
+    moved = t._like(out)
+    moved.variance = tuple(map(t.variance.__getitem__, src))
+    return moved
 
 def tensor_product(a, b):
     """Concatenate tensor words; a's coefficient hops past b's basis word."""
@@ -348,17 +354,22 @@ def psi_derivation(x, t):
     cols = x.columns()
     sums = {}
     for idx, lam in t.terms.items():
-        if not any(r in cols for r in idx):
+        if cols.keys().isdisjoint(idx):
             continue
-        total = chi.degree_sum(degrees[r - 1] for r in idx)
+        degs = [degrees[r - 1] for r in idx]
+        total = 0
+        for d in degs:
+            total = add[total][d]
         before = 0  # the degree of the slots before slot i
         for i, r in enumerate(idx):
             prefix = eps[before]
-            before = add[before][degrees[r - 1]]
-            after = add[total][neg[before]]
-            for a, entry in cols.get(r, ()):
-                sums.setdefault(idx[:i] + (a,) + idx[i + 1:], []).append(
-                    (hop(entry, after, shift=prefix).terms, lam.terms))
+            before = add[before][degs[i]]
+            col = cols.get(r)
+            if col is not None:
+                after = add[total][neg[before]]
+                for a, entry in col:
+                    sums.setdefault(idx[:i] + (a,) + idx[i + 1:], []).append(
+                        (hop(entry, after, shift=prefix).terms, lam.terms))
     return t._like(eps_sums(t.alg, sums))
 
 def eta_action(g, t):
@@ -366,12 +377,14 @@ def eta_action(g, t):
     prod_i eps(g, |v_i|)."""
     if any(v != PRIMAL for v in t.variance):
         raise ValueError("the grouplike action is defined on primal words")
-    eps = t.space.chi.eps_table[g]
+    eps, degrees = t.space.chi.eps_table[g], t.space.degrees
     out = {}
     for idx, lam in t.terms.items():
-        e = sum(eps[t.space.degree(i)] for i in idx)
+        e = 0
+        for i in idx:
+            e += eps[degrees[i - 1]]
         out[idx] = lam.times_root(e)
-    return GradedTensor(t.space, t.alg, t.variance, out)
+    return t._like(out)
 
 def color_bracket(x, y):
     """[x, y] = x y - eps(|x|, |y|) y x for homogeneous operators, in one

@@ -2,12 +2,15 @@
 
 import ast
 from fractions import Fraction
+import math
 import pathlib
 
+import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import colorinv
+from colorinv import cyclo
 from colorinv.cyclo import CycloRational, as_cyclo, cyclotomic_poly
 
 ORDERS = (1, 2, 3, 4, 6, 8, 12)
@@ -252,6 +255,108 @@ def test_cyclotomic_polynomial_matches_sympy_at_larger_orders():
     for m in (30, 36, 60, 64, 81, 100, 105, 120, 210):
         theirs = sympy.Poly(sympy.cyclotomic_poly(m, X), X).all_coeffs()
         assert cyclotomic_poly(m) == tuple(int(c) for c in reversed(theirs))
+
+
+# ------------------------- product_sums' signed rationals at phi(n) = 1
+
+def product_sums_convolved(groups, m):
+    """product_sums with every key's triples convolved along the power
+    table, whatever the key's order: the general path, kept as the referee
+    of the phi(n) = 1 branch."""
+    out = {}
+    for key, triples in groups.items():
+        n = m
+        for c1, c2, _ in triples:
+            if n % c1.order or n % c2.order:
+                n = math.lcm(n, c1.order, c2.order)
+        rows = cyclo._power_table(n)
+        step = n // m
+        num = [0] * len(rows[0])
+        den = triples[0][0].den * triples[0][1].den
+        for c1, c2, e in triples:
+            a = c1.num if c1.order == n or c1.order == 1 else c1._lift(n)
+            b = c2.num if c2.order == n or c2.order == 1 else c2._lift(n)
+            d = c1.den * c2.den
+            if d != den:
+                g = math.lcm(den, d)
+                if g != den:
+                    num = [x * (g // den) for x in num]
+                    den = g
+                a = [x * (g // d) for x in a]
+            cyclo._convolve(a, b, e * step, rows, num)
+        if any(num):
+            out[key] = cyclo._make(n, tuple(num), den)
+    return out
+
+
+def exact(sums):
+    return {k: (c.order, c.num, c.den) for k, c in sums.items()}
+
+
+@st.composite
+def sign_groups(draw):
+    """(m, {key: [(c1, c2, e)]}, cancelled keys): m in {1, 2}, operands
+    rationals at order 1 or 2 over denominators 1..3, several triples per
+    key, and some keys' triples followed by their negations, so that their
+    sums cancel."""
+    m = draw(st.sampled_from((1, 2)))
+    operands = st.builds(lambda order, k, d: CycloRational(order, [Fraction(k, d)]),
+                         st.sampled_from((1, 2)), st.integers(-4, 4).filter(bool),
+                         st.integers(1, 3))
+    groups, cancelled = {}, set()
+    for key in range(draw(st.integers(1, 4))):
+        triples = draw(st.lists(st.tuples(operands, operands, st.integers(-3, 5)),
+                                min_size=1, max_size=5))
+        if draw(st.booleans()):
+            triples += [(-c1, c2, e) for c1, c2, e in triples]
+            cancelled.add(key)
+        groups[key] = triples
+    return m, groups, cancelled
+
+
+HALF_AT_2 = CycloRational(2, [Fraction(1, 2)])
+
+
+@given(case=sign_groups())
+@example(case=(2, {"cancels": [(HALF_AT_2, CycloRational.one(), 0),
+                               (CycloRational.from_rational(1, 3),
+                                CycloRational.from_rational(3, 2), 1)],
+                   "kept": [(HALF_AT_2, CycloRational(2, [-1]), 3),
+                            (HALF_AT_2, CycloRational.from_rational(2, 3), 4)]},
+                   {"cancels"}))
+@settings(max_examples=200, deadline=None)
+def test_product_sums_signed_rationals_match_the_convolution(case):
+    """At key orders 1 and 2 each triple is a signed rational: the sums
+    equal the convolution's in (order, num, den), keys that cancel are
+    dropped alike, and _convolve is never called."""
+    m, groups, cancelled = case
+    want = exact(product_sums_convolved(groups, m))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cyclo, "_convolve", None)
+        got = exact(cyclo.product_sums(groups, m))
+    assert got == want
+    assert not cancelled & got.keys()
+
+
+def test_product_sums_takes_the_convolution_at_order_four(monkeypatch):
+    """An order-4 operand at m = 2 lifts its key to order 4, where phi is
+    2: that key's lift and triples go through _convolve, the order-2 key
+    beside it does not."""
+    calls = []
+    real = cyclo._convolve
+
+    def counted(a, b, e, rows, out):
+        calls.append(len(rows))
+        real(a, b, e, rows, out)
+    groups = {"four": [(CycloRational.root(4, 1), CycloRational.from_rational(3, 2), 1),
+                       (HALF_AT_2, CycloRational.one(), 1)],
+              "two": [(HALF_AT_2, CycloRational.from_rational(2, 3), 1)]}
+    want = exact(product_sums_convolved(groups, 2))
+    monkeypatch.setattr(cyclo, "_convolve", counted)
+    got = exact(cyclo.product_sums(groups, 2))
+    assert got == want
+    assert got["four"][0] == 4 and got["two"] == (2, (-1,), 3)
+    assert calls and all(n == 4 for n in calls)
 
 
 # ------------------------------------------------ the scalar boundary

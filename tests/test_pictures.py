@@ -37,7 +37,7 @@ from colorinv.pictures import (
 )
 from colorinv.sampling import random_w0_point, standard_test_algebra
 from colorinv.sympoly import MixedShape, SymPolynomial, SymVariable, sym_normalize
-from colorinv.tensors import act_perm, gamma_exponent
+from colorinv.tensors import act_perm, contract_pairs, gamma_exponent
 from colorinv.textform import format_sym
 from colorinv.traces import restitute
 
@@ -236,6 +236,22 @@ def test_joined_t_sigma_matches_unpruned_path(cfgs):
             for u in points:
                 full = theta_eval(sigma, act_perm(mu(ps), blocked_word(ps, u.parts)))
                 assert t_sigma_on_parts(ps, sigma, u.parts) == full, (name, ps, sigma)
+
+
+def test_theta_eval_is_the_three_step_chain(cfgs):
+    """theta_eval's one act_perm by nu tau sigma_hat gives what moving by
+    sigma_hat, then tau, then nu gives, each coefficient's order,
+    numerators and denominator included."""
+    for name, ps, points in join_cases(cfgs):
+        N = ps.N
+        for sigma in all_perms(N):
+            for u in points:
+                t = act_perm(mu(ps), blocked_word(ps, u.parts))
+                chain = act_perm(nu(N), act_perm(tau(N), act_perm(sigma_hat(sigma), t)))
+                got, want = theta_eval(sigma, t), contract_pairs(chain)
+                assert ({w: (c.order, c.num, c.den) for w, c in got.terms.items()}
+                        == {w: (c.order, c.num, c.den) for w, c in want.terms.items()}), \
+                    (name, ps, sigma)
 
 
 def test_join_builds_exactly_the_surviving_terms(cfgs):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from colorinv.cyclo import CycloRational
 from colorinv.epsalgebra import hop
-from colorinv.permutations import all_perms, compose, identity, inverse, inversions
+from colorinv.permutations import act_tuple, all_perms, compose, identity, inverse, inversions
 from colorinv.sampling import random_eps_of_degree, standard_test_algebra
 from colorinv.tensors import (
     DUAL,
@@ -99,6 +99,43 @@ def test_act_perm_matches_textbook_referee(cfgs, algebras):
                     want = act_perm_textbook(sigma, t)
                     assert got.variance == want.variance
                     assert got == want, (name, variance, sigma)
+
+
+def act_perm_merged(sigma, t):
+    """act_perm term by term through act_tuple and gamma_exponent, the
+    moved terms merged into a dict and the zeros filtered out, as
+    GradedTensor sums do."""
+    chi = t.space.chi
+    out = {}
+    for idx, c in t.terms.items():
+        nidx = act_tuple(sigma, idx)
+        nc = c.times_root(gamma_exponent(chi, t.slot_degrees(idx), sigma))
+        prev = out.get(nidx)
+        out[nidx] = nc if prev is None else prev + nc
+    return GradedTensor(t.space, t.alg, act_tuple(sigma, t.variance), out)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_act_perm_matches_the_merged_referee(cfgs, data):
+    """The direct build equals the merged one, each coefficient's order,
+    numerators and denominator included, on tensors of width up to 4 in
+    mixed variance whose coefficients hold several words."""
+    cfg = cfgs[data.draw(st.sampled_from(sorted(cfgs)))]
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    space, alg = cfg.space, standard_test_algebra(cfg.chi, 3)
+    variance = tuple(data.draw(st.lists(st.sampled_from((PRIMAL, DUAL)),
+                                        min_size=1, max_size=4)))
+    sigma = tuple(data.draw(st.permutations(range(1, len(variance) + 1))))
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        idx = tuple(rng.randint(1, space.dim) for _ in variance)
+        lam = random_eps_of_degree(alg, rng.randrange(cfg.chi.group.order), rng, terms=3)
+        terms[idx] = lam + rng.choice((0, 1, Fraction(-1, 2)))
+    t = GradedTensor(space, alg, variance, terms)
+    got, want = act_perm(sigma, t), act_perm_merged(sigma, t)
+    assert got.variance == want.variance
+    assert exact_coefficients(got) == exact_coefficients(want)
 
 
 def test_act_perm_is_functorial(cfgs, algebras):
