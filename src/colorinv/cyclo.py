@@ -211,6 +211,12 @@ class CycloRational:
         return _make(1, (q,), den)
 
     @classmethod
+    def rational_at(cls, m, q, den):
+        """The int q over den at order m, equal in value and in `order` to
+        from_rational(q, den).times_root(m, 0), made in one step."""
+        return _make(m, (q,) + (_TABLES.get(m) or _power_table(m))[0][1:], den)
+
+    @classmethod
     def zero(cls):
         return cls.from_rational(0)
 

@@ -17,11 +17,22 @@ def compose(a, b):
     assert len(a) == len(b)
     return tuple(a[b[i] - 1] for i in range(len(a)))
 
+_INVERSES = {}
+
 def inverse(a):
-    inv = [0] * len(a)
-    for i, j in enumerate(a, start=1):
-        inv[j - 1] = i
-    return tuple(inv)
+    """The inverse permutation.  A sigma is checked by require_perm the
+    first time it is met, so anything but a permutation of 1..k raises
+    ValueError, and its inverse is kept in a module dict keyed by the
+    sigma tuple."""
+    a = tuple(a)
+    inv = _INVERSES.get(a)
+    if inv is None:
+        require_perm(a, len(a))
+        out = [0] * len(a)
+        for i, j in enumerate(a, start=1):
+            out[j - 1] = i
+        inv = _INVERSES[a] = tuple(out)
+    return inv
 
 def require_perm(sigma, n):
     """Refuse sigma unless it is a permutation of 1..n."""

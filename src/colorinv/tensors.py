@@ -159,7 +159,8 @@ def act_perm(sigma, t):
     the action a genuine S_k action: inverted-then-restored pairs cancel
     by skewness of eps.  sigma moves distinct words to distinct words and a
     rotation of a nonzero coefficient is nonzero, so the result is built
-    term by term with no merge and no zero filter."""
+    term by term with no merge and no zero filter.  A sigma that is not a
+    permutation of 1..k raises ValueError."""
     k = len(t.variance)
     if len(sigma) != k:
         raise ValueError("permutation size %d does not match tensor width %d"
@@ -462,7 +463,8 @@ def random_gl_epsilon(space, alg, rng):
     exact inverse.  The constant part is a random integer matrix supported
     on the degree blocks, drawn again until linalg.inverse_int finds it
     invertible; the generator part puts random short words of degree
-    g_b - g_a into admissible entries."""
+    g_b - g_a into admissible entries, each degree's pool of nonempty words
+    listed once per call."""
     add, neg = space.chi.sum_table, space.chi.neg_table
     n = space.dim
     while True:
@@ -474,12 +476,15 @@ def random_gl_epsilon(space, alg, rng):
             break
     terms = {ab: alg.scalar(k) for ab, k in drawn.items() if k}
     maxlen = min(alg.truncation, 2)
+    pools = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             if rng.random() > 0.6:
                 continue
             d = add[space.degree(b)][neg[space.degree(a)]]
-            pool = [w for w in words_of_degree(alg, d, maxlen) if w]
+            pool = pools.get(d)
+            if pool is None:
+                pool = pools[d] = [w for w in words_of_degree(alg, d, maxlen) if w]
             if not pool:
                 continue
             w = pool[rng.randrange(len(pool))]

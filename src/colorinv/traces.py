@@ -10,9 +10,12 @@ the ordered product of the matched coefficients.  No extra sign appears;
 because the coefficients carry the negated variable degrees, reordering
 them tracks exactly the eps-symmetric relations of the monomials, which
 is what makes the value independent of the representative word.
-restitute walks the monomials in sorted order, so that each reuses the
-products of the prefix it shares with the one before, and sums the
-values c * F(monomial) in one epsalgebra.eps_sums call.
+W0Point.product is the one such product: a point never changes, so it
+keeps every prefix product it makes, and a word reuses the longest
+prefix any earlier word at that point made, across calls and across
+polynomials.  restitute_word reads it directly; restitute reads it once
+per monomial and sums the values c * F(monomial) in one
+epsalgebra.eps_sums call.
 
 Elements of U ox U* act as operators by e_a ox e_c* . lam : e_b ->
 delta_cb e_a eps(|lam|, g_b) lam, which fixes the composition and trace
@@ -45,34 +48,54 @@ class W0Point:
                         "summand %d term %r has coefficient of degree != %r; "
                         "point is not degree 0"
                         % (i, idx, shape.chi.element_order()[d]))
+        # product(word) by word, kept for good: the point never changes
+        self._products = {(): alg.one()}
 
     def part(self, i):
         return self.parts[i - 1]
 
+    def product(self, word):
+        """The ordered product of the coefficients at the basis words of the
+        variables of word, a tuple of variable ids: zero if one misses the
+        support, looked up before any product is made.  Each prefix product
+        is kept when first made, and a word multiplies on from its longest
+        kept prefix, stopping at a zero one."""
+        products = self._products
+        acc = products.get(word)
+        if acc is not None:
+            return acc
+        vs = self.shape.numbering().variables
+        lams = [self.parts[vs[k].summand - 1].terms.get(vs[k].word()) for k in word]
+        if any(lam is None for lam in lams):
+            acc = self.alg.zero()
+        else:
+            n = len(word) - 1
+            while word[:n] not in products:
+                n -= 1
+            acc = products[word[:n]]
+            for i in range(n, len(word)):
+                if not acc:
+                    break
+                # point coefficients are normal words: one * lam is a rotation
+                acc = products[word[:i + 1]] = acc * lams[i] if i else lams[0].times_root(0)
+        products[word] = acc
+        return acc
+
 def restitute_word(shape, word, point):
     """Evaluate an arbitrary sequence of variable ids (an element of
-    T^r(W*)) at a point: the ordered product of the point coefficients at
-    the variables' basis words, zero if any variable misses the point's
-    support."""
-    alg = point.alg
-    vs = shape.numbering().variables
-    acc = None
-    for k in word:
-        v = vs[k]
-        lam = point.part(v.summand).terms.get(v.word())
-        if lam is None:
-            return alg.zero()
-        # point coefficients are normal words: alg.one() * lam is a rotation
-        acc = lam.times_root(0) if acc is None else acc * lam
-        if not acc:
-            return alg.zero()
-    return alg.one() if acc is None else acc
+    T^r(W*)) at a point: W0Point.product, the ordered product of the point
+    coefficients at the variables' basis words, zero if any variable
+    misses the point's support."""
+    if shape is not point.shape and shape != point.shape:
+        raise ValueError("word and point live over different shapes")
+    return point.product(tuple(word))
 
 def restitute(poly, point):
     """F^r on S(W*) at a degree-0 point, monomials evaluated on their
-    canonical sorted representatives.  The input must be homogeneous: F^r
-    is defined degree by degree, so a mix of total degrees is rejected,
-    and a constant c restitutes to c * 1 at c's own order."""
+    canonical sorted representatives by W0Point.product.  The input must
+    be homogeneous: F^r is defined degree by degree, so a mix of total
+    degrees is rejected, and a constant c restitutes to c * 1 at c's own
+    order."""
     if poly.shape is not point.shape and poly.shape != point.shape:
         raise ValueError("polynomial and point live over different shapes")
     degrees = sorted({len(mono) for mono in poly.terms})
@@ -82,24 +105,11 @@ def restitute(poly, point):
     alg = point.alg
     if degrees == [0]:
         return alg.scalar(poly.terms[()])
-    vs = poly.shape.numbering().variables
-    chain, prev, pairs = [], (), []  # chain[i]: the product over prev[:i + 1]
-    for mono in sorted(poly.terms):
-        lams = [point.part(vs[k].summand).terms.get(vs[k].word()) for k in mono]
-        if any(lam is None for lam in lams):
-            continue
-        n = 0
-        while n < len(chain) and mono[n] == prev[n]:
-            n += 1
-        del chain[n:]
-        prev = mono
-        for lam in lams[n:]:
-            x = chain[-1] * lam if chain else lam
-            if not x:
-                break
-            chain.append(x)
-        if len(chain) == len(mono):
-            pairs.append((chain[-1].terms, {(): poly.terms[mono]}))
+    pairs = []
+    for mono, c in poly.terms.items():
+        x = point.product(mono)
+        if x:
+            pairs.append((x.terms, {(): c}))
     return eps_sums(alg, {(): pairs}).get((), alg.zero())
 
 def transposition_sign_check(shape, word, i, point):

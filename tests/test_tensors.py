@@ -138,6 +138,19 @@ def test_act_perm_matches_the_merged_referee(cfgs, data):
     assert exact_coefficients(got) == exact_coefficients(want)
 
 
+def test_act_perm_refuses_a_sigma_that_is_not_a_permutation(cfgs, algebras):
+    """(1, 1) repeats an entry, (0, 1) holds a 0, which a check for a 0
+    left in the inverse would miss, and (3, 1) leaves 1..2: each is
+    refused, on the first call and on a second one."""
+    cfg, alg = cfgs["super"], algebras["super"]
+    t = GradedTensor.basis(cfg.space, alg, (PRIMAL, PRIMAL), (1, 2))
+    for sigma in ((1, 1), (0, 1), (3, 1)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^sigma must lie in S_2$"):
+                act_perm(sigma, t)
+    assert act_perm((2, 1), t).terms.keys() == {(2, 1)}
+
+
 def test_act_perm_is_functorial(cfgs, algebras):
     for name in ("super", "z2z2"):
         cfg, alg = cfgs[name], algebras[name]

@@ -1,13 +1,16 @@
 """Restitution, staircase certificates, and trace monomials."""
 
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colorinv import sampling
 from colorinv.cyclo import CycloRational
-from colorinv.epsalgebra import EpsElement, words_of_degree
+from colorinv.epsalgebra import EpsElement, add_term, eps_sums, words_of_degree
+from colorinv.linalg import inverse_int
 from colorinv.permutations import all_perms
 from colorinv.pictures import PictureShape, build_phi
 from colorinv.sampling import (
@@ -18,7 +21,13 @@ from colorinv.sampling import (
     standard_test_algebra,
 )
 from colorinv.sympoly import MixedShape, SymPolynomial, SymVariable
-from colorinv.tensors import PRIMAL, GradedOperator, GradedTensor, random_gl_epsilon
+from colorinv.tensors import (
+    PRIMAL,
+    GradedOperator,
+    GradedTensor,
+    invert_operator,
+    random_gl_epsilon,
+)
 from colorinv.traces import (
     W0Point,
     end_compose,
@@ -84,7 +93,9 @@ def test_restitute_rejects_mixed_degrees(cfgs, algebras):
 
 def test_restitute_refuses_a_polynomial_over_another_shape(cfgs, algebras):
     """Checked before any work: over another space a monomial names other
-    variables, and a summand the point lacks would be read past its end."""
+    variables, and a summand the point lacks would be read past its end.
+    restitute_word refuses a word over another shape the same way, since
+    the point keeps its products by its own shape's variable ids."""
     z2z2 = cfgs["z2z2"]
     u = random_w0_point(z2z2.shape, algebras["z2z2"], random.Random("foreign"))
     phi = build_phi(PictureShape(cfgs["super"].shape, (2,)), (2, 1)).poly
@@ -94,6 +105,9 @@ def test_restitute_refuses_a_polynomial_over_another_shape(cfgs, algebras):
         with pytest.raises(ValueError, match="^polynomial and point live over "
                                              "different shapes$"):
             restitute(poly, u)
+        with pytest.raises(ValueError, match="^word and point live over "
+                                             "different shapes$"):
+            restitute_word(poly.shape, next(iter(poly.terms)), u)
 
 
 def exact_terms(elem):
@@ -132,6 +146,82 @@ def test_random_eps_of_degree_pins_monomial_sum(cfgs, algebras):
                     want = monomial_sum_eps_of_degree(alg, d, b, max_len, terms)
                     assert exact_terms(got) == exact_terms(want), (name, d)
                     assert a.getstate() == b.getstate(), (name, d)
+
+
+def two_step_eps_of_degree(alg, d, rng, max_len=2, terms=2):
+    """random_eps_of_degree with each coefficient made as a rational and
+    then rotated to the root order, summed into a dict that the EpsElement
+    constructor filters once more."""
+    pool = words_of_degree(alg, d, max_len)
+    if not pool:
+        return alg.zero()
+    out = {}
+    for _ in range(terms):
+        w = pool[rng.randrange(len(pool))]
+        num = rng.randint(-4, 4)
+        c = CycloRational.from_rational(num, rng.choice([1, 1, 2, 3]))
+        if c:
+            add_term(out, w, c.times_root(alg.chi.m, 0))
+    if not out:
+        return alg.monomial(pool[rng.randrange(len(pool))], 1)
+    return EpsElement(alg, out)
+
+
+def repooled_gl_epsilon(space, alg, rng):
+    """random_gl_epsilon listing the pool of words of an entry's degree
+    again at every entry it fills."""
+    add, neg = space.chi.sum_table, space.chi.neg_table
+    n = space.dim
+    while True:
+        drawn = {(a, b): rng.randint(-3, 3)
+                 for a in range(1, n + 1) for b in range(1, n + 1)
+                 if space.degree(a) == space.degree(b)}
+        if inverse_int([[drawn.get((a, b), 0) for b in range(1, n + 1)]
+                        for a in range(1, n + 1)]) is not None:
+            break
+    terms = {ab: alg.scalar(k) for ab, k in drawn.items() if k}
+    maxlen = min(alg.truncation, 2)
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if rng.random() > 0.6:
+                continue
+            d = add[space.degree(b)][neg[space.degree(a)]]
+            pool = [w for w in words_of_degree(alg, d, maxlen) if w]
+            if not pool:
+                continue
+            w = pool[rng.randrange(len(pool))]
+            coeff = rng.choice([-2, -1, 1, 2])
+            add_term(terms, (a, b), alg.monomial(w, coeff))
+    T = GradedOperator(space, alg, terms)
+    return T, invert_operator(T)
+
+
+def exact_entries(x):
+    """{key: exact_terms(entry)} for a tensor or an operator."""
+    return {k: exact_terms(lam) for k, lam in x.terms.items()}
+
+
+def test_draws_match_the_two_step_referees(cfgs, monkeypatch):
+    """On every builtin at seeds 0-29, random_w0_point and random_gl_epsilon
+    return what the referees return, each coefficient's order, numerators
+    and denominator included, and leave the rng in the same state."""
+    for name in sorted(cfgs):
+        cfg = cfgs[name]
+        alg = standard_test_algebra(cfg.chi, truncation=3)
+        for seed in range(30):
+            got, want = random.Random(seed), random.Random(seed)
+            point = random_w0_point(cfg.shape, alg, got)
+            with monkeypatch.context() as patched:
+                patched.setattr(sampling, "random_eps_of_degree", two_step_eps_of_degree)
+                ref = random_w0_point(cfg.shape, alg, want)
+            assert [exact_entries(u) for u in point.parts] == \
+                [exact_entries(u) for u in ref.parts], (name, seed)
+            assert got.getstate() == want.getstate(), (name, seed)
+            ops = random_gl_epsilon(cfg.space, alg, got)
+            ref_ops = repooled_gl_epsilon(cfg.space, alg, want)
+            assert [exact_entries(x) for x in ops] == \
+                [exact_entries(x) for x in ref_ops], (name, seed)
+            assert got.getstate() == want.getstate(), (name, seed)
 
 
 def one_seeded_restitute(poly, point):
@@ -197,13 +287,141 @@ def test_rational_copy_refuses_an_irrational_coefficient(cfgs):
     assert rational_copy(W0Point(cfg.shape, alg, [u])).parts == (u,)
 
 
+def plain_restitute_word(shape, word, point):
+    """restitute_word as a plain loop over the word, keeping nothing."""
+    alg = point.alg
+    vs = shape.numbering().variables
+    acc = None
+    for k in word:
+        v = vs[k]
+        lam = point.part(v.summand).terms.get(v.word())
+        if lam is None:
+            return alg.zero()
+        acc = lam.times_root(0) if acc is None else acc * lam
+        if not acc:
+            return alg.zero()
+    return alg.one() if acc is None else acc
+
+
+def chain_restitute(poly, point):
+    """restitute walking the monomials in sorted order, each reusing only
+    the prefix products of the one before, and keeping nothing after the
+    call."""
+    degrees = sorted({len(mono) for mono in poly.terms})
+    assert len(degrees) <= 1
+    alg = point.alg
+    if degrees == [0]:
+        return alg.scalar(poly.terms[()])
+    vs = poly.shape.numbering().variables
+    chain, prev, pairs = [], (), []  # chain[i]: the product over prev[:i + 1]
+    for mono in sorted(poly.terms):
+        lams = [point.part(vs[k].summand).terms.get(vs[k].word()) for k in mono]
+        if any(lam is None for lam in lams):
+            continue
+        n = 0
+        while n < len(chain) and mono[n] == prev[n]:
+            n += 1
+        del chain[n:]
+        prev = mono
+        for lam in lams[n:]:
+            x = chain[-1] * lam if chain else lam
+            if not x:
+                break
+            chain.append(x)
+        if len(chain) == len(mono):
+            pairs.append((chain[-1].terms, {(): poly.terms[mono]}))
+    return eps_sums(alg, {(): pairs}).get((), alg.zero())
+
+
+def interleaved_calls(cfg, rng, calls):
+    """Make `calls` restitute and restitute_word calls at one point, then
+    the same calls at a second point of the same shape, whose coefficients
+    are rationals at order 1, and compare each
+    value, coefficient orders included, with the memo-free referees.  Half
+    the words extend a cut of an earlier word, so they share its prefix;
+    the polynomials are sums of the sorted forms of drawn words of one
+    length.  Returns how often a word or monomial missed the point's
+    support, had a product that vanished, or shared a nonempty prefix
+    with an earlier one at that point."""
+    shape = cfg.shape
+    alg = standard_test_algebra(cfg.chi, 3)
+    nvars = len(shape.numbering().variables)
+
+    def draw_word(words):
+        head = ()
+        if words and rng.random() < 0.5:
+            w = rng.choice(words)
+            head = w[:rng.randint(0, len(w))]
+        return head + tuple(rng.randrange(nvars) for _ in range(rng.randint(0, 2)))
+
+    words, made = [], []
+    for _ in range(calls):
+        w = draw_word(words)
+        words.append(w)
+        if rng.random() < 0.5:
+            made.append(("word", w))
+            continue
+        poly = SymPolynomial.from_word(shape, w)
+        for _ in range(rng.randint(0, 3)):
+            x = draw_word(words)
+            if len(x) == len(w):
+                words.append(x)
+                poly = poly + SymPolynomial.from_word(shape, x).scale(random_rational(rng))
+        made.append(("poly", poly))
+    seen = collections.Counter()
+    points = [random_w0_point(shape, alg, rng, density=0.6) for _ in range(2)]
+    for point in (points[0], rational_copy(points[1])):
+        prefixes = set()
+        for kind, arg in made:
+            if kind == "word":
+                got, want = restitute_word(shape, arg, point), \
+                    plain_restitute_word(shape, arg, point)
+                met = [arg]
+            else:
+                got, want = restitute(arg, point), chain_restitute(arg, point)
+                met = list(arg.terms)
+            assert exact_terms(got) == exact_terms(want), (kind, arg)
+            for w in met:
+                if any(not plain_restitute_word(shape, (k,), point) for k in w):
+                    seen["missed"] += 1
+                elif not plain_restitute_word(shape, w, point):
+                    seen["vanished"] += 1
+                if w and w[:1] in prefixes:
+                    seen["shared"] += 1
+                prefixes.update(w[:i] for i in range(1, len(w) + 1))
+    return seen
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_kept_products_match_the_memo_free_referees(cfgs, data):
+    """Calls interleaved at one point, then repeated at a second point:
+    what a point keeps from earlier calls changes no value or order."""
+    cfg = cfgs[data.draw(st.sampled_from(sorted(cfgs)))]
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    interleaved_calls(cfg, rng, data.draw(st.integers(1, 12)))
+
+
+def test_interleaved_calls_meet_every_case(cfgs):
+    """The seeded runs of interleaved_calls meet, on every builtin,
+    monomials that miss the support, products that vanish and words that
+    share a prefix."""
+    for name in sorted(cfgs):
+        seen = collections.Counter()
+        for seed in range(4):
+            seen += interleaved_calls(cfgs[name], random.Random("kept/%d" % seed), 12)
+        assert min(seen[k] for k in ("missed", "vanished", "shared")) > 0, (name, seen)
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_restitute_is_the_sum_of_its_monomials_words(cfgs, data):
     """restitute equals sum c * restitute_word(monomial), in value and in
     each coefficient's order, on homogeneous polynomials of degree 0 to 3
     at points that miss part of W's basis, so some monomials restitute to
-    zero; a constant keeps c * 1 at c's own order."""
+    zero; a constant keeps c * 1 at c's own order.  Both functions read
+    W0Point.product, so the words are restituted by the memo-free
+    plain_restitute_word."""
     cfg = cfgs[data.draw(st.sampled_from(sorted(cfgs)))]
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     alg = standard_test_algebra(cfg.chi, 3)
@@ -216,7 +434,7 @@ def test_restitute_is_the_sum_of_its_monomials_words(cfgs, data):
         poly = SymPolynomial(cfg.shape, {(): random_rational(rng)})
     want = alg.zero()
     for mono, c in poly.terms.items():
-        want = want + restitute_word(cfg.shape, mono, point).scale(c)
+        want = want + plain_restitute_word(cfg.shape, mono, point).scale(c)
     assert exact_terms(restitute(poly, point)) == exact_terms(want)
 
 
